@@ -242,6 +242,12 @@ class LiveReport:
                 if k in self.counters
             ]
             lines.append("  transport: " + " ".join(parts))
+            if self.clock_stats:
+                fates = ("piggybacked", "flushed", "dup", "lost", "rejected")
+                parts = [
+                    f"{k}={self.counters.get('net.ctl_' + k, 0)}" for k in fates
+                ]
+                lines.append("  control: " + " ".join(parts))
         if self.clock_stats:
             cs = self.clock_stats
             lines.append(
@@ -362,8 +368,10 @@ async def run_live_store(
                     watcher.result()  # surface crash/restart failures
         duration = time.monotonic() - started
 
-        # quiesce: stop injecting faults, let replication and control
-        # traffic drain so the audit sees the settled state
+        # quiesce: stop injecting faults and let replication finish on every
+        # node before any node flushes its controls -- replication still
+        # emits controls, and a flush sent too early would make the number
+        # of frames depend on timing
         interposer.enable(False)
         servers: List[ServerNode] = [
             supervisor.nodes[pid]  # type: ignore[misc]
@@ -371,8 +379,8 @@ async def run_live_store(
         ]
         for node in supervisor.nodes.values():
             await node.drain()
-        for node in supervisor.nodes.values():  # control spawned by drains
-            await node.drain()
+        for node in supervisor.nodes.values():
+            await node.flush_controls()
 
         clock_stats: Dict[str, Any] = {}
         checkpoint_problems: List[str] = []
@@ -410,7 +418,11 @@ async def run_live_store(
                 "net.crashes",
                 "net.restarts",
                 "net.repl_failures",
+                "net.ctl_piggybacked",
+                "net.ctl_flushed",
+                "net.ctl_dup",
                 "net.ctl_lost",
+                "net.ctl_rejected",
             )
         }
 

@@ -18,12 +18,32 @@ sized by the sequencer vertex cover — observe the live run unchanged.
 
 The **clock seam** is :class:`LiveClockHost`: every framed request and
 response between adjacent processes is an application message carrying a
-clock envelope (send-event payload), the receiving node replays it into the
-algorithm, and any control messages the algorithm emits are shipped back
-over TCP on a per-channel FIFO (sequence-numbered, retransmitted,
-deduplicated).  Any of the nine registered schemes drops in; duplicated
+clock envelope (send-event payload) and the receiving node replays it into
+the algorithm.  Any of the nine registered schemes drops in; duplicated
 frames are absorbed by message-id dedup so at-least-once delivery never
 produces a second receive event.
+
+**Control messages ride the frames already going their way** (the paper's
+Section 3.2 piggybacking; the simulator's ``ControlTransport.PIGGYBACK``).
+A control the algorithm emits on receiving a *request* goes back in the
+``"ctl"`` list of that request's response; one emitted on receiving a
+*response* waits in a per-destination outbox for this node's next request to
+that process.  The receiver applies the list after the frame's own receive
+event, through :meth:`LiveClockHost.control`, whose per-channel sequence
+numbers restore FIFO order and drop repeats — so a retransmitted request or
+a replayed cached response is harmless, and a request that fails puts its
+controls back at the head of the outbox.  There is no per-control RPC and no
+timer: an edge that goes idle finalizes at its next message, or when the node
+quiesces and :meth:`LiveNode.flush_controls` sends what is left, one batched
+``{"type": "ctl"}`` request per destination.  A response never empties the
+outbox: which of two concurrent exchanges on an edge ends last depends on
+timing, and the number of frames a run sends must not.  A node only accepts
+controls whose channel is the frame's own two endpoints.  What is lost: the
+controls on a response whose requester gave up on the request id (they
+count as piggybacked; the receiver's channel then holds later ones back),
+those of a flush that exhausts its retries (``net.ctl_lost``), and whatever
+a crashed node still held.  Their events finalize at termination, as in the
+simulator's lossy-control runs.
 
 Robustness properties the nodes provide:
 
@@ -255,7 +275,7 @@ class LiveClockHost:
     def deliver(
         self, dst: int, src: int, env: Dict[str, Any]
     ) -> List[Dict[str, Any]]:
-        """Receive event for an incoming envelope; returns control frames.
+        """Receive event for an incoming envelope; returns control messages.
 
         Duplicate copies (same message id) are absorbed here — the
         execution model has at most one receive event per message.
@@ -274,7 +294,6 @@ class LiveClockHost:
             self._ctrl_seq[chan] = seq + 1
             out.append(
                 {
-                    "type": "ctl",
                     "csrc": cm.src,
                     "cdst": cm.dst,
                     "seq": seq,
@@ -356,6 +375,8 @@ class LiveNode:
         self._peers: Dict[int, PeerClient] = {}
         self._rpc: Optional[RpcServer] = None
         self._bg: Set[asyncio.Task] = set()
+        #: destination -> controls waiting for the next frame going there
+        self._ctl_out: Dict[int, List[Dict[str, Any]]] = {}
         self.crashed = False
         #: supervisor-injected per-response delay (slow-node degradation)
         self.response_delay = 0.0
@@ -369,6 +390,7 @@ class LiveNode:
         return addr
 
     async def stop(self) -> None:
+        await self.flush_controls()
         for peer in self._peers.values():
             await peer.close()
         self._peers.clear()
@@ -382,9 +404,11 @@ class LiveNode:
             self._rpc = None
 
     async def kill(self) -> None:
-        """Abrupt crash: stop serving and drop every connection."""
+        """Abrupt crash: stop serving, drop every connection and every
+        control still waiting for a frame."""
         self.crashed = True
         counter("net.crashes").inc()
+        self._ctl_out.clear()
         await self.stop()
 
     def checkpoint_state(self) -> Dict[str, Any]:
@@ -421,29 +445,77 @@ class LiveNode:
         if nxt != target:
             message = {"type": "fwd", "target": target, "inner": message}
         frame = dict(message)
+        riding: List[Dict[str, Any]] = []
         if self.clock_host is not None:
             frame["env"] = self.clock_host.envelope(self.pid, nxt)
-        response = await self.peer(nxt).request(
-            frame, rid=rid, timeout=timeout, max_retries=max_retries
-        )
-        env = response.pop("env", None)
-        if env is not None and self.clock_host is not None:
-            self._ship_controls(self.clock_host.deliver(self.pid, nxt, env))
+            riding = self._ctl_out.pop(nxt, [])
+            if riding:
+                frame["ctl"] = riding
+        try:
+            response = await self.peer(nxt).request(
+                frame, rid=rid, timeout=timeout, max_retries=max_retries
+            )
+        except (RequestTimeout, TransportError):
+            if riding:
+                # back to the head of the queue; copies the receiver already
+                # applied are dropped there by sequence number
+                self._ctl_out[nxt] = riding + self._ctl_out.get(nxt, [])
+            raise
+        if riding:
+            counter("net.ctl_piggybacked").inc(len(riding))
+        # controls for the responder wait for the next request going there
+        self._queue_controls(self._absorb(nxt, response))
         return response
 
-    def _ship_controls(self, controls: List[Dict[str, Any]]) -> None:
+    # -- control messages ride application frames -------------------------
+    def _absorb(self, peer: int, frame: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Strip the clock fields off a frame from *peer* and act on them:
+        the frame's own receive event first, then the controls it carried —
+        the order the simulator delivers a piggybacked message in.  Returns
+        the controls the receive event produced (all addressed to *peer*).
+        """
+        env = frame.pop("env", None)
+        carried = frame.pop("ctl", None)
+        if carried is not None:
+            self._check_controls(peer, carried)
+        if self.clock_host is None:
+            return []
+        produced = (
+            self.clock_host.deliver(self.pid, peer, env) if env is not None else []
+        )
+        for ctl in carried or ():
+            self.clock_host.control(peer, self.pid, ctl["seq"], ctl["pl"])
+        return produced
+
+    def _queue_controls(self, controls: List[Dict[str, Any]]) -> None:
+        """Hold *controls* until a frame goes to their destination anyway."""
         for ctl in controls:
             if ctl["csrc"] != self.pid:  # pragma: no cover - defensive
                 raise AssertionError("control message must originate here")
-            self._spawn(self._send_control(ctl))
+            self._ctl_out.setdefault(ctl["cdst"], []).append(ctl)
 
-    async def _send_control(self, ctl: Dict[str, Any]) -> None:
-        try:
-            await self.peer(int(ctl["cdst"])).request(ctl)
-        except (RequestTimeout, TransportError):
-            # finalization for the affected events degrades to termination
-            # flushing, exactly as in the simulator's lossy-control runs
-            counter("net.ctl_lost").inc()
+    def _check_controls(self, peer: int, controls: Any) -> None:
+        """Reject controls that could not have come from *peer* for this node.
+
+        A control travels only on frames between the two ends of its own
+        channel, so anything else on the frame is forged or malformed; the
+        whole frame is refused before the clock sees any of it.
+        """
+        if isinstance(controls, list) and all(
+            isinstance(ctl, dict)
+            and ctl.get("csrc") == peer
+            and ctl.get("cdst") == self.pid
+            and type(ctl.get("seq")) is int
+            and ctl["seq"] >= 0
+            and "pl" in ctl
+            for ctl in controls
+        ):
+            return
+        counter("net.ctl_rejected").inc()
+        raise TransportError(
+            f"p{self.pid} refused controls on a frame from p{peer}: each must "
+            f"be an object with csrc={peer}, cdst={self.pid} and an integer seq"
+        )
 
     def _spawn(self, coro: Any) -> None:
         task = asyncio.ensure_future(coro)
@@ -451,10 +523,27 @@ class LiveNode:
         task.add_done_callback(self._bg.discard)
 
     async def drain(self, timeout: float = 10.0) -> None:
-        """Wait for background work (replication, control) to finish."""
+        """Wait for background work (replication) to finish."""
         pending = [t for t in self._bg if not t.done()]
         if pending:
             await asyncio.wait(pending, timeout=timeout)
+
+    async def flush_controls(self) -> None:
+        """Send every queued control now, one batched request per destination.
+
+        The only stand-alone control frames there are: a node calls this
+        when it quiesces, because an edge that went idle has no frame left
+        for its last controls to ride.  A batch that cannot be delivered is
+        given up (``net.ctl_lost``); its events finalize at termination.
+        """
+        for dst in sorted(self._ctl_out):
+            batch = self._ctl_out.pop(dst)
+            try:
+                await self.peer(dst).request({"type": "ctl", "ctl": batch})
+            except (RequestTimeout, TransportError):
+                counter("net.ctl_lost").inc(len(batch))
+            else:
+                counter("net.ctl_flushed").inc(len(batch))
 
     # -- inbound --------------------------------------------------------
     async def _dispatch(self, peer: int, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -463,27 +552,27 @@ class LiveNode:
         if self.response_delay > 0:
             await asyncio.sleep(self.response_delay)
         message = dict(message)
-        env = message.pop("env", None)
-        if env is not None and self.clock_host is not None:
-            self._ship_controls(self.clock_host.deliver(self.pid, peer, env))
+        owed = self._absorb(peer, message)
         kind = message.get("type")
-        if kind == "ctl":
-            if self.clock_host is not None:
-                self.clock_host.control(
-                    int(message["csrc"]),
-                    int(message["cdst"]),
-                    int(message["seq"]),
-                    message["pl"],
-                )
-            body: Dict[str, Any] = {}
-        elif kind == "fwd":
-            body = await self.call(int(message["target"]), message["inner"])
-        else:
-            body = await self.handle_app(peer, message)
-        if self.clock_host is not None and kind != "ctl":
-            # the response is itself an application message hop
+        if kind == "ctl":  # a quiesce flush: controls only, not a clock hop
+            return {}
+        try:
+            if kind == "fwd":
+                body = await self.call(int(message["target"]), message["inner"])
+            else:
+                body = await self.handle_app(peer, message)
+        except Exception:
+            # an error response has no body for them to ride
+            self._queue_controls(owed)
+            raise
+        if self.clock_host is not None:
+            # the response is itself an application message hop, and takes
+            # the controls its request gave rise to back to the requester
             body = dict(body)
             body["env"] = self.clock_host.envelope(self.pid, peer)
+            if owed:
+                body["ctl"] = owed
+                counter("net.ctl_piggybacked").inc(len(owed))
         return body
 
     async def handle_app(self, peer: int, message: Dict[str, Any]) -> Dict[str, Any]:

@@ -418,6 +418,12 @@ class RpcServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._server is None:
+            # accepted just as stop() closed the listener, so stop() never
+            # saw this task: serving it would leave a stopped (crashed) node
+            # answering on a connection its peer has no reason to drop
+            writer.close()
+            return
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)

@@ -7,6 +7,7 @@ seam, and reconnection with address re-resolution.
 """
 
 import asyncio
+import json
 import socket
 
 import pytest
@@ -336,3 +337,35 @@ class TestReconnect:
         # address came back up
         assert registry.counter_value("net.connect_failures") >= 1
         assert registry.counter_value("net.reconnects") >= 1
+
+    def test_connection_accepted_during_stop_is_not_served(self):
+        """A dial that lands while ``stop()`` closes the listener starts its
+        connection task after ``stop()`` has cancelled the ones it knew; a
+        stopped server must close it, or the peer keeps a healthy-looking
+        connection to a dead node and never re-resolves its address."""
+
+        async def go():
+            handler = CountingHandler()
+            server = RpcServer(1, handler)
+            await server.start()
+            await server.stop()
+            ours, theirs = socket.socketpair()
+            for frame in (
+                {"t": "hello", "schema": "repro.net/1", "proc": 0},
+                {"t": "req", "rid": "r-1", "m": {"n": 1}},
+            ):
+                body = json.dumps(frame).encode()
+                theirs.sendall(len(body).to_bytes(4, "big") + body)
+            reader, writer = await asyncio.open_connection(sock=ours)
+            try:
+                await asyncio.wait_for(
+                    server._on_connection(reader, writer), 1.0
+                )
+                await asyncio.sleep(0.05)  # a served request would run now
+                assert writer.is_closing()
+            finally:
+                writer.close()
+                theirs.close()
+            assert handler.calls == 0
+
+        run(go())
