@@ -411,6 +411,10 @@ async def run_live_store(
                 "net.drops_injected",
                 "net.dups_injected",
                 "net.dedup_hits",
+                "net.dedup_replayed",
+                "net.dedup_joined",
+                "net.responses_unmatched",
+                "net.frames_rejected",
                 "net.commit_dedup",
                 "net.reconnects",
                 "net.connect_failures",

@@ -9,14 +9,23 @@ of the :mod:`repro.net` runtime.  Design goals, in order:
   wire; clock payloads (tuples, integer-keyed dicts, ``inf`` sentinels) are
   carried through the lossless :func:`pack_payload` tagging scheme because
   plain JSON would silently turn tuples into lists and integer keys into
-  strings.
+  strings.  A frame that is oversized, not JSON or not an object costs the
+  connection it arrived on and nothing else (``net.frames_rejected``): the
+  client drops that connection and its running attempt's retransmission
+  dials a new one, the server closes it and keeps serving the others.
 - **At-least-once requests, exactly-once effects.**  Every request carries
   an idempotent request id (``rid``).  :class:`PeerClient` retransmits a
-  request after a per-request timeout with exponential backoff + jitter, up
-  to a bounded retry budget; :class:`RpcServer` deduplicates by ``rid`` —
-  a retransmit of a completed request replays the cached response without
-  re-invoking the handler, and a retransmit of an in-flight request simply
-  awaits the first invocation.
+  request after a per-attempt deadline with exponential backoff + jitter,
+  up to a bounded retry budget.  One attempt is one timer: it covers
+  (re)connecting, writing the frame and waiting for the response, and a
+  response to *any* earlier transmission of the rid completes the attempt
+  that is waiting.  :class:`RpcServer` deduplicates by ``rid`` — a
+  retransmit of a completed request replays the cached response without
+  re-invoking the handler, and a retransmit of an in-flight request joins
+  the first invocation.  That invocation is one task owned by the server,
+  not by the connection that asked first, so losing the connection neither
+  cancels the handler nor forgets its result; only :meth:`RpcServer.stop`
+  cancels it, and then nothing is cached and nothing is answered.
 - **Reconnection.**  A :class:`PeerClient` owns at most one TCP connection
   to its peer and re-establishes it on failure with exponential backoff +
   jitter, re-resolving the peer's address on every attempt so a node that
@@ -43,7 +52,7 @@ import random
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import counter
 
@@ -105,79 +114,158 @@ class TransportPolicy:
 # ----------------------------------------------------------------------
 # lossless payload tagging (tuples / int-keyed dicts survive JSON)
 # ----------------------------------------------------------------------
+#: exact types that cross the codec unchanged; their subclasses (``IntEnum``)
+#: and the containers take the ``isinstance`` branches
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
 def pack_payload(obj: Any) -> Any:
     """Encode an arbitrary clock payload into JSON-safe structures.
 
     Tuples become ``{"__tup": [...]}``, dicts become ``{"__map": [[k, v],
     ...]}`` (preserving key types), lists recurse; scalars pass through.
     ``float('inf')`` survives because Python's :mod:`json` round-trips
-    ``Infinity`` by default.
+    ``Infinity`` by default.  Scalar members are mapped inside the
+    comprehensions, so a flat vector costs one call, not one per element.
     """
+    scalars = _SCALARS
+    if type(obj) in scalars:
+        return obj
     if isinstance(obj, tuple):
-        return {"__tup": [pack_payload(x) for x in obj]}
+        return {
+            "__tup": [x if type(x) in scalars else pack_payload(x) for x in obj]
+        }
     if isinstance(obj, dict):
-        return {"__map": [[pack_payload(k), pack_payload(v)] for k, v in obj.items()]}
+        return {
+            "__map": [
+                [
+                    k if type(k) in scalars else pack_payload(k),
+                    v if type(v) in scalars else pack_payload(v),
+                ]
+                for k, v in obj.items()
+            ]
+        }
     if isinstance(obj, list):
-        return [pack_payload(x) for x in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return [x if type(x) in scalars else pack_payload(x) for x in obj]
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(f"unsupported payload component: {type(obj)!r}")
 
 
 def unpack_payload(obj: Any) -> Any:
     """Inverse of :func:`pack_payload`."""
+    scalars = _SCALARS
     if isinstance(obj, dict):
-        if "__tup" in obj and len(obj) == 1:
-            return tuple(unpack_payload(x) for x in obj["__tup"])
-        if "__map" in obj and len(obj) == 1:
-            return {unpack_payload(k): unpack_payload(v) for k, v in obj["__map"]}
-        return {k: unpack_payload(v) for k, v in obj.items()}
+        if len(obj) == 1:
+            if "__tup" in obj:
+                return tuple(
+                    [
+                        x if type(x) in scalars else unpack_payload(x)
+                        for x in obj["__tup"]
+                    ]
+                )
+            if "__map" in obj:
+                return {
+                    (k if type(k) in scalars else unpack_payload(k)): (
+                        v if type(v) in scalars else unpack_payload(v)
+                    )
+                    for k, v in obj["__map"]
+                }
+        return {
+            k: v if type(v) in scalars else unpack_payload(v)
+            for k, v in obj.items()
+        }
     if isinstance(obj, list):
-        return [unpack_payload(x) for x in obj]
+        return [x if type(x) in scalars else unpack_payload(x) for x in obj]
     return obj
 
 
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+#: one compact encoder for every frame (``json.dumps(separators=...)`` builds
+#: a new ``JSONEncoder`` per call)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: bytes asked of the socket per read; a read often carries several frames
+_READ_CHUNK = 64 * 1024
+
+
+def _reject(reason: str) -> TransportError:
+    counter("net.frames_rejected").inc()
+    return TransportError(reason)
+
+
 class FrameStream:
-    """Length-prefixed JSON frames over one asyncio stream pair."""
+    """Length-prefixed JSON frames over one asyncio stream pair.
+
+    A frame is a single ``write()`` call, which asyncio never interleaves
+    with another, so concurrent senders need no lock.  The write buffer's
+    high-water mark is raised to one maximal frame: a frame written while
+    the buffer is empty (:attr:`idle`) can then never make ``send`` wait,
+    which is what lets :meth:`PeerClient.request` write inline.
+    """
 
     def __init__(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self._send_lock = asyncio.Lock()
+        self._inbox = bytearray()
+        writer.transport.set_write_buffer_limits(high=MAX_FRAME_BYTES + 4)
+
+    @property
+    def idle(self) -> bool:
+        """Nothing waits in the write buffer: the next ``send`` returns
+        without suspending."""
+        return self._writer.transport.get_write_buffer_size() == 0
 
     async def send(self, obj: Dict[str, Any]) -> None:
-        body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        body = _encode(obj).encode("utf-8")
         if len(body) > MAX_FRAME_BYTES:
             raise TransportError(f"frame too large ({len(body)} bytes)")
-        frame = len(body).to_bytes(4, "big") + body
-        async with self._send_lock:
-            self._writer.write(frame)
-            try:
-                await self._writer.drain()
-            except (ConnectionError, OSError) as exc:
-                raise ConnectionClosed(str(exc)) from exc
+        self._writer.write(len(body).to_bytes(4, "big") + body)
+        try:
+            await self._writer.drain()
+        except (ConnectionError, OSError) as exc:
+            raise ConnectionClosed(str(exc)) from exc
         counter("net.frames_sent").inc()
 
     async def recv(self) -> Optional[Dict[str, Any]]:
-        """Next frame, or ``None`` on a clean EOF."""
+        """Next frame, or ``None`` on EOF (mid-frame included).
+
+        Frames are cut off a per-connection buffer that one ``read()``
+        refills, so a socket read costs one wake-up however many frames it
+        carried.  An oversized, undecodable or non-object frame raises
+        :class:`TransportError` (``net.frames_rejected``): the byte stream
+        cannot be trusted past it, so the caller gives the connection up.
+        """
+        inbox = self._inbox
+        while True:
+            if len(inbox) >= 4:
+                size = int.from_bytes(inbox[:4], "big")
+                if size > MAX_FRAME_BYTES:
+                    raise _reject(f"incoming frame too large ({size} bytes)")
+                end = 4 + size
+                if len(inbox) >= end:
+                    body = inbox[4:end]
+                    del inbox[:end]
+                    break
+            try:
+                chunk = await self._reader.read(_READ_CHUNK)
+            except (ConnectionError, OSError):
+                return None
+            if not chunk:
+                return None
+            inbox += chunk
         try:
-            header = await self._reader.readexactly(4)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        size = int.from_bytes(header, "big")
-        if size > MAX_FRAME_BYTES:
-            raise TransportError(f"incoming frame too large ({size} bytes)")
-        try:
-            body = await self._reader.readexactly(size)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
+            frame = json.loads(body.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise _reject(f"undecodable frame: {exc}") from exc
+        if type(frame) is not dict:
+            raise _reject(f"frame is not an object: {type(frame).__name__}")
         counter("net.frames_received").inc()
-        return json.loads(body.decode("utf-8"))
+        return frame
 
     def close(self) -> None:
         try:
@@ -186,10 +274,32 @@ class FrameStream:
             pass
 
 
+async def _send_interposed(
+    stream: FrameStream, frame: Dict[str, Any], interposer: Any, src: int, dst: int
+) -> None:
+    """Write *frame* as many times as the interposer says (0 = dropped)."""
+    copies = 1
+    if interposer is not None:
+        copies = interposer.frame_copies(src, dst)
+        if copies == 0:
+            counter("net.drops_injected").inc()
+            return
+        if copies > 1:
+            counter("net.dups_injected").inc(copies - 1)
+    for _ in range(copies):
+        await stream.send(frame)
+
+
 # ----------------------------------------------------------------------
 # client side: reconnect + retransmit
 # ----------------------------------------------------------------------
 AddressResolver = Callable[[], Tuple[str, int]]
+
+
+def _expire(fut: asyncio.Future) -> None:
+    """An attempt's deadline: resolve its future with "no response"."""
+    if not fut.done():
+        fut.set_result(None)
 
 
 class PeerClient:
@@ -237,9 +347,13 @@ class PeerClient:
                 try:
                     reader, writer = await asyncio.open_connection(host, port)
                     stream = FrameStream(reader, writer)
-                    await stream.send(
-                        {"t": "hello", "schema": WIRE_SCHEMA, "proc": self.src}
-                    )
+                    try:
+                        await stream.send(
+                            {"t": "hello", "schema": WIRE_SCHEMA, "proc": self.src}
+                        )
+                    except BaseException:
+                        stream.close()  # failed or cancelled at the deadline
+                        raise
                     self._stream = stream
                     self._reader_task = asyncio.ensure_future(
                         self._read_loop(stream)
@@ -260,14 +374,17 @@ class PeerClient:
             try:
                 frame = await stream.recv()
             except TransportError:
-                frame = None
+                frame = None  # malformed: this connection is lost
             if frame is None:
                 break
             if frame.get("t") == "res":
                 fut = self._pending.get(frame.get("rid"))
                 if fut is not None and not fut.done():
                     fut.set_result(frame)
-        # connection died: drop it so the next request reconnects
+                else:
+                    # a duplicate, or its requester gave the rid up
+                    counter("net.responses_unmatched").inc()
+        # connection died: drop it so the next transmission reconnects
         if self._stream is stream:
             self._stream = None
         stream.close()
@@ -308,8 +425,6 @@ class PeerClient:
         retries = self.policy.max_retries if max_retries is None else max_retries
         frame = {"t": "req", "rid": rid, "m": message}
         loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        self._pending[rid] = fut
         try:
             for attempt in range(retries + 1):
                 if attempt:
@@ -320,24 +435,33 @@ class PeerClient:
                     else self.policy.attempt_timeout(attempt)
                 )
                 per_attempt *= 1.0 + self.policy.jitter * self._rng.random()
-                started = loop.time()
+                # a fresh future under the same rid: a response to an earlier
+                # transmission completes whichever attempt is waiting
+                fut = self._pending[rid] = loop.create_future()
+                # one deadline covers (re)connecting, writing the frame and
+                # the response, so an unreachable peer cannot stall the
+                # bounded retry budget inside the reconnect backoff loop
+                deadline = loop.call_later(per_attempt, _expire, fut)
+                sender = None
                 try:
-                    # the attempt window covers (re)connecting + writing the
-                    # frame, so an unreachable peer cannot stall the bounded
-                    # retry budget inside the reconnect backoff loop
-                    await asyncio.wait_for(self._transmit(frame), per_attempt)
-                except asyncio.TimeoutError:
-                    continue
-                except (ConnectionClosed, TransportError):
-                    self._drop_connection()
-                remaining = per_attempt - (loop.time() - started)
-                if remaining <= 0:
-                    continue
-                try:
-                    response = await asyncio.wait_for(
-                        asyncio.shield(fut), remaining
-                    )
-                except asyncio.TimeoutError:
+                    stream = self._stream
+                    if stream is not None and stream.idle:
+                        try:
+                            await _send_interposed(
+                                stream, frame, self._interposer, self.src, self.dst
+                            )
+                        except TransportError:
+                            self._drop_connection()
+                    else:  # not connected, or back-pressured: may wait
+                        sender = loop.create_task(
+                            self._connect_and_send(frame, fut)
+                        )
+                    response = await fut
+                finally:
+                    deadline.cancel()
+                    if sender is not None:
+                        sender.cancel()
+                if response is None:
                     continue
                 if not response.get("ok", False):
                     raise TransportError(
@@ -350,21 +474,21 @@ class PeerClient:
             )
         finally:
             self._pending.pop(rid, None)
-            if not fut.done():
-                fut.cancel()
 
-    async def _transmit(self, frame: Dict[str, Any]) -> None:
-        stream = await self._ensure_connected()
-        copies = 1
-        if self._interposer is not None:
-            copies = self._interposer.frame_copies(self.src, self.dst)
-            if copies == 0:
-                counter("net.drops_injected").inc()
-                return
-            if copies > 1:
-                counter("net.dups_injected").inc(copies - 1)
-        for _ in range(copies):
-            await stream.send(frame)
+    async def _connect_and_send(
+        self, frame: Dict[str, Any], fut: asyncio.Future
+    ) -> None:
+        """The waiting half of an attempt, cancelled at its deadline."""
+        try:
+            stream = await self._ensure_connected()
+            await _send_interposed(
+                stream, frame, self._interposer, self.src, self.dst
+            )
+        except TransportError:
+            self._drop_connection()
+        except Exception as exc:  # e.g. an unencodable message: the caller's
+            if not fut.done():
+                fut.set_exception(exc)
 
     async def close(self) -> None:
         self._closed = True
@@ -379,15 +503,21 @@ class PeerClient:
 # ----------------------------------------------------------------------
 Handler = Callable[[int, Dict[str, Any]], Awaitable[Dict[str, Any]]]
 
+#: a connection waiting for a response, and the peer its hello named
+Asker = Tuple[FrameStream, int]
+
 
 class RpcServer:
     """Accepts framed connections, dispatches requests exactly once.
 
-    ``handler(src_proc, message) -> response`` runs in its own task per
-    request, so a deferred read cannot head-of-line-block the connection.
-    Responses are cached by request id in a bounded LRU; a retransmission
-    of a *completed* request replays the cache, and one racing an in-flight
-    invocation awaits that invocation instead of re-running the handler.
+    ``handler(src_proc, message) -> response`` runs in one task per request
+    id, owned by the server and not by the connection that asked first: a
+    deferred read cannot head-of-line-block a connection, and a requester
+    that loses its connection and retransmits over a new one still finds
+    the first invocation running.  Responses are cached by request id in a
+    bounded LRU; a retransmission of a *completed* request replays the
+    cache, and one racing an in-flight invocation joins the connections
+    that invocation answers when it finishes.
     """
 
     def __init__(
@@ -404,8 +534,10 @@ class RpcServer:
         self._interposer = interposer
         self._server: Optional[asyncio.AbstractServer] = None
         self._done: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._inflight: Dict[str, asyncio.Task] = {}
+        #: rid whose handler is running -> everyone waiting for its response
+        self._inflight: Dict[str, List[Asker]] = {}
         self._capacity = dedup_capacity
+        self._invocations: set = set()
         self._conn_tasks: set = set()
         self.address: Optional[Tuple[str, int]] = None
 
@@ -429,72 +561,76 @@ class RpcServer:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         stream = FrameStream(reader, writer)
-        request_tasks: set = set()
+        loop = asyncio.get_running_loop()
         try:
             hello = await stream.recv()
-            if not hello or hello.get("t") != "hello":
+            if hello is None:
                 return
-            peer = int(hello.get("proc", -1))
+            peer = hello.get("proc")
+            if (
+                hello.get("t") != "hello"
+                or hello.get("schema") != WIRE_SCHEMA
+                or type(peer) is not int
+            ):
+                raise _reject(f"not a {WIRE_SCHEMA} hello: {hello!r}")
             while True:
                 frame = await stream.recv()
                 if frame is None:
                     break
                 if frame.get("t") != "req":
                     continue
-                t = asyncio.ensure_future(
-                    self._serve_one(stream, peer, frame)
-                )
-                request_tasks.add(t)
-                t.add_done_callback(request_tasks.discard)
+                rid = frame.get("rid", "")
+                response = self._done.get(rid)
+                if response is not None:
+                    counter("net.dedup_hits").inc()
+                    counter("net.dedup_replayed").inc()
+                    await self._respond(stream, peer, response)
+                elif rid in self._inflight:
+                    counter("net.dedup_hits").inc()
+                    counter("net.dedup_joined").inc()
+                    self._inflight[rid].append((stream, peer))
+                else:
+                    self._inflight[rid] = [(stream, peer)]
+                    self._invocations.add(
+                        loop.create_task(
+                            self._invoke(rid, peer, frame.get("m", {}))
+                        )
+                    )
+        except TransportError:
+            pass  # malformed frame, already counted: this connection only
         except asyncio.CancelledError:
             pass  # server teardown; fall through to cleanup
         finally:
-            for t in request_tasks:
-                t.cancel()
             stream.close()
 
-    async def _serve_one(
-        self, stream: FrameStream, peer: int, frame: Dict[str, Any]
-    ) -> None:
-        rid = frame.get("rid", "")
-        response = self._done.get(rid)
-        if response is not None:
-            counter("net.dedup_hits").inc()
-        else:
-            running = self._inflight.get(rid)
-            if running is not None:
-                counter("net.dedup_hits").inc()
-            else:
-                running = asyncio.ensure_future(
-                    self._handler(peer, frame.get("m", {}))
-                )
-                self._inflight[rid] = running
+    async def _invoke(self, rid: str, peer: int, message: Dict[str, Any]) -> None:
+        """Run the handler once for *rid*, cache the response, answer every
+        connection that asked meanwhile.  Cancelled only by :meth:`stop`
+        (crash/teardown: never cache, never respond)."""
+        try:
             try:
-                body = await asyncio.shield(running)
+                body = await self._handler(peer, message)
                 response = {"t": "res", "rid": rid, "ok": True, "m": body}
-            except asyncio.CancelledError:
-                # crash/teardown: never cache, never respond
-                self._inflight.pop(rid, None)
-                raise
             except Exception as exc:  # handler error -> error response
                 response = {"t": "res", "rid": rid, "ok": False, "m": str(exc)}
-            if self._inflight.get(rid) is running:
-                del self._inflight[rid]
+            # from here on a copy of rid replays the cache: the list is final
+            askers = self._inflight.pop(rid)
             self._done[rid] = response
             while len(self._done) > self._capacity:
                 self._done.popitem(last=False)
-        copies = 1
-        if self._interposer is not None:
-            copies = self._interposer.frame_copies(self.proc, peer)
-            if copies == 0:
-                counter("net.drops_injected").inc()
-                return
-            if copies > 1:
-                counter("net.dups_injected").inc(copies - 1)
+            for stream, asker in askers:
+                await self._respond(stream, asker, response)
+        finally:
+            self._invocations.discard(asyncio.current_task())
+
+    async def _respond(
+        self, stream: FrameStream, peer: int, response: Dict[str, Any]
+    ) -> None:
         try:
-            for _ in range(copies):
-                await stream.send(response)
-        except (ConnectionClosed, TransportError):
+            await _send_interposed(
+                stream, response, self._interposer, self.proc, peer
+            )
+        except TransportError:
             pass  # requester reconnects and retransmits; dedup replays
 
     async def stop(self) -> None:
@@ -502,11 +638,11 @@ class RpcServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for t in list(self._inflight.values()):
+        tasks = [*self._invocations, *self._conn_tasks]
+        for t in tasks:
             t.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        # what a task cancelled before its first step could not tidy itself
+        self._invocations.clear()
         self._inflight.clear()
-        for t in list(self._conn_tasks):
-            t.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()

@@ -1,18 +1,26 @@
 """Transport-level tests on real loopback sockets.
 
-Covers the at-least-once / exactly-once contract: payload codec, framing,
-per-attempt timeouts with exponential backoff, receiver-side dedup (both
-completed and in-flight), injected drops/duplicates via the interposer
-seam, and reconnection with address re-resolution.
+Covers the at-least-once / exactly-once contract: payload codec, framing
+(however the bytes are cut, and what a malformed frame costs), per-attempt
+deadlines with exponential backoff, receiver-side dedup (both completed and
+in-flight) by a handler task the server owns, injected drops/duplicates via
+the interposer seam, and reconnection with address re-resolution.
 """
 
 import asyncio
+import contextlib
+import enum
 import json
 import socket
+from typing import Any, NamedTuple
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.faults.models import DuplicationFault
 from repro.net import (
+    ChaosInterposer,
+    FrameStream,
     PeerClient,
     RequestTimeout,
     RpcServer,
@@ -21,11 +29,73 @@ from repro.net import (
     pack_payload,
     unpack_payload,
 )
+from repro.net.transport import MAX_FRAME_BYTES, WIRE_SCHEMA
 from repro.obs.metrics import MetricsRegistry, use_registry
+
+HELLO = {"t": "hello", "schema": WIRE_SCHEMA, "proc": 0}
 
 
 def run(coro):
-    return asyncio.run(coro)
+    """``asyncio.run`` that fails on anything the loop's exception handler
+    saw ("Unhandled exception in client_connected_cb", a task exception
+    nobody retrieved): those would otherwise be log lines."""
+    reported = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: reported.append(context)
+        )
+        return await coro
+
+    result = asyncio.run(main())
+    assert not reported, reported
+    return result
+
+
+def framed(obj) -> bytes:
+    body = json.dumps(obj).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
+async def dial(address) -> FrameStream:
+    """A hand-driven connection to an ``RpcServer``, hello already sent."""
+    stream = FrameStream(*await asyncio.open_connection(*address))
+    await stream.send(HELLO)
+    return stream
+
+
+@contextlib.asynccontextmanager
+async def scripted_peer(answer):
+    """A listener standing in for an ``RpcServer``: each request frame goes to
+    ``answer(stream, frame, nth_connection)``.  Yields its address; on exit
+    every connection must already have seen its client's EOF."""
+    serving = []
+
+    async def on_connection(reader, writer):
+        serving.append(asyncio.current_task())
+        nth = len(serving)
+        stream = FrameStream(reader, writer)
+        try:
+            await stream.recv()  # hello
+            while (frame := await stream.recv()) is not None:
+                await answer(stream, frame, nth)
+        finally:
+            stream.close()
+
+    listener = await asyncio.start_server(on_connection, "127.0.0.1", 0)
+    try:
+        yield listener.sockets[0].getsockname()[:2]
+    finally:
+        await asyncio.wait_for(asyncio.gather(*serving), 1.0)
+        listener.close()
+        await listener.wait_closed()
+
+
+async def until(condition, timeout=2.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "condition not met"
+        await asyncio.sleep(0.005)
 
 
 class ScriptedInterposer:
@@ -52,6 +122,24 @@ class CountingHandler:
         return {"echo": message, "peer": peer, "call": self.calls}
 
 
+class GatedHandler:
+    """Blocks every invocation until ``release`` is set."""
+
+    def __init__(self):
+        self.calls = self.finished = self.cancelled = 0
+        self.release = asyncio.Event()
+
+    async def __call__(self, peer, message):
+        self.calls += 1
+        try:
+            await self.release.wait()
+        except asyncio.CancelledError:
+            self.cancelled += 1
+            raise
+        self.finished += 1
+        return {"call": self.calls}
+
+
 def fast_policy(**kw):
     defaults = dict(
         request_timeout=0.25,
@@ -64,6 +152,77 @@ def fast_policy(**kw):
     )
     defaults.update(kw)
     return TransportPolicy(**defaults)
+
+
+# ----------------------------------------------------------------------
+# the codec as it was before it stopped recursing once per scalar, kept as
+# the reference the one-pass version must match byte for byte
+# ----------------------------------------------------------------------
+def reference_pack(obj):
+    if isinstance(obj, tuple):
+        return {"__tup": [reference_pack(x) for x in obj]}
+    if isinstance(obj, dict):
+        return {
+            "__map": [[reference_pack(k), reference_pack(v)] for k, v in obj.items()]
+        }
+    if isinstance(obj, list):
+        return [reference_pack(x) for x in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"unsupported payload component: {type(obj)!r}")
+
+
+def reference_unpack(obj):
+    if isinstance(obj, dict):
+        if "__tup" in obj and len(obj) == 1:
+            return tuple(reference_unpack(x) for x in obj["__tup"])
+        if "__map" in obj and len(obj) == 1:
+            return {
+                reference_unpack(k): reference_unpack(v) for k, v in obj["__map"]
+            }
+        return {k: reference_unpack(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [reference_unpack(x) for x in obj]
+    return obj
+
+
+def compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 7
+
+
+class Stamp(NamedTuple):
+    counter: int
+    rest: Any
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),  # inf included; nan != nan would hide a match
+    st.text(max_size=3),
+    st.sampled_from(list(Colour)),
+)
+KEYS = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=4
+)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=3),
+        # the tag names as ordinary keys must not be mistaken for tags
+        st.dictionaries(st.sampled_from(["__tup", "__map", "k"]), inner, max_size=2),
+        st.builds(Stamp, st.integers(), inner),
+    ),
+    max_leaves=24,
+)
 
 
 class TestPayloadCodec:
@@ -85,6 +244,13 @@ class TestPayloadCodec:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             pack_payload({1: object()})
+
+    @given(payload=PAYLOADS)
+    def test_wire_bytes_match_the_per_scalar_reference(self, payload):
+        wire = compact(pack_payload(payload))
+        assert wire == compact(reference_pack(payload))
+        decoded = json.loads(wire)
+        assert unpack_payload(decoded) == reference_unpack(json.loads(wire))
 
 
 class TestTransportPolicy:
@@ -369,3 +535,355 @@ class TestReconnect:
             assert handler.calls == 0
 
         run(go())
+
+
+class TestFraming:
+    FRAMES = [{"t": "req", "rid": "a", "m": {"n": 1}}, {"k": "é" * 40}, {}]
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda wire: [wire[i:i + 1] for i in range(len(wire))],
+            lambda wire: [wire[:2], wire[2:]],  # inside the length prefix
+            lambda wire: [wire],  # three frames in one write
+        ],
+        ids=["byte-by-byte", "split-prefix", "one-write"],
+    )
+    def test_recv_yields_the_same_frames_however_the_bytes_arrive(self, cut):
+        async def go():
+            ours, theirs = socket.socketpair()
+            stream = FrameStream(*await asyncio.open_connection(sock=ours))
+            got = []
+
+            async def read_all():
+                while (frame := await stream.recv()) is not None:
+                    got.append(frame)
+
+            reading = asyncio.ensure_future(read_all())
+            try:
+                for piece in cut(b"".join(framed(f) for f in self.FRAMES)):
+                    theirs.sendall(piece)
+                    await asyncio.sleep(0)  # let the loop deliver it alone
+                    await asyncio.sleep(0)
+                theirs.close()
+                await asyncio.wait_for(reading, 2.0)
+            finally:
+                theirs.close()
+                stream.close()
+            assert got == self.FRAMES
+
+        run(go())
+
+
+class TestMalformedFrames:
+    """A bad frame costs the connection it arrived on, nothing else."""
+
+    @pytest.mark.parametrize(
+        "hello, payload, rejected",
+        [
+            (HELLO, (3).to_bytes(4, "big") + b"{{{", 1),
+            (HELLO, (2).to_bytes(4, "big") + b"\xff\xfe", 1),
+            (HELLO, framed([1, 2]), 1),
+            (HELLO, (MAX_FRAME_BYTES + 1).to_bytes(4, "big"), 1),
+            # EOF inside a frame is an EOF, not a malformed frame
+            (HELLO, (100).to_bytes(4, "big") + b'{"t":', 0),
+            ({**HELLO, "proc": "zero"}, b"", 1),
+            ({**HELLO, "schema": "repro.net/0"}, b"", 1),
+            ({"t": "req", "rid": "r", "m": {}}, b"", 1),
+        ],
+        ids=[
+            "garbage-body", "bad-utf8", "json-array", "oversized-prefix",
+            "truncated-body-then-eof", "non-integer-proc", "wrong-schema",
+            "no-hello",
+        ],
+    )
+    def test_server_closes_that_connection_and_keeps_serving(
+        self, hello, payload, rejected
+    ):
+        registry = MetricsRegistry()
+
+        async def go():
+            handler = CountingHandler()
+            server = RpcServer(1, handler)
+            addr = await server.start()
+            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+            reader, writer = await asyncio.open_connection(*addr)
+            try:
+                await client.request({"n": 0})  # a healthy neighbour
+                writer.write(framed(hello) + payload)
+                writer.write_eof()
+                # closed without a response frame
+                assert await asyncio.wait_for(reader.read(), 1.0) == b""
+                await client.request({"n": 1})  # still served, same connection
+                assert handler.calls == 2
+            finally:
+                writer.close()
+                await client.close()
+                await server.stop()
+
+        with use_registry(registry):
+            run(go())
+        assert registry.counter_value("net.frames_rejected") == rejected
+        assert registry.counter_value("net.reconnects") == 0
+
+    def test_client_drops_the_connection_and_the_retransmission_reconnects(self):
+        """One garbage response used to kill the read loop with the dead
+        stream still installed: every later request timed out."""
+        registry = MetricsRegistry()
+
+        async def go():
+            async def answer(stream, frame, connection):
+                if connection == 1:
+                    stream._writer.write((3).to_bytes(4, "big") + b"{{{")
+                else:
+                    await stream.send(
+                        {"t": "res", "rid": frame["rid"], "ok": True,
+                         "m": {"via": connection}}
+                    )
+
+            async with scripted_peer(answer) as addr:
+                client = PeerClient(
+                    0, 1, resolve=lambda: addr,
+                    policy=fast_policy(request_timeout=0.1),
+                )
+                try:
+                    assert await client.request({"n": 1}) == {"via": 2}
+                    assert await client.request({"n": 2}) == {"via": 2}
+                finally:
+                    await client.close()
+
+        with use_registry(registry):
+            run(go())
+        assert registry.counter_value("net.frames_rejected") == 1
+        assert registry.counter_value("net.retransmits") == 1
+        assert registry.counter_value("net.request_timeouts") == 0
+
+    def test_response_for_an_unknown_rid_is_ignored_and_counted(self):
+        registry = MetricsRegistry()
+
+        async def go():
+            async def answer(stream, frame, _connection):
+                for rid in ("nobody-asked", frame["rid"]):
+                    await stream.send(
+                        {"t": "res", "rid": rid, "ok": True, "m": {"rid": rid}}
+                    )
+
+            async with scripted_peer(answer) as addr:
+                client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+                try:
+                    assert await client.request({"n": 1}, rid="mine") == {
+                        "rid": "mine"
+                    }
+                finally:
+                    await client.close()
+
+        with use_registry(registry):
+            run(go())
+        assert registry.counter_value("net.responses_unmatched") == 1
+        assert registry.counter_value("net.frames_rejected") == 0
+
+
+class TestHandlerOwnership:
+    """The handler task belongs to the server, not to the asking connection."""
+
+    def test_retransmission_on_a_new_connection_joins_the_running_handler(self):
+        registry = MetricsRegistry()
+
+        async def go():
+            handler = GatedHandler()
+            server = RpcServer(1, handler)
+            addr = await server.start()
+            request = {"t": "req", "rid": "r", "m": {}}
+            first = await dial(addr)
+            second = None
+            try:
+                await first.send(request)
+                await until(lambda: handler.calls == 1)
+                first.close()  # the requester lost its connection ...
+                second = await dial(addr)  # ... and retransmits over a new one
+                await second.send(request)
+                await until(
+                    lambda: registry.counter_value("net.dedup_joined") == 1
+                )
+                handler.release.set()
+                response = await asyncio.wait_for(second.recv(), 1.0)
+                assert response == {
+                    "t": "res", "rid": "r", "ok": True, "m": {"call": 1}
+                }
+                assert handler.calls == 1
+            finally:
+                first.close()
+                if second is not None:
+                    second.close()
+                await server.stop()
+
+        with use_registry(registry):
+            run(go())
+        assert registry.counter_value("net.dedup_replayed") == 0
+        assert registry.counter_value("net.dedup_hits") == 1
+
+    @pytest.mark.parametrize("retransmit", ["while-running", "after-it-finished"])
+    def test_closing_the_asking_connection_does_not_cancel_the_handler(
+        self, retransmit
+    ):
+        """Used to run the handler twice: the connection's end cancelled the
+        per-request task, which forgot the rid while the shielded handler
+        ran on, its result never cached."""
+        registry = MetricsRegistry()
+
+        async def go():
+            handler = GatedHandler()
+            server = RpcServer(1, handler)
+            addr = await server.start()
+            request = {"t": "req", "rid": "r", "m": {}}
+            first = await dial(addr)
+            second = None
+            try:
+                await first.send(request)
+                await until(lambda: handler.calls == 1)
+                first.close()
+                await asyncio.sleep(0.05)  # the server sees the EOF
+                assert handler.cancelled == 0
+                if retransmit == "after-it-finished":
+                    handler.release.set()
+                    await until(lambda: handler.finished == 1)
+                second = await dial(addr)
+                await second.send(request)
+                if retransmit == "while-running":
+                    await until(
+                        lambda: registry.counter_value("net.dedup_joined") == 1
+                    )
+                    handler.release.set()
+                response = await asyncio.wait_for(second.recv(), 1.0)
+                assert response["m"] == {"call": 1}
+                assert handler.calls == handler.finished == 1
+            finally:
+                first.close()
+                if second is not None:
+                    second.close()
+                await server.stop()
+
+        with use_registry(registry):
+            run(go())
+        replayed = 1 if retransmit == "after-it-finished" else 0
+        assert registry.counter_value("net.dedup_replayed") == replayed
+        assert registry.counter_value("net.dedup_joined") == 1 - replayed
+
+    def test_stop_cancels_the_handler_caches_nothing_answers_nothing(self):
+        async def go():
+            handler = GatedHandler()
+            server = RpcServer(1, handler)
+            addr = await server.start()
+            asker = await dial(addr)
+            try:
+                await asker.send({"t": "req", "rid": "r", "m": {}})
+                await until(lambda: handler.calls == 1)
+                await server.stop()
+                assert handler.cancelled == 1 and handler.finished == 0
+                assert not server._done and not server._inflight
+                assert await asyncio.wait_for(asker.recv(), 1.0) is None
+            finally:
+                asker.close()
+
+        run(go())
+
+
+class TestAttempts:
+    def test_response_to_attempt_0_landing_in_attempt_1_completes_the_request(self):
+        registry = MetricsRegistry()
+
+        async def go():
+            handler = CountingHandler(delay=0.15)
+            server = RpcServer(1, handler)
+            addr = await server.start()
+            # attempt 0 (0.1 s) goes out, attempt 1 (0.2 s) is eaten: the only
+            # response there will ever be answers the first transmission
+            interposer = ScriptedInterposer([1, 0])
+            client = PeerClient(
+                0, 1, resolve=lambda: addr,
+                policy=fast_policy(request_timeout=0.1, max_retries=1),
+                interposer=interposer,
+            )
+            try:
+                assert (await client.request({"n": 1}))["call"] == 1
+                assert handler.calls == 1
+            finally:
+                await client.close()
+                await server.stop()
+
+        with use_registry(registry):
+            run(go())
+        assert registry.counter_value("net.retransmits") == 1
+        assert registry.counter_value("net.drops_injected") == 1
+        assert registry.counter_value("net.request_timeouts") == 0
+
+    def test_deadline_covers_the_reconnect_loop(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            dead = s.getsockname()[:2]
+
+        async def go():
+            # default policy: left alone, the reconnect ladder alone would
+            # back off for seconds
+            client = PeerClient(0, 1, resolve=lambda: dead)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            try:
+                with pytest.raises(RequestTimeout, match=r"after 3 attempt\(s\)"):
+                    await client.request({"n": 1}, max_retries=2, timeout=0.05)
+            finally:
+                await client.close()
+            assert loop.time() - started < 1.0
+
+        run(go())
+
+    def test_concurrent_requests_share_one_connection(self):
+        registry = MetricsRegistry()
+
+        async def go():
+            handler = CountingHandler(delay=0.01)
+            server = RpcServer(1, handler)
+            addr = await server.start()
+            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+            try:
+                results = await asyncio.gather(
+                    *(client.request({"n": i}) for i in range(16))
+                )
+                assert [r["echo"] for r in results] == [{"n": i} for i in range(16)]
+                assert handler.calls == 16
+            finally:
+                await client.close()
+                await server.stop()
+
+        with use_registry(registry):
+            run(go())
+        # one hello, sixteen requests, sixteen responses
+        assert registry.counter_value("net.frames_sent") == 1 + 32
+        assert registry.counter_value("net.retransmits") == 0
+
+    def test_every_frame_duplicated_still_runs_the_handler_once_per_rid(self):
+        registry = MetricsRegistry()
+        n = 8
+
+        async def go():
+            handler = CountingHandler()
+            chaos = ChaosInterposer(DuplicationFault(rate=1.0), seed=3)
+            server = RpcServer(1, handler, interposer=chaos)
+            addr = await server.start()
+            client = PeerClient(
+                0, 1, resolve=lambda: addr, policy=fast_policy(), interposer=chaos
+            )
+            try:
+                for i in range(n):
+                    assert (await client.request({"n": i}))["call"] == i + 1
+                assert handler.calls == n
+            finally:
+                await client.close()
+                await server.stop()
+
+        with use_registry(registry):
+            run(go())
+        assert registry.counter_value("net.dedup_hits") == n
+        # per rid: one extra request copy, and one extra copy of the response
+        # to each of the two request copies
+        assert registry.counter_value("net.dups_injected") == 3 * n
