@@ -205,8 +205,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cover = best_cover(graph)
         print(f"vertex cover used by 'inline': size {len(cover)} -> "
               f"bound {2 * len(cover) + 2} elements")
-        # freezes the streamed oracle under --online-oracle (no causal-past
-        # recompute); otherwise builds the batch oracle from the execution
+        # freezes the streamed oracle under --online-oracle (on the numpy
+        # backend that is a bulk rebuild reusing the streamed vector clocks);
+        # otherwise builds the batch oracle from the execution
         oracle = result.hb_oracle()
         if result.online_oracle is not None:
             inc = result.online_oracle

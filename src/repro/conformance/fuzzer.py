@@ -31,10 +31,12 @@ causality-oracle flavors, then cross-checks four invariants:
    (:mod:`repro.core.colstore`) replaying the same ops must be
    indistinguishable from the object model: identical events, messages,
    and delivery order; byte-identical causal-past rows and validation
-   reports through an execution built on the columnar store; and the
-   batched append path of :class:`IncrementalHBOracle` (pure engine
-   always, numpy engine when available) must answer and ``freeze()``
-   identically to the per-op path with queries interleaved mid-stream.
+   reports through an execution built on the columnar store; and an
+   :class:`IncrementalHBOracle` bound to a store that grows op by op,
+   drained in ragged ``sync_store(store, upto=…)`` steps, must answer
+   ``happened_before`` / ``vector_clock`` / ``causal_past`` mid-stream
+   like one fed ``append_*`` per event, and end with the batch oracle's
+   ``relation_counts``, ``freeze().past_masks()`` and vector clocks.
 
 Failures come back as :class:`Mismatch` records carrying the generating op
 list, ready for the shrinker and the JSONL report.  :func:`fuzz` drives
@@ -475,11 +477,10 @@ def _check_backends(graph, ops, execution, fifo, context, report):
 
 
 # ----------------------------------------------------------------------
-# invariant 6: columnar store + batched appends vs the object model
+# invariant 6: columnar store, and an oracle fed from it, vs the object model
 # ----------------------------------------------------------------------
 def _check_stores(graph, ops, execution, oracle, fifo, context, report):
-    from repro.core.backend import numpy_available
-    from repro.core.colstore import ColumnarExecutionBuilder
+    from repro.core.colstore import ColumnarExecutionBuilder, EventStore
 
     out: List[Mismatch] = []
     report.count("store-differential")
@@ -513,54 +514,63 @@ def _check_stores(graph, ops, execution, oracle, fifo, context, report):
     if asg_obj.validate(oracle) != asg_col.validate(col_oracle):
         bad("validate() report differs between object and columnar store")
 
-    # batched appends vs per-op appends, queries interleaved mid-stream
-    engines = ["pure"]
-    if numpy_available():
-        engines.append("numpy")
-    events = list(execution.delivery_order())
-    for engine in engines:
-        perop = IncrementalHBOracle(graph.n_vertices)
-        batched = IncrementalHBOracle(
-            graph.n_vertices, batch=True, backend=engine
+    # feed differential: the same ops grow a columnar store one row at a
+    # time; one oracle is fed per event from the object model, the other is
+    # bound to the store and drained in ragged steps, queries interleaved
+    n = graph.n_vertices
+    store = EventStore(n, graph)
+    fed = IncrementalHBOracle(n)
+    drained = IncrementalHBOracle(n)
+    drained.bind_store(store)
+    qrng = random.Random((len(ops) + 3) * 2246822519 % (2**31))
+    tags: Dict[Any, int] = {}
+    seen: List = []
+    for op in ops:
+        if op[0] == "local":
+            store.append_local(op[1])
+        elif op[0] == "send":
+            tags[op[1]] = store.append_send(op[2], op[3])
+        else:
+            msg_id = tags[op[1]]
+            store.append_receive(store.message(msg_id).dst, msg_id)
+        ev = execution.event(store.event_id(store.n_events - 1))
+        fed.append_event(
+            ev, execution.send_of(ev).eid if ev.is_receive else None
         )
-        qrng = random.Random((len(ops) + 3) * 2246822519 % (2**31))
-        seen: List = []
-        for ev in events:
-            if ev.is_receive:
-                send = execution.send_of(ev).eid
-                perop.append_receive(ev.eid, send)
-                batched.append_receive(ev.eid, send)
-            else:
-                perop.append_event(ev)
-                batched.append_event(ev)
-            seen.append(ev.eid)
-            if len(seen) >= 2 and qrng.random() < 0.3:
-                a, b = qrng.sample(seen, 2)
-                if batched.happened_before(a, b) != perop.happened_before(
-                    a, b
-                ):
-                    bad(
-                        f"[{engine}] batched happened_before({a}, {b}) "
-                        f"diverges from per-op mid-stream"
-                    )
-                if batched.vector_clock(a) != perop.vector_clock(a):
-                    bad(
-                        f"[{engine}] batched vector_clock({a}) diverges "
-                        f"from per-op mid-stream"
-                    )
-        if batched.relation_counts() != perop.relation_counts():
-            bad(f"[{engine}] batched relation_counts diverge after ingest")
-        for eid in seen:
-            if batched.causal_past(eid) != perop.causal_past(eid):
-                bad(f"[{engine}] batched causal_past({eid}) diverges")
-                break
-        fb = batched.freeze(execution)
-        if fb.past_masks() != oracle.past_masks():
-            bad(f"[{engine}] batched freeze() rows differ from batch oracle")
-        for eid in seen:
-            if fb.vector_clock(eid) != oracle.vector_clock(eid):
-                bad(f"[{engine}] batched freeze() vector_clock({eid}) differs")
-                break
+        seen.append(ev.eid)
+        if qrng.random() < 0.3:
+            # a partial drain: leaves a tail for the next step or query
+            drained.sync_store(store, upto=qrng.randint(0, store.n_events))
+        if len(seen) >= 2 and qrng.random() < 0.3:
+            a, b = qrng.sample(seen, 2)
+            if drained.happened_before(a, b) != fed.happened_before(a, b):
+                bad(
+                    f"store-fed happened_before({a}, {b}) diverges from "
+                    f"the per-event feed mid-stream"
+                )
+            if drained.vector_clock(a) != fed.vector_clock(a):
+                bad(
+                    f"store-fed vector_clock({a}) diverges from the "
+                    f"per-event feed mid-stream"
+                )
+            if drained.causal_past(b) != fed.causal_past(b):
+                bad(
+                    f"store-fed causal_past({b}) diverges from the "
+                    f"per-event feed mid-stream"
+                )
+    if not (
+        drained.relation_counts()
+        == fed.relation_counts()
+        == oracle.relation_counts()
+    ):
+        bad("relation_counts differ between feeds and the batch oracle")
+    frozen = drained.freeze(execution)
+    if frozen.past_masks() != oracle.past_masks():
+        bad("store-fed freeze() rows differ from batch oracle")
+    for eid in seen:
+        if frozen.vector_clock(eid) != oracle.vector_clock(eid):
+            bad(f"store-fed freeze() vector_clock({eid}) differs")
+            break
     return out
 
 

@@ -40,7 +40,8 @@ from typing import Iterator, Optional
 
 #: ``auto`` resolves to numpy only at or above this event count — below it
 #: the pure kernel's lower fixed costs win (measured crossover ~a few
-#: hundred events; see ``tools/bench_snapshot.py --pr7-out``).
+#: hundred events; the benchmark's ``core.kernel.{pure,numpy}.build_s``
+#: layer probes on ``offline-nine`` time both sides of it).
 NUMPY_MIN_EVENTS = 512
 
 #: environment variable consulted when no process-wide override is set

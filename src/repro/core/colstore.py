@@ -30,11 +30,10 @@ The public ``Event`` / ``Message`` API is untouched: objects are
 materialization until something actually asks for events, so oracles and
 replay code work unchanged while the run itself retains only columns.
 
-No numpy required: columns are stdlib ``array`` objects, so the pure
-leg works untouched.  When numpy is available (see
-:func:`repro.core.backend.numpy_available`), :meth:`EventStore.column`
-exposes zero-copy ``ndarray`` views for vectorized consumers such as
-:func:`repro.core.npkernel.bulk_past_matrix`.
+No numpy required: columns are stdlib ``array`` objects and every
+consumer — including the streaming oracle's
+:meth:`~repro.core.incremental.IncrementalHBOracle.sync_store` drain —
+reads them through the scalar row accessors below.
 
 Selection between the object builder and this store is the
 ``REPRO_EVENT_STORE`` seam in :mod:`repro.core.backend`
@@ -277,29 +276,6 @@ class EventStore:
     def recv_row_of(self, msg_id: MessageId) -> int:
         """Global row of the receive of *msg_id*, or -1 while in flight."""
         return self._mrecv[msg_id]
-
-    def column(self, name: str):
-        """Zero-copy numpy view of a column (requires numpy).
-
-        Valid names: ``proc``, ``seq``, ``kind``, ``msg``, ``vtime``,
-        ``msg_src``, ``msg_dst``, ``msg_send_row``, ``msg_recv_row``.
-        The view aliases the live buffer — take it after appends stop, or
-        re-take it after every append burst (``array`` reallocates as it
-        grows).
-        """
-        import numpy as np
-
-        cols = {
-            "proc": self._proc, "seq": self._seq, "kind": self._kind,
-            "msg": self._msg, "vtime": self._vtime,
-            "msg_src": self._msrc, "msg_dst": self._mdst,
-            "msg_send_row": self._msend, "msg_recv_row": self._mrecv,
-        }
-        col = cols[name]
-        if col is None:
-            raise ValueError(f"column {name!r} not tracked by this store")
-        dtype = {"b": np.int8, "i": np.int32, "d": np.float64}[col.typecode]
-        return np.frombuffer(col, dtype=dtype)
 
     # ------------------------------------------------------------------
     # object materialization (the unchanged public API, on demand)

@@ -15,10 +15,33 @@ packed-int causal-past rows *as events are appended*:
 - row storage grows in fixed-size *chunks* of bit-indices handed to each
   process on demand, so no append ever re-indexes or rebuilds existing rows.
 
+There is **one** row-construction path, :meth:`IncrementalHBOracle._append`:
+every append finalizes its row, its vector clock and its metrics at once.
+Rows are deliberately not buffered or built with numpy: measured on the
+benchmark's ``sim-stream`` workload both lose to this loop, and a dense
+``(slots, slots/64)`` matrix grows with the run where Python-int rows are
+only as long as their highest set bit (EXPERIMENTS.md, *Columnar core*,
+has the numbers and the one input shape on which vectorizing does win).
+
 Because causal pasts are append-monotone (appending an event never changes
 the row of an existing event), every answer the oracle gives online is
 *final* — exactly why conflict/predicate detection can act on it while the
 execution is still running.
+
+**Feeding from a columnar store.**  A producer that writes a
+:class:`~repro.core.colstore.EventStore` need not mirror each event into
+the oracle: :meth:`~IncrementalHBOracle.bind_store` attaches the store,
+and :meth:`~IncrementalHBOracle.flush` — called by every query path and by
+``freeze`` — drains the rows appended since the last drain.
+:meth:`~IncrementalHBOracle.sync_store` is the explicit form (``upto`` caps
+the batch).  Draining reads the store's scalar accessors and feeds the
+same ``_append``, so no ``Event`` objects are materialized and slot
+layout, rows and metric totals equal the per-event feed's.  With no store
+bound, ``flush`` does nothing.
+
+The ``batch`` constructor keyword is accepted and has no effect; it is
+still spelled in the signature because the benchmark harness under
+``perf/`` passes it.
 
 On top of the rows sits a memoized batch-query layer: ``precedes`` /
 ``concurrent`` / ``causal_past`` / ``causal_frontier`` / ``relation_counts``
@@ -26,41 +49,22 @@ results are cached in a small LRU that is invalidated wholesale whenever the
 append watermark moves, so repeated queries between appends (the detector
 polling pattern) cost one dict hit.
 
-``freeze(execution)`` converts the chunked rows to the batch oracle's
-process-major dense indexing (a block-wise bit permutation, one pass) and
-returns a genuine :class:`HappenedBeforeOracle` whose rows, vector clocks,
-and query answers are byte-identical to one built from scratch over the
-completed execution — pinned by ``tests/core/test_incremental_oracle.py``.
-
-**Batched appends** (``batch=True``): instead of finalizing each row at
-append time, appends land in a small columnar buffer (slot assignment and
-ordering validation still happen immediately) and rows are constructed
-chunk-at-a-time on the first query, ``freeze``, or explicit
-:meth:`~IncrementalHBOracle.flush`.  Correctness is unaffected — every
-query flushes first, so answers are identical to the per-op path (pinned
-by ``tests/core/test_colstore_parity.py`` and the conformance fuzzer's
-streaming-vs-batch invariant) — but the per-event Python overhead
-(method dispatch, O(n) vector-clock merges, per-event metrics) amortizes
-away.  Two flush engines, chosen via :mod:`repro.core.backend`:
-
-- *pure* — one lean big-int loop over the buffer; vector clocks are still
-  maintained eagerly, everything else is hoisted out of the loop;
-- *numpy* — rows live in a ``(slots, W)`` uint64 matrix; runs of
-  non-receive events become one broadcast row-assign plus a triangular
-  :func:`~repro.core.npkernel.scatter_or_intervals` fill, receives are
-  two word-parallel row ORs, and vector clocks are computed lazily by
-  masked popcounts (chunk allocation is word-aligned in this mode).
+``freeze(execution)`` returns a genuine :class:`HappenedBeforeOracle` whose
+rows, vector clocks, and query answers are byte-identical to one built from
+scratch over the completed execution — pinned by
+``tests/core/test_incremental_oracle.py``.  On the pure backend the chunked
+rows are permuted into the batch oracle's process-major dense indexing;
+when the backend resolves to numpy (≥ 512 events with numpy installed) the
+bulk kernel rebuilds the matrix from the execution and only the vector
+clocks are handed over, so the streamed rows serve mid-run queries.
 
 Observability (:mod:`repro.obs`): ``oracle.appends``, ``oracle.append_words``
 (big-int words touched by appends), and ``oracle.query_cache_hit`` /
 ``oracle.query_cache_miss`` counters on the registry active at construction.
-Batched mode bulk-increments the append counters at flush time; totals are
-identical to the per-op path.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import (
     Dict,
@@ -72,6 +76,7 @@ from typing import (
     Union,
 )
 
+from repro.core.colstore import KIND_RECEIVE, EventStore
 from repro.core.events import Event, EventId, ProcessId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
@@ -79,24 +84,6 @@ from repro.obs.metrics import MetricsRegistry, active_registry
 
 #: sentinel distinguishing "cached None" from "absent"
 _MISS = object()
-
-#: thread-local scratch arena for the vectorized flush: the (B, W) row
-#: buffer is transient within one _flush_np_arrays call, so all oracles
-#: on a thread share one geometrically-grown allocation instead of each
-#: paying fresh-page faults per instance
-_flush_tls = threading.local()
-
-
-def _flush_scratch(B: int, W: int):
-    """A >= (B, W) uint64 scratch block, reused across flushes."""
-    import numpy as np
-
-    scratch = getattr(_flush_tls, "scratch", None)
-    if scratch is None or scratch.shape[0] < B or scratch.shape[1] != W:
-        cap = B if scratch is None else max(B, scratch.shape[0])
-        scratch = np.empty((max(cap, 1024), W), dtype=np.uint64)
-        _flush_tls.scratch = scratch
-    return scratch[:B]
 
 #: either oracle flavor — helpers below coerce to the batch one when needed
 AnyOracle = Union[HappenedBeforeOracle, "IncrementalHBOracle"]
@@ -120,16 +107,8 @@ class IncrementalHBOracle:
         Metrics registry for the ``oracle.*`` instruments; defaults to the
         registry active at construction time.
     batch:
-        Buffer appends and construct rows chunk-at-a-time on the first
-        query / ``freeze`` (see the module docstring).  Answers are
-        identical to the per-op path; streaming throughput is several
-        times higher.
-    backend:
-        Flush engine for batched mode (``"pure"`` / ``"numpy"`` /
-        ``"auto"``/``None``); resolution follows
-        :mod:`repro.core.backend` preferences, with ``auto`` taking numpy
-        whenever it is available (streaming has no final size to
-        threshold on).  Ignored when ``batch=False``.
+        Accepted and without effect: every append finalizes its row at
+        once, and :meth:`flush` only drains a bound store.
     """
 
     def __init__(
@@ -139,8 +118,7 @@ class IncrementalHBOracle:
         chunk: int = 64,
         cache_size: int = 1024,
         registry: Optional[MetricsRegistry] = None,
-        batch: bool = False,
-        backend: Optional[str] = None,
+        batch: bool = False,  # ignored; perf/workloads/sim.py passes it
     ) -> None:
         if n_processes < 1:
             raise ValueError("need at least one process")
@@ -149,30 +127,6 @@ class IncrementalHBOracle:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self._n = n_processes
-        self._batch = bool(batch)
-        self._use_np = False
-        if self._batch:
-            from repro.core.backend import (
-                _validate,
-                backend_preference,
-                numpy_available,
-            )
-
-            choice = (
-                _validate(backend)
-                if backend is not None
-                else backend_preference()
-            )
-            if choice == "numpy" and not numpy_available():
-                raise RuntimeError(
-                    "kernel backend 'numpy' requested but numpy>=2.0 is "
-                    "not installed (pip install numpy, or the [fast] extra)"
-                )
-            self._use_np = choice != "pure" and numpy_available()
-            if self._use_np:
-                # the lazy vector-clock popcounts index whole uint64 words
-                # per chunk, so chunk allocation must be word-aligned
-                chunk = ((chunk + 63) >> 6) << 6
         self._chunk = chunk
         #: strict causal-past bitmask per slot (chunk-granular allocation)
         self._rows: List[int] = []
@@ -192,28 +146,9 @@ class IncrementalHBOracle:
         self._ordered_pairs = 0
         #: total slots allocated (chunk-granular top of the slot space)
         self._n_slots = 0
-        # batched-append state: parallel buffer columns (slot, send slot
-        # or -1, proc), plus the numpy row matrix when _use_np
-        self._buf_slot: List[int] = []
-        self._buf_send: List[int] = []
-        self._buf_proc: List[int] = []
-        self._mat = None  # (cap_slots, cap_words) uint64, numpy mode only
-        self._pm = None  # (n, cap_words) running process masks, numpy mode
-        #: per process: uint64 word indices covering its chunks (numpy mode)
-        self._proc_words: List[List[int]] = [[] for _ in range(n_processes)]
-        # columnar-store sync state: the bound EventStore (drained lazily
-        # by flush), rows ingested so far, and store row -> slot (numpy)
-        self._src_store = None
+        # the bound EventStore (drained by flush) and rows ingested so far
+        self._src_store: Optional[EventStore] = None
         self._synced_rows = 0
-        self._row_slot = None
-        # per-slot / per-process top-set-bit trackers (numpy mode): let
-        # the vectorized flush account append words without re-scanning
-        # the row matrix for each batch's highest words
-        self._slot_top = None
-        self._pm_top = None
-        #: slot-space chunk ordinal -> (proc, per-proc chunk ordinal); lets
-        #: _eid_of_slot recover owners without per-event _slot_eid entries
-        self._chunk_owner: List[Tuple[int, int]] = []
         self._watermark = 0
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._cache_size = cache_size
@@ -254,16 +189,6 @@ class IncrementalHBOracle:
             raise KeyError(f"{eid} has not been appended")
         return self._chunks[eid.proc][i // self._chunk] + i % self._chunk
 
-    def _eid_of_slot(self, slot: int) -> EventId:
-        """Owning EventId of *slot* — computed, not stored, when the slot
-        was filled by :meth:`sync_store` (the bulk path skips the
-        per-event ``_slot_eid`` writes)."""
-        eid = self._slot_eid[slot]
-        if eid is not None:
-            return eid
-        c, off = divmod(slot, self._chunk)
-        p, ordinal = self._chunk_owner[c]
-        return EventId(p, ordinal * self._chunk + off + 1)
 
     # ------------------------------------------------------------------
     # appends — the O(Δ) streaming surface
@@ -272,18 +197,9 @@ class IncrementalHBOracle:
         """Hand process *p* a fresh chunk at the top of the slot space."""
         base = self._n_slots
         self._chunks[p].append(base)
-        self._chunk_owner.append((p, len(self._chunks[p]) - 1))
         self._n_slots = base + self._chunk
         self._slot_eid.extend([None] * self._chunk)
-        if self._use_np:
-            # chunk bases are word-aligned in numpy mode (chunk % 64 == 0),
-            # so each chunk covers a contiguous run of whole uint64 words —
-            # what the lazy vector-clock popcounts index per process
-            self._proc_words[p].extend(
-                range(base >> 6, (base + self._chunk) >> 6)
-            )
-        else:
-            self._rows.extend([0] * self._chunk)
+        self._rows.extend([0] * self._chunk)
 
     def _append(
         self,
@@ -321,57 +237,19 @@ class IncrementalHBOracle:
         self._m_append_words.inc((mask.bit_length() >> 6) + 1)
         return slot
 
-    def _append_buffered(self, eid: EventId, sslot: int = -1) -> None:
-        """Batched-mode append: validate, assign a slot, defer the row.
-
-        Ordering validation and slot assignment happen immediately — so
-        ``_slot_of`` works on buffered events and errors surface at the
-        offending append, not at flush — but the row mask, vector clock,
-        and metrics wait for :meth:`flush`.
-        """
-        p = eid.proc
-        if not 0 <= p < self._n:
-            raise ValueError(f"process {p} out of range [0, {self._n})")
-        i = self._counts[p]
-        if eid.index != i + 1:
-            raise ValueError(
-                f"out-of-order append: expected index {i + 1} "
-                f"at p{p}, got {eid.index}"
-            )
-        if i % self._chunk == 0:
-            self._alloc_chunk(p)
-        slot = self._chunks[p][i // self._chunk] + i % self._chunk
-        self._slot_eid[slot] = eid
-        self._counts[p] = eid.index
-        self._buf_slot.append(slot)
-        self._buf_send.append(sslot)
-        self._buf_proc.append(p)
-        self._watermark += 1
-
     def append_local(self, eid: EventId) -> None:
         """Record a local event.  Must be the next index at its process."""
-        if self._batch:
-            self._append_buffered(eid)
-        else:
-            self._append(eid)
+        self._append(eid)
 
     def append_send(self, eid: EventId) -> None:
         """Record a send event (causally identical to a local step)."""
-        if self._batch:
-            self._append_buffered(eid)
-        else:
-            self._append(eid)
+        self._append(eid)
 
     def append_receive(self, eid: EventId, send: EventId) -> None:
         """Record the receive matching the already-appended *send*."""
         sslot = self._slot_of(send)
-        if self._batch:
-            # the send may itself still be buffered; flush processes the
-            # buffer in append order, so its row exists before this read
-            self._append_buffered(eid, sslot)
-        else:
-            extra = self._rows[sslot] | (1 << sslot)
-            self._append(eid, extra_mask=extra, send_vc=self._vc[send])
+        extra = self._rows[sslot] | (1 << sslot)
+        self._append(eid, extra_mask=extra, send_vc=self._vc[send])
 
     def append_event(
         self, ev: Event, send: Optional[EventId] = None
@@ -388,17 +266,8 @@ class IncrementalHBOracle:
         """Stream a completed execution through the append path.
 
         Events are fed in ``delivery_order()`` (any causally consistent
-        order yields identical rows).  Batched oracles fed a columnar
-        execution skip event materialization entirely and bulk-append
-        straight from the store's arrays.  Returns ``self`` for chaining.
+        order yields identical rows).  Returns ``self`` for chaining.
         """
-        if self._batch:
-            store = getattr(execution, "store", None)
-            if store is not None and (
-                self._src_store is None or self._src_store is store
-            ):
-                self.sync_store(store)
-                return self
         for ev in execution.delivery_order():
             if ev.is_receive:
                 self.append_receive(ev.eid, execution.send_of(ev).eid)
@@ -407,15 +276,14 @@ class IncrementalHBOracle:
         return self
 
     # ------------------------------------------------------------------
-    # columnar-store sync — the bulk streaming surface
+    # columnar-store feed
     # ------------------------------------------------------------------
-    def bind_store(self, store) -> None:
-        """Attach *store* (an :class:`~repro.core.colstore.EventStore`) as
-        this oracle's append source.
+    def bind_store(self, store: EventStore) -> None:
+        """Attach *store* as this oracle's append source.
 
         Instead of mirroring every event into the oracle with a Python
         call, the producer writes the columnar store once and every oracle
-        query path drains the new rows in bulk via :meth:`flush` /
+        query path drains the new rows via :meth:`flush` /
         :meth:`sync_store`.  ``n_events`` / ``event_count`` /
         ``__contains__`` reflect *synced* rows only, so call :meth:`flush`
         first when reading them directly.
@@ -429,594 +297,64 @@ class IncrementalHBOracle:
             raise ValueError("oracle is already bound to a different store")
         self._src_store = store
 
-    def sync_store(self, store, upto: Optional[int] = None) -> int:
-        """Bulk-append store rows ``[synced_so_far, upto)``.
+    def sync_store(self, store: EventStore, upto: Optional[int] = None) -> int:
+        """Append store rows ``[synced_so_far, upto)``.
 
-        This is the tentpole fast path: slots are assigned for a whole
-        batch of rows with array arithmetic over the store's ``proc`` /
-        ``seq`` columns, receives resolve their send slots through the
-        store's message columns, and row construction goes through the
-        same anchor-based flush engine as buffered appends — no per-event
-        Python.  Rows must continue each process's sequence exactly where
-        the oracle left off (they do whenever the oracle has only ever
-        been fed from *store*).  Repeated calls ingest only what is new;
-        *upto* (a row count) caps the batch for callers amortizing their
-        own latency.  Returns the number of rows ingested.
+        Rows are read through the store's scalar accessors and fed to the
+        same :meth:`_append` as per-event calls — no ``Event`` objects.
+        They must continue each process's sequence exactly where the
+        oracle left off (they do whenever the oracle has only ever been
+        fed from *store*), else ``ValueError``.  Repeated calls ingest
+        only what is new; *upto* (a row count) caps the batch for callers
+        amortizing their own latency.  The first call pins *store*: the
+        synced-row counter is only meaningful against one store, so a
+        different one later is an error rather than silently appearing
+        fully ingested.  Returns the number of rows ingested.
         """
-        if not self._batch:
-            raise ValueError("sync_store requires a batch=True oracle")
-        if store.n_processes != self._n:
-            raise ValueError(
-                f"store has {store.n_processes} processes, "
-                f"oracle was built for {self._n}"
-            )
-        if self._src_store is not None and store is not self._src_store:
-            raise ValueError("oracle is bound to a different store")
-        # first sync pins the source: the synced-row counter is only
-        # meaningful against one store, so a later different store must
-        # error rather than silently appear fully-ingested
-        self._src_store = store
+        self.bind_store(store)
         start = self._synced_rows
         stop = store.n_events if upto is None else min(upto, store.n_events)
         if stop <= start:
             return 0
-        if self._buf_slot:
-            # sends referenced by synced receives must already have rows
-            self._flush_buffer()
-        if self._use_np:
-            self._sync_np(store, start, stop)
-        else:
-            self._sync_pure(store, start, stop)
+        for row in range(start, stop):
+            eid = store.event_id(row)
+            if store.kind_of(row) == KIND_RECEIVE:
+                send_row = store.send_row_of(store.msg_of(row))
+                self.append_receive(eid, store.event_id(send_row))
+            else:
+                self._append(eid)
         self._synced_rows = stop
         return stop - start
 
-    def _sync_pure(self, store, start: int, stop: int) -> None:
-        from repro.core.colstore import KIND_RECEIVE
-
-        for row in range(start, stop):
-            if store.kind_of(row) == KIND_RECEIVE:
-                srow = store.send_row_of(store.msg_of(row))
-                self._append_buffered(
-                    store.event_id(row),
-                    self._slot_of(store.event_id(srow)),
-                )
-            else:
-                self._append_buffered(store.event_id(row))
-        self._flush_buffer()
-
-    def _sync_np(self, store, start: int, stop: int) -> None:
-        import numpy as np
-
-        from repro.core.colstore import KIND_RECEIVE
-
-        B = stop - start
-        i8 = np.int64
-        proc = store.column("proc")[start:stop].astype(i8)
-        seq = store.column("seq")[start:stop].astype(i8)
-        kind = store.column("kind")[start:stop]
-        chunk = self._chunk
-        counts = np.asarray(self._counts, dtype=i8)
-        addc = np.bincount(proc, minlength=self._n)
-        offs = np.cumsum(addc) - addc
-        # grouped-by-process positions straight from the seq column — the
-        # store appends each process's sequence in order, so no argsort.
-        # sorted_pos must be a permutation of [0, B); anything else means
-        # the rows do not continue this oracle's per-process sequences
-        # exactly (sequence-continuity validation, batch-at-a-time).
-        i0 = seq - 1
-        sorted_pos = offs[proc] + i0 - counts[proc]
-        if (
-            int(sorted_pos.min()) < 0
-            or int(sorted_pos.max()) >= B
-            or not np.bincount(sorted_pos, minlength=B).all()
-        ):
-            raise ValueError(
-                "store rows do not continue this oracle's per-process "
-                "event sequences (was the oracle fed from elsewhere?)"
-            )
-        order = np.empty(B, dtype=i8)
-        order[sorted_pos] = np.arange(B, dtype=i8)
-        # allocate chunks in first-touch order — the exact order the
-        # per-event path would, so slot layout (and thus rows-as-integers
-        # and the append_words accounting) is byte-identical to it
-        for t in np.flatnonzero(i0 % chunk == 0):
-            self._alloc_chunk(int(proc[t]))
-        # vectorized slot assignment through a padded chunk-base table
-        maxc = max(len(self._chunks[int(p)]) for p in np.flatnonzero(addc))
-        cb = np.zeros((self._n, maxc), dtype=i8)
-        for p in np.flatnonzero(addc):
-            bases = self._chunks[int(p)]
-            cb[p, : len(bases)] = bases
-        slots = cb[proc, i0 // chunk] + i0 % chunk
-        # store row -> slot, for resolving receives' send slots
-        rs = self._row_slot
-        if rs is None:
-            rs = np.full(max(1024, stop), -1, dtype=i8)
-        elif len(rs) < stop:
-            grown = np.full(max(len(rs) * 2, stop), -1, dtype=i8)
-            grown[: len(rs)] = rs
-            rs = grown
-        rs[start:stop] = slots
-        self._row_slot = rs
-        sends = np.full(B, -1, dtype=i8)
-        send_bufpos = np.full(B, -1, dtype=i8)
-        rmask = kind == KIND_RECEIVE
-        if rmask.any():
-            msg = store.column("msg")[start:stop].astype(i8)
-            msend = store.column("msg_send_row").astype(i8)
-            srows = msend[msg[rmask]]
-            sslots = rs[srows]
-            miss = sslots < 0
-            if miss.any():
-                # sends appended before the first sync (per-event path)
-                for j in np.flatnonzero(miss):
-                    r = int(srows[j])
-                    s = self._slot_of(store.event_id(r))
-                    sslots[j] = s
-                    rs[r] = s
-            sends[rmask] = sslots
-            # in-batch sends are exactly the rows at or past *start* —
-            # their buffer position falls straight out of the row number
-            send_bufpos[rmask] = np.where(srows >= start, srows - start, -1)
-        self._flush_np_arrays(
-            slots, sends, proc, order=order, send_bufpos=send_bufpos
-        )
-        for p in np.flatnonzero(addc):
-            self._counts[int(p)] += int(addc[p])
-        self._watermark += B
-        self._m_appends.inc(B)
-
-    # ------------------------------------------------------------------
-    # batched flush engines
-    # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Finalize all buffered rows and drain any bound store.
+        """Drain the rows a bound store has gained since the last drain.
 
         Every query path calls this implicitly; it is public so callers
         with latency deadlines can pick their own amortization points.
-        No-op when nothing is pending.
+        No-op when no store is bound or nothing is new.
         """
-        if self._buf_slot:
-            self._flush_buffer()
         store = self._src_store
         if store is not None and store.n_events > self._synced_rows:
             self.sync_store(store)
-
-    def _pending(self) -> bool:
-        if self._buf_slot:
-            return True
-        store = self._src_store
-        return store is not None and store.n_events > self._synced_rows
-
-    def _flush_buffer(self) -> None:
-        if self._use_np:
-            self._flush_np()
-        else:
-            self._flush_pure()
-        n = len(self._buf_slot)
-        self._m_appends.inc(n)
-        self._buf_slot.clear()
-        self._buf_send.clear()
-        self._buf_proc.clear()
-
-    def _flush_pure(self) -> None:
-        """One lean big-int loop over the buffer (pure backend).
-
-        Same recurrence as :meth:`_append` with everything hoistable
-        hoisted: no method dispatch, no per-event metric calls.  Vector
-        clocks stay eagerly maintained so ``freeze`` and ``vector_clock``
-        behave exactly as in per-op mode.
-        """
-        rows = self._rows
-        slot_eid = self._slot_eid
-        pm = self._proc_mask
-        clocks = self._proc_clock
-        vc = self._vc
-        n = self._n
-        ordered = 0
-        words = 0
-        for slot, sslot, p in zip(
-            self._buf_slot, self._buf_send, self._buf_proc
-        ):
-            mask = pm[p]
-            clock = clocks[p]
-            if sslot >= 0:
-                mask |= rows[sslot] | (1 << sslot)
-                svc = vc[slot_eid[sslot]]
-                for k in range(n):
-                    if svc[k] > clock[k]:
-                        clock[k] = svc[k]
-            clock[p] += 1
-            rows[slot] = mask
-            pm[p] = mask | (1 << slot)
-            vc[slot_eid[slot]] = tuple(clock)
-            ordered += mask.bit_count()
-            words += (mask.bit_length() >> 6) + 1
-        self._ordered_pairs += ordered
-        self._m_append_words.inc(words)
-
-    def _ensure_np_capacity(self) -> None:
-        import numpy as np
-
-        need_rows = self._n_slots
-        need_w = max(1, (self._n_slots + 63) >> 6)
-        if self._mat is None:
-            self._mat = np.zeros(
-                (max(256, need_rows), max(4, need_w)), dtype=np.uint64
-            )
-            self._pm = np.zeros(
-                (self._n, max(4, need_w)), dtype=np.uint64
-            )
-            self._slot_top = np.full(
-                self._mat.shape[0], -1, dtype=np.int64
-            )
-            self._pm_top = np.full(self._n, -1, dtype=np.int64)
-            return
-        cap_r, cap_w = self._mat.shape
-        if need_rows <= cap_r and need_w <= cap_w:
-            return
-        new_r = max(cap_r * 2, need_rows)
-        new_w = max(cap_w * 2, need_w) if need_w > cap_w else cap_w
-        mat = np.zeros((new_r, new_w), dtype=np.uint64)
-        mat[:cap_r, :cap_w] = self._mat
-        self._mat = mat
-        pm = np.zeros((self._n, new_w), dtype=np.uint64)
-        pm[:, :cap_w] = self._pm
-        self._pm = pm
-        if new_r > cap_r:
-            st = np.full(new_r, -1, dtype=np.int64)
-            st[:cap_r] = self._slot_top
-            self._slot_top = st
-
-    def _flush_np(self) -> None:
-        import numpy as np
-
-        self._flush_np_arrays(
-            np.array(self._buf_slot, dtype=np.int64),
-            np.array(self._buf_send, dtype=np.int64),
-            np.array(self._buf_proc, dtype=np.int64),
-        )
-
-    def _flush_np_arrays(
-        self, slots, sends, procs, order=None, send_bufpos=None
-    ) -> None:
-        """Vectorized flush — the chunked twin of
-        :func:`~repro.core.npkernel.bulk_past_matrix`'s anchor machinery.
-
-        *slots* / *sends* / *procs* are equal-length int64 arrays in append
-        order (*sends* holds the matching send's slot, ``-1`` for
-        non-receives).  Only receives merge information across processes,
-        so within the flushed batch every row decomposes as::
-
-            row(t) = A(anchor(t)) | pm0[proc(t)] | own buffered bits < t
-
-        where ``anchor(t)`` is the latest in-batch receive at the same
-        process before *t* and ``pm0`` is the pre-flush process mask (which
-        already covers everything flushed earlier).  Each anchor depends on
-        at most two earlier anchors — its process predecessor and the last
-        receive before its send — and append order is already a topological
-        order, so the chain is two word-parallel ORs per receive.  Own
-        prefixes within the batch are contiguous slot intervals except at
-        chunk boundaries; they land in one
-        :func:`~repro.core.npkernel.scatter_or_intervals` call each for the
-        anchors and the final rows (chunk allocation is word-aligned, so
-        interval pieces never share a word — the scatter's uniqueness
-        requirement).  Net cost: O(receives) row ORs plus a handful of
-        whole-batch array ops — no per-event Python.  Vector clocks are
-        *not* maintained here; :meth:`vector_clock` computes them lazily by
-        masked popcounts over the word-aligned per-process chunks.
-        """
-        import numpy as np
-
-        from repro.core.npkernel import U64, scatter_or_intervals
-
-        self._ensure_np_capacity()
-        mat = self._mat
-        pm = self._pm
-        B = len(slots)
-        if B == 0:
-            return
-        W = mat.shape[1]
-        i8 = np.int64
-
-        recv_mask = sends >= 0
-        #: 1-based anchor id at each receive position (cumsum counts self)
-        koft = np.cumsum(recv_mask)
-        R = int(koft[-1])
-
-        # group by process, append order preserved inside each group
-        # (sync_store derives the grouping from the seq column and passes
-        # it in; the list-buffer path sorts here)
-        if order is None:
-            order = np.argsort(procs, kind="stable")
-        po = procs[order]
-        so = slots[order]  # increasing within each group
-        gstart = np.empty(B, dtype=bool)
-        gstart[0] = True
-        np.not_equal(po[1:], po[:-1], out=gstart[1:])
-
-        # aid[t]: anchor id of the latest in-batch receive at procs[t]
-        # strictly before t (0 = none).  Per-group running max of the
-        # one-shifted anchor ids; the (R+1)-offset trick resets the
-        # accumulate at group starts without a Python loop.
-        kv = np.where(recv_mask[order], koft[order], 0)
-        shifted = np.empty(B, dtype=i8)
-        shifted[0] = 0
-        shifted[1:] = kv[:-1]
-        shifted[gstart] = 0
-        big = (np.cumsum(gstart) - 1) * (R + 1)
-        aid = np.empty(B, dtype=i8)
-        aid[order] = np.maximum.accumulate(shifted + big) - big
-        # prev[t]: slot of the previous same-process batch event (-1 at
-        # group starts) — the top bit each event's own-prefix scatter can
-        # contribute, tracked so append-words accounting never has to
-        # re-scan the row matrix
-        prev_sorted = np.empty(B, dtype=i8)
-        prev_sorted[0] = -1
-        prev_sorted[1:] = so[:-1]
-        prev_sorted[gstart] = -1
-        prev = np.empty(B, dtype=i8)
-        prev[order] = prev_sorted
-        slot_top = self._slot_top
-        pm_top = self._pm_top
-        # the anchor whose row IS row(t): itself for receives, aid otherwise
-        gid = np.where(recv_mask, koft, aid)
-
-        # chunk-contiguous pieces of each process's buffered slots: piece
-        # starts where the group starts or the slot sequence jumps (always
-        # a chunk = word-aligned boundary, so pieces never share a word)
-        brk = gstart.copy()
-        np.logical_or(brk[1:], so[1:] != so[:-1] + 1, out=brk[1:])
-        pstart = np.flatnonzero(brk)
-        PLO = so[pstart]
-        pend = np.concatenate((pstart[1:] - 1, [B - 1]))
-        PHI = so[pend] + 1
-        gpid_sorted = np.cumsum(brk) - 1
-        GPID = np.empty(B, dtype=i8)
-        GPID[order] = gpid_sorted
-        # first piece id of each process present in the batch
-        POFF = np.zeros(self._n, dtype=i8)
-        gs_pos = np.flatnonzero(gstart)
-        POFF[po[gs_pos]] = gpid_sorted[gs_pos]
-        LPID = GPID - POFF[procs]  # local piece index per event
-
-        def prefix_triples(pos, targets, rows_l, lo_l, hi_l):
-            """Triples covering each event's own buffered prefix.
-
-            For buffer positions *pos* (events of any process), append
-            intervals so that row ``targets[x]`` gains the bits of all
-            same-process batch events strictly before ``pos[x]``: the
-            partial piece ``[piece_lo, slot)`` plus every earlier full
-            piece of that process.
-            """
-            rows_l.append(targets)
-            lo_l.append(PLO[GPID[pos]])
-            hi_l.append(slots[pos])
-            reps = LPID[pos]
-            tot = int(reps.sum())
-            if tot:
-                starts_c = np.cumsum(reps) - reps
-                jj = np.arange(tot, dtype=i8) - np.repeat(starts_c, reps)
-                jj += np.repeat(POFF[procs[pos]], reps)
-                rows_l.append(np.repeat(targets, reps))
-                lo_l.append(PLO[jj])
-                hi_l.append(PHI[jj])
-
-        if R:
-            pos_r = np.flatnonzero(recv_mask)
-            rprocs = procs[pos_r]
-            rslots = sends[pos_r]  # the send slot of each receive
-            ar1 = koft[pos_r]  # == arange(1, R+1)
-            # which sends are in this batch (vs already in the matrix)
-            if send_bufpos is None:
-                sort_idx = np.argsort(slots)
-                ss = slots[sort_idx]
-                ppos_c = np.minimum(np.searchsorted(ss, rslots), B - 1)
-                inbuf = ss[ppos_c] == rslots
-                send_pos = sort_idx[ppos_c]  # valid where inbuf
-            else:
-                sbp = send_bufpos[pos_r]
-                inbuf = sbp >= 0
-                send_pos = np.where(inbuf, sbp, 0)  # valid where inbuf
-
-            anchors = np.zeros((R + 1, W), dtype=np.uint64)
-            # fixed seeds: receiver pm0, send row (pre-batch) or sender pm0
-            # (in-batch; its prefix and chain follow below), and the send bit
-            anchors[ar1] |= pm[rprocs]
-            pre = ~inbuf
-            if pre.any():
-                anchors[ar1[pre]] |= mat[rslots[pre]]
-            if inbuf.any():
-                anchors[ar1[inbuf]] |= pm[procs[send_pos[inbuf]]]
-            anchors[ar1, rslots >> 6] |= U64(1) << (
-                rslots & 63
-            ).astype(np.uint64)
-            # top-set-bit of each anchor's seed: receiver pm0 top, own
-            # in-batch prefix, the send bit, and the send row's top (or,
-            # in-batch, the sender's pm0 top and prefix — for same-process
-            # sends those never exceed the receiver's own terms)
-            seedtop = np.maximum(pm_top[rprocs], rslots)
-            np.maximum(seedtop, prev[pos_r], out=seedtop)
-            np.maximum(
-                seedtop, np.where(pre, slot_top[rslots], -1), out=seedtop
-            )
-            np.maximum(
-                seedtop,
-                np.where(
-                    inbuf,
-                    np.maximum(pm_top[procs[send_pos]], prev[send_pos]),
-                    -1,
-                ),
-                out=seedtop,
-            )
-            atopl = [-1] + seedtop.tolist()
-            a_rows: List = []
-            a_lo: List = []
-            a_hi: List = []
-            prefix_triples(pos_r, ar1, a_rows, a_lo, a_hi)
-            # same-process sends need no prefix triples: the receiver's
-            # own prefix already covers them (and repeating the words
-            # would break the scatter's per-row uniqueness requirement)
-            cross = inbuf & (procs[send_pos] != rprocs)
-            if cross.any():
-                sb = send_pos[cross]
-                prefix_triples(sb, ar1[cross], a_rows, a_lo, a_hi)
-            scatter_or_intervals(
-                anchors,
-                np.concatenate(a_rows),
-                np.concatenate(a_lo),
-                np.concatenate(a_hi),
-            )
-            # chain: append order is topological (paid/said precede k).
-            # The chain is inherently sequential, so run it on Python big
-            # ints — one |-op per link beats two numpy-dispatch row ORs
-            # by ~4x at these row widths.  Bytes are identical either way
-            # (row.tobytes() == int.to_bytes is the kernel's core pin).
-            paid = aid[pos_r].tolist()
-            said = np.where(inbuf, aid[send_pos], 0).tolist()
-            rowb = W * 8
-            mv = memoryview(anchors.tobytes())
-            ints = [
-                int.from_bytes(mv[k * rowb : (k + 1) * rowb], "little")
-                for k in range(R + 1)
-            ]
-            for k in range(R):
-                pk = paid[k]
-                sk = said[k]
-                acc = ints[k + 1]
-                tv = atopl[k + 1]
-                if pk:
-                    acc |= ints[pk]
-                    if atopl[pk] > tv:
-                        tv = atopl[pk]
-                if sk and sk != pk:
-                    acc |= ints[sk]
-                    if atopl[sk] > tv:
-                        tv = atopl[sk]
-                ints[k + 1] = acc
-                atopl[k + 1] = tv
-            anchors = np.frombuffer(
-                b"".join(v.to_bytes(rowb, "little") for v in ints),
-                dtype=np.uint64,
-            ).reshape(R + 1, W)
-        # assemble final rows in a compact (B, W) buffer in *buffer* order
-        # — then write mat once.  Metrics read the buffer too, so no row
-        # is gathered back out of mat.  ``anchors[gid] | pm[proc]`` has
-        # only O(R + processes) distinct values (within a process the
-        # anchor changes only at receives), so build that small combo
-        # table first and fan it out with a single gather into a reused
-        # scratch buffer instead of two full-width gathers plus an OR.
-        gido = gid[order]
-        change = gstart.copy()
-        np.logical_or(change[1:], gido[1:] != gido[:-1], out=change[1:])
-        uc = np.flatnonzero(change)
-        combo = np.empty(B, dtype=i8)
-        combo[order] = np.cumsum(change) - 1
-        if R:
-            ctab = anchors[gido[uc]]
-            ctab |= pm[po[uc]]
-            atop = np.array(atopl, dtype=i8)
-            ctop = np.maximum(atop[gido[uc]], pm_top[po[uc]])
-        else:
-            ctab = pm[po[uc]]
-            ctop = pm_top[po[uc]]
-        rows = _flush_scratch(B, W)
-        # combo is in-range by construction; mode="clip" skips the
-        # bounds-checked slow path np.take uses with out= and "raise"
-        np.take(ctab, combo, axis=0, out=rows, mode="clip")
-        m_rows: List = []
-        m_lo: List = []
-        m_hi: List = []
-        prefix_triples(
-            np.arange(B, dtype=i8), np.arange(B, dtype=i8),
-            m_rows, m_lo, m_hi,
-        )
-        scatter_or_intervals(
-            rows,
-            np.concatenate(m_rows),
-            np.concatenate(m_lo),
-            np.concatenate(m_hi),
-        )
-        mat[slots] = rows
-        # process masks: the last batch event's row plus its own bit
-        last_pos = np.empty(B, dtype=bool)
-        last_pos[:-1] = gstart[1:]
-        last_pos[-1] = True
-        lp = np.flatnonzero(last_pos)
-        lprocs = po[lp]
-        lslots = so[lp]
-        pm[lprocs] = rows[order[lp]]
-        pm[lprocs, lslots >> 6] |= U64(1) << (lslots & 63).astype(np.uint64)
-
-        self._ordered_pairs += int(
-            np.bitwise_count(rows).sum(dtype=np.int64)
-        )
-        # words per append match _append's ``(bit_length >> 6) + 1``, but
-        # from the structurally-tracked top bit — every row's highest set
-        # bit is the max of its combo row's top and its own-prefix top —
-        # so no full-width re-scan of the batch is needed
-        top = np.maximum(ctop[combo], prev)
-        slot_top[slots] = top
-        pm_top[lprocs] = np.maximum(top[order[lp]], lslots)
-        self._m_append_words.inc(int(((top + 1) >> 6).sum()) + B)
-
-    def _row_int(self, slot: int) -> int:
-        """The strict-past mask of *slot* as a Python int (either engine)."""
-        if self._use_np:
-            return int.from_bytes(self._mat[slot].tobytes(), "little")
-        return self._rows[slot]
 
     # ------------------------------------------------------------------
     # raw point queries (uncached: each is a bit test)
     # ------------------------------------------------------------------
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Whether ``e -> f``.  Final the moment both events are appended."""
-        if self._pending():
-            self.flush()
-        fs = self._slot_of(f)
-        es = self._slot_of(e)
-        if self._use_np:
-            return bool(int(self._mat[fs, es >> 6]) >> (es & 63) & 1)
-        return bool(self._rows[fs] >> es & 1)
+        self.flush()
+        return bool(self._rows[self._slot_of(f)] >> self._slot_of(e) & 1)
 
     def leq(self, e: EventId, f: EventId) -> bool:
         """Whether ``e == f`` or ``e -> f``."""
         return e == f or self.happened_before(e, f)
 
     def vector_clock(self, eid: EventId) -> Tuple[int, ...]:
-        """The ground-truth full-length vector clock of *eid*.
-
-        Per-op and pure-batched modes maintain clocks eagerly.  The
-        numpy-batched engine computes them lazily here — a masked popcount
-        of the event's row over each process's (word-aligned) chunk words —
-        and memoizes the result; answers are identical either way.
-        """
+        """The ground-truth full-length vector clock of *eid*."""
         vc = self._vc.get(eid)
-        if vc is not None:
-            return vc
-        if self._batch and self._pending():
+        if vc is None:
             self.flush()
-            vc = self._vc.get(eid)
-            if vc is not None:
-                return vc
-        if not (self._batch and self._use_np):
-            return self._vc[eid]  # raises KeyError for unknown events
-        slot = self._slot_of(eid)
-        import numpy as np
-
-        row = self._mat[slot]
-        clock = [0] * self._n
-        for p in range(self._n):
-            words = self._proc_words[p]
-            if words:
-                clock[p] = int(
-                    np.bitwise_count(
-                        row[np.asarray(words, dtype=np.int64)]
-                    ).sum(dtype=np.int64)
-                )
-        clock[eid.proc] += 1
-        vc = tuple(clock)
-        self._vc[eid] = vc
+            vc = self._vc[eid]  # raises KeyError for unknown events
         return vc
 
     # ------------------------------------------------------------------
@@ -1060,9 +398,8 @@ class IncrementalHBOracle:
         return set(self._cached(("past", f), lambda: self._decode_past(f)))
 
     def _decode_past(self, f: EventId) -> Tuple[EventId, ...]:
-        if self._pending():
-            self.flush()
-        return tuple(self._events_from_mask(self._row_int(self._slot_of(f))))
+        self.flush()
+        return tuple(self._events_from_mask(self._rows[self._slot_of(f)]))
 
     def causal_frontier(self, events: Iterable[EventId]) -> List[EventId]:
         """Maximal events of the downward closure of *events*.
@@ -1078,17 +415,17 @@ class IncrementalHBOracle:
     def _compute_frontier(
         self, events: Tuple[EventId, ...]
     ) -> Tuple[EventId, ...]:
-        if self._pending():
-            self.flush()
+        self.flush()
+        rows = self._rows
         closure = 0
         for f in events:
             slot = self._slot_of(f)
-            closure |= self._row_int(slot) | (1 << slot)
+            closure |= rows[slot] | (1 << slot)
         dominated = 0
         mask = closure
         while mask:
             lsb = mask & -mask
-            dominated |= self._row_int(lsb.bit_length() - 1)
+            dominated |= rows[lsb.bit_length() - 1]
             mask ^= lsb
         return tuple(self._events_from_mask(closure & ~dominated))
 
@@ -1098,17 +435,17 @@ class IncrementalHBOracle:
         The ordered-pair popcount is maintained at append time, so this is
         O(1) arithmetic — no row scan.
         """
-        if self._pending():
-            self.flush()
+        self.flush()
         m = self._watermark
         return self._ordered_pairs, m * (m - 1) // 2 - self._ordered_pairs
 
     def _events_from_mask(self, mask: int) -> List[EventId]:
         """Decode a slot mask, ordered by (process, index) for determinism."""
+        slot_eid = self._slot_eid
         out: List[EventId] = []
         while mask:
             lsb = mask & -mask
-            out.append(self._eid_of_slot(lsb.bit_length() - 1))
+            out.append(slot_eid[lsb.bit_length() - 1])
             mask ^= lsb
         out.sort()
         return out
@@ -1160,20 +497,11 @@ class IncrementalHBOracle:
 
         if resolve_backend(self._watermark, backend) == "numpy":
             oracle = HappenedBeforeOracle(execution, backend="numpy")
-            if not (self._batch and self._use_np):
-                # hand over the incrementally maintained clocks; they are
-                # byte-identical to a fresh computation (pinned by the
-                # equivalence tests), so the matrix path never recomputes
-                # them.  The numpy-batched engine keeps clocks lazily and
-                # its _vc may be partial — let the oracle compute its own.
-                oracle._vc = dict(self._vc)
+            # hand over the incrementally maintained clocks; they are
+            # byte-identical to a fresh computation (pinned by the
+            # equivalence tests), so the matrix path never recomputes them
+            oracle._vc = dict(self._vc)
             return oracle
-        if self._batch and self._use_np:
-            # rows live as uint64 words; a block permutation through
-            # Python ints would cost as much as a rebuild — rebuild on
-            # the (reference) pure kernel instead.  Rare combination:
-            # a numpy-flushed stream frozen onto an explicitly-pure oracle.
-            return HappenedBeforeOracle(execution, backend="pure")
         # process-major target offsets (the batch oracle's _proc_base)
         bases: List[int] = []
         offset = 0
@@ -1227,8 +555,6 @@ def incremental_from_execution(
     chunk: int = 64,
     cache_size: int = 1024,
     registry: Optional[MetricsRegistry] = None,
-    batch: bool = False,
-    backend: Optional[str] = None,
 ) -> IncrementalHBOracle:
     """Convenience: stream a completed execution into a fresh oracle."""
     oracle = IncrementalHBOracle(
@@ -1236,7 +562,5 @@ def incremental_from_execution(
         chunk=chunk,
         cache_size=cache_size,
         registry=registry,
-        batch=batch,
-        backend=backend,
     )
     return oracle.ingest(execution)

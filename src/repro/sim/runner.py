@@ -132,10 +132,11 @@ class SimulationResult:
     def hb_oracle(self) -> HappenedBeforeOracle:
         """Ground-truth batch oracle for the run's execution.
 
-        With ``online_oracle=True`` this *freezes* the incrementally
-        maintained rows (a block permutation, no rebuild); otherwise it
-        falls back to the from-scratch batch construction.  Either way the
-        result is byte-identical.
+        With ``online_oracle=True`` this *freezes* the streamed oracle —
+        a block permutation of its rows on the pure backend; on the numpy
+        backend (≥ 512 events) a bulk-kernel rebuild that reuses only the
+        streamed vector clocks.  Otherwise it is the from-scratch batch
+        construction.  Either way the result is byte-identical.
         """
         if self.online_oracle is not None:
             return self.online_oracle.freeze(self.execution)
@@ -213,10 +214,10 @@ class Simulation:
         run (O(Δ) per event).  Online consumers — predicate and
         concurrent-update detectors — can query it mid-run through
         workload hooks, and ``SimulationResult.hb_oracle()`` freezes it
-        into the batch oracle without the post-hoc O(|E|²) rebuild.  The
-        oracle runs in batched-append mode: appends land in a buffer and
-        rows are constructed chunk-at-a-time on the first query, so runs
-        that query rarely pay far less than one big-int merge per event.
+        into the batch oracle.  The streamed rows are what those mid-run
+        queries read; at ≥ 512 events with numpy installed ``freeze``
+        rebuilds the matrix through the bulk kernel and takes only the
+        vector clocks from the stream.
     event_store:
         Event-storage flavor: ``"object"`` (per-event heap objects, the
         default), ``"columnar"`` (structure-of-arrays
@@ -639,16 +640,13 @@ class Simulation:
         self._n_seen = 0
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
         self._oracle = (
-            IncrementalHBOracle(
-                self._graph.n_vertices, registry=self._reg, batch=True
-            )
+            IncrementalHBOracle(self._graph.n_vertices, registry=self._reg)
             if self._online_oracle
             else None
         )
-        # with the columnar store the oracle binds to it and drains whole
-        # row ranges at flush time (vectorized sync_store) — the hot loop
-        # skips per-event append calls entirely; the object builder keeps
-        # the per-event feed
+        # with the columnar store the oracle binds to it and drains the new
+        # rows at flush time (sync_store) — the hot loop skips per-event
+        # append calls entirely; the object builder keeps the per-event feed
         self._oracle_feed = self._oracle
         if self._oracle is not None and self._store is not None:
             self._oracle.bind_store(self._store)
@@ -656,8 +654,8 @@ class Simulation:
         # Per-event instrumentation handles, resolved once: the observe
         # paths below run for every event × algorithm, and re-resolving an
         # instrument by name (label formatting + dict lookup) per call is
-        # measurable overhead at that frequency (see the ``metrics_overhead``
-        # section of tools/bench_snapshot.py).
+        # measurable overhead at that frequency (the benchmark's
+        # ``obs.histogram_observe_ns`` layer probe times one observe).
         self._h_piggy_elems = [
             self._reg.histogram("clock.piggyback_elements", clock=name)
             for name in self._names
@@ -712,8 +710,8 @@ class Simulation:
         self._scheduler.run(max_time=max_time, max_steps=max_steps)
         duration = self._scheduler.now
         if self._oracle is not None:
-            # drain any buffered batched appends so the oracle.* metrics
-            # reflect the whole run even if no query ever forced a flush
+            # drain a bound store so the oracle.* metrics reflect the
+            # whole run even if no query ever forced a flush
             self._oracle.flush()
         execution = self._builder.freeze()
 

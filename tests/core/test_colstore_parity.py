@@ -8,11 +8,11 @@ Two families of properties, on arbitrary (including faulted) executions:
   execution (event ids, kinds, message fates), and
   :meth:`EventStore.from_execution` records the object execution
   column-for-column identically to the live columnar build;
-- **append-path parity** — per-op appends, buffered batched appends
-  (pure and numpy engines), and whole-range
-  :meth:`~repro.core.incremental.IncrementalHBOracle.sync_store` drains
-  all freeze to byte-identical snapshots with identical ``oracle.*``
-  metric totals, matching the from-scratch batch oracle.
+- **feed parity** — per-event ``append_*`` calls, a whole-range
+  :meth:`~repro.core.incremental.IncrementalHBOracle.sync_store` drain
+  and a chunked ``upto=`` drain all freeze to byte-identical snapshots
+  with identical ``oracle.*`` metric totals, matching the from-scratch
+  batch oracle.
 
 These are the property-based teeth behind the conformance fuzzer's
 ``store-differential`` invariant.
@@ -74,7 +74,6 @@ def _feed_per_event(oracle, store):
             )
         else:
             oracle.append_local(eid)
-    oracle.flush()
     return oracle
 
 
@@ -142,62 +141,48 @@ class TestStorageParity:
 
 
 class TestAppendPathParity:
-    def _oracles(self, nv, backends):
-        regs, oracles = {}, {}
-        for name, kwargs in backends.items():
-            regs[name] = MetricsRegistry()
-            oracles[name] = IncrementalHBOracle(
-                nv, registry=regs[name], **kwargs
-            )
-        return regs, oracles
+    """One append engine, three ways to feed it — and ``batch=True``,
+    which the benchmark harness still passes, must change none of them."""
 
-    def _assert_parity(self, graph, ops, backends):
-        ex = execution_from_ops(graph, ops)
+    FEEDS = ("per_event", "sync", "chunked")
+
+    def _feed(self, feed, oracle, store):
+        if feed == "per_event":
+            _feed_per_event(oracle, store)
+        elif feed == "sync":
+            oracle.sync_store(store)
+        else:
+            upto = 0
+            while upto < store.n_events:
+                upto = min(upto + 7, store.n_events)
+                oracle.sync_store(store, upto=upto)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_feeds_byte_identical(self, seed):
+        graph = _graph(seed)
+        ex = execution_from_ops(graph, _ops(graph, seed))
         store = EventStore.from_execution(ex)
         ref = HappenedBeforeOracle(ex, backend="pure")
         ref_masks = ref.past_masks()
-        regs, oracles = self._oracles(graph.n_vertices, backends)
-        for name, oracle in oracles.items():
-            if name.startswith("sync"):
-                oracle.sync_store(store)
-            elif name.startswith("chunked"):
-                upto = 0
-                while upto < store.n_events:
-                    upto = min(upto + 7, store.n_events)
-                    oracle.sync_store(store, upto=upto)
-            else:
-                _feed_per_event(oracle, store)
-            frozen = oracle.freeze(ex, backend="pure")
-            assert frozen.past_masks() == ref_masks, name
-            assert oracle.relation_counts() == ref.relation_counts(), name
-        base = regs[next(iter(regs))]
-        for name, reg in regs.items():
-            for metric in ("oracle.appends", "oracle.append_words"):
-                assert reg.counter_value(metric) == base.counter_value(
-                    metric
-                ), (name, metric)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_pure_paths_byte_identical(self, seed):
-        graph = _graph(seed)
-        self._assert_parity(graph, _ops(graph, seed), {
-            "per_op": {},
-            "batched_pure": {"batch": True, "backend": "pure"},
-            "sync_pure": {"batch": True, "backend": "pure"},
-        })
-
-    @needs_numpy
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_numpy_paths_byte_identical(self, seed):
-        graph = _graph(seed)
-        self._assert_parity(graph, _ops(graph, seed), {
-            "per_op": {},
-            "batched_numpy": {"batch": True, "backend": "numpy"},
-            "sync_numpy": {"batch": True, "backend": "numpy"},
-            "chunked_numpy": {"batch": True, "backend": "numpy"},
-        })
+        totals = set()
+        for feed in self.FEEDS:
+            for batch in (False, True):
+                reg = MetricsRegistry()
+                oracle = IncrementalHBOracle(
+                    graph.n_vertices, registry=reg, batch=batch
+                )
+                self._feed(feed, oracle, store)
+                name = (feed, batch)
+                frozen = oracle.freeze(ex, backend="pure")
+                assert frozen.past_masks() == ref_masks, name
+                assert oracle.relation_counts() == ref.relation_counts(), name
+                totals.add((
+                    reg.counter_value("oracle.appends"),
+                    reg.counter_value("oracle.append_words"),
+                ))
+        assert len(totals) == 1, totals
+        assert next(iter(totals))[0] == store.n_events
 
     @needs_numpy
     @settings(max_examples=10, deadline=None)
@@ -207,9 +192,7 @@ class TestAppendPathParity:
         ops = _ops(graph, seed)
         ex = execution_from_ops(graph, ops)
         store = EventStore.from_execution(ex)
-        oracle = IncrementalHBOracle(
-            graph.n_vertices, batch=True, backend="numpy"
-        )
+        oracle = IncrementalHBOracle(graph.n_vertices)
         oracle.sync_store(store)
         frozen = oracle.freeze(ex, backend="numpy")
         assert frozen.past_masks() == HappenedBeforeOracle(
@@ -226,29 +209,46 @@ class TestSyncStoreContract:
         )
         return graph, ex, EventStore.from_execution(ex)
 
-    def test_requires_batch_mode(self):
-        _graph_, _ex, store = self._store()
-        oracle = IncrementalHBOracle(4)
-        with pytest.raises(ValueError):
-            oracle.sync_store(store)
+    def test_bind_on_default_oracle_drains_and_answers(self):
+        # regression: this used to accept bind_store and then raise
+        # "sync_store requires a batch=True oracle" from every query
+        store = EventStore(2)
+        oracle = IncrementalHBOracle(2)
+        oracle.bind_store(store)
+        msg = store.append_send(0, 1)
+        store.append_local(0)
+        store.append_receive(1, msg)
+        send, local, recv = (store.event_id(r) for r in range(3))
+        ref = HappenedBeforeOracle(store.freeze())
+        assert oracle.happened_before(send, recv)
+        assert not oracle.happened_before(local, recv)
+        assert oracle.n_events == 3
+        assert oracle.causal_past(recv) == ref.causal_past(recv) == {send}
+        assert oracle.relation_counts() == ref.relation_counts()
+        # the store keeps growing; the next query drains the new row
+        store.append_local(1)
+        last = store.event_id(3)
+        ref = HappenedBeforeOracle(store.freeze())
+        assert oracle.vector_clock(last) == ref.vector_clock(last)
+        assert oracle.freeze(store.freeze()).past_masks() == ref.past_masks()
 
     def test_rejects_process_count_mismatch(self):
         _graph_, _ex, store = self._store()
-        oracle = IncrementalHBOracle(7, batch=True)
+        oracle = IncrementalHBOracle(7)
         with pytest.raises(ValueError):
             oracle.sync_store(store)
 
     def test_rejects_second_store(self):
         _graph_, _ex, store = self._store()
         _graph2, _ex2, other = self._store(seed=9)
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         oracle.sync_store(store)
         with pytest.raises(ValueError):
             oracle.sync_store(other)
 
     def test_upto_is_incremental_and_idempotent(self):
         _graph_, ex, store = self._store()
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         half = store.n_events // 2
         assert oracle.sync_store(store, upto=half) == half
         assert oracle.sync_store(store, upto=half) == 0
@@ -261,7 +261,7 @@ class TestSyncStoreContract:
 
     def test_rejects_rows_that_do_not_continue_sequences(self):
         _graph_, _ex, store = self._store()
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         # pre-consume one event per process manually: the store's rows no
         # longer continue the oracle's per-process sequences
         oracle.append_local(store.event_id(0))
@@ -270,7 +270,7 @@ class TestSyncStoreContract:
 
     def test_bind_store_drains_on_flush(self):
         _graph_, ex, store = self._store()
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         oracle.bind_store(store)
         oracle.flush()
         frozen = oracle.freeze(ex, backend="pure")
@@ -289,9 +289,7 @@ class TestPureFallback:
         ops = _ops(graph, seed)
         ex = execution_from_ops(graph, ops)
         store = EventStore.from_execution(ex)
-        oracle = IncrementalHBOracle(
-            graph.n_vertices, batch=True, backend="pure"
-        )
+        oracle = IncrementalHBOracle(graph.n_vertices)
         oracle.sync_store(store)
         assert oracle.freeze(ex, backend="pure").past_masks() == (
             HappenedBeforeOracle(ex, backend="pure").past_masks()
@@ -311,7 +309,6 @@ class TestPureFallback:
             online_oracle=True, event_store="columnar",
         )
         res = sim.run(UniformWorkload(events_per_process=15))
-        oracle = res.online_oracle
-        assert oracle is not None and not oracle._use_np
+        assert res.online_oracle is not None
         masks = res.hb_oracle().past_masks()
         assert masks == HappenedBeforeOracle(res.execution).past_masks()

@@ -385,6 +385,42 @@ class TestSimulationIntegration:
         batch = HappenedBeforeOracle(res.execution)
         assert frozen.past_masks() == batch.past_masks()
 
+    @pytest.mark.parametrize("event_store", ["object", "columnar"])
+    def test_midrun_hook_queries_match_posthoc(self, event_store):
+        from repro.sim import Simulation, UniformWorkload
+
+        class Probing(UniformWorkload):
+            """Queries the live oracle at every delivery."""
+
+            def setup(self, sim):
+                self.answers = []
+                self.delivered = []
+                super().setup(sim)
+
+            def on_deliver(self, sim, msg, recv):
+                oracle = sim.oracle
+                for earlier in self.delivered[-3:]:
+                    self.answers.append((
+                        earlier, recv.eid,
+                        oracle.happened_before(earlier, recv.eid),
+                        oracle.vector_clock(recv.eid),
+                        oracle.causal_past(recv.eid),
+                    ))
+                self.delivered.append(recv.eid)
+
+        n = 5
+        sim = Simulation(generators.star(n), seed=7, clocks=self._clocks(n),
+                         online_oracle=True, event_store=event_store)
+        workload = Probing(events_per_process=20, p_local=0.3)
+        res = sim.run(workload)
+        batch = HappenedBeforeOracle(res.execution)
+        assert len(workload.answers) > 20
+        for e, f, hb, vc, past in workload.answers:
+            assert hb == batch.happened_before(e, f)
+            assert vc == batch.vector_clock(f)
+            assert past == batch.causal_past(f)
+        assert res.hb_oracle().past_masks() == batch.past_masks()
+
     def test_off_by_default(self):
         from repro.sim import Simulation, UniformWorkload
 
