@@ -2,8 +2,7 @@
 
 Each ``bench_e*.py`` module regenerates one of the paper's quantitative
 claims (see DESIGN.md's per-experiment index): it computes the table or
-series, prints it (visible with ``pytest -s`` or via ``run_all.py``),
-asserts the claim's *shape* (who wins, by roughly what factor, where the
+series, prints it (visible with ``pytest -s``), asserts the claim's *shape* (who wins, by roughly what factor, where the
 crossover falls), and wraps a representative computation in
 pytest-benchmark for timing.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.bench import cell_seed, default_jobs as bench_jobs, parallel_map
+from repro.bench import cell_seed
 from repro.clocks import (
     ClockAlgorithm,
     CoverInlineClock,
@@ -50,9 +49,7 @@ def sample_execution(graph: CommunicationGraph, seed: int, steps: int = 200):
 
 
 __all__ = [
-    "bench_jobs",
     "cell_seed",
-    "parallel_map",
     "print_header",
     "sample_execution",
     "topology_suite",

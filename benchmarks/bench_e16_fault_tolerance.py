@@ -32,7 +32,7 @@ from repro.topology import generators
 
 from functools import partial
 
-from _common import bench_jobs, print_header
+from _common import print_header
 
 N = 8
 EVENTS = 15
@@ -40,7 +40,6 @@ SEED = 1
 
 
 def _factories(n):
-    # partial of a top-level class stays picklable for run_chaos(jobs=N)
     return {"inline-star": partial(StarInlineClock, n)}
 
 
@@ -53,7 +52,6 @@ def _sweep(reliable):
         events_per_process=EVENTS,
         seed=SEED,
         reliable=reliable,
-        jobs=bench_jobs(),
     )
 
 

@@ -12,13 +12,11 @@ from repro.analysis.reports import format_table
 from repro.clocks import CoverInlineClock, VectorClock, replay
 from repro.topology.vertex_cover import best_cover
 
-from _common import parallel_map, print_header, sample_execution, \
-    topology_suite
+from _common import print_header, sample_execution, topology_suite
 
 
-def _size_cell(payload):
-    """One (n, topology) sweep cell — module-level for parallel_map."""
-    name, graph, seed = payload
+def _size_cell(name, graph, seed):
+    """One (n, topology) sweep cell."""
     cover = best_cover(graph)
     ex = sample_execution(graph, seed=seed, steps=6 * graph.n_vertices)
     inline, vector = replay(
@@ -40,13 +38,12 @@ def _size_cell(payload):
     }
 
 
-def build_rows(n_values=(8, 16, 32), seed=1, jobs=None):
-    cells = [
-        (name, graph, seed)
+def build_rows(n_values=(8, 16, 32), seed=1):
+    return [
+        _size_cell(name, graph, seed)
         for n in n_values
         for name, graph in topology_suite(n, seed=seed).items()
     ]
-    return parallel_map(_size_cell, cells, jobs=jobs)
 
 
 def test_e1_table(benchmark):

@@ -21,13 +21,11 @@ from repro.clocks import (
 from repro.core import HappenedBeforeOracle
 from repro.topology.vertex_cover import best_cover
 
-from _common import parallel_map, print_header, sample_execution, \
-    topology_suite
+from _common import print_header, sample_execution, topology_suite
 
 
-def _validate_cell(payload):
-    """One (topology, seed) sweep cell — module-level for parallel_map."""
-    name, graph, cover, seed = payload
+def _validate_cell(name, graph, cover, seed):
+    """One (topology, seed) sweep cell."""
     nn = graph.n_vertices
     ex = sample_execution(graph, seed=seed, steps=5 * nn)
     oracle = HappenedBeforeOracle(ex)
@@ -57,15 +55,12 @@ def _validate_cell(payload):
     return rows
 
 
-def validate_suite(n=10, seeds=(1, 2, 3), jobs=None):
-    cells = [
-        (name, graph, tuple(best_cover(graph)), seed)
-        for name, graph in topology_suite(n, seed=0).items()
-        for seed in seeds
-    ]
+def validate_suite(n=10, seeds=(1, 2, 3)):
     rows = []
-    for batch in parallel_map(_validate_cell, cells, jobs=jobs):
-        rows.extend(batch)
+    for name, graph in topology_suite(n, seed=0).items():
+        cover = tuple(best_cover(graph))
+        for seed in seeds:
+            rows.extend(_validate_cell(name, graph, cover, seed))
     return rows
 
 

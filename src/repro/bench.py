@@ -1,51 +1,18 @@
-"""Process-parallel sweep running with deterministic seeding.
+"""Deterministic per-cell seeding for sweeps.
 
-Sweeps in this repo — the chaos harness, ``repro experiments``, and the
-``benchmarks/bench_e*.py`` drivers — are embarrassingly parallel grids of
-independent cells (scenario × clock, topology × size, …).  This module
-gives them one shared runner:
-
-- :func:`parallel_map` — an order-preserving map over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Results come back in
-  input order regardless of completion order, so a ``--jobs N`` run is
-  bit-identical to the serial run of the same sweep.
-- :func:`cell_seed` — a per-cell seed derived by hashing the cell's stable
-  coordinates (sha256, not Python's randomized ``hash``), so the RNG stream
-  of a cell never depends on sweep order or worker count.
-- :func:`default_jobs` — worker count from the ``REPRO_BENCH_JOBS``
-  environment variable, defaulting to serial.  Benchmark drivers running
-  under pytest (no argv of their own) pick their parallelism up from here;
-  the CLI's ``--jobs`` flag feeds the same knob explicitly.
-
-Serial execution (``jobs=1``) never touches the executor, so callers may
-pass closures and other unpicklable work functions as long as they do not
-ask for parallelism.  With ``jobs > 1`` the work function and every item
-must be picklable — top-level functions and frozen dataclasses, not
-lambdas.
+Sweeps in this repo — chaos scenarios, conformance trials, the
+``benchmarks/bench_e*.py`` grids — are independent cells.  Each cell draws
+its randomness from :func:`cell_seed` over its own coordinates, never from
+sweep order, so a sweep sharded over the experiment fabric
+(:mod:`repro.fabric`, the only process-parallel runner) reproduces the
+serial loop exactly.  The function lives here rather than under
+``repro.fabric`` because :mod:`repro.conformance` needs it and must not pay
+the fabric's import cost.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: environment knob read by :func:`default_jobs`
-JOBS_ENV = "REPRO_BENCH_JOBS"
-
-
-def default_jobs() -> int:
-    """Worker count from ``REPRO_BENCH_JOBS`` (>=1); serial when unset."""
-    raw = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cell_seed(*coords: object) -> int:
@@ -59,77 +26,3 @@ def cell_seed(*coords: object) -> int:
     """
     blob = "\x1f".join(repr(c) for c in coords).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
-
-
-class SweepCellError(RuntimeError):
-    """A sweep cell's work function raised.
-
-    Wraps the original exception with the failing cell's coordinates (the
-    ``repr`` of the item passed to the work function) so a 200-cell
-    ``--jobs 8`` sweep reports *which* scenario × clock × size blew up
-    instead of a bare pool traceback from an anonymous worker.  The worker
-    traceback is preserved in :attr:`worker_traceback`.
-    """
-
-    def __init__(self, index: int, item_repr: str, worker_traceback: str) -> None:
-        self.index = index
-        self.item_repr = item_repr
-        self.worker_traceback = worker_traceback
-        last = worker_traceback.strip().splitlines()[-1] if worker_traceback else ""
-        super().__init__(
-            f"sweep cell #{index} {item_repr} failed: {last}\n"
-            f"--- worker traceback ---\n{worker_traceback.rstrip()}"
-        )
-
-
-class _TrappedCell:
-    """Picklable wrapper returning ('ok', result) | ('err', traceback)."""
-
-    def __init__(self, fn: Callable[[T], R]) -> None:
-        self.fn = fn
-
-    def __call__(self, item: T) -> Tuple[str, object]:
-        try:
-            return ("ok", self.fn(item))
-        except Exception:
-            # exceptions (and their tracebacks) may not pickle; ship text
-            return ("err", traceback.format_exc())
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: Optional[int] = None,
-) -> List[R]:
-    """Order-preserving map, optionally across worker processes.
-
-    ``jobs=None`` consults :func:`default_jobs`; ``jobs<=1`` (or a sweep of
-    at most one item) runs serially in-process with no pickling
-    requirements.  Chunking is left to the executor; cells are expected to
-    be coarse (a full simulation or table row each).
-
-    A cell whose work function raises surfaces as :class:`SweepCellError`
-    naming the cell's coordinates, in both the serial and parallel paths.
-    """
-    work = list(items)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(work) <= 1:
-        out: List[R] = []
-        for index, item in enumerate(work):
-            try:
-                out.append(fn(item))
-            except Exception as exc:
-                raise SweepCellError(
-                    index, repr(item), traceback.format_exc()
-                ) from exc
-        return out
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-        results: List[R] = []
-        for index, (status, value) in enumerate(
-            pool.map(_TrappedCell(fn), work)
-        ):
-            if status == "err":
-                raise SweepCellError(index, repr(work[index]), str(value))
-            results.append(value)  # type: ignore[arg-type]
-        return results

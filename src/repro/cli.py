@@ -23,7 +23,7 @@ without writing code:
 ``simulate``, ``validate``, and ``chaos`` accept ``--trace-out PATH`` to
 write a structured JSONL trace of the run: a deterministic run header,
 span/event records, and metrics-registry snapshots.  Traces carry no
-wall-clock state, so reruns — including ``chaos --jobs N`` sweeps for any
+wall-clock state, so reruns — including ``chaos --workers N`` sweeps for any
 ``N`` — are byte-identical and diff cleanly; render them with
 ``python tools/metrics_report.py PATH...``.
 
@@ -37,7 +37,8 @@ import contextlib
 import random
 import signal
 import sys
-from typing import Dict, Iterator, Optional, Sequence
+import tempfile
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis import (
     compare_sizes,
@@ -45,15 +46,8 @@ from repro.analysis import (
     summarize_latencies,
 )
 from repro.analysis.reports import format_table
-from repro.baselines import ClusterClock, EncodedClock, PlausibleClock
-from repro.clocks import (
-    ClockAlgorithm,
-    CoverInlineClock,
-    LamportClock,
-    SKVectorClock,
-    StarInlineClock,
-    VectorClock,
-)
+from repro.clocks import ClockAlgorithm, CoverInlineClock, VectorClock
+from repro.conformance.registry import CLOCK_NAMES, build_clock
 from repro.core import HappenedBeforeOracle
 from repro.core.trace import load_execution, save_execution
 from repro.clocks.replay import replay
@@ -67,62 +61,11 @@ from repro.obs import (
 )
 from repro.sim import ControlTransport, Simulation, UniformWorkload
 from repro.topology import generators
-from repro.topology.graph import CommunicationGraph
+from repro.topology.generators import TOPOLOGY_FAMILIES, build_topology
 from repro.topology.vertex_cover import best_cover
 
-
-def build_topology(name: str, n: int, seed: int) -> CommunicationGraph:
-    """Construct one of the named topology families."""
-    rng = random.Random(seed)
-    table = {
-        "star": lambda: generators.star(n),
-        "cycle": lambda: generators.cycle(n),
-        "clique": lambda: generators.clique(n),
-        "path": lambda: generators.path(n),
-        "double-star": lambda: generators.double_star(
-            max(1, n // 2 - 1), max(1, n - n // 2 - 1)
-        ),
-        "tree": lambda: generators.random_tree(n, rng),
-        "random": lambda: generators.erdos_renyi(n, 0.2, rng),
-    }
-    if name not in table:
-        raise ValueError(f"unknown topology {name!r}")
-    return table[name]()
-
-
-def build_clock(
-    name: str, graph: CommunicationGraph
-) -> ClockAlgorithm:
-    """Construct a clock algorithm by short name."""
-    n = graph.n_vertices
-    table = {
-        "inline": lambda: CoverInlineClock(graph),
-        "inline-star": lambda: StarInlineClock(n),
-        "vector": lambda: VectorClock(n),
-        "vector-sk": lambda: SKVectorClock(n),
-        "lamport": lambda: LamportClock(n),
-        "encoded": lambda: EncodedClock(n),
-        "cluster": lambda: ClusterClock(n),
-        "plausible": lambda: PlausibleClock(n, max(1, n // 3)),
-    }
-    if name not in table:
-        raise ValueError(f"unknown clock {name!r}")
-    return table[name]()
-
-
-class NamedClockFactory:
-    """Picklable zero-argument clock constructor.
-
-    ``run_chaos(..., jobs=N)`` ships clock factories to worker processes;
-    a closure over :func:`build_clock` would not pickle, this does.
-    """
-
-    def __init__(self, name: str, graph: CommunicationGraph) -> None:
-        self.name = name
-        self.graph = graph
-
-    def __call__(self) -> ClockAlgorithm:
-        return build_clock(self.name, self.graph)
+if TYPE_CHECKING:  # imported on use: repro.fabric costs ~50 ms to load
+    from repro.fabric import FabricInterrupted, ResultStore
 
 
 # ----------------------------------------------------------------------
@@ -155,14 +98,16 @@ def _graceful_signals() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
+def _trace_header(kind: str, **meta) -> Dict[str, object]:
+    """Trace-header fields whose run id is a pure function of *meta*."""
+    ordered = {k: meta[k] for k in sorted(meta)}
+    run_id = deterministic_run_id(kind, tuple(ordered.items()))
+    return {"kind": kind, "run_id": run_id, "meta": ordered}
+
+
 def _make_tracer(kind: str, **meta) -> RunTracer:
     """A tracer whose run id is a pure function of the run coordinates."""
-    ordered = {k: meta[k] for k in sorted(meta)}
-    return RunTracer(
-        kind=kind,
-        run_id=deterministic_run_id(kind, tuple(ordered.items())),
-        meta=ordered,
-    )
+    return RunTracer(**_trace_header(kind, **meta))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -452,235 +397,206 @@ def cmd_sync(args: argparse.Namespace) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def _parse_hostport(raw: str) -> "tuple[str, int]":
+def _parse_hostport(flag: str, raw: str) -> Tuple[str, int]:
     host, _, port = raw.rpartition(":")
-    return host or "127.0.0.1", int(port)
+    try:
+        return host or "127.0.0.1", int(port)
+    except ValueError:
+        raise ValueError(f"{flag} expects HOST:PORT, got {raw!r}") from None
 
 
-def _announce_listen(addr: "tuple[str, int]") -> None:
+def _announce_listen(addr: Tuple[str, int]) -> None:
     # printed (and flushed) before any cell runs, so scripts can scrape
     # the bound port and launch `repro fabric-worker --connect`
     print(f"fabric: serving work queue on {addr[0]}:{addr[1]}", flush=True)
 
 
-def _check_fabric_args(args: argparse.Namespace) -> Optional[str]:
+def _fabric_listen(args: argparse.Namespace) -> Optional[Tuple[str, int]]:
+    """The ``--fabric-listen`` address, once the fabric flags are coherent.
+
+    Raises :class:`ValueError` for a flag that needs a kept store without
+    ``--fabric DIR``, and for an address that is not ``HOST:PORT``.
+    """
     if args.fabric is None:
         if args.resume:
-            return "--resume requires --fabric DIR"
+            raise ValueError("--resume requires --fabric DIR")
         if args.fabric_listen:
-            return "--fabric-listen requires --fabric DIR"
-        if args.workers != 1:
-            return "--workers requires --fabric DIR (use --jobs otherwise)"
-    return None
+            raise ValueError("--fabric-listen requires --fabric DIR")
+    if not args.fabric_listen:
+        return None
+    return _parse_hostport("--fabric-listen", args.fabric_listen)
 
 
-def _print_chaos_tail(args: argparse.Namespace, report, retry,
-                      n: int) -> int:
-    """The common human-readable sweep summary (serial and fabric paths)."""
-    from repro.faults import ROW_HEADER
+@contextlib.contextmanager
+def _sweep_store(fabric: Optional[str]) -> Iterator[ResultStore]:
+    """The ``--fabric DIR`` store, or a temporary one removed on exit."""
+    from repro.fabric import ResultStore
 
-    transport = (
-        "fire-and-forget"
-        if args.unreliable
-        else f"reliable (timeout={retry.timeout}, backoff={retry.backoff}, "
-        f"max_retries={retry.max_retries})"
+    if fabric is not None:
+        yield ResultStore(fabric)
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+            yield ResultStore(tmp)
+
+
+def _refuse_held_cells(store: ResultStore, keys: Sequence[str],
+                       resume: bool) -> None:
+    # run_fabric makes the same check, worded for library callers
+    held = sum(store.has(key) for key in keys)
+    if held and not resume:
+        raise ValueError(
+            f"store {store.root} already holds {held} cell(s) of this "
+            "sweep; pass --resume to reuse them or point --fabric at a "
+            "fresh directory"
+        )
+
+
+def _sweep_interrupted(args: argparse.Namespace, what: str,
+                       exc: FabricInterrupted) -> int:
+    hint = (
+        f"; rerun with --fabric {args.fabric} --resume"
+        if args.fabric is not None else ""
     )
     print(
-        f"chaos sweep: topology={args.topology} n={n} "
-        f"events={args.events} seed={args.seed} control transport: {transport}"
+        f"repro: error: {what} interrupted ({exc.done} cell(s) completed "
+        f"this run, {exc.remaining} remaining{hint})",
+        file=sys.stderr,
     )
-    if report.skipped:
-        print(f"skipped FIFO-requiring clocks: {', '.join(report.skipped)}")
-    print(format_table(ROW_HEADER, report.rows()))
-    failures = report.failures()
-    if failures:
-        for cell in failures:
-            kind = (
-                "causality" if not cell.causality_ok else "crash checkpoint"
-            )
-            print(f"FAIL: {cell.scenario} × {cell.clock} ({kind} invariant)")
-    else:
-        print("all scenario × clock invariants hold")
-    return 0 if report.ok else 1
+    return INTERRUPTED
 
 
-def _cmd_chaos_fabric(args: argparse.Namespace, graph, factories,
-                      retry) -> int:
-    """Chaos sweep through the resumable work-queue fabric.
+def cmd_chaos(args: argparse.Namespace) -> int:
+    """Fault-scenario sweep with invariant checking (experiment E16).
 
-    One fabric cell per scenario; the compacted trace and the merged
-    report are byte-identical to the serial ``repro chaos`` run of the
-    same coordinates, whatever the placement or interruption history.
+    One fabric cell per scenario.  The cells run in this process, in
+    ``--workers N`` local processes or on remote workers; the compacted
+    trace and the merged report are byte-identical for every placement
+    and interruption history, and equal to :func:`repro.faults.run_chaos`
+    on the same coordinates.
     """
     from repro.fabric import (
         CellFailed,
         FabricInterrupted,
-        ResultStore,
         StreamingTraceWriter,
         cell_key,
         compact_fragments,
         run_fabric,
     )
     from repro.fabric.drivers import chaos_cell_specs, merge_chaos_results
-
-    skipped = sorted(
-        name for name, factory in factories.items()
-        if factory().requires_fifo_app
-    )
-    specs = chaos_cell_specs(
-        args.topology,
-        graph.n_vertices,
-        args.events,
-        args.seed,
-        clocks=list(args.clocks),
-        quick=bool(args.quick),
-        reliable=not args.unreliable,
-        retry_timeout=retry.timeout,
-        retry_max=retry.max_retries,
-    )
-    keys = [cell_key(spec) for spec in specs]
-    store = ResultStore(args.fabric)
-    listen = (
-        _parse_hostport(args.fabric_listen) if args.fabric_listen else None
-    )
-    interrupted: Optional[FabricInterrupted] = None
-    try:
-        with _graceful_signals():
-            fabric_report = run_fabric(
-                specs,
-                store,
-                workers=args.workers,
-                resume=args.resume,
-                listen=listen,
-                listen_ready=_announce_listen,
-            )
-    except FabricInterrupted as exc:
-        interrupted = exc
-    except (CellFailed, ValueError, OSError) as exc:
-        return _error(str(exc))
-
-    report = None
-    if interrupted is None:
-        report = merge_chaos_results(fabric_report.iter_results(), skipped)
-    if args.trace_out:
-        # identical header (run id included) to the serial --trace-out:
-        # the meta excludes every fabric/placement flag
-        meta = {
-            "clocks": list(args.clocks),
-            "events": args.events,
-            "n": graph.n_vertices,
-            "quick": bool(args.quick),
-            "reliable": not args.unreliable,
-            "seed": args.seed,
-            "topology": args.topology,
-        }
-        try:
-            with StreamingTraceWriter(
-                args.trace_out,
-                kind="chaos",
-                run_id=deterministic_run_id("chaos", tuple(meta.items())),
-                meta=meta,
-            ) as writer:
-                if skipped:
-                    writer.event("skipped-clocks", clocks=skipped)
-                compact_fragments(
-                    writer, store, keys,
-                    skip_missing=interrupted is not None,
-                )
-                if report is not None:
-                    writer.event(
-                        "sweep-summary",
-                        cells=len(report.cells),
-                        failures=len(report.failures()),
-                        ok=report.ok,
-                    )
-        except OSError as exc:
-            return _error(f"cannot write trace {args.trace_out}: {exc}")
-        if interrupted is not None:
-            print(f"partial trace written to {args.trace_out}",
-                  file=sys.stderr)
-    if interrupted is not None:
-        print(
-            f"repro: error: chaos sweep interrupted "
-            f"({interrupted.done} cell(s) completed this run, "
-            f"{interrupted.remaining} remaining; rerun with --fabric "
-            f"{args.fabric} --resume)",
-            file=sys.stderr,
-        )
-        return INTERRUPTED
-    status = _print_chaos_tail(args, report, retry, graph.n_vertices)
-    if args.trace_out:
-        print(f"structured trace written to {args.trace_out}")
-    print(f"fabric: store {store.root} holds {len(store)} cell(s), "
-          f"digest {store.digest(keys)[:16]}")
-    return status
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-scenario sweep with invariant checking (experiment E16)."""
-    from repro.faults import default_scenarios, run_chaos
+    from repro.faults import ROW_HEADER
     from repro.sim.network import RetryPolicy
 
-    graph = build_topology(args.topology, args.n, args.seed)
-    factories = {
-        name: NamedClockFactory(name, graph) for name in args.clocks
-    }
-    retry = RetryPolicy(
-        timeout=args.retry_timeout, max_retries=args.max_retries
-    )
-    bad = _check_fabric_args(args)
-    if bad is not None:
-        return _error(bad)
-    if args.fabric is not None:
-        return _cmd_chaos_fabric(args, graph, factories, retry)
-    tracer = None
-    if args.trace_out:
-        # run id and meta deliberately exclude --jobs: a parallel sweep's
-        # trace must be byte-identical to the serial one
-        tracer = _make_tracer(
-            "chaos",
-            topology=args.topology,
-            n=graph.n_vertices,
-            events=args.events,
-            seed=args.seed,
+    try:
+        listen = _fabric_listen(args)
+        graph = build_topology(args.topology, args.n, args.seed)
+        retry = RetryPolicy(
+            timeout=args.retry_timeout, max_retries=args.max_retries
+        )
+        specs = chaos_cell_specs(
+            args.topology,
+            graph.n_vertices,
+            args.events,
+            args.seed,
             clocks=list(args.clocks),
             quick=bool(args.quick),
             reliable=not args.unreliable,
+            retry_timeout=retry.timeout,
+            retry_max=retry.max_retries,
         )
-    try:
-        with _graceful_signals():
-            report = run_chaos(
-                graph,
-                factories,
-                scenarios=default_scenarios(graph.n_vertices, quick=args.quick),
-                events_per_process=args.events,
-                seed=args.seed,
-                reliable=not args.unreliable,
-                retry=retry,
-                jobs=args.jobs,
-                tracer=tracer,
+    except ValueError as exc:
+        return _error(str(exc))
+    keys = [cell_key(spec) for spec in specs]
+    skipped = sorted(
+        name for name in args.clocks
+        if build_clock(name, graph).requires_fifo_app
+    )
+    with _sweep_store(args.fabric) as store:
+        interrupted: Optional[FabricInterrupted] = None
+        try:
+            _refuse_held_cells(store, keys, args.resume)
+            with _graceful_signals():
+                fabric_report = run_fabric(
+                    specs,
+                    store,
+                    workers=args.workers,
+                    resume=args.resume,
+                    listen=listen,
+                    listen_ready=_announce_listen,
+                )
+        except FabricInterrupted as exc:
+            interrupted = exc
+        except (CellFailed, ValueError, OSError) as exc:
+            return _error(str(exc))
+
+        report = None
+        if interrupted is None:
+            report = merge_chaos_results(
+                fabric_report.iter_results(), skipped
             )
-    except KeyboardInterrupt:
-        # flush whatever the sweep recorded before the signal, then report
-        # the interruption as a failure (partial sweeps prove nothing)
-        if tracer is not None:
+        if args.trace_out:
+            # run id and meta exclude every placement flag: the trace must
+            # be byte-identical wherever the cells ran
+            header = _trace_header(
+                "chaos",
+                topology=args.topology,
+                n=graph.n_vertices,
+                events=args.events,
+                seed=args.seed,
+                clocks=list(args.clocks),
+                quick=bool(args.quick),
+                reliable=not args.unreliable,
+            )
             try:
-                tracer.write(args.trace_out)
+                with StreamingTraceWriter(args.trace_out, **header) as writer:
+                    if skipped:
+                        writer.event("skipped-clocks", clocks=skipped)
+                    # an interrupted sweep flushes the cells it completed
+                    compact_fragments(
+                        writer, store, keys,
+                        skip_missing=interrupted is not None,
+                    )
+                    if report is not None:
+                        writer.event(
+                            "sweep-summary",
+                            cells=len(report.cells),
+                            failures=len(report.failures()),
+                            ok=report.ok,
+                        )
+            except OSError as exc:
+                return _error(f"cannot write trace {args.trace_out}: {exc}")
+        if interrupted is not None:
+            if args.trace_out:
                 print(f"partial trace written to {args.trace_out}",
                       file=sys.stderr)
-            except OSError as exc:
-                print(f"repro: error: cannot write trace "
-                      f"{args.trace_out}: {exc}", file=sys.stderr)
-        print("repro: error: chaos sweep interrupted", file=sys.stderr)
-        return INTERRUPTED
-    status = _print_chaos_tail(args, report, retry, graph.n_vertices)
-    if tracer is not None:
-        try:
-            tracer.write(args.trace_out)
-        except OSError as exc:
-            return _error(f"cannot write trace {args.trace_out}: {exc}")
-        print(f"structured trace written to {args.trace_out}")
-    return status
+            return _sweep_interrupted(args, "chaos sweep", interrupted)
+
+        transport = (
+            "fire-and-forget"
+            if args.unreliable
+            else f"reliable (timeout={retry.timeout}, backoff={retry.backoff}, "
+            f"max_retries={retry.max_retries})"
+        )
+        print(
+            f"chaos sweep: topology={args.topology} n={graph.n_vertices} "
+            f"events={args.events} seed={args.seed} "
+            f"control transport: {transport}"
+        )
+        if skipped:
+            print(f"skipped FIFO-requiring clocks: {', '.join(skipped)}")
+        print(format_table(ROW_HEADER, report.rows()))
+        for cell in report.failures():
+            kind = (
+                "causality" if not cell.causality_ok else "crash checkpoint"
+            )
+            print(f"FAIL: {cell.scenario} × {cell.clock} ({kind} invariant)")
+        if report.ok:
+            print("all scenario × clock invariants hold")
+        if args.trace_out:
+            print(f"structured trace written to {args.trace_out}")
+        if args.fabric is not None:
+            print(f"fabric: store {store.root} holds {len(store)} cell(s), "
+                  f"digest {store.digest(keys)[:16]}")
+    return 0 if report.ok else 1
 
 
 def _build_live_faults(loss: float, duplicate: float):
@@ -923,27 +839,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_run())
 
 
-def _star_size_row(n: int):
-    """One row of the ``repro experiments`` size table (sweep-cell worker).
-
-    Module-level so ``--jobs N`` can run the sizes in parallel processes;
-    the seeded execution makes the row deterministic either way.
-    """
-    from repro.clocks import replay
-    from repro.core.random_executions import random_execution
-
-    graph = generators.star(n)
-    ex = random_execution(
-        graph, random.Random(1), steps=4 * n, deliver_all=True
-    )
-    inline, vector = replay(
-        ex, [CoverInlineClock(graph, (0,)), VectorClock(n)]
-    )
-    row = [n, inline.max_elements(), vector.max_elements(),
-           inline.validate().characterizes]
-    return row, inline.max_elements() == 4 and vector.max_elements() == n
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Export a metrics registry as JSON.
 
@@ -998,14 +893,25 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     """
     from repro.conformance import (
         case_from_mismatch,
-        fuzz,
         load_corpus,
         replay_case,
         save_case,
     )
+    from repro.fabric import (
+        CellFailed,
+        FabricInterrupted,
+        cell_key,
+        run_fabric,
+    )
+    from repro.fabric.drivers import (
+        conformance_chunk_specs,
+        merge_conformance_results,
+    )
 
     if args.trials < 0:
         return _error(f"--trials must be >= 0, got {args.trials}")
+    if args.chunk_size < 1:
+        return _error(f"--chunk-size must be >= 1, got {args.chunk_size}")
     if args.backend in ("numpy", "old-vs-new"):
         from repro.core.backend import numpy_available
 
@@ -1014,6 +920,23 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                 f"--backend {args.backend} requires numpy>=2.0 "
                 "(pip install numpy, or the [fast] extra)"
             )
+    # the campaign is sharded into trial-range cells; absolute trial
+    # indices seed each trial, so the merged report — and the JSONL
+    # --report — is the same for every chunking and placement, and equal
+    # to repro.conformance.fuzz on the same coordinates
+    try:
+        listen = _fabric_listen(args)
+        specs = conformance_chunk_specs(
+            args.trials,
+            args.seed,
+            list(args.topology),
+            args.steps,
+            args.backend,
+            shrink=not args.no_shrink,
+            chunk_size=args.chunk_size,
+        )
+    except ValueError as exc:
+        return _error(str(exc))
     tracer = _make_tracer(
         "conformance",
         trials=args.trials,
@@ -1037,39 +960,11 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                       f"{mm.scheme}: {mm.detail}", file=sys.stderr)
         print(f"corpus: {len(cases)} pinned case(s), "
               f"{corpus_mismatches} mismatch(es)")
-    bad = _check_fabric_args(args)
-    if bad is not None:
-        return _error(bad)
-    if args.fabric is not None:
-        # shard the campaign into trial-range cells; absolute trial
-        # indices seed each trial, so the merged report — and the JSONL
-        # --report — is exactly the serial campaign's
-        from repro.fabric import (
-            CellFailed,
-            FabricInterrupted,
-            ResultStore,
-            run_fabric,
-        )
-        from repro.fabric.drivers import (
-            conformance_chunk_specs,
-            merge_conformance_results,
-        )
-
-        specs = conformance_chunk_specs(
-            args.trials,
-            args.seed,
-            list(args.topology),
-            args.steps,
-            args.backend,
-            shrink=not args.no_shrink,
-            chunk_size=args.chunk_size,
-        )
-        store = ResultStore(args.fabric)
-        listen = (
-            _parse_hostport(args.fabric_listen)
-            if args.fabric_listen else None
-        )
+    with _sweep_store(args.fabric) as store:
         try:
+            _refuse_held_cells(
+                store, [cell_key(spec) for spec in specs], args.resume
+            )
             with _graceful_signals():
                 fabric_report = run_fabric(
                     specs,
@@ -1080,35 +975,19 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                     listen_ready=_announce_listen,
                 )
         except FabricInterrupted as exc:
-            print(
-                f"repro: error: conformance campaign interrupted "
-                f"({exc.done} chunk(s) completed this run, {exc.remaining} "
-                f"remaining; rerun with --fabric {args.fabric} --resume)",
-                file=sys.stderr,
-            )
-            return INTERRUPTED
+            return _sweep_interrupted(args, "conformance campaign", exc)
         except (CellFailed, ValueError, OSError) as exc:
             return _error(str(exc))
         report = merge_conformance_results(fabric_report.iter_results())
-        for mm in report.mismatches:
-            tracer.event("mismatch", **mm.to_record())
-        tracer.event(
-            "summary",
-            trials=report.trials,
-            events=report.events_checked,
-            checks=dict(sorted(report.checks.items())),
-            mismatches=len(report.mismatches),
-        )
-    else:
-        report = fuzz(
-            trials=args.trials,
-            seed=args.seed,
-            topologies=tuple(args.topology),
-            max_steps=args.steps,
-            tracer=tracer,
-            shrink=not args.no_shrink,
-            backend=args.backend,
-        )
+    for mm in report.mismatches:
+        tracer.event("mismatch", **mm.to_record())
+    tracer.event(
+        "summary",
+        trials=report.trials,
+        events=report.events_checked,
+        checks=dict(sorted(report.checks.items())),
+        mismatches=len(report.mismatches),
+    )
     print(
         f"conformance: {report.trials} trial(s), seed {args.seed}, "
         f"topologies {'/'.join(args.topology)}, "
@@ -1143,7 +1022,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     """Quick headline reproduction: one table per core claim."""
-    from repro.bench import parallel_map
+    from repro.core.random_executions import random_execution
     from repro.lowerbounds import (
         FoldedVectorScheme,
         execution_dimension_exceeds_2,
@@ -1155,11 +1034,17 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
     # --- sizes (Theorem 4.2 / Section 3)
     rows = []
-    for row, row_ok in parallel_map(
-        _star_size_row, (8, 16, 32), jobs=args.jobs
-    ):
-        rows.append(row)
-        ok &= row_ok
+    for n in (8, 16, 32):
+        graph = generators.star(n)
+        ex = random_execution(
+            graph, random.Random(1), steps=4 * n, deliver_all=True
+        )
+        inline, vector = replay(
+            ex, [CoverInlineClock(graph, (0,)), VectorClock(n)]
+        )
+        rows.append([n, inline.max_elements(), vector.max_elements(),
+                     inline.validate().characterizes])
+        ok &= inline.max_elements() == 4 and vector.max_elements() == n
     print("Theorem 4.2 / Section 3 — star timestamps (constant 4 vs n):")
     print(format_table(["n", "inline elements", "vector elements", "exact"],
                        rows))
@@ -1193,9 +1078,9 @@ def cmd_fabric_worker(args: argparse.Namespace) -> int:
     from repro.fabric.netqueue import run_remote_worker
 
     try:
-        host, port = _parse_hostport(args.connect)
-    except ValueError:
-        return _error(f"--connect expects HOST:PORT, got {args.connect!r}")
+        host, port = _parse_hostport("--connect", args.connect)
+    except ValueError as exc:
+        return _error(str(exc))
     try:
         with _graceful_signals():
             completed = run_remote_worker(
@@ -1213,19 +1098,34 @@ def cmd_fabric_worker(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+def _add_workload_args(p: argparse.ArgumentParser, events: int) -> None:
+    """The coordinates of a seeded run: family, size, length, seed."""
+    p.add_argument("--topology", default="star",
+                   choices=list(TOPOLOGY_FAMILIES))
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--events", type=int, default=events)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_clocks_arg(p: argparse.ArgumentParser, *default: str) -> None:
+    p.add_argument("--clocks", nargs="+", default=list(default),
+                   choices=CLOCK_NAMES, metavar="CLOCK")
+
+
 def _add_fabric_args(p: argparse.ArgumentParser) -> None:
     """The work-queue fabric flags shared by sweep commands."""
     g = p.add_argument_group("experiment fabric")
     g.add_argument("--fabric", metavar="DIR", default=None,
-                   help="run through the resumable work-queue fabric, "
-                   "storing per-cell results in DIR (byte-identical to "
-                   "the serial run for any placement)")
+                   help="keep per-cell results in DIR, so the sweep can be "
+                   "resumed and audited (default: a temporary store removed "
+                   "on exit; output is byte-identical either way)")
     g.add_argument("--resume", action="store_true",
                    help="reuse cells already completed in the --fabric "
                    "store instead of refusing to overwrite them")
     g.add_argument("--workers", type=int, default=1,
-                   help="local fabric worker processes (0 = serve remote "
-                   "workers only; requires --fabric-listen)")
+                   help="local worker processes (1 = run the cells in this "
+                   "process; 0 = serve remote workers only, requires "
+                   "--fabric-listen)")
     g.add_argument("--fabric-listen", metavar="HOST:PORT", default=None,
                    help="serve the work queue over TCP so 'repro "
                    "fabric-worker --connect' processes can join (port 0 "
@@ -1243,15 +1143,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a workload with clocks attached")
-    p.add_argument("--topology", default="star",
-                   choices=["star", "cycle", "clique", "path", "double-star",
-                            "tree", "random"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--events", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    _add_workload_args(p, events=20)
     p.add_argument("--p-local", type=float, default=0.3)
-    p.add_argument("--clocks", nargs="+", default=["inline", "vector"],
-                   metavar="CLOCK")
+    _add_clocks_arg(p, "inline", "vector")
     p.add_argument("--transport", default="eager",
                    choices=["eager", "piggyback"])
     p.add_argument("--fifo", action="store_true",
@@ -1272,7 +1166,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate clocks on a saved trace")
     p.add_argument("trace")
-    p.add_argument("--clocks", nargs="+", default=["inline", "vector"])
+    _add_clocks_arg(p, "inline", "vector")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write a structured JSONL run trace (repro.obs)")
     p.set_defaults(fn=cmd_validate)
@@ -1285,14 +1179,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-trace", nargs="+", metavar="PATH", default=None,
                    help="merge the metrics snapshots of these JSONL traces "
                    "instead of running a simulation")
-    p.add_argument("--topology", default="star",
-                   choices=["star", "cycle", "clique", "path", "double-star",
-                            "tree", "random"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--events", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clocks", nargs="+", default=["inline", "vector"],
-                   metavar="CLOCK")
+    _add_workload_args(p, events=20)
+    _add_clocks_arg(p, "inline", "vector")
     p.add_argument("--output", metavar="PATH", default=None,
                    help="write the JSON here instead of stdout")
     p.set_defaults(fn=cmd_metrics)
@@ -1312,8 +1200,6 @@ def make_parser() -> argparse.ArgumentParser:
         "experiments", help="quick headline reproduction of the core claims"
     )
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep cells")
     p.set_defaults(fn=cmd_experiments)
 
     p = sub.add_parser(
@@ -1342,22 +1228,15 @@ def make_parser() -> argparse.ArgumentParser:
                    "auto and old-vs-new also cross-check the numpy array "
                    "kernel against the pure packed-int kernel")
     p.add_argument("--chunk-size", type=int, default=25,
-                   help="trials per fabric cell (with --fabric)")
+                   help="trials per sweep cell")
     _add_fabric_args(p)
     p.set_defaults(fn=cmd_conformance)
 
     p = sub.add_parser(
         "chaos", help="fault-scenario sweep with invariant checks (E16)"
     )
-    p.add_argument("--topology", default="star",
-                   choices=["star", "cycle", "clique", "path", "double-star",
-                            "tree", "random"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--events", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clocks", nargs="+",
-                   default=["inline", "vector", "lamport"],
-                   metavar="CLOCK")
+    _add_workload_args(p, events=15)
+    _add_clocks_arg(p, "inline", "vector", "lamport")
     p.add_argument("--quick", action="store_true",
                    help="run the reduced 3-scenario smoke subset")
     p.add_argument("--unreliable", action="store_true",
@@ -1365,11 +1244,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-timeout", type=float, default=4.0,
                    help="retransmission timeout for the reliable transport")
     p.add_argument("--max-retries", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the scenario sweep")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write a structured JSONL sweep trace "
-                   "(byte-identical for any --jobs)")
+                   "(byte-identical for any --workers)")
     _add_fabric_args(p)
     p.set_defaults(fn=cmd_chaos)
 
@@ -1450,12 +1327,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sync", help="timed synchronous run with component timestamps"
     )
-    p.add_argument("--topology", default="star",
-                   choices=["star", "cycle", "clique", "path", "double-star",
-                            "tree", "random"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--events", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    _add_workload_args(p, events=15)
     p.set_defaults(fn=cmd_sync)
 
     return parser

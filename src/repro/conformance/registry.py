@@ -15,10 +15,11 @@ fuzzer needs to decide *where* a scheme may legally run:
 - ``inline`` — whether timestamps start as ``⊥`` and finalize later, which
   is what the finalization-monotonicity invariant checks.
 
-The registry is deliberately independent of :func:`repro.cli.build_clock`
-(which serves interactive use): conformance must cover *every* scheme,
-including baselines like HLC that need a deterministic synthetic time
-source to be replayable.
+This is the one clock-name table: the CLI's ``--clocks`` and the fabric's
+``chaos-scenario`` cells resolve names through :func:`build_clock`, so a new
+scheme is one factory and one ``_ALL`` line.  Conformance must cover *every*
+scheme, including baselines like HLC that need a deterministic synthetic
+time source to be replayable.
 """
 
 from __future__ import annotations
@@ -116,11 +117,23 @@ def all_schemes() -> Tuple[SchemeSpec, ...]:
     return _ALL
 
 
+#: ``inline`` is the command line's short spelling of ``inline-cover``
+ALIASES = {"inline": "inline-cover"}
+#: every name :func:`scheme_by_name` accepts
+CLOCK_NAMES = tuple(ALIASES) + tuple(spec.name for spec in _ALL)
+
+
 def scheme_by_name(name: str) -> SchemeSpec:
+    name = ALIASES.get(name, name)
     for spec in _ALL:
         if spec.name == name:
             return spec
-    raise ValueError(f"unknown conformance scheme {name!r}")
+    raise ValueError(f"unknown clock scheme {name!r}")
+
+
+def build_clock(name: str, graph: CommunicationGraph) -> ClockAlgorithm:
+    """Construct a scheme by name or alias (``inline-star``: center 0)."""
+    return scheme_by_name(name).build(graph)
 
 
 def star_center_of(graph: CommunicationGraph) -> Optional[int]:

@@ -1,6 +1,6 @@
 """Fault-tolerant experiment fabric: resumable, placement-free sweeps.
 
-Generalizes :func:`repro.bench.parallel_map` into a work-queue fabric:
+The repo's one process-parallel sweep runner, a work-queue fabric:
 sweep cells are content-hash keyed JSON specs, completed results land
 atomically in a resumable :class:`ResultStore`, and the same sweep runs
 serially, across local worker processes, or across hosts attached via

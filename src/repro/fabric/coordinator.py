@@ -1,6 +1,6 @@
 """Fault-tolerant work-queue coordinator for sweep cells.
 
-:func:`run_fabric` generalizes :func:`repro.bench.parallel_map` into a
+:func:`run_fabric` is the repo's one process-parallel sweep runner, a
 crash-tolerant fabric: cells are content-hash keyed
 (:mod:`repro.fabric.hashing`), completed results land atomically in a
 :class:`~repro.fabric.store.ResultStore`, and placement is free —

@@ -16,8 +16,6 @@ Registered kinds:
 - ``conformance-chunk`` — a contiguous range of differential-fuzzer
   trials (PR-5); returns the chunk's check counts and shrunk mismatch
   records.
-- ``bench-module`` — one ``benchmarks/bench_e*.py`` driver executed via
-  pytest in a subprocess (the ``run_all.py`` fabric mode).
 - ``fabric-selftest`` — a tiny deterministic computation used by the
   crash-resume test suite and the fabric-smoke CI job.
 
@@ -30,6 +28,7 @@ old store entries stop matching.
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.bench import cell_seed
@@ -101,17 +100,18 @@ def chaos_cell_specs(
 def _run_chaos_scenario(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Rebuild one chaos scenario from its spec and run it.
 
-    Mirrors the payload :func:`repro.faults.chaos.run_chaos` ships to
-    ``parallel_map`` workers, reconstructed from names alone so remote
-    hosts need nothing but the repo checkout.
+    Everything is reconstructed from names alone, so remote hosts need
+    nothing but the repo checkout.
     """
-    from repro.cli import NamedClockFactory, build_topology
+    from repro.conformance.registry import build_clock
     from repro.faults.chaos import (
-        _scenario_cells,
-        _UniformWorkloadFactory,
+        chaos_workload,
         default_scenarios,
+        run_scenario,
+        split_fifo_clocks,
     )
     from repro.sim.network import RetryPolicy
+    from repro.topology.generators import build_topology
 
     graph = build_topology(spec["topology"], spec["n"], spec["seed"])
     scenarios = {
@@ -120,27 +120,19 @@ def _run_chaos_scenario(spec: Mapping[str, Any]) -> Dict[str, Any]:
     }
     if spec["scenario"] not in scenarios:
         raise ValueError(f"unknown chaos scenario {spec['scenario']!r}")
-    factories = {
-        name: NamedClockFactory(name, graph) for name in spec["clocks"]
-    }
-    usable = {
-        name: factory
-        for name, factory in factories.items()
-        if not factory().requires_fifo_app
-    }
-    retry = RetryPolicy(
-        timeout=spec["retry_timeout"], max_retries=spec["retry_max"]
+    usable, _skipped = split_fifo_clocks(
+        {name: partial(build_clock, name, graph) for name in spec["clocks"]}
     )
-    cells, records, metrics = _scenario_cells(
-        (
-            graph,
-            scenarios[spec["scenario"]],
-            usable,
-            spec["seed"],
-            spec["reliable"],
-            retry,
-            _UniformWorkloadFactory(events_per_process=spec["events"]),
-        )
+    cells, records, metrics = run_scenario(
+        graph,
+        scenarios[spec["scenario"]],
+        usable,
+        spec["seed"],
+        spec["reliable"],
+        RetryPolicy(
+            timeout=spec["retry_timeout"], max_retries=spec["retry_max"]
+        ),
+        chaos_workload(spec["events"]),
     )
     return {
         "cells": [asdict(cell) for cell in cells],
@@ -153,9 +145,9 @@ def merge_chaos_results(results, skipped=()) -> Any:
     """Fold chaos-scenario results (in input order) into a ChaosReport.
 
     Equivalent to :func:`repro.faults.chaos.run_chaos` folding its
-    ``parallel_map`` batches: cells extend in scenario order and each
-    scenario's metrics export merges in the same order, so the report —
-    registry included — matches the serial sweep exactly.
+    scenarios: cells extend in scenario order and each scenario's metrics
+    export merges in the same order, so the report — registry included —
+    matches the in-process sweep exactly.
     """
     from repro.faults.chaos import ChaosCell, ChaosReport
 
@@ -243,62 +235,6 @@ def merge_conformance_results(results) -> Any:
         for record in chunk["mismatches"]:
             report.mismatches.append(mismatch_from_record(record))
     return report
-
-
-# ----------------------------------------------------------------------
-# benchmark-suite modules (one pytest driver per cell)
-# ----------------------------------------------------------------------
-def bench_module_specs(modules: Sequence[str]) -> List[Dict[str, Any]]:
-    return [
-        {"kind": "bench-module", "v": 1, "module": name}
-        for name in modules
-    ]
-
-
-@work_kind("bench-module")
-def _run_bench_module(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run one ``benchmarks/bench_e*.py`` driver under pytest.
-
-    Parallelism *within* the module still comes from ``REPRO_BENCH_JOBS``
-    (inherited environment); the fabric shards across modules.  A
-    non-zero pytest exit raises, so failed experiments are retried and —
-    crucially — never stored as completed, keeping resume honest.
-    """
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    repo_root = pathlib.Path(__file__).resolve().parents[3]
-    name = pathlib.PurePosixPath(spec["module"]).name  # no path escapes
-    module = repo_root / "benchmarks" / name
-    if not module.exists():
-        raise FileNotFoundError(f"no benchmark driver {name!r}")
-    env = dict(os.environ)
-    src = str(repo_root / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else src
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", str(module),
-         "--benchmark-only", "-s", "-q"],
-        capture_output=True,
-        text=True,
-        cwd=str(repo_root),
-        env=env,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"{name} failed (pytest rc {proc.returncode}):\n"
-            f"{proc.stdout[-4000:]}\n{proc.stderr[-2000:]}"
-        )
-    return {
-        "module": name,
-        "returncode": 0,
-        "tail": proc.stdout.strip().splitlines()[-12:],
-    }
 
 
 # ----------------------------------------------------------------------

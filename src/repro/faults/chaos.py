@@ -28,9 +28,9 @@ reproduction of the acceptance criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench import parallel_map
 from repro.clocks.base import ClockAlgorithm
 from repro.core import HappenedBeforeOracle
 from repro.faults.models import (
@@ -138,7 +138,7 @@ class ChaosCell:
 class ChaosReport:
     """All cells of one sweep, plus skipped clock names and the sweep's
     merged metrics registry (cells merged in scenario order, so the
-    registry is identical for any ``jobs`` count)."""
+    registry is identical wherever the scenarios ran)."""
 
     cells: List[ChaosCell] = field(default_factory=list)
     skipped: List[str] = field(default_factory=list)
@@ -215,40 +215,47 @@ def _checkpoint_permanence_ok(
     return True
 
 
-@dataclass(frozen=True)
-class _UniformWorkloadFactory:
-    """Picklable default workload constructor (a lambda would not pickle
-    across :class:`~concurrent.futures.ProcessPoolExecutor` workers)."""
-
-    events_per_process: int
-    p_local: float = 0.2
-
-    def __call__(self) -> Workload:
-        return UniformWorkload(
-            events_per_process=self.events_per_process, p_local=self.p_local
-        )
+def chaos_workload(events_per_process: int) -> Workload:
+    """A fresh instance of the sweep's default workload."""
+    return UniformWorkload(events_per_process=events_per_process, p_local=0.2)
 
 
-def _scenario_cells(payload):
-    """Run one scenario across every usable clock — one sweep-cell batch.
+def split_fifo_clocks(
+    clock_factories: Mapping[str, ClockFactory],
+) -> Tuple[Dict[str, ClockFactory], List[str]]:
+    """``(usable, skipped)``: the sweep's clocks, and the names it cannot run
+    because they require FIFO application channels."""
+    usable: Dict[str, ClockFactory] = {}
+    skipped: List[str] = []
+    for name, factory in clock_factories.items():
+        if factory().requires_fifo_app:
+            skipped.append(name)
+        else:
+            usable[name] = factory
+    return usable, skipped
 
-    A module-level function so :func:`run_chaos` can fan scenarios out to
-    worker processes; *payload* carries everything the cell needs and must
-    be picklable when ``jobs > 1``.
+
+def run_scenario(
+    graph: CommunicationGraph,
+    scenario: ChaosScenario,
+    factories: Mapping[str, ClockFactory],
+    seed: int,
+    reliable: bool,
+    retry: RetryPolicy,
+    workload: Workload,
+) -> Tuple[List[ChaosCell], List[Dict[str, Any]], Dict[str, Any]]:
+    """Run one scenario across every clock in *factories* — one sweep cell.
 
     Returns ``(cells, trace_records, metrics_export)``.  The scenario runs
     under its *own* :class:`~repro.obs.metrics.MetricsRegistry` (installed
     via :func:`~repro.obs.metrics.use_registry`, so the simulator's and the
     validators' instrumentation land there and nowhere else) and builds a
-    headerless trace fragment.  Both come back as plain picklable data that
-    the parent merges in scenario order — which is what makes a ``--jobs 4``
-    sweep's trace byte-identical to the serial one.
+    headerless trace fragment.  Both come back as plain JSON-safe data that
+    the caller merges in scenario order — which is what makes the trace of
+    a sweep sharded over the fabric byte-identical to :func:`run_chaos`'s.
     """
     from repro.sim.runner import Simulation  # deferred: avoids import cycle
 
-    (graph, scenario, factories, seed, reliable, retry, workload_factory) = (
-        payload
-    )
     registry = MetricsRegistry()
     tracer = RunTracer(emit_header=False)
     tracer.begin_span(
@@ -270,7 +277,7 @@ def _scenario_cells(payload):
             control_retry=retry if reliable else None,
             metrics=registry,
         )
-        result = sim.run(workload_factory())
+        result = sim.run(workload)
         oracle = HappenedBeforeOracle(result.execution)
         cells: List[ChaosCell] = []
         for name, algo in clocks.items():
@@ -334,7 +341,6 @@ def run_chaos(
     reliable: bool = True,
     retry: Optional[RetryPolicy] = None,
     workload_factory: Optional[Callable[[], Workload]] = None,
-    jobs: int = 1,
     tracer: Optional[RunTracer] = None,
 ) -> ChaosReport:
     """Run every scenario × algorithm cell and validate the invariants.
@@ -345,45 +351,33 @@ def run_chaos(
     transport (*retry* overrides its parameters).  FIFO-requiring clocks
     are recorded in ``ChaosReport.skipped`` instead of run.
 
-    ``jobs > 1`` fans the scenarios out over worker processes via
-    :func:`repro.bench.parallel_map`.  Each scenario already runs from its
-    own seeded :class:`Simulation`, so the report is identical to the
-    serial sweep, cell for cell; factories and the workload factory must
-    then be picklable (the defaults are).
+    This is the in-process entry point, and the reference the fabric is
+    tested against: ``repro chaos`` runs the same scenarios as fabric cells
+    (:func:`repro.fabric.drivers.chaos_cell_specs`), which is also the only
+    way to spread them over processes.
 
     Every scenario records into a scenario-local metrics registry; the
     registries are merged in scenario order into ``ChaosReport.metrics``.
     With *tracer*, each scenario's span/event records and its metrics
-    snapshot are appended to the trace, again in scenario order — so the
-    trace (and registry) of a parallel sweep is byte-identical to the
-    serial one.
+    snapshot are appended to the trace, again in scenario order.
     """
     if scenarios is None:
         scenarios = default_scenarios(graph.n_vertices)
     if retry is None:
         retry = RetryPolicy()
     if workload_factory is None:
-        workload_factory = _UniformWorkloadFactory(
-            events_per_process=events_per_process
+        workload_factory = partial(chaos_workload, events_per_process)
+
+    usable, skipped = split_fifo_clocks(clock_factories)
+    report = ChaosReport(skipped=skipped)
+    if tracer is not None and skipped:
+        tracer.event("skipped-clocks", clocks=sorted(skipped))
+
+    for scenario in scenarios:
+        cells, records, metrics_export = run_scenario(
+            graph, scenario, usable, seed, reliable, retry,
+            workload_factory(),
         )
-
-    report = ChaosReport()
-    usable: Dict[str, ClockFactory] = {}
-    for name, factory in clock_factories.items():
-        if factory().requires_fifo_app:
-            report.skipped.append(name)
-        else:
-            usable[name] = factory
-    if tracer is not None and report.skipped:
-        tracer.event("skipped-clocks", clocks=sorted(report.skipped))
-
-    payloads = [
-        (graph, scenario, usable, seed, reliable, retry, workload_factory)
-        for scenario in scenarios
-    ]
-    for cells, records, metrics_export in parallel_map(
-        _scenario_cells, payloads, jobs=jobs
-    ):
         report.cells.extend(cells)
         report.metrics.merge(metrics_export)
         if tracer is not None:

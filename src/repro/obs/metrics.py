@@ -14,12 +14,12 @@ Design constraints, in order:
   a pure function of the observations it received: no wall-clock
   timestamps, no ids, keys sorted at serialization time.  Two runs with the
   same seed produce byte-identical exports, which is what lets the CI diff
-  ``--jobs 1`` against ``--jobs 4`` sweeps.
+  an in-process sweep against ``--workers 4``.
 - **Isolation.**  Registries are plain objects; the *active* registry is a
-  thread-local stack over a per-process default.  Worker processes spawned
-  by :func:`repro.bench.parallel_map` therefore never share instruments
+  thread-local stack over a per-process default.  The experiment fabric's
+  worker processes (:mod:`repro.fabric`) therefore never share instruments
   with the parent — a sweep cell records into its own registry and ships
-  the export back as part of its (picklable) result, and the parent merges
+  the export back as part of its JSON result, and the parent merges
   the exports in input order (:meth:`MetricsRegistry.merge`).
 - **Zero dependencies.**  Histograms use fixed bucket upper edges (values
   land in the first bucket whose edge is ``>= value``, with one overflow

@@ -4,7 +4,7 @@ A :class:`RunTracer` accumulates an ordered list of plain-dict records and
 serializes them one JSON object per line.  Records carry a monotonically
 increasing ``seq`` instead of wall-clock timestamps, and serialization uses
 sorted keys and compact separators, so two traces of the same seeded run are
-**byte-identical** — including a ``--jobs 4`` sweep against its serial
+**byte-identical** — including a ``--workers 4`` sweep against its in-process
 counterpart, because sweep hosts merge each cell's records in input order
 (:meth:`RunTracer.extend`) rather than completion order.
 

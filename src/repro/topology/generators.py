@@ -15,7 +15,7 @@ cover, the convention for which vertices form it is documented per function.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.graph import CommunicationGraph, Edge
 
@@ -219,3 +219,26 @@ def caterpillar(spine: int, legs_per_vertex: int) -> CommunicationGraph:
             edges.append((s, next_vertex))
             next_vertex += 1
     return CommunicationGraph(max(next_vertex, 1), edges)
+
+
+#: the named families of :func:`build_topology`: name -> (n, rng) -> graph
+TOPOLOGY_FAMILIES: Dict[
+    str, Callable[[int, random.Random], CommunicationGraph]
+] = {
+    "star": lambda n, rng: star(n),
+    "cycle": lambda n, rng: cycle(n),
+    "clique": lambda n, rng: clique(n),
+    "path": lambda n, rng: path(n),
+    "double-star": lambda n, rng: double_star(
+        max(1, n // 2 - 1), max(1, n - n // 2 - 1)
+    ),
+    "tree": random_tree,
+    "random": lambda n, rng: erdos_renyi(n, 0.2, rng),
+}
+
+
+def build_topology(name: str, n: int, seed: int) -> CommunicationGraph:
+    """Construct one of the named topology families at size ~*n*."""
+    if name not in TOPOLOGY_FAMILIES:
+        raise ValueError(f"unknown topology {name!r}")
+    return TOPOLOGY_FAMILIES[name](n, random.Random(seed))

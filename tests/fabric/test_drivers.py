@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fabric import ResultStore, cell_key, execute_cell, run_fabric
+from repro.fabric import (
+    ResultStore,
+    StreamingTraceWriter,
+    cell_key,
+    compact_fragments,
+    execute_cell,
+    run_fabric,
+)
 from repro.fabric.drivers import (
     WORK_KINDS,
-    bench_module_specs,
     chaos_cell_specs,
     conformance_chunk_specs,
     merge_chaos_results,
@@ -18,7 +24,7 @@ from repro.fabric.drivers import (
 
 
 def test_registry_has_all_shipped_kinds():
-    assert {"chaos-scenario", "conformance-chunk", "bench-module",
+    assert {"chaos-scenario", "conformance-chunk",
             "fabric-selftest"} <= set(WORK_KINDS)
 
 
@@ -65,16 +71,22 @@ def test_chaos_specs_one_per_scenario():
 
 
 def test_chaos_fabric_equals_run_chaos(tmp_path):
-    """The merged fabric report matches the serial run_chaos sweep."""
-    from repro.cli import NamedClockFactory, build_topology
+    """The merged fabric report and the compacted trace match run_chaos."""
+    from functools import partial
+
+    from repro.conformance.registry import build_clock
     from repro.faults.chaos import default_scenarios, run_chaos
+    from repro.obs import RunTracer
     from repro.sim.network import RetryPolicy
+    from repro.topology.generators import build_topology
 
     args = _chaos_args()
     graph = build_topology(args["topology"], args["n"], args["seed"])
     factories = {
-        name: NamedClockFactory(name, graph) for name in args["clocks"]
+        name: partial(build_clock, name, graph) for name in args["clocks"]
     }
+    header = dict(kind="chaos", run_id="pinned", meta={"seed": args["seed"]})
+    tracer = RunTracer(**header)
     serial = run_chaos(
         graph,
         factories,
@@ -82,6 +94,7 @@ def test_chaos_fabric_equals_run_chaos(tmp_path):
         events_per_process=args["events"],
         seed=args["seed"],
         retry=RetryPolicy(),
+        tracer=tracer,
     )
 
     specs = chaos_cell_specs(**_chaos_args())
@@ -94,6 +107,22 @@ def test_chaos_fabric_equals_run_chaos(tmp_path):
     assert merged.skipped == sorted(serial.skipped)
     assert merged.metrics.as_dict() == serial.metrics.as_dict()
     assert merged.ok == serial.ok
+
+    # what `repro chaos --trace-out` writes is, byte for byte, the
+    # in-process tracer's file
+    tracer.write(tmp_path / "serial.jsonl")
+    with StreamingTraceWriter(tmp_path / "fabric.jsonl", **header) as writer:
+        writer.event("skipped-clocks", clocks=merged.skipped)
+        compact_fragments(writer, store, fabric_report.keys)
+        writer.event(
+            "sweep-summary",
+            cells=len(merged.cells),
+            failures=len(merged.failures()),
+            ok=merged.ok,
+        )
+    assert (tmp_path / "fabric.jsonl").read_bytes() == (
+        tmp_path / "serial.jsonl"
+    ).read_bytes()
 
 
 def test_chaos_spec_rejects_unknown_scenario():
@@ -154,19 +183,3 @@ def test_mismatch_record_round_trip():
                  "fault": "none"},
     )
     assert mismatch_from_record(mm.to_record()) == mm
-
-
-# ----------------------------------------------------------------------
-# bench modules
-# ----------------------------------------------------------------------
-def test_bench_module_spec_rejects_unknown_module():
-    spec = bench_module_specs(["bench_does_not_exist.py"])[0]
-    with pytest.raises(FileNotFoundError):
-        execute_cell(spec)
-
-
-def test_bench_module_spec_strips_path_components():
-    spec = bench_module_specs(["../../etc/passwd"])[0]
-    with pytest.raises(FileNotFoundError):
-        # the name is reduced to its basename inside benchmarks/
-        execute_cell(spec)

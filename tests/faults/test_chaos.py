@@ -166,34 +166,3 @@ class TestChaosCell:
         assert cell().ok
         assert not cell(checkpoint_ok=False).ok
         assert not cell(causality_ok=False).ok
-
-
-class TestParallelSweep:
-    def test_jobs_report_identical_to_serial(self):
-        from functools import partial
-
-        g = generators.star(N)
-        picklable = {
-            "inline": partial(StarInlineClock, N),
-            "lamport": partial(LamportClock, N),
-        }
-        kwargs = dict(
-            scenarios=default_scenarios(N, quick=True),
-            events_per_process=8,
-            seed=0,
-        )
-        serial = run_chaos(g, picklable, **kwargs)
-        parallel = run_chaos(g, picklable, jobs=2, **kwargs)
-        assert serial.cells == parallel.cells
-        assert serial.skipped == parallel.skipped
-
-    def test_default_workload_factory_is_picklable(self):
-        import pickle
-
-        from repro.faults.chaos import _UniformWorkloadFactory
-
-        factory = pickle.loads(
-            pickle.dumps(_UniformWorkloadFactory(events_per_process=5))
-        )
-        wl = factory()
-        assert wl.events_per_process == 5

@@ -7,10 +7,8 @@ import threading
 
 import pytest
 
-from repro.bench import parallel_map
 from repro.obs.metrics import (
     BYTE_BUCKETS,
-    DEFAULT_BUCKETS,
     METRICS_SCHEMA,
     Counter,
     Gauge,
@@ -302,41 +300,3 @@ class TestActiveRegistry:
         assert seen["scoped"] is True
         assert seen["count"] == 1
         assert main_reg.counter_value("t.c") == 0
-
-
-def _record_in_worker(tag: int) -> dict:
-    """Sweep-cell body: record into a local registry, ship the export."""
-    reg = MetricsRegistry()
-    with use_registry(reg):
-        counter("cell.c").inc(tag)
-        metric("cell.h", buckets=DEFAULT_BUCKETS).observe(tag)
-    # the process default must not have picked anything up
-    leaked = default_registry().counter_value("cell.c")
-    return {"export": reg.as_dict(), "leaked": leaked, "tag": tag}
-
-
-class TestProcessIsolation:
-    def test_parallel_map_cells_isolate_and_merge(self):
-        """Worker processes never share instruments; exports merge exactly."""
-        results = parallel_map(_record_in_worker, [1, 2, 3, 4], jobs=4)
-        assert [r["tag"] for r in results] == [1, 2, 3, 4]
-        assert all(r["leaked"] == 0 for r in results)
-        merged = MetricsRegistry()
-        for r in results:
-            merged.merge(r["export"])
-        assert merged.counter_value("cell.c") == 10
-        h = merged.histogram("cell.h")
-        assert h.count == 4
-        assert h.sum == 10
-        # ...and the parent's default registry saw nothing either
-        assert default_registry().counter_value("cell.c") == 0
-
-    def test_serial_and_parallel_merge_identically(self):
-        serial = parallel_map(_record_in_worker, [1, 2, 3], jobs=1)
-        parallel = parallel_map(_record_in_worker, [1, 2, 3], jobs=3)
-        m1, m2 = MetricsRegistry(), MetricsRegistry()
-        for r in serial:
-            m1.merge(r["export"])
-        for r in parallel:
-            m2.merge(r["export"])
-        assert m1.as_dict() == m2.as_dict()

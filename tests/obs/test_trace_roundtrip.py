@@ -5,25 +5,27 @@ Pins the acceptance invariants of the observability layer:
 - a chaos run's trace, reloaded with :func:`load_trace` and folded with
   :func:`registry_from_trace`, reproduces the in-memory report's registry
   totals exactly;
-- the trace is byte-identical between ``--jobs 1`` and ``--jobs 4``;
+- the trace and the printed table are byte-identical wherever the sweep's
+  cells run: in-process, ``--workers 2``, ``--fabric DIR --workers 2``;
 - the finalization-delay histogram for the star inline scheme is non-empty.
 """
 
 from __future__ import annotations
+
+import tempfile
+
+import pytest
 
 from repro.cli import main
 from repro.obs import load_trace, registry_from_trace
 from repro.obs.tracing import run_header
 
 
-def _chaos_args(trace_path, jobs=1):
-    args = [
+def _chaos_args(trace_path):
+    return [
         "chaos", "--quick", "--events", "10",
         "--trace-out", str(trace_path),
     ]
-    if jobs != 1:
-        args += ["--jobs", str(jobs)]
-    return args
 
 
 class TestChaosTraceRoundTrip:
@@ -37,7 +39,9 @@ class TestChaosTraceRoundTrip:
         rebuilt = registry_from_trace(records)
 
         # re-run the identical sweep in-process to get the live registry
-        from repro.cli import NamedClockFactory
+        from functools import partial
+
+        from repro.cli import build_clock
         from repro.faults import default_scenarios, run_chaos
         from repro.sim.network import RetryPolicy
         from repro.topology import generators
@@ -46,7 +50,7 @@ class TestChaosTraceRoundTrip:
         report = run_chaos(
             graph,
             {
-                name: NamedClockFactory(name, graph)
+                name: partial(build_clock, name, graph)
                 for name in ("inline", "vector", "lamport")
             },
             scenarios=default_scenarios(graph.n_vertices, quick=True),
@@ -56,13 +60,35 @@ class TestChaosTraceRoundTrip:
         )
         assert rebuilt.as_dict() == report.metrics.as_dict()
 
-    def test_trace_byte_identical_across_jobs(self, tmp_path, capsys):
-        t1 = tmp_path / "t1.jsonl"
-        t4 = tmp_path / "t4.jsonl"
-        assert main(_chaos_args(t1, jobs=1)) == 0
-        assert main(_chaos_args(t4, jobs=4)) == 0
-        capsys.readouterr()
-        assert t1.read_bytes() == t4.read_bytes()
+    @pytest.mark.parametrize(
+        "placement",
+        [[], ["--workers", "2"], ["--fabric", "STORE", "--workers", "2"]],
+        ids=["in-process", "workers-2", "kept-store-workers-2"],
+    )
+    def test_trace_byte_identical_across_placements(
+        self, placement, tmp_path, capsys, monkeypatch
+    ):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        store = tmp_path / "store"
+
+        def sweep(trace, extra):
+            assert main(_chaos_args(trace) + extra) == 0
+            table = [
+                line for line in capsys.readouterr().out.splitlines()
+                # the two lines that name a path differ by design
+                if not line.startswith(("structured trace written to",
+                                        "fabric: store"))
+            ]
+            return trace.read_bytes(), table
+
+        reference = sweep(tmp_path / "ref.jsonl", [])
+        extra = [str(store) if a == "STORE" else a for a in placement]
+        assert sweep(tmp_path / "t.jsonl", extra) == reference
+        # without --fabric the store is temporary and gone by now
+        assert list(scratch.iterdir()) == []
+        assert store.exists() == ("--fabric" in placement)
 
     def test_inline_finalization_delay_nonempty(self, tmp_path, capsys):
         """The paper's central quantity must be present for the star scheme."""
@@ -91,8 +117,8 @@ class TestChaosTraceRoundTrip:
         head = run_header(records)
         assert head["kind"] == "chaos"
         assert head["topology"] == "star"
-        # --jobs is deliberately absent: it must not affect trace bytes
-        assert "jobs" not in head
+        # placement is deliberately absent: it must not affect trace bytes
+        assert "workers" not in head and "fabric" not in head
         types = {r["type"] for r in records}
         assert {"run", "span-begin", "span-end", "event", "metrics"} <= types
         cells = [

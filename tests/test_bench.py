@@ -1,37 +1,11 @@
-"""The parallel sweep runner: determinism, ordering, seeding."""
+"""Per-cell sweep seeding: stability, independence, cross-process equality."""
 
+import os
 import random
+import subprocess
+import sys
 
-from repro.bench import cell_seed, default_jobs, parallel_map
-
-
-def _square(x):  # module-level: must pickle into pool workers
-    return x * x
-
-
-def _tag_with_pid(x):
-    import os
-
-    return (x, os.getpid())
-
-
-def test_parallel_map_serial_equals_parallel():
-    items = list(range(20))
-    assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
-    assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
-
-
-def test_parallel_map_preserves_order_across_workers():
-    items = list(range(16))
-    out = parallel_map(_tag_with_pid, items, jobs=4)
-    assert [x for x, _pid in out] == items
-
-
-def test_parallel_map_serial_allows_closures():
-    captured = []
-    out = parallel_map(lambda x: captured.append(x) or -x, [1, 2, 3], jobs=1)
-    assert out == [-1, -2, -3]
-    assert captured == [1, 2, 3]
+from repro.bench import cell_seed
 
 
 def test_cell_seed_is_stable_and_order_sensitive():
@@ -42,27 +16,6 @@ def test_cell_seed_is_stable_and_order_sensitive():
     assert 0 <= cell_seed(1, "x") < 2**63
     r = random.Random(cell_seed(1, "x"))
     assert isinstance(r.random(), float)
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "6")
-    assert default_jobs() == 6
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "bogus")
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
-    assert default_jobs() == 1
-
-
-def _seed_in_worker(coords):
-    return cell_seed(*coords)
-
-
-def _explode_on_three(x):
-    if x == 3:
-        raise ValueError(f"cell value {x} is cursed")
-    return x * 10
 
 
 def test_cell_seed_no_collisions_across_realistic_grid():
@@ -91,31 +44,15 @@ def test_cell_seed_reproduces_across_processes():
     """repr-based hashing must not depend on per-process hash randomization."""
     coords = [(0, "star", 8, "inline", t) for t in range(8)]
     parent = [cell_seed(*c) for c in coords]
-    in_workers = parallel_map(_seed_in_worker, coords, jobs=4)
-    assert in_workers == parent
-
-
-def test_parallel_map_serial_names_failing_cell():
-    import pytest
-
-    from repro.bench import SweepCellError
-
-    with pytest.raises(SweepCellError) as excinfo:
-        parallel_map(_explode_on_three, [1, 2, 3, 4], jobs=1)
-    msg = str(excinfo.value)
-    assert "#2" in msg and "3" in msg  # index and coordinates
-    assert "cursed" in msg  # original error text
-    assert isinstance(excinfo.value.__cause__, ValueError)
-
-
-def test_parallel_map_parallel_names_failing_cell():
-    import pytest
-
-    from repro.bench import SweepCellError
-
-    with pytest.raises(SweepCellError) as excinfo:
-        parallel_map(_explode_on_three, [1, 2, 3, 4], jobs=4)
-    msg = str(excinfo.value)
-    assert "#2" in msg and "3" in msg
-    assert "cursed" in msg
-    assert "ValueError" in excinfo.value.worker_traceback
+    code = (
+        "from repro.bench import cell_seed\n"
+        f"print([cell_seed(*c) for c in {coords!r}])"
+    )
+    for hashseed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=hashseed,
+                     PYTHONPATH=os.pathsep.join(sys.path)),
+            check=True, capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == repr(parent)

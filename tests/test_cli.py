@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_clock, build_topology, main
+from repro.obs import load_trace
 
 
 class TestSimulate:
@@ -19,6 +20,7 @@ class TestSimulate:
             "simulate", "--n", "6", "--events", "5", "--fifo",
             "--clocks", "inline", "inline-star", "vector", "vector-sk",
             "lamport", "encoded", "cluster", "plausible",
+            "inline-cover", "hlc",  # every conformance-registry name works
         ])
         assert rc == 0
 
@@ -129,6 +131,22 @@ class TestChaos:
         out = capsys.readouterr().out
         assert rc == 0
         assert "skipped FIFO-requiring clocks: vector-sk" in out
+
+    def test_interrupt_without_kept_store(self, tmp_path, capsys,
+                                          monkeypatch):
+        """Exit 130, the finished cells' trace flushed, no --resume advice
+        about a temporary store that is already gone."""
+        monkeypatch.setenv("REPRO_FABRIC_TEST_INTERRUPT", "1")
+        trace = tmp_path / "t.jsonl"
+        rc = main(["chaos", "--quick", "--events", "6",
+                   "--trace-out", str(trace)])
+        err = capsys.readouterr().err
+        assert rc == 130
+        assert "chaos sweep interrupted (1 cell(s) completed" in err
+        assert "--resume" not in err
+        records = load_trace(trace)
+        assert [r["attrs"]["scenario"] for r in records
+                if r["type"] == "span-end"] == ["burst-loss-30"]
 
 
 class TestExperiments:
@@ -275,6 +293,7 @@ class TestBadPathExitCodes:
         captured = capsys.readouterr()
         assert rc == 1, f"{argv} returned {rc}"
         assert "repro: error:" in captured.err, f"{argv}: no stderr message"
+        return captured.err
 
     def test_simulate_unwritable_save_trace(self, tmp_path, capsys):
         self._expect_failure(capsys, [
@@ -350,11 +369,39 @@ class TestBadPathExitCodes:
     def test_conformance_negative_trials(self, capsys):
         self._expect_failure(capsys, ["conformance", "--trials", "-3"])
 
+    def test_conformance_zero_chunk_size(self, tmp_path, capsys):
+        # used to be a ValueError traceback from spec building
+        self._expect_failure(capsys, [
+            "conformance", "--trials", "4",
+            "--fabric", str(tmp_path / "s"), "--chunk-size", "0",
+        ])
+
+    def test_chaos_malformed_fabric_listen(self, tmp_path, capsys):
+        # used to be a ValueError traceback from int("foo")
+        self._expect_failure(capsys, [
+            "chaos", "--quick", "--fabric", str(tmp_path / "s"),
+            "--fabric-listen", "foo",
+        ])
+
+    def test_chaos_refuses_held_store_in_cli_words(self, tmp_path, capsys):
+        argv = ["chaos", "--quick", "--n", "4", "--events", "4",
+                "--fabric", str(tmp_path / "s")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        err = self._expect_failure(capsys, argv)
+        assert "already holds 3 cell(s)" in err
+        assert "--resume" in err and "resume=True" not in err
+        assert main(argv + ["--resume"]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["lower-bound", "9.9"],          # unknown lemma
         ["sync", "--topology", "moon"],  # unknown topology
-        ["experiments", "--jobs", "x"],  # non-integer
         ["simulate", "--transport", "pigeon"],
+        ["chaos", "--clocks", "nosuch"],  # these three were tracebacks
+        ["simulate", "--clocks", "nosuch"],
+        ["metrics", "--clocks", "nosuch"],
+        ["chaos", "--jobs", "2"],         # removed: --workers is the flag
+        ["experiments", "--jobs", "2"],
     ])
     def test_argparse_rejects_bad_choices(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
