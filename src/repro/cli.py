@@ -134,7 +134,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fifo_app_channels=args.fifo,
             metrics=registry,
             online_oracle=args.online_oracle,
-            event_store=args.store,
         )
         result = sim.run(
             UniformWorkload(
@@ -150,9 +149,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cover = best_cover(graph)
         print(f"vertex cover used by 'inline': size {len(cover)} -> "
               f"bound {2 * len(cover) + 2} elements")
-        # freezes the streamed oracle under --online-oracle (on the numpy
-        # backend that is a bulk rebuild reusing the streamed vector clocks);
-        # otherwise builds the batch oracle from the execution
+        # the batch build over the execution either way; under
+        # --online-oracle it also takes the vector clocks the stream computed
         oracle = result.hb_oracle()
         if result.online_oracle is not None:
             inc = result.online_oracle
@@ -1155,13 +1153,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write a structured JSONL run trace (repro.obs)")
     p.add_argument("--online-oracle", action="store_true",
                    help="stream a causality oracle during the run (O(Δ) "
-                   "appends) and freeze it for validation instead of "
-                   "rebuilding happened-before afterwards")
-    p.add_argument("--store", default=None,
-                   choices=["auto", "object", "columnar"],
-                   help="event-storage flavor: per-event objects or the "
-                   "structure-of-arrays columnar store (default: the "
-                   "REPRO_EVENT_STORE preference, else object)")
+                   "appends) for mid-run queries; validation still does "
+                   "the batch build and reuses the streamed vector clocks")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("validate", help="validate clocks on a saved trace")

@@ -5,14 +5,12 @@ once the :class:`~repro.core.events.Event`, its
 :class:`~repro.core.events.EventId`, and the per-process list slots are
 counted — which caps the epidemic-scale populations the ROADMAP targets.
 :class:`EventStore` keeps the same information as parallel append-only
-columns (``array('b'/'i'/'q'/'d')``), one row per event in *append order*:
+columns (``array('b'/'i')``), one row per event in *append order*:
 
 - ``proc``  — owning process id (interned: dense ints, stored once);
 - ``seq``   — 1-based index at that process (the paper's ``ctr``);
 - ``kind``  — 0 local / 1 send / 2 receive;
-- ``msg``   — message id, or -1 for local events;
-- ``vtime`` — optional occurrence-time column the simulator writes into
-  instead of keeping an ``EventId``-keyed dict.
+- ``msg``   — message id, or -1 for local events.
 
 Messages are columnar too (``src`` / ``dst`` / send row / receive row,
 -1 while in flight), and a per-process row index gives O(1)
@@ -35,18 +33,18 @@ consumer — including the streaming oracle's
 :meth:`~repro.core.incremental.IncrementalHBOracle.sync_store` drain —
 reads them through the scalar row accessors below.
 
-Selection between the object builder and this store is the
-``REPRO_EVENT_STORE`` seam in :mod:`repro.core.backend`
-(:func:`~repro.core.backend.resolve_store`), mirroring the kernel
-backend seam; byte-identity of everything downstream is pinned by
-``tests/core/test_colstore_parity.py`` and the conformance fuzzer's
+The simulator does not record through this store (it measured slower and
+larger end to end — EXPERIMENTS.md, *Decision record*); it is a library
+for callers that build or re-encode an execution themselves.
+Byte-identity of everything downstream with the object builder is pinned
+by ``tests/core/test_colstore_parity.py`` and the conformance fuzzer's
 ``store-differential`` invariant.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.events import (
     Event,
@@ -81,13 +79,10 @@ class EventStore:
     graph:
         Optional topology; sends are validated against its edges, exactly
         like :class:`~repro.core.execution.ExecutionBuilder`.
-    track_vtime:
-        Allocate the ``vtime`` column (the simulator's occurrence times).
-        Off by default so non-simulation users pay nothing for it.
     """
 
     __slots__ = (
-        "_n", "_graph", "_proc", "_seq", "_kind", "_msg", "_vtime",
+        "_n", "_graph", "_proc", "_seq", "_kind", "_msg",
         "_rows_of", "_msrc", "_mdst", "_msend", "_mrecv",
     )
 
@@ -95,8 +90,6 @@ class EventStore:
         self,
         n_processes: int,
         graph: Optional["CommunicationGraph"] = None,
-        *,
-        track_vtime: bool = False,
     ) -> None:
         if n_processes < 1:
             raise ExecutionError("need at least one process")
@@ -112,7 +105,6 @@ class EventStore:
         self._seq = array("i")
         self._kind = array("b")
         self._msg = array("i")  # -1 for local events
-        self._vtime: Optional[array] = array("d") if track_vtime else None
         # per process: global row of each of its events, in index order
         self._rows_of: List[array] = [array("i") for _ in range(n_processes)]
         # message columns, send order
@@ -155,8 +147,6 @@ class EventStore:
             self._msrc, self._mdst, self._msend, self._mrecv,
             *self._rows_of,
         ]
-        if self._vtime is not None:
-            cols.append(self._vtime)
         return sum(len(c) * c.itemsize for c in cols)
 
     # ------------------------------------------------------------------
@@ -172,8 +162,6 @@ class EventStore:
         self._seq.append(len(rows) + 1)
         self._kind.append(KIND_LOCAL)
         self._msg.append(-1)
-        if self._vtime is not None:
-            self._vtime.append(0.0)
         rows.append(row)
         return row
 
@@ -196,8 +184,6 @@ class EventStore:
         self._seq.append(len(rows) + 1)
         self._kind.append(KIND_SEND)
         self._msg.append(msg_id)
-        if self._vtime is not None:
-            self._vtime.append(0.0)
         rows.append(row)
         self._msrc.append(src)
         self._mdst.append(dst)
@@ -222,31 +208,9 @@ class EventStore:
         self._seq.append(len(rows) + 1)
         self._kind.append(KIND_RECEIVE)
         self._msg.append(msg_id)
-        if self._vtime is not None:
-            self._vtime.append(0.0)
         rows.append(row)
         self._mrecv[msg_id] = row
         return row
-
-    # ------------------------------------------------------------------
-    # vtime column (simulator hot path)
-    # ------------------------------------------------------------------
-    def set_last_vtime(self, t: float) -> None:
-        """Record the occurrence time of the most recently appended event."""
-        assert self._vtime is not None, "store built without track_vtime"
-        self._vtime[-1] = t
-
-    def vtime_at(self, row: int) -> float:
-        assert self._vtime is not None, "store built without track_vtime"
-        return self._vtime[row]
-
-    def event_times(self) -> Dict[EventId, float]:
-        """Materialize the ``{EventId: vtime}`` dict of the whole run."""
-        assert self._vtime is not None, "store built without track_vtime"
-        proc, seq, vt = self._proc, self._seq, self._vtime
-        return {
-            EventId(proc[r], seq[r]): vt[r] for r in range(len(proc))
-        }
 
     # ------------------------------------------------------------------
     # row-level reads
@@ -342,9 +306,7 @@ class EventStore:
     # conversions
     # ------------------------------------------------------------------
     @classmethod
-    def from_execution(
-        cls, execution: Execution, *, track_vtime: bool = False
-    ) -> "EventStore":
+    def from_execution(cls, execution: Execution) -> "EventStore":
         """Re-encode an object-model execution as columns, id-identically.
 
         Store message ids are allocated in append order, so sends must be
@@ -356,11 +318,7 @@ class EventStore:
         order witnesses that such an order exists, so the merge always
         progresses.
         """
-        store = cls(
-            execution.n_processes,
-            execution.graph,
-            track_vtime=track_vtime,
-        )
+        store = cls(execution.n_processes, execution.graph)
         n = execution.n_processes
         per_proc = [execution.events_at(p) for p in range(n)]
         cursors = [0] * n
@@ -492,12 +450,8 @@ class ColumnarExecutionBuilder:
         self,
         n_processes: int,
         graph: Optional["CommunicationGraph"] = None,
-        *,
-        track_vtime: bool = False,
     ) -> None:
-        self._store = EventStore(
-            n_processes, graph, track_vtime=track_vtime
-        )
+        self._store = EventStore(n_processes, graph)
         self._frozen = False
 
     @property

@@ -32,13 +32,16 @@ cross-check the bitset kernel against the vector-clock definition::
 
     e -> f   iff   vc_e[e.proc] <= vc_f[e.proc]
 
-The row store has two interchangeable backends (see
-:mod:`repro.core.backend`): ``pure`` keeps the packed Python ints described
-above; ``numpy`` keeps the same matrix as a contiguous ``uint64`` array
-built by bulk row ops (:mod:`repro.core.npkernel`) and answers
-``relation_counts`` / :func:`downward_closure` with whole-matrix
-vectorized popcounts and ORs.  Both produce byte-identical rows; the pure
-backend is the always-available reference.
+The row store has two interchangeable backends, chosen from the event
+count by :func:`repro.core.backend.resolve_backend`: ``pure`` keeps the
+packed Python ints described above; ``numpy`` keeps the same matrix as a
+contiguous ``uint64`` array built by bulk row ops
+(:mod:`repro.core.npkernel`) and answers ``relation_counts`` /
+:func:`downward_closure` with whole-matrix vectorized popcounts and ORs.
+Both produce byte-identical rows; the pure backend is the always-available
+reference.  This constructor is also the only freeze:
+:meth:`repro.core.incremental.IncrementalHBOracle.freeze` calls it and
+hands over the vector clocks it streamed.
 """
 
 from __future__ import annotations
@@ -87,39 +90,6 @@ class HappenedBeforeOracle:
             self._past = [0] * len(self._order)
             self._compute()
         active_registry().gauge("oracle.backend", backend=self.backend).set(1)
-
-    @classmethod
-    def from_parts(
-        cls,
-        execution: Execution,
-        past_rows: List[int],
-        vector_clocks: Dict[EventId, Tuple[int, ...]],
-    ) -> "HappenedBeforeOracle":
-        """Assemble an oracle from precomputed rows, skipping the batch pass.
-
-        Used by :meth:`repro.core.incremental.IncrementalHBOracle.freeze` to
-        hand over incrementally maintained state.  *past_rows* must be the
-        strict causal-past masks in this class's dense (process-major)
-        indexing, and *vector_clocks* must cover every event; the caller
-        guarantees both describe *execution* — the equivalence property
-        tests pin that the handoff is byte-identical to a fresh build.
-        """
-        self = cls.__new__(cls)
-        self._execution = execution
-        self._vc = dict(vector_clocks)
-        self._order = tuple(ev.eid for ev in execution.all_events())
-        self._pos = {eid: i for i, eid in enumerate(self._order)}
-        self._proc_base = self._compute_proc_bases()
-        if len(past_rows) != len(self._order):
-            raise ValueError(
-                f"expected {len(self._order)} rows, got {len(past_rows)}"
-            )
-        self._past = list(past_rows)
-        self._future = None
-        self.backend = "pure"
-        self._mat = None
-        active_registry().gauge("oracle.backend", backend=self.backend).set(1)
-        return self
 
     @property
     def execution(self) -> Execution:

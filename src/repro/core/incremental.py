@@ -12,8 +12,8 @@ packed-int causal-past rows *as events are appended*:
 - ``append_receive`` additionally ORs in the matching send's row — the same
   word-parallel recurrence the batch kernel uses, applied once per event
   instead of once per rebuild;
-- row storage grows in fixed-size *chunks* of bit-indices handed to each
-  process on demand, so no append ever re-indexes or rebuilds existing rows.
+- an event's bit index (its *slot*) is its arrival rank, so no append ever
+  re-indexes or rebuilds existing rows.
 
 There is **one** row-construction path, :meth:`IncrementalHBOracle._append`:
 every append finalizes its row, its vector clock and its metrics at once.
@@ -49,14 +49,12 @@ results are cached in a small LRU that is invalidated wholesale whenever the
 append watermark moves, so repeated queries between appends (the detector
 polling pattern) cost one dict hit.
 
-``freeze(execution)`` returns a genuine :class:`HappenedBeforeOracle` whose
-rows, vector clocks, and query answers are byte-identical to one built from
-scratch over the completed execution — pinned by
-``tests/core/test_incremental_oracle.py``.  On the pure backend the chunked
-rows are permuted into the batch oracle's process-major dense indexing;
-when the backend resolves to numpy (≥ 512 events with numpy installed) the
-bulk kernel rebuilds the matrix from the execution and only the vector
-clocks are handed over, so the streamed rows serve mid-run queries.
+The streamed rows answer mid-run queries.  ``freeze(execution)`` is the
+batch build plus the streamed vector clocks: it constructs a
+:class:`HappenedBeforeOracle` over the completed execution on whichever
+kernel its size selects (:func:`repro.core.backend.resolve_backend`) and
+hands over the clocks, so the result is byte-identical to one built from
+scratch — pinned by ``tests/core/test_incremental_oracle.py``.
 
 Observability (:mod:`repro.obs`): ``oracle.appends``, ``oracle.append_words``
 (big-int words touched by appends), and ``oracle.query_cache_hit`` /
@@ -96,11 +94,6 @@ class IncrementalHBOracle:
     ----------
     n_processes:
         Number of processes (fixed up front, like every clock algorithm).
-    chunk:
-        Bit-indices handed to a process per allocation.  Larger chunks mean
-        fewer, cheaper ``freeze`` permutation segments; smaller chunks waste
-        fewer trailing bits on short processes.  The default (64) aligns
-        with CPython's 2³⁰-digit limbs well enough in practice.
     cache_size:
         Maximum entries in the memoized query LRU.
     registry:
@@ -115,27 +108,21 @@ class IncrementalHBOracle:
         self,
         n_processes: int,
         *,
-        chunk: int = 64,
         cache_size: int = 1024,
         registry: Optional[MetricsRegistry] = None,
         batch: bool = False,  # ignored; perf/workloads/sim.py passes it
     ) -> None:
         if n_processes < 1:
             raise ValueError("need at least one process")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self._n = n_processes
-        self._chunk = chunk
-        #: strict causal-past bitmask per slot (chunk-granular allocation)
+        #: strict causal-past bitmask per slot (slot = arrival rank)
         self._rows: List[int] = []
-        #: slot -> owning EventId (None for not-yet-used slots of a chunk)
-        self._slot_eid: List[Optional[EventId]] = []
-        #: per process: base slot of each chunk allocated to it, in order
-        self._chunks: List[List[int]] = [[] for _ in range(n_processes)]
-        #: events appended so far per process
-        self._counts: List[int] = [0] * n_processes
+        #: slot -> owning EventId
+        self._slot_eid: List[EventId] = []
+        #: per process: slot of each of its events, in index order
+        self._slots: List[List[int]] = [[] for _ in range(n_processes)]
         #: running mask per process: strict past of its *next* event
         self._proc_mask: List[int] = [0] * n_processes
         self._proc_clock: List[List[int]] = [
@@ -144,8 +131,6 @@ class IncrementalHBOracle:
         self._vc: Dict[EventId, Tuple[int, ...]] = {}
         #: running popcount of all rows — makes relation_counts O(1)
         self._ordered_pairs = 0
-        #: total slots allocated (chunk-granular top of the slot space)
-        self._n_slots = 0
         # the bound EventStore (drained by flush) and rows ingested so far
         self._src_store: Optional[EventStore] = None
         self._synced_rows = 0
@@ -178,29 +163,21 @@ class IncrementalHBOracle:
 
     def event_count(self, proc: ProcessId) -> int:
         """Events appended at *proc* so far."""
-        return self._counts[proc]
+        return len(self._slots[proc])
 
     def __contains__(self, eid: EventId) -> bool:
-        return 0 <= eid.proc < self._n and eid.index <= self._counts[eid.proc]
+        return 0 <= eid.proc < self._n and eid.index <= len(self._slots[eid.proc])
 
     def _slot_of(self, eid: EventId) -> int:
-        i = eid.index - 1
-        if not 0 <= eid.proc < self._n or not 0 <= i < self._counts[eid.proc]:
+        if not 0 <= eid.proc < self._n or not 1 <= eid.index <= len(
+            self._slots[eid.proc]
+        ):
             raise KeyError(f"{eid} has not been appended")
-        return self._chunks[eid.proc][i // self._chunk] + i % self._chunk
-
+        return self._slots[eid.proc][eid.index - 1]
 
     # ------------------------------------------------------------------
     # appends — the O(Δ) streaming surface
     # ------------------------------------------------------------------
-    def _alloc_chunk(self, p: int) -> None:
-        """Hand process *p* a fresh chunk at the top of the slot space."""
-        base = self._n_slots
-        self._chunks[p].append(base)
-        self._n_slots = base + self._chunk
-        self._slot_eid.extend([None] * self._chunk)
-        self._rows.extend([0] * self._chunk)
-
     def _append(
         self,
         eid: EventId,
@@ -210,15 +187,13 @@ class IncrementalHBOracle:
         p = eid.proc
         if not 0 <= p < self._n:
             raise ValueError(f"process {p} out of range [0, {self._n})")
-        if eid.index != self._counts[p] + 1:
+        slots = self._slots[p]
+        if eid.index != len(slots) + 1:
             raise ValueError(
-                f"out-of-order append: expected index {self._counts[p] + 1} "
+                f"out-of-order append: expected index {len(slots) + 1} "
                 f"at p{p}, got {eid.index}"
             )
-        i = self._counts[p]
-        if i % self._chunk == 0:
-            self._alloc_chunk(p)
-        slot = self._chunks[p][i // self._chunk] + i % self._chunk
+        slot = self._watermark
         mask = self._proc_mask[p] | extra_mask
         clock = self._proc_clock[p]
         if send_vc is not None:
@@ -226,10 +201,10 @@ class IncrementalHBOracle:
                 if send_vc[k] > clock[k]:
                     clock[k] = send_vc[k]
         clock[p] += 1
-        self._rows[slot] = mask
-        self._slot_eid[slot] = eid
+        self._rows.append(mask)
+        self._slot_eid.append(eid)
+        slots.append(slot)
         self._proc_mask[p] = mask | (1 << slot)
-        self._counts[p] = eid.index
         self._vc[eid] = tuple(clock)
         self._ordered_pairs += mask.bit_count()
         self._watermark += 1
@@ -459,23 +434,19 @@ class IncrementalHBOracle:
         }
 
     # ------------------------------------------------------------------
-    # freeze: hand over to the batch oracle, byte-identically
+    # freeze: the batch build, plus the streamed vector clocks
     # ------------------------------------------------------------------
     def freeze(
         self, execution: Execution, backend: Optional[str] = None
     ) -> HappenedBeforeOracle:
-        """A batch oracle over *execution*, reusing the incremental rows.
+        """The batch oracle over *execution*, with the streamed vector clocks.
 
         *execution* must be the completed execution whose events were
-        streamed in (same per-process counts).  On the pure backend the
-        chunked rows are permuted block-wise into the batch oracle's
-        process-major dense indexing — O(chunks) big-int shifts per row,
-        never a recompute.  When *backend* (or the process-wide
-        preference, see :mod:`repro.core.backend`) resolves to ``numpy``,
-        the bulk array kernel rebuilds the matrix outright — faster than
-        remapping rows through Python ints — and the incrementally
-        maintained vector clocks are handed over as-is.  Either way the
-        result is indistinguishable from ``HappenedBeforeOracle(execution)``:
+        streamed in (same per-process counts).  The rows are built by the
+        batch constructor, on whichever kernel *backend* or
+        :func:`repro.core.backend.resolve_backend` selects for the size;
+        the incrementally maintained vector clocks are handed over as-is.
+        The result is indistinguishable from a from-scratch build:
         identical ``past_masks()``, ``event_order``, vector clocks, and
         query answers.
         """
@@ -486,53 +457,19 @@ class IncrementalHBOracle:
             )
         self.flush()  # also drains a bound store, so counts are current
         for p in range(self._n):
-            have = self._counts[p]
+            have = len(self._slots[p])
             want = len(execution.events_at(p))
             if have != want:
                 raise ValueError(
                     f"process {p}: oracle saw {have} events, "
                     f"execution has {want}"
                 )
-        from repro.core.backend import resolve_backend
-
-        if resolve_backend(self._watermark, backend) == "numpy":
-            oracle = HappenedBeforeOracle(execution, backend="numpy")
-            # hand over the incrementally maintained clocks; they are
-            # byte-identical to a fresh computation (pinned by the
-            # equivalence tests), so the matrix path never recomputes them
-            oracle._vc = dict(self._vc)
-            return oracle
-        # process-major target offsets (the batch oracle's _proc_base)
-        bases: List[int] = []
-        offset = 0
-        for p in range(self._n):
-            bases.append(offset)
-            offset += self._counts[p]
-        # permutation segments: each allocated chunk is one contiguous run
-        segments: List[Tuple[int, int, int]] = []  # (src_base, sel_mask, dst)
-        for p in range(self._n):
-            for c, src in enumerate(self._chunks[p]):
-                length = min(self._chunk, self._counts[p] - c * self._chunk)
-                segments.append(
-                    (src, (1 << length) - 1, bases[p] + c * self._chunk)
-                )
-
-        def remap(row: int) -> int:
-            out = 0
-            for src, sel, dst in segments:
-                bits = (row >> src) & sel
-                if bits:
-                    out |= bits << dst
-            return out
-
-        rows = self._rows
-        chunk = self._chunk
-        past: List[int] = []
-        for p in range(self._n):
-            cbases = self._chunks[p]
-            for i in range(self._counts[p]):
-                past.append(remap(rows[cbases[i // chunk] + i % chunk]))
-        return HappenedBeforeOracle.from_parts(execution, past, self._vc)
+        oracle = HappenedBeforeOracle(execution, backend=backend)
+        # the streamed clocks are byte-identical to a fresh computation
+        # (pinned by the equivalence tests), so the numpy kernel never
+        # has to derive them from its matrix
+        oracle._vc = dict(self._vc)
+        return oracle
 
 
 def as_batch_oracle(
@@ -552,14 +489,12 @@ def as_batch_oracle(
 def incremental_from_execution(
     execution: Execution,
     *,
-    chunk: int = 64,
     cache_size: int = 1024,
     registry: Optional[MetricsRegistry] = None,
 ) -> IncrementalHBOracle:
     """Convenience: stream a completed execution into a fresh oracle."""
     oracle = IncrementalHBOracle(
         execution.n_processes,
-        chunk=chunk,
         cache_size=cache_size,
         registry=registry,
     )

@@ -132,11 +132,10 @@ class SimulationResult:
     def hb_oracle(self) -> HappenedBeforeOracle:
         """Ground-truth batch oracle for the run's execution.
 
-        With ``online_oracle=True`` this *freezes* the streamed oracle —
-        a block permutation of its rows on the pure backend; on the numpy
-        backend (≥ 512 events) a bulk-kernel rebuild that reuses only the
-        streamed vector clocks.  Otherwise it is the from-scratch batch
-        construction.  Either way the result is byte-identical.
+        The batch build over the execution, on whichever kernel its size
+        selects.  With ``online_oracle=True`` it goes through the streamed
+        oracle's ``freeze``, which is that same build plus the vector
+        clocks the stream already computed — byte-identical either way.
         """
         if self.online_oracle is not None:
             return self.online_oracle.freeze(self.execution)
@@ -212,22 +211,10 @@ class Simulation:
         Stream every event into an
         :class:`~repro.core.incremental.IncrementalHBOracle` *during* the
         run (O(Δ) per event).  Online consumers — predicate and
-        concurrent-update detectors — can query it mid-run through
-        workload hooks, and ``SimulationResult.hb_oracle()`` freezes it
-        into the batch oracle.  The streamed rows are what those mid-run
-        queries read; at ≥ 512 events with numpy installed ``freeze``
-        rebuilds the matrix through the bulk kernel and takes only the
-        vector clocks from the stream.
-    event_store:
-        Event-storage flavor: ``"object"`` (per-event heap objects, the
-        default), ``"columnar"`` (structure-of-arrays
-        :class:`~repro.core.colstore.EventStore` — the runner writes
-        events straight into parallel columns, including occurrence
-        times, instead of keeping per-event dicts), or ``None`` to follow
-        the process-wide preference (:func:`repro.core.backend
-        .resolve_store`, i.e. the ``REPRO_EVENT_STORE`` variable).
-        Results are identical either way — ``SimulationResult.execution``
-        is a lazy object view in columnar mode.
+        concurrent-update detectors — query its streamed rows mid-run
+        through workload hooks.  ``SimulationResult.hb_oracle()`` then
+        freezes it: the batch build over the finished execution (pure or
+        numpy kernel, by size) plus the streamed vector clocks.
     """
 
     def __init__(
@@ -245,7 +232,6 @@ class Simulation:
         control_retry: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         online_oracle: bool = False,
-        event_store: Optional[str] = None,
     ) -> None:
         self._graph = graph
         self._seed = seed
@@ -274,9 +260,7 @@ class Simulation:
         self._control_retry = control_retry
         self._metrics = metrics
         self._online_oracle = online_oracle
-        from repro.core.backend import resolve_store
-
-        self._event_store = resolve_store(event_store)
+        self._oracle: Optional[IncrementalHBOracle] = None
         self._check_fifo_compatibility()
         self._ran = False
 
@@ -351,8 +335,8 @@ class Simulation:
             return None
         ev = self._builder.local(proc)
         self._note_event(ev.eid)
-        if self._oracle_feed is not None:
-            self._oracle_feed.append_local(ev.eid)
+        if self._oracle is not None:
+            self._oracle.append_local(ev.eid)
         for i, algo in enumerate(self._algos):
             algo.on_local(ev)
             self._drain(i)
@@ -369,8 +353,8 @@ class Simulation:
         msg_id = self._builder.send(src, dst)
         ev = self._builder.last_event(src)
         self._note_event(ev.eid)
-        if self._oracle_feed is not None:
-            self._oracle_feed.append_send(ev.eid)
+        if self._oracle is not None:
+            self._oracle.append_send(ev.eid)
         # Decide the message's fate *before* touching pending piggybacked
         # controls: controls whose carrier is dropped must stay queued for
         # the next carrier, not vanish silently.
@@ -454,8 +438,8 @@ class Simulation:
         msg = self._builder.message(msg_id)
         recv = self._builder.receive(msg.dst, msg_id)
         self._note_event(recv.eid)
-        if self._oracle_feed is not None:
-            self._oracle_feed.append_receive(recv.eid, msg.send_event)
+        if self._oracle is not None:
+            self._oracle.append_receive(recv.eid, msg.send_event)
         for i, algo in enumerate(self._algos):
             payload = self._payloads[i].pop(msg_id)
             controls = algo.on_receive(recv, payload)
@@ -553,16 +537,10 @@ class Simulation:
                 delay_model=self._control_delay_model,
             )
 
-    def _note_event_obj(self, eid: EventId) -> None:
-        """Record occurrence time + arrival rank of a new event (object mode)."""
+    def _note_event(self, eid: EventId) -> None:
+        """Record occurrence time + arrival rank of a new event."""
         self._event_times[eid] = self.now
         self._event_seq[eid] = self._n_seen
-        self._n_seen += 1
-
-    def _note_event_col(self, eid: EventId) -> None:
-        """Columnar mode: the store row *is* the arrival rank; the time goes
-        into the vtime column — no per-event dict entries at all."""
-        self._store.set_last_vtime(self.now)
         self._n_seen += 1
 
     def _drain(self, algo_idx: int) -> None:
@@ -574,14 +552,6 @@ class Simulation:
         final_times = self._finalization_times[algo_idx]
         n_seen = self._n_seen
         now = self.now
-        store = self._store
-        if store is not None:
-            for eid in newly:
-                final_times[eid] = now
-                row = store.row_of(eid.proc, eid.index)
-                delay_events.observe(n_seen - 1 - row)
-                delay_vtime.observe(now - store.vtime_at(row))
-            return
         for eid in newly:
             final_times[eid] = now
             # time-to-non-⊥ measured in events: how many events the run
@@ -610,20 +580,9 @@ class Simulation:
         self._rng = random.Random(self._seed)
         self._scheduler = EventScheduler()
         self._network = Network(self._scheduler, self._delay_model, self._rng)
-        if self._event_store == "columnar":
-            from repro.core.colstore import ColumnarExecutionBuilder
-
-            self._builder = ColumnarExecutionBuilder(
-                self._graph.n_vertices, graph=self._graph, track_vtime=True
-            )
-            self._store = self._builder.store
-            self._note_event = self._note_event_col
-        else:
-            self._builder = ExecutionBuilder(
-                self._graph.n_vertices, graph=self._graph
-            )
-            self._store = None
-            self._note_event = self._note_event_obj
+        self._builder = ExecutionBuilder(
+            self._graph.n_vertices, graph=self._graph
+        )
         self._algos: List[ClockAlgorithm] = list(self._clock_map.values())
         self._names: List[str] = list(self._clock_map.keys())
         self._payloads: List[Dict[MessageId, Any]] = [
@@ -639,18 +598,10 @@ class Simulation:
         self._event_seq: Dict[EventId, int] = {}
         self._n_seen = 0
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
-        self._oracle = (
-            IncrementalHBOracle(self._graph.n_vertices, registry=self._reg)
-            if self._online_oracle
-            else None
-        )
-        # with the columnar store the oracle binds to it and drains the new
-        # rows at flush time (sync_store) — the hot loop skips per-event
-        # append calls entirely; the object builder keeps the per-event feed
-        self._oracle_feed = self._oracle
-        if self._oracle is not None and self._store is not None:
-            self._oracle.bind_store(self._store)
-            self._oracle_feed = None
+        if self._online_oracle:
+            self._oracle = IncrementalHBOracle(
+                self._graph.n_vertices, registry=self._reg
+            )
         # Per-event instrumentation handles, resolved once: the observe
         # paths below run for every event × algorithm, and re-resolving an
         # instrument by name (label formatting + dict lookup) per call is
@@ -709,10 +660,6 @@ class Simulation:
         workload.setup(self)
         self._scheduler.run(max_time=max_time, max_steps=max_steps)
         duration = self._scheduler.now
-        if self._oracle is not None:
-            # drain a bound store so the oracle.* metrics reflect the
-            # whole run even if no query ever forced a flush
-            self._oracle.flush()
         execution = self._builder.freeze()
 
         for i, link in enumerate(self._links):
@@ -744,11 +691,7 @@ class Simulation:
             execution=execution,
             graph=self._graph,
             duration=duration,
-            event_times=(
-                self._store.event_times()
-                if self._store is not None
-                else self._event_times
-            ),
+            event_times=self._event_times,
             assignments=assignments,
             finalization_times={
                 name: self._finalization_times[i]

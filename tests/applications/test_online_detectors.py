@@ -35,9 +35,9 @@ from repro.core.random_executions import random_execution
 from repro.topology import generators
 
 
-def _stream(ex, chunk=8):
+def _stream(ex):
     """Oracle plus the delivery order used to feed it."""
-    inc = IncrementalHBOracle(ex.n_processes, chunk=chunk)
+    inc = IncrementalHBOracle(ex.n_processes)
     return inc, ex.delivery_order()
 
 

@@ -294,21 +294,3 @@ class TestPureFallback:
         assert oracle.freeze(ex, backend="pure").past_masks() == (
             HappenedBeforeOracle(ex, backend="pure").past_masks()
         )
-
-    def test_simulation_columnar_without_numpy(self, monkeypatch):
-        import repro.core.backend as backend
-
-        monkeypatch.setattr(backend, "numpy_available", lambda: False)
-        from repro.clocks import VectorClock
-        from repro.sim.runner import Simulation
-        from repro.sim.workload import UniformWorkload
-
-        graph = generators.star(4)
-        sim = Simulation(
-            graph, seed=11, clocks={"v": VectorClock(4)},
-            online_oracle=True, event_store="columnar",
-        )
-        res = sim.run(UniformWorkload(events_per_process=15))
-        assert res.online_oracle is not None
-        masks = res.hb_oracle().past_masks()
-        assert masks == HappenedBeforeOracle(res.execution).past_masks()

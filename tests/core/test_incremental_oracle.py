@@ -108,28 +108,9 @@ class TestAppendBasics:
         with pytest.raises(ValueError):
             IncrementalHBOracle(0)
         with pytest.raises(ValueError):
-            IncrementalHBOracle(2, chunk=0)
-        with pytest.raises(ValueError):
             IncrementalHBOracle(2, cache_size=0)
-
-
-class TestChunkGrowth:
-    def test_growth_across_many_chunks(self):
-        # chunk=4 forces repeated chunk allocation; answers must be exact
-        # regardless of where slots land
-        g = generators.star(5)
-        ex = random_execution(g, random.Random(2), steps=120,
-                              deliver_all=True)
-        inc = IncrementalHBOracle(5, chunk=4).ingest(ex)
-        assert_byte_identical(inc, ex)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
-    def test_chunk_size_is_invisible(self, chunk):
-        g = generators.star(4)
-        ex = random_execution(g, random.Random(9), steps=50,
-                              deliver_all=True)
-        inc = IncrementalHBOracle(4, chunk=chunk).ingest(ex)
-        assert_byte_identical(inc, ex)
+        with pytest.raises(TypeError):  # slots are arrival ranks: no chunks
+            IncrementalHBOracle(2, chunk=4)
 
 
 class TestQueryCache:
@@ -218,7 +199,7 @@ class TestFreeze:
         g = generators.double_star(2, 3)
         ex = random_execution(g, random.Random(5), steps=80,
                               deliver_all=True)
-        inc = incremental_from_execution(ex, chunk=8)
+        inc = incremental_from_execution(ex)
         assert_byte_identical(inc, ex)
 
     def test_freeze_rejects_process_mismatch(self, small_star_execution):
@@ -238,12 +219,6 @@ class TestFreeze:
         with pytest.raises(ValueError, match="oracle saw"):
             inc.freeze(ex)
 
-    def test_from_parts_rejects_row_count_mismatch(
-        self, small_star_execution
-    ):
-        with pytest.raises(ValueError):
-            HappenedBeforeOracle.from_parts(small_star_execution, [0], {})
-
     def test_as_batch_oracle_passthrough_and_freeze(
         self, small_star_execution, small_oracle
     ):
@@ -262,7 +237,7 @@ class TestPropertyEquivalence:
         # and sampled precedes answers must match the batch oracle exactly
         g = generators.star(5)
         ex = random_execution(g, random.Random(seed), steps=steps)
-        inc = IncrementalHBOracle(5, chunk=4)
+        inc = IncrementalHBOracle(5)
         seen = []
         rng = random.Random(seed + 1)
         batch = HappenedBeforeOracle(ex)
@@ -385,8 +360,7 @@ class TestSimulationIntegration:
         batch = HappenedBeforeOracle(res.execution)
         assert frozen.past_masks() == batch.past_masks()
 
-    @pytest.mark.parametrize("event_store", ["object", "columnar"])
-    def test_midrun_hook_queries_match_posthoc(self, event_store):
+    def test_midrun_hook_queries_match_posthoc(self):
         from repro.sim import Simulation, UniformWorkload
 
         class Probing(UniformWorkload):
@@ -410,7 +384,7 @@ class TestSimulationIntegration:
 
         n = 5
         sim = Simulation(generators.star(n), seed=7, clocks=self._clocks(n),
-                         online_oracle=True, event_store=event_store)
+                         online_oracle=True)
         workload = Probing(events_per_process=20, p_local=0.3)
         res = sim.run(workload)
         batch = HappenedBeforeOracle(res.execution)

@@ -34,7 +34,8 @@ class TestBasicRuns:
             assert len(res.assignments[name]) == res.execution.n_events
 
     def test_single_use(self):
-        sim = star_sim()
+        sim = star_sim(online_oracle=True)
+        assert sim.oracle is None  # readable before run(), not an error
         sim.run(UniformWorkload(events_per_process=2))
         with pytest.raises(RuntimeError):
             sim.run(UniformWorkload(events_per_process=2))
@@ -43,6 +44,8 @@ class TestBasicRuns:
         g = generators.star(4)
         with pytest.raises(ValueError):
             Simulation(g, clocks={"vc": VectorClock(7)})
+        with pytest.raises(TypeError):  # one recorder: nothing to select
+            Simulation(g, event_store="columnar")
 
     def test_event_times_recorded(self):
         res = star_sim().run(UniformWorkload(events_per_process=5))

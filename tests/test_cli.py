@@ -37,6 +37,20 @@ class TestSimulate:
         assert "online oracle:" in out
         assert "appends" in out and "query cache" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "4", "--events", "3", "--online-oracle"],
+        ["conformance", "--trials", "2"],
+    ])
+    def test_stray_environment_is_not_read(self, argv, capsys, monkeypatch):
+        # both variables used to select a recorder / kernel, and a value
+        # outside their choices was a traceback in every command
+        assert main(argv) == 0
+        unset = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_EVENT_STORE", "bogus")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unset
+
     def test_online_oracle_matches_default_validation(self, capsys):
         # identical seed with and without the streaming oracle must print
         # the identical validation table (the oracle flavors agree)
@@ -402,6 +416,7 @@ class TestBadPathExitCodes:
         ["metrics", "--clocks", "nosuch"],
         ["chaos", "--jobs", "2"],         # removed: --workers is the flag
         ["experiments", "--jobs", "2"],
+        ["simulate", "--store", "columnar"],  # removed: one recorder
     ])
     def test_argparse_rejects_bad_choices(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
