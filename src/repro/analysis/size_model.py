@@ -14,23 +14,24 @@ measure the same quantities from real runs and compare.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
+
+from repro.clocks import base as _clock_sizes
 
 
 def counter_bits(max_events: int) -> int:
     """Bits for one counter element: ``ceil(log₂(K+1))``, at least 1."""
     if max_events < 0:
         raise ValueError("max_events must be >= 0")
-    return max(1, math.ceil(math.log2(max_events + 1)))
+    return _clock_sizes.counter_bits(max_events)
 
 
 def id_bits(n_processes: int) -> int:
     """Bits for a process id: ``ceil(log₂ n)``, at least 1."""
     if n_processes < 1:
         raise ValueError("need at least one process")
-    return max(1, math.ceil(math.log2(n_processes)))
+    return _clock_sizes.id_bits(n_processes)
 
 
 def inline_elements(cover_size: int) -> int:

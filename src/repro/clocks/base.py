@@ -243,10 +243,17 @@ class ClockAlgorithm(abc.ABC):
         ``ceil(log2(n))`` bits for a process-id element; subclasses override
         when their elements have different domains.
         """
-        import math
+        return ts.n_elements * counter_bits(max_events)
 
-        counter_bits = max(1, math.ceil(math.log2(max_events + 1)))
-        return ts.n_elements * counter_bits
+
+def counter_bits(max_events: int) -> int:
+    """``ceil(log2(K+1))``, at least 1: bits of a counter that reaches *K*."""
+    return max(1, max_events.bit_length())
+
+
+def id_bits(n_processes: int) -> int:
+    """``ceil(log2(n))``, at least 1: bits of a process id among *n*."""
+    return max(1, (n_processes - 1).bit_length())
 
 
 def _count_elements(payload: Any) -> int:

@@ -42,7 +42,9 @@ from repro.clocks.base import (
     ClockAlgorithm,
     ControlMessage,
     Timestamp,
+    counter_bits,
     dominance_rows,
+    id_bits,
     vector_leq,
     vector_lt,
 )
@@ -158,6 +160,12 @@ class CoverTimestamp(Timestamp):
         if self.mpost is None:
             return base
         return base + self.mpost
+
+    @property
+    def n_elements(self) -> int:
+        if self.mpost is None:
+            return 2 + len(self.mpre)
+        return 2 + len(self.mpre) + len(self.mpost)
 
 
 @dataclass(slots=True)
@@ -382,12 +390,14 @@ class CoverInlineClock(ClockAlgorithm):
         """Theorem 4.3 accounting: ``id`` costs ``ceil(log2 n)`` bits,
         every other stored element ``ceil(log2(K+1))`` bits (∞ entries are
         encoded as 0, which no real receive index uses)."""
-        import math
-
         assert isinstance(ts, CoverTimestamp)
-        counter = max(1, math.ceil(math.log2(max_events + 1)))
-        ident = max(1, math.ceil(math.log2(self._n)))
-        return ident + (ts.n_elements - 1) * counter
+        return id_bits(self._n) + (ts.n_elements - 1) * counter_bits(max_events)
+
+    def payload_elements(self, payload: Any) -> int:
+        """``(id, mctr, mpre)`` on an application message, ``(seq, send
+        index, receive index)`` on a control message."""
+        mpre = payload[2]
+        return 3 if isinstance(mpre, int) else 2 + len(mpre)
 
     # ------------------------------------------------------------------
     def finalize_at_termination(self) -> List[EventId]:

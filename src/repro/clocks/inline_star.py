@@ -43,7 +43,9 @@ from repro.clocks.base import (
     ClockAlgorithm,
     ControlMessage,
     Timestamp,
+    counter_bits,
     dominance_rows,
+    id_bits,
 )
 from repro.core.events import Event, EventId, ProcessId
 
@@ -171,6 +173,10 @@ class StarTimestamp(Timestamp):
         if self.at_center:
             return (self.id, self.ctr)
         return (self.id, self.ctr, self.pre, self.post)  # post never None here
+
+    @property
+    def n_elements(self) -> int:
+        return 2 if self.id == self.center else 4
 
 
 @dataclass(slots=True)
@@ -360,12 +366,13 @@ class StarInlineClock(ClockAlgorithm):
         element costs ``ceil(log2(K+1))`` bits (a ``post`` of ∞ is encoded
         as 0, which no real receive index uses).
         """
-        import math
-
         assert isinstance(ts, StarTimestamp)
-        counter = max(1, math.ceil(math.log2(max_events + 1)))
-        ident = max(1, math.ceil(math.log2(self._n)))
-        return ident + (ts.n_elements - 1) * counter
+        return id_bits(self._n) + (ts.n_elements - 1) * counter_bits(max_events)
+
+    def payload_elements(self, payload: Any) -> int:
+        """``(ctr, pre)`` on an application message, ``(seq, send index,
+        receive index)`` on a control message: flat tuples of integers."""
+        return len(payload)
 
     # ------------------------------------------------------------------
     def finalize_at_termination(self) -> List[EventId]:

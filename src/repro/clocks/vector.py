@@ -45,6 +45,10 @@ class VectorTimestamp(Timestamp):
     def elements(self) -> Tuple[int, ...]:
         return self.vector
 
+    @property
+    def n_elements(self) -> int:
+        return len(self.vector)
+
     def __getitem__(self, k: int) -> int:
         return self.vector[k]
 
@@ -86,3 +90,6 @@ class VectorClock(ClockAlgorithm):
 
     def is_final(self, eid: EventId) -> bool:
         return eid in self._ts
+
+    def payload_elements(self, payload: Any) -> int:
+        return len(payload)

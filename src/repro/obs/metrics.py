@@ -144,6 +144,26 @@ class Histogram:
         if mx is None or v > mx:
             self.max = v
 
+    def observe_n(self, v: float, n: int) -> None:
+        """Record *n* observations of the same value *v* (``n = 0``: no-op).
+
+        For an integer *v* this is exactly *n* calls of :meth:`observe` —
+        which is what lets a hot loop keep a ``{value: count}`` tally and
+        fold it in once.  A float *v* enters ``sum`` as one product, not
+        *n* rounded additions; replay those through :meth:`observe`.
+        """
+        if n < 0:
+            raise ValueError("cannot observe a negative number of times")
+        if n == 0:
+            return
+        self.counts[bisect_left(self.edges, v)] += n
+        self.sum += v * n
+        self.count += n
+        if self.min is None or v < self.min:
+            self.min = v
+        if self.max is None or v > self.max:
+            self.max = v
+
     def reset(self) -> None:
         self.counts = [0] * (len(self.edges) + 1)
         self.sum = 0.0

@@ -21,7 +21,12 @@ from typing import Dict, List, Optional, Set
 from repro.core.events import EventId
 from repro.sim.network import ConstantDelay, PerChannelDelay
 from repro.sim.runner import Simulation, SimulationResult
-from repro.sim.workload import BroadcastWorkload, SimHandle, Workload
+from repro.sim.workload import (
+    BroadcastWorkload,
+    SimHandle,
+    Workload,
+    sorted_neighbors,
+)
 from repro.topology.graph import CommunicationGraph
 from repro.topology.properties import adversary_diameter
 
@@ -38,6 +43,7 @@ class _AllInitiatorsFlood(Workload):
 
     def setup(self, sim: SimHandle) -> None:
         self._token_of_msg: Dict[int, int] = {}
+        self._neighbors = sorted_neighbors(sim.graph)
         self._have: Dict[int, Set[int]] = {
             p: set() for p in sim.graph.vertices()
         }
@@ -52,7 +58,7 @@ class _AllInitiatorsFlood(Workload):
 
     def _make_broadcast(self, sim: SimHandle, proc, token, came_from):
         def go() -> None:
-            for q in sorted(sim.graph.neighbors(proc)):
+            for q in self._neighbors[proc]:
                 if q != came_from:
                     ev = sim.do_send(proc, q)
                     assert ev.msg_id is not None

@@ -38,6 +38,7 @@ import enum
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm, ControlMessage
@@ -50,6 +51,7 @@ from repro.faults.models import DELIVER, FaultModel
 from repro.obs.metrics import (
     BYTE_BUCKETS,
     VTIME_BUCKETS,
+    Histogram,
     MetricsRegistry,
 )
 from repro.sim.network import (
@@ -95,6 +97,40 @@ class AlgorithmStats:
 
     def total_elements(self) -> int:
         return self.app_payload_elements + self.control_elements
+
+
+@dataclass(slots=True)
+class _ClockState:
+    """What the runner keeps for one attached clock, looked up once per hook.
+
+    ``piggy_elems`` and ``delay_events`` are ``{value: count}`` tallies of
+    the integer observations the per-event loop makes; they become
+    histograms once, in :meth:`Simulation._record_run_metrics`.
+    """
+
+    name: str
+    algo: ClockAlgorithm
+    #: the reliable control transport (``control_retry`` runs only)
+    link: Optional[ReliableLink]
+    stats: AlgorithmStats = field(default_factory=AlgorithmStats)
+    #: in-flight application payloads by message id
+    payloads: Dict[MessageId, Any] = field(default_factory=dict)
+    #: PIGGYBACK transport: controls waiting for a carrier, per channel
+    pending: Dict[Tuple[ProcessId, ProcessId], List[ControlMessage]] = field(
+        default_factory=dict
+    )
+    final_times: Dict[EventId, float] = field(default_factory=dict)
+    piggy_elems: Dict[int, int] = field(default_factory=dict)
+    delay_events: Dict[int, int] = field(default_factory=dict)
+
+
+_NOT_STARTED = "Simulation has not started: call run()"
+
+
+def _fold(histogram: Histogram, tally: Mapping[int, int], scale: int = 1) -> None:
+    """Feed a ``{value: count}`` tally of integers into *histogram*."""
+    for value, count in tally.items():
+        histogram.observe_n(scale * value, count)
 
 
 @dataclass
@@ -261,6 +297,8 @@ class Simulation:
         self._metrics = metrics
         self._online_oracle = online_oracle
         self._oracle: Optional[IncrementalHBOracle] = None
+        self._rng: Optional[random.Random] = None
+        self._scheduler: Optional[EventScheduler] = None
         self._check_fifo_compatibility()
         self._ran = False
 
@@ -310,10 +348,14 @@ class Simulation:
 
     @property
     def rng(self) -> random.Random:
+        if self._rng is None:
+            raise RuntimeError(_NOT_STARTED)
         return self._rng
 
     @property
     def now(self) -> float:
+        if self._scheduler is None:
+            raise RuntimeError(_NOT_STARTED)
         return self._scheduler.now
 
     @property
@@ -326,20 +368,26 @@ class Simulation:
         return self._oracle
 
     def schedule(self, delay: float, fn) -> None:
+        if self._scheduler is None:
+            raise RuntimeError(_NOT_STARTED)
         self._scheduler.after(delay, fn)
 
     def do_local(self, proc: ProcessId) -> Optional[Event]:
         """Perform a local event at *proc* now (``None`` if *proc* is down)."""
-        if not self._process_up(proc):
+        now = self._scheduler.now
+        fault_model = self._fault_model
+        if fault_model is not None and not fault_model.process_up(proc, now):
             self._suppressed_events += 1
             return None
         ev = self._builder.local(proc)
-        self._note_event(ev.eid)
+        self._event_seq[proc].append(len(self._event_times))
+        self._event_times[ev.eid] = now
         if self._oracle is not None:
             self._oracle.append_local(ev.eid)
-        for i, algo in enumerate(self._algos):
-            algo.on_local(ev)
-            self._drain(i)
+        for cs in self._clocks:
+            cs.algo.on_local(ev)
+            if cs.algo._newly_finalized:
+                self._drain(cs)
         return ev
 
     def do_send(self, src: ProcessId, dst: ProcessId) -> Optional[Event]:
@@ -347,12 +395,15 @@ class Simulation:
 
         Returns ``None`` (and performs nothing) when *src* is crashed.
         """
-        if not self._process_up(src):
+        now = self._scheduler.now
+        fault_model = self._fault_model
+        if fault_model is not None and not fault_model.process_up(src, now):
             self._suppressed_events += 1
             return None
         msg_id = self._builder.send(src, dst)
         ev = self._builder.last_event(src)
-        self._note_event(ev.eid)
+        self._event_seq[src].append(len(self._event_times))
+        self._event_times[ev.eid] = now
         if self._oracle is not None:
             self._oracle.append_send(ev.eid)
         # Decide the message's fate *before* touching pending piggybacked
@@ -360,31 +411,32 @@ class Simulation:
         # the next carrier, not vanish silently.
         dropped = self._app_loss > 0.0 and self._rng.random() < self._app_loss
         copies = 1
-        if not dropped and self._fault_model is not None:
-            fate = self._fault_model.message_fate(
-                src, dst, self.now, self._rng, control=False
+        if not dropped and fault_model is not None:
+            fate = fault_model.message_fate(
+                src, dst, now, self._rng, control=False
             )
             dropped = fate.drop
             copies = fate.copies
-        piggyback: List[Optional[List[ControlMessage]]] = []
-        for i, algo in enumerate(self._algos):
+        piggybacking = self._transport is ControlTransport.PIGGYBACK
+        piggyback: List[Optional[List[ControlMessage]]] = (
+            [] if piggybacking else self._no_piggyback
+        )
+        for cs in self._clocks:
+            algo = cs.algo
             payload = algo.on_send(ev)
-            self._payloads[i][msg_id] = payload
+            cs.payloads[msg_id] = payload
             n_elems = algo.payload_elements(payload)
-            self._stats[i].app_payload_elements += n_elems
-            self._h_piggy_elems[i].observe(n_elems)
-            # 8-byte integers per scalar element — the same accounting the
-            # Theorem 4.3 bit model coarsens, but per message, live.
-            self._h_piggy_bytes[i].observe(8 * n_elems)
-            self._drain(i)
-            if self._transport is ControlTransport.PIGGYBACK and not dropped:
-                piggyback.append(self._pending_controls[i].pop((src, dst), None))
-            else:
-                if dropped and self._transport is ControlTransport.PIGGYBACK:
-                    retained = self._pending_controls[i].get((src, dst))
-                    if retained:
-                        self._retained_piggyback += len(retained)
+            cs.stats.app_payload_elements += n_elems
+            cs.piggy_elems[n_elems] = cs.piggy_elems.get(n_elems, 0) + 1
+            if algo._newly_finalized:
+                self._drain(cs)
+            if not piggybacking:
+                continue
+            if dropped:
+                self._retained_piggyback += len(cs.pending.get((src, dst), ()))
                 piggyback.append(None)
+            else:
+                piggyback.append(cs.pending.pop((src, dst), None))
         if dropped:
             self._dropped_app += 1
         else:
@@ -401,13 +453,21 @@ class Simulation:
     ) -> None:
         """Schedule *copies* deliveries; the first to arrive at a live
         destination wins, later copies are counted as suppressed duplicates."""
+        if self._fault_model is None:
+            # nothing can duplicate the message or crash its destination:
+            # the one copy is the delivery
+            self._network.transmit(
+                src, dst, partial(self._deliver, msg_id, piggyback),
+                fifo=self._fifo_app,
+            )
+            return
         state = {"delivered": False, "crash_counted": False}
 
         def deliver_copy() -> None:
             if state["delivered"]:
                 self._dup_app_suppressed += 1
                 return
-            if not self._process_up(dst):
+            if not self._fault_model.process_up(dst, self._scheduler.now):
                 if not state["crash_counted"]:
                     state["crash_counted"] = True
                     self._crash_dropped_app += 1
@@ -422,11 +482,6 @@ class Simulation:
         for _ in range(copies):
             self._network.transmit(src, dst, deliver_copy, fifo=self._fifo_app)
 
-    def _process_up(self, proc: ProcessId) -> bool:
-        return self._fault_model is None or self._fault_model.process_up(
-            proc, self.now
-        )
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -437,47 +492,46 @@ class Simulation:
     ) -> None:
         msg = self._builder.message(msg_id)
         recv = self._builder.receive(msg.dst, msg_id)
-        self._note_event(recv.eid)
+        self._event_seq[msg.dst].append(len(self._event_times))
+        self._event_times[recv.eid] = self._scheduler.now
         if self._oracle is not None:
             self._oracle.append_receive(recv.eid, msg.send_event)
-        for i, algo in enumerate(self._algos):
-            payload = self._payloads[i].pop(msg_id)
-            controls = algo.on_receive(recv, payload)
-            self._drain(i)
+        for cs, riders in zip(self._clocks, piggyback):
+            algo = cs.algo
+            controls = algo.on_receive(recv, cs.payloads.pop(msg_id))
+            if algo._newly_finalized:
+                self._drain(cs)
             for cm in controls:
-                self._emit_control(i, cm)
-            if piggyback[i]:
-                for cm in piggyback[i]:
-                    self._stats[i].control_messages += 1
-                    self._stats[i].control_elements += algo.payload_elements(
+                self._emit_control(cs, cm)
+            if riders:
+                for cm in riders:
+                    cs.stats.control_messages += 1
+                    cs.stats.control_elements += algo.payload_elements(
                         cm.payload
                     )
                     algo.on_control(cm.src, cm.dst, cm.payload)
-                self._drain(i)
+                if algo._newly_finalized:
+                    self._drain(cs)
         self._workload.on_deliver(self, self._builder.message(msg_id), recv)
 
-    def _emit_control(self, algo_idx: int, cm: ControlMessage) -> None:
+    def _emit_control(self, cs: _ClockState, cm: ControlMessage) -> None:
         if self._transport is ControlTransport.PIGGYBACK:
-            self._pending_controls[algo_idx].setdefault(
-                (cm.src, cm.dst), []
-            ).append(cm)
+            cs.pending.setdefault((cm.src, cm.dst), []).append(cm)
             return
-        algo = self._algos[algo_idx]
-        stats = self._stats[algo_idx]
-        stats.control_messages += 1
-        stats.control_elements += algo.payload_elements(cm.payload)
-
-        def deliver_control() -> None:
-            algo.on_control(cm.src, cm.dst, cm.payload)
-            self._drain(algo_idx)
-
-        link = self._links[algo_idx]
-        if link is not None:
-            link.send(cm.src, cm.dst, deliver_control)
+        cs.stats.control_messages += 1
+        cs.stats.control_elements += cs.algo.payload_elements(cm.payload)
+        deliver = partial(self._deliver_control, cs, cm)
+        if cs.link is not None:
+            cs.link.send(cm.src, cm.dst, deliver)
         else:
             self._send_control_datagram(
-                cm.src, cm.dst, deliver_control, "data", dedup_stats=stats
+                cm.src, cm.dst, deliver, "data", dedup_stats=cs.stats
             )
+
+    def _deliver_control(self, cs: _ClockState, cm: ControlMessage) -> None:
+        cs.algo.on_control(cm.src, cm.dst, cm.payload)
+        if cs.algo._newly_finalized:
+            self._drain(cs)
 
     def _send_control_datagram(
         self,
@@ -501,23 +555,30 @@ class Simulation:
         copy invokes *deliver_cb* and the caller — the reliable link —
         dedups by sequence number.
         """
-        if self._control_loss > 0.0 and self._rng.random() < self._control_loss:
-            if kind == "data":
-                self._dropped_control += 1
-            return
-        fate = DELIVER
-        if self._fault_model is not None:
-            fate = self._fault_model.message_fate(
-                src, dst, self.now, self._rng, control=True
+        if self._fault_model is None and self._control_loss == 0.0:
+            # nothing can drop or duplicate the datagram, or crash its
+            # destination: one unguarded copy
+            self._network.transmit(
+                src, dst, deliver_cb,
+                fifo=True, delay_model=self._control_delay_model,
             )
-        if fate.drop:
+            return
+        lost = self._control_loss > 0.0 and self._rng.random() < self._control_loss
+        fate = DELIVER
+        if not lost and self._fault_model is not None:
+            fate = self._fault_model.message_fate(
+                src, dst, self._scheduler.now, self._rng, control=True
+            )
+        if lost or fate.drop:
             if kind == "data":
                 self._dropped_control += 1
             return
         state = {"delivered": False}
+        fault_model = self._fault_model
 
         def guarded() -> None:
-            if not self._process_up(dst):
+            now = self._scheduler.now
+            if fault_model is not None and not fault_model.process_up(dst, now):
                 if kind == "data":
                     self._dropped_control += 1
                 return
@@ -530,35 +591,25 @@ class Simulation:
 
         for _ in range(fate.copies):
             self._network.transmit(
-                src,
-                dst,
-                guarded,
-                fifo=True,
-                delay_model=self._control_delay_model,
+                src, dst, guarded,
+                fifo=True, delay_model=self._control_delay_model,
             )
 
-    def _note_event(self, eid: EventId) -> None:
-        """Record occurrence time + arrival rank of a new event."""
-        self._event_times[eid] = self.now
-        self._event_seq[eid] = self._n_seen
-        self._n_seen += 1
-
-    def _drain(self, algo_idx: int) -> None:
-        newly = self._algos[algo_idx].drain_newly_finalized()
-        if not newly:
-            return
-        delay_events = self._h_delay_events[algo_idx]
-        delay_vtime = self._h_delay_vtime[algo_idx]
-        final_times = self._finalization_times[algo_idx]
-        n_seen = self._n_seen
-        now = self.now
-        for eid in newly:
+    def _drain(self, cs: _ClockState) -> None:
+        """Stamp the events *cs*'s clock just finalized (callers check that
+        there are some: most hooks of an inline clock finalize nothing)."""
+        now = self._scheduler.now
+        last = len(self._event_times) - 1
+        event_seq = self._event_seq
+        final_times = cs.final_times
+        delays = cs.delay_events
+        for eid in cs.algo.drain_newly_finalized():
             final_times[eid] = now
             # time-to-non-⊥ measured in events: how many events the run
             # performed while this event's timestamp was still provisional
             # (0 = finalized at its own occurrence, the online case)
-            delay_events.observe(n_seen - 1 - self._event_seq[eid])
-            delay_vtime.observe(now - self._event_times[eid])
+            waited = last - event_seq[eid.proc][eid.index - 1]
+            delays[waited] = delays.get(waited, 0) + 1
 
     # ------------------------------------------------------------------
     def run(
@@ -583,57 +634,25 @@ class Simulation:
         self._builder = ExecutionBuilder(
             self._graph.n_vertices, graph=self._graph
         )
-        self._algos: List[ClockAlgorithm] = list(self._clock_map.values())
-        self._names: List[str] = list(self._clock_map.keys())
-        self._payloads: List[Dict[MessageId, Any]] = [
-            dict() for _ in self._algos
+        retry = self._control_retry
+        self._clocks: List[_ClockState] = [
+            _ClockState(name, algo, None if retry is None else ReliableLink(
+                self._scheduler, retry, self._send_control_datagram
+            ))
+            for name, algo in self._clock_map.items()
         ]
-        self._pending_controls: List[
-            Dict[Tuple[ProcessId, ProcessId], List[ControlMessage]]
-        ] = [dict() for _ in self._algos]
-        self._stats: List[AlgorithmStats] = [
-            AlgorithmStats() for _ in self._algos
-        ]
+        #: rides every application message outside PIGGYBACK; shared, not mutated
+        self._no_piggyback: List[Optional[List[ControlMessage]]] = [None] * len(
+            self._clocks
+        )
         self._event_times: Dict[EventId, float] = {}
-        self._event_seq: Dict[EventId, int] = {}
-        self._n_seen = 0
+        #: arrival rank of every event, by process and 0-based index
+        self._event_seq: List[List[int]] = [[] for _ in self._graph.vertices()]
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
         if self._online_oracle:
             self._oracle = IncrementalHBOracle(
                 self._graph.n_vertices, registry=self._reg
             )
-        # Per-event instrumentation handles, resolved once: the observe
-        # paths below run for every event × algorithm, and re-resolving an
-        # instrument by name (label formatting + dict lookup) per call is
-        # measurable overhead at that frequency (the benchmark's
-        # ``obs.histogram_observe_ns`` layer probe times one observe).
-        self._h_piggy_elems = [
-            self._reg.histogram("clock.piggyback_elements", clock=name)
-            for name in self._names
-        ]
-        self._h_piggy_bytes = [
-            self._reg.histogram(
-                "clock.piggyback_bytes", buckets=BYTE_BUCKETS, clock=name
-            )
-            for name in self._names
-        ]
-        self._h_delay_events = [
-            self._reg.histogram(
-                "clock.finalization_delay_events", clock=name
-            )
-            for name in self._names
-        ]
-        self._h_delay_vtime = [
-            self._reg.histogram(
-                "clock.finalization_delay_vtime",
-                buckets=VTIME_BUCKETS,
-                clock=name,
-            )
-            for name in self._names
-        ]
-        self._finalization_times: List[Dict[EventId, float]] = [
-            dict() for _ in self._algos
-        ]
         self._dropped_app = 0
         self._dropped_control = 0
         self._dup_app_suppressed = 0
@@ -641,39 +660,29 @@ class Simulation:
         self._suppressed_events = 0
         self._retained_piggyback = 0
         self._crash_checkpoints: List[Tuple[float, Dict[str, Any]]] = []
-        self._links: List[Optional[ReliableLink]] = [
-            ReliableLink(
-                self._scheduler, self._control_retry, self._send_control_datagram
-            )
-            if self._control_retry is not None
-            else None
-            for _ in self._algos
-        ]
         self._workload = workload
 
         if self._fault_model is not None:
             self._fault_model.reset(self._rng)
             for t, proc, up in self._fault_model.liveness_transitions():
                 if not up:
-                    self._scheduler.at(t, self._make_crash_hook())
+                    self._scheduler.at(t, self._checkpoint_clocks)
 
         workload.setup(self)
         self._scheduler.run(max_time=max_time, max_steps=max_steps)
         duration = self._scheduler.now
         execution = self._builder.freeze()
 
-        for i, link in enumerate(self._links):
-            if link is None:
-                continue
-            st = self._stats[i]
-            st.control_retransmissions += link.stats.retransmissions
-            st.control_duplicates_suppressed += link.stats.duplicates_suppressed
-            st.control_acks += link.stats.acks_received
-            st.control_abandoned += link.stats.abandoned
-
         assignments: Dict[str, TimestampAssignment] = {}
-        for i, (name, algo) in enumerate(zip(self._names, self._algos)):
-            finalized_during_run = set(self._finalization_times[i])
+        for cs in self._clocks:
+            if cs.link is not None:
+                st, sent = cs.stats, cs.link.stats
+                st.control_retransmissions += sent.retransmissions
+                st.control_duplicates_suppressed += sent.duplicates_suppressed
+                st.control_acks += sent.acks_received
+                st.control_abandoned += sent.abandoned
+            algo = cs.algo
+            finalized_during_run = set(cs.final_times)
             if finalize:
                 algo.finalize_at_termination()
                 algo.drain_newly_finalized()
@@ -682,7 +691,7 @@ class Simulation:
                 t = algo.timestamp(ev.eid)
                 if t is not None:
                     ts[ev.eid] = t
-            assignments[name] = TimestampAssignment(
+            assignments[cs.name] = TimestampAssignment(
                 algo, execution, ts, finalized_during_run
             )
 
@@ -693,13 +702,8 @@ class Simulation:
             duration=duration,
             event_times=self._event_times,
             assignments=assignments,
-            finalization_times={
-                name: self._finalization_times[i]
-                for i, name in enumerate(self._names)
-            },
-            stats={
-                name: self._stats[i] for i, name in enumerate(self._names)
-            },
+            finalization_times={cs.name: cs.final_times for cs in self._clocks},
+            stats={cs.name: cs.stats for cs in self._clocks},
             app_messages=len(execution.messages),
             dropped_app_messages=self._dropped_app,
             dropped_control_messages=self._dropped_control,
@@ -717,72 +721,76 @@ class Simulation:
         execution: Execution,
         assignments: Dict[str, TimestampAssignment],
     ) -> None:
-        """Fold the run's tallies into the metrics registry.
+        """Turn the run's tallies into the metrics registry's instruments.
 
-        Counters mirror the :class:`SimulationResult` fields (one source of
-        truth — the tallies — exported twice); the per-clock histograms add
-        the paper's size metrics: element counts per timestamp and encoded
-        bits under the Theorem 4.3 accounting.
+        The run itself only counted: the counters below repeat the
+        :class:`SimulationResult` fields under metric names, and every
+        histogram is built here, once.  Integer observations arrive as
+        ``{value: count}`` tallies (:meth:`Histogram.observe_n` makes the
+        fold exact); the one float histogram, the virtual-time finalization
+        delay, is replayed value by value in the order the finalizations
+        happened, so its ``sum`` rounds exactly as a live observer's would.
+        The per-timestamp histograms add the paper's size metrics: element
+        counts and encoded bits under the Theorem 4.3 accounting.
         """
         reg = self._reg
-        reg.counter("sim.events_total").inc(execution.n_events)
-        reg.counter("sim.app_messages_sent").inc(
-            len(execution.messages) + self._dropped_app
-        )
-        reg.counter("sim.app_messages_dropped").inc(self._dropped_app)
-        reg.counter("sim.app_messages_crash_dropped").inc(
-            self._crash_dropped_app
-        )
-        reg.counter("sim.app_duplicates_suppressed").inc(
-            self._dup_app_suppressed
-        )
-        reg.counter("sim.control_messages_dropped").inc(self._dropped_control)
-        reg.counter("sim.suppressed_events").inc(self._suppressed_events)
-        reg.counter("sim.piggyback_controls_retained").inc(
-            self._retained_piggyback
-        )
-        reg.counter("sim.crash_checkpoints").inc(len(self._crash_checkpoints))
+        for key, value in (
+            ("events_total", execution.n_events),
+            ("app_messages_sent", len(execution.messages) + self._dropped_app),
+            ("app_messages_dropped", self._dropped_app),
+            ("app_messages_crash_dropped", self._crash_dropped_app),
+            ("app_duplicates_suppressed", self._dup_app_suppressed),
+            ("control_messages_dropped", self._dropped_control),
+            ("suppressed_events", self._suppressed_events),
+            ("piggyback_controls_retained", self._retained_piggyback),
+            ("crash_checkpoints", len(self._crash_checkpoints)),
+        ):
+            reg.counter(f"sim.{key}").inc(value)
         reg.gauge("sim.duration_vtime").set(self._scheduler.now)
         if self._fault_model is not None:
             reg.counter("faults.partition_epochs").inc(
                 len(self._fault_model.partition_epochs())
             )
+            transitions = self._fault_model.liveness_transitions()
             reg.counter("faults.crash_outages").inc(
-                sum(
-                    1
-                    for _t, _p, up in self._fault_model.liveness_transitions()
-                    if not up
+                sum(not up for _t, _p, up in transitions)
+            )
+        max_events = max(1, max(execution.event_counts(), default=0))
+        event_times = self._event_times
+        for cs in self._clocks:
+            name, algo, stats = cs.name, cs.algo, cs.stats
+            for field_name in (
+                "control_messages",
+                "control_elements",
+                "control_retransmissions",
+                "control_duplicates_suppressed",
+                "control_acks",
+                "control_abandoned",
+            ):
+                reg.counter(f"clock.{field_name}", clock=name).inc(
+                    getattr(stats, field_name)
                 )
-            )
-        max_events = max(execution.event_counts(), default=0)
-        for name, algo, stats in zip(self._names, self._algos, self._stats):
-            reg.counter("clock.control_messages", clock=name).inc(
-                stats.control_messages
-            )
-            reg.counter("clock.control_elements", clock=name).inc(
-                stats.control_elements
-            )
-            reg.counter("clock.control_retransmissions", clock=name).inc(
-                stats.control_retransmissions
-            )
-            reg.counter("clock.control_duplicates_suppressed", clock=name).inc(
-                stats.control_duplicates_suppressed
-            )
-            reg.counter("clock.control_acks", clock=name).inc(
-                stats.control_acks
-            )
-            reg.counter("clock.control_abandoned", clock=name).inc(
-                stats.control_abandoned
-            )
-            elements = reg.histogram("clock.timestamp_elements", clock=name)
-            bits = reg.histogram(
-                "clock.timestamp_bits", buckets=None, clock=name
-            )
+            hist = partial(reg.histogram, clock=name)
+            _fold(hist("clock.piggyback_elements"), cs.piggy_elems)
+            # 8-byte integers per scalar element — the same accounting the
+            # Theorem 4.3 bit model coarsens, but per message
+            piggy_bytes = hist("clock.piggyback_bytes", buckets=BYTE_BUCKETS)
+            _fold(piggy_bytes, cs.piggy_elems, scale=8)
+            _fold(hist("clock.finalization_delay_events"), cs.delay_events)
+            delay_vtime = hist("clock.finalization_delay_vtime", buckets=VTIME_BUCKETS)
+            for eid, t_final in cs.final_times.items():
+                delay_vtime.observe(t_final - event_times[eid])
+            n_elements: Dict[int, int] = {}
+            n_bits: Dict[int, int] = {}
             for _eid, ts in assignments[name].items():
-                elements.observe(ts.n_elements)
-                bits.observe(algo.timestamp_bits(ts, max(1, max_events)))
+                width = ts.n_elements
+                n_elements[width] = n_elements.get(width, 0) + 1
+                bits = algo.timestamp_bits(ts, max_events)
+                n_bits[bits] = n_bits.get(bits, 0) + 1
+            _fold(hist("clock.timestamp_elements"), n_elements)
+            _fold(hist("clock.timestamp_bits"), n_bits)
 
-    def _make_crash_hook(self) -> Callable[[], None]:
+    def _checkpoint_clocks(self) -> None:
         """Checkpoint every attached clock at a crash instant.
 
         Models the durable snapshot a crash-recovering timestamping service
@@ -790,16 +798,5 @@ class Simulation:
         before the crash read back identically from the snapshot
         (permanence survives crash-recovery).
         """
-
-        def snap() -> None:
-            self._crash_checkpoints.append(
-                (
-                    self.now,
-                    {
-                        name: algo.checkpoint()
-                        for name, algo in zip(self._names, self._algos)
-                    },
-                )
-            )
-
-        return snap
+        snapshot = {cs.name: cs.algo.checkpoint() for cs in self._clocks}
+        self._crash_checkpoints.append((self._scheduler.now, snapshot))

@@ -55,15 +55,13 @@ class EventScheduler:
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Callback, TimerHandle]] = []
         self._seq = 0
-        self._now = 0.0
+        #: current virtual time (a plain attribute, not a property: the
+        #: simulator reads it several times per event); only :meth:`run`
+        #: advances it
+        self.now = 0.0
         self._steps = 0
         self._cancelled_pending = 0
         self._compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -106,8 +104,8 @@ class EventScheduler:
 
     def at(self, time: float, fn: Callback) -> TimerHandle:
         """Schedule *fn* at absolute virtual time *time*."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         handle = TimerHandle(self)
         heapq.heappush(self._heap, (time, self._seq, fn, handle))
         self._seq += 1
@@ -117,7 +115,7 @@ class EventScheduler:
         """Schedule *fn* after *delay* units of virtual time."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.at(self._now + delay, fn)
+        return self.at(self.now + delay, fn)
 
     def run(
         self,
@@ -142,7 +140,7 @@ class EventScheduler:
             if max_time is not None and time > max_time:
                 break
             heapq.heappop(self._heap)
-            self._now = time
+            self.now = time
             # executed entries can no longer be cancelled; flag directly so a
             # late cancel() does not skew the pending-count bookkeeping
             handle._cancelled = True

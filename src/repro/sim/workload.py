@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.events import Event, Message, ProcessId
 from repro.topology.graph import CommunicationGraph
@@ -52,6 +52,15 @@ class SimHandle(Protocol):
     def do_send(self, src: ProcessId, dst: ProcessId) -> Optional[Event]: ...
 
     def schedule(self, delay: float, fn) -> None: ...
+
+
+def sorted_neighbors(graph: CommunicationGraph) -> Dict[ProcessId, List[ProcessId]]:
+    """Every vertex's neighbours in ascending order.
+
+    The graph is fixed for a run, so workloads that pick or iterate
+    neighbours deterministically sort them once, in ``setup()``.
+    """
+    return {p: sorted(graph.neighbors(p)) for p in graph.vertices()}
 
 
 class Workload(abc.ABC):
@@ -100,6 +109,7 @@ class UniformWorkload(Workload):
         self.jitter_start = jitter_start
 
     def setup(self, sim: SimHandle) -> None:
+        self._neighbors = sorted_neighbors(sim.graph)
         for p in sim.graph.vertices():
             self._schedule_next(sim, p, self.events_per_process)
 
@@ -112,7 +122,7 @@ class UniformWorkload(Workload):
             delay = sim.rng.expovariate(self.rate) + 1e-9
 
         def act() -> None:
-            neighbors = sorted(sim.graph.neighbors(p))
+            neighbors = self._neighbors[p]
             if not neighbors or sim.rng.random() < self.p_local:
                 sim.do_local(p)
             else:
@@ -205,6 +215,7 @@ class BroadcastWorkload(Workload):
     def setup(self, sim: SimHandle) -> None:
         self._forwarded: Set[Tuple[int, ProcessId]] = set()
         self._round_of_msg: Dict[int, int] = {}
+        self._neighbors = sorted_neighbors(sim.graph)
         for r in range(self.rounds):
             self._forwarded.add((r, self.initiator))
             delay = float(r) + 1e-9
@@ -218,7 +229,7 @@ class BroadcastWorkload(Workload):
         heard_from: Optional[ProcessId],
     ):
         def flood() -> None:
-            for q in sorted(sim.graph.neighbors(p)):
+            for q in self._neighbors[p]:
                 if q != heard_from:
                     ev = sim.do_send(p, q)
                     if ev is None:  # p is crashed; fault injection active

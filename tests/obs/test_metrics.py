@@ -129,6 +129,42 @@ class TestHistogramBuckets:
         assert h.quantile(1.0) == 99
 
 
+def _state(h):
+    return (h.counts, h.sum, h.count, h.min, h.max, type(h.sum))
+
+
+class TestObserveN:
+    """A tally folded through observe_n is the histogram n observes build."""
+
+    TALLY = {0: 4, 3: 1, 8: 250, 21: 7, 400: 2, 5: 0}
+
+    def test_equals_repeated_observe(self):
+        tallied, looped = Histogram(), Histogram()
+        for v, n in self.TALLY.items():
+            tallied.observe_n(v, n)
+            for _ in range(n):
+                looped.observe(v)
+        assert _state(tallied) == _state(looped)
+        assert tallied.quantile(0.5) == looped.quantile(0.5)
+
+    def test_zero_is_a_no_op_and_negative_is_rejected(self):
+        h = Histogram()
+        h.observe_n(13, 0)
+        assert _state(h) == _state(Histogram())
+        with pytest.raises(ValueError):
+            h.observe_n(13, -1)
+
+    def test_merge_of_two_tallied_histograms_is_exact(self):
+        a, b, looped = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        for reg, tally in ((a, {1: 3, 500: 2}), (b, {0: 5, 1: 1})):
+            for v, n in tally.items():
+                reg.histogram("h").observe_n(v, n)
+                for _ in range(n):
+                    looped.histogram("h").observe(v)
+        a.merge(b)
+        assert a.as_dict() == looped.as_dict()
+
+
 class TestRegistry:
     def test_create_on_first_use_is_stable(self):
         reg = MetricsRegistry()

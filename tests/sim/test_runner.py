@@ -40,6 +40,16 @@ class TestBasicRuns:
         with pytest.raises(RuntimeError):
             sim.run(UniformWorkload(events_per_process=2))
 
+    def test_handle_surface_before_run_says_so(self):
+        sim = star_sim()
+        with pytest.raises(RuntimeError, match="has not started"):
+            sim.now
+        with pytest.raises(RuntimeError, match="has not started"):
+            sim.rng
+        with pytest.raises(RuntimeError, match="has not started"):
+            sim.schedule(1.0, lambda: None)
+        assert sim.graph.n_vertices == 5  # configuration stays readable
+
     def test_clock_size_mismatch_rejected(self):
         g = generators.star(4)
         with pytest.raises(ValueError):

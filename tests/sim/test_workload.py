@@ -49,6 +49,19 @@ class TestUniformWorkload:
             str(e) for e in r2.execution.all_events()
         ]
 
+    def test_neighbourhoods_are_sorted_once_not_per_action(self, monkeypatch):
+        g = generators.star(6)
+        lookups = []
+        real = type(g).neighbors
+
+        def counting(graph, u):
+            lookups.append(u)
+            return real(graph, u)
+
+        monkeypatch.setattr(type(g), "neighbors", counting)
+        Simulation(g, seed=3).run(UniformWorkload(events_per_process=20))
+        assert sorted(lookups) == list(g.vertices())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             UniformWorkload(events_per_process=-1)
