@@ -149,14 +149,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cover = best_cover(graph)
         print(f"vertex cover used by 'inline': size {len(cover)} -> "
               f"bound {2 * len(cover) + 2} elements")
-        # the batch build over the execution either way; under
-        # --online-oracle it also takes the vector clocks the stream computed
+        # under --online-oracle this adopts the clocks the stream computed;
+        # validate() below asks either oracle for its rows, so both build them
         oracle = result.hb_oracle()
         if result.online_oracle is not None:
             inc = result.online_oracle
             print(
                 f"online oracle: {inc.n_events} appends "
-                f"({registry.counter('oracle.append_words').value} row words), "
+                f"({registry.counter('oracle.append_words').value} clock entries), "
                 f"query cache "
                 f"{registry.counter('oracle.query_cache_hit').value} hits / "
                 f"{registry.counter('oracle.query_cache_miss').value} misses"

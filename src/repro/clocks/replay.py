@@ -23,7 +23,11 @@ from repro.clocks.base import ClockAlgorithm, Timestamp, precedes_matrix_rows
 from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
-from repro.core.incremental import AnyOracle, as_batch_oracle
+from repro.core.incremental import (
+    AnyOracle,
+    as_batch_oracle,
+    incremental_from_execution,
+)
 from repro.obs.metrics import active_registry
 
 
@@ -133,16 +137,16 @@ class TimestampAssignment:
         simulations this checks *n_pairs* uniformly random ordered pairs
         instead.  The report's pair counts refer to the sample.
 
-        Accepts either oracle flavor; an
-        :class:`~repro.core.incremental.IncrementalHBOracle` is frozen into
-        a batch view (reusing its rows) rather than rebuilt from scratch.
+        Only point queries are made, so no causal-past matrix is built:
+        a streaming :class:`~repro.core.incremental.IncrementalHBOracle`
+        is queried as it is, and with no oracle the execution is streamed
+        through one (O(|E|·n) integers, where the batch build is O(|E|²)
+        bits).
         """
         import random as _random
 
         if oracle is None:
-            oracle = HappenedBeforeOracle(self._execution)
-        else:
-            oracle = as_batch_oracle(oracle, self._execution)
+            oracle = incremental_from_execution(self._execution)
         rng = _random.Random(seed)
         ids = [ev.eid for ev in self._execution.all_events()]
         if len(ids) < 2:

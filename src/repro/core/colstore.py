@@ -486,9 +486,6 @@ class ColumnarExecutionBuilder:
         recv_ev = self.receive(dst, msg_id)
         return send_ev, recv_ev
 
-    def events_so_far(self, proc: ProcessId) -> int:
-        return self._store.count_at(proc)
-
     def last_event(self, proc: ProcessId) -> Event:
         if self._store.count_at(proc) == 0:
             raise ExecutionError(f"process {proc} has no events yet")

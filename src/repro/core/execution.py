@@ -301,10 +301,6 @@ class ExecutionBuilder:
     def n_processes(self) -> int:
         return self._n
 
-    def events_so_far(self, proc: ProcessId) -> int:
-        """Number of events appended at *proc* so far."""
-        return len(self._events[proc])
-
     def last_event(self, proc: ProcessId) -> Event:
         """The most recently appended event at *proc*."""
         if not self._events[proc]:

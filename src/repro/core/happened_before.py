@@ -1,57 +1,70 @@
-"""Ground-truth happened-before oracle, backed by a bitset kernel.
+"""Ground-truth happened-before oracle: vector clocks, bit rows on demand.
 
 The oracle derives Lamport's happened-before relation [Lamport 1978] directly
 from an :class:`~repro.core.execution.Execution`, independently of any clock
 algorithm under test.  It is the reference against which every timestamping
 scheme in the library is validated.
 
-Implementation: events are assigned dense indices (process-major, the order
-of :meth:`Execution.all_events`), and one causally consistent pass over
-``delivery_order()`` computes, per event, its *strict causal past* as a
-packed Python-int bitmask::
+It holds two views of the relation.
+
+**The clock table** — every event's full-length (``n``-entry) vector clock
+(Fidge 1991, Mattern 1988), one flat ``array('i')`` per process with the
+clock of event ``(p, k)`` at ``[(k-1)*n, k*n)``.  It characterises the
+relation, so the point queries read nothing else::
+
+    e -> f   iff   e != f  and  vc_f[e.proc] >= e.index
+
+``happened_before`` / ``leq`` / ``concurrent`` / ``vector_clock`` are index
+operations on it, O(|E|·n) integers in all.
+
+**The bit rows** — events are assigned dense indices (process-major, the
+order of :meth:`Execution.all_events`, so an index is arithmetic on
+``(proc, index)``), and each event's *strict causal past* is a bitmask::
 
     past[f] = bits of every e with e -> f
 
 The recurrence is word-parallel — a receive's mask is the union of its local
 predecessor's mask and the matching send's mask (plus their own bits) — so
-the whole matrix costs O(|E|) big-int unions of |E|/64 words each.  On top
-of the rows:
+the whole matrix costs O(|E|) unions of |E|/64 words each, and O(|E|²) bits
+to hold.  On the rows:
 
-- ``happened_before(e, f)`` is a single bit test;
 - ``causal_past`` / ``causal_future`` decode one row (futures come from one
   lazy reverse pass over the same order);
-- ``relation_counts`` is ``int.bit_count()`` over the rows;
+- exhaustive validation XORs them against a scheme's precedes-matrix;
 - consistent-cut checks reduce to mask subset tests (see
   :mod:`repro.core.cuts`), because process-major indexing makes every cut a
   union of per-process contiguous bit ranges.
 
-Full-length (``n``-entry) vector clocks are still computed in the same pass
-— they remain the textbook characterization (Fidge 1991, Mattern 1988) used
-by :meth:`vector_clock` consumers and by the property tests that
-cross-check the bitset kernel against the vector-clock definition::
-
-    e -> f   iff   vc_e[e.proc] <= vc_f[e.proc]
-
 The row store has two interchangeable backends, chosen from the event
-count by :func:`repro.core.backend.resolve_backend`: ``pure`` keeps the
-packed Python ints described above; ``numpy`` keeps the same matrix as a
-contiguous ``uint64`` array built by bulk row ops
-(:mod:`repro.core.npkernel`) and answers ``relation_counts`` /
-:func:`downward_closure` with whole-matrix vectorized popcounts and ORs.
-Both produce byte-identical rows; the pure backend is the always-available
-reference.  This constructor is also the only freeze:
-:meth:`repro.core.incremental.IncrementalHBOracle.freeze` calls it and
-hands over the vector clocks it streamed.
+count by :func:`repro.core.backend.resolve_backend`: ``pure`` keeps packed
+Python ints; ``numpy`` keeps the same matrix as a contiguous ``uint64``
+array built by bulk row ops (:mod:`repro.core.npkernel`) and answers
+``relation_counts`` / :func:`downward_closure` with whole-matrix vectorized
+popcounts and ORs.  Both produce byte-identical rows; the pure backend is
+the always-available reference.
+
+Who builds what: the public constructor is the batch build and is eager —
+it builds the rows at once (and, on the pure kernel, the clock table in the
+same pass; on numpy the table is derived from the matrix when first read).
+:meth:`repro.core.incremental.IncrementalHBOracle.freeze` hands over the
+table it streamed and builds nothing; such an oracle materialises its rows,
+with the same kernel, the first time someone asks it for bits.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from array import array
+from functools import cached_property
+from itertools import accumulate
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.backend import resolve_backend
-from repro.core.events import Event, EventId
+from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.obs.metrics import active_registry
+
+#: per process, its events' vector clocks back to back in one ``array('i')``
+ClockTable = List[array]
 
 
 class HappenedBeforeOracle:
@@ -60,76 +73,86 @@ class HappenedBeforeOracle:
     def __init__(
         self, execution: Execution, backend: Optional[str] = None
     ) -> None:
+        self._setup(execution, backend, None)
+        if self.backend == "numpy":
+            self.past_matrix()
+        else:
+            self._compute()
+
+    @classmethod
+    def _from_clocks(
+        cls, execution: Execution, clocks: ClockTable, backend: Optional[str]
+    ) -> "HappenedBeforeOracle":
+        """``IncrementalHBOracle.freeze``'s construction path: adopt the
+        streamed clock table (shared, not copied) and build no rows."""
+        self = cls.__new__(cls)
+        self._setup(execution, backend, clocks)
+        return self
+
+    def _setup(
+        self,
+        execution: Execution,
+        backend: Optional[str],
+        clocks: Optional[ClockTable],
+    ) -> None:
         self._execution = execution
-        #: dense event indexing: process-major, index order within a process
-        self._order: Tuple[EventId, ...] = tuple(
-            ev.eid for ev in execution.all_events()
-        )
-        self._pos: Dict[EventId, int] = {
-            eid: i for i, eid in enumerate(self._order)
-        }
+        self._n = execution.n_processes
+        self._counts: Tuple[int, ...] = tuple(execution.event_counts())
         #: first dense index of each process's events (the per-process block)
-        self._proc_base: Tuple[int, ...] = self._compute_proc_bases()
-        #: strict causal-future bitmask per dense index (built lazily)
-        self._future: Optional[List[int]] = None
+        self._proc_base: Tuple[int, ...] = tuple(
+            accumulate(self._counts, initial=0)
+        )[:-1]
         #: which kernel holds the rows ("pure" or "numpy")
-        self.backend: str = resolve_backend(len(self._order), backend)
+        self.backend: str = resolve_backend(sum(self._counts), backend)
+        #: None only on a numpy batch build until first read (see _table)
+        self._clocks = clocks
         #: numpy (m, ceil(m/64)) uint64 past matrix (numpy backend only)
         self._mat: Optional[Any] = None
-        if self.backend == "numpy":
-            from repro.core import npkernel
-
-            self._mat = npkernel.bulk_past_matrix(execution)
-            # packed-int rows and vector clocks materialize lazily from
-            # the matrix, only for consumers that ask for them
-            self._past: Optional[List[int]] = None
-            self._vc: Optional[Dict[EventId, Tuple[int, ...]]] = None
-        else:
-            self._vc = {}
-            #: strict causal-past bitmask per dense index
-            self._past = [0] * len(self._order)
-            self._compute()
+        #: strict causal-past bitmask per dense index
+        self._past: Optional[List[int]] = None
+        #: strict causal-future bitmask per dense index (built lazily)
+        self._future: Optional[List[int]] = None
         active_registry().gauge("oracle.backend", backend=self.backend).set(1)
 
     @property
     def execution(self) -> Execution:
         return self._execution
 
-    def _compute_proc_bases(self) -> Tuple[int, ...]:
-        bases = []
-        offset = 0
-        for p in range(self._execution.n_processes):
-            bases.append(offset)
-            offset += len(self._execution.events_at(p))
-        return tuple(bases)
-
     def _compute(self) -> None:
+        """The pure kernel: one pass over ``delivery_order()`` fills the
+        rows and, unless a streamed table was handed over, the clocks."""
         ex = self._execution
-        n = ex.n_processes
-        pos = self._pos
-        past = self._past
-        vc = self._vc
-        assert past is not None and vc is not None  # pure backend only
+        n = self._n
+        base = self._proc_base
+        past = [0] * sum(self._counts)
+        fill_clocks = self._clocks is None
+        tables: ClockTable = [array("i") for _ in range(n)]
         proc_clock: List[List[int]] = [[0] * n for _ in range(n)]
         #: running mask per process: strict past of that process's *next* event
         proc_mask = [0] * n
         for ev in ex.delivery_order():
             p = ev.proc
-            clock = proc_clock[p]
             mask = proc_mask[p]
             if ev.is_receive:
-                send_eid = ex.send_of(ev).eid
-                sp = pos[send_eid]
+                send = ex.send_of(ev).eid
+                sp = base[send.proc] + send.index - 1
                 mask |= past[sp] | (1 << sp)
-                send_vc = vc[send_eid]
-                for k in range(n):
-                    if send_vc[k] > clock[k]:
-                        clock[k] = send_vc[k]
-            clock[p] += 1
-            i = pos[ev.eid]
+                if fill_clocks:
+                    clock = proc_clock[p]
+                    off = (send.index - 1) * n
+                    sent = tables[send.proc][off : off + n]
+                    for k, seen in enumerate(sent):
+                        if seen > clock[k]:
+                            clock[k] = seen
+            i = base[p] + ev.index - 1
             past[i] = mask
             proc_mask[p] = mask | (1 << i)
-            vc[ev.eid] = tuple(clock)
+            if fill_clocks:
+                proc_clock[p][p] += 1
+                tables[p].fromlist(proc_clock[p])
+        self._past = past
+        if fill_clocks:
+            self._clocks = tables
 
     def _ensure_future(self) -> List[int]:
         """Build the strict causal-future masks with one reverse pass.
@@ -141,65 +164,66 @@ class HappenedBeforeOracle:
         if self._future is not None:
             return self._future
         ex = self._execution
-        pos = self._pos
-        fut = [0] * len(self._order)
+        pos = self.index_of
+        fut = [0] * sum(self._counts)
         for ev in reversed(ex.delivery_order()):
             mask = 0
-            at_proc = ex.events_at(ev.proc)
-            if ev.index < len(at_proc):  # next local event (1-based index)
-                j = pos[at_proc[ev.index].eid]
-                mask |= fut[j] | (1 << j)
+            i = pos(ev.eid)
+            if ev.index < self._counts[ev.proc]:  # next local event
+                mask |= fut[i + 1] | (1 << (i + 1))
             if ev.is_send:
                 recv = ex.receive_of(ev)
                 if recv is not None:
-                    j = pos[recv.eid]
+                    j = pos(recv.eid)
                     mask |= fut[j] | (1 << j)
-            fut[pos[ev.eid]] = mask
+            fut[i] = mask
         self._future = fut
         return fut
 
     def _ensure_past(self) -> List[int]:
-        """Packed-int rows, materialized once from the matrix if needed."""
+        """Packed-int rows, built (or unpacked from the matrix) once."""
         if self._past is None:
-            from repro.core import npkernel
+            if self.backend == "numpy":
+                from repro.core import npkernel
 
-            self._past = npkernel.matrix_to_rows(self._mat)
+                self._past = npkernel.matrix_to_rows(self.past_matrix())
+            else:
+                self._compute()
         return self._past
 
-    def _ensure_vc(self) -> Dict[EventId, Tuple[int, ...]]:
-        """Vector clocks, materialized once from the matrix if needed."""
-        if self._vc is None:
+    def _table(self) -> ClockTable:
+        """The clock table; a numpy batch build derives it from its matrix
+        on first read, every other path already holds it."""
+        if self._clocks is None:
             from repro.core import npkernel
 
-            ex = self._execution
-            counts = [
-                len(ex.events_at(p)) for p in range(ex.n_processes)
-            ]
-            clocks = npkernel.vector_clocks_from_matrix(self._mat, counts)
-            self._vc = {
-                eid: tuple(clocks[i]) for i, eid in enumerate(self._order)
-            }
-        return self._vc
+            self._clocks = npkernel.vector_clocks_from_matrix(
+                self._mat, self._counts
+            )
+        return self._clocks
 
     # ------------------------------------------------------------------
     # bitset kernel surface
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def event_order(self) -> Tuple[EventId, ...]:
         """The dense indexing used by the masks (process-major)."""
-        return self._order
+        return tuple(ev.eid for ev in self._execution.all_events())
 
     def index_of(self, eid: EventId) -> int:
         """Dense index of *eid* in :attr:`event_order`."""
-        return self._pos[eid]
+        p = eid.proc
+        if not (0 <= p < self._n and 1 <= eid.index <= self._counts[p]):
+            raise KeyError(eid)
+        return self._proc_base[p] + eid.index - 1
 
     def causal_past_mask(self, f: EventId) -> int:
         """Bitmask of ``{e : e -> f}`` over :attr:`event_order` indices."""
-        return self._ensure_past()[self._pos[f]]
+        return self._ensure_past()[self.index_of(f)]
 
     def causal_future_mask(self, e: EventId) -> int:
         """Bitmask of ``{f : e -> f}`` over :attr:`event_order` indices."""
-        return self._ensure_future()[self._pos[e]]
+        return self._ensure_future()[self.index_of(e)]
 
     def past_masks(self) -> Tuple[int, ...]:
         """All strict causal-past rows: bit ``i`` of row ``j`` is set iff
@@ -210,11 +234,15 @@ class HappenedBeforeOracle:
         """The numpy ``(m, ceil(m/64))`` uint64 past matrix, or ``None``
         on the pure backend.  Rows little-endian-match :meth:`past_masks`;
         callers must treat it as read-only."""
+        if self._mat is None and self.backend == "numpy":
+            from repro.core import npkernel
+
+            self._mat = npkernel.bulk_past_matrix(self._execution)
         return self._mat
 
     def events_from_mask(self, mask: int) -> List[EventId]:
         """Decode a bitmask into the events it denotes, in dense order."""
-        order = self._order
+        order = self.event_order
         out: List[EventId] = []
         while mask:
             lsb = mask & -mask
@@ -228,31 +256,37 @@ class HappenedBeforeOracle:
         Process-major indexing makes each process's events one contiguous
         bit range, so a cut is a union of low-bit runs shifted into place.
         """
-        ex = self._execution
-        if len(cut) != ex.n_processes:
+        if len(cut) != self._n:
             raise ValueError("cut length must equal the number of processes")
         mask = 0
         for p, k in enumerate(cut):
-            if k < 0 or k > len(ex.events_at(p)):
+            if k < 0 or k > self._counts[p]:
                 raise ValueError(f"cut[{p}]={k} out of range for process {p}")
             if k:
                 mask |= ((1 << k) - 1) << self._proc_base[p]
         return mask
 
     # ------------------------------------------------------------------
+    # point queries: the clock table, never the rows
+    # ------------------------------------------------------------------
     def vector_clock(self, eid: EventId) -> Tuple[int, ...]:
         """The ground-truth full-length vector clock of *eid*."""
-        return self._ensure_vc()[eid]
-
-    def _bit(self, pe: int, pf: int) -> bool:
-        """Bit *pe* of row *pf*, without materializing packed-int rows."""
-        if self._past is not None:
-            return bool(self._past[pf] >> pe & 1)
-        return bool(int(self._mat[pf, pe >> 6]) >> (pe & 63) & 1)
+        self.index_of(eid)  # KeyError for events outside the execution
+        off = (eid.index - 1) * self._n
+        return tuple(self._table()[eid.proc][off : off + self._n])
 
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Whether ``e -> f`` (strict: ``e != f`` and e causally precedes f)."""
-        return self._bit(self._pos[e], self._pos[f])
+        n = self._n
+        counts = self._counts
+        ep, ei, fp, fi = e.proc, e.index, f.proc, f.index
+        # index_of's bounds, inlined: this is validate_sampled's inner loop
+        # (an EventId already guarantees proc >= 0 and index >= 1)
+        if not (ep < n and fp < n and ei <= counts[ep] and fi <= counts[fp]):
+            raise KeyError(e if e not in self._execution else f)
+        if ep == fp:
+            return ei < fi
+        return self._table()[fp][(fi - 1) * n + ep] >= ei
 
     def leq(self, e: EventId, f: EventId) -> bool:
         """Whether ``e == f`` or ``e -> f``."""
@@ -260,8 +294,11 @@ class HappenedBeforeOracle:
 
     def concurrent(self, e: EventId, f: EventId) -> bool:
         """Whether *e* and *f* are distinct and causally unordered."""
-        pe, pf = self._pos[e], self._pos[f]
-        return pe != pf and not self._bit(pe, pf) and not self._bit(pf, pe)
+        return (
+            not self.happened_before(e, f)
+            and not self.happened_before(f, e)
+            and e != f
+        )
 
     # ------------------------------------------------------------------
     def causal_past(self, f: EventId) -> Set[EventId]:
@@ -274,7 +311,7 @@ class HappenedBeforeOracle:
 
     def pairs(self) -> Iterator[Tuple[EventId, EventId]]:
         """All ordered pairs of distinct events (for exhaustive checks)."""
-        ids = self._order
+        ids = self.event_order
         for e in ids:
             for f in ids:
                 if e != f:
@@ -285,17 +322,18 @@ class HappenedBeforeOracle:
 
         ``ordered_pairs`` counts ordered pairs ``(e, f)`` with ``e -> f``;
         ``concurrent_unordered_pairs`` counts unordered concurrent pairs.
-        Happened-before is antisymmetric, so the former is just the popcount
-        of the causal-past matrix, and the latter is the complement among
-        all unordered pairs.
+        Happened-before is antisymmetric, so the former is the popcount of
+        the causal-past matrix where there is one — and otherwise the sum
+        over events of ``sum(vc) - 1``, the size of each strict past — and
+        the latter is the complement among all unordered pairs.
         """
+        m = sum(self._counts)
         if self._mat is not None:
             from repro.core import npkernel
 
             ordered = npkernel.ordered_pair_count(self._mat)
         else:
-            ordered = sum(mask.bit_count() for mask in self._past)
-        m = len(self._order)
+            ordered = sum(map(sum, self._table())) - m
         return ordered, m * (m - 1) // 2 - ordered
 
 

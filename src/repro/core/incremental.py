@@ -1,30 +1,28 @@
-"""Incremental happened-before oracle: streaming O(Δ) appends.
+"""Incremental happened-before oracle: the row is a vector clock.
 
-The batch :class:`~repro.core.happened_before.HappenedBeforeOracle` is
-constructed over a *completed* execution, so every online consumer — the
-Section-6 application detectors, the simulator's invariant checks — used to
-rebuild the full O(|E|²)-bit causal-past matrix from scratch whenever it
-needed an answer mid-run.  :class:`IncrementalHBOracle` maintains the same
-packed-int causal-past rows *as events are appended*:
+An n-entry vector clock characterises happened-before (Fidge 1991, Mattern
+1988; the premise of the paper and of Vaidya-Kulkarni)::
 
-- ``append_local`` / ``append_send`` extend one row by copying the process's
-  running mask (amortized O(row-words) big-int work);
-- ``append_receive`` additionally ORs in the matching send's row — the same
-  word-parallel recurrence the batch kernel uses, applied once per event
-  instead of once per rebuild;
-- an event's bit index (its *slot*) is its arrival rank, so no append ever
-  re-indexes or rebuilds existing rows.
+    e -> f   iff   e != f  and  vc_f[e.proc] >= e.index
+
+so the streaming oracle keeps exactly that per event and nothing else:
+
+- each process owns one flat ``array('i')``; the clock of its ``k``-th event
+  is the slice ``[(k-1)*n, k*n)`` — 4n bytes per event, no per-event Python
+  object, no ``EventId``-keyed dict, no numpy;
+- ``append_local`` / ``append_send`` bump the process's running clock and
+  append it; ``append_receive`` first max-merges the matching send's slice
+  into it.  That is the whole recurrence, and it is inherently incremental:
+  no append ever touches an existing row;
+- ``happened_before`` is two index operations and one integer compare;
+  ``causal_past`` / ``causal_frontier`` / ``relation_counts`` are read off
+  the same clocks (a past is a union of per-process prefixes).
 
 There is **one** row-construction path, :meth:`IncrementalHBOracle._append`:
-every append finalizes its row, its vector clock and its metrics at once.
-Rows are deliberately not buffered or built with numpy: measured on the
-benchmark's ``sim-stream`` workload both lose to this loop, and a dense
-``(slots, slots/64)`` matrix grows with the run where Python-int rows are
-only as long as their highest set bit (EXPERIMENTS.md, *Columnar core*,
-has the numbers and the one input shape on which vectorizing does win).
+every append finalizes its clock and its metrics at once.
 
 Because causal pasts are append-monotone (appending an event never changes
-the row of an existing event), every answer the oracle gives online is
+the clock of an existing event), every answer the oracle gives online is
 *final* — exactly why conflict/predicate detection can act on it while the
 execution is still running.
 
@@ -35,44 +33,37 @@ and :meth:`~IncrementalHBOracle.flush` — called by every query path and by
 ``freeze`` — drains the rows appended since the last drain.
 :meth:`~IncrementalHBOracle.sync_store` is the explicit form (``upto`` caps
 the batch).  Draining reads the store's scalar accessors and feeds the
-same ``_append``, so no ``Event`` objects are materialized and slot
-layout, rows and metric totals equal the per-event feed's.  With no store
-bound, ``flush`` does nothing.
+same ``_append``, so no ``Event`` objects are materialized and clocks and
+metric totals equal the per-event feed's.  With no store bound, ``flush``
+does nothing.
 
 The ``batch`` constructor keyword is accepted and has no effect; it is
 still spelled in the signature because the benchmark harness under
 ``perf/`` passes it.
 
-On top of the rows sits a memoized batch-query layer: ``precedes`` /
-``concurrent`` / ``causal_past`` / ``causal_frontier`` / ``relation_counts``
-results are cached in a small LRU that is invalidated wholesale whenever the
-append watermark moves, so repeated queries between appends (the detector
-polling pattern) cost one dict hit.
+On top of the clocks sits a memoized batch-query layer: ``precedes`` /
+``concurrent`` / ``causal_past`` / ``causal_frontier`` results are cached
+in a small LRU that is invalidated wholesale whenever the append watermark
+moves, so repeated queries between appends (the detector polling pattern)
+cost one dict hit.
 
-The streamed rows answer mid-run queries.  ``freeze(execution)`` is the
-batch build plus the streamed vector clocks: it constructs a
-:class:`HappenedBeforeOracle` over the completed execution on whichever
-kernel its size selects (:func:`repro.core.backend.resolve_backend`) and
-hands over the clocks, so the result is byte-identical to one built from
-scratch — pinned by ``tests/core/test_incremental_oracle.py``.
+``freeze(execution)`` checks the per-process counts and hands the clock
+table to a :class:`HappenedBeforeOracle` that answers point queries from
+it and builds **no** matrix; the O(|E|²)-bit causal-past rows exist only
+if someone asks the frozen oracle for bits, and are then byte-identical to
+a from-scratch build — pinned by ``tests/core/test_incremental_oracle.py``
+and ``tests/core/test_backend_parity.py``.
 
 Observability (:mod:`repro.obs`): ``oracle.appends``, ``oracle.append_words``
-(big-int words touched by appends), and ``oracle.query_cache_hit`` /
+(clock entries written: n per append), and ``oracle.query_cache_hit`` /
 ``oracle.query_cache_miss`` counters on the registry active at construction.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.colstore import KIND_RECEIVE, EventStore
 from repro.core.events import Event, EventId, ProcessId
@@ -100,7 +91,7 @@ class IncrementalHBOracle:
         Metrics registry for the ``oracle.*`` instruments; defaults to the
         registry active at construction time.
     batch:
-        Accepted and without effect: every append finalizes its row at
+        Accepted and without effect: every append finalizes its clock at
         once, and :meth:`flush` only drains a bound store.
     """
 
@@ -117,23 +108,19 @@ class IncrementalHBOracle:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self._n = n_processes
-        #: strict causal-past bitmask per slot (slot = arrival rank)
-        self._rows: List[int] = []
-        #: slot -> owning EventId
-        self._slot_eid: List[EventId] = []
-        #: per process: slot of each of its events, in index order
-        self._slots: List[List[int]] = [[] for _ in range(n_processes)]
-        #: running mask per process: strict past of its *next* event
-        self._proc_mask: List[int] = [0] * n_processes
+        #: per process, its events' vector clocks back to back: the clock of
+        #: event ``(p, k)`` is ``_clocks[p][(k - 1) * n : k * n]``
+        self._clocks: List[array] = [array("i") for _ in range(n_processes)]
+        #: running clock per process: the clock of its latest event
         self._proc_clock: List[List[int]] = [
             [0] * n_processes for _ in range(n_processes)
         ]
-        self._vc: Dict[EventId, Tuple[int, ...]] = {}
-        #: running popcount of all rows — makes relation_counts O(1)
+        #: running ``sum(sum(vc) - 1)`` over all events: an event's strict
+        #: past has ``sum(vc) - 1`` members, so relation_counts is O(1)
         self._ordered_pairs = 0
         # the bound EventStore (drained by flush) and rows ingested so far
         self._src_store: Optional[EventStore] = None
-        self._synced_rows = 0
+        self._synced = 0
         self._watermark = 0
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._cache_size = cache_size
@@ -163,54 +150,49 @@ class IncrementalHBOracle:
 
     def event_count(self, proc: ProcessId) -> int:
         """Events appended at *proc* so far."""
-        return len(self._slots[proc])
+        return len(self._clocks[proc]) // self._n
 
     def __contains__(self, eid: EventId) -> bool:
-        return 0 <= eid.proc < self._n and eid.index <= len(self._slots[eid.proc])
+        return (
+            0 <= eid.proc < self._n
+            and 1 <= eid.index <= len(self._clocks[eid.proc]) // self._n
+        )
 
-    def _slot_of(self, eid: EventId) -> int:
-        if not 0 <= eid.proc < self._n or not 1 <= eid.index <= len(
-            self._slots[eid.proc]
-        ):
-            raise KeyError(f"{eid} has not been appended")
-        return self._slots[eid.proc][eid.index - 1]
-
-    # ------------------------------------------------------------------
-    # appends — the O(Δ) streaming surface
-    # ------------------------------------------------------------------
-    def _append(
-        self,
-        eid: EventId,
-        extra_mask: int = 0,
-        send_vc: Optional[Tuple[int, ...]] = None,
-    ) -> int:
+    def _offset(self, eid: EventId) -> int:
+        """Where *eid*'s clock starts in its process's table."""
         p = eid.proc
-        if not 0 <= p < self._n:
-            raise ValueError(f"process {p} out of range [0, {self._n})")
-        slots = self._slots[p]
-        if eid.index != len(slots) + 1:
+        off = (eid.index - 1) * self._n
+        if not (0 <= p < self._n and 0 <= off < len(self._clocks[p])):
+            raise KeyError(f"{eid} has not been appended")
+        return off
+
+    # ------------------------------------------------------------------
+    # appends — the O(n) streaming surface
+    # ------------------------------------------------------------------
+    def _append(self, eid: EventId, send_clock: Optional[array] = None) -> None:
+        p = eid.proc
+        n = self._n
+        if not 0 <= p < n:
+            raise ValueError(f"process {p} out of range [0, {n})")
+        table = self._clocks[p]
+        if (eid.index - 1) * n != len(table):
             raise ValueError(
-                f"out-of-order append: expected index {len(slots) + 1} "
+                f"out-of-order append: expected index {len(table) // n + 1} "
                 f"at p{p}, got {eid.index}"
             )
-        slot = self._watermark
-        mask = self._proc_mask[p] | extra_mask
         clock = self._proc_clock[p]
-        if send_vc is not None:
-            for k in range(self._n):
-                if send_vc[k] > clock[k]:
-                    clock[k] = send_vc[k]
+        if send_clock is not None:
+            # few entries move per merge, so the guarded loop beats
+            # map(max, ...) and a rebuilt list
+            for k, seen in enumerate(send_clock):
+                if seen > clock[k]:
+                    clock[k] = seen
         clock[p] += 1
-        self._rows.append(mask)
-        self._slot_eid.append(eid)
-        slots.append(slot)
-        self._proc_mask[p] = mask | (1 << slot)
-        self._vc[eid] = tuple(clock)
-        self._ordered_pairs += mask.bit_count()
+        table.fromlist(clock)
+        self._ordered_pairs += sum(clock) - 1
         self._watermark += 1
         self._m_appends.inc()
-        self._m_append_words.inc((mask.bit_length() >> 6) + 1)
-        return slot
+        self._m_append_words.inc(n)
 
     def append_local(self, eid: EventId) -> None:
         """Record a local event.  Must be the next index at its process."""
@@ -222,9 +204,8 @@ class IncrementalHBOracle:
 
     def append_receive(self, eid: EventId, send: EventId) -> None:
         """Record the receive matching the already-appended *send*."""
-        sslot = self._slot_of(send)
-        extra = self._rows[sslot] | (1 << sslot)
-        self._append(eid, extra_mask=extra, send_vc=self._vc[send])
+        off = self._offset(send)
+        self._append(eid, self._clocks[send.proc][off : off + self._n])
 
     def append_event(
         self, ev: Event, send: Optional[EventId] = None
@@ -241,7 +222,7 @@ class IncrementalHBOracle:
         """Stream a completed execution through the append path.
 
         Events are fed in ``delivery_order()`` (any causally consistent
-        order yields identical rows).  Returns ``self`` for chaining.
+        order yields identical clocks).  Returns ``self`` for chaining.
         """
         for ev in execution.delivery_order():
             if ev.is_receive:
@@ -287,7 +268,7 @@ class IncrementalHBOracle:
         fully ingested.  Returns the number of rows ingested.
         """
         self.bind_store(store)
-        start = self._synced_rows
+        start = self._synced
         stop = store.n_events if upto is None else min(upto, store.n_events)
         if stop <= start:
             return 0
@@ -298,7 +279,7 @@ class IncrementalHBOracle:
                 self.append_receive(eid, store.event_id(send_row))
             else:
                 self._append(eid)
-        self._synced_rows = stop
+        self._synced = stop
         return stop - start
 
     def flush(self) -> None:
@@ -309,16 +290,19 @@ class IncrementalHBOracle:
         No-op when no store is bound or nothing is new.
         """
         store = self._src_store
-        if store is not None and store.n_events > self._synced_rows:
+        if store is not None and store.n_events > self._synced:
             self.sync_store(store)
 
     # ------------------------------------------------------------------
-    # raw point queries (uncached: each is a bit test)
+    # raw point queries (uncached: each is one integer compare)
     # ------------------------------------------------------------------
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Whether ``e -> f``.  Final the moment both events are appended."""
         self.flush()
-        return bool(self._rows[self._slot_of(f)] >> self._slot_of(e) & 1)
+        self._offset(e)  # an unknown event is a KeyError, not False
+        seen = self._clocks[f.proc][self._offset(f) + e.proc]
+        # f's own entry is its index, so the same-process case needs `>`
+        return seen > e.index if e.proc == f.proc else seen >= e.index
 
     def leq(self, e: EventId, f: EventId) -> bool:
         """Whether ``e == f`` or ``e -> f``."""
@@ -326,11 +310,9 @@ class IncrementalHBOracle:
 
     def vector_clock(self, eid: EventId) -> Tuple[int, ...]:
         """The ground-truth full-length vector clock of *eid*."""
-        vc = self._vc.get(eid)
-        if vc is None:
-            self.flush()
-            vc = self._vc[eid]  # raises KeyError for unknown events
-        return vc
+        self.flush()
+        off = self._offset(eid)  # raises KeyError for unknown events
+        return tuple(self._clocks[eid.proc][off : off + self._n])
 
     # ------------------------------------------------------------------
     # memoized batch-query layer
@@ -373,16 +355,21 @@ class IncrementalHBOracle:
         return set(self._cached(("past", f), lambda: self._decode_past(f)))
 
     def _decode_past(self, f: EventId) -> Tuple[EventId, ...]:
-        self.flush()
-        return tuple(self._events_from_mask(self._rows[self._slot_of(f)]))
+        # a past is one prefix per process; f's own prefix stops short of f
+        return tuple(
+            EventId(p, k)
+            for p, seen in enumerate(self.vector_clock(f))
+            for k in range(1, seen + (p != f.proc))
+        )
 
     def causal_frontier(self, events: Iterable[EventId]) -> List[EventId]:
         """Maximal events of the downward closure of *events*.
 
         The smallest causally-closed set containing *events* is a union of
-        causal pasts; its maximal elements — the frontier a consistent
-        snapshot would cut along — are the members not in any member's
-        strict past (one row-OR per seed event, word-parallel).
+        causal pasts, i.e. one prefix per process — the entrywise max of
+        the seeds' clocks.  Its maximal elements — the frontier a consistent
+        snapshot would cut along — are the prefix tops no other top has
+        seen (O(n²) integer compares).
         """
         key = ("frontier", tuple(sorted(events)))
         return list(self._cached(key, lambda: self._compute_frontier(key[1])))
@@ -390,40 +377,29 @@ class IncrementalHBOracle:
     def _compute_frontier(
         self, events: Tuple[EventId, ...]
     ) -> Tuple[EventId, ...]:
-        self.flush()
-        rows = self._rows
-        closure = 0
+        top = [0] * self._n
         for f in events:
-            slot = self._slot_of(f)
-            closure |= rows[slot] | (1 << slot)
-        dominated = 0
-        mask = closure
-        while mask:
-            lsb = mask & -mask
-            dominated |= rows[lsb.bit_length() - 1]
-            mask ^= lsb
-        return tuple(self._events_from_mask(closure & ~dominated))
+            top = list(map(max, top, self.vector_clock(f)))
+        tops = [
+            (p, self.vector_clock(EventId(p, k)))
+            for p, k in enumerate(top)
+            if k
+        ]
+        return tuple(
+            EventId(p, top[p])
+            for p, _own in tops
+            if not any(vc[p] >= top[p] for q, vc in tops if q != p)
+        )
 
     def relation_counts(self) -> Tuple[int, int]:
         """``(ordered_pairs, concurrent_unordered_pairs)`` so far.
 
-        The ordered-pair popcount is maintained at append time, so this is
-        O(1) arithmetic — no row scan.
+        The ordered-pair count is maintained at append time, so this is
+        O(1) arithmetic — no table scan.
         """
         self.flush()
         m = self._watermark
         return self._ordered_pairs, m * (m - 1) // 2 - self._ordered_pairs
-
-    def _events_from_mask(self, mask: int) -> List[EventId]:
-        """Decode a slot mask, ordered by (process, index) for determinism."""
-        slot_eid = self._slot_eid
-        out: List[EventId] = []
-        while mask:
-            lsb = mask & -mask
-            out.append(slot_eid[lsb.bit_length() - 1])
-            mask ^= lsb
-        out.sort()
-        return out
 
     def cache_info(self) -> Dict[str, int]:
         """Current cache occupancy (hits/misses live on the registry)."""
@@ -434,21 +410,22 @@ class IncrementalHBOracle:
         }
 
     # ------------------------------------------------------------------
-    # freeze: the batch build, plus the streamed vector clocks
+    # freeze: hand the clock table to a batch-API oracle
     # ------------------------------------------------------------------
     def freeze(
         self, execution: Execution, backend: Optional[str] = None
     ) -> HappenedBeforeOracle:
-        """The batch oracle over *execution*, with the streamed vector clocks.
+        """The batch oracle over *execution*, answering from the streamed clocks.
 
         *execution* must be the completed execution whose events were
-        streamed in (same per-process counts).  The rows are built by the
-        batch constructor, on whichever kernel *backend* or
-        :func:`repro.core.backend.resolve_backend` selects for the size;
-        the incrementally maintained vector clocks are handed over as-is.
-        The result is indistinguishable from a from-scratch build:
-        identical ``past_masks()``, ``event_order``, vector clocks, and
-        query answers.
+        streamed in (same per-process counts).  Nothing is built here: the
+        frozen oracle reads ``happened_before`` / ``concurrent`` /
+        ``vector_clock`` from the clock table (shared, not copied) and
+        builds the causal-past rows — on whichever kernel *backend* or
+        :func:`repro.core.backend.resolve_backend` selects for the size —
+        only when first asked for bits.  The result is indistinguishable
+        from a from-scratch build: identical ``past_masks()``,
+        ``event_order``, vector clocks, and query answers.
         """
         if execution.n_processes != self._n:
             raise ValueError(
@@ -456,20 +433,16 @@ class IncrementalHBOracle:
                 f"oracle was built for {self._n}"
             )
         self.flush()  # also drains a bound store, so counts are current
-        for p in range(self._n):
-            have = len(self._slots[p])
-            want = len(execution.events_at(p))
+        for p, want in enumerate(execution.event_counts()):
+            have = self.event_count(p)
             if have != want:
                 raise ValueError(
                     f"process {p}: oracle saw {have} events, "
                     f"execution has {want}"
                 )
-        oracle = HappenedBeforeOracle(execution, backend=backend)
-        # the streamed clocks are byte-identical to a fresh computation
-        # (pinned by the equivalence tests), so the numpy kernel never
-        # has to derive them from its matrix
-        oracle._vc = dict(self._vc)
-        return oracle
+        return HappenedBeforeOracle._from_clocks(
+            execution, self._clocks, backend
+        )
 
 
 def as_batch_oracle(

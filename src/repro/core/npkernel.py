@@ -29,6 +29,7 @@ Intentionally import-guarded: import this module only after
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from typing import Any, List, Optional, Sequence, Tuple
@@ -96,15 +97,7 @@ def bulk_past_matrix(execution) -> np.ndarray:
     nproc = execution.n_processes
     # event_counts/receive_pairs avoid touching event or message objects —
     # on the columnar store they read straight from the id columns
-    # (getattr fallback keeps duck-typed execution stand-ins working)
-    counts_fn = getattr(execution, "event_counts", None)
-    if counts_fn is not None:
-        counts = np.asarray(counts_fn(), dtype=np.int64)
-    else:
-        counts = np.array(
-            [len(execution.events_at(p)) for p in range(nproc)],
-            dtype=np.int64,
-        )
+    counts = np.asarray(execution.event_counts(), dtype=np.int64)
     m = int(counts.sum())
     W = max(1, (m + 63) >> 6)
     bases = np.zeros(nproc, dtype=np.int64)
@@ -113,15 +106,7 @@ def bulk_past_matrix(execution) -> np.ndarray:
     if m == 0:
         return np.zeros((0, W), dtype=np.uint64)
 
-    pairs_fn = getattr(execution, "receive_pairs", None)
-    if pairs_fn is not None:
-        recvs = pairs_fn()
-    else:
-        recvs = [
-            (msg.recv_event, msg.send_event)
-            for msg in execution.messages
-            if msg.recv_event is not None
-        ]
+    recvs = execution.receive_pairs()
     n_recv = len(recvs)
     # anchor rows, 1-based; row 0 stays zero (= "no receive before me")
     anchors = np.zeros((n_recv + 1, W), dtype=np.uint64)
@@ -228,11 +213,6 @@ def matrix_to_rows(mat: np.ndarray) -> List[int]:
     ]
 
 
-def row_int(mat: np.ndarray, j: int) -> int:
-    """One row as a packed Python int."""
-    return int.from_bytes(np.ascontiguousarray(mat[j]).tobytes(), "little")
-
-
 def union_rows_int(mat: np.ndarray, idx: Sequence[int]) -> int:
     """OR of the selected rows, as a packed Python int."""
     acc = np.bitwise_or.reduce(mat[np.asarray(idx, dtype=np.intp)], axis=0)
@@ -246,19 +226,20 @@ def ordered_pair_count(mat: np.ndarray) -> int:
 
 def vector_clocks_from_matrix(
     mat: np.ndarray, counts: Sequence[int]
-) -> List[List[int]]:
+) -> List[array]:
     """Full-length vector clocks of every event, from the past matrix.
 
     ``vc[e][p]`` counts the events of process ``p`` in the causal past of
     ``e`` *including* ``e`` at its own coordinate — the Fidge/Mattern
     definition.  Process-major indexing makes each process one contiguous
     bit range, so the count is a masked popcount per block.  Returned as
-    nested Python-int lists (``tolist``), matching the pure kernel's
-    tuples element-for-element.
+    the oracle's clock table: one flat ``array('i')`` per process, the
+    clock of its ``k``-th event at ``[(k-1)*n, k*n)``, entry for entry
+    the pure kernel's.
     """
     m = mat.shape[0]
     nproc = len(counts)
-    cnt = np.zeros((m, nproc), dtype=np.int64)
+    cnt = np.zeros((m, nproc), dtype=np.intc)
     base = 0
     for p, c in enumerate(counts):
         if c == 0:
@@ -274,7 +255,14 @@ def vector_clocks_from_matrix(
         # own coordinate: strict past inside the own block is index-1
         own = np.repeat(np.arange(nproc), np.asarray(counts, dtype=np.int64))
         cnt[np.arange(m), own] += 1
-    return cnt.tolist()
+    tables = []
+    base = 0
+    for c in counts:
+        table = array("i")
+        table.frombytes(cnt[base : base + c].tobytes())
+        tables.append(table)
+        base += c
+    return tables
 
 
 # ----------------------------------------------------------------------

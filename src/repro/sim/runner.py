@@ -168,10 +168,11 @@ class SimulationResult:
     def hb_oracle(self) -> HappenedBeforeOracle:
         """Ground-truth batch oracle for the run's execution.
 
-        The batch build over the execution, on whichever kernel its size
-        selects.  With ``online_oracle=True`` it goes through the streamed
-        oracle's ``freeze``, which is that same build plus the vector
-        clocks the stream already computed — byte-identical either way.
+        With ``online_oracle=True`` this is the streamed oracle's
+        ``freeze``: the vector clocks the stream computed, handed over,
+        and no causal-past matrix until someone asks for bits.  Otherwise
+        it is the batch build, rows and all, on whichever kernel the
+        execution's size selects.  Every answer is the same either way.
         """
         if self.online_oracle is not None:
             return self.online_oracle.freeze(self.execution)
@@ -246,11 +247,11 @@ class Simulation:
     online_oracle:
         Stream every event into an
         :class:`~repro.core.incremental.IncrementalHBOracle` *during* the
-        run (O(Δ) per event).  Online consumers — predicate and
-        concurrent-update detectors — query its streamed rows mid-run
+        run (O(n) per event).  Online consumers — predicate and
+        concurrent-update detectors — query its streamed clocks mid-run
         through workload hooks.  ``SimulationResult.hb_oracle()`` then
-        freezes it: the batch build over the finished execution (pure or
-        numpy kernel, by size) plus the streamed vector clocks.
+        freezes it: the streamed vector clocks handed to the batch API,
+        the causal-past rows built only if asked for.
     """
 
     def __init__(

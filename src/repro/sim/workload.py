@@ -166,9 +166,14 @@ class ClientServerWorkload(Workload):
             self._server_set: Set[ProcessId] = set(best_cover(sim.graph))
         else:
             self._server_set = set(self.servers)
-        for p in sim.graph.vertices():
-            if p in self._server_set:
-                continue
+        #: per client, the servers it may call, in the deterministic order
+        #: its rng.choice draws index into
+        self._targets: Dict[ProcessId, List[ProcessId]] = {
+            p: [v for v in neighbors if v in self._server_set]
+            for p, neighbors in sorted_neighbors(sim.graph).items()
+            if p not in self._server_set
+        }
+        for p in self._targets:
             self._schedule_request(sim, p, self.requests_per_client)
 
     def _schedule_request(
@@ -176,9 +181,7 @@ class ClientServerWorkload(Workload):
     ) -> None:
         if budget <= 0:
             return
-        targets = sorted(
-            v for v in sim.graph.neighbors(client) if v in self._server_set
-        )
+        targets = self._targets[client]
 
         def act() -> None:
             if targets:

@@ -22,7 +22,7 @@ from repro.clocks import (
     replay,
 )
 from repro.clocks.base import precedes_matrix_rows
-from repro.core import HappenedBeforeOracle
+from repro.core import HappenedBeforeOracle, incremental_from_execution
 from repro.core.random_executions import random_execution
 from repro.topology import generators
 from repro.topology.vertex_cover import best_cover
@@ -137,3 +137,66 @@ def test_validate_sampled_counts_each_pair_once():
     exact = vector.validate_sampled(oracle, n_pairs=n_pairs, seed=4)
     assert exact.n_ordered_pairs + exact.n_concurrent_pairs == n_pairs
     assert exact.characterizes
+
+
+#: (clock, seed) -> (n_events, ordered, concurrent, false negatives,
+#: false positives, sha256 prefix of the two mismatch tuples' repr) of
+#: ``validate_sampled(n_pairs=300)``, recorded at ``cddb61f``
+SAMPLED_AT_PARENT = {
+    ("lamport", 4): (163, 171, 129, 0, 129, "5c8baff8aee9c515"),
+    ("lamport", 9): (163, 172, 128, 0, 128, "a2fdb8c2983c5177"),
+    ("vector", 4): (163, 171, 129, 0, 0, "56546d2909af6040"),
+    ("vector", 9): (163, 172, 128, 0, 0, "56546d2909af6040"),
+}
+
+
+@pytest.mark.parametrize("clock,seed", sorted(SAMPLED_AT_PARENT))
+def test_validate_sampled_report_is_the_same_from_every_oracle(clock, seed):
+    """No oracle, a batch oracle and a streaming one give one report, and
+    it is the one the matrix-building implementation gave (same pair
+    draws, same classification, same mismatch order)."""
+    import hashlib
+
+    graph = generators.double_star(2, 3)
+    ex = random_execution(graph, random.Random(33), steps=150,
+                          deliver_all=True)
+    n = graph.n_vertices
+    asg = dict(zip(
+        ("lamport", "vector"), replay(ex, [LamportClock(n), VectorClock(n)])
+    ))[clock]
+    reports = [
+        asg.validate_sampled(oracle, n_pairs=300, seed=seed)
+        for oracle in (
+            None, HappenedBeforeOracle(ex), incremental_from_execution(ex)
+        )
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    r = reports[0]
+    mismatches = repr((r.false_negatives, r.false_positives)).encode()
+    assert (
+        r.n_events, r.n_ordered_pairs, r.n_concurrent_pairs,
+        len(r.false_negatives), len(r.false_positives),
+        hashlib.sha256(mismatches).hexdigest()[:16],
+    ) == SAMPLED_AT_PARENT[clock, seed]
+
+
+def test_validate_sampled_builds_no_matrix():
+    """A sample is point queries: at 20k events the causal-past matrix
+    alone is 50 MB, the clock table under 1 MB.  Neither the default
+    oracle nor a streaming one handed in may be turned into a matrix."""
+    import tracemalloc
+
+    graph = generators.star(8)
+    ex = random_execution(graph, random.Random(1), steps=20_000,
+                          deliver_all=True)
+    assert ex.n_events >= 20_000
+    asg = replay(ex, [VectorClock(8)])[0]
+    for oracle in (None, incremental_from_execution(ex)):
+        tracemalloc.start()
+        try:
+            report = asg.validate_sampled(oracle, n_pairs=500, seed=3)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.characterizes
+        assert peak < 30e6, f"{peak / 1e6:.1f} MB traced"

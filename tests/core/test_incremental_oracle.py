@@ -17,6 +17,7 @@ from repro.core import (
     as_batch_oracle,
     incremental_from_execution,
 )
+from repro.core.backend import numpy_available
 from repro.core.events import EventId
 from repro.core.random_executions import random_execution
 from repro.obs.metrics import MetricsRegistry
@@ -404,3 +405,218 @@ class TestSimulationIntegration:
         assert res.online_oracle is None
         # hb_oracle still works: falls back to the batch construction
         assert res.hb_oracle().event_order
+
+
+def _stream(inc, ex, events):
+    for ev in events:
+        if ev.is_receive:
+            inc.append_receive(ev.eid, ex.send_of(ev).eid)
+        else:
+            inc.append_event(ev)
+
+
+class TestClockRowAgainstBitRows:
+    """The clock row against the bitset kernel it replaced as ground truth.
+
+    Every reference below is read off ``HappenedBeforeOracle(...,
+    backend="pure").past_masks()`` — bits, never the clock table — so the
+    two sides share no code.  Answers about appended events are final, so
+    the mid-stream checks use the completed execution's rows.
+    """
+
+    def _check(self, inc, ref, seen, rng):
+        masks = ref.past_masks()
+        pos = {eid: ref.index_of(eid) for eid in seen}
+        hb = lambda e, f: bool(masks[pos[f]] >> pos[e] & 1)  # noqa: E731
+        n = inc.n_processes
+        for f in seen:
+            past = {e for e in seen if hb(e, f)}
+            assert masks[pos[f]].bit_count() == len(past)  # past ⊆ seen
+            assert inc.causal_past(f) == past
+            assert inc.vector_clock(f) == tuple(
+                sum(1 for e in past if e.proc == p) + (p == f.proc)
+                for p in range(n)
+            )
+            assert inc.happened_before(f, f) is False
+            for e in seen:
+                assert inc.happened_before(e, f) == hb(e, f)
+                assert inc.concurrent(e, f) == (
+                    e != f and not hb(e, f) and not hb(f, e)
+                )
+        ordered = sum(masks[pos[f]].bit_count() for f in seen)
+        m = len(seen)
+        assert inc.relation_counts() == (ordered, m * (m - 1) // 2 - ordered)
+        seed_sets = [[], seen[:1], seen[-1:]] + [
+            rng.sample(seen, rng.randrange(1, min(5, m) + 1))
+            for _ in range(4)
+        ]
+        for seeds in seed_sets:
+            closure = set(seeds)
+            for f in seeds:
+                closure |= {e for e in seen if hb(e, f)}
+            assert inc.causal_frontier(seeds) == sorted(
+                e for e in closure if not any(hb(e, f) for f in closure)
+            )
+
+    @given(seed=st.integers(0, 10_000), steps=st.integers(2, 80))
+    def test_every_query_mid_stream_and_at_the_end(self, seed, steps):
+        ex = random_execution(generators.star(5), random.Random(seed),
+                              steps=steps)
+        ref = HappenedBeforeOracle(ex, backend="pure")
+        order = ex.delivery_order()
+        inc = IncrementalHBOracle(5)
+        rng = random.Random(seed + 1)
+        half = len(order) // 2
+        _stream(inc, ex, order[:half])
+        if half:
+            self._check(inc, ref, [ev.eid for ev in order[:half]], rng)
+        _stream(inc, ex, order[half:])
+        self._check(inc, ref, [ev.eid for ev in order], rng)
+
+    def test_unknown_and_out_of_order_ids_still_raise(
+        self, small_star_execution
+    ):
+        ex = small_star_execution
+        inc = incremental_from_execution(ex)
+        known, ghost = EventId(0, 1), EventId(0, 99)
+        for query in (
+            lambda: inc.happened_before(known, ghost),
+            lambda: inc.happened_before(ghost, known),
+            lambda: inc.happened_before(EventId(9, 1), known),
+            lambda: inc.vector_clock(ghost),
+            lambda: inc.causal_past(ghost),
+            lambda: inc.causal_frontier([known, ghost]),
+        ):
+            with pytest.raises(KeyError):
+                query()
+        frozen = inc.freeze(ex)
+        for query in (
+            lambda: frozen.happened_before(known, ghost),
+            lambda: frozen.happened_before(EventId(9, 1), known),
+            lambda: frozen.vector_clock(ghost),
+            lambda: frozen.index_of(ghost),
+        ):
+            with pytest.raises(KeyError):
+                query()
+        with pytest.raises(ValueError, match="out-of-order"):
+            inc.append_local(EventId(0, 1))
+        with pytest.raises(ValueError, match="out-of-order"):
+            inc.append_receive(EventId(3, 9), known)
+
+
+class TestFreezeBuildsNothing:
+    """``freeze()`` hands the table over; rows appear on the first ask."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count every row construction, on either kernel."""
+        calls = []
+        pure = HappenedBeforeOracle._compute
+        monkeypatch.setattr(
+            HappenedBeforeOracle, "_compute",
+            lambda self: (calls.append("pure"), pure(self))[1],
+        )
+        if numpy_available():
+            from repro.core import npkernel
+
+            bulk = npkernel.bulk_past_matrix
+            monkeypatch.setattr(
+                npkernel, "bulk_past_matrix",
+                lambda ex: (calls.append("numpy"), bulk(ex))[1],
+            )
+        return calls
+
+    @pytest.mark.parametrize("hide_numpy", [False, True])
+    def test_point_queries_and_sampled_validation_build_no_rows(
+        self, builds, monkeypatch, hide_numpy
+    ):
+        from repro.clocks import VectorClock, replay_one
+        import repro.core.backend as backend_mod
+
+        if hide_numpy:
+            monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
+        g = generators.star(6)
+        ex = random_execution(g, random.Random(8), steps=700,
+                              deliver_all=True)
+        assert ex.n_events >= backend_mod.NUMPY_MIN_EVENTS
+        asg = replay_one(ex, VectorClock(6))
+        inc = incremental_from_execution(ex)
+        frozen = inc.freeze(ex)
+        kernel = "pure" if hide_numpy or not numpy_available() else "numpy"
+        assert frozen.backend == kernel
+        ids = frozen.event_order
+        rng = random.Random(0)
+        for _ in range(1_000):
+            e, f = rng.sample(ids, 2)
+            assert frozen.happened_before(e, f) == inc.happened_before(e, f)
+            assert frozen.concurrent(e, f) == inc.concurrent(e, f)
+        assert frozen.vector_clock(ids[-1]) == inc.vector_clock(ids[-1])
+        assert frozen.relation_counts() == inc.relation_counts()
+        for oracle in (frozen, inc, None):
+            assert asg.validate_sampled(oracle, n_pairs=200).characterizes
+        assert builds == []
+        first = frozen.past_masks()
+        assert builds == [kernel]
+        assert frozen.past_masks() == first
+        frozen.causal_past_mask(ids[0])
+        assert builds == [kernel]
+        assert first == HappenedBeforeOracle(ex, backend="pure").past_masks()
+
+    @pytest.mark.parametrize("backend", ["pure", "numpy"])
+    def test_each_bit_consumer_triggers_the_one_build(self, builds, backend):
+        from repro.core import downward_closure
+
+        if backend == "numpy" and not numpy_available():
+            pytest.skip("numpy backend unavailable")
+        ex = random_execution(generators.star(4), random.Random(2), steps=40,
+                              deliver_all=True)
+        some = next(ex.all_events()).eid
+        asks = [
+            lambda o: o.past_masks(),
+            lambda o: o.causal_past_mask(some),
+            lambda o: downward_closure(o, [some]),
+        ]
+        if backend == "numpy":  # the pure kernel has no matrix to hand out
+            asks.append(lambda o: o.past_matrix())
+        for ask in asks:
+            del builds[:]
+            frozen = incremental_from_execution(ex).freeze(ex, backend=backend)
+            assert builds == []
+            ask(frozen)
+            ask(frozen)
+            assert builds == [backend]
+        del builds[:]
+        pure = incremental_from_execution(ex).freeze(ex, backend="pure")
+        assert pure.past_matrix() is None and builds == []
+
+
+class TestLinearMemory:
+    def test_retained_bytes_are_linear_in_events(self):
+        import gc
+        import tracemalloc
+
+        n = 23
+        g, _cover = generators.sequencer_architecture(
+            3, 4, 16, rng=random.Random(1)
+        )
+        assert g.n_vertices == n
+
+        def retained(n_events):
+            ex = random_execution(g, random.Random(5), steps=n_events)
+            order = ex.delivery_order()[:n_events]
+            assert len(order) == n_events
+            gc.collect()
+            tracemalloc.start()
+            try:
+                inc = IncrementalHBOracle(n, registry=MetricsRegistry())
+                _stream(inc, ex, order)
+                gc.collect()
+                size, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert inc.n_events == n_events
+            return size
+
+        small, large = retained(4_000), retained(8_000)
+        assert large <= 2.2 * small
+        assert large / 8_000 <= 4 * n + 96

@@ -60,8 +60,10 @@ class TestSimulate:
         plain = capsys.readouterr().out
         assert main(args + ["--online-oracle"]) == 0
         online = capsys.readouterr().out
-        table = lambda s: s[s.index("clock"):]  # noqa: E731
-        assert table(plain) == table(online)
+        # the flag adds exactly one line, above the table
+        extra = [ln for ln in online.splitlines() if ln not in plain.splitlines()]
+        assert len(extra) == 1 and extra[0].startswith("online oracle: ")
+        assert online.replace(extra[0] + "\n", "") == plain
 
     def test_save_and_validate_trace(self, tmp_path, capsys):
         trace = str(tmp_path / "t.json")
