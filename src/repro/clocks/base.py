@@ -79,8 +79,10 @@ class Timestamp(abc.ABC):
         Returns the same precedes-matrix as a numpy ``(m, ceil(m/64))``
         ``uint64`` array (rows little-endian-match the packed ints), or
         ``None`` when the scheme has no array fast path *or* numpy is
-        unavailable — callers fall back to :meth:`precedes_matrix` and
-        then to pairwise comparison.  Overrides must be byte-identical to
+        unavailable.  An optimisation, not a gate: validation against a
+        numpy oracle runs on arrays either way, and without an override it
+        converts the rows of :meth:`precedes_matrix` (or of the pairwise
+        fallback) once.  Overrides must be byte-identical to
         :meth:`precedes_matrix`; the backend-parity suite pins this.
         """
         return None

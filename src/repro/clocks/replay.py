@@ -184,6 +184,22 @@ class TimestampAssignment:
             false_positives=tuple(false_pos),
         )
 
+    def _batch_oracle(self, oracle: Optional[AnyOracle]) -> HappenedBeforeOracle:
+        """The batch oracle to validate against: built when none is given,
+        an incremental one frozen, one for another execution refused."""
+        if oracle is None:
+            return HappenedBeforeOracle(self._execution)
+        oracle = as_batch_oracle(oracle, self._execution)
+        if oracle.execution is not self._execution:
+            theirs = oracle.execution.event_counts()
+            ours = self._execution.event_counts()
+            if theirs != ours:
+                raise ValueError(
+                    f"oracle was built for an execution with per-process "
+                    f"event counts {theirs}, the timestamps for {ours}"
+                )
+        return oracle
+
     def validate(
         self,
         oracle: Optional[AnyOracle] = None,
@@ -195,162 +211,68 @@ class TimestampAssignment:
         defaults to every event in the execution.  Either oracle flavor is
         accepted — an incremental oracle is frozen, not rebuilt.
 
-        The comparison is matrix-based: the scheme's full precedes-matrix
-        (one packed-int row per event, built word-parallel when the scheme
-        provides :meth:`~repro.clocks.base.Timestamp.precedes_matrix`) is
-        XORed against the oracle's causal-past masks, so only mismatching
-        pairs are ever materialized.  The report is identical — field for
-        field, including mismatch ordering — to the pairwise reference
-        implementation :meth:`validate_pairwise`.
-
-        When the oracle holds its rows on the numpy backend and the scheme
-        provides :meth:`~repro.clocks.base.Timestamp.precedes_matrix_words`,
-        the whole XOR/popcount/decode happens on uint64 matrices without
-        ever materializing packed ints — same report, same ``validate.*``
-        counters (the backend-differential fuzzer invariant pins it).
+        The comparison is matrix-based, in the representation the oracle
+        already holds.  On the array kernel the scheme's precedes-matrix
+        (:meth:`~repro.clocks.base.Timestamp.precedes_matrix_words`, or its
+        packed-int rows converted once) is XORed against the oracle's
+        ``uint64`` matrix and the mismatching cells are decoded in bulk
+        (:func:`repro.core.npkernel.mismatch_indices`); on the pure kernel
+        the same is done on packed ints, one row at a time.  Either way the
+        cost beyond the XOR is the mismatches, and every one of them is
+        materialized as an ``(EventId, EventId)`` pair.  The report is
+        identical — field for field, including mismatch ordering — to the
+        pairwise reference :meth:`validate_pairwise`, and so are the
+        ``validate.*`` counters between the two kernels (the
+        backend-differential fuzzer invariant pins it).
         """
-        if oracle is None:
-            oracle = HappenedBeforeOracle(self._execution)
-        else:
-            oracle = as_batch_oracle(oracle, self._execution)
-        ids = (
-            list(events)
-            if events is not None
-            else [ev.eid for ev in self._execution.all_events()]
-        )
+        oracle = self._batch_oracle(oracle)
+        # ids in all_events() order follow the oracle's dense indexing, so
+        # its rows are the truth verbatim; a subset is gathered by position
+        ids = list(events) if events is not None else oracle.event_order
+        sel = None if events is None else [oracle.index_of(e) for e in ids]
         m = len(ids)
         ts_list = [self._ts[eid] for eid in ids]
-        if events is None and m:
-            # full-execution check: ids follow the oracle's dense indexing,
-            # so the array matrices line up row-for-row
-            report = self._validate_matrix_words(oracle, ids, ts_list)
-            if report is not None:
-                return report
-        scheme_rows = precedes_matrix_rows(ts_list)
-        if events is None:
-            # ids follow all_events() order == the oracle's dense indexing,
-            # so its strict causal-past masks are the truth rows verbatim.
-            hb_rows = oracle.past_masks()
+        truth = oracle.past_matrix()
+        if truth is not None:
+            from repro.core import npkernel
+
+            if sel is not None:
+                truth = npkernel.submatrix(truth, sel)
+            kinds = set(map(type, ts_list))
+            scheme = (
+                kinds.pop().precedes_matrix_words(ts_list)
+                if len(kinds) == 1
+                else None
+            )
+            if scheme is None:
+                scheme = npkernel.rows_to_matrix(precedes_matrix_rows(ts_list))
+            n_ordered = npkernel.ordered_pair_count(truth)
+            neg_i, neg_j, pos_i, pos_j = npkernel.mismatch_indices(scheme, truth)
         else:
-            sel = [oracle.index_of(eid) for eid in ids]
-            masks = oracle.past_masks()
-            hb_rows = []
-            for j in range(m):
-                mask_j = masks[sel[j]]
-                row = 0
-                for i in range(m):
-                    row |= (mask_j >> sel[i] & 1) << i
-                hb_rows.append(row)
-        n_ordered = sum(row.bit_count() for row in hb_rows)
-        n_concurrent = m * (m - 1) // 2 - n_ordered
-        # Mismatch (i claims-vs-truth j) sorted to the pairwise reference
-        # order: pair-major over (min, max) positions, direction min->max
-        # before max->min.
-        neg_keyed: List[Tuple[Tuple[int, int, int], Tuple[EventId, EventId]]]
-        neg_keyed = []
-        pos_keyed: List[Tuple[Tuple[int, int, int], Tuple[EventId, EventId]]]
-        pos_keyed = []
-        for j in range(m):
-            diff = scheme_rows[j] ^ hb_rows[j]
-            diff &= ~(1 << j)  # scheme rows keep a zero diagonal by contract
-            hb_row = hb_rows[j]
-            while diff:
-                low = diff & -diff
-                i = low.bit_length() - 1
-                diff ^= low
-                key = (min(i, j), max(i, j), 0 if i < j else 1)
-                if hb_row >> i & 1:
-                    neg_keyed.append((key, (ids[i], ids[j])))
-                else:
-                    pos_keyed.append((key, (ids[i], ids[j])))
-        neg_keyed.sort(key=lambda kv: kv[0])
-        pos_keyed.sort(key=lambda kv: kv[0])
+            rows = oracle.past_masks()
+            if sel is not None:
+                rows = [
+                    sum((rows[j] >> i & 1) << a for a, i in enumerate(sel))
+                    for j in sel
+                ]
+            n_ordered = sum(row.bit_count() for row in rows)
+            neg_i, neg_j, pos_i, pos_j = _mismatch_indices(
+                precedes_matrix_rows(ts_list), rows
+            )
         # observability: how much work the matrix validator did — compared
         # cells (the full m×m grid) and mismatch bits it had to decode
         reg = active_registry()
         reg.counter("validate.cells").inc(m * m)
-        reg.counter("validate.mismatch_decodes").inc(
-            len(neg_keyed) + len(pos_keyed)
-        )
+        reg.counter("validate.mismatch_decodes").inc(len(neg_i) + len(pos_i))
         reg.counter("validate.runs").inc()
+        at = ids.__getitem__
         return ValidationReport(
             algorithm=self._algorithm.name,
             n_events=m,
             n_ordered_pairs=n_ordered,
-            n_concurrent_pairs=n_concurrent,
-            false_negatives=tuple(pair for _k, pair in neg_keyed),
-            false_positives=tuple(pair for _k, pair in pos_keyed),
-        )
-
-    def _validate_matrix_words(
-        self,
-        oracle: HappenedBeforeOracle,
-        ids: Sequence[EventId],
-        ts_list: Sequence[Timestamp],
-    ) -> Optional[ValidationReport]:
-        """Array-native :meth:`validate` body; ``None`` = no fast path.
-
-        Requires the oracle's numpy past matrix and a homogeneous
-        timestamp class with a ``precedes_matrix_words`` override.  The
-        decode walks only the nonzero words of the XOR, producing the
-        exact keyed mismatch lists (and counter increments) of the
-        packed-int path.
-        """
-        hb_mat = oracle.past_matrix()
-        if hb_mat is None:
-            return None
-        cls = type(ts_list[0])
-        if not all(type(t) is cls for t in ts_list):
-            return None
-        scheme_mat = cls.precedes_matrix_words(ts_list)
-        if scheme_mat is None:
-            return None
-        import numpy as np
-
-        m = len(ids)
-        diff = scheme_mat ^ hb_mat
-        jarr = np.arange(m)
-        # scheme rows keep a zero diagonal by contract; clear it anyway to
-        # mirror the packed-int path bit for bit
-        diff[jarr, jarr >> 6] &= ~(
-            np.uint64(1) << (jarr & 63).astype(np.uint64)
-        )
-        n_ordered = int(np.bitwise_count(hb_mat).sum(dtype=np.int64))
-        n_concurrent = m * (m - 1) // 2 - n_ordered
-        neg_keyed: List[Tuple[Tuple[int, int, int], Tuple[EventId, EventId]]]
-        neg_keyed = []
-        pos_keyed: List[Tuple[Tuple[int, int, int], Tuple[EventId, EventId]]]
-        pos_keyed = []
-        jj, ww = np.nonzero(diff)
-        diff_words = diff[jj, ww].tolist()
-        hb_words = hb_mat[jj, ww].tolist()
-        for j, w, dw, hw in zip(jj.tolist(), ww.tolist(), diff_words, hb_words):
-            base = w << 6
-            while dw:
-                low = dw & -dw
-                b = low.bit_length() - 1
-                dw ^= low
-                i = base + b
-                key = (min(i, j), max(i, j), 0 if i < j else 1)
-                if hw >> b & 1:
-                    neg_keyed.append((key, (ids[i], ids[j])))
-                else:
-                    pos_keyed.append((key, (ids[i], ids[j])))
-        neg_keyed.sort(key=lambda kv: kv[0])
-        pos_keyed.sort(key=lambda kv: kv[0])
-        reg = active_registry()
-        reg.counter("validate.cells").inc(m * m)
-        reg.counter("validate.mismatch_decodes").inc(
-            len(neg_keyed) + len(pos_keyed)
-        )
-        reg.counter("validate.runs").inc()
-        return ValidationReport(
-            algorithm=self._algorithm.name,
-            n_events=m,
-            n_ordered_pairs=n_ordered,
-            n_concurrent_pairs=n_concurrent,
-            false_negatives=tuple(pair for _k, pair in neg_keyed),
-            false_positives=tuple(pair for _k, pair in pos_keyed),
+            n_concurrent_pairs=m * (m - 1) // 2 - n_ordered,
+            false_negatives=tuple(zip(map(at, neg_i), map(at, neg_j))),
+            false_positives=tuple(zip(map(at, pos_i), map(at, pos_j))),
         )
 
     def validate_pairwise(
@@ -363,10 +285,7 @@ class TimestampAssignment:
         Quadratic in both comparisons and oracle queries; kept as the
         ground-truth for the equivalence tests and the benchmark baseline.
         """
-        if oracle is None:
-            oracle = HappenedBeforeOracle(self._execution)
-        else:
-            oracle = as_batch_oracle(oracle, self._execution)
+        oracle = self._batch_oracle(oracle)
         ids = (
             list(events)
             if events is not None
@@ -399,6 +318,44 @@ class TimestampAssignment:
         )
 
 
+def _mismatch_indices(
+    scheme_rows: Sequence[int], truth_rows: Sequence[int]
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Packed-int reference of :func:`repro.core.npkernel.mismatch_indices`.
+
+    Mismatching cells ``(i, j)`` — bit ``i`` of row ``j`` — as parallel
+    position lists, missed orderings then claimed ones, each sorted to the
+    pairwise reference order: pair-major over (min, max), direction
+    min->max first.  That order is the integer ``(min·m + max)·2 + dir``.
+    """
+    m = len(truth_rows)
+    missed: List[int] = []
+    claimed: List[int] = []
+    for j, truth in enumerate(truth_rows):
+        # scheme rows keep a zero diagonal by contract; clear it all the same
+        diff = (scheme_rows[j] ^ truth) & ~(1 << j)
+        if not diff:
+            continue
+        for bits, keys in ((diff & truth, missed), (diff & ~truth, claimed)):
+            lsb_first = bin(bits)[:1:-1]
+            i = lsb_first.find("1")
+            while i >= 0:
+                keys.append(
+                    (i * m + j) * 2 if i < j else (j * m + i) * 2 + 1
+                )
+                i = lsb_first.find("1", i + 1)
+
+    def cells(keys: List[int]) -> Tuple[List[int], List[int]]:
+        keys.sort()
+        ordered = [
+            divmod(key >> 1, m)[::-1] if key & 1 else divmod(key >> 1, m)
+            for key in keys
+        ]
+        return [i for i, _j in ordered], [j for _i, j in ordered]
+
+    return (*cells(missed), *cells(claimed))
+
+
 def replay(
     execution: Execution,
     algorithms: Sequence[ClockAlgorithm],
@@ -420,10 +377,12 @@ def replay(
         reg.histogram("clock.finalization_delay_events", clock=algo.name)
         for algo in algorithms
     ]
-    seq: Dict[EventId, int] = {}
-    order = execution.delivery_order()
-    for idx, ev in enumerate(order):
-        seq[ev.eid] = idx
+    #: rank[p][k]: position of event (p, k) in the replayer's total order
+    rank: List[List[int]] = [[0] * (c + 1) for c in execution.event_counts()]
+    #: per algorithm, {finalization delay in events: how many events}
+    delays: List[Dict[int, int]] = [dict() for _ in algorithms]
+    for idx, ev in enumerate(execution.delivery_order()):
+        rank[ev.eid.proc][ev.eid.index] = idx
         for i, algo in enumerate(algorithms):
             if ev.is_local:
                 algo.on_local(ev)
@@ -437,10 +396,16 @@ def replay(
             newly = algo.drain_newly_finalized()
             if newly:
                 finalized[i].update(newly)
+                tally = delays[i]
                 for eid in newly:
                     # time-to-non-⊥ in events under the replayer's total
                     # order (instant control delivery = best case)
-                    delay_hists[i].observe(idx - seq[eid])
+                    delay = idx - rank[eid.proc][eid.index]
+                    tally[delay] = tally.get(delay, 0) + 1
+    # integer delays: n observations of one value are exactly observe_n
+    for hist, tally in zip(delay_hists, delays):
+        for delay, count in tally.items():
+            hist.observe_n(delay, count)
 
     results: List[TimestampAssignment] = []
     for i, algo in enumerate(algorithms):

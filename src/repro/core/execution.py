@@ -162,14 +162,26 @@ class Execution:
         """Messages sent but never received in this execution."""
         return [m for m in self._messages if not m.delivered]
 
+    #: the memoised :meth:`delivery_order` (a class default, so the columnar
+    #: subclass, which skips ``__init__``, finds it without ``__getattr__``)
+    _delivery_order: Optional[Tuple[Event, ...]] = None
+
     def delivery_order(self) -> List[Event]:
         """A total order of all events consistent with happened-before.
 
-        Returns a topological order obtained by a deterministic merge: events
-        are emitted process-major but a receive is deferred until its send has
+        A topological order obtained by a deterministic merge: events are
+        emitted process-major but a receive is deferred until its send has
         been emitted.  Useful for replaying clock algorithms over hand-built
-        executions.
+        executions.  An execution is immutable, so the merge runs once and
+        is memoised; every call returns a fresh list of the same events, so
+        a caller may reorder or consume its copy.  An inconsistent execution
+        raises :class:`ExecutionError` on every call.
         """
+        if self._delivery_order is None:
+            self._delivery_order = tuple(self._merge_order())
+        return list(self._delivery_order)
+
+    def _merge_order(self) -> List[Event]:
         emitted: set[EventId] = set()
         cursors = [0] * self._n
         out: List[Event] = []

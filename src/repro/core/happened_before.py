@@ -227,7 +227,11 @@ class HappenedBeforeOracle:
 
     def past_masks(self) -> Tuple[int, ...]:
         """All strict causal-past rows: bit ``i`` of row ``j`` is set iff
-        ``event_order[i] -> event_order[j]``."""
+        ``event_order[i] -> event_order[j]``.
+
+        On a numpy oracle this unpacks the whole matrix into Python ints
+        and keeps them; validation does not call this on a numpy oracle
+        (it compares :meth:`past_matrix` directly)."""
         return tuple(self._ensure_past())
 
     def past_matrix(self) -> Optional[Any]:

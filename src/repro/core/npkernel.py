@@ -213,6 +213,75 @@ def matrix_to_rows(mat: np.ndarray) -> List[int]:
     ]
 
 
+def rows_to_matrix(rows: Sequence[int]) -> np.ndarray:
+    """Packed Python-int rows as the ``(m, W)`` matrix (read-only): the
+    inverse of :func:`matrix_to_rows`."""
+    m = len(rows)
+    stride = max(1, (m + 63) >> 6) * 8
+    buf = b"".join([row.to_bytes(stride, "little") for row in rows])
+    return np.frombuffer(buf, dtype=np.uint64).reshape(m, stride // 8)
+
+
+def submatrix(mat: np.ndarray, sel: Sequence[int]) -> np.ndarray:
+    """The relation restricted to the positions *sel*, re-packed: bit ``a``
+    of row ``b`` is bit ``sel[a]`` of row ``sel[b]`` of *mat*.
+
+    Holds one byte per selected cell while packing — for event subsets,
+    not for whole executions.
+    """
+    idx = np.asarray(sel, dtype=np.intp)
+    k = len(idx)
+    out = np.zeros((k, max(1, (k + 63) >> 6) * 8), dtype=np.uint8)
+    if k:
+        cells = mat[np.ix_(idx, idx >> 6)] >> (idx & 63).astype(np.uint64)
+        packed = np.packbits(
+            (cells & U64(1)).astype(np.uint8), axis=1, bitorder="little"
+        )
+        out[:, : packed.shape[1]] = packed
+    return out.view(np.uint64)
+
+
+def mismatch_indices(
+    scheme: np.ndarray, truth: np.ndarray
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Where a scheme's precedes-matrix and the truth matrix disagree.
+
+    Returns ``(neg_i, neg_j, pos_i, pos_j)``: parallel position lists of
+    the cells ``(i, j)`` — bit ``i`` of row ``j`` — that differ off the
+    diagonal, those set in *truth* (missed orderings) and those clear in it
+    (claimed orderings), each in the pairwise reference order: pair-major
+    over ``(min, max)``, direction ``min -> max`` first.  Only the nonzero
+    words of the XOR are unpacked, so temporaries are O(mismatches) and an
+    exact scheme costs one XOR and one scan.
+    """
+    m = len(truth)
+    diff = scheme ^ truth
+    d = np.arange(m)
+    # scheme rows keep a zero diagonal by contract; clear it all the same
+    diff[d, d >> 6] &= ~(U64(1) << (d & 63).astype(np.uint64))
+    if not diff.any():
+        return [], [], [], []
+    rows, words = np.nonzero(diff)
+    bits = np.unpackbits(
+        diff[rows, words].view(np.uint8).reshape(-1, 8),
+        axis=1,
+        bitorder="little",
+    )
+    at, bit = np.nonzero(bits)
+    j = rows[at]
+    i = (words[at] << 6) + bit
+    # one key per cell, so the order is total and any sort kind gives it
+    order = np.argsort(
+        (np.minimum(i, j) * m + np.maximum(i, j)) * 2 + (i > j)
+    )
+    i, j = i[order], j[order]
+    missed = (truth[j, i >> 6] >> (i & 63).astype(np.uint64) & U64(1)).astype(bool)
+    return (
+        i[missed].tolist(), j[missed].tolist(),
+        i[~missed].tolist(), j[~missed].tolist(),
+    )
+
+
 def union_rows_int(mat: np.ndarray, idx: Sequence[int]) -> int:
     """OR of the selected rows, as a packed Python int."""
     acc = np.bitwise_or.reduce(mat[np.asarray(idx, dtype=np.intp)], axis=0)

@@ -8,9 +8,12 @@ every scheme (word-parallel fast paths and the pairwise fallback alike),
 and pin the ``validate_sampled`` counting fix.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.baselines import ClusterClock, EncodedClock, PlausibleClock
 from repro.baselines.hlc import HybridLogicalClock
@@ -22,8 +25,11 @@ from repro.clocks import (
     replay,
 )
 from repro.clocks.base import precedes_matrix_rows
+from repro.conformance.registry import all_schemes
 from repro.core import HappenedBeforeOracle, incremental_from_execution
+from repro.core.backend import numpy_available
 from repro.core.random_executions import random_execution
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology import generators
 from repro.topology.vertex_cover import best_cover
 
@@ -155,8 +161,6 @@ def test_validate_sampled_report_is_the_same_from_every_oracle(clock, seed):
     """No oracle, a batch oracle and a streaming one give one report, and
     it is the one the matrix-building implementation gave (same pair
     draws, same classification, same mismatch order)."""
-    import hashlib
-
     graph = generators.double_star(2, 3)
     ex = random_execution(graph, random.Random(33), steps=150,
                           deliver_all=True)
@@ -200,3 +204,120 @@ def test_validate_sampled_builds_no_matrix():
             tracemalloc.stop()
         assert report.characterizes
         assert peak < 30e6, f"{peak / 1e6:.1f} MB traced"
+
+
+# ----------------------------------------------------------------------
+# the mismatch decoders, at sizes whose rows span words
+# ----------------------------------------------------------------------
+KERNELS = ["pure"] + (["numpy"] if numpy_available() else [])
+COUNTERS = ("validate.cells", "validate.mismatch_decodes", "validate.runs")
+
+
+def _counted_validate(asg, oracle, events=None):
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        report = asg.validate(oracle, events=events)
+    return report, [registry.counter_value(name) for name in COUNTERS]
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    seed=st.integers(0, 100_000),
+    steps=st.integers(70, 170),
+)
+def test_decoders_equal_pairwise_on_multi_word_rows(n, seed, steps):
+    """70-200 events: two to four words per row, ``m % 64 != 0``.  A FIFO
+    star is the one shape all nine registry schemes run on."""
+    graph = generators.star(n)
+    ex = random_execution(
+        graph, random.Random(seed), steps=steps, fifo=True, deliver_all=True
+    )
+    assume(64 < ex.n_events <= 200 and ex.n_events % 64)
+    ids = [ev.eid for ev in ex.all_events()]
+    half = list(ids)
+    random.Random(seed + 1).shuffle(half)
+    half = half[: len(ids) // 2]
+    oracles = [HappenedBeforeOracle(ex, backend=k) for k in KERNELS]
+    for spec in all_schemes():
+        asg = replay(ex, [spec.build(graph, 0)])[0]
+        for events in (None, half):
+            want = asg.validate_pairwise(oracles[0], events=events)
+            runs = [_counted_validate(asg, o, events) for o in oracles]
+            for kernel, (report, counters) in zip(KERNELS, runs):
+                assert report == want, (spec.name, kernel, events is None)
+                assert counters == runs[0][1], (spec.name, kernel)
+
+
+def _fixed_execution():
+    graph = generators.star(32)
+    return graph, random_execution(
+        graph, random.Random(2), steps=1_024, fifo=True, deliver_all=True
+    )
+
+
+def _report_digest(report) -> str:
+    def pairs(ps):
+        return [[[e.proc, e.index], [f.proc, f.index]] for e, f in ps]
+
+    blob = json.dumps([
+        report.algorithm, report.n_events, report.n_ordered_pairs,
+        report.n_concurrent_pairs, pairs(report.false_negatives),
+        pairs(report.false_positives),
+    ])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: scheme -> (events, false positives, report digest) of ``validate`` on
+#: :func:`_fixed_execution`, recorded at ``389689e`` by running this file
+#: as a script there
+REPORTS_AT_PARENT = {
+    "lamport": (1035, 108712, "66bdce9f7041092d"),
+    "plausible": (1035, 46653, "a885ffdbba4c698b"),
+    "hlc": (1035, 108712, "feb1885f76b9adad"),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("scheme", sorted(REPORTS_AT_PARENT))
+def test_inexact_reports_are_the_parents(scheme, kernel):
+    graph, ex = _fixed_execution()
+    spec = {s.name: s for s in all_schemes()}[scheme]
+    report = replay(ex, [spec.build(graph, 0)])[0].validate(
+        HappenedBeforeOracle(ex, backend=kernel)
+    )
+    assert (
+        report.n_events, len(report.false_positives), _report_digest(report)
+    ) == REPORTS_AT_PARENT[scheme]
+
+
+def test_oracle_of_another_execution_is_refused():
+    """It used to die in the row gather (``IndexError``) or, with equal
+    totals, return a confident report about the wrong execution."""
+    graph = generators.star(5)
+    ex1 = random_execution(graph, random.Random(1), steps=60, deliver_all=True)
+    ex2 = random_execution(graph, random.Random(2), steps=40, deliver_all=True)
+    asg = replay(ex1, [VectorClock(5)])[0]
+    for kernel in KERNELS:
+        other = HappenedBeforeOracle(ex2, backend=kernel)
+        for check in (asg.validate, asg.validate_pairwise):
+            with pytest.raises(ValueError) as err:
+                check(other)
+            assert str(ex1.event_counts()) in str(err.value)
+            assert str(ex2.event_counts()) in str(err.value)
+    # the same execution through another object is not "another execution"
+    twin = random_execution(graph, random.Random(1), steps=60, deliver_all=True)
+    assert asg.validate(HappenedBeforeOracle(twin)).characterizes
+
+
+if __name__ == "__main__":
+    graph, ex = _fixed_execution()
+    for spec in all_schemes():
+        if spec.name in ("lamport", "plausible", "hlc"):
+            r = replay(ex, [spec.build(graph, 0)])[0].validate(
+                HappenedBeforeOracle(ex)
+            )
+            print(
+                f'    "{spec.name}": ({r.n_events}, '
+                f'{len(r.false_positives)}, "{_report_digest(r)}"),'
+            )
