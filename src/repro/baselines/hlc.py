@@ -117,6 +117,20 @@ class HybridLogicalClock(ClockAlgorithm):
         self._max_pt_seen = [0.0] * n_processes
 
     # ------------------------------------------------------------------
+    def checkpoint(self) -> Any:
+        # the time source is the host's clock (a closure over time.time in
+        # the live runtime), not algorithm state: it stays with the instance
+        import pickle
+
+        state = {k: v for k, v in self.__dict__.items() if k != "_time"}
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+
+    def restore(self, state: Any) -> None:
+        time_source = self._time
+        super().restore(state)
+        self._time = time_source
+
+    # ------------------------------------------------------------------
     def _local_step(self, ev: Event) -> None:
         p = ev.proc
         pt = self._time(p)

@@ -437,18 +437,6 @@ def _sweep_store(fabric: Optional[str]) -> Iterator[ResultStore]:
             yield ResultStore(tmp)
 
 
-def _refuse_held_cells(store: ResultStore, keys: Sequence[str],
-                       resume: bool) -> None:
-    # run_fabric makes the same check, worded for library callers
-    held = sum(store.has(key) for key in keys)
-    if held and not resume:
-        raise ValueError(
-            f"store {store.root} already holds {held} cell(s) of this "
-            "sweep; pass --resume to reuse them or point --fabric at a "
-            "fresh directory"
-        )
-
-
 def _sweep_interrupted(args: argparse.Namespace, what: str,
                        exc: FabricInterrupted) -> int:
     hint = (
@@ -511,7 +499,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     with _sweep_store(args.fabric) as store:
         interrupted: Optional[FabricInterrupted] = None
         try:
-            _refuse_held_cells(store, keys, args.resume)
             with _graceful_signals():
                 fabric_report = run_fabric(
                     specs,
@@ -895,12 +882,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         replay_case,
         save_case,
     )
-    from repro.fabric import (
-        CellFailed,
-        FabricInterrupted,
-        cell_key,
-        run_fabric,
-    )
+    from repro.fabric import CellFailed, FabricInterrupted, run_fabric
     from repro.fabric.drivers import (
         conformance_chunk_specs,
         merge_conformance_results,
@@ -960,9 +942,6 @@ def cmd_conformance(args: argparse.Namespace) -> int:
               f"{corpus_mismatches} mismatch(es)")
     with _sweep_store(args.fabric) as store:
         try:
-            _refuse_held_cells(
-                store, [cell_key(spec) for spec in specs], args.resume
-            )
             with _graceful_signals():
                 fabric_report = run_fabric(
                     specs,

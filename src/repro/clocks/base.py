@@ -202,22 +202,24 @@ class ClockAlgorithm(abc.ABC):
         from a restored instance (finality is permanent; see the chaos
         harness in :mod:`repro.faults.chaos`, which asserts this).
 
-        The default deep-copies the instance dictionary, which is correct
-        for every pure-Python scheme in the library; subclasses holding
-        external resources must override both methods.
+        The default pickles the instance dictionary — one pass, and the
+        bytes cannot be mutated through any live reference — which is
+        correct for every pure-Python scheme in the library; subclasses
+        holding external resources must override both methods.
         """
-        import copy
+        import pickle  # on use: hosts that never checkpoint do not load it
 
-        return copy.deepcopy(self.__dict__)
+        return pickle.dumps(self.__dict__, pickle.HIGHEST_PROTOCOL)
 
     def restore(self, state: Any) -> None:
         """Replace the algorithm state with a :meth:`checkpoint` snapshot.
 
         The snapshot itself is not consumed — it can be restored again.
+        Only pass snapshots this program took: unpickling runs code.
         """
-        import copy
+        import pickle
 
-        state = copy.deepcopy(state)
+        state = pickle.loads(state)
         self.__dict__.clear()
         self.__dict__.update(state)
 

@@ -291,20 +291,23 @@ class TimestampAssignment:
             if events is not None
             else [ev.eid for ev in self._execution.all_events()]
         )
+        # one timestamp fetch per event and one oracle question per ordered
+        # pair; both answers also classify the unordered pair
+        ts = [self._ts[eid] for eid in ids]
+        happened_before = oracle.happened_before
         false_neg: List[Tuple[EventId, EventId]] = []
         false_pos: List[Tuple[EventId, EventId]] = []
         n_ordered = 0
         n_concurrent = 0
-        for i, e in enumerate(ids):
-            for f in ids[i + 1 :]:
-                for a, b in ((e, f), (f, e)):
-                    hb = oracle.happened_before(a, b)
-                    claimed = self._ts[a].precedes(self._ts[b])
-                    if hb and not claimed:
-                        false_neg.append((a, b))
-                    elif claimed and not hb:
-                        false_pos.append((a, b))
-                if oracle.happened_before(e, f) or oracle.happened_before(f, e):
+        for i, (e, ts_e) in enumerate(zip(ids, ts), 1):
+            for f, ts_f in zip(ids[i:], ts[i:]):
+                hb_ef = happened_before(e, f)
+                hb_fe = happened_before(f, e)
+                if hb_ef != ts_e.precedes(ts_f):
+                    (false_neg if hb_ef else false_pos).append((e, f))
+                if hb_fe != ts_f.precedes(ts_e):
+                    (false_neg if hb_fe else false_pos).append((f, e))
+                if hb_ef or hb_fe:
                     n_ordered += 1
                 else:
                     n_concurrent += 1

@@ -377,7 +377,7 @@ def _check_finalization(
             prefix_ex = execution_from_ops(graph, ops[: step + 1])
             prefix_oracle = HappenedBeforeOracle(prefix_ex)
             ids = [e.eid for e in prefix_ex.all_events()]
-            ts_of = {}
+            stamped = []
             for eid in ids:
                 t = clone.timestamp(eid)
                 if t is None:
@@ -387,15 +387,15 @@ def _check_finalization(
                         f"finalize_at_termination",
                         graph, ops, fifo, context,
                     ))
-                ts_of[eid] = t
-            for a in ids:
-                if ts_of[a] is None:
-                    continue
-                for b in ids:
-                    if a == b or ts_of[b] is None:
+                else:
+                    stamped.append((eid, t))
+            happened_before = prefix_oracle.happened_before
+            for a, ts_a in stamped:
+                for b, ts_b in stamped:
+                    if a is b:
                         continue
-                    hb = prefix_oracle.happened_before(a, b)
-                    claimed = ts_of[a].precedes(ts_of[b])
+                    hb = happened_before(a, b)
+                    claimed = ts_a.precedes(ts_b)
                     if hb != claimed:
                         out.append(_mk(
                             "finalization-monotonic", spec.name,

@@ -9,11 +9,7 @@ serially, across local worker processes, or across hosts attached via
 the operational guide.
 """
 
-from repro.fabric.compaction import (
-    StreamingTraceWriter,
-    compact_fragments,
-    fold_metrics,
-)
+from repro.fabric.compaction import StreamingTraceWriter, compact_fragments
 from repro.fabric.coordinator import (
     FabricInterrupted,
     FabricReport,
@@ -38,7 +34,6 @@ __all__ = [
     "cell_key",
     "compact_fragments",
     "execute_cell",
-    "fold_metrics",
     "run_fabric",
     "work_kind",
 ]

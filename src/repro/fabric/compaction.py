@@ -21,9 +21,7 @@ The usual pipeline::
     writer.close()
 
 Only one cell's fragment is ever resident; everything else is already
-on disk.  Registry aggregation (:func:`fold_metrics`) is similarly
-incremental — registries merge exactly, so folding cell by cell equals
-merging all at once.
+on disk.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.fabric.store import ResultStore
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TRACE_SCHEMA, deterministic_run_id
 
 
@@ -144,25 +141,3 @@ def compact_fragments(
         total += writer.extend(extract(store.get(key)))
     return total
 
-
-def fold_metrics(
-    store: ResultStore,
-    keys: Sequence[str],
-    extract=None,
-    skip_missing: bool = False,
-    into: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Merge cell metric exports in input order into one registry.
-
-    Registry merges are exact (counters add, histogram cells add), so
-    the fold equals a single global registry no matter how the sweep was
-    placed or how many times it was interrupted and resumed.
-    """
-    if extract is None:
-        extract = lambda result: result["metrics"]  # noqa: E731
-    registry = into if into is not None else MetricsRegistry()
-    for key in keys:
-        if skip_missing and not store.has(key):
-            continue
-        registry.merge(extract(store.get(key)))
-    return registry

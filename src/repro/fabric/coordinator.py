@@ -14,9 +14,9 @@ Fault model, in increasing severity:
   ``lease_timeout``) and the cell is handed to another worker.  If the
   straggler eventually finishes anyway, the idempotent store absorbs the
   duplicate completion.
-- **SIGKILLed / crashed worker** — detected via ``Process.is_alive``;
-  its leased cells are requeued immediately and a replacement worker is
-  spawned (bounded by ``max_respawns``).
+- **SIGKILLed / crashed worker** — its ``Process.sentinel`` wakes the
+  coordinator; its leased cells are requeued immediately and a
+  replacement worker is spawned (bounded by ``max_respawns``).
 - **Failing cell** — a work-function exception is retried up to
   ``max_retries`` times, then surfaces as
   :class:`~repro.fabric.queue.CellFailed` carrying every attempt's
@@ -54,7 +54,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from queue import Empty
+from multiprocessing.connection import wait
 from typing import (
     Any,
     Callable,
@@ -83,6 +83,10 @@ __all__ = [
 KILL_ENV = "REPRO_FABRIC_TEST_KILL"
 HANG_ENV = "REPRO_FABRIC_TEST_HANG"
 INTERRUPT_ENV = "REPRO_FABRIC_TEST_INTERRUPT"
+
+#: how often the coordinator looks at the queue while remote workers,
+#: whose completions arrive on the FabricService thread, may be finishing it
+_SERVICE_POLL = 0.02
 
 Executor = Callable[[Mapping[str, Any]], Any]
 
@@ -136,19 +140,27 @@ def _parse_kill_plan(raw: Optional[str]) -> Optional[Tuple[int, int]]:
     return int(wid), max(1, int(after or "1"))
 
 
-def _heartbeat_loop(event_q, wid: int, key: str, interval: float,
-                    stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        try:
-            event_q.put(("hb", wid, key))
-        except (ValueError, OSError):  # queue torn down mid-beat
-            return
+def _heartbeat_loop(conn, lock: threading.Lock, leased: List[Optional[str]],
+                    interval: float) -> None:
+    """Renew the lease on whatever cell the worker holds, for its whole life.
+
+    *lock* serialises this thread's sends with the lease loop's on the one
+    pipe, and makes "holds a cell" and "reported it" change together, so no
+    beat follows a completion.
+    """
+    tick = threading.Event()  # never set: wait() is the interval timer
+    while not tick.wait(interval):
+        with lock:
+            if leased[0] is not None:
+                try:
+                    conn.send(("hb", leased[0]))
+                except (ValueError, OSError):  # pipe torn down mid-beat
+                    return
 
 
 def _worker_main(
     wid: int,
-    task_q,
-    event_q,
+    conn,
     store_root: str,
     executor: Executor,
     heartbeat_interval: float,
@@ -165,9 +177,19 @@ def _worker_main(
     hang_raw = os.environ.get(HANG_ENV)
     hang_wid = int(hang_raw) if hang_raw else None
     store = ResultStore(store_root)
+    lock = threading.Lock()
+    leased: List[Optional[str]] = [None]
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(conn, lock, leased, heartbeat_interval),
+        daemon=True,
+    ).start()
     completed = 0
     while True:
-        task = task_q.get()
+        try:
+            task = conn.recv()
+        except EOFError:  # coordinator gone without a goodbye
+            return
         if task is None:
             return
         key, spec = task
@@ -175,24 +197,19 @@ def _worker_main(
             # deliberately stuck before any heartbeat: the lease expires
             # and the coordinator reassigns the cell to a live worker
             time.sleep(3600.0)
-        stop = threading.Event()
-        beat = threading.Thread(
-            target=_heartbeat_loop,
-            args=(event_q, wid, key, heartbeat_interval, stop),
-            daemon=True,
-        )
-        beat.start()
+        with lock:
+            leased[0] = key
         try:
             result = executor(spec)
             store.put(key, spec, result)
+            event: Tuple[Any, ...] = ("done", key)
         except BaseException:
-            stop.set()
-            beat.join()
-            event_q.put(("err", wid, key, traceback.format_exc()))
+            event = ("err", key, traceback.format_exc())
+        with lock:
+            leased[0] = None
+            conn.send(event)
+        if event[0] == "err":
             continue
-        stop.set()
-        beat.join()
-        event_q.put(("done", wid, key))
         completed += 1
         if (
             kill_plan is not None
@@ -207,15 +224,10 @@ def _worker_main(
 # ----------------------------------------------------------------------
 @dataclass
 class _LocalWorker:
-    wid: int
+    name: str  # the lease holder's name in the WorkQueue
     proc: multiprocessing.Process
-    task_q: Any
-    event_q: Any
+    conn: Any  # this end of the worker's duplex pipe: cells out, events in
     busy_key: Optional[str] = None
-
-    @property
-    def name(self) -> str:
-        return f"local-{self.wid}"
 
 
 def _default_executor() -> Executor:
@@ -274,8 +286,8 @@ def run_fabric(
     if done_keys and not resume:
         raise ValueError(
             f"store {store.root} already holds {len(done_keys)} cell(s) of "
-            "this sweep; pass resume=True to reuse them or point --fabric "
-            "at a fresh directory"
+            "this sweep; pass --resume to reuse them or point --fabric at a "
+            "fresh directory"
         )
     counter("fabric.cells_resumed").inc(len(done_keys))
     pending = [(k, s) for k, s in keyed if k not in done_keys]
@@ -385,46 +397,64 @@ def _run_coordinated(
     respawns_left = max_respawns
     service = None
     depth = gauge("fabric.queue_depth")
-    done_ctr = counter("fabric.cells_done")
-    seen_retried = seen_reassigned = seen_done = 0
 
     def spawn() -> None:
         nonlocal next_wid
-        task_q = ctx.Queue()
-        event_q = ctx.Queue()
+        conn, worker_end = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(next_wid, task_q, event_q, str(store.root), executor,
+            args=(next_wid, worker_end, str(store.root), executor,
                   heartbeat_interval),
             daemon=True,
         )
         proc.start()
-        fleet.append(_LocalWorker(next_wid, proc, task_q, event_q))
+        worker_end.close()
+        fleet.append(_LocalWorker(f"local-{next_wid}", proc, conn))
         counter("fabric.workers_spawned").inc()
         stats["workers_spawned"] += 1
         next_wid += 1
 
-    def sync_queue_stats() -> None:
+    def absorb(w: _LocalWorker) -> bool:
+        """Take one event off *w*'s pipe; False once the pipe is torn (a
+        dead worker's reads as ready for ever — the reaper closes it)."""
+        try:
+            event = w.conn.recv()
+        except (EOFError, OSError):
+            return False
+        tag, key = event[0], event[1]
+        if tag == "hb":
+            queue.heartbeat(key, w.name, time.monotonic())
+            return True
+        if tag == "done":
+            queue.complete(key, w.name)
+        else:
+            queue.fail_attempt(key, w.name, event[2])
+        w.busy_key = None
+        account()
+        return True
+
+    def account() -> None:
         # completions are counted off the queue rather than off worker
         # events so remote completions (absorbed by the FabricService in
         # its own thread) land in the same stats and the same thread's
         # metrics registry as local ones
-        nonlocal seen_retried, seen_reassigned, seen_done
-        if queue.done_count() > seen_done:
-            done_ctr.inc(queue.done_count() - seen_done)
-            stats["cells_done"] += queue.done_count() - seen_done
-            seen_done = queue.done_count()
-        if queue.retried > seen_retried:
-            counter("fabric.cells_retried").inc(queue.retried - seen_retried)
-            stats["cells_retried"] += queue.retried - seen_retried
-            seen_retried = queue.retried
-        if queue.reassigned > seen_reassigned:
-            counter("fabric.cells_reassigned").inc(
-                queue.reassigned - seen_reassigned
-            )
-            stats["cells_reassigned"] += queue.reassigned - seen_reassigned
-            seen_reassigned = queue.reassigned
+        for name, total in (
+            ("cells_done", queue.done_count()),
+            ("cells_retried", queue.retried),
+            ("cells_reassigned", queue.reassigned),
+        ):
+            if total > stats[name]:
+                counter(f"fabric.{name}").inc(total - stats[name])
+                stats[name] = total
         depth.set(queue.depth())
+        # tested after every single local completion, so one turn cannot
+        # take the count past the threshold and on to the end of the run
+        if (
+            interrupt_after is not None
+            and stats["cells_done"] >= interrupt_after
+            and not queue.all_done()
+        ):
+            raise KeyboardInterrupt
 
     try:
         if listen is not None:
@@ -440,63 +470,61 @@ def _run_coordinated(
             failure = queue.failure()
             if failure is not None:
                 raise failure
-            now = time.monotonic()
-            # 1) drain completion/heartbeat/error events per worker
-            for w in fleet:
-                while True:
-                    try:
-                        event = w.event_q.get_nowait()
-                    except (Empty, OSError):
-                        break
-                    tag, wid, key = event[0], event[1], event[2]
-                    if tag == "hb":
-                        queue.heartbeat(key, f"local-{wid}", now)
-                    elif tag == "done":
-                        queue.complete(key, f"local-{wid}")
-                        if w.busy_key == key:
-                            w.busy_key = None
-                    elif tag == "err":
-                        queue.fail_attempt(key, f"local-{wid}", event[3])
-                        if w.busy_key == key:
-                            w.busy_key = None
-            # 2) expire overdue leases (stragglers, silent workers)
-            queue.expire(now)
-            # 3) reap dead workers, requeue their leases, respawn
+            # 1) expire overdue leases (stragglers, silent workers)
+            queue.expire(time.monotonic())
+            # 2) reap dead workers: read what they reported before dying,
+            #    requeue their leases, respawn
             for w in list(fleet):
                 if w.proc.is_alive():
                     continue
+                while w.conn.poll() and absorb(w):
+                    pass
                 queue.release_worker(w.name)
                 fleet.remove(w)
-                w.task_q.close()
-                w.event_q.close()
+                w.conn.close()
                 if respawns_left > 0 and not queue.all_done():
                     respawns_left -= 1
                     spawn()
-            # 4) hand pending cells to idle workers (lowest input index
+            # 3) hand pending cells to idle workers (lowest input index
             #    first, so local placement follows sweep order)
             for w in fleet:
-                if w.busy_key is not None or not w.proc.is_alive():
+                if w.busy_key is not None:
                     continue
                 leased = queue.lease(w.name, time.monotonic())
                 if leased is None:
                     break
-                key, spec = leased
-                w.busy_key = key
-                w.task_q.put((key, spec))
-            sync_queue_stats()
-            if (
-                interrupt_after is not None
-                and stats["cells_done"] >= interrupt_after
-                and not queue.all_done()
-            ):
-                raise KeyboardInterrupt
+                w.busy_key = leased[0]
+                try:
+                    w.conn.send(leased)
+                except OSError:
+                    # died since step 2: its sentinel ends the wait below
+                    # and the next turn's reap requeues this lease
+                    pass
+            account()
+            if queue.all_done():
+                break
             if not fleet and service is None:
                 raise RuntimeError(
                     "fabric coordinator has no workers left (respawn budget "
                     f"of {max_respawns} exhausted) and no remote listener"
                 )
-            time.sleep(0.02)
-        sync_queue_stats()
+            # 4) block until a worker reports or dies, or a lease runs out;
+            #    a FabricService completes cells on its own thread, which
+            #    no local pipe announces, so poll while one is serving
+            if service is not None:
+                timeout: Optional[float] = _SERVICE_POLL
+            else:
+                timeout = queue.next_deadline()
+                if timeout is not None:  # already past: wait() only polls
+                    timeout -= time.monotonic()
+            ready = wait(
+                [w.conn for w in fleet] + [w.proc.sentinel for w in fleet],
+                timeout,
+            )
+            for w in fleet:
+                if w.conn in ready:
+                    absorb(w)
+        account()
     except KeyboardInterrupt:
         raise FabricInterrupted(stats["cells_done"], queue.depth()) from None
     finally:
@@ -508,7 +536,7 @@ def _run_coordinated(
 def _shutdown_fleet(fleet: List[_LocalWorker]) -> None:
     for w in fleet:
         try:
-            w.task_q.put_nowait(None)
+            w.conn.send(None)
         except (ValueError, OSError):
             pass
     deadline = time.monotonic() + 2.0
@@ -522,11 +550,4 @@ def _shutdown_fleet(fleet: List[_LocalWorker]) -> None:
         if w.proc.is_alive():  # pragma: no cover - stuck in kernel
             w.proc.kill()
             w.proc.join(timeout=1.0)
-        # cancel_join_thread: a dead worker must not block interpreter
-        # exit on its queue feeder threads
-        for q in (w.task_q, w.event_q):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (ValueError, OSError):
-                pass
+        w.conn.close()

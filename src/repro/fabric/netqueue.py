@@ -202,16 +202,22 @@ async def _worker_loop(
         policy=TransportPolicy(request_timeout=2.0, max_retries=3),
     )
     completed = 0
+    # the retry budget is for a coordinator still coming up; one that has
+    # answered and then goes silent has exited: follow it within one timeout
+    idle_retries: Optional[int] = None
     try:
         while max_cells is None or completed < max_cells:
             try:
-                leased = await client.request({"op": "lease", "worker": worker})
+                leased = await client.request(
+                    {"op": "lease", "worker": worker}, max_retries=idle_retries
+                )
             except (RequestTimeout, ConnectionClosed):
                 break  # coordinator gone: sweep over or interrupted
+            idle_retries = 0
             key = leased.get("key")
             if key is None:
                 try:
-                    status = await client.request({"op": "status"})
+                    status = await client.request({"op": "status"}, max_retries=0)
                 except (RequestTimeout, ConnectionClosed):
                     break
                 if status.get("all_done") or status.get("failed"):

@@ -169,6 +169,14 @@ class WorkQueue:
                 )
             return keys
 
+    def next_deadline(self) -> Optional[float]:
+        """When the earliest outstanding lease runs out (``None``: no lease)
+        — how long a coordinator may block before :meth:`expire` has work."""
+        with self._lock:
+            return min(
+                (l.deadline for l in self._leases.values()), default=None
+            )
+
     def _requeue_locked(self, key: str, reason: str) -> None:
         self._leases.pop(key, None)
         if key in self._done or key in self._pending:

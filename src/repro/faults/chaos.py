@@ -28,7 +28,6 @@ reproduction of the acceptance criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm
@@ -340,7 +339,6 @@ def run_chaos(
     seed: int = 0,
     reliable: bool = True,
     retry: Optional[RetryPolicy] = None,
-    workload_factory: Optional[Callable[[], Workload]] = None,
     tracer: Optional[RunTracer] = None,
 ) -> ChaosReport:
     """Run every scenario × algorithm cell and validate the invariants.
@@ -365,8 +363,6 @@ def run_chaos(
         scenarios = default_scenarios(graph.n_vertices)
     if retry is None:
         retry = RetryPolicy()
-    if workload_factory is None:
-        workload_factory = partial(chaos_workload, events_per_process)
 
     usable, skipped = split_fifo_clocks(clock_factories)
     report = ChaosReport(skipped=skipped)
@@ -376,7 +372,7 @@ def run_chaos(
     for scenario in scenarios:
         cells, records, metrics_export = run_scenario(
             graph, scenario, usable, seed, reliable, retry,
-            workload_factory(),
+            chaos_workload(events_per_process),
         )
         report.cells.extend(cells)
         report.metrics.merge(metrics_export)

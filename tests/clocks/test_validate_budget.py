@@ -28,22 +28,34 @@ The second budget is the delivery order: an execution is immutable, so the
 merge behind ``Execution.delivery_order()`` runs once however many replays,
 oracle builds and streamed oracles ask for it (eleven times a rep in the
 ``offline-nine`` workload at ``389689e``).
+
+The third is the pairwise reference itself: ``validate_pairwise`` over m
+events asks the oracle once per *ordered* pair, m·(m−1) questions (at
+``3ae9261`` it asked four times per unordered pair, twice that), and its
+report stays equal to ``validate``'s field for field on every pinned corpus
+case.
 """
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.clocks import VectorClock, replay_one
-from repro.conformance.registry import scheme_by_name
+from repro.conformance.corpus import load_corpus
+from repro.conformance.registry import (
+    scheme_by_name,
+    schemes_for,
+    star_center_of,
+)
 from repro.core import (
     Execution,
     HappenedBeforeOracle,
     incremental_from_execution,
 )
 from repro.core.backend import numpy_available
-from repro.core.random_executions import random_execution
+from repro.core.random_executions import execution_from_ops, random_execution
 from repro.topology import generators
 
 PARENT_CALLS = {"hlc": 662_679, "lamport": 661_641, "plausible": 284_464}
@@ -110,6 +122,38 @@ def test_the_delivery_order_is_merged_once_per_execution(monkeypatch):
     del first[10:]
     assert ex.delivery_order() == want
     assert merges == 1
+
+
+class _CountingOracle(HappenedBeforeOracle):
+    asked = 0
+
+    def happened_before(self, e, f):
+        self.asked += 1
+        return super().happened_before(e, f)
+
+
+@pytest.mark.parametrize(
+    "case",
+    load_corpus(Path(__file__).parent.parent / "conformance" / "corpus"),
+    ids=lambda case: case.name,
+)
+def test_pairwise_reference_asks_once_per_ordered_pair(case):
+    graph = case.graph()
+    execution = execution_from_ops(graph, case.ops)
+    specs = (
+        [scheme_by_name(name) for name in case.schemes]
+        if case.schemes is not None
+        else schemes_for(graph, case.fifo)
+    )
+    m = execution.n_events
+    for spec in specs:
+        asg = replay_one(
+            execution, spec.build(graph, star_center_of(graph) or 0)
+        )
+        oracle = _CountingOracle(execution)
+        pairwise = asg.validate_pairwise(oracle)
+        assert oracle.asked == m * (m - 1), spec.name
+        assert pairwise == asg.validate(oracle), spec.name
 
 
 if __name__ == "__main__":

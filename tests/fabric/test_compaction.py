@@ -9,9 +9,7 @@ from repro.fabric import (
     StreamingTraceWriter,
     cell_key,
     compact_fragments,
-    fold_metrics,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import RunTracer, load_trace
 
 
@@ -102,33 +100,3 @@ def test_compact_fragments_missing_key(tmp_path):
         )
     assert n == 3
 
-
-def test_fold_metrics_equals_single_registry(tmp_path):
-    store = ResultStore(tmp_path / "s")
-    combined = MetricsRegistry()
-    keys = []
-    for i in range(3):
-        registry = MetricsRegistry()
-        registry.counter("cells").inc(i + 1)
-        registry.gauge("last_index").set(i)
-        spec = {"kind": "t", "index": i}
-        key = cell_key(spec)
-        store.put(
-            key, spec, {"trace": [], "metrics": registry.as_dict()}
-        )
-        keys.append(key)
-        combined.merge(registry.as_dict())
-    folded = fold_metrics(store, keys)
-    assert folded.as_dict() == combined.as_dict()
-
-
-def test_fold_metrics_skip_missing(tmp_path):
-    store = ResultStore(tmp_path / "s")
-    registry = MetricsRegistry()
-    registry.counter("cells").inc()
-    spec = {"kind": "t", "index": 0}
-    key = cell_key(spec)
-    store.put(key, spec, {"trace": [], "metrics": registry.as_dict()})
-    missing = cell_key({"kind": "t", "index": 1})
-    folded = fold_metrics(store, [key, missing], skip_missing=True)
-    assert folded.as_dict()["counters"]["cells"] == 1

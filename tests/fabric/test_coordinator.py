@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fabric import (
@@ -11,7 +14,8 @@ from repro.fabric import (
     cell_key,
     run_fabric,
 )
-from repro.fabric.coordinator import HANG_ENV, KILL_ENV
+from repro.fabric import coordinator
+from repro.fabric.coordinator import HANG_ENV, INTERRUPT_ENV, KILL_ENV
 from repro.fabric.drivers import selftest_specs
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -50,7 +54,7 @@ def test_resume_false_refuses_populated_store(tmp_path):
     specs = selftest_specs(3)
     store = ResultStore(tmp_path / "s")
     run_fabric(specs, store)
-    with pytest.raises(ValueError, match="resume=True"):
+    with pytest.raises(ValueError, match=r"already holds 3 cell\(s\).*--resume"):
         run_fabric(specs, store)
 
 
@@ -137,6 +141,49 @@ def test_interrupt_in_coordinated_mode_is_resumable(tmp_path):
     store = ResultStore(tmp_path / "i")
     run_fabric(specs, store, workers=2, resume=True)
     assert store.digest() == _reference_digest(tmp_path, specs)
+
+
+@pytest.mark.parametrize("through", ["keyword", "test-hook"])
+def test_interrupt_threshold_is_never_overshot(tmp_path, monkeypatch, through):
+    # draining every worker before testing the threshold once per turn let
+    # one turn take the count from N-2 to N, and the run completed instead
+    # of stopping: the threshold is tested after each single completion
+    specs = selftest_specs(6)
+    how = {"interrupt_after": len(specs) - 1}
+    if through == "test-hook":
+        monkeypatch.setenv(INTERRUPT_ENV, str(how.pop("interrupt_after")))
+    for run in range(25):
+        store = ResultStore(tmp_path / f"overshoot-{run}")
+        with pytest.raises(FabricInterrupted) as exc_info:
+            run_fabric(specs, store, workers=2, **how)
+        assert exc_info.value.done == len(specs) - 1
+        assert exc_info.value.remaining == 1
+
+
+def test_coordinator_waits_on_events_not_on_a_tick(tmp_path, monkeypatch):
+    # the only sleep repro.fabric.coordinator may make is the worker-side
+    # REPRO_FABRIC_TEST_HANG hook, which is not set here; workers are
+    # forked after the patch, so a sleep on either side is recorded (in
+    # the worker it fails the cell, which the stats below would show)
+    slept = []
+
+    def no_sleep(seconds):
+        slept.append(seconds)
+        raise AssertionError(f"time.sleep({seconds}) in the coordinator")
+
+    monkeypatch.delenv(HANG_ENV, raising=False)
+    monkeypatch.setattr(
+        coordinator, "time",
+        SimpleNamespace(monotonic=time.monotonic, sleep=no_sleep),
+    )
+    specs = selftest_specs(50)
+    store = ResultStore(tmp_path / "events")
+    report = run_fabric(specs, store, workers=2)
+    assert slept == []
+    assert report.stats["cells_done"] == 50
+    assert report.stats["cells_retried"] == 0
+    assert report.stats["cells_reassigned"] == 0
+    assert report.stats["workers_spawned"] == 2
 
 
 def test_workers_zero_without_listener_rejected(tmp_path):

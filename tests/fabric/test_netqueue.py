@@ -57,9 +57,9 @@ def _remote_run(tmp_path, specs, *, n_workers=1, max_cells=None,
         lease_timeout=10.0,
     )
     for t in threads:
-        # a worker caught polling when the coordinator exits spends its
-        # whole retry budget (~36 s) concluding that the sweep is over
-        t.join(timeout=60.0)
+        # a worker caught polling when the coordinator exits gives up
+        # after one request timeout (2 s), not after its retry budget
+        t.join(timeout=10.0)
     return report, store, counts
 
 
@@ -127,7 +127,7 @@ def test_max_cells_bounds_a_worker(tmp_path):
         lease_timeout=10.0,
     )
     for t in threads:
-        t.join(timeout=60.0)  # see _remote_run
+        t.join(timeout=10.0)  # see _remote_run
     assert counts["bounded"] <= 2
     assert counts["bounded"] + counts["sweeper"] == 5
     assert store.digest() == serial.digest()
