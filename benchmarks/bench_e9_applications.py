@@ -19,7 +19,6 @@ from repro.applications.concurrent_updates import conflict_resolution_status
 from repro.applications.predicate import (
     detect_conjunctive,
     detect_with_inline,
-    oracle_comparator,
 )
 from repro.applications.recovery import recovery_line_lag
 from repro.applications.replay import is_causal_schedule, replay_schedule
@@ -85,7 +84,7 @@ def test_e9_predicate_detection(benchmark):
             p: [i for i in range(3, len(ex.events_at(p)) + 1)]
             for p in (1, 2, 3)
         }
-        online = detect_conjunctive(oracle_comparator(oracle), marks)
+        online = detect_conjunctive(oracle.happened_before, marks)
         inline_final = detect_with_inline(
             res.assignments["inline"],
             marks,

@@ -13,7 +13,6 @@ Run:  python examples/debugging_predicate_detection.py
 from repro.applications.predicate import (
     detect_conjunctive,
     detect_with_inline,
-    oracle_comparator,
 )
 from repro.clocks import CoverInlineClock, VectorClock
 from repro.core import HappenedBeforeOracle
@@ -53,7 +52,7 @@ def main() -> None:
     # online answer (vector clocks / ground truth)
     # ------------------------------------------------------------------
     oracle = HappenedBeforeOracle(ex)
-    online = detect_conjunctive(oracle_comparator(oracle), marks)
+    online = detect_conjunctive(oracle.happened_before, marks)
     print(f"\nonline detection (vector clocks): found = {online.found}")
     if online.witness:
         cut = {p: str(e) for p, e in sorted(online.witness.items())}

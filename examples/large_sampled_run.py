@@ -12,9 +12,16 @@ online oracle fed during the run, then ``hb_oracle()`` and 20,000 sampled
 pairs per clock.  With a matrix-building oracle the same run needs > 2.5 GB
 at 10^5 events; here it must finish under 400 MB with zero mismatches.
 
+A cut is a vector clock too, so the Section-6 stage runs at the same size:
+a :class:`FinalizedCutMonitor` is fed the run's notifications, and the cut
+it maintains must equal ``max_consistent_cut_within`` recomputed on the
+frozen oracle — a fix-point over the clock table.  The budget is what fails
+if a cut query ever builds rows again.
+
 Run:  python examples/large_sampled_run.py [events_per_process]
       (default 2600, about 10^5 events; exit status 1 on a validation
-      mismatch or a peak resident size over the budget)
+      mismatch, a monitor cut that differs from the recomputed one, or a
+      peak resident size over the budget)
 """
 
 import random
@@ -24,7 +31,9 @@ import time
 from typing import Optional
 
 from repro.analysis.reports import format_table
+from repro.applications.monitor import FinalizedCutMonitor
 from repro.clocks import CoverInlineClock, VectorClock
+from repro.core.cuts import cut_size, is_consistent, max_consistent_cut_within
 from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 
@@ -75,11 +84,35 @@ def main(
             ),
         )
         mismatches += len(report.false_negatives) + len(report.false_positives)
+
+    execution = result.execution
+    finalized = result.finalization_times["inline-cover"]
+
+    def monitor_cut():
+        monitor = FinalizedCutMonitor(graph.n_vertices)
+        for ev in execution.delivery_order():
+            monitor.on_event(
+                ev, execution.send_of(ev).eid if ev.is_receive else None
+            )
+        for eid in finalized:
+            monitor.on_finalized(eid)
+        return monitor.cut
+
+    def recompute_cut():
+        cut = max_consistent_cut_within(oracle, finalized.__contains__)
+        return cut, is_consistent(oracle, cut)
+
+    maintained = timed("FinalizedCutMonitor over the run", monitor_cut)
+    recomputed, consistent = timed(
+        "max_consistent_cut_within + is_consistent (frozen oracle)",
+        recompute_cut,
+    )
+    cuts_agree = consistent and maintained == recomputed
     # ru_maxrss is KiB on Linux, bytes on macOS
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
         1024 * 1024 if sys.platform == "darwin" else 1024
     )
-    n_events = result.execution.n_events
+    n_events = execution.n_events
     print(
         format_table(
             ["stage", "seconds"],
@@ -89,11 +122,13 @@ def main(
     )
     print(
         f"events={n_events}  mismatches={mismatches}  "
+        f"finalized_cut={cut_size(recomputed)} events "
+        f"({'==' if cuts_agree else '!='} monitor)  "
         f"peak_rss_mb={peak_mb:.1f}"
         + (f"  (budget {rss_budget_mb:.0f})" if rss_budget_mb else "")
     )
     over = rss_budget_mb is not None and peak_mb > rss_budget_mb
-    return 1 if mismatches or over else 0
+    return 1 if mismatches or over or not cuts_agree else 0
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from repro.applications.predicate import (
     assignment_comparator,
     detect_conjunctive,
     detect_with_inline,
-    oracle_comparator,
 )
 from repro.applications.recovery import (
     RecoveryComparison,
@@ -71,7 +70,6 @@ __all__ = [
     "assignment_comparator",
     "detect_conjunctive",
     "detect_with_inline",
-    "oracle_comparator",
     "RecoveryComparison",
     "periodic_checkpoints",
     "recovery_line",

@@ -23,8 +23,19 @@ Two operating modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set
+from itertools import combinations
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro.applications.predicate import Comparator
 from repro.clocks.replay import TimestampAssignment
 from repro.core.events import EventId
 from repro.core.happened_before import HappenedBeforeOracle
@@ -34,22 +45,34 @@ from repro.core.incremental import IncrementalHBOracle
 UpdateMap = Mapping[EventId, str]
 
 
-def find_conflicts(
-    precedes: Callable[[EventId, EventId], bool],
-    updates: UpdateMap,
-) -> Set[FrozenSet[EventId]]:
-    """Unordered pairs of concurrent updates to the same key."""
+#: two updates to one key
+UpdatePair = Tuple[EventId, EventId]
+
+
+def _same_key_pairs(updates: UpdateMap) -> Iterable[UpdatePair]:
+    """Every unordered pair of updates to one key, in (process, index) order."""
     by_key: Dict[str, List[EventId]] = {}
     for eid, key in updates.items():
         by_key.setdefault(key, []).append(eid)
-    conflicts: Set[FrozenSet[EventId]] = set()
-    for key, eids in by_key.items():
-        eids = sorted(eids, key=lambda e: (e.proc, e.index))
-        for i, e in enumerate(eids):
-            for f in eids[i + 1 :]:
-                if not precedes(e, f) and not precedes(f, e):
-                    conflicts.add(frozenset((e, f)))
-    return conflicts
+    for eids in by_key.values():
+        yield from combinations(sorted(eids), 2)
+
+
+def _concurrent(
+    precedes: Comparator, pairs: Iterable[UpdatePair]
+) -> Set[FrozenSet[EventId]]:
+    return {
+        frozenset((e, f))
+        for e, f in pairs
+        if not precedes(e, f) and not precedes(f, e)
+    }
+
+
+def find_conflicts(
+    precedes: Comparator, updates: UpdateMap
+) -> Set[FrozenSet[EventId]]:
+    """Unordered pairs of concurrent updates to the same key."""
+    return _concurrent(precedes, _same_key_pairs(updates))
 
 
 class OnlineConcurrentUpdateDetector:
@@ -152,22 +175,12 @@ def conflict_resolution_status(
     if finalized is None:
         finalized = {eid for eid, _ in assignment.items()}
 
-    truth = find_conflicts(oracle.happened_before, updates)
-
-    decided_updates = {e: k for e, k in updates.items() if e in finalized}
-    by_key: Dict[str, List[EventId]] = {}
-    for eid, key in updates.items():
-        by_key.setdefault(key, []).append(eid)
-    undecided = 0
-    for key, eids in by_key.items():
-        eids = sorted(eids, key=lambda e: (e.proc, e.index))
-        for i, e in enumerate(eids):
-            for f in eids[i + 1 :]:
-                if e not in finalized or f not in finalized:
-                    undecided += 1
-    detected = find_conflicts(assignment.precedes, decided_updates)
+    pairs = list(_same_key_pairs(updates))
+    decided = [(e, f) for e, f in pairs if e in finalized and f in finalized]
     return ConflictReport(
-        true_conflicts=frozenset(truth),
-        detected_conflicts=frozenset(detected),
-        undecided_pairs=undecided,
+        true_conflicts=frozenset(_concurrent(oracle.happened_before, pairs)),
+        detected_conflicts=frozenset(
+            _concurrent(assignment.precedes, decided)
+        ),
+        undecided_pairs=len(pairs) - len(decided),
     )

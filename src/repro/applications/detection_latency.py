@@ -56,12 +56,9 @@ def first_detection_time(
         EventId(p, i) for p, idxs in marks.items() for i in idxs
     }
     known: Set[EventId] = set()
-    relevant_known: Set[EventId] = set()
     for t, eid in _knowledge_stream(result, clock_name):
         known.add(eid)
-        if eid in all_marked:
-            relevant_known.add(eid)
-        else:
+        if eid not in all_marked:
             continue
         pruned = {
             p: [i for i in idxs if EventId(p, i) in known]

@@ -14,7 +14,8 @@ the ground-truth vector clocks for O(n) successor checks.  The lattice can
 be exponential in general — that is inherent to the problem — so these
 detectors are meant for the modest executions a debugger examines.
 
-Every walker accepts either oracle flavor: the batch
+Every walker takes either oracle class as it is (they read what
+:mod:`repro.core.cuts` reads): the batch
 :class:`~repro.core.happened_before.HappenedBeforeOracle` over a completed
 execution, or a live :class:`~repro.core.incremental.IncrementalHBOracle`
 mid-run — the lattice is then explored up to the events appended so far,
@@ -34,34 +35,30 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional, Set, Tuple
 
 from repro.clocks.replay import TimestampAssignment
-from repro.core.cuts import Cut, empty_cut, full_cut, max_consistent_cut_within
+from repro.core.cuts import (
+    Cut,
+    empty_cut,
+    full_cut,
+    is_consistent,
+    max_consistent_cut_within,
+)
 from repro.core.events import EventId
 from repro.core.happened_before import HappenedBeforeOracle
-from repro.core.incremental import (
-    AnyOracle,
-    IncrementalHBOracle,
-    as_batch_oracle,
-)
+from repro.core.incremental import AnyOracle
 
 #: a global predicate over consistent cuts (entry p = events taken at p)
 GlobalPredicate = Callable[[Cut], bool]
 
 
-def _n_processes(oracle: AnyOracle) -> int:
-    """Process count for either oracle flavor."""
-    if isinstance(oracle, IncrementalHBOracle):
-        return oracle.n_processes
-    return oracle.execution.n_processes
-
-
-def _limit_cut(oracle: AnyOracle) -> Cut:
-    """The full cut: every event seen so far (the live frontier when the
-    oracle is incremental and the run is still streaming)."""
-    if isinstance(oracle, IncrementalHBOracle):
-        return tuple(
-            oracle.event_count(p) for p in range(oracle.n_processes)
-        )
-    return full_cut(oracle)
+def _limit(oracle: AnyOracle, within: Optional[Cut]) -> Cut:
+    """The top of the walked lattice: *within*, which must be a consistent
+    cut (an inconsistent one is unreachable, and every ``definitely`` would
+    hold vacuously), or every event the oracle knows."""
+    if within is None:
+        return full_cut(oracle)
+    if not is_consistent(oracle, within):  # ValueError on length / range
+        raise ValueError(f"within={within} is not a consistent cut")
+    return within
 
 
 def _successors(
@@ -75,7 +72,7 @@ def _successors(
     flavors provide; no :class:`Execution` object is required and the
     lattice can be explored against a still-running oracle.
     """
-    n = _n_processes(oracle)
+    n = len(cut)
     for p in range(n):
         if cut[p] >= limit[p]:
             continue
@@ -88,9 +85,12 @@ def enumerate_consistent_cuts(
     oracle: AnyOracle,
     within: Optional[Cut] = None,
 ) -> Iterator[Cut]:
-    """All consistent cuts (within *limit*), in level order from empty."""
-    limit = within if within is not None else _limit_cut(oracle)
-    level: Set[Cut] = {empty_cut(_n_processes(oracle))}
+    """All consistent cuts (inside *within*), in level order from empty."""
+    return _walk(oracle, _limit(oracle, within))  # validates before iterating
+
+
+def _walk(oracle: AnyOracle, limit: Cut) -> Iterator[Cut]:
+    level: Set[Cut] = {empty_cut(len(limit))}
     while level:
         nxt: Set[Cut] = set()
         for cut in sorted(level):
@@ -126,8 +126,8 @@ def definitely(
     *definitely* iff the limit cut is unreachable through ¬Φ cuts alone
     (including the endpoints — a Φ-endpoint trivially intercepts paths).
     """
-    limit = within if within is not None else _limit_cut(oracle)
-    start = empty_cut(_n_processes(oracle))
+    limit = _limit(oracle, within)
+    start = empty_cut(len(limit))
     if predicate(start) or predicate(limit):
         return True
     if start == limit:
@@ -173,10 +173,6 @@ def possibly_with_inline(
     """
     if oracle is None:
         oracle = HappenedBeforeOracle(assignment.execution)
-    else:
-        # the cut machinery needs the batch bitset surface; freezing an
-        # incremental oracle reuses its rows instead of rebuilding
-        oracle = as_batch_oracle(oracle, assignment.execution)
     if finalized is None:
         finalized = set(assignment.finalized_during_run)
     limit = max_consistent_cut_within(oracle, lambda e: e in finalized)

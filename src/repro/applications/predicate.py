@@ -22,12 +22,12 @@ algorithm runs against
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.clocks.replay import TimestampAssignment
 from repro.core.events import EventId
-from repro.core.happened_before import HappenedBeforeOracle
-from repro.core.incremental import AnyOracle, IncrementalHBOracle
+from repro.core.incremental import IncrementalHBOracle
 
 #: strict happened-before decision on two events
 Comparator = Callable[[EventId, EventId], bool]
@@ -47,22 +47,57 @@ class DetectionResult:
     steps: int
 
 
+def _advance(
+    queues: Mapping[int, Sequence[EventId]],
+    heads: Dict[int, int],
+    precedes: Comparator,
+    steps: int = 0,
+) -> DetectionResult:
+    """Candidate advancement, shared by the batch and the online detector.
+
+    ``queues[p][heads[p]]`` is process ``p``'s candidate (every head must be
+    in range).  Repeatedly advances — in *heads*, in place — a candidate
+    that happened-before another one: such an event can never be part of a
+    pairwise-concurrent witness with the others, whose candidates only move
+    forward.  Stops at pairwise-concurrent candidates (found) or an
+    exhausted queue (not found); *steps* is the count to continue from.
+    """
+    procs = list(queues)
+    while True:
+        for p, q in combinations(procs, 2):
+            e, f = queues[p][heads[p]], queues[q][heads[q]]
+            if precedes(e, f):
+                advanced = p
+            elif precedes(f, e):
+                advanced = q
+            else:
+                continue
+            break
+        else:
+            witness = {p: queues[p][heads[p]] for p in procs}
+            return DetectionResult(found=True, witness=witness, steps=steps)
+        steps += 1
+        heads[advanced] += 1
+        if heads[advanced] >= len(queues[advanced]):
+            return DetectionResult(found=False, witness=None, steps=steps)
+
+
 def detect_conjunctive(
     precedes: Comparator,
     marks: PredicateMarks,
 ) -> DetectionResult:
     """Run the weak-conjunctive-predicate algorithm.
 
-    *marks* lists, per participating process, the local event indices at
-    which its predicate holds (in increasing order).  Processes without
-    marks make detection trivially impossible; processes absent from
-    *marks* do not participate.
+    *precedes* is the causality comparator: ``oracle.happened_before`` of
+    either oracle class for ground truth (what online vector clocks
+    provide), or a scheme's ``assignment.precedes``.  *marks* lists, per
+    participating process, the local event indices at which its predicate
+    holds (in increasing order).  Processes without marks make detection
+    trivially impossible; processes absent from *marks* do not participate.
 
-    The algorithm keeps one candidate per process and repeatedly advances
-    any candidate that happened-before another candidate (such an event can
-    never be part of a pairwise-concurrent witness with the others, whose
-    candidates only move forward).  It stops at a pairwise-concurrent set
-    (found) or an exhausted queue (not found).
+    The algorithm keeps one candidate per process and advances them
+    (:func:`_advance`) until they are pairwise concurrent (found) or a
+    queue is exhausted (not found).
     """
     queues: Dict[int, List[EventId]] = {}
     for proc, indices in marks.items():
@@ -72,47 +107,7 @@ def detect_conjunctive(
         if not seq:
             return DetectionResult(found=False, witness=None, steps=0)
         queues[proc] = seq
-
-    if not queues:
-        return DetectionResult(found=True, witness={}, steps=0)
-
-    heads: Dict[int, int] = {p: 0 for p in queues}
-    steps = 0
-    while True:
-        procs = list(queues)
-        advanced: Optional[int] = None
-        for i, p in enumerate(procs):
-            for q in procs[i + 1 :]:
-                e, f = queues[p][heads[p]], queues[q][heads[q]]
-                if precedes(e, f):
-                    advanced = p
-                elif precedes(f, e):
-                    advanced = q
-                if advanced is not None:
-                    break
-            if advanced is not None:
-                break
-        if advanced is None:
-            witness = {p: queues[p][heads[p]] for p in queues}
-            return DetectionResult(found=True, witness=witness, steps=steps)
-        steps += 1
-        heads[advanced] += 1
-        if heads[advanced] >= len(queues[advanced]):
-            return DetectionResult(found=False, witness=None, steps=steps)
-
-
-def oracle_comparator(oracle: AnyOracle) -> Comparator:
-    """Ground-truth comparator (what online vector clocks provide).
-
-    Accepts either oracle flavor: the batch
-    :class:`~repro.core.happened_before.HappenedBeforeOracle` or a live
-    :class:`~repro.core.incremental.IncrementalHBOracle` — the incremental
-    flavor routes through its memoized ``precedes`` so the detector's
-    repeated comparisons between appends hit the query cache.
-    """
-    if isinstance(oracle, IncrementalHBOracle):
-        return oracle.precedes
-    return oracle.happened_before
+    return _advance(queues, {p: 0 for p in queues}, precedes)
 
 
 class OnlineConjunctiveDetector:
@@ -167,32 +162,11 @@ class OnlineConjunctiveDetector:
         marks, heads = self._marks, self._heads
         if any(heads[p] >= len(marks[p]) for p in marks):
             return DetectionResult(found=False, witness=None, steps=self._steps)
-        precedes = self._oracle.precedes
-        procs = list(marks)
-        while True:
-            advanced: Optional[int] = None
-            for i, p in enumerate(procs):
-                for q in procs[i + 1 :]:
-                    e, f = marks[p][heads[p]], marks[q][heads[q]]
-                    if precedes(e, f):
-                        advanced = p
-                    elif precedes(f, e):
-                        advanced = q
-                    if advanced is not None:
-                        break
-                if advanced is not None:
-                    break
-            if advanced is None:
-                witness = {p: marks[p][heads[p]] for p in procs}
-                return DetectionResult(
-                    found=True, witness=witness, steps=self._steps
-                )
-            self._steps += 1
-            heads[advanced] += 1
-            if heads[advanced] >= len(marks[advanced]):
-                return DetectionResult(
-                    found=False, witness=None, steps=self._steps
-                )
+        result = _advance(
+            marks, heads, self._oracle.happened_before, self._steps
+        )
+        self._steps = result.steps
+        return result
 
 
 def assignment_comparator(assignment: TimestampAssignment) -> Comparator:

@@ -24,10 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.cuts import Cut, cut_size, is_consistent
+from repro.core.cuts import (
+    Cut,
+    allowed_prefixes,
+    cut_size,
+    first_inconsistent,
+    full_cut,
+)
 from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
+from repro.core.incremental import AnyOracle
 from repro.sim.runner import SimulationResult
 
 
@@ -49,7 +56,7 @@ def periodic_checkpoints(
 
 
 def recovery_line(
-    oracle: HappenedBeforeOracle,
+    oracle: AnyOracle,
     checkpoints: Dict[int, List[int]],
     allowed: Optional[Callable[[EventId], bool]] = None,
 ) -> Cut:
@@ -66,51 +73,22 @@ def recovery_line(
     checkpointed consistent cut (the set of such cuts is a lattice, and we
     only ever demote when forced).
     """
-    ex = oracle.execution
-    n = ex.n_processes
-
-    def admissible_positions(p: int) -> List[int]:
-        positions = [0]
-        limit = len(ex.events_at(p))
-        for k in checkpoints.get(p, []):
-            if not 0 < k <= limit:
+    counts = full_cut(oracle)
+    longest = counts if allowed is None else allowed_prefixes(oracle, allowed)
+    options: List[List[int]] = []
+    for p, count in enumerate(counts):
+        positions = checkpoints.get(p, [])
+        for k in positions:
+            if not 0 < k <= count:
                 raise ValueError(f"checkpoint {k} out of range at process {p}")
-            if allowed is None:
-                positions.append(k)
-            else:
-                prefix_ok = all(
-                    allowed(ev.eid) for ev in ex.events_at(p)[:k]
-                )
-                if prefix_ok:
-                    positions.append(k)
-        return positions
-
-    options = [admissible_positions(p) for p in range(n)]
+        options.append([0] + [k for k in positions if k <= longest[p]])
     level = [len(opts) - 1 for opts in options]
-
-    def current() -> Cut:
-        return tuple(options[p][level[p]] for p in range(n))
-
     while True:
-        cut = current()
-        demoted = False
-        for p in range(n):
-            k = cut[p]
-            if k == 0:
-                continue
-            frontier = ex.events_at(p)[k - 1]
-            vc = oracle.vector_clock(frontier.eid)
-            if any(vc[q] > cut[q] for q in range(n)):
-                if level[p] == 0:
-                    raise AssertionError(
-                        "checkpoint at level 0 cannot be inconsistent"
-                    )  # pragma: no cover
-                level[p] -= 1
-                demoted = True
-                break
-        if not demoted:
-            assert is_consistent(oracle, cut)
+        cut = tuple(opts[lv] for opts, lv in zip(options, level))
+        p = first_inconsistent(oracle, cut)
+        if p is None:
             return cut
+        level[p] -= 1  # p's cut[p] > 0, so a lower option exists
 
 
 @dataclass(frozen=True)

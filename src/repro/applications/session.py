@@ -91,18 +91,17 @@ class AnalysisSession:
 
     def recovery_line_at(self, t: float, every_k: int = 5) -> Cut:
         """The recovery line computable from inline knowledge at *t*."""
-        finalized = self.finalized_events_at(t)
+        cut = self.snapshot(t).finalized_cut
         checkpoints = periodic_checkpoints(self._result.execution, every_k)
         return recovery_line(
-            self._oracle, checkpoints, allowed=lambda e: e in finalized
+            self._oracle, checkpoints, allowed=lambda e: e.index <= cut[e.proc]
         )
 
     def detect_at(self, t: float, marks: PredicateMarks) -> DetectionResult:
         """Conjunctive detection restricted to the cut finalized by *t*."""
-        finalized = self.finalized_events_at(t)
+        cut = self.snapshot(t).finalized_cut
         pruned = {
-            p: [i for i in idxs if EventId(p, i) in finalized]
-            for p, idxs in marks.items()
+            p: [i for i in idxs if i <= cut[p]] for p, idxs in marks.items()
         }
         if any(not idxs for idxs in pruned.values()):
             return DetectionResult(found=False, witness=None, steps=0)

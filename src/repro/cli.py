@@ -156,10 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             inc = result.online_oracle
             print(
                 f"online oracle: {inc.n_events} appends "
-                f"({registry.counter('oracle.append_words').value} clock entries), "
-                f"query cache "
-                f"{registry.counter('oracle.query_cache_hit').value} hits / "
-                f"{registry.counter('oracle.query_cache_miss').value} misses"
+                f"({registry.counter('oracle.append_words').value} clock entries)"
             )
         rows = []
         ok = True

@@ -10,8 +10,9 @@ causality-oracle flavors, then cross-checks four invariants:
    ``precedes_matrix`` path must agree bit-for-bit with the pairwise path
    (:meth:`TimestampAssignment.validate` vs ``validate_pairwise``).
 2. **oracle-differential** — an :class:`IncrementalHBOracle` streamed over
-   the same events, with queries interleaved between appends, must answer
-   identically to the batch :class:`HappenedBeforeOracle`, and its
+   the same events, with pair, causal-past and cut-consistency queries
+   interleaved between appends, must answer identically to the batch
+   :class:`HappenedBeforeOracle`, and its
    ``freeze()`` must produce byte-identical causal-past rows.
 3. **finalization-monotonic** — for inline schemes, a ``⊥`` timestamp that
    finalizes never changes afterwards, and ``finalize_at_termination`` from
@@ -23,7 +24,7 @@ causality-oracle flavors, then cross-checks four invariants:
 5. **backend-differential** — the numpy array kernel
    (:mod:`repro.core.npkernel`) must answer byte-identically to the pure
    packed-int kernel: causal-past rows, relation counts, vector clocks,
-   downward closures, validation reports, and the rows produced by an
+   validation reports, and the rows produced by an
    incremental oracle frozen onto the numpy backend mid-hand-off.  Skipped
    silently when numpy is unavailable (the pure kernel is then the only
    one to check) or when ``backend="pure"`` pins the whole run.
@@ -62,8 +63,8 @@ from repro.conformance.registry import (
 )
 from repro.core import HappenedBeforeOracle
 from repro.core.backend import use_backend
+from repro.core.cuts import full_cut, is_consistent
 from repro.core.execution import ExecutionBuilder
-from repro.core.happened_before import downward_closure
 from repro.core.incremental import IncrementalHBOracle
 from repro.core.random_executions import (
     Op,
@@ -246,6 +247,8 @@ def _check_oracles(graph, ops, execution, oracle, fifo, context, report):
     report.count("oracle-differential")
     inc = IncrementalHBOracle(graph.n_vertices)
     qrng = random.Random(len(ops) * 2654435761 % (2**31))
+    # cuts draw from their own stream, so the pair queries stay what they were
+    crng = random.Random(len(ops))
     seen: List = []
     for ev in execution.delivery_order():
         if ev.is_receive:
@@ -257,11 +260,18 @@ def _check_oracles(graph, ops, execution, oracle, fifo, context, report):
             a, b = qrng.sample(seen, 2)
             # happened-before between already-appended events is stable, so
             # the full-execution batch oracle is the correct reference even
-            # mid-stream
-            if inc.precedes(a, b) != oracle.happened_before(a, b):
+            # mid-stream — for pairs and for cuts inside the appended prefix
+            if inc.happened_before(a, b) != oracle.happened_before(a, b):
                 out.append(_mk(
                     "oracle-differential", "oracle",
-                    f"precedes({a}, {b}) diverges mid-stream",
+                    f"happened_before({a}, {b}) diverges mid-stream",
+                    graph, ops, fifo, context,
+                ))
+            cut = tuple(crng.randint(0, k) for k in full_cut(inc))
+            if is_consistent(inc, cut) != is_consistent(oracle, cut):
+                out.append(_mk(
+                    "oracle-differential", "oracle",
+                    f"is_consistent({cut}) diverges mid-stream",
                     graph, ops, fifo, context,
                 ))
             if inc.causal_past(a) != oracle.causal_past(a):
@@ -440,10 +450,6 @@ def _check_backends(graph, ops, execution, fifo, context, report):
             bad(f"vector_clock({eid}) diverges across backends")
             break
     qrng = random.Random((len(ops) + 1) * 1099087573 % (2**31))
-    if ids:
-        seeds = qrng.sample(ids, min(3, len(ids)))
-        if downward_closure(fast, seeds) != downward_closure(pure, seeds):
-            bad(f"downward_closure({seeds}) diverges across backends")
     # streaming hand-off: interleave point queries with appends, then
     # freeze straight onto the numpy backend
     inc = IncrementalHBOracle(graph.n_vertices)
@@ -456,8 +462,8 @@ def _check_backends(graph, ops, execution, fifo, context, report):
         seen.append(ev.eid)
         if len(seen) >= 2 and qrng.random() < 0.25:
             a, b = qrng.sample(seen, 2)
-            if inc.precedes(a, b) != fast.happened_before(a, b):
-                bad(f"precedes({a}, {b}) diverges vs numpy mid-stream")
+            if inc.happened_before(a, b) != fast.happened_before(a, b):
+                bad(f"happened_before({a}, {b}) diverges vs numpy mid-stream")
     frozen = inc.freeze(execution, backend="numpy")
     if frozen.backend != "numpy":
         bad("freeze(backend='numpy') did not select the numpy kernel")

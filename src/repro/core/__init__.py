@@ -14,7 +14,7 @@ from repro.core.colstore import (
     EventStore,
 )
 from repro.core.execution import Execution, ExecutionBuilder, ExecutionError
-from repro.core.happened_before import HappenedBeforeOracle, downward_closure
+from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import (
     IncrementalHBOracle,
     as_batch_oracle,
@@ -57,7 +57,6 @@ __all__ = [
     "HappenedBeforeOracle",
     "IncrementalHBOracle",
     "as_batch_oracle",
-    "downward_closure",
     "incremental_from_execution",
     "Cut",
     "cut_from_events",

@@ -9,15 +9,28 @@ largest consistent cut that contains only events whose timestamps have been
 become permanent.
 
 Cuts are represented as tuples of per-process event counts: ``cut[i] == k``
-means the first ``k`` events of process ``i`` are inside the cut.
+means the first ``k`` events of process ``i`` are inside the cut.  That is
+the shape of a vector clock, and every function here answers from the
+oracle's clock table alone: event identity is positional (the ``k``-th event
+of process ``p`` is ``EventId(p, k)``), and a cut is consistent iff no
+frontier event's clock exceeds it::
+
+    for all p with cut[p] > 0, all q:   vc(EventId(p, cut[p]))[q] <= cut[q]
+
+So each function takes a :class:`HappenedBeforeOracle` or a still-streaming
+:class:`IncrementalHBOracle` as it is — it reads ``n_processes``,
+``event_count(p)`` and ``vector_clock(eid)``, never an execution or a bit
+row.  On a streaming oracle "every event" means every event appended so
+far; answers about appended events are final.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, Set, Tuple
+from operator import gt
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.events import EventId
-from repro.core.happened_before import HappenedBeforeOracle
+from repro.core.incremental import AnyOracle
 
 #: A cut: entry ``i`` is the number of events of process ``i`` inside it.
 Cut = Tuple[int, ...]
@@ -28,35 +41,52 @@ def empty_cut(n_processes: int) -> Cut:
     return (0,) * n_processes
 
 
-def full_cut(oracle: HappenedBeforeOracle) -> Cut:
-    """The cut containing every event of the oracle's execution."""
-    ex = oracle.execution
-    return tuple(len(ex.events_at(p)) for p in range(ex.n_processes))
+def full_cut(oracle: AnyOracle) -> Cut:
+    """The cut containing every event the oracle knows."""
+    return tuple(oracle.event_count(p) for p in range(oracle.n_processes))
 
 
-def events_in_cut(oracle: HappenedBeforeOracle, cut: Cut) -> Set[EventId]:
+def _check_range(oracle: AnyOracle, cut: Sequence[int]) -> None:
+    if len(cut) != oracle.n_processes:
+        raise ValueError("cut length must equal the number of processes")
+    for p, k in enumerate(cut):
+        if k < 0 or k > oracle.event_count(p):
+            raise ValueError(f"cut[{p}]={k} out of range for process {p}")
+
+
+def events_in_cut(oracle: AnyOracle, cut: Cut) -> Set[EventId]:
     """The set of event ids inside *cut*."""
-    return set(oracle.events_from_mask(oracle.cut_mask(cut)))
+    _check_range(oracle, cut)
+    return {EventId(p, k) for p, c in enumerate(cut) for k in range(1, c + 1)}
 
 
-def is_consistent(oracle: HappenedBeforeOracle, cut: Cut) -> bool:
+def _sees_beyond(
+    oracle: AnyOracle, p: int, k: int, cut: Sequence[int]
+) -> bool:
+    """Whether the *k*-th event of process *p* depends on an event outside
+    *cut*: its clock exceeds the cut somewhere."""
+    return any(map(gt, oracle.vector_clock(EventId(p, k)), cut))
+
+
+def first_inconsistent(
+    oracle: AnyOracle, cut: Sequence[int]
+) -> Optional[int]:
+    """The first process whose frontier event sees beyond *cut*, or ``None``
+    when *cut* is consistent.  Entries must be in range
+    (:func:`is_consistent` checks them)."""
+    for p, k in enumerate(cut):
+        if k and _sees_beyond(oracle, p, k, cut):
+            return p
+    return None
+
+
+def is_consistent(oracle: AnyOracle, cut: Cut) -> bool:
     """Whether *cut* is causally closed.
 
-    Uses the bitset kernel: a cut is consistent iff the causal past of each
-    frontier event is a subset of the cut's own event mask (one word-parallel
-    subset test per nonempty process prefix).
-    """
-    ex = oracle.execution
-    cut_mask = oracle.cut_mask(cut)  # also validates length and ranges
-    outside = ~cut_mask
-    for p in range(ex.n_processes):
-        k = cut[p]
-        if k == 0:
-            continue
-        frontier = ex.events_at(p)[k - 1]
-        if oracle.causal_past_mask(frontier.eid) & outside:
-            return False
-    return True
+    ``ValueError`` for a cut of the wrong length or with an entry outside
+    its process's event count."""
+    _check_range(oracle, cut)
+    return first_inconsistent(oracle, cut) is None
 
 
 def join(a: Cut, b: Cut) -> Cut:
@@ -69,8 +99,21 @@ def meet(a: Cut, b: Cut) -> Cut:
     return tuple(min(x, y) for x, y in zip(a, b, strict=True))
 
 
+def allowed_prefixes(
+    oracle: AnyOracle, allowed: Callable[[EventId], bool]
+) -> List[int]:
+    """Per process, the length of its longest prefix of *allowed* events."""
+    out = []
+    for p in range(oracle.n_processes):
+        k, count = 0, oracle.event_count(p)
+        while k < count and allowed(EventId(p, k + 1)):
+            k += 1
+        out.append(k)
+    return out
+
+
 def max_consistent_cut_within(
-    oracle: HappenedBeforeOracle,
+    oracle: AnyOracle,
     allowed: Callable[[EventId], bool],
 ) -> Cut:
     """The largest consistent cut whose events all satisfy *allowed*.
@@ -78,67 +121,39 @@ def max_consistent_cut_within(
     This is the paper's Section-6 construction: "consider a cut of the system
     that removes all events e such that timestamp_e = ⊥; when we remove event
     e, we must also remove every event f with e -> f".  Concretely, start
-    from the longest per-process prefix of allowed events and repeatedly
-    shrink any process whose frontier event causally depends on a removed
-    event, until a fixpoint is reached.
+    from the longest per-process prefix of allowed events and shrink any
+    process whose frontier event's clock exceeds the cut, until the entrywise
+    fix-point is reached.
 
     The result is the unique maximum such cut (the set of consistent cuts
     within an allowed downward-closed region forms a lattice).
     """
-    ex = oracle.execution
-    n = ex.n_processes
-
-    cut = []
-    for p in range(n):
-        k = 0
-        for ev in ex.events_at(p):
-            if allowed(ev.eid):
-                k += 1
-            else:
-                break
-        cut.append(k)
-
-    mask = oracle.cut_mask(tuple(cut))
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            while cut[p] > 0:
-                frontier = ex.events_at(p)[cut[p] - 1]
-                if oracle.causal_past_mask(frontier.eid) & ~mask:
-                    cut[p] -= 1
-                    mask &= ~(1 << oracle.index_of(frontier.eid))
-                    changed = True
-                else:
-                    break
+    cut = allowed_prefixes(oracle, allowed)
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for p in range(len(cut)):
+            while cut[p] and _sees_beyond(oracle, p, cut[p], cut):
+                cut[p] -= 1
+                shrunk = True
     return tuple(cut)
 
 
-def cut_from_events(
-    oracle: HappenedBeforeOracle, events: Iterable[EventId]
-) -> Cut:
+def cut_from_events(oracle: AnyOracle, events: Iterable[EventId]) -> Cut:
     """The smallest consistent cut containing all of *events*.
 
-    Computed as the join of the causal-past closures of each event.
-    """
-    ex = oracle.execution
-    cut = [0] * ex.n_processes
+    The entrywise max of their vector clocks (the join of their causal-past
+    closures) — as events, their downward closure."""
+    cut = empty_cut(oracle.n_processes)
     for eid in events:
-        vc = oracle.vector_clock(eid)
-        for p in range(ex.n_processes):
-            if vc[p] > cut[p]:
-                cut[p] = vc[p]
-    return tuple(cut)
+        cut = tuple(map(max, cut, oracle.vector_clock(eid)))
+    return cut
 
 
-def frontier(oracle: HappenedBeforeOracle, cut: Cut) -> Sequence[EventId]:
+def frontier(oracle: AnyOracle, cut: Cut) -> Sequence[EventId]:
     """The last event of each nonempty per-process prefix of *cut*."""
-    ex = oracle.execution
-    out = []
-    for p in range(ex.n_processes):
-        if cut[p] > 0:
-            out.append(ex.events_at(p)[cut[p] - 1].eid)
-    return out
+    _check_range(oracle, cut)
+    return [EventId(p, k) for p, k in enumerate(cut) if k]
 
 
 def cut_size(cut: Cut) -> int:

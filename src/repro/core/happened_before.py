@@ -26,21 +26,17 @@ order of :meth:`Execution.all_events`, so an index is arithmetic on
 The recurrence is word-parallel — a receive's mask is the union of its local
 predecessor's mask and the matching send's mask (plus their own bits) — so
 the whole matrix costs O(|E|) unions of |E|/64 words each, and O(|E|²) bits
-to hold.  On the rows:
-
-- ``causal_past`` / ``causal_future`` decode one row (futures come from one
-  lazy reverse pass over the same order);
-- exhaustive validation XORs them against a scheme's precedes-matrix;
-- consistent-cut checks reduce to mask subset tests (see
-  :mod:`repro.core.cuts`), because process-major indexing makes every cut a
-  union of per-process contiguous bit ranges.
+to hold.  Nothing *queries* the rows: a causal past is one prefix per
+process and a cut is a vector clock (:mod:`repro.core.cuts`), so both come
+off the table.  The rows are the exhaustive validators' substrate —
+``past_masks()`` / ``past_matrix()`` with ``event_order`` / ``index_of`` to
+name the bits — which XOR them against a scheme's precedes-matrix.
 
 The row store has two interchangeable backends, chosen from the event
 count by :func:`repro.core.backend.resolve_backend`: ``pure`` keeps packed
 Python ints; ``numpy`` keeps the same matrix as a contiguous ``uint64``
 array built by bulk row ops (:mod:`repro.core.npkernel`) and answers
-``relation_counts`` / :func:`downward_closure` with whole-matrix vectorized
-popcounts and ORs.  Both produce byte-identical rows; the pure backend is
+``relation_counts`` with a whole-matrix vectorized popcount.  Both produce byte-identical rows; the pure backend is
 the always-available reference.
 
 Who builds what: the public constructor is the batch build and is eager —
@@ -56,7 +52,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.core.backend import resolve_backend
 from repro.core.events import EventId
@@ -110,13 +106,19 @@ class HappenedBeforeOracle:
         self._mat: Optional[Any] = None
         #: strict causal-past bitmask per dense index
         self._past: Optional[List[int]] = None
-        #: strict causal-future bitmask per dense index (built lazily)
-        self._future: Optional[List[int]] = None
         active_registry().gauge("oracle.backend", backend=self.backend).set(1)
 
     @property
     def execution(self) -> Execution:
         return self._execution
+
+    @property
+    def n_processes(self) -> int:
+        return self._n
+
+    def event_count(self, proc: int) -> int:
+        """Events at *proc* (the streaming oracle's accessor of that name)."""
+        return self._counts[proc]
 
     def _compute(self) -> None:
         """The pure kernel: one pass over ``delivery_order()`` fills the
@@ -154,43 +156,6 @@ class HappenedBeforeOracle:
         if fill_clocks:
             self._clocks = tables
 
-    def _ensure_future(self) -> List[int]:
-        """Build the strict causal-future masks with one reverse pass.
-
-        In ``delivery_order()`` every event precedes its immediate causal
-        successors (the next event at its process; for sends, the matching
-        receive), so walking the order backwards sees successors first.
-        """
-        if self._future is not None:
-            return self._future
-        ex = self._execution
-        pos = self.index_of
-        fut = [0] * sum(self._counts)
-        for ev in reversed(ex.delivery_order()):
-            mask = 0
-            i = pos(ev.eid)
-            if ev.index < self._counts[ev.proc]:  # next local event
-                mask |= fut[i + 1] | (1 << (i + 1))
-            if ev.is_send:
-                recv = ex.receive_of(ev)
-                if recv is not None:
-                    j = pos(recv.eid)
-                    mask |= fut[j] | (1 << j)
-            fut[i] = mask
-        self._future = fut
-        return fut
-
-    def _ensure_past(self) -> List[int]:
-        """Packed-int rows, built (or unpacked from the matrix) once."""
-        if self._past is None:
-            if self.backend == "numpy":
-                from repro.core import npkernel
-
-                self._past = npkernel.matrix_to_rows(self.past_matrix())
-            else:
-                self._compute()
-        return self._past
-
     def _table(self) -> ClockTable:
         """The clock table; a numpy batch build derives it from its matrix
         on first read, every other path already holds it."""
@@ -217,14 +182,6 @@ class HappenedBeforeOracle:
             raise KeyError(eid)
         return self._proc_base[p] + eid.index - 1
 
-    def causal_past_mask(self, f: EventId) -> int:
-        """Bitmask of ``{e : e -> f}`` over :attr:`event_order` indices."""
-        return self._ensure_past()[self.index_of(f)]
-
-    def causal_future_mask(self, e: EventId) -> int:
-        """Bitmask of ``{f : e -> f}`` over :attr:`event_order` indices."""
-        return self._ensure_future()[self.index_of(e)]
-
     def past_masks(self) -> Tuple[int, ...]:
         """All strict causal-past rows: bit ``i`` of row ``j`` is set iff
         ``event_order[i] -> event_order[j]``.
@@ -232,7 +189,14 @@ class HappenedBeforeOracle:
         On a numpy oracle this unpacks the whole matrix into Python ints
         and keeps them; validation does not call this on a numpy oracle
         (it compares :meth:`past_matrix` directly)."""
-        return tuple(self._ensure_past())
+        if self._past is None:
+            if self.backend == "numpy":
+                from repro.core import npkernel
+
+                self._past = npkernel.matrix_to_rows(self.past_matrix())
+            else:
+                self._compute()
+        return tuple(self._past)
 
     def past_matrix(self) -> Optional[Any]:
         """The numpy ``(m, ceil(m/64))`` uint64 past matrix, or ``None``
@@ -243,32 +207,6 @@ class HappenedBeforeOracle:
 
             self._mat = npkernel.bulk_past_matrix(self._execution)
         return self._mat
-
-    def events_from_mask(self, mask: int) -> List[EventId]:
-        """Decode a bitmask into the events it denotes, in dense order."""
-        order = self.event_order
-        out: List[EventId] = []
-        while mask:
-            lsb = mask & -mask
-            out.append(order[lsb.bit_length() - 1])
-            mask ^= lsb
-        return out
-
-    def cut_mask(self, cut: Tuple[int, ...]) -> int:
-        """Bitmask of the events inside a cut (per-process prefix lengths).
-
-        Process-major indexing makes each process's events one contiguous
-        bit range, so a cut is a union of low-bit runs shifted into place.
-        """
-        if len(cut) != self._n:
-            raise ValueError("cut length must equal the number of processes")
-        mask = 0
-        for p, k in enumerate(cut):
-            if k < 0 or k > self._counts[p]:
-                raise ValueError(f"cut[{p}]={k} out of range for process {p}")
-            if k:
-                mask |= ((1 << k) - 1) << self._proc_base[p]
-        return mask
 
     # ------------------------------------------------------------------
     # point queries: the clock table, never the rows
@@ -307,19 +245,13 @@ class HappenedBeforeOracle:
     # ------------------------------------------------------------------
     def causal_past(self, f: EventId) -> Set[EventId]:
         """All events ``e`` with ``e -> f`` (excluding *f* itself)."""
-        return set(self.events_from_mask(self.causal_past_mask(f)))
-
-    def causal_future(self, e: EventId) -> Set[EventId]:
-        """All events ``f`` with ``e -> f``."""
-        return set(self.events_from_mask(self.causal_future_mask(e)))
-
-    def pairs(self) -> Iterator[Tuple[EventId, EventId]]:
-        """All ordered pairs of distinct events (for exhaustive checks)."""
-        ids = self.event_order
-        for e in ids:
-            for f in ids:
-                if e != f:
-                    yield e, f
+        # a past is one prefix per process; f's own prefix stops short of f
+        order = self.event_order
+        out: Set[EventId] = set()
+        for p, seen in enumerate(self.vector_clock(f)):
+            base = self._proc_base[p]
+            out.update(order[base : base + seen - (p == f.proc)])
+        return out
 
     def relation_counts(self) -> Tuple[int, int]:
         """Return ``(ordered_pairs, concurrent_unordered_pairs)``.
@@ -340,28 +272,3 @@ class HappenedBeforeOracle:
             ordered = sum(map(sum, self._table())) - m
         return ordered, m * (m - 1) // 2 - ordered
 
-
-def downward_closure(
-    oracle: HappenedBeforeOracle, events: Iterable[EventId]
-) -> Set[EventId]:
-    """The smallest causally-closed set containing *events*.
-
-    A set ``S`` is causally closed (a *consistent cut*, as a set of events)
-    when ``f in S`` and ``e -> f`` imply ``e in S``.  Computed as one mask
-    union per seed event — or, on the numpy backend, as one whole-matrix
-    row gather + OR-reduction.
-    """
-    seeds = list(events)
-    mat = oracle.past_matrix()
-    if mat is not None and seeds:
-        from repro.core import npkernel
-
-        idx = [oracle.index_of(f) for f in seeds]
-        mask = npkernel.union_rows_int(mat, idx)
-        for i in idx:
-            mask |= 1 << i
-    else:
-        mask = 0
-        for f in seeds:
-            mask |= oracle.causal_past_mask(f) | (1 << oracle.index_of(f))
-    return set(oracle.events_from_mask(mask))

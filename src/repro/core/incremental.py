@@ -41,12 +41,6 @@ The ``batch`` constructor keyword is accepted and has no effect; it is
 still spelled in the signature because the benchmark harness under
 ``perf/`` passes it.
 
-On top of the clocks sits a memoized batch-query layer: ``precedes`` /
-``concurrent`` / ``causal_past`` / ``causal_frontier`` results are cached
-in a small LRU that is invalidated wholesale whenever the append watermark
-moves, so repeated queries between appends (the detector polling pattern)
-cost one dict hit.
-
 ``freeze(execution)`` checks the per-process counts and hands the clock
 table to a :class:`HappenedBeforeOracle` that answers point queries from
 it and builds **no** matrix; the O(|E|²)-bit causal-past rows exist only
@@ -54,16 +48,15 @@ if someone asks the frozen oracle for bits, and are then byte-identical to
 a from-scratch build — pinned by ``tests/core/test_incremental_oracle.py``
 and ``tests/core/test_backend_parity.py``.
 
-Observability (:mod:`repro.obs`): ``oracle.appends``, ``oracle.append_words``
-(clock entries written: n per append), and ``oracle.query_cache_hit`` /
-``oracle.query_cache_miss`` counters on the registry active at construction.
+Observability (:mod:`repro.obs`): ``oracle.appends`` and
+``oracle.append_words`` (clock entries written: n per append) counters on
+the registry active at construction.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.colstore import KIND_RECEIVE, EventStore
 from repro.core.events import Event, EventId, ProcessId
@@ -71,10 +64,8 @@ from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.obs.metrics import MetricsRegistry, active_registry
 
-#: sentinel distinguishing "cached None" from "absent"
-_MISS = object()
-
-#: either oracle flavor — helpers below coerce to the batch one when needed
+#: either oracle class; both answer ``n_processes`` / ``event_count`` /
+#: ``vector_clock`` / ``happened_before``, which is all a cut query reads
 AnyOracle = Union[HappenedBeforeOracle, "IncrementalHBOracle"]
 
 
@@ -85,8 +76,6 @@ class IncrementalHBOracle:
     ----------
     n_processes:
         Number of processes (fixed up front, like every clock algorithm).
-    cache_size:
-        Maximum entries in the memoized query LRU.
     registry:
         Metrics registry for the ``oracle.*`` instruments; defaults to the
         registry active at construction time.
@@ -99,14 +88,11 @@ class IncrementalHBOracle:
         self,
         n_processes: int,
         *,
-        cache_size: int = 1024,
         registry: Optional[MetricsRegistry] = None,
         batch: bool = False,  # ignored; perf/workloads/sim.py passes it
     ) -> None:
         if n_processes < 1:
             raise ValueError("need at least one process")
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self._n = n_processes
         #: per process, its events' vector clocks back to back: the clock of
         #: event ``(p, k)`` is ``_clocks[p][(k - 1) * n : k * n]``
@@ -121,15 +107,10 @@ class IncrementalHBOracle:
         # the bound EventStore (drained by flush) and rows ingested so far
         self._src_store: Optional[EventStore] = None
         self._synced = 0
-        self._watermark = 0
-        self._cache: "OrderedDict[tuple, object]" = OrderedDict()
-        self._cache_size = cache_size
-        self._cache_watermark = 0
+        self._n_events = 0
         reg = registry if registry is not None else active_registry()
         self._m_appends = reg.counter("oracle.appends")
         self._m_append_words = reg.counter("oracle.append_words")
-        self._m_cache_hit = reg.counter("oracle.query_cache_hit")
-        self._m_cache_miss = reg.counter("oracle.query_cache_miss")
 
     # ------------------------------------------------------------------
     # introspection
@@ -141,12 +122,7 @@ class IncrementalHBOracle:
     @property
     def n_events(self) -> int:
         """Events appended so far."""
-        return self._watermark
-
-    @property
-    def watermark(self) -> int:
-        """Monotone append counter; bumping it invalidates the query cache."""
-        return self._watermark
+        return self._n_events
 
     def event_count(self, proc: ProcessId) -> int:
         """Events appended at *proc* so far."""
@@ -190,7 +166,7 @@ class IncrementalHBOracle:
         clock[p] += 1
         table.fromlist(clock)
         self._ordered_pairs += sum(clock) - 1
-        self._watermark += 1
+        self._n_events += 1
         self._m_appends.inc()
         self._m_append_words.inc(n)
 
@@ -294,7 +270,7 @@ class IncrementalHBOracle:
             self.sync_store(store)
 
     # ------------------------------------------------------------------
-    # raw point queries (uncached: each is one integer compare)
+    # queries: each reads the clock table, nothing is memoized
     # ------------------------------------------------------------------
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Whether ``e -> f``.  Final the moment both events are appended."""
@@ -314,53 +290,22 @@ class IncrementalHBOracle:
         off = self._offset(eid)  # raises KeyError for unknown events
         return tuple(self._clocks[eid.proc][off : off + self._n])
 
-    # ------------------------------------------------------------------
-    # memoized batch-query layer
-    # ------------------------------------------------------------------
-    def _cached(self, key: tuple, compute):
-        if self._cache_watermark != self._watermark:
-            # every append can extend causal pasts — drop the whole cache
-            self._cache.clear()
-            self._cache_watermark = self._watermark
-        hit = self._cache.get(key, _MISS)
-        if hit is not _MISS:
-            self._cache.move_to_end(key)
-            self._m_cache_hit.inc()
-            return hit
-        self._m_cache_miss.inc()
-        value = compute()
-        self._cache[key] = value
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return value
-
-    def precedes(self, e: EventId, f: EventId) -> bool:
-        """Memoized ``e -> f`` (the detector polling pattern hits cache)."""
-        return self._cached(
-            ("hb", e, f), lambda: self.happened_before(e, f)
-        )
-
     def concurrent(self, e: EventId, f: EventId) -> bool:
         """Whether *e* and *f* are distinct and causally unordered."""
-        key = ("conc", e, f) if e <= f else ("conc", f, e)
-        return self._cached(
-            key,
-            lambda: e != f
+        return (
+            e != f
             and not self.happened_before(e, f)
-            and not self.happened_before(f, e),
+            and not self.happened_before(f, e)
         )
 
     def causal_past(self, f: EventId) -> Set[EventId]:
         """All appended events ``e`` with ``e -> f``."""
-        return set(self._cached(("past", f), lambda: self._decode_past(f)))
-
-    def _decode_past(self, f: EventId) -> Tuple[EventId, ...]:
         # a past is one prefix per process; f's own prefix stops short of f
-        return tuple(
+        return {
             EventId(p, k)
             for p, seen in enumerate(self.vector_clock(f))
             for k in range(1, seen + (p != f.proc))
-        )
+        }
 
     def causal_frontier(self, events: Iterable[EventId]) -> List[EventId]:
         """Maximal events of the downward closure of *events*.
@@ -369,14 +314,8 @@ class IncrementalHBOracle:
         causal pasts, i.e. one prefix per process — the entrywise max of
         the seeds' clocks.  Its maximal elements — the frontier a consistent
         snapshot would cut along — are the prefix tops no other top has
-        seen (O(n²) integer compares).
+        seen (O(n²) integer compares), returned in process order.
         """
-        key = ("frontier", tuple(sorted(events)))
-        return list(self._cached(key, lambda: self._compute_frontier(key[1])))
-
-    def _compute_frontier(
-        self, events: Tuple[EventId, ...]
-    ) -> Tuple[EventId, ...]:
         top = [0] * self._n
         for f in events:
             top = list(map(max, top, self.vector_clock(f)))
@@ -385,11 +324,11 @@ class IncrementalHBOracle:
             for p, k in enumerate(top)
             if k
         ]
-        return tuple(
+        return [
             EventId(p, top[p])
             for p, _own in tops
             if not any(vc[p] >= top[p] for q, vc in tops if q != p)
-        )
+        ]
 
     def relation_counts(self) -> Tuple[int, int]:
         """``(ordered_pairs, concurrent_unordered_pairs)`` so far.
@@ -398,16 +337,8 @@ class IncrementalHBOracle:
         O(1) arithmetic — no table scan.
         """
         self.flush()
-        m = self._watermark
+        m = self._n_events
         return self._ordered_pairs, m * (m - 1) // 2 - self._ordered_pairs
-
-    def cache_info(self) -> Dict[str, int]:
-        """Current cache occupancy (hits/misses live on the registry)."""
-        return {
-            "entries": len(self._cache),
-            "capacity": self._cache_size,
-            "watermark": self._cache_watermark,
-        }
 
     # ------------------------------------------------------------------
     # freeze: hand the clock table to a batch-API oracle
@@ -451,8 +382,8 @@ def as_batch_oracle(
     """Coerce either oracle flavor to the batch one.
 
     Batch oracles pass through; incremental oracles are frozen against
-    *execution*.  This is what lets validation and application entry points
-    accept whichever flavor the caller already has.
+    *execution*.  Only the exhaustive validators, which read bit rows, need
+    it; point, causal-past and cut queries take either class as it is.
     """
     if isinstance(oracle, IncrementalHBOracle):
         return oracle.freeze(execution)
@@ -462,13 +393,9 @@ def as_batch_oracle(
 def incremental_from_execution(
     execution: Execution,
     *,
-    cache_size: int = 1024,
     registry: Optional[MetricsRegistry] = None,
 ) -> IncrementalHBOracle:
     """Convenience: stream a completed execution into a fresh oracle."""
-    oracle = IncrementalHBOracle(
-        execution.n_processes,
-        cache_size=cache_size,
-        registry=registry,
-    )
-    return oracle.ingest(execution)
+    return IncrementalHBOracle(
+        execution.n_processes, registry=registry
+    ).ingest(execution)

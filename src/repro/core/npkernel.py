@@ -282,12 +282,6 @@ def mismatch_indices(
     )
 
 
-def union_rows_int(mat: np.ndarray, idx: Sequence[int]) -> int:
-    """OR of the selected rows, as a packed Python int."""
-    acc = np.bitwise_or.reduce(mat[np.asarray(idx, dtype=np.intp)], axis=0)
-    return int.from_bytes(np.ascontiguousarray(acc).tobytes(), "little")
-
-
 def ordered_pair_count(mat: np.ndarray) -> int:
     """Total popcount of the matrix = number of ordered (e, f) pairs."""
     return int(np.bitwise_count(mat).sum(dtype=np.int64))

@@ -23,7 +23,6 @@ from repro.applications.global_predicate import (
 from repro.applications.predicate import (
     OnlineConjunctiveDetector,
     detect_conjunctive,
-    oracle_comparator,
 )
 from repro.core import (
     HappenedBeforeOracle,
@@ -139,7 +138,7 @@ class TestOnlineConjunctivePredicate:
         if marks is None:
             pytest.skip("a participating process has no events")
         ref = detect_conjunctive(
-            oracle_comparator(HappenedBeforeOracle(ex)), marks
+            HappenedBeforeOracle(ex).happened_before, marks
         )
         inc, order = _stream(ex)
         det = OnlineConjunctiveDetector(inc, procs)

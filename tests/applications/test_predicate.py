@@ -5,7 +5,6 @@ import pytest
 from repro.applications.predicate import (
     detect_conjunctive,
     detect_with_inline,
-    oracle_comparator,
 )
 from repro.clocks import StarInlineClock, VectorClock, replay_one
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
@@ -36,7 +35,7 @@ class TestDetection:
         ex = concurrent_execution()
         oracle = HappenedBeforeOracle(ex)
         result = detect_conjunctive(
-            oracle_comparator(oracle), {0: [1], 1: [1], 2: [1]}
+            oracle.happened_before, {0: [1], 1: [1], 2: [1]}
         )
         assert result.found
         assert result.witness == {
@@ -50,7 +49,7 @@ class TestDetection:
         ex = chain_execution()
         oracle = HappenedBeforeOracle(ex)
         result = detect_conjunctive(
-            oracle_comparator(oracle), {0: [1], 1: [1], 2: [1]}
+            oracle.happened_before, {0: [1], 1: [1], 2: [1]}
         )
         assert not result.found
 
@@ -64,7 +63,7 @@ class TestDetection:
         ex = b.freeze()
         oracle = HappenedBeforeOracle(ex)
         result = detect_conjunctive(
-            oracle_comparator(oracle), {0: [1, 2], 1: [1, 2]}
+            oracle.happened_before, {0: [1, 2], 1: [1, 2]}
         )
         assert result.found
         assert result.steps >= 1
@@ -77,27 +76,27 @@ class TestDetection:
         ex = concurrent_execution()
         oracle = HappenedBeforeOracle(ex)
         result = detect_conjunctive(
-            oracle_comparator(oracle), {0: [1], 1: []}
+            oracle.happened_before, {0: [1], 1: []}
         )
         assert not result.found
 
     def test_no_participants_trivially_true(self):
         ex = concurrent_execution()
         oracle = HappenedBeforeOracle(ex)
-        assert detect_conjunctive(oracle_comparator(oracle), {}).found
+        assert detect_conjunctive(oracle.happened_before, {}).found
 
     def test_non_increasing_marks_rejected(self):
         ex = concurrent_execution()
         oracle = HappenedBeforeOracle(ex)
         with pytest.raises(ValueError):
-            detect_conjunctive(oracle_comparator(oracle), {0: [2, 1]})
+            detect_conjunctive(oracle.happened_before, {0: [2, 1]})
 
     def test_timestamp_comparator_agrees_with_oracle(self):
         ex = chain_execution()
         oracle = HappenedBeforeOracle(ex)
         asg = replay_one(ex, VectorClock(3))
         r_oracle = detect_conjunctive(
-            oracle_comparator(oracle), {0: [1], 1: [1], 2: [1]}
+            oracle.happened_before, {0: [1], 1: [1], 2: [1]}
         )
         r_ts = detect_conjunctive(asg.precedes, {0: [1], 1: [1], 2: [1]})
         assert r_oracle.found == r_ts.found

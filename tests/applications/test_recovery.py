@@ -1,4 +1,10 @@
-"""Tests for checkpointing and recovery-line computation."""
+"""Tests for checkpointing and recovery-line computation.
+
+``oracles_for`` (tests/conftest.py) hands the recovery-line tests the batch
+oracle, a frozen streaming oracle and a streaming oracle caught mid-run (for
+which checkpoints are clipped to the events appended so far), and each test
+loops over them.
+"""
 
 import pytest
 
@@ -9,9 +15,16 @@ from repro.applications.recovery import (
 )
 from repro.clocks import StarInlineClock, VectorClock
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
-from repro.core.cuts import cut_size, is_consistent
+from repro.core.cuts import cut_size, full_cut, is_consistent
 from repro.sim import ConstantDelay, Simulation, UniformWorkload
 from repro.topology import generators
+from tests.helpers import clip_checkpoints
+
+
+@pytest.fixture
+def small_oracles(oracles_for, small_star_execution):
+    """Mid-run, the streaming oracle has seen (2, 1, 1, 1) of (4, 3, 2, 1)."""
+    return oracles_for(small_star_execution)
 
 
 class TestCheckpoints:
@@ -26,14 +39,13 @@ class TestCheckpoints:
 
 
 class TestRecoveryLine:
-    def test_full_checkpoints_consistent(self, small_oracle):
-        ex = small_oracle.execution
-        cps = {p: [len(ex.events_at(p))] if ex.events_at(p) else []
-               for p in range(4)}
-        line = recovery_line(small_oracle, cps)
-        assert line == tuple(len(ex.events_at(p)) for p in range(4))
+    def test_full_checkpoints_consistent(self, small_oracles):
+        for oracle in small_oracles:
+            counts = full_cut(oracle)
+            cps = {p: [k] if k else [] for p, k in enumerate(counts)}
+            assert recovery_line(oracle, cps) == counts
 
-    def test_domino_demotion(self):
+    def test_domino_demotion(self, oracles_for):
         """p1 checkpoints after receiving from p0; if p0's checkpoint is
         before its send, p1 must roll back too."""
         b = ExecutionBuilder(2)
@@ -41,30 +53,53 @@ class TestRecoveryLine:
         m = b.send(0, 1)  # e2@p0
         b.receive(1, m)  # e1@p1
         b.local(1)  # e2@p1  <- p1 checkpoints here (depends on e2@p0)
-        ex = b.freeze()
-        oracle = HappenedBeforeOracle(ex)
-        line = recovery_line(oracle, {0: [1], 1: [2]})
-        # p1's checkpoint depends on e2@p0 which is beyond p0's checkpoint
-        assert line == (1, 0)
+        b.local(1)  # e3@p1
+        for oracle in oracles_for(b.freeze()):  # mid-run: all of p0, e1@p1
+            at_p1 = [1, 2][: oracle.event_count(1)]
+            # p1's checkpoints depend on e2@p0, beyond p0's checkpoint
+            assert recovery_line(oracle, {0: [1], 1: at_p1}) == (1, 0)
+            assert recovery_line(oracle, {0: [1, 2], 1: at_p1}) == (
+                2, at_p1[-1]
+            )
 
-    def test_line_is_always_consistent(self, small_oracle):
-        cps = periodic_checkpoints(small_oracle.execution, every_k=2)
-        line = recovery_line(small_oracle, cps)
-        assert is_consistent(small_oracle, line)
+    def test_line_is_always_consistent(
+        self, small_oracles, small_star_execution
+    ):
+        ref = HappenedBeforeOracle(small_star_execution)
+        for oracle in small_oracles:
+            for every_k in (1, 2):
+                cps = clip_checkpoints(
+                    periodic_checkpoints(small_star_execution, every_k),
+                    oracle,
+                )
+                line = recovery_line(oracle, cps)
+                assert is_consistent(oracle, line)
+                assert line == recovery_line(ref, cps)
 
-    def test_allowed_filter_restricts(self, small_oracle):
-        ex = small_oracle.execution
-        cps = periodic_checkpoints(ex, every_k=1)
-        full = recovery_line(small_oracle, cps)
-        restricted = recovery_line(
-            small_oracle, cps, allowed=lambda e: e.proc != 0 or e.index <= 1
-        )
-        assert cut_size(restricted) <= cut_size(full)
-        assert restricted[0] <= 1
+    def test_allowed_filter_restricts(
+        self, small_oracles, small_star_execution
+    ):
+        for oracle in small_oracles:
+            cps = clip_checkpoints(
+                periodic_checkpoints(small_star_execution, 1), oracle
+            )
+            full = recovery_line(oracle, cps)
+            calls = []
 
-    def test_out_of_range_checkpoint(self, small_oracle):
-        with pytest.raises(ValueError):
-            recovery_line(small_oracle, {0: [99]})
+            def allowed(e):
+                calls.append(e)
+                return e.proc != 0 or e.index <= 1
+
+            restricted = recovery_line(oracle, cps, allowed=allowed)
+            assert cut_size(restricted) <= cut_size(full)
+            assert restricted[0] <= 1
+            # each process's allowed prefix is found once, not per checkpoint
+            assert len(calls) == len(set(calls)) <= cut_size(full_cut(oracle))
+
+    def test_out_of_range_checkpoint(self, small_oracles):
+        for oracle in small_oracles:
+            with pytest.raises(ValueError):
+                recovery_line(oracle, {0: [99]})
 
 
 class TestRecoveryLag:

@@ -10,6 +10,7 @@ import pytest
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
 from repro.core.random_executions import random_execution
 from repro.topology import generators
+from tests.helpers import ORACLE_KINDS, make_oracle
 
 try:
     from hypothesis import settings
@@ -79,3 +80,15 @@ def make_random_execution(graph, seed, steps=30, deliver_all=False):
     return random_execution(
         graph, random.Random(seed), steps=steps, deliver_all=deliver_all
     )
+
+
+@pytest.fixture(scope="session")
+def oracles_for():
+    """``oracles_for(execution)``: one oracle of each kind a cut query takes
+    (batch, frozen, streaming mid-run — :func:`tests.helpers.make_oracle`).
+    Tests loop over them instead of being parametrised, so a test keeps the
+    one id it has always had; session-scoped, so hypothesis tests may take
+    it."""
+    return lambda execution: [
+        make_oracle(kind, execution) for kind in ORACLE_KINDS
+    ]

@@ -21,7 +21,7 @@ from repro.core.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.core.happened_before import downward_closure
+from repro.core.cuts import cut_from_events, events_in_cut
 from repro.core.incremental import IncrementalHBOracle
 from repro.core.random_executions import random_execution
 from repro.topology import generators
@@ -71,8 +71,14 @@ class TestOracleParity:
         seeds = rng.sample(ids, min(k, len(ids)))
         pure = HappenedBeforeOracle(ex, backend="pure")
         fast = HappenedBeforeOracle(ex, backend="numpy")
-        assert downward_closure(fast, seeds) == downward_closure(pure, seeds)
-        assert downward_closure(fast, []) == set()
+
+        def closure(oracle, events):
+            return events_in_cut(oracle, cut_from_events(oracle, events))
+
+        assert closure(fast, seeds) == closure(pure, seeds)
+        assert closure(fast, []) == set()
+        for f in seeds:
+            assert fast.causal_past(f) == pure.causal_past(f)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))

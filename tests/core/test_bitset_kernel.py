@@ -5,6 +5,11 @@ textbook definition ``e -> f iff vc_e[e.proc] <= vc_f[e.proc]`` (Fidge,
 Mattern) that the oracle's own full-length vector clocks encode.  Hypothesis
 drives topology family, size, seed and workload length across the benchmark
 topology suite.
+
+Nothing under ``src/`` queries the rows any more — causal pasts and cuts
+answer from the clock table — so the rows serve here as the *independent*
+reference: :func:`decoded_pasts` reads ``past_masks()``, bits only, and
+``causal_past`` and every cut query are checked against it on both kernels.
 """
 
 import random
@@ -12,7 +17,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HappenedBeforeOracle
-from repro.core.happened_before import downward_closure
+from repro.core.backend import numpy_available
+from repro.core.cuts import (
+    cut_from_events,
+    events_in_cut,
+    is_consistent,
+    max_consistent_cut_within,
+)
+from repro.core.events import EventId
 from repro.core.random_executions import random_execution
 from repro.topology import generators
 
@@ -42,6 +54,20 @@ def build_graph(family: str, n: int, seed: int):
     if family == "clique":
         return generators.clique(min(n, 6))
     raise AssertionError(family)
+
+
+#: every kernel that can run here (looped over inside a test, so it keeps
+#: the one id it has always had)
+KERNELS = ["pure"] + (["numpy"] if numpy_available() else [])
+
+
+def decoded_pasts(oracle):
+    """``{f: {e : e -> f}}`` decoded from the bit rows alone."""
+    order = oracle.event_order
+    return {
+        f: {order[i] for i in range(len(order)) if row >> i & 1}
+        for f, row in zip(order, oracle.past_masks())
+    }
 
 
 def vc_happened_before(oracle, e, f):
@@ -81,11 +107,6 @@ def test_bitset_oracle_matches_vector_clock_oracle(family, n, seed, steps):
             e for e in ids if e != f and vc_happened_before(oracle, e, f)
         }
         assert oracle.causal_past(f) == expected_past
-    for e in ids:
-        expected_future = {
-            f for f in ids if f != e and vc_happened_before(oracle, e, f)
-        }
-        assert oracle.causal_future(e) == expected_future
 
     m = len(ids)
     assert oracle.relation_counts() == (
@@ -101,23 +122,56 @@ def test_bitset_oracle_matches_vector_clock_oracle(family, n, seed, steps):
     seed=st.integers(0, 100_000),
 )
 def test_downward_closure_is_causally_closed(family, n, seed):
+    """The downward closure of a seed set is ``cut_from_events`` as events."""
     graph = build_graph(family, n, seed)
     ex = random_execution(graph, random.Random(seed), steps=40)
-    oracle = HappenedBeforeOracle(ex)
-    ids = [ev.eid for ev in ex.all_events()]
-    if not ids:
-        return
-    rng = random.Random(seed + 1)
-    seeds = rng.sample(ids, min(3, len(ids)))
-    closure = downward_closure(oracle, seeds)
-    assert set(seeds) <= closure
-    for f in closure:
-        assert oracle.causal_past(f) <= closure
-    # minimality: every member is a seed or in some seed's past
-    for g in closure:
-        assert g in seeds or any(
-            oracle.happened_before(g, s) for s in seeds
-        )
+    for backend in KERNELS:
+        oracle = HappenedBeforeOracle(ex, backend=backend)
+        past = decoded_pasts(oracle)
+        ids = list(oracle.event_order)
+        if not ids:
+            return
+        rng = random.Random(seed + 1)
+        seeds = rng.sample(ids, min(3, len(ids)))
+        closure = events_in_cut(oracle, cut_from_events(oracle, seeds))
+        # closed, and minimal: every member is a seed or in a seed's past
+        assert closure == set(seeds).union(*(past[s] for s in seeds))
+        for f in closure:
+            assert oracle.causal_past(f) <= closure
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(2, 7),
+    seed=st.integers(0, 100_000),
+)
+def test_cut_queries_match_decoded_rows(family, n, seed):
+    graph = build_graph(family, n, seed)
+    ex = random_execution(graph, random.Random(seed), steps=40)
+    counts = ex.event_counts()
+    for backend in KERNELS:
+        oracle = HappenedBeforeOracle(ex, backend=backend)
+        past = decoded_pasts(oracle)
+        for f, expected in past.items():
+            assert oracle.causal_past(f) == expected
+        rng = random.Random(seed + 2)
+        for _ in range(10):
+            cut = tuple(rng.randint(0, c) for c in counts)
+            inside = {EventId(p, k) for p, c in enumerate(cut)
+                      for k in range(1, c + 1)}
+            assert events_in_cut(oracle, cut) == inside
+            assert is_consistent(oracle, cut) == all(
+                past[f] <= inside for f in inside
+            )
+            # the largest closed set avoiding `banned`: events whose whole
+            # past (and themselves) are allowed
+            banned = set(rng.sample(sorted(past), len(past) // 4))
+            got = max_consistent_cut_within(oracle, lambda e: e not in banned)
+            assert is_consistent(oracle, got)
+            assert events_in_cut(oracle, got) == {
+                f for f in past if not ((past[f] | {f}) & banned)
+            }
 
 
 def test_event_order_matches_all_events_and_masks_are_strict():
@@ -126,8 +180,8 @@ def test_event_order_matches_all_events_and_masks_are_strict():
                           deliver_all=True)
     oracle = HappenedBeforeOracle(ex)
     assert list(oracle.event_order) == [ev.eid for ev in ex.all_events()]
+    rows = oracle.past_masks()
     for j, eid in enumerate(oracle.event_order):
         assert oracle.index_of(eid) == j
         # strictness: no self-bit in any row
-        assert not oracle.causal_past_mask(eid) >> j & 1
-        assert not oracle.causal_future_mask(eid) >> j & 1
+        assert not rows[j] >> j & 1

@@ -108,91 +108,26 @@ class TestAppendBasics:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             IncrementalHBOracle(0)
-        with pytest.raises(ValueError):
-            IncrementalHBOracle(2, cache_size=0)
         with pytest.raises(TypeError):  # slots are arrival ranks: no chunks
             IncrementalHBOracle(2, chunk=4)
+        with pytest.raises(TypeError):  # no query is memoized: no LRU to size
+            IncrementalHBOracle(2, cache_size=4)
 
 
-class TestQueryCache:
-    def test_hit_miss_counters(self, small_star_execution):
-        reg = MetricsRegistry()
-        inc = incremental_from_execution(small_star_execution, registry=reg)
-        e, f = EventId(1, 1), EventId(0, 1)
-        inc.precedes(e, f)
-        assert reg.counter_value("oracle.query_cache_miss") == 1
-        assert reg.counter_value("oracle.query_cache_hit") == 0
-        inc.precedes(e, f)
-        assert reg.counter_value("oracle.query_cache_hit") == 1
-
-    def test_append_invalidates_cache(self, small_star_execution):
+class TestMetrics:
+    def test_registers_exactly_the_append_counters(self, small_star_execution):
         ex = small_star_execution
         reg = MetricsRegistry()
-        inc = IncrementalHBOracle(ex.n_processes, registry=reg)
-        order = ex.delivery_order()
-        for ev in order[:-1]:
-            if ev.is_receive:
-                inc.append_receive(ev.eid, ex.send_of(ev).eid)
-            else:
-                inc.append_event(ev)
-        e, f = EventId(1, 1), EventId(0, 1)
-        inc.precedes(e, f)
-        inc.precedes(e, f)
-        assert reg.counter_value("oracle.query_cache_hit") == 1
-        last = order[-1]
-        if last.is_receive:
-            inc.append_receive(last.eid, ex.send_of(last).eid)
-        else:
-            inc.append_event(last)
-        assert inc.cache_info()["watermark"] != inc.watermark
-        inc.precedes(e, f)  # cache dropped: this is a miss again
-        assert reg.counter_value("oracle.query_cache_miss") == 2
-        assert inc.cache_info()["watermark"] == inc.watermark
-
-    def test_lru_eviction_bounds_entries(self, small_star_execution):
-        ex = small_star_execution
-        inc = incremental_from_execution(ex, cache_size=4)
+        inc = incremental_from_execution(ex, registry=reg)
         ids = [ev.eid for ev in ex.all_events()]
-        for e in ids:
-            for f in ids:
-                inc.precedes(e, f)
-        assert inc.cache_info()["entries"] <= 4
-
-    def test_cached_queries_match_raw(self, small_star_execution):
-        ex = small_star_execution
-        inc = incremental_from_execution(ex)
-        batch = HappenedBeforeOracle(ex)
-        ids = [ev.eid for ev in ex.all_events()]
-        for e in ids:
-            for f in ids:
-                assert inc.precedes(e, f) == batch.happened_before(e, f)
-                if e != f:
-                    expected = (not batch.happened_before(e, f)
-                                and not batch.happened_before(f, e))
-                    assert inc.concurrent(e, f) == expected
-        for f in ids:
-            expected_past = {
-                e for e in ids if batch.happened_before(e, f)
-            }
-            assert inc.causal_past(f) == expected_past
-
-    def test_causal_frontier(self, small_star_execution):
-        ex = small_star_execution
-        inc = incremental_from_execution(ex)
-        batch = HappenedBeforeOracle(ex)
-        ids = [ev.eid for ev in ex.all_events()]
-        rng = random.Random(4)
-        for _ in range(20):
-            seeds = rng.sample(ids, rng.randrange(1, 5))
-            frontier = inc.causal_frontier(seeds)
-            closure = set(seeds)
-            for f in seeds:
-                closure |= {e for e in ids if batch.happened_before(e, f)}
-            expected = sorted(
-                e for e in closure
-                if not any(batch.happened_before(e, f) for f in closure)
-            )
-            assert frontier == expected
+        for f in ids:  # queries count nothing
+            inc.causal_past(f)
+            inc.concurrent(ids[0], f)
+        inc.causal_frontier(ids[:3])
+        assert reg.as_dict()["counters"] == {
+            "oracle.appends": ex.n_events,
+            "oracle.append_words": ex.n_events * ex.n_processes,
+        }
 
 
 class TestFreeze:
@@ -254,7 +189,8 @@ class TestPropertyEquivalence:
                 e = seen[rng.randrange(len(seen))]
                 f = seen[rng.randrange(len(seen))]
                 if e != f:
-                    assert inc.precedes(e, f) == batch.happened_before(e, f)
+                    assert inc.happened_before(e, f) == \
+                        batch.happened_before(e, f)
         assert inc.relation_counts() == batch.relation_counts()
         assert_byte_identical(inc, ex)
 
@@ -555,26 +491,67 @@ class TestFreezeBuildsNothing:
         for oracle in (frozen, inc, None):
             assert asg.validate_sampled(oracle, n_pairs=200).characterizes
         assert builds == []
+        self._ask_every_table_query(frozen, asg, rng)
+        assert builds == []
         first = frozen.past_masks()
         assert builds == [kernel]
         assert frozen.past_masks() == first
-        frozen.causal_past_mask(ids[0])
         assert builds == [kernel]
         assert first == HappenedBeforeOracle(ex, backend="pure").past_masks()
 
+    @staticmethod
+    def _ask_every_table_query(frozen, asg, rng):
+        """``causal_past``, every ``cuts.py`` function and the Section-6
+        entry points built on them: all answered from the clock table."""
+        from repro.applications.global_predicate import possibly_with_inline
+        from repro.applications.recovery import (
+            periodic_checkpoints,
+            recovery_line,
+        )
+        from repro.core import cuts
+
+        ex = frozen.execution
+        ids = frozen.event_order
+        seeds = rng.sample(ids, 3)
+        banned = set(rng.sample(ids, 20))
+        for f in seeds:
+            assert len(frozen.causal_past(f)) == \
+                sum(frozen.vector_clock(f)) - 1
+        full = cuts.full_cut(frozen)
+        assert full == tuple(ex.event_counts())
+        closed = cuts.cut_from_events(frozen, seeds)
+        assert cuts.is_consistent(frozen, closed)
+        assert set(seeds) <= cuts.events_in_cut(frozen, closed)
+        assert len(cuts.frontier(frozen, closed)) == sum(map(bool, closed))
+        within = cuts.max_consistent_cut_within(
+            frozen, lambda e: e not in banned
+        )
+        assert cuts.is_consistent(frozen, within) and within != full
+        line = recovery_line(
+            frozen, periodic_checkpoints(ex, 50),
+            allowed=lambda e: e not in banned,
+        )
+        assert cuts.is_consistent(frozen, line)
+        assert all(k <= w for k, w in zip(line, within))
+        # a predicate met at the empty cut: the walk is one step, the
+        # finalized-cut computation before it is the point
+        witness, limit = possibly_with_inline(
+            asg, lambda c: True, finalized=set(ids) - banned, oracle=frozen
+        )
+        assert witness == cuts.empty_cut(ex.n_processes) and limit == within
+
     @pytest.mark.parametrize("backend", ["pure", "numpy"])
     def test_each_bit_consumer_triggers_the_one_build(self, builds, backend):
-        from repro.core import downward_closure
+        from repro.clocks import VectorClock, replay_one
 
         if backend == "numpy" and not numpy_available():
             pytest.skip("numpy backend unavailable")
         ex = random_execution(generators.star(4), random.Random(2), steps=40,
                               deliver_all=True)
-        some = next(ex.all_events()).eid
+        asg = replay_one(ex, VectorClock(4))
         asks = [
             lambda o: o.past_masks(),
-            lambda o: o.causal_past_mask(some),
-            lambda o: downward_closure(o, [some]),
+            lambda o: asg.validate(o),
         ]
         if backend == "numpy":  # the pure kernel has no matrix to hand out
             asks.append(lambda o: o.past_matrix())

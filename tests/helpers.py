@@ -1,4 +1,5 @@
-"""Cross-cutting test helpers: declarative timestamp definitions.
+"""Cross-cutting test helpers: declarative timestamp definitions, and the
+three oracles every cut query must answer alike on.
 
 The paper defines the star and cover timestamps *declaratively* (Sections
 3.1 and 4) and then gives operational rules (Figure 1).  These helpers
@@ -9,12 +10,13 @@ values the definitions demand.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clocks.base import INFINITY
 from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
+from repro.core.incremental import IncrementalHBOracle
 
 Post = Union[int, float]
 
@@ -100,3 +102,50 @@ def declarative_cover_values(
             mpost.append(best)
         out[e] = (mctr, mpre, tuple(mpost))
     return out
+
+
+#: the oracles a cut query must answer alike on (the ``oracles_for`` fixture)
+ORACLE_KINDS = ("batch", "frozen", "streaming")
+
+
+def make_oracle(kind: str, execution: Execution):
+    """An oracle of *kind* over *execution*.
+
+    ``"streaming"`` is caught mid-run: only the first ⌈m/2⌉ events of
+    ``delivery_order()`` are appended, so a test must bound its cuts and
+    seeds by ``full_cut(oracle)`` / :func:`known_ids`, and may use the batch
+    oracle of the whole execution as its reference (relations between
+    appended events never change).
+    """
+    if kind == "batch":
+        return HappenedBeforeOracle(execution)
+    order = execution.delivery_order()
+    if kind == "streaming":
+        order = order[: (len(order) + 1) // 2]
+    inc = IncrementalHBOracle(execution.n_processes)
+    for ev in order:
+        send = execution.send_of(ev).eid if ev.is_receive else None
+        inc.append_event(ev, send)
+    return inc.freeze(execution) if kind == "frozen" else inc
+
+
+def known_ids(oracle) -> List[EventId]:
+    """Every event id *oracle* knows, process-major."""
+    return [
+        EventId(p, k)
+        for p in range(oracle.n_processes)
+        for k in range(1, oracle.event_count(p) + 1)
+    ]
+
+
+def clip_checkpoints(checkpoints, oracle):
+    """*checkpoints* without the positions *oracle*'s events have not reached."""
+    return {
+        p: [k for k in ks if k <= oracle.event_count(p)]
+        for p, ks in checkpoints.items()
+    }
+
+
+def leq(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether cut *a* lies inside cut *b*."""
+    return all(x <= y for x, y in zip(a, b, strict=True))
