@@ -27,8 +27,9 @@ from repro.clocks.base import (
     Timestamp,
     standard_vector_rows,
     standard_vector_words,
+    vector_lt,
 )
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +50,7 @@ class ClusterTimestamp(Timestamp):
     def precedes(self, other: "Timestamp") -> bool:
         if not isinstance(other, ClusterTimestamp):
             raise TypeError("cannot compare across schemes")
-        a, b = self._exact, other._exact
-        return a != b and all(x <= y for x, y in zip(a, b))
+        return vector_lt(self._exact, other._exact)
 
     @classmethod
     def precedes_matrix(cls, timestamps):
@@ -119,7 +119,6 @@ class ClusterClock(ClockAlgorithm):
         self._clock: List[List[int]] = [
             [0] * n_processes for _ in range(n_processes)
         ]
-        self._ts: Dict[EventId, ClusterTimestamp] = {}
 
     # ------------------------------------------------------------------
     def cluster_of(self, proc: int) -> int:
@@ -132,13 +131,12 @@ class ClusterClock(ClockAlgorithm):
         cid = self._cluster_of[p]
         cluster_vec = tuple(clock[m] for m in self._members[cid])
         full = tuple(clock) if cluster_receive else None
-        self._ts[ev.eid] = ClusterTimestamp(
+        self._stamp(ev.eid, ClusterTimestamp(
             cluster_id=cid,
             cluster_vector=cluster_vec,
             full_vector=full,
             _exact=tuple(clock),
-        )
-        self._mark_final(ev.eid)
+        ))
 
     def on_local(self, ev: Event) -> None:
         self._record(ev, cluster_receive=False)
@@ -156,9 +154,3 @@ class ClusterClock(ClockAlgorithm):
         external = self._cluster_of[ev.peer] != self._cluster_of[ev.proc]
         self._record(ev, cluster_receive=external)
         return []
-
-    def timestamp(self, eid: EventId) -> Optional[ClusterTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts

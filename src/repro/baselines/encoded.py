@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.clocks.base import ClockAlgorithm, ControlMessage, Timestamp
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 
 
 def first_primes(k: int) -> List[int]:
@@ -61,12 +61,10 @@ class EncodedClock(ClockAlgorithm):
         super().__init__(n_processes)
         self._primes = first_primes(n_processes)
         self._value: List[int] = [1] * n_processes
-        self._ts: Dict[EventId, EncodedTimestamp] = {}
 
     def _record(self, ev: Event) -> None:
         self._value[ev.proc] *= self._primes[ev.proc]
-        self._ts[ev.eid] = EncodedTimestamp(self._value[ev.proc])
-        self._mark_final(ev.eid)
+        self._stamp(ev.eid, EncodedTimestamp(self._value[ev.proc]))
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
@@ -80,12 +78,6 @@ class EncodedClock(ClockAlgorithm):
         self._value[ev.proc] = mine * payload // math.gcd(mine, payload)
         self._record(ev)
         return []
-
-    def timestamp(self, eid: EventId) -> Optional[EncodedTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts
 
     def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
         """Actual storage cost: the big integer's bit length."""

@@ -31,7 +31,7 @@ per-process skew) and in the replayer (deterministic synthetic time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
@@ -39,7 +39,7 @@ from repro.clocks.base import (
     Timestamp,
     total_order_rows,
 )
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 
 #: maps a process id to its current physical-clock reading
 TimeSource = Callable[[int], float]
@@ -113,7 +113,6 @@ class HybridLogicalClock(ClockAlgorithm):
         self._time = time_source or counter_time_source()
         self._l = [0.0] * n_processes
         self._c = [0] * n_processes
-        self._ts: Dict[EventId, HLCTimestamp] = {}
         self._max_pt_seen = [0.0] * n_processes
 
     # ------------------------------------------------------------------
@@ -138,8 +137,7 @@ class HybridLogicalClock(ClockAlgorithm):
         new_l = max(self._l[p], pt)
         self._c[p] = self._c[p] + 1 if new_l == self._l[p] else 0
         self._l[p] = new_l
-        self._ts[ev.eid] = HLCTimestamp(new_l, self._c[p], p)
-        self._mark_final(ev.eid)
+        self._stamp(ev.eid, HLCTimestamp(new_l, self._c[p], p))
 
     def on_local(self, ev: Event) -> None:
         self._local_step(ev)
@@ -165,17 +163,10 @@ class HybridLogicalClock(ClockAlgorithm):
             c = 0
         self._l[p] = new_l
         self._c[p] = c
-        self._ts[ev.eid] = HLCTimestamp(new_l, c, p)
-        self._mark_final(ev.eid)
+        self._stamp(ev.eid, HLCTimestamp(new_l, c, p))
         return []
 
     # ------------------------------------------------------------------
-    def timestamp(self, eid: EventId) -> Optional[HLCTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts
-
     def drift_from_physical(self, proc: int) -> float:
         """``l - max physical reading seen`` — bounded by the clock-skew
         spread across the system (the HLC paper's Theorem 3), unlike

@@ -14,7 +14,7 @@ against the inline timestamps' exact answers at comparable sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
@@ -22,8 +22,9 @@ from repro.clocks.base import (
     Timestamp,
     standard_vector_rows,
     standard_vector_words,
+    vector_lt,
 )
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,9 +41,7 @@ class PlausibleTimestamp(Timestamp):
         # distinct events of the same owner coordinate because the owner
         # entry strictly increases, but distinct processes sharing all
         # entries are possible — treated as concurrent.
-        if self.vector == other.vector:
-            return False
-        return all(a <= b for a, b in zip(self.vector, other.vector))
+        return vector_lt(self.vector, other.vector)
 
     @classmethod
     def precedes_matrix(cls, timestamps):
@@ -70,7 +69,6 @@ class PlausibleClock(ClockAlgorithm):
         self._clock: List[List[int]] = [
             [0] * entries for _ in range(n_processes)
         ]
-        self._ts: Dict[EventId, PlausibleTimestamp] = {}
 
     @property
     def entries(self) -> int:
@@ -81,9 +79,9 @@ class PlausibleClock(ClockAlgorithm):
 
     def _record(self, ev: Event) -> None:
         clock = self._clock[ev.proc]
-        clock[self._own(ev.proc)] += 1
-        self._ts[ev.eid] = PlausibleTimestamp(tuple(clock), self._own(ev.proc))
-        self._mark_final(ev.eid)
+        own = self._own(ev.proc)
+        clock[own] += 1
+        self._stamp(ev.eid, PlausibleTimestamp(tuple(clock), own))
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
@@ -99,9 +97,3 @@ class PlausibleClock(ClockAlgorithm):
                 clock[k] = v
         self._record(ev)
         return []
-
-    def timestamp(self, eid: EventId) -> Optional[PlausibleTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from operator import le
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventId, ProcessId
@@ -138,6 +139,9 @@ class ClockAlgorithm(abc.ABC):
             raise ValueError("need at least one process")
         self._n = n_processes
         self._newly_finalized: List[EventId] = []
+        #: online schemes: ``_stamps[p][k - 1]`` is the permanent timestamp
+        #: of event ``(p, k)``, appended by :meth:`_stamp` as it occurs
+        self._stamps: List[List[Timestamp]] = [[] for _ in range(n_processes)]
 
     @property
     def n_processes(self) -> int:
@@ -171,13 +175,30 @@ class ClockAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # timestamp queries
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def timestamp(self, eid: EventId) -> Optional[Timestamp]:
-        """Current timestamp of *eid*, or ``None`` for ``⊥`` (unknown)."""
+        """Current timestamp of *eid*, or ``None`` for ``⊥`` (unknown).
+        The default answers from :meth:`_stamp`'s rows: an online scheme's."""
+        try:
+            return self._stamps[eid.proc][eid.index - 1]
+        except IndexError:
+            return None
 
-    @abc.abstractmethod
     def is_final(self, eid: EventId) -> bool:
         """Whether the timestamp of *eid* is permanent."""
+        return self.timestamp(eid) is not None
+
+    def _stamp(self, eid: EventId, ts: Timestamp) -> None:
+        """An online scheme's record step: *ts* is *eid*'s timestamp, final
+        at once.  Events arrive in index order at each process — a gap or a
+        repeat is a host error, not an overwrite."""
+        row = self._stamps[eid.proc]
+        if eid.index != len(row) + 1:
+            raise ValueError(
+                f"event index {eid.index} does not match local counter "
+                f"{len(row) + 1}"
+            )
+        row.append(ts)
+        self._newly_finalized.append(eid)
 
     def finalize_at_termination(self) -> List[EventId]:
         """Declare the execution terminated.
@@ -280,7 +301,7 @@ def vector_leq(a: Sequence[float], b: Sequence[float]) -> bool:
     """Standard componentwise ``<=`` on equal-length vectors."""
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def vector_lt(a: Sequence[float], b: Sequence[float]) -> bool:

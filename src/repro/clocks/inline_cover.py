@@ -35,6 +35,7 @@ the test suite checks exhaustively).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.clocks.base import (
@@ -79,17 +80,14 @@ class CoverTimestamp(Timestamp):
             raise TypeError("cannot compare across schemes")
         if self.cover != other.cover:
             raise ValueError("timestamps use different vertex covers")
-        e, f = self, other
-        if e.in_cover and f.in_cover:
-            return vector_lt(e.mpre, f.mpre)
-        if e.in_cover and not f.in_cover:
-            return vector_leq(e.mpre, f.mpre)
-        assert e.mpost is not None
-        if f.id != e.id:
-            return any(
-                post_c <= pre_c for post_c, pre_c in zip(e.mpost, f.mpre)
-            )
-        return e.mctr < f.mctr
+        mpost = self.mpost
+        if mpost is None:  # a cover event: strict iff the other is one too
+            if other.mpost is None:
+                return vector_lt(self.mpre, other.mpre)
+            return vector_leq(self.mpre, other.mpre)
+        if other.id != self.id:
+            return any(map(le, mpost, other.mpre))
+        return self.mctr < other.mctr
 
     @classmethod
     def precedes_matrix(cls, timestamps):

@@ -113,18 +113,18 @@ class StarTimestamp(Timestamp):
             raise TypeError("cannot compare across schemes")
         if self.center != other.center:
             raise ValueError("timestamps come from different star systems")
-        e, f = self, other
-        if e.at_center and f.at_center:
-            return e.pre < f.pre
-        if e.at_center and not f.at_center:
-            return e.pre <= f.pre
-        if not e.at_center and f.id != e.id:
+        center = self.center
+        if self.id == center:
+            if other.id == center:
+                return self.pre < other.pre
+            return self.pre <= other.pre
+        if other.id != self.id:
             # __post_init__ guarantees a radial post; ∞ <= pre is False for
             # every finite pre, so an unacknowledged radial event precedes
             # nothing outside its own process — exactly HB on a star
-            return e.post <= f.pre  # type: ignore[operator]
+            return self.post <= other.pre  # type: ignore[operator]
         # radial, same process
-        return e.ctr < f.ctr
+        return self.ctr < other.ctr
 
     @classmethod
     def precedes_matrix(cls, timestamps):

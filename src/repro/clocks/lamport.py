@@ -9,7 +9,7 @@ for the size/accuracy trade-off benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
@@ -17,7 +17,7 @@ from repro.clocks.base import (
     Timestamp,
     total_order_rows,
 )
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,13 +52,11 @@ class LamportClock(ClockAlgorithm):
     def __init__(self, n_processes: int) -> None:
         super().__init__(n_processes)
         self._clock = [0] * n_processes
-        self._ts: Dict[EventId, LamportTimestamp] = {}
 
     def _tick(self, ev: Event, floor: int = 0) -> None:
         p = ev.proc
         self._clock[p] = max(self._clock[p], floor) + 1
-        self._ts[ev.eid] = LamportTimestamp(self._clock[p], p)
-        self._mark_final(ev.eid)
+        self._stamp(ev.eid, LamportTimestamp(self._clock[p], p))
 
     def on_local(self, ev: Event) -> None:
         self._tick(ev)
@@ -70,9 +68,3 @@ class LamportClock(ClockAlgorithm):
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
         self._tick(ev, floor=int(payload))
         return []
-
-    def timestamp(self, eid: EventId) -> Optional[LamportTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts

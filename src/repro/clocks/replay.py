@@ -10,14 +10,19 @@ use the discrete-event simulator (:mod:`repro.sim`) instead, which routes
 control messages through channels with real delays.
 
 The result per algorithm is a :class:`TimestampAssignment`: an immutable
-event → timestamp map with helpers to compare events and to validate the
+event → timestamp table with helpers to compare events and to validate the
 scheme against the ground-truth happened-before oracle.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm, Timestamp, precedes_matrix_rows
 from repro.core.events import EventId
@@ -25,6 +30,7 @@ from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import (
     AnyOracle,
+    IncrementalHBOracle,
     as_batch_oracle,
     incremental_from_execution,
 )
@@ -68,19 +74,34 @@ class ValidationReport:
 
 
 class TimestampAssignment:
-    """The timestamps an algorithm assigned to one execution."""
+    """The timestamps an algorithm assigned to one execution, as a table:
+    ``rows[p][k - 1]`` is the timestamp of event ``(p, k)``, ``None`` for
+    ``⊥``.  Construction reads each one once and tallies their sizes."""
 
     def __init__(
         self,
         algorithm: ClockAlgorithm,
         execution: Execution,
-        timestamps: Mapping[EventId, Timestamp],
-        finalized_during_run: Set[EventId],
+        finalized_during_run: Iterable[EventId],
     ) -> None:
         self._algorithm = algorithm
         self._execution = execution
-        self._ts: Dict[EventId, Timestamp] = dict(timestamps)
-        self._finalized_during_run = frozenset(finalized_during_run)
+        self._finalized = finalized_during_run
+        timestamp = algorithm.timestamp
+        self._rows: List[List[Optional[Timestamp]]] = [
+            [timestamp(ev.eid) for ev in execution.events_at(proc)]
+            for proc in range(execution.n_processes)
+        ]
+        stamps = [ts for row in self._rows for ts in row if ts is not None]
+        #: ``{stored elements: how many timestamps}``, the paper's size metric
+        self.element_tally: Dict[int, int] = Counter(
+            map(attrgetter("n_elements"), stamps)
+        )
+        max_events = max(1, execution.max_events_per_process())
+        #: ``{encoded bits: how many timestamps}``, Theorem 4.3's accounting
+        self.bit_tally: Dict[int, int] = Counter(
+            map(algorithm.timestamp_bits, stamps, repeat(max_events))
+        )
 
     @property
     def algorithm(self) -> ClockAlgorithm:
@@ -90,26 +111,39 @@ class TimestampAssignment:
     def execution(self) -> Execution:
         return self._execution
 
-    @property
+    @cached_property
     def finalized_during_run(self) -> frozenset:
         """Events whose timestamps became permanent before termination."""
-        return self._finalized_during_run
+        return frozenset(self._finalized)
 
     def __getitem__(self, eid: EventId) -> Timestamp:
-        return self._ts[eid]
+        try:
+            ts = self._rows[eid.proc][eid.index - 1]
+        except IndexError:
+            ts = None
+        if ts is None:
+            raise KeyError(eid)
+        return ts
 
     def __contains__(self, eid: EventId) -> bool:
-        return eid in self._ts
+        try:
+            return self._rows[eid.proc][eid.index - 1] is not None
+        except IndexError:
+            return False
 
     def __len__(self) -> int:
-        return len(self._ts)
+        return sum(self.element_tally.values())
 
-    def items(self) -> Iterable[Tuple[EventId, Timestamp]]:
-        return self._ts.items()
+    def items(self) -> Iterator[Tuple[EventId, Timestamp]]:
+        """``(event id, timestamp)`` of every non-⊥ event, process-major."""
+        for proc, row in enumerate(self._rows):
+            for ev, ts in zip(self._execution.events_at(proc), row):
+                if ts is not None:
+                    yield ev.eid, ts
 
     def precedes(self, e: EventId, f: EventId) -> bool:
         """Timestamp-based causality decision for two events."""
-        return self._ts[e].precedes(self._ts[f])
+        return self[e].precedes(self[f])
 
     def concurrent(self, e: EventId, f: EventId) -> bool:
         return e != f and not self.precedes(e, f) and not self.precedes(f, e)
@@ -117,12 +151,15 @@ class TimestampAssignment:
     # ------------------------------------------------------------------
     def max_elements(self) -> int:
         """Largest element count of any assigned timestamp (paper's metric)."""
-        return max((ts.n_elements for ts in self._ts.values()), default=0)
+        return max(self.element_tally, default=0)
 
     def mean_elements(self) -> float:
-        if not self._ts:
+        if not self.element_tally:
             return 0.0
-        return sum(ts.n_elements for ts in self._ts.values()) / len(self._ts)
+        return (
+            sum(width * count for width, count in self.element_tally.items())
+            / len(self)
+        )
 
     # ------------------------------------------------------------------
     def validate_sampled(
@@ -141,64 +178,64 @@ class TimestampAssignment:
         a streaming :class:`~repro.core.incremental.IncrementalHBOracle`
         is queried as it is, and with no oracle the execution is streamed
         through one (O(|E|·n) integers, where the batch build is O(|E|²)
-        bits).
+        bits).  Another execution's oracle is a ``ValueError``.
         """
-        import random as _random
-
         if oracle is None:
             oracle = incremental_from_execution(self._execution)
-        rng = _random.Random(seed)
+        self._refuse_foreign(oracle)
         ids = [ev.eid for ev in self._execution.all_events()]
         if len(ids) < 2:
             return self.validate(oracle)
-        false_neg = []
-        false_pos = []
+        stamps = [ts for row in self._rows for ts in row]
+        happened_before = oracle.happened_before
+        false_neg: List[Tuple[EventId, EventId]] = []
+        false_pos: List[Tuple[EventId, EventId]] = []
         n_ordered = 0
-        n_concurrent = 0
-        for _ in range(n_pairs):
-            a, b = rng.sample(ids, 2)
-            # Check both directions of the sampled pair, but classify the
-            # unordered pair once, so ``n_ordered + n_concurrent == n_pairs``
-            # and every concurrent pair contributes exactly the two
-            # direction-checks the ``false_positive_rate`` denominator
-            # assumes.  (Checking one direction while counting the pair
-            # used to skew both totals.)
-            hb_ab = oracle.happened_before(a, b)
-            hb_ba = oracle.happened_before(b, a)
-            for (x, y), hb in (((a, b), hb_ab), ((b, a), hb_ba)):
-                claimed = self._ts[x].precedes(self._ts[y])
-                if hb and not claimed:
-                    false_neg.append((x, y))
-                elif claimed and not hb:
-                    false_pos.append((x, y))
+        for i, j in _sample_pairs(seed, len(ids), n_pairs):
+            a, b, ts_a, ts_b = ids[i], ids[j], stamps[i], stamps[j]
+            if ts_a is None or ts_b is None:
+                raise KeyError(a if ts_a is None else b)
+            # Both directions of the sampled pair are checked, the unordered
+            # pair is classified once: ``n_ordered + n_concurrent ==
+            # n_pairs`` and every concurrent pair contributes exactly the
+            # two direction-checks ``false_positive_rate`` assumes.
+            hb_ab = happened_before(a, b)
+            hb_ba = happened_before(b, a)
+            if hb_ab != ts_a.precedes(ts_b):
+                (false_neg if hb_ab else false_pos).append((a, b))
+            if hb_ba != ts_b.precedes(ts_a):
+                (false_neg if hb_ba else false_pos).append((b, a))
             if hb_ab or hb_ba:
                 n_ordered += 1
-            else:
-                n_concurrent += 1
         return ValidationReport(
             algorithm=self._algorithm.name,
             n_events=len(ids),
             n_ordered_pairs=n_ordered,
-            n_concurrent_pairs=n_concurrent,
+            n_concurrent_pairs=n_pairs - n_ordered,
             false_negatives=tuple(false_neg),
             false_positives=tuple(false_pos),
         )
+
+    def _refuse_foreign(self, oracle: AnyOracle) -> None:
+        """``ValueError`` for another execution's oracle.  Reads per-process
+        counts only: a streaming oracle is neither frozen nor asked for rows."""
+        if isinstance(oracle, IncrementalHBOracle):
+            oracle.flush()  # rows a bound store still holds count
+        theirs = [oracle.event_count(p) for p in range(oracle.n_processes)]
+        ours = self._execution.event_counts()
+        if theirs != ours:
+            raise ValueError(
+                f"oracle was built for an execution with per-process "
+                f"event counts {theirs}, the timestamps for {ours}"
+            )
 
     def _batch_oracle(self, oracle: Optional[AnyOracle]) -> HappenedBeforeOracle:
         """The batch oracle to validate against: built when none is given,
         an incremental one frozen, one for another execution refused."""
         if oracle is None:
             return HappenedBeforeOracle(self._execution)
-        oracle = as_batch_oracle(oracle, self._execution)
-        if oracle.execution is not self._execution:
-            theirs = oracle.execution.event_counts()
-            ours = self._execution.event_counts()
-            if theirs != ours:
-                raise ValueError(
-                    f"oracle was built for an execution with per-process "
-                    f"event counts {theirs}, the timestamps for {ours}"
-                )
-        return oracle
+        self._refuse_foreign(oracle)
+        return as_batch_oracle(oracle, self._execution)
 
     def validate(
         self,
@@ -231,7 +268,7 @@ class TimestampAssignment:
         ids = list(events) if events is not None else oracle.event_order
         sel = None if events is None else [oracle.index_of(e) for e in ids]
         m = len(ids)
-        ts_list = [self._ts[eid] for eid in ids]
+        ts_list = [self[eid] for eid in ids]
         truth = oracle.past_matrix()
         if truth is not None:
             from repro.core import npkernel
@@ -293,7 +330,7 @@ class TimestampAssignment:
         )
         # one timestamp fetch per event and one oracle question per ordered
         # pair; both answers also classify the unordered pair
-        ts = [self._ts[eid] for eid in ids]
+        ts = [self[eid] for eid in ids]
         happened_before = oracle.happened_before
         false_neg: List[Tuple[EventId, EventId]] = []
         false_pos: List[Tuple[EventId, EventId]] = []
@@ -319,6 +356,34 @@ class TimestampAssignment:
             false_negatives=tuple(false_neg),
             false_positives=tuple(false_pos),
         )
+
+
+def _sample_pairs(seed: int, n: int, n_pairs: int) -> Iterator[Sequence[int]]:
+    """The positions ``random.Random(seed).sample(population, 2)`` picks
+    from a population of ``n >= 2``, *n_pairs* times over.
+
+    ``sample`` spends most of a two-element draw on its argument checks.
+    Above its 21-element pool branch the selection alone is two draws of
+    ``getrandbits(n.bit_length())``, each retried until below *n* and the
+    second redrawn on a repeat; ``tests/clocks/test_sampled_reference.py``
+    pins the stream pair for pair against ``rng.sample``.
+    """
+    rng = random.Random(seed)
+    if n <= 21:
+        for _ in range(n_pairs):
+            yield rng.sample(range(n), 2)
+        return
+    getrandbits, bits = rng.getrandbits, n.bit_length()
+    for _ in range(n_pairs):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        j = i
+        while j == i:
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
+        yield i, j
 
 
 def _mismatch_indices(
@@ -359,6 +424,21 @@ def _mismatch_indices(
     return (*cells(missed), *cells(claimed))
 
 
+def collect_assignment(
+    algorithm: ClockAlgorithm,
+    execution: Execution,
+    finalized_during_run: Iterable[EventId],
+    finalize: bool,
+) -> TimestampAssignment:
+    """The end of a run, shared by :func:`replay` and the simulator: apply
+    termination finalization when *finalize* is set, then read every
+    event's timestamp into the table."""
+    if finalize:
+        algorithm.finalize_at_termination()
+        algorithm.drain_newly_finalized()
+    return TimestampAssignment(algorithm, execution, finalized_during_run)
+
+
 def replay(
     execution: Execution,
     algorithms: Sequence[ClockAlgorithm],
@@ -373,7 +453,7 @@ def replay(
     full event set.
     """
     payloads: List[Dict[int, object]] = [dict() for _ in algorithms]
-    finalized: List[Set[EventId]] = [set() for _ in algorithms]
+    finalized: List[List[EventId]] = [[] for _ in algorithms]
 
     reg = active_registry()
     delay_hists = [
@@ -398,7 +478,7 @@ def replay(
                     algo.on_control(cm.src, cm.dst, cm.payload)
             newly = algo.drain_newly_finalized()
             if newly:
-                finalized[i].update(newly)
+                finalized[i].extend(newly)
                 tally = delays[i]
                 for eid in newly:
                     # time-to-non-⊥ in events under the replayer's total
@@ -410,20 +490,10 @@ def replay(
         for delay, count in tally.items():
             hist.observe_n(delay, count)
 
-    results: List[TimestampAssignment] = []
-    for i, algo in enumerate(algorithms):
-        if finalize:
-            algo.finalize_at_termination()
-            algo.drain_newly_finalized()
-        ts: Dict[EventId, Timestamp] = {}
-        for ev in execution.all_events():
-            t = algo.timestamp(ev.eid)
-            if t is not None:
-                ts[ev.eid] = t
-        results.append(
-            TimestampAssignment(algo, execution, ts, finalized[i])
-        )
-    return results
+    return [
+        collect_assignment(algo, execution, finalized[i], finalize)
+        for i, algo in enumerate(algorithms)
+    ]
 
 
 def replay_one(

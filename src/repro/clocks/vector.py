@@ -10,7 +10,7 @@ reduced below ``n`` (integer entries) even when the topology is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
@@ -20,7 +20,7 @@ from repro.clocks.base import (
     standard_vector_words,
     vector_lt,
 )
-from repro.core.events import Event, EventId
+from repro.core.events import Event
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,13 +62,12 @@ class VectorClock(ClockAlgorithm):
     def __init__(self, n_processes: int) -> None:
         super().__init__(n_processes)
         self._clock = [[0] * n_processes for _ in range(n_processes)]
-        self._ts: Dict[EventId, VectorTimestamp] = {}
 
     def _record(self, ev: Event) -> None:
-        clock = self._clock[ev.proc]
-        clock[ev.proc] += 1
-        self._ts[ev.eid] = VectorTimestamp(tuple(clock))
-        self._mark_final(ev.eid)
+        eid = ev.eid
+        clock = self._clock[eid.proc]
+        clock[eid.proc] += 1
+        self._stamp(eid, VectorTimestamp(tuple(clock)))
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
@@ -84,12 +83,6 @@ class VectorClock(ClockAlgorithm):
                 clock[k] = v
         self._record(ev)
         return []
-
-    def timestamp(self, eid: EventId) -> Optional[VectorTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts
 
     def payload_elements(self, payload: Any) -> int:
         return len(payload)

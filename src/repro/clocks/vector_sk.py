@@ -27,14 +27,14 @@ is a fixed ``|VC| + 2`` elements.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.clocks.base import ClockAlgorithm, ControlMessage
-from repro.clocks.vector import VectorTimestamp
-from repro.core.events import Event, EventId, ProcessId
+from repro.clocks.base import ControlMessage
+from repro.clocks.vector import VectorClock
+from repro.core.events import Event, ProcessId
 
 
-class SKVectorClock(ClockAlgorithm):
+class SKVectorClock(VectorClock):
     """Vector clock with Singhal–Kshemkalyani differential transmission.
 
     Produces exactly the same :class:`VectorTimestamp` values as
@@ -49,10 +49,6 @@ class SKVectorClock(ClockAlgorithm):
 
     def __init__(self, n_processes: int) -> None:
         super().__init__(n_processes)
-        self._clock: List[List[int]] = [
-            [0] * n_processes for _ in range(n_processes)
-        ]
-        self._ts: Dict[EventId, VectorTimestamp] = {}
         # per directed channel: last vector sent, outgoing seq counter
         self._last_sent: Dict[Tuple[ProcessId, ProcessId], List[int]] = {}
         self._seq_out: Dict[Tuple[ProcessId, ProcessId], int] = {}
@@ -63,21 +59,11 @@ class SKVectorClock(ClockAlgorithm):
         self._messages_sent = 0
 
     # ------------------------------------------------------------------
-    def _record(self, ev: Event) -> None:
-        clock = self._clock[ev.proc]
-        clock[ev.proc] += 1
-        self._ts[ev.eid] = VectorTimestamp(tuple(clock))
-        self._mark_final(ev.eid)
-
-    def on_local(self, ev: Event) -> None:
-        self._record(ev)
-
     def on_send(self, ev: Event) -> Any:
-        self._record(ev)
+        clock = super().on_send(ev)  # the full vector a plain clock sends
         src, dst = ev.proc, ev.peer
         assert dst is not None
         key = (src, dst)
-        clock = self._clock[src]
         last = self._last_sent.get(key)
         if last is None:
             diff = tuple((i, v) for i, v in enumerate(clock) if v > 0)
@@ -107,21 +93,10 @@ class SKVectorClock(ClockAlgorithm):
         view = self._channel_view.setdefault(key, [0] * self._n)
         for i, v in diff:
             view[i] = v  # in-order: overwrite reconstructs the sender vector
-        # merge the reconstructed channel view into the local clock
-        clock = self._clock[dst]
-        for i, v in enumerate(view):
-            if v > clock[i]:
-                clock[i] = v
-        self._record(ev)
-        return []
+        # the reconstructed channel view is what a plain clock receives
+        return super().on_receive(ev, view)
 
     # ------------------------------------------------------------------
-    def timestamp(self, eid: EventId) -> Optional[VectorTimestamp]:
-        return self._ts.get(eid)
-
-    def is_final(self, eid: EventId) -> bool:
-        return eid in self._ts
-
     def payload_elements(self, payload: Any) -> int:
         """Cost model: 1 (seq) + 2 per transmitted (index, value) pair."""
         seq, diff = payload

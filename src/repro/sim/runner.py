@@ -42,7 +42,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm, ControlMessage
-from repro.clocks.replay import TimestampAssignment
+from repro.clocks.replay import TimestampAssignment, collect_assignment
 from repro.core.events import Event, EventId, MessageId, ProcessId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.core.happened_before import HappenedBeforeOracle
@@ -682,18 +682,9 @@ class Simulation:
                 st.control_duplicates_suppressed += sent.duplicates_suppressed
                 st.control_acks += sent.acks_received
                 st.control_abandoned += sent.abandoned
-            algo = cs.algo
-            finalized_during_run = set(cs.final_times)
-            if finalize:
-                algo.finalize_at_termination()
-                algo.drain_newly_finalized()
-            ts = {}
-            for ev in execution.all_events():
-                t = algo.timestamp(ev.eid)
-                if t is not None:
-                    ts[ev.eid] = t
-            assignments[cs.name] = TimestampAssignment(
-                algo, execution, ts, finalized_during_run
+            # a snapshot: final_times is handed out as a public dict
+            assignments[cs.name] = collect_assignment(
+                cs.algo, execution, frozenset(cs.final_times), finalize
             )
 
         self._record_run_metrics(execution, assignments)
@@ -731,8 +722,8 @@ class Simulation:
         fold exact); the one float histogram, the virtual-time finalization
         delay, is replayed value by value in the order the finalizations
         happened, so its ``sum`` rounds exactly as a live observer's would.
-        The per-timestamp histograms add the paper's size metrics: element
-        counts and encoded bits under the Theorem 4.3 accounting.
+        The per-timestamp histograms add the paper's size metrics: the
+        assignment's tallies of element counts and Theorem 4.3 bits.
         """
         reg = self._reg
         for key, value in (
@@ -756,10 +747,9 @@ class Simulation:
             reg.counter("faults.crash_outages").inc(
                 sum(not up for _t, _p, up in transitions)
             )
-        max_events = max(1, max(execution.event_counts(), default=0))
         event_times = self._event_times
         for cs in self._clocks:
-            name, algo, stats = cs.name, cs.algo, cs.stats
+            name, stats = cs.name, cs.stats
             for field_name in (
                 "control_messages",
                 "control_elements",
@@ -781,15 +771,9 @@ class Simulation:
             delay_vtime = hist("clock.finalization_delay_vtime", buckets=VTIME_BUCKETS)
             for eid, t_final in cs.final_times.items():
                 delay_vtime.observe(t_final - event_times[eid])
-            n_elements: Dict[int, int] = {}
-            n_bits: Dict[int, int] = {}
-            for _eid, ts in assignments[name].items():
-                width = ts.n_elements
-                n_elements[width] = n_elements.get(width, 0) + 1
-                bits = algo.timestamp_bits(ts, max_events)
-                n_bits[bits] = n_bits.get(bits, 0) + 1
-            _fold(hist("clock.timestamp_elements"), n_elements)
-            _fold(hist("clock.timestamp_bits"), n_bits)
+            sizes = assignments[name]
+            _fold(hist("clock.timestamp_elements"), sizes.element_tally)
+            _fold(hist("clock.timestamp_bits"), sizes.bit_tally)
 
     def _checkpoint_clocks(self) -> None:
         """Checkpoint every attached clock at a crash instant.

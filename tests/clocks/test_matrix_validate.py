@@ -310,6 +310,26 @@ def test_oracle_of_another_execution_is_refused():
     assert asg.validate(HappenedBeforeOracle(twin)).characterizes
 
 
+@pytest.mark.parametrize(
+    "oracle_of", [HappenedBeforeOracle, incremental_from_execution],
+    ids=["batch", "streaming"],
+)
+def test_validate_sampled_refuses_an_oracle_of_another_execution(oracle_of):
+    """The sampled path used to answer: a correct vector clock over a
+    60-step run, sampled against a 200-step run's oracle, came back with
+    dozens of false negatives and false positives."""
+    graph = generators.star(6)
+    ex1 = random_execution(graph, random.Random(1), steps=60, deliver_all=True)
+    ex2 = random_execution(graph, random.Random(2), steps=200, deliver_all=True)
+    asg = replay(ex1, [VectorClock(6)])[0]
+    with pytest.raises(ValueError) as err:
+        asg.validate_sampled(oracle_of(ex2), n_pairs=100, seed=0)
+    assert str(ex1.event_counts()) in str(err.value)
+    assert str(ex2.event_counts()) in str(err.value)
+    twin = random_execution(graph, random.Random(1), steps=60, deliver_all=True)
+    assert asg.validate_sampled(oracle_of(twin), n_pairs=100).characterizes
+
+
 if __name__ == "__main__":
     graph, ex = _fixed_execution()
     for spec in all_schemes():

@@ -34,6 +34,15 @@ events asks the oracle once per *ordered* pair, m·(m−1) questions (at
 ``3ae9261`` it asked four times per unordered pair, twice that), and its
 report stays equal to ``validate``'s field for field on every pinned corpus
 case.
+
+The fourth is sampled validation, in Python-level calls (``call`` events
+only, as the simulator's budget counts) per sampled pair: 2,000 pairs of the
+hot-path budget's run — the 3/4/16 sequencer graph, 100 events per process,
+seed 7 — against its frozen streamed oracle.  At ``e71ddf4`` a pair cost
+28.4 (inline-cover) and 42.3 (vector) calls: ``random.sample``'s argument
+checks, four timestamp lookups by hashed event id, a generator resumed per
+vector component.  Drawn by position, each stamp fetched once and vectors
+compared by ``all(map(le, a, b))`` it costs 10.1 and 12.8.
 """
 
 import random
@@ -42,7 +51,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.clocks import VectorClock, replay_one
+from repro.clocks import CoverInlineClock, VectorClock, replay_one
 from repro.conformance.corpus import load_corpus
 from repro.conformance.registry import (
     scheme_by_name,
@@ -56,11 +65,17 @@ from repro.core import (
 )
 from repro.core.backend import numpy_available
 from repro.core.random_executions import execution_from_ops, random_execution
+from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 
 PARENT_CALLS = {"hlc": 662_679, "lamport": 661_641, "plausible": 284_464}
 #: measured 4.4-8.1 on CPython 3.11
 CEILING_CALLS_PER_EVENT = 10
+#: calls per sampled pair at ``e71ddf4``, and the ceiling: 10.1 / 12.8
+#: measured on CPython 3.11 and 3.12, + 5 %
+SAMPLED_PARENT_CALLS_PER_PAIR = {"inline-cover": 28.4, "vector": 42.3}
+SAMPLED_CEILING_CALLS_PER_PAIR = {"inline-cover": 10.6, "vector": 13.4}
+SAMPLED_PAIRS = 2_000
 
 
 def _fixed_execution():
@@ -70,24 +85,29 @@ def _fixed_execution():
     )
 
 
-def _validate_calls(scheme: str):
-    graph, ex = _fixed_execution()
-    asg = replay_one(ex, scheme_by_name(scheme).build(graph, 0))
-    oracle = HappenedBeforeOracle(ex, backend="numpy")
+def _count_calls(fn, kinds):
+    """``(profile events of *kinds* during fn(), fn()'s result)``."""
     calls = 0
 
     def profile(_frame, event, _arg):
         nonlocal calls
-        if event in ("call", "c_call"):
+        if event in kinds:
             calls += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        report = asg.validate(oracle)
+        result = fn()
     finally:
         sys.setprofile(previous)
-    return calls, report
+    return calls, result
+
+
+def _validate_calls(scheme: str):
+    graph, ex = _fixed_execution()
+    asg = replay_one(ex, scheme_by_name(scheme).build(graph, 0))
+    oracle = HappenedBeforeOracle(ex, backend="numpy")
+    return _count_calls(lambda: asg.validate(oracle), ("call", "c_call"))
 
 
 @pytest.mark.skipif(not numpy_available(), reason="requires numpy >= 2.0")
@@ -156,7 +176,42 @@ def test_pairwise_reference_asks_once_per_ordered_pair(case):
         assert pairwise == asg.validate(oracle), spec.name
 
 
+def _sampled_calls_per_pair():
+    graph, cover = generators.sequencer_architecture(
+        3, 4, 16, rng=random.Random(7)
+    )
+    res = Simulation(
+        graph,
+        seed=7,
+        clocks={
+            "inline-cover": CoverInlineClock(graph, tuple(cover)),
+            "vector": VectorClock(graph.n_vertices),
+        },
+        online_oracle=True,
+    ).run(UniformWorkload(events_per_process=100, p_local=0.3))
+    oracle = res.hb_oracle()
+    per_pair = {}
+    for name, asg in res.assignments.items():
+        calls, report = _count_calls(
+            lambda: asg.validate_sampled(oracle, n_pairs=SAMPLED_PAIRS, seed=7),
+            ("call",),
+        )
+        assert report.characterizes
+        assert report.n_ordered_pairs + report.n_concurrent_pairs == SAMPLED_PAIRS
+        per_pair[name] = calls / SAMPLED_PAIRS
+    return per_pair
+
+
+def test_sampled_validation_calls_per_pair_stay_under_the_ceiling():
+    per_pair = _sampled_calls_per_pair()
+    for name, ceiling in SAMPLED_CEILING_CALLS_PER_PAIR.items():
+        assert per_pair[name] <= 0.5 * SAMPLED_PARENT_CALLS_PER_PAIR[name]
+        assert per_pair[name] <= ceiling, (name, per_pair[name])
+
+
 if __name__ == "__main__":
+    for name, per_pair in _sampled_calls_per_pair().items():
+        print(f"{name:12s} sampled calls/pair={per_pair:.1f}")
     for name in sorted(PARENT_CALLS):
         calls, report = _validate_calls(name)
         print(

@@ -9,7 +9,9 @@ events per process, seed 7.
 At ``c7d145e`` — a histogram observe per observation, a recursive element
 count per payload, a closure and a liveness check per message — the run made
 513,844 calls for 3,901 events: 131.7 per event.  With integer tallies in
-the loop and histograms built once at the end it makes 79.1 (×0.60).
+the loop and histograms built once at the end it made 79.1 (×0.60); with
+the online clock recording by position and the end of the run collecting
+each assignment in one pass — no event id hashed for either — it makes 71.1.
 """
 
 import random
@@ -20,8 +22,8 @@ from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 
 PARENT_CALLS_PER_EVENT = 513_844 / 3_901
-#: measured 79.1 on CPython 3.11 (3.12 inlines comprehensions: fewer); +5 %
-CEILING_CALLS_PER_EVENT = 83.1
+#: measured 71.1 on CPython 3.11 and 3.12; +5 %
+CEILING_CALLS_PER_EVENT = 74.7
 
 
 def test_calls_per_event_stay_under_the_ceiling():
