@@ -124,33 +124,36 @@ class ClusterClock(ClockAlgorithm):
     def cluster_of(self, proc: int) -> int:
         return self._cluster_of[proc]
 
-    def _record(self, ev: Event, cluster_receive: bool) -> None:
-        p = ev.proc
+    def _record(
+        self, ev: Event, cluster_receive: bool, received: Sequence[int] = ()
+    ) -> Tuple[int, ...]:
+        """Merge a *received* vector, tick, stamp; returns the full vector."""
+        self._expect(ev.eid)
+        p = ev.eid.proc
         clock = self._clock[p]
+        for k, v in enumerate(received):
+            if v > clock[k]:
+                clock[k] = v
         clock[p] += 1
+        exact = tuple(clock)
         cid = self._cluster_of[p]
         cluster_vec = tuple(clock[m] for m in self._members[cid])
-        full = tuple(clock) if cluster_receive else None
         self._stamp(ev.eid, ClusterTimestamp(
             cluster_id=cid,
             cluster_vector=cluster_vec,
-            full_vector=full,
-            _exact=tuple(clock),
+            full_vector=exact if cluster_receive else None,
+            _exact=exact,
         ))
+        return exact
 
     def on_local(self, ev: Event) -> None:
         self._record(ev, cluster_receive=False)
 
     def on_send(self, ev: Event) -> Any:
-        self._record(ev, cluster_receive=False)
-        return tuple(self._clock[ev.proc])
+        return self._record(ev, cluster_receive=False)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        clock = self._clock[ev.proc]
-        for k, v in enumerate(payload):
-            if v > clock[k]:
-                clock[k] = v
         assert ev.peer is not None
         external = self._cluster_of[ev.peer] != self._cluster_of[ev.proc]
-        self._record(ev, cluster_receive=external)
+        self._record(ev, cluster_receive=external, received=payload)
         return []

@@ -62,21 +62,25 @@ class EncodedClock(ClockAlgorithm):
         self._primes = first_primes(n_processes)
         self._value: List[int] = [1] * n_processes
 
-    def _record(self, ev: Event) -> None:
-        self._value[ev.proc] *= self._primes[ev.proc]
-        self._stamp(ev.eid, EncodedTimestamp(self._value[ev.proc]))
+    def _record(self, ev: Event, received: int = 1) -> int:
+        """Merge a *received* value (lcm), tick, stamp; returns the value."""
+        self._expect(ev.eid)
+        p = ev.eid.proc
+        mine = self._value[p]
+        if received != 1:  # a local event or a send: no big-integer gcd
+            mine = mine * received // math.gcd(mine, received)
+        self._value[p] = mine = mine * self._primes[p]
+        self._stamp(ev.eid, EncodedTimestamp(mine))
+        return mine
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
 
     def on_send(self, ev: Event) -> Any:
-        self._record(ev)
-        return self._value[ev.proc]
+        return self._record(ev)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        mine = self._value[ev.proc]
-        self._value[ev.proc] = mine * payload // math.gcd(mine, payload)
-        self._record(ev)
+        self._record(ev, payload)
         return []
 
     def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:

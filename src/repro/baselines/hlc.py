@@ -131,6 +131,7 @@ class HybridLogicalClock(ClockAlgorithm):
 
     # ------------------------------------------------------------------
     def _local_step(self, ev: Event) -> None:
+        self._expect(ev.eid)  # before the time source is read: it may count
         p = ev.proc
         pt = self._time(p)
         self._max_pt_seen[p] = max(self._max_pt_seen[p], pt)
@@ -147,6 +148,7 @@ class HybridLogicalClock(ClockAlgorithm):
         return (self._l[ev.proc], self._c[ev.proc])
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
+        self._expect(ev.eid)
         p = ev.proc
         l_m, c_m = payload
         pt = self._time(p)

@@ -14,7 +14,7 @@ against the inline timestamps' exact answers at comparable sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
@@ -77,23 +77,26 @@ class PlausibleClock(ClockAlgorithm):
     def _own(self, proc: int) -> int:
         return proc % self._r
 
-    def _record(self, ev: Event) -> None:
-        clock = self._clock[ev.proc]
-        own = self._own(ev.proc)
+    def _record(self, ev: Event, received: Sequence[int] = ()) -> Tuple[int, ...]:
+        """Merge a *received* clock, tick, stamp; returns the event's clock."""
+        eid = ev.eid
+        self._expect(eid)
+        clock = self._clock[eid.proc]
+        for k, v in enumerate(received):
+            if v > clock[k]:
+                clock[k] = v
+        own = self._own(eid.proc)
         clock[own] += 1
-        self._stamp(ev.eid, PlausibleTimestamp(tuple(clock), own))
+        entries = tuple(clock)
+        self._stamp(eid, PlausibleTimestamp(entries, own))
+        return entries
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
 
     def on_send(self, ev: Event) -> Any:
-        self._record(ev)
-        return tuple(self._clock[ev.proc])
+        return self._record(ev)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        clock = self._clock[ev.proc]
-        for k, v in enumerate(payload):
-            if v > clock[k]:
-                clock[k] = v
-        self._record(ev)
+        self._record(ev, payload)
         return []

@@ -15,9 +15,9 @@ real protocol stack would host the algorithm:
   control messages is owned by the host (the replayer delivers them
   instantly; the simulator routes them through FIFO control channels with
   real delays, or piggybacks them — see :mod:`repro.sim.runner`).
-- :meth:`ClockAlgorithm.timestamp` returns the (possibly still provisional)
-  timestamp of an event, or ``None`` for ``⊥``;
-  :meth:`ClockAlgorithm.is_final` says whether it is permanent.  Online
+- :meth:`ClockAlgorithm.timestamp` returns the permanent timestamp of an
+  event, or ``None`` for ``⊥`` while it has none;
+  :meth:`ClockAlgorithm.is_final` says whether it has one.  Online
   algorithms finalize instantly; the inline algorithms finalize after the
   round trip described in the paper; *offline* finalization at termination is
   modelled by :meth:`ClockAlgorithm.finalize_at_termination`.
@@ -139,9 +139,11 @@ class ClockAlgorithm(abc.ABC):
             raise ValueError("need at least one process")
         self._n = n_processes
         self._newly_finalized: List[EventId] = []
-        #: online schemes: ``_stamps[p][k - 1]`` is the permanent timestamp
-        #: of event ``(p, k)``, appended by :meth:`_stamp` as it occurs
-        self._stamps: List[List[Timestamp]] = [[] for _ in range(n_processes)]
+        #: ``_stamps[p][k - 1]`` is the permanent timestamp of event
+        #: ``(p, k)``, built once: an online scheme appends it through
+        #: :meth:`_stamp` as the event occurs, an inline scheme appends
+        #: ``None`` (``⊥``) and writes the value when the event becomes final
+        self._stamps: List[List[Optional[Timestamp]]] = [[] for _ in range(n_processes)]
 
     @property
     def n_processes(self) -> int:
@@ -176,8 +178,9 @@ class ClockAlgorithm(abc.ABC):
     # timestamp queries
     # ------------------------------------------------------------------
     def timestamp(self, eid: EventId) -> Optional[Timestamp]:
-        """Current timestamp of *eid*, or ``None`` for ``⊥`` (unknown).
-        The default answers from :meth:`_stamp`'s rows: an online scheme's."""
+        """The permanent timestamp of *eid*, or ``None`` for ``⊥`` (not
+        final, or unknown).  A read of the ``_stamps`` table: the same
+        object on every call."""
         try:
             return self._stamps[eid.proc][eid.index - 1]
         except IndexError:
@@ -187,17 +190,22 @@ class ClockAlgorithm(abc.ABC):
         """Whether the timestamp of *eid* is permanent."""
         return self.timestamp(eid) is not None
 
-    def _stamp(self, eid: EventId, ts: Timestamp) -> None:
-        """An online scheme's record step: *ts* is *eid*'s timestamp, final
-        at once.  Events arrive in index order at each process — a gap or a
-        repeat is a host error, not an overwrite."""
-        row = self._stamps[eid.proc]
-        if eid.index != len(row) + 1:
+    def _expect(self, eid: EventId) -> None:
+        """Refuse *eid* unless it is the next event at its process: a gap or
+        a repeat is a host error, not an overwrite.  Every record step calls
+        this *before* it moves a counter or merges a payload, so a clock
+        that refused an event is unchanged and still accepts the right one."""
+        expected = len(self._stamps[eid.proc]) + 1
+        if eid.index != expected:
             raise ValueError(
                 f"event index {eid.index} does not match local counter "
-                f"{len(row) + 1}"
+                f"{expected}"
             )
-        row.append(ts)
+
+    def _stamp(self, eid: EventId, ts: Timestamp) -> None:
+        """An online scheme's record step, after :meth:`_expect`: *ts* is
+        *eid*'s timestamp, final at once."""
+        self._stamps[eid.proc].append(ts)
         self._newly_finalized.append(eid)
 
     def finalize_at_termination(self) -> List[EventId]:
@@ -251,9 +259,6 @@ class ClockAlgorithm(abc.ABC):
         self._newly_finalized = []
         return out
 
-    def _mark_final(self, eid: EventId) -> None:
-        self._newly_finalized.append(eid)
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -261,14 +266,20 @@ class ClockAlgorithm(abc.ABC):
         """Number of scalar elements the payload adds to an app message."""
         return _count_elements(payload)
 
-    def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
-        """Bits to encode *ts* given ≤ *max_events* events per process.
+    def width_bits(self, n_elements: int, max_events: int) -> int:
+        """Bits to encode a timestamp of *n_elements* stored elements given
+        ≤ *max_events* events per process.
 
-        Default accounting: ``ceil(log2(K+1))`` bits per counter element and
-        ``ceil(log2(n))`` bits for a process-id element; subclasses override
-        when their elements have different domains.
+        Default accounting: ``ceil(log2(K+1))`` bits per counter element;
+        the inline schemes override it to charge ``ceil(log2(n))`` bits for
+        their process-id element (Theorem 4.3).
         """
-        return ts.n_elements * counter_bits(max_events)
+        return n_elements * counter_bits(max_events)
+
+    def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
+        """Bits to encode *ts*: :meth:`width_bits` of its element count.  A
+        scheme whose cost depends on the *value* overrides this instead."""
+        return self.width_bits(ts.n_elements, max_events)
 
 
 def counter_bits(max_events: int) -> int:

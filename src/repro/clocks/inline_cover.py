@@ -166,12 +166,9 @@ class CoverTimestamp(Timestamp):
         return 2 + len(self.mpre) + len(self.mpost)
 
 
-@dataclass(slots=True)
-class _Record:
-    mctr: int
-    mpre: Tuple[int, ...]
-    mpost: Optional[List[PostValue]]  # None for cover events
-    final: bool = False
+#: what a non-cover event keeps while its timestamp is ``⊥``: its own id (so
+#: closing it constructs none), ``mpre``, and the ``mpost`` being filled in
+_Open = Tuple[EventId, Tuple[int, ...], List[PostValue]]
 
 
 class CoverInlineClock(ClockAlgorithm):
@@ -209,18 +206,25 @@ class CoverInlineClock(ClockAlgorithm):
             c: i for i, c in enumerate(self._cover)
         }
         k = len(self._cover)
-        self._mctr = [0] * self._n
         self._mpre: List[List[int]] = [[0] * k for _ in range(self._n)]
-        self._records: Dict[ProcessId, List[_Record]] = {
-            p: [] for p in range(self._n)
-        }
+        #: per process, ``{index: open entry}`` of the events still ``⊥``;
+        #: an entry is dropped when its timestamp is written to ``_stamps``
+        self._open: List[Dict[int, _Open]] = [{} for _ in range(self._n)]
         # which mpost slots of a non-cover process can ever become finite
         self._adjacent_cover: Dict[ProcessId, Tuple[int, ...]] = {}
+        #: ``_upto[j][slot]``: events at non-cover *j* with ``mctr`` up to
+        #: this have their final ``mpost[slot]``; ∞ for a slot with no
+        #: channel to *j*, which nothing waits for
+        self._upto: Dict[ProcessId, List[PostValue]] = {}
         for p in range(self._n):
             if p not in self._cpos:
-                self._adjacent_cover[p] = tuple(
+                adjacent = tuple(
                     self._cpos[c] for c in sorted(graph.neighbors(p))
                 )
+                self._adjacent_cover[p] = adjacent
+                self._upto[p] = [
+                    0 if slot in adjacent else INFINITY for slot in range(k)
+                ]
         # control sequencing, per directed pair (c -> j)
         self._ctrl_seq_out: Dict[Tuple[ProcessId, ProcessId], int] = {}
         self._ctrl_seq_in: Dict[Tuple[ProcessId, ProcessId], int] = {}
@@ -230,8 +234,6 @@ class CoverInlineClock(ClockAlgorithm):
         self._ctrl_emitted: Dict[
             Tuple[ProcessId, ProcessId], List[Tuple[int, int]]
         ] = {}
-        # per (j, cover-slot): events with mctr <= this have final mpost[slot]
-        self._upto: Dict[Tuple[ProcessId, int], int] = {}
         self._terminated = False
 
     # ------------------------------------------------------------------
@@ -247,38 +249,47 @@ class CoverInlineClock(ClockAlgorithm):
         return p in self._cpos
 
     # ------------------------------------------------------------------
-    def _new_event(self, ev: Event) -> _Record:
-        p = ev.proc
-        self._mctr[p] += 1
-        if ev.index != self._mctr[p]:
-            raise ValueError(
-                f"event index {ev.index} does not match local counter "
-                f"{self._mctr[p]}"
-            )
-        if p in self._cpos:
-            self._mpre[p][self._cpos[p]] = self._mctr[p]
-            rec = _Record(
-                mctr=self._mctr[p], mpre=tuple(self._mpre[p]), mpost=None,
-                final=True,
-            )
-            self._mark_final(ev.eid)
-        else:
-            rec = _Record(
-                mctr=self._mctr[p],
-                mpre=tuple(self._mpre[p]),
-                mpost=[INFINITY] * len(self._cover),
-            )
-            if not self._adjacent_cover[p]:
-                # isolated non-cover process: nothing to wait for
-                rec.final = True
-                self._mark_final(ev.eid)
-        self._records[p].append(rec)
-        return rec
+    def _new_event(
+        self, ev: Event, mpre_m: Tuple[int, ...] = ()
+    ) -> Tuple[int, Tuple[int, ...]]:
+        """The record step: ``(mctr, mpre)`` of *ev*, which merges *mpre_m*
+        (a received message's) first.  A cover event's timestamp is final
+        here and stamped; any other opens an entry."""
+        eid = ev.eid
+        self._expect(eid)
+        p = eid.proc
+        mctr = eid.index
+        mine = self._mpre[p]
+        for i, v in enumerate(mpre_m):
+            if v > mine[i]:
+                mine[i] = v
+        slot = self._cpos.get(p)
+        if slot is not None:
+            mine[slot] = mctr
+            mpre = tuple(mine)
+            self._stamp(eid, CoverTimestamp(p, mctr, mpre, None, self._cover))
+            return mctr, mpre
+        mpre = tuple(mine)
+        self._stamps[p].append(None)
+        entry = (eid, mpre, [INFINITY] * len(mine))
+        if self._adjacent_cover[p]:
+            self._open[p][mctr] = entry
+        else:  # isolated non-cover process: nothing to wait for
+            self._close(entry)
+        return mctr, mpre
+
+    def _close(self, entry: _Open) -> None:
+        """An open event's ``mpost`` is permanent: build its timestamp, once."""
+        eid, mpre, mpost = entry
+        self._stamps[eid.proc][eid.index - 1] = CoverTimestamp(
+            eid.proc, eid.index, mpre, tuple(mpost), self._cover
+        )
+        self._newly_finalized.append(eid)
 
     def _check_edge(self, ev: Event) -> None:
-        if ev.peer is not None and not self._graph.has_edge(ev.proc, ev.peer):
+        if ev.peer is not None and not self._graph.has_edge(ev.eid.proc, ev.peer):
             raise ValueError(
-                f"message between p{ev.proc} and p{ev.peer} "
+                f"message between p{ev.eid.proc} and p{ev.peer} "
                 f"violates the communication graph"
             )
 
@@ -290,26 +301,22 @@ class CoverInlineClock(ClockAlgorithm):
 
     def on_send(self, ev: Event) -> Any:
         self._check_edge(ev)
-        rec = self._new_event(ev)
-        return (ev.proc, rec.mctr, rec.mpre)
+        mctr, mpre = self._new_event(ev)
+        return (ev.eid.proc, mctr, mpre)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
         self._check_edge(ev)
         src, mctr_m, mpre_m = payload
-        p = ev.proc
-        mine = self._mpre[p]
-        for i, v in enumerate(mpre_m):
-            if v > mine[i]:
-                mine[i] = v
-        rec = self._new_event(ev)
+        mctr, _mpre = self._new_event(ev, mpre_m)
+        p = ev.eid.proc
         if p in self._cpos and src not in self._cpos:
             # acknowledge to the non-cover sender (paper: control message
             # with the send index and the receive index at the cover process)
             key = (p, src)
             seq = self._ctrl_seq_out.get(key, 0)
             self._ctrl_seq_out[key] = seq + 1
-            self._ctrl_emitted.setdefault(key, []).append((mctr_m, rec.mctr))
-            return [ControlMessage(src=p, dst=src, payload=(seq, mctr_m, rec.mctr))]
+            self._ctrl_emitted.setdefault(key, []).append((mctr_m, mctr))
+            return [ControlMessage(src=p, dst=src, payload=(seq, mctr_m, mctr))]
         return []
 
     # ------------------------------------------------------------------
@@ -333,63 +340,54 @@ class CoverInlineClock(ClockAlgorithm):
         self._ctrl_seq_in[key] = expected
 
     def _apply_control(self, c: ProcessId, j: ProcessId, a: int, b: int) -> None:
+        """Set ``mpost[c] = b`` for the events at *j* in ``(upto, a]`` — the
+        first, hence minimal, acknowledgement from *c* that covers them —
+        and close those whose every adjacent slot is now filled."""
         slot = self._cpos[c]
-        upto = self._upto.get((j, slot), 0)
+        filled = self._upto[j]
+        upto = filled[slot]
         if a <= upto:
             return
-        for rec in self._records[j][upto:a]:
-            assert rec.mpost is not None
-            if b < rec.mpost[slot]:
-                rec.mpost[slot] = b
-            if not rec.final and self._is_complete(j, rec):
-                rec.final = True
-                self._mark_final(EventId(j, rec.mctr))
-        self._upto[(j, slot)] = a
-
-    def _is_complete(self, j: ProcessId, rec: _Record) -> bool:
-        assert rec.mpost is not None
-        return all(
-            rec.mpost[slot] != INFINITY for slot in self._adjacent_cover[j]
-        )
+        filled[slot] = a
+        # slot s of event k is filled iff k <= filled[s]
+        complete = min(filled)
+        open_j = self._open[j]
+        for k in range(upto + 1, a + 1):
+            entry = open_j.get(k)
+            if entry is None:
+                continue  # an index this process never reached
+            entry[2][slot] = b
+            if k <= complete:
+                del open_j[k]
+                self._close(entry)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _record_of(self, eid: EventId) -> _Record:
-        recs = self._records[eid.proc]
-        if not 1 <= eid.index <= len(recs):
-            raise KeyError(f"unknown event {eid}")
-        return recs[eid.index - 1]
-
     def timestamp(self, eid: EventId) -> Optional[CoverTimestamp]:
-        rec = self._record_of(eid)
-        if not rec.final:
-            return None
-        return self._to_timestamp(eid, rec)
+        """The base class's table read, but an event that never occurred
+        is a ``KeyError``, not ``⊥``."""
+        try:
+            return self._stamps[eid.proc][eid.index - 1]  # type: ignore[return-value]
+        except IndexError:
+            raise KeyError(f"unknown event {eid}") from None
 
     def provisional_timestamp(self, eid: EventId) -> CoverTimestamp:
         """Current (possibly provisional) value, for inspection/debugging."""
-        return self._to_timestamp(eid, self._record_of(eid))
-
-    def _to_timestamp(self, eid: EventId, rec: _Record) -> CoverTimestamp:
-        return CoverTimestamp(
-            id=eid.proc,
-            mctr=rec.mctr,
-            mpre=rec.mpre,
-            mpost=None if rec.mpost is None else tuple(rec.mpost),
-            cover=self._cover,
-        )
-
-    def is_final(self, eid: EventId) -> bool:
-        return self._record_of(eid).final
+        ts = self.timestamp(eid)
+        if ts is None:
+            _eid, mpre, mpost = self._open[eid.proc][eid.index]
+            ts = CoverTimestamp(
+                eid.proc, eid.index, mpre, tuple(mpost), self._cover
+            )
+        return ts
 
     # ------------------------------------------------------------------
-    def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
+    def width_bits(self, n_elements: int, max_events: int) -> int:
         """Theorem 4.3 accounting: ``id`` costs ``ceil(log2 n)`` bits,
         every other stored element ``ceil(log2(K+1))`` bits (∞ entries are
         encoded as 0, which no real receive index uses)."""
-        assert isinstance(ts, CoverTimestamp)
-        return id_bits(self._n) + (ts.n_elements - 1) * counter_bits(max_events)
+        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
 
     def payload_elements(self, payload: Any) -> int:
         """``(id, mctr, mpre)`` on an application message, ``(seq, send
@@ -412,11 +410,8 @@ class CoverInlineClock(ClockAlgorithm):
                 self._apply_control(c, j, a, b)
             self._ctrl_seq_in[key] = len(emitted)
             self._ctrl_buffer.get(key, {}).clear()
-        for p in range(self._n):
-            if p in self._cpos:
-                continue
-            for rec in self._records[p]:
-                if not rec.final:
-                    rec.final = True
-                    self._mark_final(EventId(p, rec.mctr))
+        for open_p in self._open:
+            for entry in open_p.values():
+                self._close(entry)
+            open_p.clear()
         return list(self._newly_finalized[start:])

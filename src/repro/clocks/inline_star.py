@@ -179,16 +179,6 @@ class StarTimestamp(Timestamp):
         return 2 if self.id == self.center else 4
 
 
-@dataclass(slots=True)
-class _Record:
-    """Mutable per-event state while the execution is in progress."""
-
-    ctr: int
-    pre: int
-    post: PostValue = INFINITY  # meaningful for radial events only
-    final: bool = False
-
-
 class StarInlineClock(ClockAlgorithm):
     """The Figure-1 algorithm.
 
@@ -209,11 +199,11 @@ class StarInlineClock(ClockAlgorithm):
         if not 0 <= center < n_processes:
             raise ValueError("center out of range")
         self._center = center
-        self._ctr = [0] * n_processes
         self._pre = [0] * n_processes
-        self._records: Dict[ProcessId, List[_Record]] = {
-            p: [] for p in range(n_processes)
-        }
+        #: per radial process, ``{ctr: (event id, pre)}`` of the events still
+        #: ``⊥`` (their ``post`` is ∞ until the acknowledgement that closes
+        #: them); an entry is dropped when its timestamp goes to ``_stamps``
+        self._open: List[Dict[int, Tuple[EventId, int]]] = [{} for _ in range(n_processes)]
         # control-channel sequencing (C -> j), and resequencing state at j
         self._ctrl_seq_out = [0] * n_processes  # next seq to emit, per dst
         self._ctrl_seq_in = [0] * n_processes  # next seq expected, per dst
@@ -233,65 +223,63 @@ class StarInlineClock(ClockAlgorithm):
     def center(self) -> ProcessId:
         return self._center
 
-    def _is_center(self, p: ProcessId) -> bool:
-        return p == self._center
+    def _new_event(self, ev: Event, ctr_m: int = 0) -> Tuple[int, int]:
+        """The record step: ``(ctr, pre)`` of *ev*; *ctr_m* is the index a
+        message received from ``C`` carries.  A central event's timestamp
+        is final here and stamped; a radial one opens an entry."""
+        self._check_star_event(ev)
+        eid = ev.eid
+        self._expect(eid)
+        p = eid.proc
+        ctr = eid.index
+        if p == self._center:
+            self._stamp(eid, StarTimestamp(p, ctr, ctr, None, p))
+            return ctr, ctr
+        pre = self._pre[p] = max(self._pre[p], ctr_m)
+        self._stamps[p].append(None)
+        self._open[p][ctr] = (eid, pre)
+        return ctr, pre
 
-    def _new_event(self, ev: Event) -> _Record:
-        p = ev.proc
-        self._ctr[p] += 1
-        if self._is_center(p):
-            rec = _Record(ctr=self._ctr[p], pre=self._ctr[p], final=True)
-            self._mark_final(ev.eid)
-        else:
-            rec = _Record(ctr=self._ctr[p], pre=self._pre[p])
-        if ev.index != rec.ctr:
-            raise ValueError(
-                f"event index {ev.index} does not match local counter {rec.ctr}"
-            )
-        self._records[p].append(rec)
-        return rec
+    def _close(self, entry: Tuple[EventId, int], post: PostValue) -> None:
+        """A radial event's ``post`` is permanent: build its timestamp, once."""
+        eid, pre = entry
+        self._stamps[eid.proc][eid.index - 1] = StarTimestamp(
+            eid.proc, eid.index, pre, post, self._center
+        )
+        self._newly_finalized.append(eid)
 
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
     def on_local(self, ev: Event) -> None:
-        self._check_star_event(ev)
         self._new_event(ev)
 
     def on_send(self, ev: Event) -> Any:
-        self._check_star_event(ev)
-        rec = self._new_event(ev)
-        return (rec.ctr, rec.pre)
+        return self._new_event(ev)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._check_star_event(ev)
         ctr_m, _pre_m = payload
-        p = ev.proc
-        if self._is_center(p):
-            rec = self._new_event(ev)
-            # acknowledge: tell sender j at which index its message arrived
-            j = ev.peer
-            assert j is not None
-            seq = self._ctrl_seq_out[j]
-            self._ctrl_seq_out[j] += 1
-            self._ctrl_emitted[j].append((ctr_m, rec.ctr))
-            return [
-                ControlMessage(
-                    src=p, dst=j, payload=(seq, ctr_m, rec.ctr)
-                )
-            ]
-        # radial receive: the message necessarily came from C
-        self._pre[p] = max(self._pre[p], ctr_m)
-        self._new_event(ev)
-        return []
+        p = ev.eid.proc
+        if p != self._center:
+            # radial receive: the message necessarily came from C
+            self._new_event(ev, ctr_m)
+            return []
+        ctr, _pre = self._new_event(ev)
+        # acknowledge: tell sender j at which index its message arrived
+        j = ev.peer
+        assert j is not None
+        seq = self._ctrl_seq_out[j]
+        self._ctrl_seq_out[j] += 1
+        self._ctrl_emitted[j].append((ctr_m, ctr))
+        return [ControlMessage(src=p, dst=j, payload=(seq, ctr_m, ctr))]
 
     def _check_star_event(self, ev: Event) -> None:
-        if ev.peer is not None:
-            if not (self._is_center(ev.proc) or self._is_center(ev.peer)):
-                raise ValueError(
-                    f"message between two radial processes "
-                    f"(p{ev.proc} and p{ev.peer}) violates the star topology"
-                )
+        center = self._center
+        if ev.peer is not None and ev.eid.proc != center and ev.peer != center:
+            raise ValueError(
+                f"message between two radial processes "
+                f"(p{ev.eid.proc} and p{ev.peer}) violates the star topology"
+            )
 
     # ------------------------------------------------------------------
     # control handling
@@ -316,58 +304,47 @@ class StarInlineClock(ClockAlgorithm):
             self._apply_control(dst, a2, b2)
 
     def _apply_control(self, j: ProcessId, a: int, b: int) -> None:
-        """Set ``post = b`` for events at *j* with ``ctr`` in
-        ``(finalized_upto, a]`` — those are exactly the events for which this
-        is the first (hence minimal, by FIFO) applicable acknowledgement."""
+        """Close the events at *j* with ``ctr`` in ``(finalized_upto, a]``
+        with ``post = b`` — those are exactly the events for which this is
+        the first (hence minimal, by FIFO) applicable acknowledgement."""
         upto = self._finalized_upto[j]
         if a <= upto:
             return
-        for rec in self._records[j][upto:a]:
-            rec.post = min(rec.post, b)
-            if not rec.final:
-                rec.final = True
-                self._mark_final(EventId(j, rec.ctr))
         self._finalized_upto[j] = a
+        open_j = self._open[j]
+        for ctr in range(upto + 1, a + 1):
+            entry = open_j.pop(ctr, None)
+            if entry is not None:  # None: an index *j* never reached
+                self._close(entry, b)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def timestamp(self, eid: EventId) -> Optional[StarTimestamp]:
-        rec = self._record_of(eid)
-        if not rec.final:
-            return None
-        post = None if self._is_center(eid.proc) else rec.post
-        return StarTimestamp(
-            id=eid.proc, ctr=rec.ctr, pre=rec.pre, post=post, center=self._center
-        )
+        """The base class's table read, but an event that never occurred
+        is a ``KeyError``, not ``⊥``."""
+        try:
+            return self._stamps[eid.proc][eid.index - 1]  # type: ignore[return-value]
+        except IndexError:
+            raise KeyError(f"unknown event {eid}") from None
 
     def provisional_timestamp(self, eid: EventId) -> StarTimestamp:
         """The current (possibly not yet permanent) value — for inspection."""
-        rec = self._record_of(eid)
-        post = None if self._is_center(eid.proc) else rec.post
-        return StarTimestamp(
-            id=eid.proc, ctr=rec.ctr, pre=rec.pre, post=post, center=self._center
-        )
-
-    def is_final(self, eid: EventId) -> bool:
-        return self._record_of(eid).final
-
-    def _record_of(self, eid: EventId) -> _Record:
-        recs = self._records[eid.proc]
-        if not 1 <= eid.index <= len(recs):
-            raise KeyError(f"unknown event {eid}")
-        return recs[eid.index - 1]
+        ts = self.timestamp(eid)
+        if ts is None:
+            _eid, pre = self._open[eid.proc][eid.index]
+            ts = StarTimestamp(eid.proc, eid.index, pre, INFINITY, self._center)
+        return ts
 
     # ------------------------------------------------------------------
-    def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
+    def width_bits(self, n_elements: int, max_events: int) -> int:
         """Theorem 4.3 accounting for the star (|VC| = 1).
 
         The ``id`` element costs ``ceil(log2 n)`` bits; every other stored
         element costs ``ceil(log2(K+1))`` bits (a ``post`` of ∞ is encoded
         as 0, which no real receive index uses).
         """
-        assert isinstance(ts, StarTimestamp)
-        return id_bits(self._n) + (ts.n_elements - 1) * counter_bits(max_events)
+        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
 
     def payload_elements(self, payload: Any) -> int:
         """``(ctr, pre)`` on an application message, ``(seq, send index,
@@ -382,7 +359,7 @@ class StarInlineClock(ClockAlgorithm):
         self._terminated = True
         start = len(self._newly_finalized)
         for j in range(self._n):
-            if self._is_center(j):
+            if j == self._center:
                 continue
             # apply every emitted-but-not-yet-applied control, in order
             applied = self._ctrl_seq_in[j]
@@ -392,8 +369,7 @@ class StarInlineClock(ClockAlgorithm):
             self._ctrl_seq_in[j] = len(self._ctrl_emitted[j])
             self._ctrl_buffer[j].clear()
             # remaining infinities are true: no causal successor at C
-            for rec in self._records[j]:
-                if not rec.final:
-                    rec.final = True
-                    self._mark_final(EventId(j, rec.ctr))
+            for entry in self._open[j].values():
+                self._close(entry, INFINITY)
+            self._open[j].clear()
         return list(self._newly_finalized[start:])

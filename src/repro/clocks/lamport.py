@@ -53,17 +53,19 @@ class LamportClock(ClockAlgorithm):
         super().__init__(n_processes)
         self._clock = [0] * n_processes
 
-    def _tick(self, ev: Event, floor: int = 0) -> None:
-        p = ev.proc
-        self._clock[p] = max(self._clock[p], floor) + 1
-        self._stamp(ev.eid, LamportTimestamp(self._clock[p], p))
+    def _tick(self, ev: Event, floor: int = 0) -> int:
+        eid = ev.eid
+        self._expect(eid)
+        p = eid.proc
+        clock = self._clock[p] = max(self._clock[p], floor) + 1
+        self._stamp(eid, LamportTimestamp(clock, p))
+        return clock
 
     def on_local(self, ev: Event) -> None:
         self._tick(ev)
 
     def on_send(self, ev: Event) -> Any:
-        self._tick(ev)
-        return self._clock[ev.proc]
+        return self._tick(ev)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
         self._tick(ev, floor=int(payload))

@@ -25,6 +25,8 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm, Timestamp, precedes_matrix_rows
+from repro.clocks.inline_cover import CoverInlineClock
+from repro.clocks.inline_star import StarInlineClock
 from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
@@ -73,10 +75,17 @@ class ValidationReport:
         return len(self.false_positives) / (2 * self.n_concurrent_pairs)
 
 
+#: the ``timestamp`` methods that read ``ClockAlgorithm._stamps`` and nothing
+#: else: the base class's and the inline schemes' bounds-checking readers
+_TABLE_READERS = frozenset(
+    {ClockAlgorithm.timestamp, CoverInlineClock.timestamp, StarInlineClock.timestamp}
+)
+
+
 class TimestampAssignment:
     """The timestamps an algorithm assigned to one execution, as a table:
     ``rows[p][k - 1]`` is the timestamp of event ``(p, k)``, ``None`` for
-    ``⊥``.  Construction reads each one once and tallies their sizes."""
+    ``⊥``.  Construction takes the table and tallies the sizes in it."""
 
     def __init__(
         self,
@@ -87,21 +96,36 @@ class TimestampAssignment:
         self._algorithm = algorithm
         self._execution = execution
         self._finalized = finalized_during_run
-        timestamp = algorithm.timestamp
-        self._rows: List[List[Optional[Timestamp]]] = [
-            [timestamp(ev.eid) for ev in execution.events_at(proc)]
-            for proc in range(execution.n_processes)
-        ]
-        stamps = [ts for row in self._rows for ts in row if ts is not None]
+        if (
+            type(algorithm).timestamp in _TABLE_READERS
+            and [len(row) for row in algorithm._stamps] == execution.event_counts()
+        ):
+            # the scheme built this very table, a timestamp per event as it
+            # became final: a copy is what asking event by event would return
+            rows = [row.copy() for row in algorithm._stamps]
+        else:
+            # a subclass's own ``timestamp`` (or a clock that saw another
+            # execution) is asked: what it answers is what validation judges
+            timestamp = algorithm.timestamp
+            rows = [
+                [timestamp(ev.eid) for ev in execution.events_at(proc)]
+                for proc in range(execution.n_processes)
+            ]
+        self._rows: List[List[Optional[Timestamp]]] = rows
+        stamps = [ts for row in rows for ts in row if ts is not None]
         #: ``{stored elements: how many timestamps}``, the paper's size metric
         self.element_tally: Dict[int, int] = Counter(
             map(attrgetter("n_elements"), stamps)
         )
         max_events = max(1, execution.max_events_per_process())
         #: ``{encoded bits: how many timestamps}``, Theorem 4.3's accounting
-        self.bit_tally: Dict[int, int] = Counter(
-            map(algorithm.timestamp_bits, stamps, repeat(max_events))
-        )
+        self.bit_tally: Dict[int, int] = Counter()
+        if type(algorithm).timestamp_bits is ClockAlgorithm.timestamp_bits:
+            # the bits are a function of the width: one call per width
+            for width, count in self.element_tally.items():
+                self.bit_tally[algorithm.width_bits(width, max_events)] += count
+        else:  # they depend on the value (``encoded``): one call per stamp
+            self.bit_tally.update(map(algorithm.timestamp_bits, stamps, repeat(max_events)))
 
     @property
     def algorithm(self) -> ClockAlgorithm:
@@ -431,8 +455,8 @@ def collect_assignment(
     finalize: bool,
 ) -> TimestampAssignment:
     """The end of a run, shared by :func:`replay` and the simulator: apply
-    termination finalization when *finalize* is set, then read every
-    event's timestamp into the table."""
+    termination finalization when *finalize* is set, then take the scheme's
+    table of timestamps."""
     if finalize:
         algorithm.finalize_at_termination()
         algorithm.drain_newly_finalized()

@@ -10,7 +10,7 @@ reduced below ``n`` (integer entries) even when the topology is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
@@ -63,25 +63,27 @@ class VectorClock(ClockAlgorithm):
         super().__init__(n_processes)
         self._clock = [[0] * n_processes for _ in range(n_processes)]
 
-    def _record(self, ev: Event) -> None:
+    def _record(self, ev: Event, received: Sequence[int] = ()) -> Tuple[int, ...]:
+        """Merge a *received* vector, tick, stamp; returns the event's vector."""
         eid = ev.eid
+        self._expect(eid)
         clock = self._clock[eid.proc]
+        for k, v in enumerate(received):
+            if v > clock[k]:
+                clock[k] = v
         clock[eid.proc] += 1
-        self._stamp(eid, VectorTimestamp(tuple(clock)))
+        vector = tuple(clock)
+        self._stamp(eid, VectorTimestamp(vector))
+        return vector
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
 
     def on_send(self, ev: Event) -> Any:
-        self._record(ev)
-        return tuple(self._clock[ev.proc])
+        return self._record(ev)
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        clock = self._clock[ev.proc]
-        for k, v in enumerate(payload):
-            if v > clock[k]:
-                clock[k] = v
-        self._record(ev)
+        self._record(ev, payload)
         return []
 
     def payload_elements(self, payload: Any) -> int:

@@ -83,6 +83,7 @@ class SKVectorClock(VectorClock):
         assert src is not None
         key = (src, dst)
         seq, diff = payload
+        self._expect(ev.eid)  # before the channel state below moves
         expected = self._seq_in.get(key, 0)
         if seq != expected:
             raise ValueError(

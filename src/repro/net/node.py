@@ -324,21 +324,15 @@ class LiveClockHost:
 
     def finalized_events(self) -> List[Tuple[EventId, Any]]:
         """``(eid, timestamp)`` for every event whose timestamp is final."""
-        out = []
-        for ev in self._events:
-            if self.clock.is_final(ev.eid):
-                out.append((ev.eid, self.clock.timestamp(ev.eid)))
-        return out
+        timestamp = self.clock.timestamp
+        stamped = ((ev.eid, timestamp(ev.eid)) for ev in self._events)
+        return [(eid, ts) for eid, ts in stamped if ts is not None]
 
     def stats(self) -> Dict[str, Any]:
-        final = 0
-        max_elements = 0
-        for ev in self._events:
-            if self.clock.is_final(ev.eid):
-                final += 1
-                ts = self.clock.timestamp(ev.eid)
-                if ts is not None:
-                    max_elements = max(max_elements, ts.n_elements)
+        # each timestamp is read once: ``ts is not None`` is finality
+        widths = [ts.n_elements for _eid, ts in self.finalized_events()]
+        final = len(widths)
+        max_elements = max(widths, default=0)
         total = len(self._events)
         return {
             "clock": self.clock.name,

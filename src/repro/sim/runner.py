@@ -39,7 +39,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm, ControlMessage
 from repro.clocks.replay import TimestampAssignment, collect_assignment
@@ -99,6 +99,36 @@ class AlgorithmStats:
         return self.app_payload_elements + self.control_elements
 
 
+class _TimeTable(Mapping[EventId, float]):
+    """``{event id: virtual time}``, read-only: what ``event_times`` and
+    ``finalization_times[name]`` are.  ``rows[p][k - 1]`` is the time of
+    event ``(p, k)`` (``None``, or a short row, where it has none); ``ids``
+    are the events that have one, in the order they got it, which is the
+    order of ``iter`` / ``items()`` / ``values()``.  The run appends to both
+    by position and hashes no event id."""
+
+    __slots__ = ("rows", "ids")
+
+    def __init__(self, n_processes: int) -> None:
+        self.rows: List[List[Optional[float]]] = [[] for _ in range(n_processes)]
+        self.ids: List[EventId] = []
+
+    def __getitem__(self, eid: EventId) -> float:
+        try:
+            t = self.rows[eid.proc][eid.index - 1]
+        except (AttributeError, IndexError):  # no event id, or none of this run's
+            t = None
+        if t is None:
+            raise KeyError(eid)
+        return t
+
+    def __iter__(self) -> Iterator[EventId]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass(slots=True)
 class _ClockState:
     """What the runner keeps for one attached clock, looked up once per hook.
@@ -112,6 +142,8 @@ class _ClockState:
     algo: ClockAlgorithm
     #: the reliable control transport (``control_retry`` runs only)
     link: Optional[ReliableLink]
+    #: when each event's timestamp became permanent, during the run
+    final_times: _TimeTable
     stats: AlgorithmStats = field(default_factory=AlgorithmStats)
     #: in-flight application payloads by message id
     payloads: Dict[MessageId, Any] = field(default_factory=dict)
@@ -119,7 +151,6 @@ class _ClockState:
     pending: Dict[Tuple[ProcessId, ProcessId], List[ControlMessage]] = field(
         default_factory=dict
     )
-    final_times: Dict[EventId, float] = field(default_factory=dict)
     piggy_elems: Dict[int, int] = field(default_factory=dict)
     delay_events: Dict[int, int] = field(default_factory=dict)
 
@@ -140,9 +171,12 @@ class SimulationResult:
     execution: Execution
     graph: CommunicationGraph
     duration: float
-    event_times: Dict[EventId, float]
+    #: ``{event id: occurrence time}``, read-only, in arrival order
+    event_times: Mapping[EventId, float]
     assignments: Dict[str, TimestampAssignment]
-    finalization_times: Dict[str, Dict[EventId, float]]
+    #: per clock, when each event finalized *during the run* became
+    #: permanent: read-only, in finalization order
+    finalization_times: Dict[str, Mapping[EventId, float]]
     stats: Dict[str, AlgorithmStats]
     app_messages: int
     dropped_app_messages: int = 0
@@ -381,8 +415,10 @@ class Simulation:
             self._suppressed_events += 1
             return None
         ev = self._builder.local(proc)
-        self._event_seq[proc].append(len(self._event_times))
-        self._event_times[ev.eid] = now
+        times = self._event_times
+        self._event_seq[proc].append(len(times.ids))
+        times.ids.append(ev.eid)
+        times.rows[proc].append(now)
         if self._oracle is not None:
             self._oracle.append_local(ev.eid)
         for cs in self._clocks:
@@ -403,8 +439,10 @@ class Simulation:
             return None
         msg_id = self._builder.send(src, dst)
         ev = self._builder.last_event(src)
-        self._event_seq[src].append(len(self._event_times))
-        self._event_times[ev.eid] = now
+        times = self._event_times
+        self._event_seq[src].append(len(times.ids))
+        times.ids.append(ev.eid)
+        times.rows[src].append(now)
         if self._oracle is not None:
             self._oracle.append_send(ev.eid)
         # Decide the message's fate *before* touching pending piggybacked
@@ -493,8 +531,10 @@ class Simulation:
     ) -> None:
         msg = self._builder.message(msg_id)
         recv = self._builder.receive(msg.dst, msg_id)
-        self._event_seq[msg.dst].append(len(self._event_times))
-        self._event_times[recv.eid] = self._scheduler.now
+        times = self._event_times
+        self._event_seq[msg.dst].append(len(times.ids))
+        times.ids.append(recv.eid)
+        times.rows[msg.dst].append(self._scheduler.now)
         if self._oracle is not None:
             self._oracle.append_receive(recv.eid, msg.send_event)
         for cs, riders in zip(self._clocks, piggyback):
@@ -600,17 +640,26 @@ class Simulation:
         """Stamp the events *cs*'s clock just finalized (callers check that
         there are some: most hooks of an inline clock finalize nothing)."""
         now = self._scheduler.now
-        last = len(self._event_times) - 1
+        last = len(self._event_times.ids) - 1
         event_seq = self._event_seq
-        final_times = cs.final_times
+        final_rows, final_ids = cs.final_times.rows, cs.final_times.ids
         delays = cs.delay_events
-        for eid in cs.algo.drain_newly_finalized():
-            final_times[eid] = now
+        # the list the callers just tested, emptied in place: no list per event
+        newly = cs.algo._newly_finalized
+        for eid in newly:
+            k = eid.index - 1
+            row = final_rows[eid.proc]
+            while k >= len(row):  # once: schemes finalize in index order
+                row.append(None)
+            if row[k] is None:  # (final again keeps its place, as in a dict)
+                final_ids.append(eid)
+            row[k] = now
             # time-to-non-⊥ measured in events: how many events the run
             # performed while this event's timestamp was still provisional
             # (0 = finalized at its own occurrence, the online case)
-            waited = last - event_seq[eid.proc][eid.index - 1]
+            waited = last - event_seq[eid.proc][k]
             delays[waited] = delays.get(waited, 0) + 1
+        newly.clear()
 
     # ------------------------------------------------------------------
     def run(
@@ -636,19 +685,20 @@ class Simulation:
             self._graph.n_vertices, graph=self._graph
         )
         retry = self._control_retry
+        n = self._graph.n_vertices
         self._clocks: List[_ClockState] = [
             _ClockState(name, algo, None if retry is None else ReliableLink(
                 self._scheduler, retry, self._send_control_datagram
-            ))
+            ), _TimeTable(n))
             for name, algo in self._clock_map.items()
         ]
         #: rides every application message outside PIGGYBACK; shared, not mutated
         self._no_piggyback: List[Optional[List[ControlMessage]]] = [None] * len(
             self._clocks
         )
-        self._event_times: Dict[EventId, float] = {}
+        self._event_times = _TimeTable(n)
         #: arrival rank of every event, by process and 0-based index
-        self._event_seq: List[List[int]] = [[] for _ in self._graph.vertices()]
+        self._event_seq: List[List[int]] = [[] for _ in range(n)]
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
         if self._online_oracle:
             self._oracle = IncrementalHBOracle(
@@ -682,9 +732,9 @@ class Simulation:
                 st.control_duplicates_suppressed += sent.duplicates_suppressed
                 st.control_acks += sent.acks_received
                 st.control_abandoned += sent.abandoned
-            # a snapshot: final_times is handed out as a public dict
+            # the ids as they are: nothing is drained into them after the run
             assignments[cs.name] = collect_assignment(
-                cs.algo, execution, frozenset(cs.final_times), finalize
+                cs.algo, execution, cs.final_times.ids, finalize
             )
 
         self._record_run_metrics(execution, assignments)
@@ -721,7 +771,9 @@ class Simulation:
         ``{value: count}`` tallies (:meth:`Histogram.observe_n` makes the
         fold exact); the one float histogram, the virtual-time finalization
         delay, is replayed value by value in the order the finalizations
-        happened, so its ``sum`` rounds exactly as a live observer's would.
+        happened, so its ``sum`` rounds exactly as a live observer's would;
+        only the delays that are exactly ``0.0`` (every online scheme's,
+        every cover event's) are counted and folded in: ``x + 0.0 == x``.
         The per-timestamp histograms add the paper's size metrics: the
         assignment's tallies of element counts and Theorem 4.3 bits.
         """
@@ -747,7 +799,7 @@ class Simulation:
             reg.counter("faults.crash_outages").inc(
                 sum(not up for _t, _p, up in transitions)
             )
-        event_times = self._event_times
+        event_rows = self._event_times.rows
         for cs in self._clocks:
             name, stats = cs.name, cs.stats
             for field_name in (
@@ -769,8 +821,16 @@ class Simulation:
             _fold(piggy_bytes, cs.piggy_elems, scale=8)
             _fold(hist("clock.finalization_delay_events"), cs.delay_events)
             delay_vtime = hist("clock.finalization_delay_vtime", buckets=VTIME_BUCKETS)
-            for eid, t_final in cs.final_times.items():
-                delay_vtime.observe(t_final - event_times[eid])
+            final_rows = cs.final_times.rows
+            on_occurrence = 0
+            for eid in cs.final_times.ids:
+                p, k = eid.proc, eid.index - 1
+                delay = final_rows[p][k] - event_rows[p][k]
+                if delay == 0.0:
+                    on_occurrence += 1
+                else:
+                    delay_vtime.observe(delay)
+            delay_vtime.observe_n(0.0, on_occurrence)
             sizes = assignments[name]
             _fold(hist("clock.timestamp_elements"), sizes.element_tally)
             _fold(hist("clock.timestamp_bits"), sizes.bit_tally)

@@ -133,7 +133,7 @@ class EventScheduler:
             if max_steps is not None and steps >= max_steps:
                 break
             time, _seq, fn, handle = self._heap[0]
-            if handle.cancelled:
+            if handle._cancelled:
                 heapq.heappop(self._heap)
                 self._cancelled_pending -= 1
                 continue

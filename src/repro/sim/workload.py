@@ -123,10 +123,11 @@ class UniformWorkload(Workload):
 
         def act() -> None:
             neighbors = self._neighbors[p]
-            if not neighbors or sim.rng.random() < self.p_local:
+            rng = sim.rng
+            if not neighbors or rng.random() < self.p_local:
                 sim.do_local(p)
             else:
-                sim.do_send(p, sim.rng.choice(neighbors))
+                sim.do_send(p, rng.choice(neighbors))
             self._schedule_next(sim, p, budget - 1)
 
         sim.schedule(delay, act)

@@ -8,13 +8,18 @@ left in (``finalize=False``), and checks the whole facade against it.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from repro.clocks import replay_one
+from repro.clocks import TimestampAssignment, replay_one
 from repro.conformance.registry import all_schemes
 from repro.core.events import EventId
-from repro.core.random_executions import random_execution
+from repro.core.random_executions import (
+    execution_from_ops,
+    random_execution,
+    random_ops,
+)
 from repro.topology import generators
 
 #: a FIFO star: the one shape on which every registered scheme is legal
@@ -70,7 +75,36 @@ def test_the_table_answers_as_the_dict_did(spec, finalize):
     assert asg.finalized_during_run == _finalized_in_run(
         spec.build(graph, CENTER), execution
     )
+    # the bit tally is derived from the widths (``encoded``: stamp by stamp);
+    # either way it is what asking ``timestamp_bits`` of every stamp gives
     k = max(1, execution.max_events_per_process())
-    bits = [algo.timestamp_bits(ts, k) for ts in old.values()]
-    assert sum(n * c for n, c in asg.bit_tally.items()) == sum(bits)
-    assert sum(asg.element_tally.values()) == len(old)
+    assert asg.element_tally == Counter(widths)
+    assert asg.bit_tally == Counter(
+        algo.timestamp_bits(ts, k) for ts in old.values()
+    )
+
+
+@pytest.mark.parametrize("spec", all_schemes(), ids=lambda spec: spec.name)
+def test_the_table_is_a_copy_and_only_of_this_execution(spec):
+    """The assignment takes the scheme's own table when that is what asking
+    event by event would return, and a copy of it: a clock that finalizes
+    afterwards does not reach into an assignment already made, and a clock
+    that has seen more than the assignment's execution is asked instead."""
+    graph = generators.star(N)
+    ops = random_ops(
+        graph, random.Random(11), steps=80, fifo=True, deliver_all=True
+    )
+    execution = execution_from_ops(graph, ops)
+    asg = replay_one(execution, spec.build(graph, CENTER), finalize=False)
+    algo = asg.algorithm
+    before = list(asg.items())
+    algo.finalize_at_termination()
+    assert list(asg.items()) == before
+    assert all(algo.timestamp(ev.eid) is not None for ev in execution.all_events())
+
+    prefix = execution_from_ops(graph, ops[: len(ops) // 2])
+    shorter = TimestampAssignment(algo, prefix, ())
+    assert len(shorter) == prefix.n_events < execution.n_events
+    assert dict(shorter.items()) == {
+        ev.eid: algo.timestamp(ev.eid) for ev in prefix.all_events()
+    }

@@ -77,3 +77,52 @@ def test_snapshot_is_self_contained_and_restorable_twice(spec):
             assert after.keys() == at_the_end.keys()
         else:
             assert after == at_the_end
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in all_schemes() if spec.inline],
+    ids=lambda spec: spec.name,
+)
+def test_open_entries_survive_a_snapshot(spec):
+    """An inline scheme keeps, per event still at ``⊥``, only what is
+    provisional; the timestamp is built when the event closes.  A snapshot
+    taken while entries are open must carry them: the restored instance
+    shows the same provisional values, closes the same events in the same
+    order when the held-back acknowledgements arrive, and finalizes the rest
+    to the same timestamps at termination."""
+    graph = generators.star(N)
+    execution = random_execution(
+        graph, random.Random(7), steps=60, fifo=True, deliver_all=True
+    )
+    live = spec.build(graph, CENTER)
+    payloads, held = {}, []
+    for ev in execution.delivery_order():
+        if ev.is_local:
+            live.on_local(ev)
+        elif ev.is_send:
+            payloads[ev.msg_id] = live.on_send(ev)
+        else:
+            held.extend(live.on_receive(ev, payloads.pop(ev.msg_id)))
+    ids = [ev.eid for ev in execution.all_events()]
+    still_open = [eid for eid in ids if live.timestamp(eid) is None]
+    assert still_open and held, "nothing was open at the snapshot"
+    live.drain_newly_finalized()
+
+    restored = spec.build(graph, CENTER)
+    restored.restore(live.checkpoint())
+    for eid in ids:
+        assert restored.timestamp(eid) == live.timestamp(eid)
+        assert restored.provisional_timestamp(eid) == live.provisional_timestamp(eid)
+
+    # half of the acknowledgements arrive, the run ends for the rest
+    for clock in (live, restored):
+        for cm in held[: len(held) // 2]:
+            clock.on_control(cm.src, cm.dst, cm.payload)
+    closed = live.drain_newly_finalized()
+    assert closed and closed == restored.drain_newly_finalized()
+    assert live.finalize_at_termination() == restored.finalize_at_termination()
+    for eid in ids:
+        ts = live.timestamp(eid)
+        assert ts is not None and ts == restored.timestamp(eid)
+        assert live.timestamp(eid) is ts  # built once, read ever after

@@ -1,19 +1,33 @@
-"""A call budget for the simulator's per-event loop.
+"""Two deterministic budgets for the simulator's per-event loop.
 
 Wall-clock gates flake; the number of Python-level function calls a seeded
-run makes does not.  Counted with ``sys.setprofile`` (``call`` events only,
-the way the benchmark counts ``net.py_calls_per_op``) for the 3/4/16
-sequencer graph with the inline-cover and vector clocks attached, 100
-events per process, seed 7.
+run makes does not, nor does the number of objects it leaves behind for the
+cyclic collector to traverse.  Both are taken on the 3/4/16 sequencer graph
+with the inline-cover and vector clocks attached, 100 events per process,
+seed 7; calls are counted with ``sys.setprofile`` (``call`` events only, the
+way the benchmark counts ``net.py_calls_per_op``).
 
 At ``c7d145e`` — a histogram observe per observation, a recursive element
 count per payload, a closure and a liveness check per message — the run made
 513,844 calls for 3,901 events: 131.7 per event.  With integer tallies in
 the loop and histograms built once at the end it made 79.1 (×0.60); with
 the online clock recording by position and the end of the run collecting
-each assignment in one pass — no event id hashed for either — it makes 71.1.
+each assignment in one pass — no event id hashed for either — it made 71.1;
+with every timestamp built once, when its event becomes final, the
+assignment taking the clocks' table whole and the run's times kept by
+position, it makes 43.4.
+
+The collector's share never showed in a call count (cProfile books a
+collection to whoever allocated).  At ``315f754`` the run kept 6.58
+GC-tracked objects per event — a mutable record and its ``mpost`` list per
+inline event beside the event, its id and one timestamp per clock — and a
+19.5k-event run spent a fifth of its time in 242 / 22 / 2 collections; it
+keeps 4.49 now.  Counted as ``len(gc.get_objects())`` after the run minus
+before it, the collector off in between so that no collection untracks a
+tuple on one side only.
 """
 
+import gc
 import random
 import sys
 
@@ -22,11 +36,13 @@ from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 
 PARENT_CALLS_PER_EVENT = 513_844 / 3_901
-#: measured 71.1 on CPython 3.11 and 3.12; +5 %
-CEILING_CALLS_PER_EVENT = 74.7
+#: measured 43.4 on CPython 3.11 and 3.12; +5 %
+CEILING_CALLS_PER_EVENT = 45.6
+#: measured 4.49 on CPython 3.11 and 3.12; +5 %
+CEILING_RETAINED_OBJECTS_PER_EVENT = 4.72
 
 
-def test_calls_per_event_stay_under_the_ceiling():
+def _seeded_run():
     graph, cover = generators.sequencer_architecture(
         3, 4, 16, rng=random.Random(7)
     )
@@ -38,7 +54,11 @@ def test_calls_per_event_stay_under_the_ceiling():
             "vector": VectorClock(graph.n_vertices),
         },
     )
-    workload = UniformWorkload(events_per_process=100, p_local=0.3)
+    return sim, UniformWorkload(events_per_process=100, p_local=0.3)
+
+
+def test_calls_per_event_stay_under_the_ceiling():
+    sim, workload = _seeded_run()
     calls = 0
 
     def profile(_frame, event, _arg):
@@ -56,3 +76,19 @@ def test_calls_per_event_stay_under_the_ceiling():
     per_event = calls / res.execution.n_events
     assert per_event <= 0.70 * PARENT_CALLS_PER_EVENT
     assert per_event <= CEILING_CALLS_PER_EVENT, per_event
+
+
+def test_retained_objects_per_event_stay_under_the_ceiling():
+    sim, workload = _seeded_run()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        res = sim.run(workload)
+        gc.collect()
+        retained = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert res.execution.n_events == 3_901
+    per_event = retained / res.execution.n_events
+    assert per_event <= CEILING_RETAINED_OBJECTS_PER_EVENT, per_event
