@@ -889,7 +889,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         return _error(f"--trials must be >= 0, got {args.trials}")
     if args.chunk_size < 1:
         return _error(f"--chunk-size must be >= 1, got {args.chunk_size}")
-    if args.backend in ("numpy", "old-vs-new"):
+    if args.backend == "numpy":
         from repro.core.backend import numpy_available
 
         if not numpy_available():
@@ -1192,10 +1192,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shrink", action="store_true",
                    help="report raw failing executions without minimizing")
     p.add_argument("--backend", default="auto",
-                   choices=["auto", "pure", "numpy", "old-vs-new"],
+                   choices=["auto", "pure", "numpy"],
                    help="kernel backend: pure/numpy pin every oracle; "
-                   "auto and old-vs-new also cross-check the numpy array "
-                   "kernel against the pure packed-int kernel")
+                   "auto also cross-checks the numpy array kernel against "
+                   "the pure packed-int kernel")
     p.add_argument("--chunk-size", type=int, default=25,
                    help="trials per sweep cell")
     _add_fabric_args(p)

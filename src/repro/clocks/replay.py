@@ -32,7 +32,6 @@ from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import (
     AnyOracle,
-    IncrementalHBOracle,
     as_batch_oracle,
     incremental_from_execution,
 )
@@ -243,8 +242,6 @@ class TimestampAssignment:
     def _refuse_foreign(self, oracle: AnyOracle) -> None:
         """``ValueError`` for another execution's oracle.  Reads per-process
         counts only: a streaming oracle is neither frozen nor asked for rows."""
-        if isinstance(oracle, IncrementalHBOracle):
-            oracle.flush()  # rows a bound store still holds count
         theirs = [oracle.event_count(p) for p in range(oracle.n_processes)]
         ours = self._execution.event_counts()
         if theirs != ours:

@@ -2,7 +2,7 @@
 
 One randomized execution at a time, :func:`check_execution` replays every
 legally applicable scheme from :mod:`repro.conformance.registry` and both
-causality-oracle flavors, then cross-checks four invariants:
+causality-oracle flavors, then cross-checks six invariants:
 
 1. **exact-vs-hb** — for every scheme claiming
    ``characterizes_causality``, ``precedes`` must agree with ground-truth
@@ -21,11 +21,11 @@ causality-oracle flavors, then cross-checks four invariants:
 4. **one-sided** — inexact baselines (lamport, plausible, hlc) must stay
    *consistent* (``e -> f ⟹ ts(e) < ts(f)``); they may overclaim but never
    miss a causal edge.
-5. **backend-differential** — the numpy array kernel
-   (:mod:`repro.core.npkernel`) must answer byte-identically to the pure
-   packed-int kernel: causal-past rows, relation counts, vector clocks,
-   validation reports, and the rows produced by an
-   incremental oracle frozen onto the numpy backend mid-hand-off.  Skipped
+5. **backend-differential** — an oracle on the numpy kernel
+   (:mod:`repro.core.npkernel`) must answer byte-identically to one on the
+   pure kernel: causal-past rows, relation counts, vector clocks,
+   validation reports, point queries interleaved with a stream's appends,
+   and the rows of that stream frozen under a numpy pin.  Skipped
    silently when numpy is unavailable (the pure kernel is then the only
    one to check) or when ``backend="pure"`` pins the whole run.
 6. **store-differential** — the columnar event store
@@ -86,11 +86,10 @@ INVARIANTS = (
     "store-differential",
 )
 
-#: check_execution backend modes: "auto"/"old-vs-new" run the
-#: backend-differential invariant when numpy is available (for
-#: "old-vs-new" the caller asserts availability up front); "pure"/"numpy"
-#: pin every oracle in the run to that kernel
-BACKEND_MODES = ("auto", "pure", "numpy", "old-vs-new")
+#: check_execution backend modes: "auto" runs the backend-differential
+#: invariant when numpy is available; "pure"/"numpy" pin every oracle in
+#: the run to that kernel
+BACKEND_MODES = ("auto", "pure", "numpy")
 
 
 @dataclass(frozen=True)
@@ -451,7 +450,7 @@ def _check_backends(graph, ops, execution, fifo, context, report):
             break
     qrng = random.Random((len(ops) + 1) * 1099087573 % (2**31))
     # streaming hand-off: interleave point queries with appends, then
-    # freeze straight onto the numpy backend
+    # freeze under a numpy pin
     inc = IncrementalHBOracle(graph.n_vertices)
     seen: List = []
     for ev in execution.delivery_order():
@@ -464,14 +463,15 @@ def _check_backends(graph, ops, execution, fifo, context, report):
             a, b = qrng.sample(seen, 2)
             if inc.happened_before(a, b) != fast.happened_before(a, b):
                 bad(f"happened_before({a}, {b}) diverges vs numpy mid-stream")
-    frozen = inc.freeze(execution, backend="numpy")
+    with use_backend("numpy"):
+        frozen = inc.freeze(execution)
     if frozen.backend != "numpy":
-        bad("freeze(backend='numpy') did not select the numpy kernel")
+        bad("freeze() under a numpy pin did not select the numpy kernel")
     if frozen.past_masks() != pure.past_masks():
-        bad("freeze(backend='numpy') rows differ from pure rebuild")
+        bad("freeze() rows under a numpy pin differ from the pure oracle's")
     for eid in ids:
         if frozen.vector_clock(eid) != pure.vector_clock(eid):
-            bad(f"freeze(backend='numpy') vector_clock({eid}) differs")
+            bad(f"freeze() under a numpy pin: vector_clock({eid}) differs")
             break
     # one scheme validation end to end: the array matrix-validate path
     # (numpy oracle) must yield the identical report to the packed-int
@@ -510,8 +510,6 @@ def _check_stores(graph, ops, execution, oracle, fifo, context, report):
         bad("columnar messages differ from object builder")
     if cex.event_counts() != execution.event_counts():
         bad("columnar event_counts differ from object builder")
-    if cex.receive_pairs() != execution.receive_pairs():
-        bad("columnar receive_pairs differ from object builder")
     col_oracle = HappenedBeforeOracle(cex)
     if col_oracle.past_masks() != oracle.past_masks():
         bad("causal-past rows differ when built over the columnar store")
@@ -596,9 +594,8 @@ def check_execution(
     *schemes* restricts the scheme set (corpus replays pin specific
     schemes); by default every scheme legal for (*graph*, *fifo*) runs.
     *backend* is one of :data:`BACKEND_MODES`: ``pure``/``numpy`` pin the
-    kernel for every oracle built during the check; ``auto`` and
-    ``old-vs-new`` additionally run the backend-differential invariant
-    whenever numpy is importable.
+    kernel for every oracle built during the check; ``auto`` additionally
+    runs the backend-differential invariant whenever numpy is importable.
     """
     if backend not in BACKEND_MODES:
         raise ValueError(
@@ -750,8 +747,7 @@ def fuzz(
     The campaign is a pure function of ``(trials, seed, topologies,
     max_steps)`` — per-trial RNGs derive from :func:`repro.bench.cell_seed`
     so reports reproduce exactly.  *backend* is passed through to
-    :func:`check_execution` (``old-vs-new`` forces the pure-vs-numpy
-    differential on every trial).
+    :func:`check_execution`.
     """
     report = ConformanceReport()
     run_trials(

@@ -1,14 +1,14 @@
 """Kernel selection for the causality oracle — the one place that decides it.
 
-The happened-before kernel has two interchangeable implementations:
+Every oracle builds the same clock table the same way; the kernel decides
+which representation of the bit rows exhaustive validation reads:
 
-- ``pure`` — packed Python-int bitmask rows, always available, the
-  reference every other path is validated against;
-- ``numpy`` — the same rows stored as a contiguous ``(m, ceil(m/64))``
-  ``uint64`` matrix (structure-of-arrays) with bulk-OR construction and
-  vectorized popcounts (:mod:`repro.core.npkernel`).  Byte-identical to
-  ``pure`` — the conformance fuzzer's ``backend-differential`` invariant
-  and the hypothesis parity suite pin that equivalence.
+- ``pure`` — packed Python ints (``past_masks()``), always available;
+- ``numpy`` — the same rows as a contiguous ``(m, ceil(m/64))`` ``uint64``
+  matrix (``past_matrix()``), compared, counted and decoded in bulk
+  (:mod:`repro.core.npkernel`).  Byte-identical to ``pure`` — the
+  conformance fuzzer's ``backend-differential`` invariant and the
+  hypothesis parity suite pin that equivalence.
 
 :func:`resolve_backend` picks from the input size: numpy when importable
 *and* the execution has at least :data:`NUMPY_MIN_EVENTS` events, else the
@@ -28,10 +28,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-#: ``auto`` resolves to numpy only at or above this event count — below it
-#: the pure kernel's lower fixed costs win (measured crossover ~a few
-#: hundred events; the benchmark's ``core.kernel.{pure,numpy}.build_s``
-#: layer probes on ``offline-nine`` time both sides of it).
+#: ``auto`` resolves to numpy only at or above this event count.  Both
+#: kernels build the same clock table, so the benchmark's
+#: ``core.kernel.{pure,numpy}.build_s`` probes time that one build (bits
+#: are decoded on first read) and see no crossover.  The kernel decides
+#: decode plus validation, where numpy is ahead from ~130 events (a vector
+#: clock on star(32): 1.6 vs 2.8 ms on a 2-core x86-64 host), so this
+#: value is conservative rather than a measured crossover.
 NUMPY_MIN_EVENTS = 512
 
 BACKENDS = ("auto", "pure", "numpy")

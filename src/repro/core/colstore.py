@@ -283,25 +283,6 @@ class EventStore:
         """Materialize all messages, in send order."""
         return tuple(self.message(m) for m in range(len(self._msrc)))
 
-    def receive_pairs(self) -> List[Tuple[EventId, EventId]]:
-        """``(recv_eid, send_eid)`` per delivered message, in send order.
-
-        Only receives are materialized — this is the columnar fast path
-        the numpy bulk kernel consumes instead of walking full ``Event``
-        objects.
-        """
-        proc, seq = self._proc, self._seq
-        out: List[Tuple[EventId, EventId]] = []
-        for m in range(len(self._msrc)):
-            rr = self._mrecv[m]
-            if rr < 0:
-                continue
-            sr = self._msend[m]
-            out.append(
-                (EventId(proc[rr], seq[rr]), EventId(proc[sr], seq[sr]))
-            )
-        return out
-
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
@@ -426,9 +407,6 @@ class ColumnarExecution(Execution):
 
     def event_counts(self) -> List[int]:
         return self._store.counts()
-
-    def receive_pairs(self) -> List[Tuple[EventId, EventId]]:
-        return self._store.receive_pairs()
 
     def max_events_per_process(self) -> int:
         return max(self._store.counts(), default=0)

@@ -122,23 +122,9 @@ class Execution:
         """Events per process, as a list indexed by process id.
 
         Overridden O(1)/column-read by the columnar execution
-        (:mod:`repro.core.colstore`); the array kernel's bulk builder
-        consumes this instead of materializing event tuples.
+        (:mod:`repro.core.colstore`).
         """
         return [len(evts) for evts in self._events_by_proc]
-
-    def receive_pairs(self) -> List[Tuple[EventId, EventId]]:
-        """``(recv_eid, send_eid)`` of every delivered message, send order.
-
-        The exact shape :func:`repro.core.npkernel.bulk_past_matrix` needs;
-        the columnar execution serves it straight from the message columns
-        without building :class:`~repro.core.events.Message` objects.
-        """
-        return [
-            (m.recv_event, m.send_event)
-            for m in self._messages
-            if m.recv_event is not None
-        ]
 
     # ------------------------------------------------------------------
     # structural queries used by clocks and applications

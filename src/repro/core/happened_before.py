@@ -1,21 +1,25 @@
-"""Ground-truth happened-before oracle: vector clocks, bit rows on demand.
+"""Ground-truth happened-before oracle: one clock table, bit rows decoded from it.
 
 The oracle derives Lamport's happened-before relation [Lamport 1978] directly
 from an :class:`~repro.core.execution.Execution`, independently of any clock
 algorithm under test.  It is the reference against which every timestamping
 scheme in the library is validated.
 
-It holds two views of the relation.
-
 **The clock table** — every event's full-length (``n``-entry) vector clock
 (Fidge 1991, Mattern 1988), one flat ``array('i')`` per process with the
 clock of event ``(p, k)`` at ``[(k-1)*n, k*n)``.  It characterises the
-relation, so the point queries read nothing else::
+relation, so everything but the exhaustive validators reads nothing else::
 
     e -> f   iff   e != f  and  vc_f[e.proc] >= e.index
 
 ``happened_before`` / ``leq`` / ``concurrent`` / ``vector_clock`` are index
-operations on it, O(|E|·n) integers in all.
+operations on it, ``causal_past`` is one prefix per process and
+``relation_counts`` sums it (an event's strict past has ``sum(vc) - 1``
+members).  There is one builder of the table, the streaming oracle's
+max-merge recurrence (:meth:`repro.core.incremental.IncrementalHBOracle._append`):
+the public constructor runs ``delivery_order()`` through it, and
+:meth:`~repro.core.incremental.IncrementalHBOracle.freeze` hands over the
+table it already streamed.  Either way the oracle builds nothing else.
 
 **The bit rows** — events are assigned dense indices (process-major, the
 order of :meth:`Execution.all_events`, so an index is arithmetic on
@@ -23,44 +27,59 @@ order of :meth:`Execution.all_events`, so an index is arithmetic on
 
     past[f] = bits of every e with e -> f
 
-The recurrence is word-parallel — a receive's mask is the union of its local
-predecessor's mask and the matching send's mask (plus their own bits) — so
-the whole matrix costs O(|E|) unions of |E|/64 words each, and O(|E|²) bits
-to hold.  Nothing *queries* the rows: a causal past is one prefix per
-process and a cut is a vector clock (:mod:`repro.core.cuts`), so both come
-off the table.  The rows are the exhaustive validators' substrate —
-``past_masks()`` / ``past_matrix()`` with ``event_order`` / ``index_of`` to
-name the bits — which XOR them against a scheme's precedes-matrix.
-
-The row store has two interchangeable backends, chosen from the event
-count by :func:`repro.core.backend.resolve_backend`: ``pure`` keeps packed
-Python ints; ``numpy`` keeps the same matrix as a contiguous ``uint64``
-array built by bulk row ops (:mod:`repro.core.npkernel`) and answers
-``relation_counts`` with a whole-matrix vectorized popcount.  Both produce byte-identical rows; the pure backend is
-the always-available reference.
-
-Who builds what: the public constructor is the batch build and is eager —
-it builds the rows at once (and, on the pure kernel, the clock table in the
-same pass; on numpy the table is derived from the matrix when first read).
-:meth:`repro.core.incremental.IncrementalHBOracle.freeze` hands over the
-table it streamed and builds nothing; such an oracle materialises its rows,
-with the same kernel, the first time someone asks it for bits.
+A row is a pure function of the event's clock: restricted to process
+``q``'s block of bits it is the first ``vc_f[q]`` bits (``f``'s own entry
+minus one, the past being strict).  The rows are the exhaustive validators'
+substrate — ``past_masks()`` / ``past_matrix()`` with ``event_order`` /
+``index_of`` to name the bits — decoded on first read and kept, one decoder
+per representation: ``past_masks()`` packs Python ints on any backend;
+``past_matrix()`` is the same matrix as a contiguous ``(m, ceil(m/64))``
+``uint64`` array (:func:`repro.core.npkernel.past_matrix_from_clocks`) on
+the ``numpy`` backend and ``None`` on ``pure``.  The backend is chosen from
+the event count by :func:`repro.core.backend.resolve_backend`; both
+decoders produce byte-identical rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate
-from typing import Any, List, Optional, Set, Tuple
+from itertools import accumulate, compress
+from operator import ne
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backend import resolve_backend
 from repro.core.events import EventId
 from repro.core.execution import Execution
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import MetricsRegistry, active_registry
 
 #: per process, its events' vector clocks back to back in one ``array('i')``
 ClockTable = List[array]
+
+
+def past_masks_from_clocks(
+    clocks: ClockTable, n: int, proc_base: Sequence[int]
+) -> Tuple[int, ...]:
+    """Every event's strict causal past as a packed int, process-major.
+
+    Pasts only grow along a process, so each row is the previous one ORed
+    with the prefix ``((1 << s) - 1) << proc_base[q]`` of every entry ``q``
+    that moved (own entry minus one): local and send events move only
+    their own entry.
+    """
+    rows: List[int] = []
+    entries = range(n)
+    for p, table in enumerate(clocks):
+        mask = 0
+        prev: Sequence[int] = [0] * n
+        for k, off in enumerate(range(0, len(table), n)):
+            vc = table[off : off + n]
+            vc[p] = k
+            for q in compress(entries, map(ne, vc, prev)):
+                mask |= ((1 << vc[q]) - 1) << proc_base[q]
+            rows.append(mask)
+            prev = vc
+    return tuple(rows)
 
 
 class HappenedBeforeOracle:
@@ -69,27 +88,29 @@ class HappenedBeforeOracle:
     def __init__(
         self, execution: Execution, backend: Optional[str] = None
     ) -> None:
-        self._setup(execution, backend, None)
-        if self.backend == "numpy":
-            self.past_matrix()
-        else:
-            self._compute()
+        from repro.core.incremental import incremental_from_execution
+
+        # a registry of its own: a batch build adds nothing to the active one
+        streamed = incremental_from_execution(
+            execution, registry=MetricsRegistry()
+        )
+        self._setup(execution, backend, streamed._clocks)
 
     @classmethod
     def _from_clocks(
-        cls, execution: Execution, clocks: ClockTable, backend: Optional[str]
+        cls, execution: Execution, clocks: ClockTable
     ) -> "HappenedBeforeOracle":
         """``IncrementalHBOracle.freeze``'s construction path: adopt the
-        streamed clock table (shared, not copied) and build no rows."""
+        streamed clock table (shared, not copied)."""
         self = cls.__new__(cls)
-        self._setup(execution, backend, clocks)
+        self._setup(execution, None, clocks)
         return self
 
     def _setup(
         self,
         execution: Execution,
         backend: Optional[str],
-        clocks: Optional[ClockTable],
+        clocks: ClockTable,
     ) -> None:
         self._execution = execution
         self._n = execution.n_processes
@@ -98,14 +119,12 @@ class HappenedBeforeOracle:
         self._proc_base: Tuple[int, ...] = tuple(
             accumulate(self._counts, initial=0)
         )[:-1]
-        #: which kernel holds the rows ("pure" or "numpy")
+        #: which decoder ``past_matrix`` runs ("pure": none, "numpy")
         self.backend: str = resolve_backend(sum(self._counts), backend)
-        #: None only on a numpy batch build until first read (see _table)
         self._clocks = clocks
-        #: numpy (m, ceil(m/64)) uint64 past matrix (numpy backend only)
+        #: the decoded rows, each built on first read
+        self._past: Optional[Tuple[int, ...]] = None
         self._mat: Optional[Any] = None
-        #: strict causal-past bitmask per dense index
-        self._past: Optional[List[int]] = None
         active_registry().gauge("oracle.backend", backend=self.backend).set(1)
 
     @property
@@ -120,55 +139,8 @@ class HappenedBeforeOracle:
         """Events at *proc* (the streaming oracle's accessor of that name)."""
         return self._counts[proc]
 
-    def _compute(self) -> None:
-        """The pure kernel: one pass over ``delivery_order()`` fills the
-        rows and, unless a streamed table was handed over, the clocks."""
-        ex = self._execution
-        n = self._n
-        base = self._proc_base
-        past = [0] * sum(self._counts)
-        fill_clocks = self._clocks is None
-        tables: ClockTable = [array("i") for _ in range(n)]
-        proc_clock: List[List[int]] = [[0] * n for _ in range(n)]
-        #: running mask per process: strict past of that process's *next* event
-        proc_mask = [0] * n
-        for ev in ex.delivery_order():
-            p = ev.proc
-            mask = proc_mask[p]
-            if ev.is_receive:
-                send = ex.send_of(ev).eid
-                sp = base[send.proc] + send.index - 1
-                mask |= past[sp] | (1 << sp)
-                if fill_clocks:
-                    clock = proc_clock[p]
-                    off = (send.index - 1) * n
-                    sent = tables[send.proc][off : off + n]
-                    for k, seen in enumerate(sent):
-                        if seen > clock[k]:
-                            clock[k] = seen
-            i = base[p] + ev.index - 1
-            past[i] = mask
-            proc_mask[p] = mask | (1 << i)
-            if fill_clocks:
-                proc_clock[p][p] += 1
-                tables[p].fromlist(proc_clock[p])
-        self._past = past
-        if fill_clocks:
-            self._clocks = tables
-
-    def _table(self) -> ClockTable:
-        """The clock table; a numpy batch build derives it from its matrix
-        on first read, every other path already holds it."""
-        if self._clocks is None:
-            from repro.core import npkernel
-
-            self._clocks = npkernel.vector_clocks_from_matrix(
-                self._mat, self._counts
-            )
-        return self._clocks
-
     # ------------------------------------------------------------------
-    # bitset kernel surface
+    # bitset surface: decoded from the clock table on first read
     # ------------------------------------------------------------------
     @cached_property
     def event_order(self) -> Tuple[EventId, ...]:
@@ -184,19 +156,14 @@ class HappenedBeforeOracle:
 
     def past_masks(self) -> Tuple[int, ...]:
         """All strict causal-past rows: bit ``i`` of row ``j`` is set iff
-        ``event_order[i] -> event_order[j]``.
-
-        On a numpy oracle this unpacks the whole matrix into Python ints
-        and keeps them; validation does not call this on a numpy oracle
-        (it compares :meth:`past_matrix` directly)."""
+        ``event_order[i] -> event_order[j]``.  Packed ints on either
+        backend; validation on a numpy oracle reads :meth:`past_matrix`
+        instead."""
         if self._past is None:
-            if self.backend == "numpy":
-                from repro.core import npkernel
-
-                self._past = npkernel.matrix_to_rows(self.past_matrix())
-            else:
-                self._compute()
-        return tuple(self._past)
+            self._past = past_masks_from_clocks(
+                self._clocks, self._n, self._proc_base
+            )
+        return self._past
 
     def past_matrix(self) -> Optional[Any]:
         """The numpy ``(m, ceil(m/64))`` uint64 past matrix, or ``None``
@@ -205,7 +172,9 @@ class HappenedBeforeOracle:
         if self._mat is None and self.backend == "numpy":
             from repro.core import npkernel
 
-            self._mat = npkernel.bulk_past_matrix(self._execution)
+            self._mat = npkernel.past_matrix_from_clocks(
+                self._clocks, self._counts
+            )
         return self._mat
 
     # ------------------------------------------------------------------
@@ -215,7 +184,7 @@ class HappenedBeforeOracle:
         """The ground-truth full-length vector clock of *eid*."""
         self.index_of(eid)  # KeyError for events outside the execution
         off = (eid.index - 1) * self._n
-        return tuple(self._table()[eid.proc][off : off + self._n])
+        return tuple(self._clocks[eid.proc][off : off + self._n])
 
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Whether ``e -> f`` (strict: ``e != f`` and e causally precedes f)."""
@@ -228,7 +197,7 @@ class HappenedBeforeOracle:
             raise KeyError(e if e not in self._execution else f)
         if ep == fp:
             return ei < fi
-        return self._table()[fp][(fi - 1) * n + ep] >= ei
+        return self._clocks[fp][(fi - 1) * n + ep] >= ei
 
     def leq(self, e: EventId, f: EventId) -> bool:
         """Whether ``e == f`` or ``e -> f``."""
@@ -256,19 +225,12 @@ class HappenedBeforeOracle:
     def relation_counts(self) -> Tuple[int, int]:
         """Return ``(ordered_pairs, concurrent_unordered_pairs)``.
 
-        ``ordered_pairs`` counts ordered pairs ``(e, f)`` with ``e -> f``;
-        ``concurrent_unordered_pairs`` counts unordered concurrent pairs.
-        Happened-before is antisymmetric, so the former is the popcount of
-        the causal-past matrix where there is one — and otherwise the sum
-        over events of ``sum(vc) - 1``, the size of each strict past — and
-        the latter is the complement among all unordered pairs.
+        ``ordered_pairs`` counts ordered pairs ``(e, f)`` with ``e -> f``:
+        the sum over events of ``sum(vc) - 1``, the size of each strict
+        past.  Happened-before is antisymmetric, so
+        ``concurrent_unordered_pairs`` is the complement among all
+        unordered pairs.
         """
         m = sum(self._counts)
-        if self._mat is not None:
-            from repro.core import npkernel
-
-            ordered = npkernel.ordered_pair_count(self._mat)
-        else:
-            ordered = sum(map(sum, self._table())) - m
+        ordered = sum(map(sum, self._clocks)) - m
         return ordered, m * (m - 1) // 2 - ordered
-

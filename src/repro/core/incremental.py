@@ -29,8 +29,8 @@ execution is still running.
 **Feeding from a columnar store.**  A producer that writes a
 :class:`~repro.core.colstore.EventStore` need not mirror each event into
 the oracle: :meth:`~IncrementalHBOracle.bind_store` attaches the store,
-and :meth:`~IncrementalHBOracle.flush` — called by every query path and by
-``freeze`` — drains the rows appended since the last drain.
+and :meth:`~IncrementalHBOracle.flush` — called by every query and count
+and by ``freeze`` — drains the rows appended since the last drain.
 :meth:`~IncrementalHBOracle.sync_store` is the explicit form (``upto`` caps
 the batch).  Draining reads the store's scalar accessors and feeds the
 same ``_append``, so no ``Event`` objects are materialized and clocks and
@@ -42,11 +42,9 @@ still spelled in the signature because the benchmark harness under
 ``perf/`` passes it.
 
 ``freeze(execution)`` checks the per-process counts and hands the clock
-table to a :class:`HappenedBeforeOracle` that answers point queries from
-it and builds **no** matrix; the O(|E|²)-bit causal-past rows exist only
-if someone asks the frozen oracle for bits, and are then byte-identical to
-a from-scratch build — pinned by ``tests/core/test_incremental_oracle.py``
-and ``tests/core/test_backend_parity.py``.
+table to a :class:`HappenedBeforeOracle` — the same object the public
+batch constructor builds by streaming the execution through this class —
+which decodes the O(|E|²)-bit causal-past rows only if asked for bits.
 
 Observability (:mod:`repro.obs`): ``oracle.appends`` and
 ``oracle.append_words`` (clock entries written: n per append) counters on
@@ -122,13 +120,16 @@ class IncrementalHBOracle:
     @property
     def n_events(self) -> int:
         """Events appended so far."""
+        self.flush()
         return self._n_events
 
     def event_count(self, proc: ProcessId) -> int:
         """Events appended at *proc* so far."""
+        self.flush()
         return len(self._clocks[proc]) // self._n
 
     def __contains__(self, eid: EventId) -> bool:
+        self.flush()
         return (
             0 <= eid.proc < self._n
             and 1 <= eid.index <= len(self._clocks[eid.proc]) // self._n
@@ -216,9 +217,7 @@ class IncrementalHBOracle:
         Instead of mirroring every event into the oracle with a Python
         call, the producer writes the columnar store once and every oracle
         query path drains the new rows via :meth:`flush` /
-        :meth:`sync_store`.  ``n_events`` / ``event_count`` /
-        ``__contains__`` reflect *synced* rows only, so call :meth:`flush`
-        first when reading them directly.
+        :meth:`sync_store`.
         """
         if store.n_processes != self._n:
             raise ValueError(
@@ -261,7 +260,7 @@ class IncrementalHBOracle:
     def flush(self) -> None:
         """Drain the rows a bound store has gained since the last drain.
 
-        Every query path calls this implicitly; it is public so callers
+        Every query and count calls this implicitly; it is public so callers
         with latency deadlines can pick their own amortization points.
         No-op when no store is bound or nothing is new.
         """
@@ -343,27 +342,20 @@ class IncrementalHBOracle:
     # ------------------------------------------------------------------
     # freeze: hand the clock table to a batch-API oracle
     # ------------------------------------------------------------------
-    def freeze(
-        self, execution: Execution, backend: Optional[str] = None
-    ) -> HappenedBeforeOracle:
+    def freeze(self, execution: Execution) -> HappenedBeforeOracle:
         """The batch oracle over *execution*, answering from the streamed clocks.
 
         *execution* must be the completed execution whose events were
         streamed in (same per-process counts).  Nothing is built here: the
-        frozen oracle reads ``happened_before`` / ``concurrent`` /
-        ``vector_clock`` from the clock table (shared, not copied) and
-        builds the causal-past rows — on whichever kernel *backend* or
-        :func:`repro.core.backend.resolve_backend` selects for the size —
-        only when first asked for bits.  The result is indistinguishable
-        from a from-scratch build: identical ``past_masks()``,
-        ``event_order``, vector clocks, and query answers.
+        clock table is shared, not copied, and the frozen oracle is the
+        object ``HappenedBeforeOracle(execution)`` builds, on the kernel
+        :func:`repro.core.backend.resolve_backend` selects.
         """
         if execution.n_processes != self._n:
             raise ValueError(
                 f"execution has {execution.n_processes} processes, "
                 f"oracle was built for {self._n}"
             )
-        self.flush()  # also drains a bound store, so counts are current
         for p, want in enumerate(execution.event_counts()):
             have = self.event_count(p)
             if have != want:
@@ -371,9 +363,7 @@ class IncrementalHBOracle:
                     f"process {p}: oracle saw {have} events, "
                     f"execution has {want}"
                 )
-        return HappenedBeforeOracle._from_clocks(
-            execution, self._clocks, backend
-        )
+        return HappenedBeforeOracle._from_clocks(execution, self._clocks)
 
 
 def as_batch_oracle(

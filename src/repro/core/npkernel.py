@@ -1,27 +1,14 @@
-"""Array-native causality kernel: numpy backend for the bitset rows.
+"""Array-native causality kernel: the numpy backend for the bitset rows.
 
-The pure kernel (:mod:`repro.core.happened_before`) stores each event's
-strict causal past as one packed Python int.  This module stores the same
-matrix as a contiguous ``(m, W)`` ``uint64`` array with ``W = ceil(m/64)``
-— row ``j``, word ``w`` holds bits ``64w .. 64w+63`` of event ``j``'s past,
-little-endian, so ``row.tobytes()`` is exactly the ``int.to_bytes`` of the
-pure row.  Everything here is pinned byte-identical to the pure kernel by
-the conformance fuzzer's ``backend-differential`` invariant and the
-hypothesis parity suite.
-
-Construction does not replay ``delivery_order()`` event by event.  Only
-receives merge information across processes, so each row decomposes as::
-
-    row(p, i) = A[anchor(p, i)] | own-prefix bits [base_p, base_p + i - 1)
-
-where ``anchor(p, i)`` is the latest receive at ``p`` with local index
-``< i`` (or the zero row).  Each receive's anchor row depends on at most
-two earlier receives (its process predecessor and its send's anchor), so
-the anchors form a DAG processed in topological order with two bulk
-``OR``s per receive; every non-anchor row is then a single gather plus a
-scatter of contiguous own-prefix intervals.  Net cost: O(receives) numpy
-row ops instead of O(events) Python big-int ops — the "bulk row path" the
-PR-7 benchmark gates at ≥2M appends/s.
+The pure decoder (:func:`repro.core.happened_before.past_masks_from_clocks`)
+stores each event's strict causal past as one packed Python int.  This
+module stores the same matrix as a contiguous ``(m, W)`` ``uint64`` array
+with ``W = ceil(m/64)`` — row ``j``, word ``w`` holds bits ``64w .. 64w+63``
+of event ``j``'s past, little-endian, so ``row.tobytes()`` is exactly the
+``int.to_bytes`` of the pure row — decodes it from the same clock table,
+and compares schemes against it in bulk.  The conformance fuzzer's
+``backend-differential`` invariant and the hypothesis parity suite pin the
+two representations byte-identical.
 
 Intentionally import-guarded: import this module only after
 :func:`repro.core.backend.numpy_available` returns True.
@@ -30,192 +17,55 @@ Intentionally import-guarded: import this module only after
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from collections import deque
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 U64 = np.uint64
-#: LOWC[r] = word with the low ``r`` bits set, r in 0..64
-LOWC = np.concatenate(
-    [(U64(1) << np.arange(64, dtype=np.uint64)) - U64(1), [FULL]]
-)
 
 
-def scatter_or_intervals(
-    target: np.ndarray, row_of: np.ndarray, lo: Any, hi: Any
-) -> None:
-    """``target[row_of[t], w] |= bits of [lo[t], hi[t]) falling in word w``.
+def past_matrix_from_clocks(
+    clocks: Sequence[array], counts: Sequence[int]
+) -> np.ndarray:
+    """The strict causal-past matrix, decoded from the oracle's clock table.
 
-    Flat scatter: work is proportional to the number of *touched words*,
-    not rows×width.  Empty intervals (``hi <= lo``) are allowed and
-    skipped; ``row_of`` may repeat rows (the scatter ORs, fancy-index
-    assignment would not — pairs within one call must be unique, which
-    holds for the disjoint per-word interval decomposition used here).
+    Restricted to process ``q``'s block of bits, the row of an event is
+    the first ``vc[q]`` bits of the block (its own entry minus one: the
+    past is strict).  So per process, a ``(count + 1, words)`` table of
+    the block's prefix masks — single bits ORed down by
+    ``bitwise_or.accumulate`` — is gathered by the column ``vc[:, q]``
+    into the words the block spans.
     """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    keep = hi > lo
-    if not keep.all():
-        row_of = row_of[keep]
-        lo = lo[keep]
-        hi = hi[keep]
-    if len(lo) == 0:
-        return
-    w0 = lo >> 6
-    w1 = (hi - 1) >> 6
-    spans = w1 - w0 + 1
-    total = int(spans.sum())
-    starts = np.cumsum(spans) - spans
-    off = np.arange(total, dtype=np.int64) - np.repeat(starts, spans)
-    col = np.repeat(w0, spans) + off
-    rows_f = np.repeat(row_of, spans)
-    # value: full word, trimmed at the interval's first and last word
-    vals = np.full(total, FULL, dtype=np.uint64)
-    first = off == 0
-    last = col == np.repeat(w1, spans)
-    np.bitwise_and(
-        vals, ~LOWC[np.repeat(lo & 63, spans)], out=vals, where=first
-    )
-    np.bitwise_and(
-        vals, LOWC[np.repeat(((hi - 1) & 63) + 1, spans)], out=vals, where=last
-    )
-    target[rows_f, col] |= vals
-
-
-def bulk_past_matrix(execution) -> np.ndarray:
-    """The strict causal-past matrix of *execution*, built by bulk row ops.
-
-    Byte-identical to the pure kernel's ``past_masks()`` rows under the
-    same process-major dense indexing.  Raises ``RuntimeError`` if the
-    receive dependencies contain a cycle (a causally inconsistent
-    execution, which a well-formed :class:`~repro.core.execution.Execution`
-    cannot produce).
-    """
-    nproc = execution.n_processes
-    # event_counts/receive_pairs avoid touching event or message objects —
-    # on the columnar store they read straight from the id columns
-    counts = np.asarray(execution.event_counts(), dtype=np.int64)
-    m = int(counts.sum())
-    W = max(1, (m + 63) >> 6)
-    bases = np.zeros(nproc, dtype=np.int64)
-    if nproc > 1:
-        np.cumsum(counts[:-1], out=bases[1:])
+    n = len(counts)
+    m = sum(counts)
+    out = np.zeros((m, max(1, (m + 63) >> 6)), dtype=np.uint64)
     if m == 0:
-        return np.zeros((0, W), dtype=np.uint64)
-
-    recvs = execution.receive_pairs()
-    n_recv = len(recvs)
-    # anchor rows, 1-based; row 0 stays zero (= "no receive before me")
-    anchors = np.zeros((n_recv + 1, W), dtype=np.uint64)
-
-    if n_recv:
-        # per-process receive positions, sorted by local index, with the
-        # anchor id (k+1) of each — the bisect lookups below require order
-        by_proc: List[List[Tuple[int, int]]] = [[] for _ in range(nproc)]
-        for k, (re, _se) in enumerate(recvs):
-            by_proc[re.proc].append((re.index, k + 1))
-        ridx: List[List[int]] = [[] for _ in range(nproc)]
-        rk: List[List[int]] = [[] for _ in range(nproc)]
-        for p, pairs in enumerate(by_proc):
-            pairs.sort()
-            ridx[p] = [i for i, _ in pairs]
-            rk[p] = [k1 for _, k1 in pairs]
-        # each receive depends on <= 2 earlier receives: its process
-        # predecessor (paid) and the last receive before its send (said)
-        paid = [0] * n_recv
-        said = [0] * n_recv
-        indeg = [0] * n_recv
-        children: List[List[int]] = [[] for _ in range(n_recv)]
-        p_arr = np.empty(n_recv, dtype=np.int64)
-        i_arr = np.empty(n_recv, dtype=np.int64)
-        sp_arr = np.empty(n_recv, dtype=np.int64)
-        si_arr = np.empty(n_recv, dtype=np.int64)
-        for k, (re, se) in enumerate(recvs):
-            p, i, sp, si = re.proc, re.index, se.proc, se.index
-            p_arr[k], i_arr[k], sp_arr[k], si_arr[k] = p, i, sp, si
-            j = bisect_left(ridx[p], i)
-            if j:
-                paid[k] = rk[p][j - 1]
-                indeg[k] += 1
-                children[rk[p][j - 1] - 1].append(k)
-            j = bisect_left(ridx[sp], si)
-            if j:
-                said[k] = rk[sp][j - 1]
-                if said[k] != paid[k]:
-                    indeg[k] += 1
-                    children[rk[sp][j - 1] - 1].append(k)
-        # seed every anchor with its fixed contribution:
-        # own prefix [ob, ob+i-1) | send prefix [sb, sb+si-1) | send bit
-        ob = bases[p_arr]
-        sb = bases[sp_arr]
-        ar1 = np.arange(1, n_recv + 1)
-        scatter_or_intervals(anchors, ar1, ob, ob + i_arr - 1)
-        scatter_or_intervals(anchors, ar1, sb, sb + si_arr - 1)
-        sd = sb + si_arr - 1
-        anchors[ar1, sd >> 6] |= U64(1) << (sd & 63).astype(np.uint64)
-        # chain the anchors in dependency order: two bulk ORs per receive
-        queue = deque(k for k in range(n_recv) if indeg[k] == 0)
-        done = 0
-        while queue:
-            k = queue.popleft()
-            done += 1
-            out = anchors[k + 1]
-            out |= anchors[paid[k]]
-            out |= anchors[said[k]]
-            for c in children[k]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if done != n_recv:
-            raise RuntimeError("execution is not causally consistent")
-
-        # anchor id per dense position: the latest receive at the same
-        # process with a strictly smaller local index (vectorized lookup)
-        recv_dense: List[int] = []
-        recv_aid: List[int] = []
-        basel = bases.tolist()
-        for p in range(nproc):
-            b = basel[p]
-            for i, k1 in zip(ridx[p], rk[p]):
-                recv_dense.append(b + i - 1)
-                recv_aid.append(k1)
-        dense_arr = np.array(recv_dense, dtype=np.int64)
-        aid_arr = np.array(recv_aid, dtype=np.int64)
-        g = np.searchsorted(dense_arr, np.arange(m), side="right")
-        base_g = np.repeat(
-            np.searchsorted(dense_arr, bases, side="left"), counts
-        )
-        aid = np.where(g - base_g > 0, aid_arr[np.clip(g - 1, 0, None)], 0)
-        rows = anchors[aid]
-    else:
-        rows = np.zeros((m, W), dtype=np.uint64)
-
-    # triangular own-prefix fill: bits [bases[p], d) for the event at d
-    d = np.arange(m, dtype=np.int64)
-    scatter_or_intervals(rows, d, np.repeat(bases, counts), d)
-    return rows
+        return out
+    vc = np.concatenate(
+        [np.frombuffer(table, dtype=np.intc) for table in clocks]
+    ).reshape(m, n)
+    vc[np.arange(m), np.repeat(np.arange(n), counts)] -= 1
+    base = 0
+    for q, count in enumerate(counts):
+        if count:
+            w0, w1 = base >> 6, (base + count - 1) >> 6
+            bit = np.arange(count) + (base & 63)
+            prefix = np.zeros((count + 1, w1 - w0 + 1), dtype=np.uint64)
+            prefix[np.arange(1, count + 1), bit >> 6] = (
+                U64(1) << (bit & 63).astype(np.uint64)
+            )
+            np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+            out[:, w0 : w1 + 1] |= prefix[vc[:, q]]
+        base += count
+    return out
 
 
 # ----------------------------------------------------------------------
 # matrix <-> packed-int interop
 # ----------------------------------------------------------------------
-def matrix_to_rows(mat: np.ndarray) -> List[int]:
-    """All rows as packed Python ints (the pure kernel's representation)."""
-    m, W = mat.shape
-    buf = np.ascontiguousarray(mat).tobytes()
-    stride = W * 8
-    return [
-        int.from_bytes(buf[j * stride : (j + 1) * stride], "little")
-        for j in range(m)
-    ]
-
-
 def rows_to_matrix(rows: Sequence[int]) -> np.ndarray:
-    """Packed Python-int rows as the ``(m, W)`` matrix (read-only): the
-    inverse of :func:`matrix_to_rows`."""
+    """Packed Python-int rows as the ``(m, W)`` matrix (read-only)."""
     m = len(rows)
     stride = max(1, (m + 63) >> 6) * 8
     buf = b"".join([row.to_bytes(stride, "little") for row in rows])
@@ -285,47 +135,6 @@ def mismatch_indices(
 def ordered_pair_count(mat: np.ndarray) -> int:
     """Total popcount of the matrix = number of ordered (e, f) pairs."""
     return int(np.bitwise_count(mat).sum(dtype=np.int64))
-
-
-def vector_clocks_from_matrix(
-    mat: np.ndarray, counts: Sequence[int]
-) -> List[array]:
-    """Full-length vector clocks of every event, from the past matrix.
-
-    ``vc[e][p]`` counts the events of process ``p`` in the causal past of
-    ``e`` *including* ``e`` at its own coordinate — the Fidge/Mattern
-    definition.  Process-major indexing makes each process one contiguous
-    bit range, so the count is a masked popcount per block.  Returned as
-    the oracle's clock table: one flat ``array('i')`` per process, the
-    clock of its ``k``-th event at ``[(k-1)*n, k*n)``, entry for entry
-    the pure kernel's.
-    """
-    m = mat.shape[0]
-    nproc = len(counts)
-    cnt = np.zeros((m, nproc), dtype=np.intc)
-    base = 0
-    for p, c in enumerate(counts):
-        if c == 0:
-            continue
-        lo, hi = base, base + c
-        base = hi
-        w0, w1 = lo >> 6, (hi - 1) >> 6
-        sub = mat[:, w0 : w1 + 1].copy()
-        sub[:, 0] &= ~LOWC[lo & 63]
-        sub[:, -1] &= LOWC[((hi - 1) & 63) + 1]
-        cnt[:, p] = np.bitwise_count(sub).sum(axis=1, dtype=np.int64)
-    if m:
-        # own coordinate: strict past inside the own block is index-1
-        own = np.repeat(np.arange(nproc), np.asarray(counts, dtype=np.int64))
-        cnt[np.arange(m), own] += 1
-    tables = []
-    base = 0
-    for c in counts:
-        table = array("i")
-        table.frombytes(cnt[base : base + c].tobytes())
-        tables.append(table)
-        base += c
-    return tables
 
 
 # ----------------------------------------------------------------------

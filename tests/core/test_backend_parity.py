@@ -5,9 +5,15 @@ vector clocks, closures, whole-assignment validation reports — must equal
 the pure-python oracle's answer exactly, on arbitrary executions.  These
 are the property-based teeth behind the conformance fuzzer's
 ``backend-differential`` invariant.
+
+Both kernels decode their bits from the same clock table, so the rows are
+held against :func:`tests.helpers.reference_past_masks`, a delivery-order
+OR recurrence that shares no code with either decoder.
 """
 
 import random
+from contextlib import nullcontext
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +31,14 @@ from repro.core.cuts import cut_from_events, events_in_cut
 from repro.core.incremental import IncrementalHBOracle
 from repro.core.random_executions import random_execution
 from repro.topology import generators
+from tests.helpers import reference_past_masks
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires numpy >= 2.0"
 )
+
+#: every kernel that can run here
+KERNELS = ["pure"] + (["numpy"] if numpy_available() else [])
 
 
 def _random_ex(seed: int, n: int = 5, steps: int = 60):
@@ -39,17 +49,42 @@ def _random_ex(seed: int, n: int = 5, steps: int = 60):
     )
 
 
+def assert_bits_match_reference(oracle, ref):
+    """*oracle*'s rows, matrix and pair counts against the reference rows."""
+    assert oracle.past_masks() == ref
+    mat = oracle.past_matrix()
+    if oracle.backend == "numpy":
+        from repro.core.npkernel import rows_to_matrix
+
+        want = rows_to_matrix(ref)
+        assert mat.shape == want.shape and (mat == want).all()
+    else:
+        assert mat is None
+    m = len(ref)
+    ordered = sum(row.bit_count() for row in ref)
+    assert oracle.relation_counts() == (ordered, m * (m - 1) // 2 - ordered)
+
+
+def assert_every_kernel_matches_reference(ex):
+    ref = reference_past_masks(ex)
+    for backend in KERNELS:
+        assert_bits_match_reference(
+            HappenedBeforeOracle(ex, backend=backend), ref
+        )
+
+
 @needs_numpy
 class TestOracleParity:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_past_masks_and_counts_identical(self, seed):
         ex = _random_ex(seed)
+        ref = reference_past_masks(ex)
         pure = HappenedBeforeOracle(ex, backend="pure")
         fast = HappenedBeforeOracle(ex, backend="numpy")
         assert fast.backend == "numpy" and pure.backend == "pure"
-        assert fast.past_masks() == pure.past_masks()
-        assert fast.relation_counts() == pure.relation_counts()
+        assert_bits_match_reference(pure, ref)
+        assert_bits_match_reference(fast, ref)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -121,46 +156,89 @@ class TestValidateParity:
         assert fast == pure
 
 
-@needs_numpy
 class TestEdgeShapes:
+    """Both decoders against the reference where word arithmetic can slip."""
+
     def test_empty_execution(self):
         ex = ExecutionBuilder(3).freeze()
-        pure = HappenedBeforeOracle(ex, backend="pure")
-        fast = HappenedBeforeOracle(ex, backend="numpy")
-        assert fast.past_masks() == pure.past_masks() == ()
-        assert fast.relation_counts() == pure.relation_counts()
+        assert_every_kernel_matches_reference(ex)
+        assert HappenedBeforeOracle(ex).past_masks() == ()
 
     def test_single_process(self):
         b = ExecutionBuilder(1)
         for _ in range(70):  # past a uint64 word boundary
             b.local(0)
         ex = b.freeze()
+        assert_every_kernel_matches_reference(ex)
         pure = HappenedBeforeOracle(ex, backend="pure")
-        fast = HappenedBeforeOracle(ex, backend="numpy")
-        assert fast.past_masks() == pure.past_masks()
-        assert fast.relation_counts() == pure.relation_counts()
-        for ev in ex.all_events():
-            assert fast.vector_clock(ev.eid) == pure.vector_clock(ev.eid)
+        assert pure.past_masks()[-1] == (1 << 69) - 1
+
+    @staticmethod
+    def _exchange(n, steps, seed, idle=()):
+        """Random locals and delivered messages among the non-*idle*
+        processes of an *n*-process execution: the open builder and its
+        event count."""
+        rng = random.Random(seed)
+        live = [p for p in range(n) if p not in idle]
+        b = ExecutionBuilder(n)
+        m = 0
+        for _ in range(steps):
+            src, dst = rng.sample(live, 2)
+            if rng.random() < 0.4:
+                b.local(src)
+                m += 1
+            else:
+                b.send_and_receive(src, dst)
+                m += 2
+        return b, m
+
+    def test_a_process_with_no_events(self):
+        ex = self._exchange(5, 90, seed=1, idle=(0, 3))[0].freeze()
+        assert ex.event_counts()[0] == ex.event_counts()[3] == 0
+        assert_every_kernel_matches_reference(ex)
+
+    def test_blocks_straddle_word_boundaries(self):
+        ex = self._exchange(4, 160, seed=2)[0].freeze()
+        bases = list(accumulate(ex.event_counts(), initial=0))
+        # some block starts mid-word and some block spans several words
+        assert any(b % 64 for b in bases[1:-1])
+        assert any(hi - lo > 64 for lo, hi in zip(bases, bases[1:]))
+        assert_every_kernel_matches_reference(ex)
+
+    def test_m_is_a_multiple_of_64(self):
+        b, m = self._exchange(3, 50, seed=3)
+        for _ in range(128 - m):
+            b.local(1)
+        ex = b.freeze()
+        assert ex.n_events == 128
+        assert_every_kernel_matches_reference(ex)
+
+    def test_undelivered_sends(self):
+        for seed in range(5):
+            ex = _random_ex(seed, steps=120)
+            assert ex.undelivered_messages()
+            assert_every_kernel_matches_reference(ex)
 
 
 class TestFreezeParity:
     def test_streamed_freeze_matches_batch(self):
         # fixed executions on both sides of the size rule, frozen onto the
-        # kernel it picks and onto each kernel by name
+        # kernel it picks and under a pin of each kernel
         sizes = []
         for steps in (60, 600, 3_000):
             ex = _random_ex(steps, steps=steps)
             sizes.append(ex.n_events)
+            ref = reference_past_masks(ex)
             inc = IncrementalHBOracle(ex.n_processes).ingest(ex)
             pure = HappenedBeforeOracle(ex, backend="pure")
             for backend in (None, "pure", "numpy"):
                 if backend == "numpy" and not numpy_available():
                     continue
-                frozen = inc.freeze(ex, backend=backend)
+                with use_backend(backend) if backend else nullcontext():
+                    frozen = inc.freeze(ex)
                 assert frozen.backend == resolve_backend(ex.n_events, backend)
-                assert frozen.past_masks() == pure.past_masks()
+                assert_bits_match_reference(frozen, ref)
                 assert frozen.event_order == pure.event_order
-                assert frozen.relation_counts() == pure.relation_counts()
                 for eid in pure.event_order:
                     assert frozen.vector_clock(eid) == pure.vector_clock(eid)
         assert sizes[0] < NUMPY_MIN_EVENTS <= sizes[1] < sizes[2]

@@ -6,10 +6,13 @@ Mattern) that the oracle's own full-length vector clocks encode.  Hypothesis
 drives topology family, size, seed and workload length across the benchmark
 topology suite.
 
-Nothing under ``src/`` queries the rows any more — causal pasts and cuts
-answer from the clock table — so the rows serve here as the *independent*
-reference: :func:`decoded_pasts` reads ``past_masks()``, bits only, and
-``causal_past`` and every cut query are checked against it on both kernels.
+Nothing under ``src/`` queries the rows — causal pasts and cuts answer from
+the clock table, and the oracle's rows are decoded from that table too — so
+the *independent* reference here is the test-local delivery-order OR
+recurrence (:func:`tests.helpers.reference_past_masks`):
+:func:`decoded_pasts` reads its bits, and ``causal_past``, every cut query
+and the oracle's own ``past_masks()`` are checked against it on both
+kernels.
 """
 
 import random
@@ -27,6 +30,7 @@ from repro.core.cuts import (
 from repro.core.events import EventId
 from repro.core.random_executions import random_execution
 from repro.topology import generators
+from tests.helpers import reference_past_masks
 
 FAMILIES = [
     "star", "double_star", "cycle", "path", "tree", "bipartite", "random",
@@ -62,11 +66,11 @@ KERNELS = ["pure"] + (["numpy"] if numpy_available() else [])
 
 
 def decoded_pasts(oracle):
-    """``{f: {e : e -> f}}`` decoded from the bit rows alone."""
+    """``{f: {e : e -> f}}`` decoded from the reference rows alone."""
     order = oracle.event_order
     return {
         f: {order[i] for i in range(len(order)) if row >> i & 1}
-        for f, row in zip(order, oracle.past_masks())
+        for f, row in zip(order, reference_past_masks(oracle.execution))
     }
 
 
@@ -153,6 +157,7 @@ def test_cut_queries_match_decoded_rows(family, n, seed):
     for backend in KERNELS:
         oracle = HappenedBeforeOracle(ex, backend=backend)
         past = decoded_pasts(oracle)
+        assert oracle.past_masks() == reference_past_masks(ex)
         for f, expected in past.items():
             assert oracle.causal_past(f) == expected
         rng = random.Random(seed + 2)
@@ -181,6 +186,7 @@ def test_event_order_matches_all_events_and_masks_are_strict():
     oracle = HappenedBeforeOracle(ex)
     assert list(oracle.event_order) == [ev.eid for ev in ex.all_events()]
     rows = oracle.past_masks()
+    assert rows == reference_past_masks(ex)
     for j, eid in enumerate(oracle.event_order):
         assert oracle.index_of(eid) == j
         # strictness: no self-bit in any row

@@ -24,17 +24,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HappenedBeforeOracle
-from repro.core.backend import numpy_available
+from repro.core.backend import numpy_available, use_backend
 from repro.core.colstore import (
     KIND_RECEIVE,
     ColumnarExecutionBuilder,
     EventStore,
 )
+from repro.core.events import EventId
 from repro.core.incremental import IncrementalHBOracle
 from repro.core.random_executions import execution_from_ops, random_ops
 from repro.faults.models import GilbertElliottLoss
 from repro.obs.metrics import MetricsRegistry
 from repro.topology import generators
+from tests.helpers import reference_past_masks
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires numpy >= 2.0"
@@ -164,7 +166,7 @@ class TestAppendPathParity:
         ex = execution_from_ops(graph, _ops(graph, seed))
         store = EventStore.from_execution(ex)
         ref = HappenedBeforeOracle(ex, backend="pure")
-        ref_masks = ref.past_masks()
+        ref_masks = reference_past_masks(ex)
         totals = set()
         for feed in self.FEEDS:
             for batch in (False, True):
@@ -174,7 +176,7 @@ class TestAppendPathParity:
                 )
                 self._feed(feed, oracle, store)
                 name = (feed, batch)
-                frozen = oracle.freeze(ex, backend="pure")
+                frozen = oracle.freeze(ex)
                 assert frozen.past_masks() == ref_masks, name
                 assert oracle.relation_counts() == ref.relation_counts(), name
                 totals.add((
@@ -196,10 +198,14 @@ class TestAppendPathParity:
         store = EventStore.from_execution(ex)
         oracle = IncrementalHBOracle(graph.n_vertices)
         oracle.sync_store(store)
-        frozen = oracle.freeze(ex, backend="numpy")
-        assert frozen.past_masks() == HappenedBeforeOracle(
-            ex, backend="numpy"
-        ).past_masks()
+        with use_backend("numpy"):
+            frozen = oracle.freeze(ex)
+        from repro.core.npkernel import rows_to_matrix
+
+        ref = reference_past_masks(ex)
+        assert frozen.backend == "numpy"
+        assert frozen.past_masks() == ref
+        assert (frozen.past_matrix() == rows_to_matrix(ref)).all()
 
 
 class TestSyncStoreContract:
@@ -234,6 +240,18 @@ class TestSyncStoreContract:
         assert oracle.vector_clock(last) == ref.vector_clock(last)
         assert oracle.freeze(store.freeze()).past_masks() == ref.past_masks()
 
+    def test_counts_drain_a_bound_store(self):
+        # regression: the counts read only the rows already drained, while
+        # every query drained first
+        _graph_, ex, store = self._store()
+        oracle = IncrementalHBOracle(4)
+        oracle.bind_store(store)
+        for p in range(4):
+            assert oracle.event_count(p) == store.count_at(p)
+        assert oracle.n_events == store.n_events
+        assert store.event_id(store.n_events - 1) in oracle
+        assert EventId(0, store.count_at(0) + 1) not in oracle
+
     def test_rejects_process_count_mismatch(self):
         _graph_, _ex, store = self._store()
         oracle = IncrementalHBOracle(7)
@@ -256,10 +274,7 @@ class TestSyncStoreContract:
         assert oracle.sync_store(store, upto=half) == 0
         assert oracle.sync_store(store) == store.n_events - half
         assert oracle.sync_store(store) == 0
-        frozen = oracle.freeze(ex, backend="pure")
-        assert frozen.past_masks() == HappenedBeforeOracle(
-            ex, backend="pure"
-        ).past_masks()
+        assert oracle.freeze(ex).past_masks() == reference_past_masks(ex)
 
     def test_rejects_rows_that_do_not_continue_sequences(self):
         _graph_, _ex, store = self._store()
@@ -275,10 +290,7 @@ class TestSyncStoreContract:
         oracle = IncrementalHBOracle(4)
         oracle.bind_store(store)
         oracle.flush()
-        frozen = oracle.freeze(ex, backend="pure")
-        assert frozen.past_masks() == HappenedBeforeOracle(
-            ex, backend="pure"
-        ).past_masks()
+        assert oracle.freeze(ex).past_masks() == reference_past_masks(ex)
 
 
 class TestPureFallback:
@@ -293,6 +305,4 @@ class TestPureFallback:
         store = EventStore.from_execution(ex)
         oracle = IncrementalHBOracle(graph.n_vertices)
         oracle.sync_store(store)
-        assert oracle.freeze(ex, backend="pure").past_masks() == (
-            HappenedBeforeOracle(ex, backend="pure").past_masks()
-        )
+        assert oracle.freeze(ex).past_masks() == reference_past_masks(ex)

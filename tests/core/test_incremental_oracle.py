@@ -22,6 +22,7 @@ from repro.core.events import EventId
 from repro.core.random_executions import random_execution
 from repro.obs.metrics import MetricsRegistry
 from repro.topology import generators
+from tests.helpers import reference_past_masks
 
 
 def assert_byte_identical(inc, execution):
@@ -352,17 +353,18 @@ def _stream(inc, ex, events):
 
 
 class TestClockRowAgainstBitRows:
-    """The clock row against the bitset kernel it replaced as ground truth.
+    """The clock row against the bitset recurrence it replaced as ground truth.
 
-    Every reference below is read off ``HappenedBeforeOracle(...,
-    backend="pure").past_masks()`` — bits, never the clock table — so the
-    two sides share no code.  Answers about appended events are final, so
-    the mid-stream checks use the completed execution's rows.
+    Every reference below is read off
+    :func:`tests.helpers.reference_past_masks` — bits, never a clock table —
+    so the two sides share no code.  Answers about appended events are
+    final, so the mid-stream checks use the completed execution's rows.
     """
 
-    def _check(self, inc, ref, seen, rng):
-        masks = ref.past_masks()
-        pos = {eid: ref.index_of(eid) for eid in seen}
+    def _check(self, inc, ex, seen, rng):
+        masks = reference_past_masks(ex)
+        at = {ev.eid: i for i, ev in enumerate(ex.all_events())}
+        pos = {eid: at[eid] for eid in seen}
         hb = lambda e, f: bool(masks[pos[f]] >> pos[e] & 1)  # noqa: E731
         n = inc.n_processes
         for f in seen:
@@ -398,16 +400,15 @@ class TestClockRowAgainstBitRows:
     def test_every_query_mid_stream_and_at_the_end(self, seed, steps):
         ex = random_execution(generators.star(5), random.Random(seed),
                               steps=steps)
-        ref = HappenedBeforeOracle(ex, backend="pure")
         order = ex.delivery_order()
         inc = IncrementalHBOracle(5)
         rng = random.Random(seed + 1)
         half = len(order) // 2
         _stream(inc, ex, order[:half])
         if half:
-            self._check(inc, ref, [ev.eid for ev in order[:half]], rng)
+            self._check(inc, ex, [ev.eid for ev in order[:half]], rng)
         _stream(inc, ex, order[half:])
-        self._check(inc, ref, [ev.eid for ev in order], rng)
+        self._check(inc, ex, [ev.eid for ev in order], rng)
 
     def test_unknown_and_out_of_order_ids_still_raise(
         self, small_star_execution
@@ -441,24 +442,28 @@ class TestClockRowAgainstBitRows:
 
 
 class TestFreezeBuildsNothing:
-    """``freeze()`` hands the table over; rows appear on the first ask."""
+    """Neither constructor decodes bits; each decoder runs once, on the
+    first ask for its representation."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Count every row construction, on either kernel."""
+        """Record every decode: ``masks`` (packed ints, any backend) and
+        ``matrix`` (numpy)."""
+        from repro.core import happened_before
+
         calls = []
-        pure = HappenedBeforeOracle._compute
+        masks = happened_before.past_masks_from_clocks
         monkeypatch.setattr(
-            HappenedBeforeOracle, "_compute",
-            lambda self: (calls.append("pure"), pure(self))[1],
+            happened_before, "past_masks_from_clocks",
+            lambda *a: (calls.append("masks"), masks(*a))[1],
         )
         if numpy_available():
             from repro.core import npkernel
 
-            bulk = npkernel.bulk_past_matrix
+            matrix = npkernel.past_matrix_from_clocks
             monkeypatch.setattr(
-                npkernel, "bulk_past_matrix",
-                lambda ex: (calls.append("numpy"), bulk(ex))[1],
+                npkernel, "past_matrix_from_clocks",
+                lambda *a: (calls.append("matrix"), matrix(*a))[1],
             )
         return calls
 
@@ -478,26 +483,36 @@ class TestFreezeBuildsNothing:
         asg = replay_one(ex, VectorClock(6))
         inc = incremental_from_execution(ex)
         frozen = inc.freeze(ex)
+        batch = HappenedBeforeOracle(ex)
         kernel = "pure" if hide_numpy or not numpy_available() else "numpy"
-        assert frozen.backend == kernel
+        assert frozen.backend == batch.backend == kernel
         ids = frozen.event_order
         rng = random.Random(0)
         for _ in range(1_000):
             e, f = rng.sample(ids, 2)
             assert frozen.happened_before(e, f) == inc.happened_before(e, f)
             assert frozen.concurrent(e, f) == inc.concurrent(e, f)
+            assert batch.happened_before(e, f) == inc.happened_before(e, f)
         assert frozen.vector_clock(ids[-1]) == inc.vector_clock(ids[-1])
         assert frozen.relation_counts() == inc.relation_counts()
-        for oracle in (frozen, inc, None):
+        assert batch.relation_counts() == inc.relation_counts()
+        for oracle in (frozen, batch, inc, None):
             assert asg.validate_sampled(oracle, n_pairs=200).characterizes
         assert builds == []
         self._ask_every_table_query(frozen, asg, rng)
+        self._ask_every_table_query(batch, asg, rng)
         assert builds == []
         first = frozen.past_masks()
-        assert builds == [kernel]
-        assert frozen.past_masks() == first
-        assert builds == [kernel]
-        assert first == HappenedBeforeOracle(ex, backend="pure").past_masks()
+        assert builds == ["masks"]
+        assert frozen.past_masks() is first
+        assert builds == ["masks"]
+        assert first == reference_past_masks(ex)
+        matrix = frozen.past_matrix()
+        if kernel == "numpy":
+            assert frozen.past_matrix() is matrix
+            assert builds == ["masks", "matrix"]
+        else:
+            assert matrix is None and builds == ["masks"]
 
     @staticmethod
     def _ask_every_table_query(frozen, asg, rng):
@@ -549,22 +564,37 @@ class TestFreezeBuildsNothing:
         ex = random_execution(generators.star(4), random.Random(2), steps=40,
                               deliver_all=True)
         asg = replay_one(ex, VectorClock(4))
+        # validation reads the matrix where there is one, the rows elsewhere
         asks = [
-            lambda o: o.past_masks(),
-            lambda o: asg.validate(o),
+            (lambda o: o.past_masks(), "masks"),
+            (lambda o: asg.validate(o),
+             "matrix" if backend == "numpy" else "masks"),
         ]
         if backend == "numpy":  # the pure kernel has no matrix to hand out
-            asks.append(lambda o: o.past_matrix())
-        for ask in asks:
-            del builds[:]
-            frozen = incremental_from_execution(ex).freeze(ex, backend=backend)
-            assert builds == []
-            ask(frozen)
-            ask(frozen)
-            assert builds == [backend]
+            asks.append((lambda o: o.past_matrix(), "matrix"))
+        for ask, decoder in asks:
+            for build in (
+                lambda: HappenedBeforeOracle(ex, backend=backend),
+                lambda: _frozen_on(ex, backend),
+            ):
+                del builds[:]
+                oracle = build()
+                assert builds == []
+                ask(oracle)
+                ask(oracle)
+                assert builds == [decoder]
         del builds[:]
-        pure = incremental_from_execution(ex).freeze(ex, backend="pure")
+        pure = _frozen_on(ex, "pure")
         assert pure.past_matrix() is None and builds == []
+
+
+def _frozen_on(ex, backend):
+    """*ex* streamed and frozen under a pin of *backend*."""
+    from repro.core.backend import use_backend
+
+    inc = incremental_from_execution(ex)
+    with use_backend(backend):
+        return inc.freeze(ex)
 
 
 class TestLinearMemory:

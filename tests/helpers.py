@@ -1,5 +1,6 @@
-"""Cross-cutting test helpers: declarative timestamp definitions, and the
-three oracles every cut query must answer alike on.
+"""Cross-cutting test helpers: declarative timestamp definitions, an
+independent causal-past reference, and the three oracles every cut query
+must answer alike on.
 
 The paper defines the star and cover timestamps *declaratively* (Sections
 3.1 and 4) and then gives operational rules (Figure 1).  These helpers
@@ -10,6 +11,7 @@ values the definitions demand.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clocks.base import INFINITY
@@ -102,6 +104,29 @@ def declarative_cover_values(
             mpost.append(best)
         out[e] = (mctr, mpre, tuple(mpost))
     return out
+
+
+def reference_past_masks(execution: Execution) -> Tuple[int, ...]:
+    """Every event's strict causal past as a packed int, process-major.
+
+    The delivery-order OR recurrence: a receive's past is its process's
+    running past plus the send's past and the send itself.  It shares no
+    code with the oracle, whose rows are decoded from its vector clocks,
+    so tests compare ``past_masks()`` / ``past_matrix()`` against it.
+    """
+    base = list(accumulate(execution.event_counts(), initial=0))
+    past = [0] * execution.n_events
+    running = [0] * execution.n_processes
+    for ev in execution.delivery_order():
+        mask = running[ev.proc]
+        if ev.is_receive:
+            send = execution.send_of(ev).eid
+            at = base[send.proc] + send.index - 1
+            mask |= past[at] | (1 << at)
+        at = base[ev.proc] + ev.index - 1
+        past[at] = mask
+        running[ev.proc] = mask | (1 << at)
+    return tuple(past)
 
 
 #: the oracles a cut query must answer alike on (the ``oracles_for`` fixture)
