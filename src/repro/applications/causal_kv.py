@@ -8,39 +8,22 @@ clients and servers exist.  The optimization discussed in Section 5 lets
 bulk data travel directly between servers/clients while only *metadata*
 (timestamp information) is routed through sequencers.
 
-This module implements the store end to end on the simulator:
-
-- **Clients** are closed-loop sessions: each issues its next operation when
-  the previous one completes, maintaining a dependency map ``key → minimum
-  version`` (Lazy-Replication style) that is transitively closed by merging
-  the dependencies of every write it reads.
-- **Writes** route client → sequencer(s) → per-key primary server.  The
-  primary serializes writes per key (monotone versions), acknowledges the
-  client, and replicates to the other servers through the sequencer mesh.
-- **Reads** route client → sequencer(s) → a random server, carrying the
-  session dependencies; the server defers the read until its replica
-  satisfies them, then responds with its current version and that write's
-  dependency map.  This guard yields session-causal consistency by
-  construction; :func:`verify_causal_reads` audits it post hoc against the
-  *semantic* causal order (session order + reads-from, transitively).
-- **Accounting**: every message hop is classified data vs metadata;
-  :class:`TrafficReport` derives sequencer load under baseline routing
-  (everything through sequencers) and the optimized Figure-4 routing (data
-  direct, metadata through sequencers).
+The store has one implementation, the roles of :mod:`repro.net.node`, and
+``repro kv-live`` runs them on TCP.  This module holds the store's
+configuration and records, runs the roles on virtual time
+(:func:`run_store`), and audits a run against the *semantic* causal order
+(:func:`audit_operations`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.clocks.inline_cover import CoverInlineClock
-from repro.clocks.vector import VectorClock
-from repro.core.events import Event, EventId, Message, ProcessId
-from repro.sim.runner import Simulation, SimulationResult
-from repro.sim.workload import SimHandle, Workload
-from repro.topology.generators import sequencer_architecture
+from repro.clocks.replay import TimestampAssignment
+from repro.core.events import ProcessId
+from repro.core.execution import Execution
+from repro.obs import MetricsRegistry
 from repro.topology.graph import CommunicationGraph
 
 
@@ -48,10 +31,9 @@ from repro.topology.graph import CommunicationGraph
 class StoreConfig:
     """Sizing and workload knobs for one store deployment.
 
-    Validated at construction so both the simulator (:func:`run_store`) and
-    the live runtime (:mod:`repro.net`) reject nonsense configurations with
-    the same message; the CLI surfaces :class:`ValueError` through its
-    ``repro: error:`` path.
+    Validated at construction so :func:`run_store`, ``repro kv-live`` and
+    ``repro serve`` reject nonsense configurations with the same message;
+    the CLI surfaces :class:`ValueError` through its ``repro: error:`` path.
     """
 
     n_sequencers: int = 2
@@ -60,7 +42,6 @@ class StoreConfig:
     n_keys: int = 4
     ops_per_client: int = 10
     write_fraction: float = 0.5
-    rate: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,8 +61,6 @@ class StoreConfig:
                 f"write_fraction must be within [0, 1], "
                 f"got {self.write_fraction!r}"
             )
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
 
     def total_processes(self) -> int:
         return self.n_sequencers + self.n_servers + self.n_clients
@@ -107,311 +86,46 @@ class WriteRecord:
     version: int
     writer: ProcessId
     writer_session_index: int
-    commit_event: EventId  # primary's apply event
     deps: Dict[str, int]  # writer's session dependencies at issue
+
+
+#: the store's frame types, each with the direction of its hops that carries
+#: a value: a write (``op/w``), its commit and its replication go out as
+#: requests, a read's value (``op/r``, ``read``) comes back as a response.
+#: The other direction carries metadata only: an ack, a version, a dep map.
+VALUE_HOPS: Dict[str, str] = {
+    "op/w": "request", "commit": "request", "repl": "request",
+    "op/r": "response", "read": "response",
+}
 
 
 @dataclass(frozen=True)
 class TrafficReport:
-    """Message-hop accounting for the Figure-4 comparison.
+    """Application hops of one run per frame type, data vs metadata.
 
-    A *hop* is one message transmission.  ``data`` hops carry a value
-    payload (write requests/forwards, replication, read responses);
-    ``meta`` hops carry only control information.
+    A *hop* is one message on one graph edge, however often it is resent.
+    Every edge has a sequencer end, so every hop loads a sequencer; routing
+    data direct would move the ``data`` hops off them, not the ``meta`` ones.
     """
 
-    data_hops: int
-    meta_hops: int
-    sequencer_data_hops: int
-    sequencer_meta_hops: int
+    data: Dict[str, int]
+    meta: Dict[str, int]
+
+    @classmethod
+    def from_registry(cls, registry: MetricsRegistry) -> "TrafficReport":
+        """The ``net.data_hops`` / ``net.meta_hops`` counters of a run."""
+        return cls(
+            data={f: registry.counter_value("net.data_hops", frame=f) for f in VALUE_HOPS},
+            meta={f: registry.counter_value("net.meta_hops", frame=f) for f in VALUE_HOPS},
+        )
 
     @property
-    def baseline_sequencer_load(self) -> int:
-        """Hops touching a sequencer when data flows through sequencers."""
-        return self.sequencer_data_hops + self.sequencer_meta_hops
+    def data_hops(self) -> int:
+        return sum(self.data.values())
 
     @property
-    def optimized_sequencer_load(self) -> int:
-        """Figure-4 optimized routing: each data hop is replaced by a direct
-        data transfer plus a metadata-only hop through the sequencer (the
-        dotted arrow), so sequencers handle only metadata hops."""
-        return self.sequencer_meta_hops + self.sequencer_data_hops
-
-    @property
-    def baseline_sequencer_data_load(self) -> int:
-        return self.sequencer_data_hops
-
-    @property
-    def optimized_sequencer_data_load(self) -> int:
-        """Data volume through sequencers after the optimization: none."""
-        return 0
-
-
-@dataclass
-class _Roles:
-    sequencers: List[ProcessId]
-    servers: List[ProcessId]
-    clients: List[ProcessId]
-    sequencer_of: Dict[ProcessId, ProcessId]
-
-    def __post_init__(self) -> None:
-        self.sequencer_set: Set[ProcessId] = set(self.sequencers)
-
-    def primary_of(self, key: str) -> ProcessId:
-        return self.servers[int(key[1:]) % len(self.servers)]
-
-
-class _SequencerKVWorkload(Workload):
-    """Drives the store; message semantics live in per-message tags."""
-
-    def __init__(self, config: StoreConfig, roles: _Roles) -> None:
-        self.cfg = config
-        self.roles = roles
-        self.tags: Dict[int, Tuple] = {}
-        self.writes: List[WriteRecord] = []
-        self.operations: List[Operation] = []
-        self.version_counter: Dict[str, int] = {}
-        # server replica: key -> (version, write_index)
-        self.replica: Dict[ProcessId, Dict[str, Tuple[int, int]]] = {}
-        self.deferred: Dict[
-            ProcessId, List[Tuple[ProcessId, str, Dict[str, int]]]
-        ] = {}
-        # client session state
-        self.session: Dict[ProcessId, Dict[str, int]] = {}
-        self.session_len: Dict[ProcessId, int] = {}
-        self.remaining: Dict[ProcessId, int] = {}
-        # traffic accounting
-        self.data_hops = 0
-        self.meta_hops = 0
-        self.seq_data_hops = 0
-        self.seq_meta_hops = 0
-
-    # ------------------------------------------------------------------
-    def setup(self, sim: SimHandle) -> None:
-        for s in self.roles.servers:
-            self.replica[s] = {}
-            self.deferred[s] = []
-        for c in self.roles.clients:
-            self.session[c] = {}
-            self.session_len[c] = 0
-            self.remaining[c] = self.cfg.ops_per_client
-            self._issue_next(sim, c)
-
-    def _issue_next(self, sim: SimHandle, client: ProcessId) -> None:
-        if self.remaining[client] <= 0:
-            return
-        self.remaining[client] -= 1
-
-        def act() -> None:
-            key = f"k{sim.rng.randrange(self.cfg.n_keys)}"
-            seq = self.roles.sequencer_of[client]
-            deps = dict(self.session[client])
-            if sim.rng.random() < self.cfg.write_fraction:
-                tag = ("write-req", key, client, deps)
-                self._tagged_send(sim, client, seq, tag, data=True)
-            else:
-                tag = ("read-req", key, client, deps)
-                self._tagged_send(sim, client, seq, tag, data=False)
-
-        sim.schedule(sim.rng.expovariate(self.cfg.rate) + 1e-9, act)
-
-    # ------------------------------------------------------------------
-    def _tagged_send(
-        self, sim: SimHandle, src: ProcessId, dst: ProcessId, tag: Tuple,
-        data: bool,
-    ) -> Event:
-        ev = sim.do_send(src, dst)
-        assert ev.msg_id is not None
-        self.tags[ev.msg_id] = tag
-        seq_hop = (
-            src in self.roles.sequencer_set or dst in self.roles.sequencer_set
-        )
-        if data:
-            self.data_hops += 1
-            if seq_hop:
-                self.seq_data_hops += 1
-        else:
-            self.meta_hops += 1
-            if seq_hop:
-                self.seq_meta_hops += 1
-        return ev
-
-    def _route(
-        self, sim: SimHandle, here: ProcessId, target: ProcessId, tag: Tuple,
-        data: bool,
-    ) -> None:
-        """One next-hop step toward *target* over the sequencer mesh.
-
-        Non-sequencers first hop to their own sequencer; sequencers hop to
-        the target's sequencer (the sequencer mesh is a clique).
-        """
-        if sim.graph.has_edge(here, target):
-            self._tagged_send(sim, here, target, tag, data=data)
-        elif here in self.roles.sequencer_set:
-            self._tagged_send(
-                sim, here, self.roles.sequencer_of[target], tag, data=data
-            )
-        else:
-            self._tagged_send(
-                sim, here, self.roles.sequencer_of[here], tag, data=data
-            )
-
-    # ------------------------------------------------------------------
-    def on_deliver(self, sim: SimHandle, msg: Message, recv: Event) -> None:
-        tag = self.tags.pop(msg.msg_id, None)
-        if tag is None:  # pragma: no cover - defensive
-            return
-        kind = tag[0]
-        here = msg.dst
-
-        if here in self.roles.sequencer_set:
-            # sequencers only route
-            if kind in ("write-req", "write-fwd"):
-                _, key, client, deps = tag
-                self._route(
-                    sim, here, self.roles.primary_of(key),
-                    ("write-fwd", key, client, deps), data=True,
-                )
-            elif kind in ("read-req", "read-fwd"):
-                _, key, client, deps, server = (*tag, None)[:5] if len(tag) == 4 else tag
-                if server is None:
-                    server = sim.rng.choice(self.roles.servers)
-                self._route(
-                    sim, here, server,
-                    ("read-fwd", key, client, deps, server), data=False,
-                )
-            else:
-                # ack/response/replication transiting a sequencer
-                target = tag[-1]
-                self._route(sim, here, target, tag, data=kind != "write-ack")
-            return
-
-        if kind == "write-fwd":
-            _, key, client, deps = tag
-            self._commit_write(sim, here, key, client, deps, recv)
-        elif kind == "repl":
-            _, key, version, widx, _target = tag
-            self._apply_replica(sim, here, key, version, widx)
-        elif kind == "write-ack":
-            _, key, version, widx, client = tag
-            sess = self.session[client]
-            sess[key] = max(sess.get(key, 0), version)
-            self.operations.append(
-                Operation(
-                    client=client,
-                    session_index=self.session_len[client],
-                    kind="w",
-                    key=key,
-                    version=version,
-                    write_index=widx,
-                )
-            )
-            self.session_len[client] += 1
-            self._issue_next(sim, client)
-        elif kind == "read-fwd":
-            _, key, client, deps, _server = tag
-            self._try_serve(sim, here, key, client, deps)
-        elif kind == "read-resp":
-            _, key, version, widx, client = tag
-            sess = self.session[client]
-            sess[key] = max(sess.get(key, 0), version)
-            if widx is not None:
-                for dkey, dver in self.writes[widx].deps.items():
-                    sess[dkey] = max(sess.get(dkey, 0), dver)
-            self.operations.append(
-                Operation(
-                    client=client,
-                    session_index=self.session_len[client],
-                    kind="r",
-                    key=key,
-                    version=version,
-                    write_index=widx,
-                )
-            )
-            self.session_len[client] += 1
-            self._issue_next(sim, client)
-        else:  # pragma: no cover - defensive
-            raise AssertionError(f"unexpected tag {kind} at p{here}")
-
-    # ------------------------------------------------------------------
-    def _commit_write(
-        self,
-        sim: SimHandle,
-        primary: ProcessId,
-        key: str,
-        client: ProcessId,
-        deps: Dict[str, int],
-        recv: Event,
-    ) -> None:
-        version = self.version_counter.get(key, 0) + 1
-        self.version_counter[key] = version
-        widx = len(self.writes)
-        self.writes.append(
-            WriteRecord(
-                key=key,
-                version=version,
-                writer=client,
-                writer_session_index=self.session_len[client],
-                commit_event=recv.eid,
-                deps=dict(deps),
-            )
-        )
-        self.replica[primary][key] = (version, widx)
-        self._retry_deferred(sim, primary)
-        self._route(
-            sim, primary, client, ("write-ack", key, version, widx, client),
-            data=False,
-        )
-        for other in self.roles.servers:
-            if other != primary:
-                self._route(
-                    sim, primary, other, ("repl", key, version, widx, other),
-                    data=True,
-                )
-
-    def _apply_replica(
-        self, sim: SimHandle, server: ProcessId, key: str, version: int,
-        widx: int,
-    ) -> None:
-        cur = self.replica[server].get(key, (0, -1))
-        if version > cur[0]:
-            self.replica[server][key] = (version, widx)
-        self._retry_deferred(sim, server)
-
-    def _satisfied(self, server: ProcessId, deps: Dict[str, int]) -> bool:
-        state = self.replica[server]
-        return all(state.get(k, (0, -1))[0] >= v for k, v in deps.items())
-
-    def _try_serve(
-        self,
-        sim: SimHandle,
-        server: ProcessId,
-        key: str,
-        client: ProcessId,
-        deps: Dict[str, int],
-    ) -> None:
-        if not self._satisfied(server, deps):
-            self.deferred[server].append((client, key, deps))
-            return
-        version, widx = self.replica[server].get(key, (0, -1))
-        self._route(
-            sim, server, client,
-            ("read-resp", key, version, widx if widx >= 0 else None, client),
-            data=True,
-        )
-
-    def _retry_deferred(self, sim: SimHandle, server: ProcessId) -> None:
-        pending, self.deferred[server] = self.deferred[server], []
-        for client, key, deps in pending:
-            self._try_serve(sim, server, key, client, deps)
-
-    def traffic_report(self) -> TrafficReport:
-        return TrafficReport(
-            data_hops=self.data_hops,
-            meta_hops=self.meta_hops,
-            sequencer_data_hops=self.seq_data_hops,
-            sequencer_meta_hops=self.seq_meta_hops,
-        )
+    def meta_hops(self) -> int:
+        return sum(self.meta.values())
 
 
 @dataclass
@@ -421,7 +135,8 @@ class StoreRunResult:
     config: StoreConfig
     graph: CommunicationGraph
     sequencers: List[ProcessId]
-    sim_result: SimulationResult
+    execution: Execution  # the run's events and messages
+    assignment: TimestampAssignment  # the inline clock's, over *execution*
     writes: List[WriteRecord]
     operations: List[Operation]
     traffic: TrafficReport
@@ -429,7 +144,7 @@ class StoreRunResult:
     @property
     def inline_max_elements(self) -> int:
         """Measured inline timestamp size: at most 2·|sequencers| + 2."""
-        return self.sim_result.assignments["inline"].max_elements()
+        return self.assignment.max_elements()
 
     @property
     def vector_elements(self) -> int:
@@ -442,39 +157,31 @@ class StoreRunResult:
 
 
 def run_store(config: StoreConfig) -> StoreRunResult:
-    """Build the Figure-4 topology, run the store, attach both clocks."""
-    graph, sequencers = sequencer_architecture(
-        config.n_sequencers, config.n_servers, config.n_clients
-    )
-    n = graph.n_vertices
-    s, r = config.n_sequencers, config.n_servers
-    roles = _Roles(
-        sequencers=sequencers,
-        servers=list(range(s, s + r)),
-        clients=list(range(s + r, n)),
-        sequencer_of={
-            v: sorted(set(graph.neighbors(v)) & set(sequencers))[0]
-            for v in range(s, n)
-        },
-    )
-    workload = _SequencerKVWorkload(config, roles)
-    sim = Simulation(
-        graph,
-        seed=config.seed,
-        clocks={
-            "inline": CoverInlineClock(graph, tuple(sequencers)),
-            "vector": VectorClock(n),
-        },
-    )
-    result = sim.run(workload)
+    """Run the store's live roles on virtual time with the inline clock.
+
+    The code of ``repro kv-live --clock inline-cover``, fault-free, on a
+    :class:`~repro.net.virtual.VirtualLoop`: deterministic, and as fast as
+    the processor allows.  The execution and the inline assignment are built
+    from the clock host's events once the run is over.
+    """
+    # on use: repro.net.node imports this module
+    from repro.net.loadgen import deploy
+    from repro.net.virtual import run_virtual
+
+    registry = MetricsRegistry()
+    run = run_virtual(deploy(config, "inline-cover", registry=registry))
+    execution = run.clock_host.execution()
+    late = set(run.final_at_termination)
+    online = [ev.eid for ev in execution.all_events() if ev.eid not in late]
     return StoreRunResult(
         config=config,
-        graph=graph,
-        sequencers=sequencers,
-        sim_result=result,
-        writes=workload.writes,
-        operations=workload.operations,
-        traffic=workload.traffic_report(),
+        graph=execution.graph,
+        sequencers=list(range(config.n_sequencers)),  # ids 0..S-1
+        execution=execution,
+        assignment=TimestampAssignment(run.clock_host.clock, execution, online),
+        writes=run.writes,
+        operations=run.operations,
+        traffic=TrafficReport.from_registry(registry),
     )
 
 
@@ -521,9 +228,9 @@ def audit_operations(
     write → read-that-returns-it (reads-from), plus write inherits the
     issuing session's prefix, transitively.  Causal consistency requires a
     read of key ``k`` to return a version ≥ that of any same-key write in
-    its causal past.  Shared by the simulator (:func:`verify_causal_reads`)
-    and the live runtime (:mod:`repro.net.loadgen`); returns structured
-    :class:`CausalViolation` records (empty list = consistent).
+    its causal past.  Shared by :func:`verify_causal_reads` and
+    :mod:`repro.net.loadgen`; returns structured :class:`CausalViolation`
+    records (empty list = consistent).
     """
     by_client: Dict[ProcessId, List[Operation]] = {}
     for op in operations:
@@ -571,39 +278,22 @@ def audit_operations(
             continue
         keyed = (op.client, op.key)
         if op.version < last_seen.get(keyed, 0):
-            problems.append(
-                CausalViolation(
-                    kind="regression",
-                    client=op.client,
-                    session_index=op.session_index,
-                    key=op.key,
-                    observed_version=op.version,
-                    expected_version=last_seen[keyed],
-                )
-            )
+            problems.append(CausalViolation(
+                "regression", op.client, op.session_index, op.key, op.version,
+                last_seen[keyed],
+            ))
         last_seen[keyed] = max(last_seen.get(keyed, 0), op.version)
 
         past = past_max_versions(op)
         required, via = past.get(op.key, (0, (op.client, op.session_index)))
         if op.version < required:
-            problems.append(
-                CausalViolation(
-                    kind="stale-read",
-                    client=op.client,
-                    session_index=op.session_index,
-                    key=op.key,
-                    observed_version=op.version,
-                    expected_version=required,
-                    dependency=via,
-                )
-            )
+            problems.append(CausalViolation(
+                "stale-read", op.client, op.session_index, op.key, op.version,
+                required, dependency=via,
+            ))
     return problems
 
 
 def verify_causal_reads(run: StoreRunResult) -> List[CausalViolation]:
-    """Audit a simulated run; see :func:`audit_operations`.
-
-    Returns structured violations whose ``str()`` is the historical message;
-    an empty list still compares equal to ``[]``.
-    """
+    """Audit a :func:`run_store` run; see :func:`audit_operations`."""
     return audit_operations(run.operations, run.writes)

@@ -1266,8 +1266,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="per-attempt request timeout in seconds")
     p.add_argument("--max-retries", type=int, default=5)
     p.add_argument("--compare-sim", action="store_true",
-                   help="run the simulator on the same config and report "
-                   "its prediction alongside")
+                   help="run the same roles on virtual time with the same "
+                   "config and report that run alongside")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON")
     p.add_argument("--trace-out", metavar="PATH", default=None,

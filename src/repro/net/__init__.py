@@ -1,9 +1,9 @@
-"""``repro.net`` — the live-network runtime for the Figure-4 causal KV store.
+"""``repro.net`` — the runtime of the Figure-4 causal KV store.
 
-The simulator (:mod:`repro.applications.causal_kv`) proves the design in
-virtual time; this package deploys the same store on real asyncio TCP
-sockets and makes it survive loss, duplication, partitions, crashes, and
-slow sequencers:
+The store's roles run on asyncio streams and survive loss, duplication,
+partitions, crashes, and slow sequencers — on real TCP sockets, or on
+virtual time and in-memory connections, where
+:func:`repro.applications.causal_kv.run_store` runs them deterministically:
 
 - :mod:`repro.net.transport` — length-prefixed JSON framing, idempotent
   request ids with receiver-side dedup, bounded retransmission, reconnect
@@ -17,8 +17,10 @@ slow sequencers:
 - :mod:`repro.net.supervisor` — crash-recovery from clock + durable-state
   checkpoints, mesh rejoin on new ports, slow-node degradation;
 - :mod:`repro.net.loadgen` — closed-loop load generation, latency
-  CDF/throughput reports, and the post-hoc causal audit shared with the
-  simulator.
+  CDF/throughput reports, and the post-hoc causal audit;
+- :mod:`repro.net.virtual` — :class:`~repro.net.virtual.VirtualLoop`, an
+  event loop whose clock jumps to the next timer and whose
+  ``create_server`` / ``create_connection`` are in memory.
 
 CLI: ``repro kv-live`` (full loopback cluster in one command) and
 ``repro serve`` (one node per OS process, clockless, with a shared JSON
@@ -57,6 +59,7 @@ from repro.net.transport import (
     pack_payload,
     unpack_payload,
 )
+from repro.net.virtual import VirtualLoop, run_virtual
 
 __all__ = [
     "AddressBook",
@@ -80,11 +83,13 @@ __all__ = [
     "Supervisor",
     "TransportError",
     "TransportPolicy",
+    "VirtualLoop",
     "build_live_clock",
     "make_node",
     "pack_payload",
     "run_live_store",
     "run_live_store_sync",
+    "run_virtual",
     "simulator_prediction",
     "unpack_payload",
 ]

@@ -15,63 +15,51 @@ control traffic — asks the interposer for a fate first:
 
 Partitions and crash windows come along for free: a
 :class:`~repro.faults.models.PartitionFault` drops frames crossing the cut,
-and :meth:`ChaosInterposer.process_up` lets a supervisor align live crash
-windows with a :class:`~repro.faults.models.CrashSchedule`.
+and a :class:`~repro.faults.models.CrashSchedule` every frame to or from a
+process it holds down.
 
 Determinism: the fate sequence is driven by a private ``random.Random``
 seeded at construction, so a given (seed, channel, frame-ordinal) schedule
 of drops/duplications is reproducible run to run.  Wall-clock *timing* of a
 live run is inherently nondeterministic; what the seed pins down is the
 loss/duplication pattern each channel experiences, which is the part the
-robustness assertions depend on.
+robustness assertions depend on.  On a
+:class:`~repro.net.virtual.VirtualLoop` the timing is virtual too, and the
+whole run repeats exactly.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.faults.models import FaultModel
-
-#: clock used to position time-windowed faults (partitions, crash windows)
-Clock = Callable[[], float]
 
 
 class ChaosInterposer:
     """Adapts a :class:`FaultModel` to live framed connections.
 
-    ``now()`` reports seconds since construction (monotonic) by default;
-    time-windowed models (:class:`~repro.faults.models.PartitionFault`)
-    therefore use *real seconds* as their virtual-time axis.  Pass
-    ``time_scale`` to stretch or compress a schedule authored in simulator
-    time units onto wall time.
+    ``now()`` reports seconds since construction on the running event loop's
+    clock, so time-windowed models
+    (:class:`~repro.faults.models.PartitionFault`) use the loop's seconds as
+    their time axis: real seconds on asyncio's default loop, virtual ones on
+    a :class:`~repro.net.virtual.VirtualLoop`.  Build it inside that loop.
     """
 
-    def __init__(
-        self,
-        model: Optional[FaultModel] = None,
-        seed: int = 0,
-        time_scale: float = 1.0,
-        clock: Optional[Clock] = None,
-    ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+    def __init__(self, model: Optional[FaultModel] = None, seed: int = 0) -> None:
         self._model = model
         self._rng = random.Random(seed)
-        self._scale = time_scale
-        self._t0 = time.monotonic()
-        self._clock = clock
+        self._time = asyncio.get_running_loop().time
+        self._t0 = self._time()
         self._enabled = True
         if model is not None:
             model.reset(self._rng)
 
     # ------------------------------------------------------------------
     def now(self) -> float:
-        """The fault schedule's current instant (scaled seconds since start)."""
-        if self._clock is not None:
-            return self._clock() / self._scale
-        return (time.monotonic() - self._t0) / self._scale
+        """The fault schedule's current instant (seconds since construction)."""
+        return self._time() - self._t0
 
     def enable(self, on: bool = True) -> None:
         """Master switch — loadgen drains with faults off after the run."""
@@ -95,12 +83,6 @@ class ChaosInterposer:
         if fate.drop:
             return 0
         return fate.copies
-
-    def process_up(self, proc: int) -> bool:
-        """Whether the model considers *proc* alive right now."""
-        if self._model is None or not self._enabled:
-            return True
-        return self._model.process_up(proc, self.now())
 
     def describe(self) -> str:
         if self._model is None:

@@ -1,11 +1,13 @@
-"""Closed-loop load generation and reporting for the live KV store.
+"""Closed-loop load generation and reporting for the Figure-4 KV store.
 
-:func:`run_live_store` is the live counterpart of
-:func:`repro.applications.causal_kv.run_store`: it boots a loopback cluster
-for a :class:`~repro.applications.causal_kv.StoreConfig`, drives every
-client session to completion under an optional fault model and scripted
-sequencer crash, quiesces, and audits the run post hoc with the *same*
-:func:`~repro.applications.causal_kv.audit_operations` the simulator uses.
+:func:`run_live_store` boots a cluster for a
+:class:`~repro.applications.causal_kv.StoreConfig` on the running event
+loop, drives every client session to completion under an optional fault
+model and scripted sequencer crash, quiesces, and audits the run post hoc
+with :func:`~repro.applications.causal_kv.audit_operations`.  On asyncio's
+own loop that is a loopback TCP cluster (``repro kv-live``); on a
+:class:`~repro.net.virtual.VirtualLoop` it is
+:func:`~repro.applications.causal_kv.run_store`.
 
 The emitted :class:`LiveReport` carries:
 
@@ -19,8 +21,8 @@ The emitted :class:`LiveReport` carries:
   termination flush, max timestamp elements) and the crash-checkpoint
   permanence audit from the supervisor;
 - the full ``net.*`` metrics registry snapshot;
-- optionally, the simulator's prediction for the identical config, so live
-  and simulated behaviour sit side by side in one artifact.
+- optionally, the virtual-time run of the identical config, so live and
+  virtual behaviour sit side by side in one artifact.
 
 Clock schemes are built by :func:`build_live_clock`; schemes that require
 reliable FIFO application channels (``vector-sk``) are rejected up front —
@@ -32,17 +34,21 @@ exercising the baseline honestly for the first time.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.applications.causal_kv import (
     CausalViolation,
+    Operation,
     StoreConfig,
+    WriteRecord,
     audit_operations,
     run_store,
 )
 from repro.clocks.base import ClockAlgorithm
+from repro.core.events import EventId
 from repro.faults.models import FaultModel
 from repro.net.chaos_proxy import ChaosInterposer
 from repro.net.node import (
@@ -169,15 +175,7 @@ class LiveReport:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "config": {
-                "n_sequencers": self.config.n_sequencers,
-                "n_servers": self.config.n_servers,
-                "n_clients": self.config.n_clients,
-                "n_keys": self.config.n_keys,
-                "ops_per_client": self.config.ops_per_client,
-                "write_fraction": self.config.write_fraction,
-                "seed": self.config.seed,
-            },
+            "config": dataclasses.asdict(self.config),
             "clock": self.clock,
             "faults": self.fault_description,
             "duration_s": round(self.duration_s, 3),
@@ -263,7 +261,7 @@ class LiveReport:
         if self.sim_prediction:
             sp = self.sim_prediction
             lines.append(
-                f"  simulator prediction (same config): "
+                f"  virtual-time run (same config): "
                 f"{sp['completed_operations']} ops, inline ts <= "
                 f"{sp['inline_max_elements']} elements (vector: "
                 f"{sp['vector_elements']}), audit "
@@ -274,7 +272,8 @@ class LiveReport:
 
 
 def simulator_prediction(config: StoreConfig) -> Dict[str, Any]:
-    """The virtual-time simulator's run of the identical config."""
+    """:func:`~repro.applications.causal_kv.run_store` of the identical
+    config: the same roles, fault-free, on virtual time."""
     run = run_store(config)
     violations = [str(v) for v in audit_operations(run.operations, run.writes)]
     return {
@@ -295,7 +294,6 @@ async def run_live_store(
     policy: Optional[TransportPolicy] = None,
     registry: Optional[MetricsRegistry] = None,
     compare_sim: bool = False,
-    time_scale: float = 1.0,
     stopping: Optional[Callable[[], bool]] = None,
 ) -> LiveReport:
     """Deploy, load, crash, recover, quiesce, audit.  The whole experiment.
@@ -303,17 +301,49 @@ async def run_live_store(
     ``stopping`` is polled between operations-in-flight checks by the crash
     watcher; a graceful-shutdown handler can flip it to abandon the scripted
     crash early (sessions themselves finish their in-flight operation and
-    are cancelled by the caller's signal handling).
+    are cancelled by the caller's signal handling).  ``compare_sim`` adds
+    :func:`simulator_prediction`, run in a worker thread on its own loop.
     """
+    run = await deploy(
+        config, clock_name, fault_model, crash_plan, policy, registry, stopping
+    )
+    if compare_sim:
+        run.report.sim_prediction = await asyncio.to_thread(
+            simulator_prediction, config
+        )
+    return run.report
+
+
+class LiveRun(NamedTuple):
+    """One :func:`deploy`: its report and what the report summarises."""
+
+    report: LiveReport
+    clock_host: Optional[LiveClockHost]
+    operations: List[Operation]  # linked to ``writes``
+    writes: List[WriteRecord]
+    #: the events only termination finalized: not final online
+    final_at_termination: List[EventId]
+
+
+async def deploy(
+    config: StoreConfig,
+    clock_name: Optional[str] = None,
+    fault_model: Optional[FaultModel] = None,
+    crash_plan: Optional[CrashPlan] = None,
+    policy: Optional[TransportPolicy] = None,
+    registry: Optional[MetricsRegistry] = None,
+    stopping: Optional[Callable[[], bool]] = None,
+) -> LiveRun:
+    """:func:`run_live_store`'s experiment, with the run behind its report."""
     spec = ClusterSpec(config)
-    registry = registry or MetricsRegistry()
+    if registry is None:  # not ``or``: the caller's registry starts empty, falsy
+        registry = MetricsRegistry()
     policy = policy or TransportPolicy(
         request_timeout=0.25, max_retries=5, seed=config.seed
     )
+    loop = asyncio.get_running_loop()
     with use_registry(registry):
-        interposer = ChaosInterposer(
-            fault_model, seed=config.seed, time_scale=time_scale
-        )
+        interposer = ChaosInterposer(fault_model, seed=config.seed)
         clock_host: Optional[LiveClockHost] = None
         clock_factory: Optional[Callable[[], ClockAlgorithm]] = None
         if clock_name is not None:
@@ -349,7 +379,7 @@ async def run_live_store(
             supervisor.nodes[pid]  # type: ignore[misc]
             for pid in spec.clients
         ]
-        started = time.monotonic()
+        started = loop.time()
         try:
             await asyncio.gather(*(c.run_session() for c in clients))
         finally:
@@ -366,7 +396,7 @@ async def run_live_store(
                         await asyncio.gather(watcher, return_exceptions=True)
                 else:
                     watcher.result()  # surface crash/restart failures
-        duration = time.monotonic() - started
+        duration = loop.time() - started
 
         # quiesce: stop injecting faults and let replication finish on every
         # node before any node flushes its controls -- replication still
@@ -384,9 +414,10 @@ async def run_live_store(
 
         clock_stats: Dict[str, Any] = {}
         checkpoint_problems: List[str] = []
+        at_termination: List[EventId] = []
         if clock_host is not None and clock_factory is not None:
             clock_stats = clock_host.stats()  # online finalization fraction
-            clock_host.clock.finalize_at_termination()
+            at_termination = clock_host.clock.finalize_at_termination()
             flushed = clock_host.stats()
             clock_stats["max_elements"] = flushed["max_elements"]
             clock_stats["finalized_after_flush"] = flushed["finalized"]
@@ -430,8 +461,7 @@ async def run_live_store(
             )
         }
 
-    sim_prediction = simulator_prediction(config) if compare_sim else None
-    return LiveReport(
+    report = LiveReport(
         config=config,
         clock=clock_name,
         duration_s=duration,
@@ -446,9 +476,9 @@ async def run_live_store(
         clock_stats=clock_stats,
         counters=counters,
         metrics=registry.as_dict(),
-        sim_prediction=sim_prediction,
         fault_description=interposer.describe(),
     )
+    return LiveRun(report, clock_host, operations, writes, at_termination)
 
 
 def run_live_store_sync(*args: Any, **kwargs: Any) -> LiveReport:

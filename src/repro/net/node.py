@@ -1,11 +1,12 @@
-"""Live client/sequencer/server nodes for the Figure-4 causal KV store.
+"""Client/sequencer/server nodes of the Figure-4 causal KV store.
 
-This is the real-socket port of :mod:`repro.applications.causal_kv`: the
-same roles, routing discipline, and session-causal guard, but running on
-asyncio TCP via :mod:`repro.net.transport` instead of the virtual-time
-simulator.  One OS process hosts any number of nodes (the loopback cluster
-used by ``repro kv-live`` and the tests), or a single node per process via
-``repro serve`` with a shared JSON address book.
+The store's roles, routing discipline and session-causal guard, on asyncio
+streams via :mod:`repro.net.transport`; its configuration, records and audit
+live in :mod:`repro.applications.causal_kv`.  The same nodes run on TCP
+(``repro kv-live``: one OS process hosts the whole loopback cluster; ``repro
+serve``: one node per process with a shared JSON address book) and on
+virtual time (:func:`~repro.applications.causal_kv.run_store`, on a
+:class:`~repro.net.virtual.VirtualLoop`).
 
 Routing follows the Figure-4 communication graph exactly: clients and
 servers talk only to the sequencers they are attached to, sequencers form a
@@ -72,9 +73,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.applications.causal_kv import Operation, StoreConfig, WriteRecord
+from repro.applications.causal_kv import VALUE_HOPS, Operation, StoreConfig, WriteRecord
 from repro.clocks.base import ClockAlgorithm
-from repro.core.events import Event, EventId, EventKind, ProcessId
+from repro.core.events import Event, EventId, EventKind
+from repro.core.execution import Execution, ExecutionBuilder
 from repro.net.chaos_proxy import ChaosInterposer
 from repro.net.transport import (
     PeerClient,
@@ -85,7 +87,7 @@ from repro.net.transport import (
     pack_payload,
     unpack_payload,
 )
-from repro.obs import counter, metric
+from repro.obs import Counter, counter, metric
 from repro.topology.generators import sequencer_architecture
 from repro.topology.graph import CommunicationGraph
 
@@ -158,12 +160,11 @@ class FileAddressBook(AddressBook):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Roles and routing for one live deployment of a :class:`StoreConfig`.
+    """Roles and routing for one deployment of a :class:`StoreConfig`.
 
-    Mirrors the simulator's role layout (process ids ``0..S-1`` are
-    sequencers, then servers, then clients) but attaches every client and
-    server to *two* sequencers when available, so a node always has a
-    failover route that stays on a graph edge.
+    Process ids ``0..S-1`` are sequencers, then come servers, then clients.
+    Every client and server attaches to *two* sequencers when there are two,
+    so a node always has a failover route that stays on a graph edge.
     """
 
     config: StoreConfig
@@ -322,6 +323,17 @@ class LiveClockHost:
     def n_events(self) -> int:
         return len(self._events)
 
+    def execution(self) -> Execution:
+        """The run so far as an :class:`~repro.core.execution.Execution`:
+        one message per envelope, received or not."""
+        builder = ExecutionBuilder(self._spec.n_processes, graph=self._spec.graph)
+        for ev in self._events:
+            if ev.is_send:
+                builder.send(ev.proc, ev.peer)  # message ids follow envelope ids
+            else:
+                builder.receive(ev.proc, ev.msg_id)
+        return builder.freeze()
+
     def finalized_events(self) -> List[Tuple[EventId, Any]]:
         """``(eid, timestamp)`` for every event whose timestamp is final."""
         timestamp = self.clock.timestamp
@@ -374,6 +386,17 @@ class LiveNode:
         self.crashed = False
         #: supervisor-injected per-response delay (slow-node degradation)
         self.response_delay = 0.0
+        #: (type, op, is a response) -> the hop counter, data or metadata, of
+        #: that direction of that frame type (``op/w`` is ``("op", "w")``,
+        #: ``commit`` is ``("commit", "")``)
+        self._hops: Dict[Tuple[str, str, bool], Counter] = {
+            (*frame.partition("/")[::2], response): counter(
+                "net.data_hops" if (way == "response") == response else "net.meta_hops",
+                frame=frame,
+            )
+            for frame, way in VALUE_HOPS.items()
+            for response in (False, True)
+        }
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
@@ -436,6 +459,7 @@ class LiveNode:
     ) -> Dict[str, Any]:
         """Route *message* one hop toward *target* (relaying if needed)."""
         nxt = self.spec.next_hop(self.pid, target)
+        self._count_hop(message, False)
         if nxt != target:
             message = {"type": "fwd", "target": target, "inner": message}
         frame = dict(message)
@@ -460,6 +484,12 @@ class LiveNode:
         # controls for the responder wait for the next request going there
         self._queue_controls(self._absorb(nxt, response))
         return response
+
+    def _count_hop(self, message: Dict[str, Any], response: bool) -> None:
+        """One hop of *message*'s frame type, as data or metadata."""
+        hop = self._hops.get((message.get("type"), message.get("op", ""), response))
+        if hop is not None:
+            hop.inc()
 
     # -- control messages ride application frames -------------------------
     def _absorb(self, peer: int, frame: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -559,6 +589,7 @@ class LiveNode:
             # an error response has no body for them to ride
             self._queue_controls(owed)
             raise
+        self._count_hop(message["inner"] if kind == "fwd" else message, True)
         if self.clock_host is not None:
             # the response is itself an application message hop, and takes
             # the controls its request gave rise to back to the requester
@@ -878,11 +909,12 @@ def collect_writes(
     returned index maps ``(key, version)`` to the record's position so
     client operations can be linked to the writes they observed.
     """
-    raw: List[Dict[str, Any]] = []
-    for server in servers:
-        for record in server.commit_log:
-            if server.spec.primary_of(record["key"]) == server.pid:
-                raw.append(dict(record, primary=server.pid))
+    raw = [
+        record
+        for server in servers
+        for record in server.commit_log
+        if server.spec.primary_of(record["key"]) == server.pid
+    ]
     raw.sort(key=lambda r: (r["key"], r["version"]))
     writes: List[WriteRecord] = []
     index: Dict[Tuple[str, int], int] = {}
@@ -893,7 +925,6 @@ def collect_writes(
                 version=r["version"],
                 writer=r["writer"],
                 writer_session_index=r["wsi"],
-                commit_event=EventId(r["primary"], i + 1),
                 deps=dict(r["deps"]),
             )
         )
@@ -931,7 +962,3 @@ def link_operations(
                 )
             )
     return operations, lost
-
-
-def sorted_process_ids(spec: ClusterSpec) -> List[ProcessId]:
-    return list(range(spec.n_processes))

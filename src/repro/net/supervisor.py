@@ -33,7 +33,6 @@ the paper's core mechanism.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -50,7 +49,6 @@ class CrashSnapshot:
     """Everything recorded at one kill instant."""
 
     pid: int
-    wall_time: float
     node_state: Dict[str, Any]
     clock_checkpoint: Optional[Any] = None
     finalized: List[Tuple[EventId, Any]] = field(default_factory=list)
@@ -99,11 +97,7 @@ class Supervisor:
     async def kill(self, pid: int) -> CrashSnapshot:
         """Crash *pid* now, snapshotting its durable + clock state."""
         node = self.nodes[pid]
-        snapshot = CrashSnapshot(
-            pid=pid,
-            wall_time=time.monotonic(),
-            node_state=node.checkpoint_state(),
-        )
+        snapshot = CrashSnapshot(pid=pid, node_state=node.checkpoint_state())
         if self.clock_host is not None:
             snapshot.clock_checkpoint = self.clock_host.clock.checkpoint()
             snapshot.finalized = self.clock_host.finalized_events()

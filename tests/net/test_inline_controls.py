@@ -11,6 +11,7 @@ number of frames stays a function of the input.
 
 import asyncio
 import contextlib
+import functools
 from collections import defaultdict
 
 import pytest
@@ -35,7 +36,8 @@ from repro.net import (
     TransportPolicy,
     loadgen,
     make_node,
-    run_live_store_sync,
+    run_live_store,
+    run_virtual,
     transport,
     unpack_payload,
 )
@@ -136,8 +138,19 @@ def read_of(client, key="k0", orid="t-0"):
     }
 
 
-def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, 60))
+def on_virtual_time(test):
+    """Run an ``async def`` test on a virtual-time loop, for 60 s at most."""
+
+    @functools.wraps(test)
+    def run(*args, **kw):
+        return run_virtual(asyncio.wait_for(test(*args, **kw), 60))
+
+    return run
+
+
+def run_virtual_store(*args, **kw):
+    """``run_live_store`` on virtual time."""
+    return run_virtual(run_live_store(*args, **kw))
 
 
 @pytest.fixture
@@ -159,137 +172,106 @@ def flush_requests(monkeypatch):
 # which frame carries a control, and when it is applied
 # ----------------------------------------------------------------------
 class TestControlsRideFrames:
-    def test_response_carries_the_control_its_request_caused(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                client = spec.clients[0]
-                seq = spec.home(client)
-                sent_before = registry.counter_value("net.frames_sent")
-                await nodes[client].call(seq, read_of(client))
-                # client -> seq -> server and back: four application frames
-                # (plus connection hellos), none of them a control frame
-                assert host.emitted[(seq, client)] != []
-                assert host.clock.applied[(seq, client)] == host.emitted[
-                    (seq, client)
-                ]
-                assert registry.counter_value("net.ctl_flushed") == 0
-                hellos = 2
-                assert (
-                    registry.counter_value("net.frames_sent") - sent_before
-                    == 4 + hellos
-                )
+    @on_virtual_time
+    async def test_response_carries_the_control_its_request_caused(self):
+        async with cluster() as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            sent_before = registry.counter_value("net.frames_sent")
+            await nodes[client].call(seq, read_of(client))
+            # client -> seq -> server and back: four application frames
+            # (plus connection hellos), none of them a control frame
+            assert host.emitted[(seq, client)] != []
+            assert host.clock.applied[(seq, client)] == host.emitted[(seq, client)]
+            assert registry.counter_value("net.ctl_flushed") == 0
+            hellos = 2
+            assert registry.counter_value("net.frames_sent") - sent_before == 4 + hellos
 
-        run(go())
+    @on_virtual_time
+    async def test_carried_controls_apply_after_the_frames_receive_event(self):
+        async with cluster() as (spec, host, nodes, _registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            await nodes[client].call(seq, read_of(client))
+            at_client = [
+                entry for entry in host.log
+                if (entry[0] == "deliver" and entry[1] == client)
+                or (entry[0] == "control" and entry[2] == client)
+            ]
+            # the response's receive event, then the control it carried
+            assert at_client == [("deliver", client, seq), ("control", seq, client, 0)]
 
-    def test_carried_controls_apply_after_the_frames_receive_event(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, _registry):
-                client = spec.clients[0]
-                seq = spec.home(client)
-                await nodes[client].call(seq, read_of(client))
-                at_client = [
-                    entry for entry in host.log
-                    if (entry[0] == "deliver" and entry[1] == client)
-                    or (entry[0] == "control" and entry[2] == client)
-                ]
-                # the response's receive event, then the control it carried
-                assert at_client == [
-                    ("deliver", client, seq),
-                    ("control", seq, client, 0),
-                ]
+    @on_virtual_time
+    async def test_control_for_a_server_waits_for_the_next_request_there(self):
+        async with cluster() as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            await nodes[client].call(seq, read_of(client, orid="t-0"))
+            # the server's response made the sequencer owe it a control
+            (server,) = [dst for src, dst in host.emitted if src == seq and dst != client]
+            assert host.clock.applied[(seq, server)] == []
+            for i in range(1, 40):  # until a read lands on that server
+                await nodes[client].call(seq, read_of(client, orid=f"t-{i}"))
+                if host.clock.applied[(seq, server)]:
+                    break
+            applied = host.clock.applied[(seq, server)]
+            assert applied == host.emitted[(seq, server)][: len(applied)]
+            assert applied != []
+            assert registry.counter_value("net.ctl_flushed") == 0
 
-        run(go())
+    @on_virtual_time
+    async def test_timed_out_request_puts_its_controls_back_in_order(self):
+        policy = TransportPolicy(request_timeout=0.1, max_retries=0, jitter=0.0)
+        async with cluster(policy) as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            node = nodes[seq]
+            server = spec.servers[0]
+            first = {"csrc": seq, "cdst": server, "seq": 0, "pl": None}
+            second = {"csrc": seq, "cdst": server, "seq": 1, "pl": None}
+            later = {"csrc": seq, "cdst": server, "seq": 2, "pl": None}
+            node._queue_controls([first, second])
+            await nodes[server].kill()
+            failing = asyncio.ensure_future(node.call(server, {"type": "read"}))
+            await asyncio.sleep(0)  # the request takes the outbox along
+            assert server not in node._ctl_out
+            node._queue_controls([later])
+            with pytest.raises(RequestTimeout):
+                await failing
+            assert node._ctl_out[server] == [first, second, later]
+            assert registry.counter_value("net.ctl_piggybacked") == 0
+            node._ctl_out.clear()  # nothing real to flush on the way out
 
-    def test_control_for_a_server_waits_for_the_next_request_there(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                client = spec.clients[0]
-                seq = spec.home(client)
-                await nodes[client].call(seq, read_of(client, orid="t-0"))
-                # the server's response made the sequencer owe it a control
-                (server,) = [
-                    dst for (src, dst) in host.emitted
-                    if src == seq and dst != client
-                ]
-                assert host.clock.applied[(seq, server)] == []
-                for i in range(1, 40):  # until a read lands on that server
-                    await nodes[client].call(
-                        seq, read_of(client, orid=f"t-{i}")
-                    )
-                    if host.clock.applied[(seq, server)]:
-                        break
-                applied = host.clock.applied[(seq, server)]
-                assert applied == host.emitted[(seq, server)][: len(applied)]
-                assert applied != []
-                assert registry.counter_value("net.ctl_flushed") == 0
+    @on_virtual_time
+    async def test_replayed_response_repeats_its_controls_harmlessly(self):
+        async with cluster() as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            await nodes[client].call(seq, read_of(client), rid="same")
+            applied = list(host.clock.applied[(seq, client)])
+            events = host.n_events
+            # a retransmission of a completed rid: the cached response,
+            # with the same envelope and the same ctl list
+            await nodes[client].call(seq, read_of(client), rid="same")
+            assert registry.counter_value("net.dedup_hits") == 1
+            assert registry.counter_value("net.ctl_dup") == len(applied)
+            assert host.clock.applied[(seq, client)] == applied
+            # only the retransmitted request's own send event is new
+            assert host.n_events == events + 1
 
-        run(go())
-
-    def test_timed_out_request_puts_its_controls_back_in_order(self):
-        async def go():
-            policy = TransportPolicy(
-                request_timeout=0.1, max_retries=0, jitter=0.0
-            )
-            async with cluster(policy) as (spec, host, nodes, registry):
-                client = spec.clients[0]
-                seq = spec.home(client)
-                node = nodes[seq]
-                server = spec.servers[0]
-                first = {"csrc": seq, "cdst": server, "seq": 0, "pl": None}
-                second = {"csrc": seq, "cdst": server, "seq": 1, "pl": None}
-                later = {"csrc": seq, "cdst": server, "seq": 2, "pl": None}
-                node._queue_controls([first, second])
-                await nodes[server].kill()
-                failing = asyncio.ensure_future(
-                    node.call(server, {"type": "read"})
-                )
-                await asyncio.sleep(0)  # the request takes the outbox along
-                assert server not in node._ctl_out
-                node._queue_controls([later])
-                with pytest.raises(RequestTimeout):
-                    await failing
-                assert node._ctl_out[server] == [first, second, later]
-                assert registry.counter_value("net.ctl_piggybacked") == 0
-                node._ctl_out.clear()  # nothing real to flush on the way out
-
-        run(go())
-
-    def test_replayed_response_repeats_its_controls_harmlessly(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                client = spec.clients[0]
-                seq = spec.home(client)
-                await nodes[client].call(seq, read_of(client), rid="same")
-                applied = list(host.clock.applied[(seq, client)])
-                events = host.n_events
-                # a retransmission of a completed rid: the cached response,
-                # with the same envelope and the same ctl list
-                await nodes[client].call(seq, read_of(client), rid="same")
-                assert registry.counter_value("net.dedup_hits") == 1
-                assert registry.counter_value("net.ctl_dup") == len(applied)
-                assert host.clock.applied[(seq, client)] == applied
-                # only the retransmitted request's own send event is new
-                assert host.n_events == events + 1
-
-        run(go())
-
-    def test_handler_error_keeps_the_owed_control_for_later(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                client = spec.clients[0]
-                seq = spec.home(client)
-                with pytest.raises(TransportError, match="cannot handle"):
-                    await nodes[client].call(seq, {"type": "nonsense"})
-                # the request was received, its control had no body to ride
-                assert len(host.emitted[(seq, client)]) == 1
-                assert host.clock.applied[(seq, client)] == []
-                await nodes[seq].flush_controls()
-                assert host.clock.applied[(seq, client)] == host.emitted[
-                    (seq, client)
-                ]
-                assert registry.counter_value("net.ctl_flushed") == 1
-
-        run(go())
+    @on_virtual_time
+    async def test_handler_error_keeps_the_owed_control_for_later(self):
+        async with cluster() as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            with pytest.raises(TransportError, match="cannot handle"):
+                await nodes[client].call(seq, {"type": "nonsense"})
+            # the request was received, its control had no body to ride
+            assert len(host.emitted[(seq, client)]) == 1
+            assert host.clock.applied[(seq, client)] == []
+            await nodes[seq].flush_controls()
+            assert host.clock.applied[(seq, client)] == host.emitted[(seq, client)]
+            assert registry.counter_value("net.ctl_flushed") == 1
 
 
 # ----------------------------------------------------------------------
@@ -307,74 +289,53 @@ class TestFlush:
                 return seq
         raise AssertionError("reads never reached two servers")
 
-    def test_flush_is_one_batch_per_destination_in_sorted_order(
+    @on_virtual_time
+    async def test_flush_is_one_batch_per_destination_in_sorted_order(
         self, flush_requests
     ):
         flushes = flush_requests
 
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                seq = await self._owe_two_servers(spec, host, nodes)
-                owed = {
-                    dst: len(batch) for dst, batch in nodes[seq]._ctl_out.items()
-                }
-                await nodes[seq].flush_controls()
-                assert flushes == [
-                    (seq, dst, owed[dst]) for dst in sorted(owed)
-                ]
-                assert nodes[seq]._ctl_out == {}
-                assert registry.counter_value("net.ctl_flushed") == sum(
-                    owed.values()
-                )
-                assert host.n_applied == host.n_emitted
-                # a flush is not an application hop: no clock events
-                assert all(
-                    entry[0] == "control"
-                    for entry in host.log[-sum(owed.values()):]
-                )
-                await nodes[seq].flush_controls()  # nothing left to send
-                assert len(flushes) == len(owed)
+        async with cluster() as (spec, host, nodes, registry):
+            seq = await self._owe_two_servers(spec, host, nodes)
+            owed = {dst: len(batch) for dst, batch in nodes[seq]._ctl_out.items()}
+            await nodes[seq].flush_controls()
+            assert flushes == [(seq, dst, owed[dst]) for dst in sorted(owed)]
+            assert nodes[seq]._ctl_out == {}
+            assert registry.counter_value("net.ctl_flushed") == sum(owed.values())
+            assert host.n_applied == host.n_emitted
+            # a flush is not an application hop: no clock events
+            assert all(entry[0] == "control" for entry in host.log[-sum(owed.values()):])
+            await nodes[seq].flush_controls()  # nothing left to send
+            assert len(flushes) == len(owed)
 
-        run(go())
+    @on_virtual_time
+    async def test_graceful_stop_flushes_and_kill_does_not(self):
+        async with cluster() as (spec, host, nodes, registry):
+            seq = await self._owe_two_servers(spec, host, nodes)
+            assert host.n_applied < host.n_emitted
+            await nodes[seq].stop()
+            assert host.n_applied == host.n_emitted
+            assert registry.counter_value("net.ctl_flushed") > 0
 
-    def test_graceful_stop_flushes_and_kill_does_not(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                seq = await self._owe_two_servers(spec, host, nodes)
-                assert host.n_applied < host.n_emitted
-                await nodes[seq].stop()
-                assert host.n_applied == host.n_emitted
-                assert registry.counter_value("net.ctl_flushed") > 0
+        async with cluster() as (spec, host, nodes, registry):
+            seq = await self._owe_two_servers(spec, host, nodes)
+            applied = host.n_applied
+            await nodes[seq].kill()
+            assert nodes[seq]._ctl_out == {}
+            assert host.n_applied == applied < host.n_emitted
+            assert registry.counter_value("net.ctl_flushed") == 0
 
-            async with cluster() as (spec, host, nodes, registry):
-                seq = await self._owe_two_servers(spec, host, nodes)
-                applied = host.n_applied
-                await nodes[seq].kill()
-                assert nodes[seq]._ctl_out == {}
-                assert host.n_applied == applied < host.n_emitted
-                assert registry.counter_value("net.ctl_flushed") == 0
-
-        run(go())
-
-    def test_undeliverable_flush_is_counted_lost(self):
-        async def go():
-            policy = TransportPolicy(
-                request_timeout=0.1, max_retries=0, jitter=0.0
-            )
-            async with cluster(policy) as (spec, host, nodes, registry):
-                seq = await self._owe_two_servers(spec, host, nodes)
-                owed = {
-                    dst: len(batch) for dst, batch in nodes[seq]._ctl_out.items()
-                }
-                down = min(owed)
-                await nodes[down].kill()
-                await nodes[seq].flush_controls()
-                assert registry.counter_value("net.ctl_lost") == owed[down]
-                assert registry.counter_value("net.ctl_flushed") == sum(
-                    owed.values()
-                ) - owed[down]
-
-        run(go())
+    @on_virtual_time
+    async def test_undeliverable_flush_is_counted_lost(self):
+        policy = TransportPolicy(request_timeout=0.1, max_retries=0, jitter=0.0)
+        async with cluster(policy) as (spec, host, nodes, registry):
+            seq = await self._owe_two_servers(spec, host, nodes)
+            owed = {dst: len(batch) for dst, batch in nodes[seq]._ctl_out.items()}
+            down = min(owed)
+            await nodes[down].kill()
+            await nodes[seq].flush_controls()
+            assert registry.counter_value("net.ctl_lost") == owed[down]
+            assert registry.counter_value("net.ctl_flushed") == sum(owed.values()) - owed[down]
 
 
 # ----------------------------------------------------------------------
@@ -407,84 +368,72 @@ MALFORMED = {
 
 class TestForgedControls:
     @pytest.mark.parametrize("what", sorted(MALFORMED))
-    def test_request_with_bad_controls_is_refused(self, what):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                # an attached sequencer's identity, so only the controls
-                # are wrong with the frame
-                victim = spec.clients[0]
-                src = spec.home(victim)
-                peer = PeerClient(
-                    src, victim, resolve=lambda: nodes[victim].book.get(victim)
-                )
-                try:
-                    for frame in (
-                        {"type": "ctl"},  # as a flush
-                        {"type": "read", "env": {"mid": 99, "ts": None}},
-                    ):
-                        frame["ctl"] = MALFORMED[what](src, victim)
-                        with pytest.raises(TransportError, match="refused"):
-                            await peer.request(frame)
-                finally:
-                    await peer.close()
-                assert registry.counter_value("net.ctl_rejected") == 2
-                # clock untouched: no receive event, nothing applied
-                assert host.log == []
-                assert host.n_events == 0
-
-        run(go())
-
-    def test_well_formed_flush_from_the_channels_source_is_applied(self):
-        async def go():
-            async with cluster() as (spec, host, nodes, registry):
-                victim = spec.clients[0]
-                src = spec.home(victim)
-                peer = PeerClient(
-                    src, victim, resolve=lambda: nodes[victim].book.get(victim)
-                )
-                try:
-                    # out of order on purpose: seq 1 waits for seq 0, which
-                    # never comes, so the clock sees nothing yet
-                    response = await peer.request(
-                        {"type": "ctl", "ctl": [dict(_good(src, victim), seq=1)]}
-                    )
-                finally:
-                    await peer.close()
-                assert response == {}
-                assert host.log == [("control", src, victim, 1)]
-                assert registry.counter_value("net.ctl_rejected") == 0
-
-        run(go())
-
-    def test_response_with_forged_controls_is_refused(self):
-        async def go():
-            spec = ClusterSpec(config())
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                host = RecordingHost(
-                    RecordingClock(spec.graph, tuple(spec.sequencers)), spec
-                )
-                client = spec.clients[0]
-                seq, other = spec.attached(client)
-
-                async def impostor(_peer, _message):
-                    # claims to speak for the client's other sequencer
-                    return {"version": 0, "ctl": [_good(other, client)]}
-
-                server = RpcServer(seq, impostor)
-                book = AddressBook()
-                book.set(seq, await server.start())
-                node = make_node(client, spec, book, None, None, host)
-                try:
+    @on_virtual_time
+    async def test_request_with_bad_controls_is_refused(self, what):
+        async with cluster() as (spec, host, nodes, registry):
+            # an attached sequencer's identity, so only the controls
+            # are wrong with the frame
+            victim = spec.clients[0]
+            src = spec.home(victim)
+            peer = PeerClient(src, victim, resolve=lambda: nodes[victim].book.get(victim))
+            try:
+                for frame in (
+                    {"type": "ctl"},  # as a flush
+                    {"type": "read", "env": {"mid": 99, "ts": None}},
+                ):
+                    frame["ctl"] = MALFORMED[what](src, victim)
                     with pytest.raises(TransportError, match="refused"):
-                        await node.call(seq, read_of(client))
-                finally:
-                    await node.stop()
-                    await server.stop()
-                assert registry.counter_value("net.ctl_rejected") == 1
-                assert host.clock.applied == {}
+                        await peer.request(frame)
+            finally:
+                await peer.close()
+            assert registry.counter_value("net.ctl_rejected") == 2
+            # clock untouched: no receive event, nothing applied
+            assert host.log == []
+            assert host.n_events == 0
 
-        run(go())
+    @on_virtual_time
+    async def test_well_formed_flush_from_the_channels_source_is_applied(self):
+        async with cluster() as (spec, host, nodes, registry):
+            victim = spec.clients[0]
+            src = spec.home(victim)
+            peer = PeerClient(src, victim, resolve=lambda: nodes[victim].book.get(victim))
+            try:
+                # out of order on purpose: seq 1 waits for seq 0, which
+                # never comes, so the clock sees nothing yet
+                response = await peer.request(
+                    {"type": "ctl", "ctl": [dict(_good(src, victim), seq=1)]}
+                )
+            finally:
+                await peer.close()
+            assert response == {}
+            assert host.log == [("control", src, victim, 1)]
+            assert registry.counter_value("net.ctl_rejected") == 0
+
+    @on_virtual_time
+    async def test_response_with_forged_controls_is_refused(self):
+        spec = ClusterSpec(config())
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            host = RecordingHost(RecordingClock(spec.graph, tuple(spec.sequencers)), spec)
+            client = spec.clients[0]
+            seq, other = spec.attached(client)
+
+            async def impostor(_peer, _message):
+                # claims to speak for the client's other sequencer
+                return {"version": 0, "ctl": [_good(other, client)]}
+
+            server = RpcServer(seq, impostor)
+            book = AddressBook()
+            book.set(seq, await server.start())
+            node = make_node(client, spec, book, None, None, host)
+            try:
+                with pytest.raises(TransportError, match="refused"):
+                    await node.call(seq, read_of(client))
+            finally:
+                await node.stop()
+                await server.stop()
+            assert registry.counter_value("net.ctl_rejected") == 1
+            assert host.clock.applied == {}
 
 
 # ----------------------------------------------------------------------
@@ -509,29 +458,21 @@ def recording_seam(monkeypatch):
 
 class TestFaultFreeRun:
     def test_frame_count_is_a_function_of_the_input(self, flush_requests):
-        first = run_live_store_sync(config(), clock_name="inline-cover")
-        flushes = len(flush_requests)
-        second = run_live_store_sync(config(), clock_name="inline-cover")
-        vector = run_live_store_sync(config(), clock_name="vector")
-        assert first.ok and second.ok and vector.ok
-        frames = first.counters["net.frames_sent"]
-        assert second.counters["net.frames_sent"] == frames
-        assert len(flush_requests) == 2 * flushes  # vector sent none
-        # the flushes are the only frames inline sends that vector does not
-        assert 0 < flushes <= 2 * config().n_servers
-        assert frames == vector.counters["net.frames_sent"] + 2 * flushes
-        for report in (first, second):
-            stats = report.clock_stats
-            # 176 of 352 at the parent commit, which sent 366 frames for it
-            assert stats["events"] == 352
-            assert stats["finalized_fraction"] == 0.5
-            assert stats["finalized_after_flush"] == stats["events"]
-            assert report.counters["net.ctl_lost"] == 0
-            assert report.counters["net.ctl_rejected"] == 0
-            assert report.counters["net.retransmits"] == 0
+        inline = run_virtual_store(config(), clock_name="inline-cover")
+        vector = run_virtual_store(config(), clock_name="vector")
+        assert inline.ok and vector.ok
+        assert len(flush_requests) == 3  # all inline's: vector sent none
+        # the flushes and their acks are the only frames vector does not send
+        assert inline.counters["net.frames_sent"] == 192
+        assert vector.counters["net.frames_sent"] == 192 - 2 * 3
+        stats = inline.clock_stats
+        assert (stats["events"], stats["finalized"]) == (352, 176)
+        assert stats["finalized_after_flush"] == 352
+        for fate in ("ctl_lost", "ctl_rejected", "retransmits"):
+            assert inline.counters[f"net.{fate}"] == 0
 
     def test_every_control_is_accounted_for(self, recording_seam):
-        report = run_live_store_sync(config(), clock_name="inline-cover")
+        report = run_virtual_store(config(), clock_name="inline-cover")
         (host,) = recording_seam
         counters = report.counters
         assert report.ok
@@ -563,7 +504,7 @@ class TestFaultFreeRun:
             await send(self, obj)
 
         monkeypatch.setattr(transport.FrameStream, "send", spy)
-        report = run_live_store_sync(
+        report = run_virtual_store(
             config(ops_per_client=3), clock_name=clock
         )
         assert report.ok
@@ -571,7 +512,7 @@ class TestFaultFreeRun:
         assert report.counters["net.ctl_piggybacked"] == 0
         assert report.counters["net.ctl_flushed"] == 0
         # the spy does see them when there are some
-        run_live_store_sync(config(ops_per_client=3), clock_name="inline")
+        run_virtual_store(config(ops_per_client=3), clock_name="inline")
         assert keyed != []
 
 
@@ -579,7 +520,7 @@ class TestUnderChaos:
     def test_loss_and_duplication_apply_each_control_at_most_once(
         self, recording_seam
     ):
-        report = run_live_store_sync(
+        report = run_virtual_store(
             config(n_clients=3, ops_per_client=8, seed=13),
             clock_name="inline-cover",
             fault_model=CompositeFault(
@@ -595,34 +536,27 @@ class TestUnderChaos:
         (host,) = recording_seam
         counters = report.counters
         assert report.ok
-        assert counters["net.drops_injected"] > 0
-        assert counters["net.dups_injected"] > 0
-        # in order and never twice: what the clock saw on a channel is a
-        # prefix of what was emitted on it
-        for chan, applied in host.clock.applied.items():
-            assert applied == host.emitted[chan][: len(applied)], chan
+        # the counts are the loop's to fix (CPython 3.11 and 3.12 step
+        # asyncio differently); every relation below holds on both
+        for fault in ("drops_injected", "dups_injected", "retransmits"):
+            assert counters[f"net.{fault}"] > 0
+        assert counters["net.request_timeouts"] == 0
         # the sender's books balance ...
         assert host.n_emitted == (
-            counters["net.ctl_piggybacked"]
-            + counters["net.ctl_flushed"]
-            + counters["net.ctl_lost"]
+            counters["net.ctl_piggybacked"] + counters["net.ctl_flushed"]
         )
-        # ... and a control is missing only where the run says it lost one:
-        # a flush given up, or a request abandoned together with its response
-        if not (counters["net.ctl_lost"] or counters["net.request_timeouts"]):
-            assert host.clock.applied == host.emitted
-            # every repeat the seam was handed landed in ctl_dup
-            assert (
-                host.n_control_calls
-                == host.n_applied + counters["net.ctl_dup"]
-            )
+        # ... and no request was abandoned with its response, so the clock
+        # saw on each channel, in order and once, what was emitted on it
+        assert host.clock.applied == host.emitted
+        assert host.n_control_calls == host.n_applied
+        assert counters["net.ctl_lost"] == counters["net.ctl_dup"] == 0
         stats = report.clock_stats
         assert stats["finalized_after_flush"] == stats["events"]
 
 
 class TestCrashRestart:
     def test_sequencer_crash_keeps_checkpoints_permanent(self):
-        report = run_live_store_sync(
+        report = run_virtual_store(
             config(n_clients=3, ops_per_client=6, seed=11),
             clock_name="inline-cover",
             crash_plan=CrashPlan(pid=0, after_ops=5, downtime=0.2),
@@ -632,8 +566,12 @@ class TestCrashRestart:
         )
         assert report.ok
         assert report.checkpoint_problems == []
-        assert report.counters["net.crashes"] == 1
-        assert report.counters["net.restarts"] == 1
-        # the crash dropped whatever p0 still owed; termination completes it
+        counters = report.counters
+        assert (counters["net.crashes"], counters["net.restarts"]) == (1, 1)
+        # fault-free, the sessions end at virtual time 0, before the crash
+        # watcher's first poll: p0 dies owing controls it never flushes ...
+        assert counters["net.frames_sent"] == 145
+        assert counters["net.ctl_flushed"] == counters["net.ctl_lost"] == 0
+        # ... and termination finalizes what they would have
         stats = report.clock_stats
-        assert stats["finalized_after_flush"] == stats["events"]
+        assert (stats["finalized"], stats["finalized_after_flush"]) == (136, 272)

@@ -10,6 +10,7 @@ the interposer seam, and reconnection with address re-resolution.
 import asyncio
 import contextlib
 import enum
+import functools
 import json
 import socket
 from typing import Any, NamedTuple
@@ -35,21 +36,33 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 HELLO = {"t": "hello", "schema": WIRE_SCHEMA, "proc": 0}
 
 
-def run(coro):
-    """``asyncio.run`` that fails on anything the loop's exception handler
-    saw ("Unhandled exception in client_connected_cb", a task exception
-    nobody retrieved): those would otherwise be log lines."""
-    reported = []
+def on_loop(test):
+    """Run an ``async def`` test with ``asyncio.run``, and fail it on anything
+    the loop's exception handler saw ("Unhandled exception in
+    client_connected_cb", a task exception nobody retrieved): those would
+    otherwise be log lines."""
 
-    async def main():
-        asyncio.get_running_loop().set_exception_handler(
-            lambda _loop, context: reported.append(context)
-        )
-        return await coro
+    @functools.wraps(test)
+    def run(*args, **kw):
+        reported = []
 
-    result = asyncio.run(main())
-    assert not reported, reported
-    return result
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: reported.append(context)
+            )
+            await test(*args, **kw)
+
+        asyncio.run(main())
+        assert not reported, reported
+
+    return run
+
+
+@pytest.fixture
+def registry():
+    """A fresh metrics registry, active for the whole test."""
+    with use_registry(MetricsRegistry()) as active:
+        yield active
 
 
 def framed(obj) -> bytes:
@@ -276,38 +289,34 @@ class TestTransportPolicy:
 
 
 class TestRequestResponse:
-    def test_roundtrip_and_peer_identity(self):
-        async def go():
-            handler = CountingHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
-            try:
-                result = await client.request({"type": "ping", "x": 7})
-                assert result["echo"] == {"type": "ping", "x": 7}
-                assert result["peer"] == 0
-            finally:
-                await client.close()
-                await server.stop()
+    @on_loop
+    async def test_roundtrip_and_peer_identity(self):
+        handler = CountingHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+        try:
+            result = await client.request({"type": "ping", "x": 7})
+            assert result["echo"] == {"type": "ping", "x": 7}
+            assert result["peer"] == 0
+        finally:
+            await client.close()
+            await server.stop()
 
-        run(go())
-
-    def test_handler_exception_becomes_transport_error(self):
+    @on_loop
+    async def test_handler_exception_becomes_transport_error(self):
         async def boom(peer, message):
             raise RuntimeError("kaput")
 
-        async def go():
-            server = RpcServer(1, boom)
-            addr = await server.start()
-            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
-            try:
-                with pytest.raises(TransportError, match="kaput"):
-                    await client.request({"type": "ping"})
-            finally:
-                await client.close()
-                await server.stop()
-
-        run(go())
+        server = RpcServer(1, boom)
+        addr = await server.start()
+        client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+        try:
+            with pytest.raises(TransportError, match="kaput"):
+                await client.request({"type": "ping"})
+        finally:
+            await client.close()
+            await server.stop()
 
     def test_auto_rids_are_unique_across_client_instances(self):
         a = PeerClient(0, 1, resolve=lambda: ("h", 1))
@@ -316,225 +325,199 @@ class TestRequestResponse:
 
 
 class TestDedup:
-    def test_completed_request_replays_cached_response(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_completed_request_replays_cached_response(self, registry):
+        handler = CountingHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+        try:
+            first = await client.request({"n": 1}, rid="stable")
+            second = await client.request({"n": 1}, rid="stable")
+            assert handler.calls == 1
+            assert first == second  # replay, not a re-invocation
+        finally:
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
-            try:
-                first = await client.request({"n": 1}, rid="stable")
-                second = await client.request({"n": 1}, rid="stable")
-                assert handler.calls == 1
-                assert first == second  # replay, not a re-invocation
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.dedup_hits") >= 1
 
-    def test_concurrent_same_rid_runs_handler_once(self):
-        async def go():
-            handler = CountingHandler(delay=0.15)
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            policy = fast_policy(request_timeout=1.0)
-            a = PeerClient(0, 1, resolve=lambda: addr, policy=policy)
-            b = PeerClient(2, 1, resolve=lambda: addr, policy=policy)
-            try:
-                r1, r2 = await asyncio.gather(
-                    a.request({"n": 1}, rid="same"),
-                    b.request({"n": 1}, rid="same"),
-                )
-                assert handler.calls == 1
-                assert r1["call"] == r2["call"] == 1
-            finally:
-                await a.close()
-                await b.close()
-                await server.stop()
-
-        run(go())
-
-    def test_injected_duplicates_are_suppressed(self):
-        registry = MetricsRegistry()
-
-        async def go():
-            handler = CountingHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            interposer = ScriptedInterposer([2, 2, 2, 2])
-            client = PeerClient(
-                0, 1, resolve=lambda: addr, policy=fast_policy(),
-                interposer=interposer,
+    @on_loop
+    async def test_concurrent_same_rid_runs_handler_once(self):
+        handler = CountingHandler(delay=0.15)
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        policy = fast_policy(request_timeout=1.0)
+        a = PeerClient(0, 1, resolve=lambda: addr, policy=policy)
+        b = PeerClient(2, 1, resolve=lambda: addr, policy=policy)
+        try:
+            r1, r2 = await asyncio.gather(
+                a.request({"n": 1}, rid="same"),
+                b.request({"n": 1}, rid="same"),
             )
-            try:
-                for i in range(2):
-                    await client.request({"n": i})
-                assert handler.calls == 2  # every wire copy beyond 1 deduped
-            finally:
-                await client.close()
-                await server.stop()
+            assert handler.calls == 1
+            assert r1["call"] == r2["call"] == 1
+        finally:
+            await a.close()
+            await b.close()
+            await server.stop()
 
-        with use_registry(registry):
-            run(go())
+    @on_loop
+    async def test_injected_duplicates_are_suppressed(self, registry):
+        handler = CountingHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        interposer = ScriptedInterposer([2, 2, 2, 2])
+        client = PeerClient(
+            0, 1, resolve=lambda: addr, policy=fast_policy(),
+            interposer=interposer,
+        )
+        try:
+            for i in range(2):
+                await client.request({"n": i})
+            assert handler.calls == 2  # every wire copy beyond 1 deduped
+        finally:
+            await client.close()
+            await server.stop()
+
         assert registry.counter_value("net.dups_injected") >= 2
         assert registry.counter_value("net.dedup_hits") >= 2
 
 
 class TestRetryAndTimeout:
-    def test_slow_handler_served_by_backoff_window(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_slow_handler_served_by_backoff_window(self, registry):
+        handler = CountingHandler(delay=0.4)
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        # attempt windows 0.08 / 0.16 / 0.32 / 0.64: cumulative time
+        # passes 0.4s inside the fourth window, so the retransmit path
+        # must carry the (single) invocation's response home
+        client = PeerClient(
+            0, 1, resolve=lambda: addr,
+            policy=fast_policy(request_timeout=0.08, max_retries=4),
+        )
+        try:
+            result = await client.request({"type": "slow"})
+            assert result["call"] == 1
+            assert handler.calls == 1
+        finally:
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler(delay=0.4)
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            # attempt windows 0.08 / 0.16 / 0.32 / 0.64: cumulative time
-            # passes 0.4s inside the fourth window, so the retransmit path
-            # must carry the (single) invocation's response home
-            client = PeerClient(
-                0, 1, resolve=lambda: addr,
-                policy=fast_policy(request_timeout=0.08, max_retries=4),
-            )
-            try:
-                result = await client.request({"type": "slow"})
-                assert result["call"] == 1
-                assert handler.calls == 1
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.retransmits") >= 1
 
-    def test_unreachable_peer_raises_bounded_request_timeout(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_unreachable_peer_raises_bounded_request_timeout(self, registry):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             dead = s.getsockname()[:2]
 
-        async def go():
-            client = PeerClient(
-                0, 1, resolve=lambda: dead,
-                policy=fast_policy(
-                    request_timeout=0.05, max_retries=2, backoff=1.0
-                ),
-            )
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            try:
-                with pytest.raises(RequestTimeout):
-                    await client.request({"type": "ping"})
-            finally:
-                await client.close()
-            assert loop.time() - started < 2.0  # budget bounded the failure
+        client = PeerClient(
+            0, 1, resolve=lambda: dead,
+            policy=fast_policy(
+                request_timeout=0.05, max_retries=2, backoff=1.0
+            ),
+        )
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(RequestTimeout):
+                await client.request({"type": "ping"})
+        finally:
+            await client.close()
 
-        with use_registry(registry):
-            run(go())
+        assert loop.time() - started < 2.0  # budget bounded the failure
         assert registry.counter_value("net.connect_failures") >= 1
         assert registry.counter_value("net.request_timeouts") == 1
 
-    def test_injected_drop_recovered_by_retransmit(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_injected_drop_recovered_by_retransmit(self, registry):
+        handler = CountingHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        interposer = ScriptedInterposer([0])  # eat the first transmission
+        client = PeerClient(
+            0, 1, resolve=lambda: addr,
+            policy=fast_policy(request_timeout=0.1),
+            interposer=interposer,
+        )
+        try:
+            result = await client.request({"type": "ping"})
+            assert result["call"] == 1
+        finally:
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            interposer = ScriptedInterposer([0])  # eat the first transmission
-            client = PeerClient(
-                0, 1, resolve=lambda: addr,
-                policy=fast_policy(request_timeout=0.1),
-                interposer=interposer,
-            )
-            try:
-                result = await client.request({"type": "ping"})
-                assert result["call"] == 1
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.drops_injected") == 1
         assert registry.counter_value("net.retransmits") >= 1
 
 
 class TestReconnect:
-    def test_client_rejoins_peer_restarted_on_new_port(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_client_rejoins_peer_restarted_on_new_port(self, registry):
+        handler = CountingHandler()
+        book = {}
+        server = RpcServer(1, handler)
+        book[1] = await server.start()
+        client = PeerClient(
+            0, 1, resolve=lambda: book[1],
+            policy=fast_policy(request_timeout=2.0, max_retries=1),
+        )
+        try:
+            await client.request({"n": 1})
+            await server.stop()
+            client._drop_connection()
 
-        async def go():
-            handler = CountingHandler()
-            book = {}
-            server = RpcServer(1, handler)
-            book[1] = await server.start()
-            client = PeerClient(
-                0, 1, resolve=lambda: book[1],
-                policy=fast_policy(request_timeout=2.0, max_retries=1),
-            )
-            try:
-                await client.request({"n": 1})
-                await server.stop()
-                client._drop_connection()
+            async def revive():
+                await asyncio.sleep(0.15)
+                replacement = RpcServer(1, handler)
+                book[1] = await replacement.start()  # new ephemeral port
+                return replacement
 
-                async def revive():
-                    await asyncio.sleep(0.15)
-                    replacement = RpcServer(1, handler)
-                    book[1] = await replacement.start()  # new ephemeral port
-                    return replacement
+            reviver = asyncio.ensure_future(revive())
+            result = await client.request({"n": 2})
+            assert result["echo"] == {"n": 2}
+            server = await reviver
+        finally:
+            await client.close()
+            await server.stop()
 
-                reviver = asyncio.ensure_future(revive())
-                result = await client.request({"n": 2})
-                assert result["echo"] == {"n": 2}
-                server = await reviver
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         # the outage forced at least one failed dial before the re-resolved
         # address came back up
         assert registry.counter_value("net.connect_failures") >= 1
         assert registry.counter_value("net.reconnects") >= 1
 
-    def test_connection_accepted_during_stop_is_not_served(self):
+    @on_loop
+    async def test_connection_accepted_during_stop_is_not_served(self):
         """A dial that lands while ``stop()`` closes the listener starts its
         connection task after ``stop()`` has cancelled the ones it knew; a
         stopped server must close it, or the peer keeps a healthy-looking
         connection to a dead node and never re-resolves its address."""
+        handler = CountingHandler()
+        server = RpcServer(1, handler)
+        await server.start()
+        await server.stop()
+        ours, theirs = socket.socketpair()
+        for frame in (
+            {"t": "hello", "schema": "repro.net/1", "proc": 0},
+            {"t": "req", "rid": "r-1", "m": {"n": 1}},
+        ):
+            body = json.dumps(frame).encode()
+            theirs.sendall(len(body).to_bytes(4, "big") + body)
 
-        async def go():
-            handler = CountingHandler()
-            server = RpcServer(1, handler)
-            await server.start()
-            await server.stop()
-            ours, theirs = socket.socketpair()
-            for frame in (
-                {"t": "hello", "schema": "repro.net/1", "proc": 0},
-                {"t": "req", "rid": "r-1", "m": {"n": 1}},
-            ):
-                body = json.dumps(frame).encode()
-                theirs.sendall(len(body).to_bytes(4, "big") + body)
-            reader, writer = await asyncio.open_connection(sock=ours)
-            try:
-                await asyncio.wait_for(
-                    server._on_connection(reader, writer), 1.0
-                )
-                await asyncio.sleep(0.05)  # a served request would run now
-                assert writer.is_closing()
-            finally:
-                writer.close()
-                theirs.close()
-            assert handler.calls == 0
+        reader, writer = await asyncio.open_connection(sock=ours)
+        try:
+            await asyncio.wait_for(
+                server._on_connection(reader, writer), 1.0
+            )
+            await asyncio.sleep(0.05)  # a served request would run now
+            assert writer.is_closing()
+        finally:
+            writer.close()
+            theirs.close()
 
-        run(go())
+        assert handler.calls == 0
 
 
 class TestFraming:
@@ -549,30 +532,29 @@ class TestFraming:
         ],
         ids=["byte-by-byte", "split-prefix", "one-write"],
     )
-    def test_recv_yields_the_same_frames_however_the_bytes_arrive(self, cut):
-        async def go():
-            ours, theirs = socket.socketpair()
-            stream = FrameStream(*await asyncio.open_connection(sock=ours))
-            got = []
+    @on_loop
+    async def test_recv_yields_the_same_frames_however_the_bytes_arrive(self, cut):
+        ours, theirs = socket.socketpair()
+        stream = FrameStream(*await asyncio.open_connection(sock=ours))
+        got = []
 
-            async def read_all():
-                while (frame := await stream.recv()) is not None:
-                    got.append(frame)
+        async def read_all():
+            while (frame := await stream.recv()) is not None:
+                got.append(frame)
 
-            reading = asyncio.ensure_future(read_all())
-            try:
-                for piece in cut(b"".join(framed(f) for f in self.FRAMES)):
-                    theirs.sendall(piece)
-                    await asyncio.sleep(0)  # let the loop deliver it alone
-                    await asyncio.sleep(0)
-                theirs.close()
-                await asyncio.wait_for(reading, 2.0)
-            finally:
-                theirs.close()
-                stream.close()
-            assert got == self.FRAMES
+        reading = asyncio.ensure_future(read_all())
+        try:
+            for piece in cut(b"".join(framed(f) for f in self.FRAMES)):
+                theirs.sendall(piece)
+                await asyncio.sleep(0)  # let the loop deliver it alone
+                await asyncio.sleep(0)
+            theirs.close()
+            await asyncio.wait_for(reading, 2.0)
+        finally:
+            theirs.close()
+            stream.close()
 
-        run(go())
+        assert got == self.FRAMES
 
 
 class TestMalformedFrames:
@@ -597,88 +579,76 @@ class TestMalformedFrames:
             "no-hello",
         ],
     )
-    def test_server_closes_that_connection_and_keeps_serving(
-        self, hello, payload, rejected
+    @on_loop
+    async def test_server_closes_that_connection_and_keeps_serving(
+        self, registry, hello, payload, rejected
     ):
-        registry = MetricsRegistry()
+        handler = CountingHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+        reader, writer = await asyncio.open_connection(*addr)
+        try:
+            await client.request({"n": 0})  # a healthy neighbour
+            writer.write(framed(hello) + payload)
+            writer.write_eof()
+            # closed without a response frame
+            assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            await client.request({"n": 1})  # still served, same connection
+            assert handler.calls == 2
+        finally:
+            writer.close()
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
-            reader, writer = await asyncio.open_connection(*addr)
-            try:
-                await client.request({"n": 0})  # a healthy neighbour
-                writer.write(framed(hello) + payload)
-                writer.write_eof()
-                # closed without a response frame
-                assert await asyncio.wait_for(reader.read(), 1.0) == b""
-                await client.request({"n": 1})  # still served, same connection
-                assert handler.calls == 2
-            finally:
-                writer.close()
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.frames_rejected") == rejected
         assert registry.counter_value("net.reconnects") == 0
 
-    def test_client_drops_the_connection_and_the_retransmission_reconnects(self):
+    @on_loop
+    async def test_client_drops_the_connection_and_the_retransmission_reconnects(self, registry):
         """One garbage response used to kill the read loop with the dead
         stream still installed: every later request timed out."""
-        registry = MetricsRegistry()
-
-        async def go():
-            async def answer(stream, frame, connection):
-                if connection == 1:
-                    stream._writer.write((3).to_bytes(4, "big") + b"{{{")
-                else:
-                    await stream.send(
-                        {"t": "res", "rid": frame["rid"], "ok": True,
-                         "m": {"via": connection}}
-                    )
-
-            async with scripted_peer(answer) as addr:
-                client = PeerClient(
-                    0, 1, resolve=lambda: addr,
-                    policy=fast_policy(request_timeout=0.1),
+        async def answer(stream, frame, connection):
+            if connection == 1:
+                stream._writer.write((3).to_bytes(4, "big") + b"{{{")
+            else:
+                await stream.send(
+                    {"t": "res", "rid": frame["rid"], "ok": True,
+                     "m": {"via": connection}}
                 )
-                try:
-                    assert await client.request({"n": 1}) == {"via": 2}
-                    assert await client.request({"n": 2}) == {"via": 2}
-                finally:
-                    await client.close()
 
-        with use_registry(registry):
-            run(go())
+        async with scripted_peer(answer) as addr:
+            client = PeerClient(
+                0, 1, resolve=lambda: addr,
+                policy=fast_policy(request_timeout=0.1),
+            )
+            try:
+                assert await client.request({"n": 1}) == {"via": 2}
+                assert await client.request({"n": 2}) == {"via": 2}
+            finally:
+                await client.close()
+
         assert registry.counter_value("net.frames_rejected") == 1
         assert registry.counter_value("net.retransmits") == 1
         assert registry.counter_value("net.request_timeouts") == 0
 
-    def test_response_for_an_unknown_rid_is_ignored_and_counted(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_response_for_an_unknown_rid_is_ignored_and_counted(self, registry):
+        async def answer(stream, frame, _connection):
+            for rid in ("nobody-asked", frame["rid"]):
+                await stream.send(
+                    {"t": "res", "rid": rid, "ok": True, "m": {"rid": rid}}
+                )
 
-        async def go():
-            async def answer(stream, frame, _connection):
-                for rid in ("nobody-asked", frame["rid"]):
-                    await stream.send(
-                        {"t": "res", "rid": rid, "ok": True, "m": {"rid": rid}}
-                    )
+        async with scripted_peer(answer) as addr:
+            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+            try:
+                assert await client.request({"n": 1}, rid="mine") == {
+                    "rid": "mine"
+                }
+            finally:
+                await client.close()
 
-            async with scripted_peer(answer) as addr:
-                client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
-                try:
-                    assert await client.request({"n": 1}, rid="mine") == {
-                        "rid": "mine"
-                    }
-                finally:
-                    await client.close()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.responses_unmatched") == 1
         assert registry.counter_value("net.frames_rejected") == 0
 
@@ -686,203 +656,180 @@ class TestMalformedFrames:
 class TestHandlerOwnership:
     """The handler task belongs to the server, not to the asking connection."""
 
-    def test_retransmission_on_a_new_connection_joins_the_running_handler(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_retransmission_on_a_new_connection_joins_the_running_handler(self, registry):
+        handler = GatedHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        request = {"t": "req", "rid": "r", "m": {}}
+        first = await dial(addr)
+        second = None
+        try:
+            await first.send(request)
+            await until(lambda: handler.calls == 1)
+            first.close()  # the requester lost its connection ...
+            second = await dial(addr)  # ... and retransmits over a new one
+            await second.send(request)
+            await until(
+                lambda: registry.counter_value("net.dedup_joined") == 1
+            )
+            handler.release.set()
+            response = await asyncio.wait_for(second.recv(), 1.0)
+            assert response == {
+                "t": "res", "rid": "r", "ok": True, "m": {"call": 1}
+            }
+            assert handler.calls == 1
+        finally:
+            first.close()
+            if second is not None:
+                second.close()
+            await server.stop()
 
-        async def go():
-            handler = GatedHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            request = {"t": "req", "rid": "r", "m": {}}
-            first = await dial(addr)
-            second = None
-            try:
-                await first.send(request)
-                await until(lambda: handler.calls == 1)
-                first.close()  # the requester lost its connection ...
-                second = await dial(addr)  # ... and retransmits over a new one
-                await second.send(request)
-                await until(
-                    lambda: registry.counter_value("net.dedup_joined") == 1
-                )
-                handler.release.set()
-                response = await asyncio.wait_for(second.recv(), 1.0)
-                assert response == {
-                    "t": "res", "rid": "r", "ok": True, "m": {"call": 1}
-                }
-                assert handler.calls == 1
-            finally:
-                first.close()
-                if second is not None:
-                    second.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.dedup_replayed") == 0
         assert registry.counter_value("net.dedup_hits") == 1
 
     @pytest.mark.parametrize("retransmit", ["while-running", "after-it-finished"])
-    def test_closing_the_asking_connection_does_not_cancel_the_handler(
-        self, retransmit
+    @on_loop
+    async def test_closing_the_asking_connection_does_not_cancel_the_handler(
+        self, registry, retransmit
     ):
         """Used to run the handler twice: the connection's end cancelled the
         per-request task, which forgot the rid while the shielded handler
         ran on, its result never cached."""
-        registry = MetricsRegistry()
+        handler = GatedHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        request = {"t": "req", "rid": "r", "m": {}}
+        first = await dial(addr)
+        second = None
+        try:
+            await first.send(request)
+            await until(lambda: handler.calls == 1)
+            first.close()
+            await asyncio.sleep(0.05)  # the server sees the EOF
+            assert handler.cancelled == 0
+            if retransmit == "after-it-finished":
+                handler.release.set()
+                await until(lambda: handler.finished == 1)
+            second = await dial(addr)
+            await second.send(request)
+            if retransmit == "while-running":
+                await until(
+                    lambda: registry.counter_value("net.dedup_joined") == 1
+                )
+                handler.release.set()
+            response = await asyncio.wait_for(second.recv(), 1.0)
+            assert response["m"] == {"call": 1}
+            assert handler.calls == handler.finished == 1
+        finally:
+            first.close()
+            if second is not None:
+                second.close()
+            await server.stop()
 
-        async def go():
-            handler = GatedHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            request = {"t": "req", "rid": "r", "m": {}}
-            first = await dial(addr)
-            second = None
-            try:
-                await first.send(request)
-                await until(lambda: handler.calls == 1)
-                first.close()
-                await asyncio.sleep(0.05)  # the server sees the EOF
-                assert handler.cancelled == 0
-                if retransmit == "after-it-finished":
-                    handler.release.set()
-                    await until(lambda: handler.finished == 1)
-                second = await dial(addr)
-                await second.send(request)
-                if retransmit == "while-running":
-                    await until(
-                        lambda: registry.counter_value("net.dedup_joined") == 1
-                    )
-                    handler.release.set()
-                response = await asyncio.wait_for(second.recv(), 1.0)
-                assert response["m"] == {"call": 1}
-                assert handler.calls == handler.finished == 1
-            finally:
-                first.close()
-                if second is not None:
-                    second.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         replayed = 1 if retransmit == "after-it-finished" else 0
         assert registry.counter_value("net.dedup_replayed") == replayed
         assert registry.counter_value("net.dedup_joined") == 1 - replayed
 
-    def test_stop_cancels_the_handler_caches_nothing_answers_nothing(self):
-        async def go():
-            handler = GatedHandler()
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            asker = await dial(addr)
-            try:
-                await asker.send({"t": "req", "rid": "r", "m": {}})
-                await until(lambda: handler.calls == 1)
-                await server.stop()
-                assert handler.cancelled == 1 and handler.finished == 0
-                assert not server._done and not server._inflight
-                assert await asyncio.wait_for(asker.recv(), 1.0) is None
-            finally:
-                asker.close()
-
-        run(go())
+    @on_loop
+    async def test_stop_cancels_the_handler_caches_nothing_answers_nothing(self):
+        handler = GatedHandler()
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        asker = await dial(addr)
+        try:
+            await asker.send({"t": "req", "rid": "r", "m": {}})
+            await until(lambda: handler.calls == 1)
+            await server.stop()
+            assert handler.cancelled == 1 and handler.finished == 0
+            assert not server._done and not server._inflight
+            assert await asyncio.wait_for(asker.recv(), 1.0) is None
+        finally:
+            asker.close()
 
 
 class TestAttempts:
-    def test_response_to_attempt_0_landing_in_attempt_1_completes_the_request(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_response_to_attempt_0_landing_in_attempt_1_completes_the_request(self, registry):
+        handler = CountingHandler(delay=0.15)
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        # attempt 0 (0.1 s) goes out, attempt 1 (0.2 s) is eaten: the only
+        # response there will ever be answers the first transmission
+        interposer = ScriptedInterposer([1, 0])
+        client = PeerClient(
+            0, 1, resolve=lambda: addr,
+            policy=fast_policy(request_timeout=0.1, max_retries=1),
+            interposer=interposer,
+        )
+        try:
+            assert (await client.request({"n": 1}))["call"] == 1
+            assert handler.calls == 1
+        finally:
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler(delay=0.15)
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            # attempt 0 (0.1 s) goes out, attempt 1 (0.2 s) is eaten: the only
-            # response there will ever be answers the first transmission
-            interposer = ScriptedInterposer([1, 0])
-            client = PeerClient(
-                0, 1, resolve=lambda: addr,
-                policy=fast_policy(request_timeout=0.1, max_retries=1),
-                interposer=interposer,
-            )
-            try:
-                assert (await client.request({"n": 1}))["call"] == 1
-                assert handler.calls == 1
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.retransmits") == 1
         assert registry.counter_value("net.drops_injected") == 1
         assert registry.counter_value("net.request_timeouts") == 0
 
-    def test_deadline_covers_the_reconnect_loop(self):
+    @on_loop
+    async def test_deadline_covers_the_reconnect_loop(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             dead = s.getsockname()[:2]
 
-        async def go():
-            # default policy: left alone, the reconnect ladder alone would
-            # back off for seconds
-            client = PeerClient(0, 1, resolve=lambda: dead)
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            try:
-                with pytest.raises(RequestTimeout, match=r"after 3 attempt\(s\)"):
-                    await client.request({"n": 1}, max_retries=2, timeout=0.05)
-            finally:
-                await client.close()
-            assert loop.time() - started < 1.0
+        # default policy: left alone, the reconnect ladder alone would
+        # back off for seconds
+        client = PeerClient(0, 1, resolve=lambda: dead)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(RequestTimeout, match=r"after 3 attempt\(s\)"):
+                await client.request({"n": 1}, max_retries=2, timeout=0.05)
+        finally:
+            await client.close()
 
-        run(go())
+        assert loop.time() - started < 1.0
 
-    def test_concurrent_requests_share_one_connection(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_concurrent_requests_share_one_connection(self, registry):
+        handler = CountingHandler(delay=0.01)
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+        try:
+            results = await asyncio.gather(
+                *(client.request({"n": i}) for i in range(16))
+            )
+            assert [r["echo"] for r in results] == [{"n": i} for i in range(16)]
+            assert handler.calls == 16
+        finally:
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler(delay=0.01)
-            server = RpcServer(1, handler)
-            addr = await server.start()
-            client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
-            try:
-                results = await asyncio.gather(
-                    *(client.request({"n": i}) for i in range(16))
-                )
-                assert [r["echo"] for r in results] == [{"n": i} for i in range(16)]
-                assert handler.calls == 16
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         # one hello, sixteen requests, sixteen responses
         assert registry.counter_value("net.frames_sent") == 1 + 32
         assert registry.counter_value("net.retransmits") == 0
 
-    def test_every_frame_duplicated_still_runs_the_handler_once_per_rid(self):
-        registry = MetricsRegistry()
+    @on_loop
+    async def test_every_frame_duplicated_still_runs_the_handler_once_per_rid(self, registry):
         n = 8
+        handler = CountingHandler()
+        chaos = ChaosInterposer(DuplicationFault(rate=1.0), seed=3)
+        server = RpcServer(1, handler, interposer=chaos)
+        addr = await server.start()
+        client = PeerClient(
+            0, 1, resolve=lambda: addr, policy=fast_policy(), interposer=chaos
+        )
+        try:
+            for i in range(n):
+                assert (await client.request({"n": i}))["call"] == i + 1
+            assert handler.calls == n
+        finally:
+            await client.close()
+            await server.stop()
 
-        async def go():
-            handler = CountingHandler()
-            chaos = ChaosInterposer(DuplicationFault(rate=1.0), seed=3)
-            server = RpcServer(1, handler, interposer=chaos)
-            addr = await server.start()
-            client = PeerClient(
-                0, 1, resolve=lambda: addr, policy=fast_policy(), interposer=chaos
-            )
-            try:
-                for i in range(n):
-                    assert (await client.request({"n": i}))["call"] == i + 1
-                assert handler.calls == n
-            finally:
-                await client.close()
-                await server.stop()
-
-        with use_registry(registry):
-            run(go())
         assert registry.counter_value("net.dedup_hits") == n
         # per rid: one extra request copy, and one extra copy of the response
         # to each of the two request copies
