@@ -70,8 +70,9 @@ import itertools
 import json
 import os
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.applications.causal_kv import VALUE_HOPS, Operation, StoreConfig, WriteRecord
 from repro.clocks.base import ClockAlgorithm
@@ -87,7 +88,7 @@ from repro.net.transport import (
     pack_payload,
     unpack_payload,
 )
-from repro.obs import Counter, counter, metric
+from repro.obs import Counter, Histogram, counter, metric
 from repro.topology.generators import sequencer_architecture
 from repro.topology.graph import CommunicationGraph
 
@@ -164,13 +165,24 @@ class ClusterSpec:
 
     Process ids ``0..S-1`` are sequencers, then come servers, then clients.
     Every client and server attaches to *two* sequencers when there are two,
-    so a node always has a failover route that stays on a graph edge.
+    so a node always has a failover route that stays on a graph edge.  The
+    routing is computed here, once: every query below is a table read.
     """
 
     config: StoreConfig
     host: str = "127.0.0.1"
     graph: CommunicationGraph = field(init=False, compare=False)
     sequencers: Tuple[int, ...] = field(init=False, compare=False)
+    servers: Tuple[int, ...] = field(init=False, compare=False)
+    clients: Tuple[int, ...] = field(init=False, compare=False)
+    #: ``neighbours[pid]``: the processes *pid* shares a graph edge with
+    neighbours: Tuple[FrozenSet[int], ...] = field(
+        init=False, compare=False, repr=False
+    )
+    #: ``_attached[pid]``: the sequencers adjacent to *pid*, home first
+    _attached: Tuple[Tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         c = self.config
@@ -180,47 +192,46 @@ class ClusterSpec:
             c.n_clients,
             attachments_per_node=min(2, c.n_sequencers),
         )
+        n = graph.n_vertices
+        first_client = c.n_sequencers + c.n_servers
+        neighbours = tuple(frozenset(graph.neighbors(p)) for p in range(n))
+        cover = frozenset(seqs)
+        attached = tuple(
+            (p,) if p in cover else tuple(sorted(neighbours[p] & cover))
+            for p in range(n)
+        )
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "sequencers", tuple(seqs))
+        object.__setattr__(self, "servers", tuple(range(c.n_sequencers, first_client)))
+        object.__setattr__(self, "clients", tuple(range(first_client, n)))
+        object.__setattr__(self, "neighbours", neighbours)
+        object.__setattr__(self, "_attached", attached)
 
     @property
     def n_processes(self) -> int:
         return self.graph.n_vertices
-
-    @property
-    def servers(self) -> List[int]:
-        s = self.config.n_sequencers
-        return list(range(s, s + self.config.n_servers))
-
-    @property
-    def clients(self) -> List[int]:
-        s = self.config.n_sequencers + self.config.n_servers
-        return list(range(s, self.n_processes))
 
     def role_of(self, pid: int) -> str:
         if pid in self.sequencers:
             return "sequencer"
         return "server" if pid in self.servers else "client"
 
-    def attached(self, pid: int) -> List[int]:
+    def attached(self, pid: int) -> Tuple[int, ...]:
         """Sequencers adjacent to *pid* (home first)."""
-        if pid in self.sequencers:
-            return [pid]
-        return sorted(set(self.graph.neighbors(pid)) & set(self.sequencers))
+        return self._attached[pid]
 
     def home(self, pid: int) -> int:
-        return self.attached(pid)[0]
+        return self._attached[pid][0]
 
     def primary_of(self, key: str) -> int:
         return self.servers[int(key[1:]) % self.config.n_servers]
 
     def next_hop(self, here: int, target: int) -> int:
         """One routing step toward *target* along graph edges."""
-        if self.graph.has_edge(here, target):
+        if target in self.neighbours[here]:
             return target
-        if here in self.sequencers:
-            return self.home(target)
-        return self.home(here)
+        # a sequencer relays to the target's home, anyone else to its own
+        return self._attached[target if here in self.sequencers else here][0]
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +246,12 @@ class LiveClockHost:
     written for even though the wire may duplicate or reorder frames.
     Single-threaded by construction: all entry points are synchronous and
     run on the event loop thread.
+
+    The run is logged as three integer columns — process, peer, and message
+    id (``~mid`` for a receive) — and the clock's own table holds the
+    timestamps: the :class:`~repro.core.events.Event` a hook hands the clock
+    is built for that call and not kept, and the clock's newly-finalized
+    list, which nothing here reads, is drained after every call.
     """
 
     def __init__(self, clock: ClockAlgorithm, spec: ClusterSpec) -> None:
@@ -245,32 +262,33 @@ class LiveClockHost:
             )
         self.clock = clock
         self._spec = spec
+        self._neighbours = spec.neighbours
         self._next_index = [0] * spec.n_processes
         self._next_mid = itertools.count()
         self._received: Set[int] = set()
-        self._events: List[Event] = []
+        self._procs = array("q")
+        self._peers = array("q")
+        self._mids = array("q")
         self._ctrl_seq: Dict[Tuple[int, int], int] = {}
         self._ctrl_expect: Dict[Tuple[int, int], int] = {}
         self._ctrl_buffer: Dict[Tuple[int, int], Dict[int, Any]] = {}
 
-    def _new_event(
-        self, proc: int, kind: EventKind, mid: Optional[int], peer: Optional[int]
-    ) -> Event:
-        self._next_index[proc] += 1
-        ev = Event(
-            EventId(proc, self._next_index[proc]), kind, msg_id=mid, peer=peer
-        )
-        self._events.append(ev)
-        return ev
+    def _new_event(self, proc: int, kind: EventKind, mid: int, peer: int) -> Event:
+        """Log one event and build the transient :class:`Event` for it."""
+        index = self._next_index[proc] = self._next_index[proc] + 1
+        self._procs.append(proc)
+        self._peers.append(peer)
+        self._mids.append(mid if kind is EventKind.SEND else ~mid)
+        return Event(EventId(proc, index), kind, msg_id=mid, peer=peer)
 
     # -- app-message hooks ---------------------------------------------
     def envelope(self, src: int, dst: int) -> Dict[str, Any]:
         """Send event for one ``src -> dst`` hop; the frame's clock payload."""
-        if not self._spec.graph.has_edge(src, dst):
+        if dst not in self._neighbours[src]:
             raise ValueError(f"no channel p{src} -> p{dst} in the cluster graph")
         mid = next(self._next_mid)
-        ev = self._new_event(src, EventKind.SEND, mid, dst)
-        payload = self.clock.on_send(ev)
+        payload = self.clock.on_send(self._new_event(src, EventKind.SEND, mid, dst))
+        self.clock.drain_newly_finalized()
         return {"mid": mid, "ts": pack_payload(payload)}
 
     def deliver(
@@ -288,6 +306,7 @@ class LiveClockHost:
         self._received.add(mid)
         ev = self._new_event(dst, EventKind.RECEIVE, mid, src)
         controls = self.clock.on_receive(ev, unpack_payload(env["ts"]))
+        self.clock.drain_newly_finalized()
         out: List[Dict[str, Any]] = []
         for cm in controls:
             chan = (cm.src, cm.dst)
@@ -317,35 +336,46 @@ class LiveClockHost:
             self.clock.on_control(src, dst, unpack_payload(buf.pop(expect)))
             expect += 1
         self._ctrl_expect[chan] = expect
+        self.clock.drain_newly_finalized()
 
     # -- reporting ------------------------------------------------------
     @property
     def n_events(self) -> int:
-        return len(self._events)
+        return len(self._procs)
+
+    def _table(self) -> List[List[Any]]:
+        """The clock's timestamps by position: ``[p][k - 1]`` is event
+        ``(p, k)``'s, ``None`` while it is ``⊥`` — the table every
+        :class:`ClockAlgorithm` writes each timestamp into once."""
+        return self.clock._stamps
 
     def execution(self) -> Execution:
         """The run so far as an :class:`~repro.core.execution.Execution`:
         one message per envelope, received or not."""
         builder = ExecutionBuilder(self._spec.n_processes, graph=self._spec.graph)
-        for ev in self._events:
-            if ev.is_send:
-                builder.send(ev.proc, ev.peer)  # message ids follow envelope ids
+        for proc, peer, mid in zip(self._procs, self._peers, self._mids):
+            if mid >= 0:
+                builder.send(proc, peer)  # message ids follow envelope ids
             else:
-                builder.receive(ev.proc, ev.msg_id)
+                builder.receive(proc, ~mid)
         return builder.freeze()
 
     def finalized_events(self) -> List[Tuple[EventId, Any]]:
-        """``(eid, timestamp)`` for every event whose timestamp is final."""
-        timestamp = self.clock.timestamp
-        stamped = ((ev.eid, timestamp(ev.eid)) for ev in self._events)
-        return [(eid, ts) for eid, ts in stamped if ts is not None]
+        """``(eid, timestamp)`` for every event whose timestamp is final,
+        process by process."""
+        return [
+            (EventId(proc, index), ts)
+            for proc, row in enumerate(self._table())
+            for index, ts in enumerate(row, 1)
+            if ts is not None
+        ]
 
     def stats(self) -> Dict[str, Any]:
-        # each timestamp is read once: ``ts is not None`` is finality
-        widths = [ts.n_elements for _eid, ts in self.finalized_events()]
+        # one pass over the table: ``ts is not None`` is finality
+        widths = [ts.n_elements for row in self._table() for ts in row if ts is not None]
         final = len(widths)
         max_elements = max(widths, default=0)
-        total = len(self._events)
+        total = len(self._procs)
         return {
             "clock": self.clock.name,
             "events": total,
@@ -386,6 +416,7 @@ class LiveNode:
         self.crashed = False
         #: supervisor-injected per-response delay (slow-node degradation)
         self.response_delay = 0.0
+        self._piggybacked = counter("net.ctl_piggybacked")
         #: (type, op, is a response) -> the hop counter, data or metadata, of
         #: that direction of that frame type (``op/w`` is ``("op", "w")``,
         #: ``commit`` is ``("commit", "")``)
@@ -480,7 +511,7 @@ class LiveNode:
                 self._ctl_out[nxt] = riding + self._ctl_out.get(nxt, [])
             raise
         if riding:
-            counter("net.ctl_piggybacked").inc(len(riding))
+            self._piggybacked.inc(len(riding))
         # controls for the responder wait for the next request going there
         self._queue_controls(self._absorb(nxt, response))
         return response
@@ -597,7 +628,7 @@ class LiveNode:
             body["env"] = self.clock_host.envelope(self.pid, peer)
             if owed:
                 body["ctl"] = owed
-                counter("net.ctl_piggybacked").inc(len(owed))
+                self._piggybacked.inc(len(owed))
         return body
 
     async def handle_app(self, peer: int, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -657,6 +688,8 @@ class ServerNode(LiveNode):
         self._commit_by_rid: Dict[str, Dict[str, Any]] = {}
         self._applied = asyncio.Condition()
         self.read_guard_timeout = 15.0
+        self._commits = counter("net.commits")
+        self._reads_served = counter("net.reads_served")
 
     # -- durability -----------------------------------------------------
     def checkpoint_state(self) -> Dict[str, Any]:
@@ -711,7 +744,7 @@ class ServerNode(LiveNode):
         }
         self.commit_log.append(record)
         self.replica[key] = (version, deps, record["writer"], record["wsi"])
-        counter("net.commits").inc()
+        self._commits.inc()
         response = {"version": version}
         self._commit_by_rid[orid] = dict(response)
         async with self._applied:
@@ -775,7 +808,7 @@ class ServerNode(LiveNode):
                 ) from None
         key = message["key"]
         version, wdeps, writer, wsi = self.replica.get(key, (0, {}, -1, -1))
-        counter("net.reads_served").inc()
+        self._reads_served.inc()
         return {
             "version": version,
             "wdeps": wdeps,
@@ -799,6 +832,11 @@ class ClientNode(LiveNode):
         self._rng = random.Random((cfg.seed << 16) ^ self.pid)
         self.op_deadline = 30.0
         self.failovers = 0
+        self._ops_completed = counter("net.ops_completed")
+        self._latency: Dict[str, Histogram] = {
+            kind: metric("net.op_latency_ms", buckets=MS_BUCKETS, kind=kind)
+            for kind in ("w", "r")
+        }
 
     async def run_session(self) -> None:
         cfg = self.spec.config
@@ -814,9 +852,7 @@ class ClientNode(LiveNode):
                 kind = "r"
             elapsed_ms = (asyncio.get_running_loop().time() - started) * 1e3
             self.latencies_ms.append(elapsed_ms)
-            metric("net.op_latency_ms", buckets=MS_BUCKETS, kind=kind).observe(
-                elapsed_ms
-            )
+            self._latency[kind].observe(elapsed_ms)
             self.operations.append(
                 Operation(
                     client=self.pid,
@@ -827,7 +863,7 @@ class ClientNode(LiveNode):
                     write_index=None,  # resolved post hoc from commit logs
                 )
             )
-            counter("net.ops_completed").inc()
+            self._ops_completed.inc()
 
     async def _issue(self, op: str, key: str) -> Dict[str, Any]:
         """Send one operation, failing over between attached sequencers."""

@@ -20,9 +20,11 @@ of the :mod:`repro.net` runtime.  Design goals, in order:
   (re)connecting, writing the frame and waiting for the response, and a
   response to *any* earlier transmission of the rid completes the attempt
   that is waiting.  :class:`RpcServer` deduplicates by ``rid`` — a
-  retransmit of a completed request replays the cached response without
-  re-invoking the handler, and a retransmit of an in-flight request joins
-  the first invocation.  That invocation is one task owned by the server,
+  retransmit of a completed request replays the cached response frame,
+  byte for byte, without re-invoking the handler or re-encoding anything,
+  and a retransmit of an in-flight request joins the first invocation.  A
+  handler result JSON cannot carry is an error response, like a handler
+  exception.  That invocation is one task owned by the server,
   not by the connection that asked first, so losing the connection neither
   cancels the handler nor forgets its result; only :meth:`RpcServer.stop`
   cancels it, and then nothing is cached and nothing is answered.
@@ -183,9 +185,13 @@ def unpack_payload(obj: Any) -> Any:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-#: one compact encoder for every frame (``json.dumps(separators=...)`` builds
-#: a new ``JSONEncoder`` per call)
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: one compact encoder and one decoder for every frame (``json.dumps`` /
+#: ``json.loads`` with arguments build a new coder per call).  The encoder
+#: keeps no table of the containers it is inside (a quarter of its time on a
+#: typical frame): a frame that contains itself still fails, as a
+#: ``RecursionError`` instead of a ``ValueError``.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_decode = json.JSONDecoder().decode
 
 #: bytes asked of the socket per read; a read often carries several frames
 _READ_CHUNK = 64 * 1024
@@ -196,14 +202,27 @@ def _reject(reason: str) -> TransportError:
     return TransportError(reason)
 
 
+def _encode_frame(obj: Dict[str, Any]) -> bytes:
+    """*obj* as one frame: a 4-byte big-endian length, then compact JSON.
+    Raises ``TypeError`` / ``ValueError`` / ``RecursionError`` for what JSON
+    cannot carry."""
+    body = _encode(obj).encode("utf-8")
+    if len(body) > MAX_FRAME_BYTES:
+        raise TransportError(f"frame too large ({len(body)} bytes)")
+    return len(body).to_bytes(4, "big") + body
+
+
 class FrameStream:
     """Length-prefixed JSON frames over one asyncio stream pair.
 
-    A frame is a single ``write()`` call, which asyncio never interleaves
-    with another, so concurrent senders need no lock.  The write buffer's
-    high-water mark is raised to one maximal frame: a frame written while
-    the buffer is empty (:attr:`idle`) can then never make ``send`` wait,
-    which is what lets :meth:`PeerClient.request` write inline.
+    A frame is a single transport ``write()``, which asyncio never
+    interleaves with another, so concurrent senders need no lock.  The write
+    buffer's high-water mark is raised to one maximal frame: a frame written
+    while the buffer is empty (:attr:`idle`) can then never push the stream
+    into back-pressure, so it goes out as one synchronous :meth:`write` —
+    no coroutine — which is what lets :meth:`PeerClient.request` and
+    :class:`RpcServer` write inline.  Only a stream with bytes still
+    buffered makes :meth:`send` wait for :meth:`drain` first.
     """
 
     def __init__(
@@ -211,25 +230,49 @@ class FrameStream:
     ) -> None:
         self._reader = reader
         self._writer = writer
+        self._transport = writer.transport
         self._inbox = bytearray()
-        writer.transport.set_write_buffer_limits(high=MAX_FRAME_BYTES + 4)
+        self._frames_sent = counter("net.frames_sent")
+        self._frames_received = counter("net.frames_received")
+        self._transport.set_write_buffer_limits(high=MAX_FRAME_BYTES + 4)
 
     @property
     def idle(self) -> bool:
-        """Nothing waits in the write buffer: the next ``send`` returns
-        without suspending."""
-        return self._writer.transport.get_write_buffer_size() == 0
+        """Nothing waits in the write buffer: the next frame can be written
+        without waiting."""
+        return self._transport.get_write_buffer_size() == 0
 
-    async def send(self, obj: Dict[str, Any]) -> None:
-        body = _encode(obj).encode("utf-8")
-        if len(body) > MAX_FRAME_BYTES:
-            raise TransportError(f"frame too large ({len(body)} bytes)")
-        self._writer.write(len(body).to_bytes(4, "big") + body)
+    def write(self, frame: bytes) -> None:
+        """Put one encoded frame on the wire now, without waiting.
+
+        Meant for an :attr:`idle` stream, which one frame cannot push into
+        back-pressure, or for one just drained.  A connection that is
+        closing, or whose socket write just failed, raises
+        :class:`ConnectionClosed` at once: asyncio would drop the bytes
+        silently.
+        """
+        transport = self._transport
+        if not transport.is_closing():
+            transport.write(frame)
+            if not transport.is_closing():  # a failed send closes at once
+                self._frames_sent.inc()
+                return
+        raise ConnectionClosed("connection lost")
+
+    async def drain(self) -> None:
+        """Wait until the write buffer is back under its high-water mark."""
         try:
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             raise ConnectionClosed(str(exc)) from exc
-        counter("net.frames_sent").inc()
+
+    async def send(self, obj: Dict[str, Any]) -> None:
+        """Encode *obj* and write it as one frame, after waiting out
+        back-pressure if bytes are still buffered."""
+        frame = _encode_frame(obj)
+        if not self.idle:
+            await self.drain()
+        self.write(frame)
 
     async def recv(self) -> Optional[Dict[str, Any]]:
         """Next frame, or ``None`` on EOF (mid-frame included).
@@ -259,12 +302,12 @@ class FrameStream:
                 return None
             inbox += chunk
         try:
-            frame = json.loads(body.decode("utf-8"))
+            frame = _decode(body.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or bad JSON
             raise _reject(f"undecodable frame: {exc}") from exc
         if type(frame) is not dict:
             raise _reject(f"frame is not an object: {type(frame).__name__}")
-        counter("net.frames_received").inc()
+        self._frames_received.inc()
         return frame
 
     def close(self) -> None:
@@ -274,10 +317,12 @@ class FrameStream:
             pass
 
 
-async def _send_interposed(
-    stream: FrameStream, frame: Dict[str, Any], interposer: Any, src: int, dst: int
+def _write_interposed(
+    stream: FrameStream, frame: bytes, interposer: Any, src: int, dst: int
 ) -> None:
-    """Write *frame* as many times as the interposer says (0 = dropped)."""
+    """Write *frame* now, as many times as the interposer says (0 = dropped).
+    Nothing here waits: the caller found *stream* :attr:`~FrameStream.idle`,
+    or drained it."""
     copies = 1
     if interposer is not None:
         copies = interposer.frame_copies(src, dst)
@@ -287,7 +332,16 @@ async def _send_interposed(
         if copies > 1:
             counter("net.dups_injected").inc(copies - 1)
     for _ in range(copies):
-        await stream.send(frame)
+        stream.write(frame)
+
+
+async def _send_interposed(
+    stream: FrameStream, frame: bytes, interposer: Any, src: int, dst: int
+) -> None:
+    """:func:`_write_interposed`, for a stream that may be back-pressured."""
+    if not stream.idle:
+        await stream.drain()
+    _write_interposed(stream, frame, interposer, src, dst)
 
 
 # ----------------------------------------------------------------------
@@ -417,13 +471,14 @@ class PeerClient:
         The request id is stable across retransmissions, so the receiver's
         dedup layer guarantees the handler runs at most once no matter how
         many copies arrive.  Raises :class:`RequestTimeout` when the retry
-        budget is exhausted.
+        budget is exhausted, and at once what encoding *message* raises.
         """
         if self._closed:
             raise ConnectionClosed("client closed")
         rid = rid or self.next_rid()
         retries = self.policy.max_retries if max_retries is None else max_retries
-        frame = {"t": "req", "rid": rid, "m": message}
+        # encoded once: every transmission writes the same bytes
+        frame = _encode_frame({"t": "req", "rid": rid, "m": message})
         loop = asyncio.get_running_loop()
         try:
             for attempt in range(retries + 1):
@@ -447,7 +502,7 @@ class PeerClient:
                     stream = self._stream
                     if stream is not None and stream.idle:
                         try:
-                            await _send_interposed(
+                            _write_interposed(
                                 stream, frame, self._interposer, self.src, self.dst
                             )
                         except TransportError:
@@ -475,9 +530,7 @@ class PeerClient:
         finally:
             self._pending.pop(rid, None)
 
-    async def _connect_and_send(
-        self, frame: Dict[str, Any], fut: asyncio.Future
-    ) -> None:
+    async def _connect_and_send(self, frame: bytes, fut: asyncio.Future) -> None:
         """The waiting half of an attempt, cancelled at its deadline."""
         try:
             stream = await self._ensure_connected()
@@ -486,7 +539,7 @@ class PeerClient:
             )
         except TransportError:
             self._drop_connection()
-        except Exception as exc:  # e.g. an unencodable message: the caller's
+        except Exception as exc:  # e.g. a failing resolver: the caller's
             if not fut.done():
                 fut.set_exception(exc)
 
@@ -514,10 +567,14 @@ class RpcServer:
     id, owned by the server and not by the connection that asked first: a
     deferred read cannot head-of-line-block a connection, and a requester
     that loses its connection and retransmits over a new one still finds
-    the first invocation running.  Responses are cached by request id in a
-    bounded LRU; a retransmission of a *completed* request replays the
-    cache, and one racing an in-flight invocation joins the connections
-    that invocation answers when it finishes.
+    the first invocation running.  Each response is encoded once, when the
+    invocation finishes, and its frame's bytes are cached by request id —
+    a result JSON cannot carry becomes an ``ok: false`` response with the
+    encoder's message, like a handler exception.  The cache is bounded and
+    FIFO: the oldest response goes first, and a hit does not refresh it.  A
+    retransmission of a *completed* request writes the cached bytes again,
+    and one racing an in-flight invocation joins the connections that
+    invocation answers when it finishes.
     """
 
     def __init__(
@@ -533,7 +590,8 @@ class RpcServer:
         self._handler = handler
         self._interposer = interposer
         self._server: Optional[asyncio.AbstractServer] = None
-        self._done: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        #: rid -> its response frame, encoded, oldest first
+        self._done: "OrderedDict[str, bytes]" = OrderedDict()
         #: rid whose handler is running -> everyone waiting for its response
         self._inflight: Dict[str, List[Asker]] = {}
         self._capacity = dedup_capacity
@@ -584,7 +642,10 @@ class RpcServer:
                 if response is not None:
                     counter("net.dedup_hits").inc()
                     counter("net.dedup_replayed").inc()
-                    await self._respond(stream, peer, response)
+                    if stream.idle:
+                        self._respond_now(stream, peer, response)
+                    else:
+                        await self._respond(stream, peer, response)
                 elif rid in self._inflight:
                     counter("net.dedup_hits").inc()
                     counter("net.dedup_joined").inc()
@@ -604,34 +665,42 @@ class RpcServer:
             stream.close()
 
     async def _invoke(self, rid: str, peer: int, message: Dict[str, Any]) -> None:
-        """Run the handler once for *rid*, cache the response, answer every
-        connection that asked meanwhile.  Cancelled only by :meth:`stop`
-        (crash/teardown: never cache, never respond)."""
+        """Run the handler once for *rid*, cache the encoded response, answer
+        every connection that asked meanwhile.  Cancelled only by
+        :meth:`stop` (crash/teardown: never cache, never respond)."""
         try:
             try:
                 body = await self._handler(peer, message)
-                response = {"t": "res", "rid": rid, "ok": True, "m": body}
-            except Exception as exc:  # handler error -> error response
-                response = {"t": "res", "rid": rid, "ok": False, "m": str(exc)}
+                response = _encode_frame({"t": "res", "rid": rid, "ok": True, "m": body})
+            except Exception as exc:  # a handler error, or a body JSON cannot carry
+                response = _encode_frame({"t": "res", "rid": rid, "ok": False, "m": str(exc)})
             # from here on a copy of rid replays the cache: the list is final
             askers = self._inflight.pop(rid)
             self._done[rid] = response
             while len(self._done) > self._capacity:
                 self._done.popitem(last=False)
             for stream, asker in askers:
-                await self._respond(stream, asker, response)
+                if stream.idle:
+                    self._respond_now(stream, asker, response)
+                else:
+                    await self._respond(stream, asker, response)
         finally:
             self._invocations.discard(asyncio.current_task())
 
-    async def _respond(
-        self, stream: FrameStream, peer: int, response: Dict[str, Any]
-    ) -> None:
+    async def _respond(self, stream: FrameStream, peer: int, response: bytes) -> None:
+        """Send *response* once *stream*'s back-pressure clears; an idle
+        stream takes it through :meth:`_respond_now`, with no coroutine."""
         try:
-            await _send_interposed(
-                stream, response, self._interposer, self.proc, peer
-            )
+            await _send_interposed(stream, response, self._interposer, self.proc, peer)
         except TransportError:
             pass  # requester reconnects and retransmits; dedup replays
+
+    def _respond_now(self, stream: FrameStream, peer: int, response: bytes) -> None:
+        """:meth:`_respond` for an idle stream: nothing waits."""
+        try:
+            _write_interposed(stream, response, self._interposer, self.proc, peer)
+        except TransportError:
+            pass  # as in _respond
 
     async def stop(self) -> None:
         if self._server is not None:

@@ -12,6 +12,7 @@ number of frames stays a function of the input.
 import asyncio
 import contextlib
 import functools
+import json
 from collections import defaultdict
 
 import pytest
@@ -38,8 +39,8 @@ from repro.net import (
     make_node,
     run_live_store,
     run_virtual,
-    transport,
     unpack_payload,
+    virtual,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -496,14 +497,16 @@ class TestFaultFreeRun:
         self, clock, monkeypatch
     ):
         keyed = []
-        send = transport.FrameStream.send
+        write = virtual._Pipe.write
 
-        async def spy(self, obj):
-            if isinstance(obj.get("m"), dict) and "ctl" in obj["m"]:
-                keyed.append(obj)
-            await send(self, obj)
+        def spy(self, data):
+            # what reaches the in-memory wire: one whole frame per write
+            frame = json.loads(bytes(data[4:]))
+            if isinstance(frame.get("m"), dict) and "ctl" in frame["m"]:
+                keyed.append(frame)
+            write(self, data)
 
-        monkeypatch.setattr(transport.FrameStream, "send", spy)
+        monkeypatch.setattr(virtual._Pipe, "write", spy)
         report = run_virtual_store(
             config(ops_per_client=3), clock_name=clock
         )

@@ -21,6 +21,7 @@ from hypothesis import given, strategies as st
 from repro.faults.models import DuplicationFault
 from repro.net import (
     ChaosInterposer,
+    ConnectionClosed,
     FrameStream,
     PeerClient,
     RequestTimeout,
@@ -68,6 +69,18 @@ def registry():
 def framed(obj) -> bytes:
     body = json.dumps(obj).encode()
     return len(body).to_bytes(4, "big") + body
+
+
+def contains_itself() -> dict:
+    value = {}
+    value["me"] = value
+    return value
+
+
+async def read_frame(reader) -> bytes:
+    """One whole frame off a raw stream, length prefix included."""
+    prefix = await reader.readexactly(4)
+    return prefix + await reader.readexactly(int.from_bytes(prefix, "big"))
 
 
 async def dial(address) -> FrameStream:
@@ -318,6 +331,43 @@ class TestRequestResponse:
             await client.close()
             await server.stop()
 
+    @pytest.mark.parametrize(
+        "result, error",
+        [
+            ({"value": object()}, "not JSON serializable"),
+            (contains_itself(), "recursion"),
+        ],
+        ids=["foreign-object", "contains-itself"],
+    )
+    @on_loop
+    async def test_a_result_json_cannot_carry_is_an_error_response_at_once(
+        self, registry, result, error
+    ):
+        """Used to cache the result and fail to encode it on every send: the
+        caller timed out after its whole retry budget, the invocation task
+        died unretrieved, and each retransmission killed its connection."""
+        calls = []
+
+        async def unencodable(peer, message):
+            calls.append(message)
+            return result
+
+        server = RpcServer(1, unencodable)
+        addr = await server.start()
+        client = PeerClient(0, 1, resolve=lambda: addr, policy=fast_policy())
+        try:
+            for _ in range(2):  # the second asks again: the cached error replays
+                with pytest.raises(TransportError, match=error) as raised:
+                    await client.request({"n": 1}, rid="r")
+                assert type(raised.value) is TransportError  # not a RequestTimeout
+        finally:
+            await client.close()
+            await server.stop()
+
+        assert len(calls) == 1
+        assert registry.counter_value("net.retransmits") == 0
+        assert registry.counter_value("net.dedup_replayed") == 1
+
     def test_auto_rids_are_unique_across_client_instances(self):
         a = PeerClient(0, 1, resolve=lambda: ("h", 1))
         b = PeerClient(0, 1, resolve=lambda: ("h", 1))
@@ -341,6 +391,33 @@ class TestDedup:
             await server.stop()
 
         assert registry.counter_value("net.dedup_hits") >= 1
+
+    @on_loop
+    async def test_a_replay_writes_the_first_response_byte_for_byte(self, registry):
+        body = {"n": 1, "later": []}
+
+        async def handler(peer, message):
+            return body
+
+        server = RpcServer(1, handler)
+        addr = await server.start()
+        reader, writer = await asyncio.open_connection(*addr)
+        request = framed({"t": "req", "rid": "r", "m": {}})
+        try:
+            writer.write(framed(HELLO) + request)
+            first = await read_frame(reader)
+            # the handler's object changes after the fact: a replay that
+            # encoded it again would carry the change
+            body["later"].append("not on the wire")
+            writer.write(request)
+            again = await read_frame(reader)
+        finally:
+            writer.close()
+            await server.stop()
+
+        assert again == first
+        assert json.loads(first[4:])["m"] == {"n": 1, "later": []}
+        assert registry.counter_value("net.dedup_replayed") == 1
 
     @on_loop
     async def test_concurrent_same_rid_runs_handler_once(self):
@@ -555,6 +632,52 @@ class TestFraming:
             stream.close()
 
         assert got == self.FRAMES
+
+    @on_loop
+    async def test_a_write_to_a_lost_connection_fails_at_once(self, registry):
+        ours, theirs = socket.socketpair()
+        stream = FrameStream(*await asyncio.open_connection(sock=ours))
+        theirs.close()
+        try:
+            # the socket refuses the bytes: asyncio would drop them silently
+            with pytest.raises(ConnectionClosed):
+                stream.write(framed({"n": 1}))
+            with pytest.raises(ConnectionClosed):
+                await stream.send({"n": 2})
+        finally:
+            stream.close()
+
+        assert registry.counter_value("net.frames_sent") == 0
+
+    @on_loop
+    async def test_a_back_pressured_stream_waits_for_drain(self, registry):
+        ours, theirs = socket.socketpair()
+        theirs.setblocking(False)
+        reader, writer = await asyncio.open_connection(sock=ours)
+        stream = FrameStream(reader, writer)
+        # a high-water mark below one frame the socket cannot take at once
+        writer.transport.set_write_buffer_limits(high=1024)
+        loop = asyncio.get_running_loop()
+        try:
+            # an idle stream takes a frame at once, however large
+            await asyncio.wait_for(stream.send({"pad": "x" * 1_000_000}), 1.0)
+            assert not stream.idle
+            waiting = asyncio.ensure_future(stream.send({"n": 2}))
+            await asyncio.sleep(0.05)
+            assert not waiting.done()
+            assert registry.counter_value("net.frames_sent") == 1
+
+            async def read_until_sent():
+                while not waiting.done():
+                    await loop.sock_recv(theirs, 1 << 16)
+
+            await asyncio.wait_for(read_until_sent(), 2.0)
+            await waiting
+        finally:
+            stream.close()
+            theirs.close()
+
+        assert registry.counter_value("net.frames_sent") == 2
 
 
 class TestMalformedFrames:
