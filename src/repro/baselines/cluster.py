@@ -29,7 +29,7 @@ from repro.clocks.base import (
     standard_vector_words,
     vector_lt,
 )
-from repro.core.events import Event
+from repro.core.events import ProcessId
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,21 +124,25 @@ class ClusterClock(ClockAlgorithm):
     def cluster_of(self, proc: int) -> int:
         return self._cluster_of[proc]
 
-    def _record(
-        self, ev: Event, cluster_receive: bool, received: Sequence[int] = ()
+    def _step(
+        self,
+        p: ProcessId,
+        k: int,
+        cluster_receive: bool = False,
+        received: Sequence[int] = (),
     ) -> Tuple[int, ...]:
-        """Merge a *received* vector, tick, stamp; returns the full vector."""
-        self._expect(ev.eid)
-        p = ev.eid.proc
+        """Check the index, merge a *received* vector, tick, stamp; returns
+        the full vector."""
+        self._expect(p, k)
         clock = self._clock[p]
-        for k, v in enumerate(received):
-            if v > clock[k]:
-                clock[k] = v
+        for i, v in enumerate(received):
+            if v > clock[i]:
+                clock[i] = v
         clock[p] += 1
         exact = tuple(clock)
         cid = self._cluster_of[p]
         cluster_vec = tuple(clock[m] for m in self._members[cid])
-        self._stamp(ev.eid, ClusterTimestamp(
+        self._stamp(p, k, ClusterTimestamp(
             cluster_id=cid,
             cluster_vector=cluster_vec,
             full_vector=exact if cluster_receive else None,
@@ -146,14 +150,15 @@ class ClusterClock(ClockAlgorithm):
         ))
         return exact
 
-    def on_local(self, ev: Event) -> None:
-        self._record(ev, cluster_receive=False)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        return self._record(ev, cluster_receive=False)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        return self._step(p, k)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        assert ev.peer is not None
-        external = self._cluster_of[ev.peer] != self._cluster_of[ev.proc]
-        self._record(ev, cluster_receive=external, received=payload)
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        external = self._cluster_of[peer] != self._cluster_of[p]
+        self._step(p, k, cluster_receive=external, received=payload)
         return []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, List, Tuple
 
 from repro.clocks.base import ClockAlgorithm, ControlMessage, Timestamp
-from repro.core.events import Event
+from repro.core.events import ProcessId
 
 
 def first_primes(k: int) -> List[int]:
@@ -62,25 +62,27 @@ class EncodedClock(ClockAlgorithm):
         self._primes = first_primes(n_processes)
         self._value: List[int] = [1] * n_processes
 
-    def _record(self, ev: Event, received: int = 1) -> int:
-        """Merge a *received* value (lcm), tick, stamp; returns the value."""
-        self._expect(ev.eid)
-        p = ev.eid.proc
+    def _step(self, p: ProcessId, k: int, received: int = 1) -> int:
+        """Check the index, merge a *received* value (lcm), tick, stamp;
+        returns the value."""
+        self._expect(p, k)
         mine = self._value[p]
         if received != 1:  # a local event or a send: no big-integer gcd
             mine = mine * received // math.gcd(mine, received)
         self._value[p] = mine = mine * self._primes[p]
-        self._stamp(ev.eid, EncodedTimestamp(mine))
+        self._stamp(p, k, EncodedTimestamp(mine))
         return mine
 
-    def on_local(self, ev: Event) -> None:
-        self._record(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        return self._record(ev)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        return self._step(p, k)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._record(ev, payload)
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        self._step(p, k, payload)
         return []
 
     def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:

@@ -39,7 +39,7 @@ from repro.clocks.base import (
     Timestamp,
     total_order_rows,
 )
-from repro.core.events import Event
+from repro.core.events import ProcessId
 
 #: maps a process id to its current physical-clock reading
 TimeSource = Callable[[int], float]
@@ -130,26 +130,26 @@ class HybridLogicalClock(ClockAlgorithm):
         self._time = time_source
 
     # ------------------------------------------------------------------
-    def _local_step(self, ev: Event) -> None:
-        self._expect(ev.eid)  # before the time source is read: it may count
-        p = ev.proc
+    def _local_step(self, p: ProcessId, k: int) -> None:
+        self._expect(p, k)  # before the time source is read: it may count
         pt = self._time(p)
         self._max_pt_seen[p] = max(self._max_pt_seen[p], pt)
         new_l = max(self._l[p], pt)
         self._c[p] = self._c[p] + 1 if new_l == self._l[p] else 0
         self._l[p] = new_l
-        self._stamp(ev.eid, HLCTimestamp(new_l, self._c[p], p))
+        self._stamp(p, k, HLCTimestamp(new_l, self._c[p], p))
 
-    def on_local(self, ev: Event) -> None:
-        self._local_step(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._local_step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        self._local_step(ev)
-        return (self._l[ev.proc], self._c[ev.proc])
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        self._local_step(p, k)
+        return (self._l[p], self._c[p])
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._expect(ev.eid)
-        p = ev.proc
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        self._expect(p, k)
         l_m, c_m = payload
         pt = self._time(p)
         self._max_pt_seen[p] = max(self._max_pt_seen[p], pt)
@@ -165,7 +165,7 @@ class HybridLogicalClock(ClockAlgorithm):
             c = 0
         self._l[p] = new_l
         self._c[p] = c
-        self._stamp(ev.eid, HLCTimestamp(new_l, c, p))
+        self._stamp(p, k, HLCTimestamp(new_l, c, p))
         return []
 
     # ------------------------------------------------------------------

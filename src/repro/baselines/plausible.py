@@ -24,7 +24,7 @@ from repro.clocks.base import (
     standard_vector_words,
     vector_lt,
 )
-from repro.core.events import Event
+from repro.core.events import ProcessId
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,26 +77,30 @@ class PlausibleClock(ClockAlgorithm):
     def _own(self, proc: int) -> int:
         return proc % self._r
 
-    def _record(self, ev: Event, received: Sequence[int] = ()) -> Tuple[int, ...]:
-        """Merge a *received* clock, tick, stamp; returns the event's clock."""
-        eid = ev.eid
-        self._expect(eid)
-        clock = self._clock[eid.proc]
-        for k, v in enumerate(received):
-            if v > clock[k]:
-                clock[k] = v
-        own = self._own(eid.proc)
+    def _step(
+        self, p: ProcessId, k: int, received: Sequence[int] = ()
+    ) -> Tuple[int, ...]:
+        """Check the index, merge a *received* clock, tick, stamp; returns
+        the event's clock."""
+        self._expect(p, k)
+        clock = self._clock[p]
+        for i, v in enumerate(received):
+            if v > clock[i]:
+                clock[i] = v
+        own = self._own(p)
         clock[own] += 1
         entries = tuple(clock)
-        self._stamp(eid, PlausibleTimestamp(entries, own))
+        self._stamp(p, k, PlausibleTimestamp(entries, own))
         return entries
 
-    def on_local(self, ev: Event) -> None:
-        self._record(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        return self._record(ev)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        return self._step(p, k)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._record(ev, payload)
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        self._step(p, k, payload)
         return []

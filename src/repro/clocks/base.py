@@ -5,11 +5,16 @@ paper's inline star and vertex-cover algorithms, and the related-work
 baselines — implements :class:`ClockAlgorithm`.  The interface mirrors how a
 real protocol stack would host the algorithm:
 
-- :meth:`ClockAlgorithm.on_local` / :meth:`ClockAlgorithm.on_send` /
-  :meth:`ClockAlgorithm.on_receive` are invoked as the corresponding events
-  occur.  ``on_send`` returns the *payload* piggybacked on the application
-  message; ``on_receive`` gets that payload back.
-- ``on_receive`` may return :class:`ControlMessage` objects.  The paper's
+- A clock step is three integers.  :meth:`ClockAlgorithm.record_local` /
+  :meth:`ClockAlgorithm.record_send` /
+  :meth:`ClockAlgorithm.record_receive` are invoked as the corresponding
+  events occur, with the process, the event's 1-based index there and, for
+  a message, the other endpoint.  ``record_send`` returns the *payload*
+  piggybacked on the application message; ``record_receive`` gets that
+  payload back.  :meth:`ClockAlgorithm.on_local` / ``on_send`` /
+  ``on_receive`` take an :class:`~repro.core.events.Event` instead and pass
+  its integers on; a host that has no ``Event`` builds none.
+- ``record_receive`` may return :class:`ControlMessage` objects.  The paper's
   inline algorithms use these to tell a sender at which index its message was
   received (Figure 1's ``⟨ctr_m, ctr_C⟩`` message).  The *transport* of
   control messages is owned by the host (the replayer delivers them
@@ -121,7 +126,11 @@ class ClockAlgorithm(abc.ABC):
 
     Subclasses must set :attr:`name` and :attr:`characterizes_causality`
     (``True`` when ``precedes`` captures happened-before exactly, ``False``
-    for consistent-but-lossy schemes such as Lamport or plausible clocks).
+    for consistent-but-lossy schemes such as Lamport or plausible clocks),
+    and implement the three record steps on integers.  A step checks before
+    it moves anything: an index that is not the process's next, or (for a
+    scheme that knows the communication graph) a peer the process shares no
+    channel with, is a ``ValueError`` and leaves the clock as it was.
     """
 
     name: str = "abstract"
@@ -138,7 +147,10 @@ class ClockAlgorithm(abc.ABC):
         if n_processes < 1:
             raise ValueError("need at least one process")
         self._n = n_processes
-        self._newly_finalized: List[EventId] = []
+        #: ``(proc, index)`` of every event finalized since the last drain,
+        #: in finalization order; :meth:`drain_newly_finalized` hands them
+        #: out as :class:`EventId` values
+        self._newly_finalized: List[Tuple[ProcessId, int]] = []
         #: ``_stamps[p][k - 1]`` is the permanent timestamp of event
         #: ``(p, k)``, built once: an online scheme appends it through
         #: :meth:`_stamp` as the event occurs, an inline scheme appends
@@ -150,22 +162,38 @@ class ClockAlgorithm(abc.ABC):
         return self._n
 
     # ------------------------------------------------------------------
-    # event hooks
+    # record steps: event *k* (1-based) at process *p*
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def on_local(self, ev: Event) -> None:
+    def record_local(self, p: ProcessId, k: int) -> None:
         """A local event occurred."""
 
     @abc.abstractmethod
-    def on_send(self, ev: Event) -> Any:
-        """A send occurred; return the payload piggybacked on the message."""
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        """*p* sent a message to *peer*; return the payload piggybacked on
+        it."""
 
     @abc.abstractmethod
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        """A receive occurred with the sender's *payload*.
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        """*p* received a message from *peer* carrying the sender's
+        *payload*.
 
         Returns control messages for the host to transport (possibly empty).
         """
+
+    # ------------------------------------------------------------------
+    # the same steps for a host that holds an Event
+    # ------------------------------------------------------------------
+    def on_local(self, ev: Event) -> None:
+        self.record_local(ev.eid.proc, ev.eid.index)
+
+    def on_send(self, ev: Event) -> Any:
+        return self.record_send(ev.eid.proc, ev.eid.index, ev.peer)
+
+    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
+        return self.record_receive(ev.eid.proc, ev.eid.index, ev.peer, payload)
 
     def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         """A control message from *src* reached *dst*.
@@ -190,23 +218,29 @@ class ClockAlgorithm(abc.ABC):
         """Whether the timestamp of *eid* is permanent."""
         return self.timestamp(eid) is not None
 
-    def _expect(self, eid: EventId) -> None:
-        """Refuse *eid* unless it is the next event at its process: a gap or
-        a repeat is a host error, not an overwrite.  Every record step calls
-        this *before* it moves a counter or merges a payload, so a clock
-        that refused an event is unchanged and still accepts the right one."""
-        expected = len(self._stamps[eid.proc]) + 1
-        if eid.index != expected:
+    def _expect(self, p: ProcessId, k: int) -> None:
+        """Refuse event *k* at *p* unless it is the next one there: a gap or
+        a repeat is a host error, not an overwrite.  Every record step does
+        this check *before* it moves a counter or merges a payload, so a
+        clock that refused an event is unchanged and still accepts the right
+        one."""
+        expected = len(self._stamps[p]) + 1
+        if k != expected:
             raise ValueError(
-                f"event index {eid.index} does not match local counter "
-                f"{expected}"
+                f"event index {k} does not match local counter {expected}"
             )
 
-    def _stamp(self, eid: EventId, ts: Timestamp) -> None:
+    def _refuse_peer(self, p: ProcessId, peer: ProcessId) -> None:
+        """A graph-aware scheme's peer check failed, before anything moved."""
+        raise ValueError(
+            f"message between p{p} and p{peer} violates the communication graph"
+        )
+
+    def _stamp(self, p: ProcessId, k: int, ts: Timestamp) -> None:
         """An online scheme's record step, after :meth:`_expect`: *ts* is
-        *eid*'s timestamp, final at once."""
-        self._stamps[eid.proc].append(ts)
-        self._newly_finalized.append(eid)
+        event ``(p, k)``'s timestamp, final at once."""
+        self._stamps[p].append(ts)
+        self._newly_finalized.append((p, k))
 
     def finalize_at_termination(self) -> List[EventId]:
         """Declare the execution terminated.
@@ -255,8 +289,8 @@ class ClockAlgorithm(abc.ABC):
     def drain_newly_finalized(self) -> List[EventId]:
         """Events finalized since the last drain (hosts use this to record
         finalization times)."""
-        out = self._newly_finalized
-        self._newly_finalized = []
+        out = [EventId(p, k) for p, k in self._newly_finalized]
+        self._newly_finalized.clear()
         return out
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.clocks.base import (
     INFINITY,
@@ -49,7 +49,7 @@ from repro.clocks.base import (
     vector_leq,
     vector_lt,
 )
-from repro.core.events import Event, EventId, ProcessId
+from repro.core.events import EventId, ProcessId
 from repro.topology.graph import CommunicationGraph
 
 PostValue = Union[int, float]
@@ -166,9 +166,9 @@ class CoverTimestamp(Timestamp):
         return 2 + len(self.mpre) + len(self.mpost)
 
 
-#: what a non-cover event keeps while its timestamp is ``⊥``: its own id (so
-#: closing it constructs none), ``mpre``, and the ``mpost`` being filled in
-_Open = Tuple[EventId, Tuple[int, ...], List[PostValue]]
+#: what a non-cover event keeps while its timestamp is ``⊥``: ``mpre``, and
+#: the ``mpost`` being filled in
+_Open = Tuple[Tuple[int, ...], List[PostValue]]
 
 
 class CoverInlineClock(ClockAlgorithm):
@@ -202,6 +202,10 @@ class CoverInlineClock(ClockAlgorithm):
         if not graph.is_vertex_cover(self._cover):
             raise ValueError(f"{self._cover} is not a vertex cover")
         self._graph = graph
+        #: ``_nbrs[p]``: the processes *p* shares a channel with
+        self._nbrs: Tuple[FrozenSet[ProcessId], ...] = tuple(
+            frozenset(graph.neighbors(p)) for p in range(self._n)
+        )
         self._cpos: Dict[ProcessId, int] = {
             c: i for i, c in enumerate(self._cover)
         }
@@ -225,15 +229,23 @@ class CoverInlineClock(ClockAlgorithm):
                 self._upto[p] = [
                     0 if slot in adjacent else INFINITY for slot in range(k)
                 ]
-        # control sequencing, per directed pair (c -> j)
-        self._ctrl_seq_out: Dict[Tuple[ProcessId, ProcessId], int] = {}
-        self._ctrl_seq_in: Dict[Tuple[ProcessId, ProcessId], int] = {}
-        self._ctrl_buffer: Dict[
-            Tuple[ProcessId, ProcessId], Dict[int, Tuple[int, int]]
-        ] = {}
-        self._ctrl_emitted: Dict[
-            Tuple[ProcessId, ProcessId], List[Tuple[int, int]]
-        ] = {}
+        # the control channels: one per edge from a cover process c to a
+        # non-cover j, and per channel every control c emitted (control
+        # ``seq`` is entry ``seq``), the next seq j expects, and j's
+        # resequencing buffer
+        channels = [
+            (c, j)
+            for c in self._cover
+            for j in sorted(graph.neighbors(c))
+            if j not in self._cpos
+        ]
+        self._ctrl_emitted: Dict[Tuple[ProcessId, ProcessId], List[Tuple[int, int]]] = {
+            chan: [] for chan in channels
+        }
+        self._ctrl_seq_in: Dict[Tuple[ProcessId, ProcessId], int] = dict.fromkeys(channels, 0)
+        self._ctrl_buffer: Dict[Tuple[ProcessId, ProcessId], Dict[int, Tuple[int, int]]] = {
+            chan: {} for chan in channels
+        }
         self._terminated = False
 
     # ------------------------------------------------------------------
@@ -249,95 +261,95 @@ class CoverInlineClock(ClockAlgorithm):
         return p in self._cpos
 
     # ------------------------------------------------------------------
-    def _new_event(
-        self, ev: Event, mpre_m: Tuple[int, ...] = ()
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """The record step: ``(mctr, mpre)`` of *ev*, which merges *mpre_m*
-        (a received message's) first.  A cover event's timestamp is final
-        here and stamped; any other opens an entry."""
-        eid = ev.eid
-        self._expect(eid)
-        p = eid.proc
-        mctr = eid.index
+    def _step(
+        self, p: ProcessId, k: int, mpre_m: Tuple[int, ...] = ()
+    ) -> Tuple[int, ...]:
+        """The record step of event *k* at *p*, after the peer check: the
+        index check, then its ``mpre``, which merges *mpre_m* (a received
+        message's) first.  A cover event's timestamp is final here and
+        stamped; any other opens an entry."""
+        stamps = self._stamps[p]
+        if k != len(stamps) + 1:
+            self._expect(p, k)
         mine = self._mpre[p]
         for i, v in enumerate(mpre_m):
             if v > mine[i]:
                 mine[i] = v
         slot = self._cpos.get(p)
         if slot is not None:
-            mine[slot] = mctr
+            mine[slot] = k
             mpre = tuple(mine)
-            self._stamp(eid, CoverTimestamp(p, mctr, mpre, None, self._cover))
-            return mctr, mpre
+            stamps.append(CoverTimestamp(p, k, mpre, None, self._cover))
+            self._newly_finalized.append((p, k))
+            return mpre
         mpre = tuple(mine)
-        self._stamps[p].append(None)
-        entry = (eid, mpre, [INFINITY] * len(mine))
+        stamps.append(None)
+        entry = (mpre, [INFINITY] * len(mine))
         if self._adjacent_cover[p]:
-            self._open[p][mctr] = entry
+            self._open[p][k] = entry
         else:  # isolated non-cover process: nothing to wait for
-            self._close(entry)
-        return mctr, mpre
+            self._close(p, k, entry)
+        return mpre
 
-    def _close(self, entry: _Open) -> None:
+    def _close(self, p: ProcessId, k: int, entry: _Open) -> None:
         """An open event's ``mpost`` is permanent: build its timestamp, once."""
-        eid, mpre, mpost = entry
-        self._stamps[eid.proc][eid.index - 1] = CoverTimestamp(
-            eid.proc, eid.index, mpre, tuple(mpost), self._cover
-        )
-        self._newly_finalized.append(eid)
-
-    def _check_edge(self, ev: Event) -> None:
-        if ev.peer is not None and not self._graph.has_edge(ev.eid.proc, ev.peer):
-            raise ValueError(
-                f"message between p{ev.eid.proc} and p{ev.peer} "
-                f"violates the communication graph"
-            )
+        mpre, mpost = entry
+        self._stamps[p][k - 1] = CoverTimestamp(p, k, mpre, tuple(mpost), self._cover)
+        self._newly_finalized.append((p, k))
 
     # ------------------------------------------------------------------
-    # hooks
+    # record steps
     # ------------------------------------------------------------------
-    def on_local(self, ev: Event) -> None:
-        self._new_event(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        self._check_edge(ev)
-        mctr, mpre = self._new_event(ev)
-        return (ev.eid.proc, mctr, mpre)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        if peer not in self._nbrs[p]:
+            self._refuse_peer(p, peer)
+        return (p, k, self._step(p, k))
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._check_edge(ev)
-        src, mctr_m, mpre_m = payload
-        mctr, _mpre = self._new_event(ev, mpre_m)
-        p = ev.eid.proc
-        if p in self._cpos and src not in self._cpos:
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        if peer not in self._nbrs[p]:
+            self._refuse_peer(p, peer)
+        _src, mctr_m, mpre_m = payload
+        self._step(p, k, mpre_m)
+        if p in self._cpos and peer not in self._cpos:
             # acknowledge to the non-cover sender (paper: control message
             # with the send index and the receive index at the cover process)
-            key = (p, src)
-            seq = self._ctrl_seq_out.get(key, 0)
-            self._ctrl_seq_out[key] = seq + 1
-            self._ctrl_emitted.setdefault(key, []).append((mctr_m, mctr))
-            return [ControlMessage(src=p, dst=src, payload=(seq, mctr_m, mctr))]
+            emitted = self._ctrl_emitted[(p, peer)]
+            seq = len(emitted)
+            emitted.append((mctr_m, k))
+            return [ControlMessage(src=p, dst=peer, payload=(seq, mctr_m, k))]
         return []
 
     # ------------------------------------------------------------------
     # control handling
     # ------------------------------------------------------------------
     def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        """Deliver a control message, resequencing per (src, dst) pair."""
+        """Deliver a control message, resequencing per (src, dst) pair.  A
+        second copy of a control — already applied, or still buffered — is
+        refused."""
         if src not in self._cpos:
             raise ValueError(f"control message from non-cover process p{src}")
         seq, a, b = payload
         key = (src, dst)
-        buf = self._ctrl_buffer.setdefault(key, {})
-        if seq in buf:
+        buf = self._ctrl_buffer.get(key)
+        if buf is None:
+            raise ValueError(f"no control channel p{src} -> p{dst}")
+        expected = self._ctrl_seq_in[key]
+        if seq < expected or seq in buf:
             raise ValueError(f"duplicate control seq {seq} on {key}")
-        buf[seq] = (a, b)
-        expected = self._ctrl_seq_in.get(key, 0)
+        if seq > expected:
+            buf[seq] = (a, b)
+            return
+        self._ctrl_seq_in[key] = expected = expected + 1
+        self._apply_control(src, dst, a, b)
         while expected in buf:
-            a2, b2 = buf.pop(expected)
-            expected += 1
-            self._apply_control(src, dst, a2, b2)
-        self._ctrl_seq_in[key] = expected
+            a, b = buf.pop(expected)
+            self._ctrl_seq_in[key] = expected = expected + 1
+            self._apply_control(src, dst, a, b)
 
     def _apply_control(self, c: ProcessId, j: ProcessId, a: int, b: int) -> None:
         """Set ``mpost[c] = b`` for the events at *j* in ``(upto, a]`` — the
@@ -356,10 +368,10 @@ class CoverInlineClock(ClockAlgorithm):
             entry = open_j.get(k)
             if entry is None:
                 continue  # an index this process never reached
-            entry[2][slot] = b
+            entry[1][slot] = b
             if k <= complete:
                 del open_j[k]
-                self._close(entry)
+                self._close(j, k, entry)
 
     # ------------------------------------------------------------------
     # queries
@@ -376,7 +388,7 @@ class CoverInlineClock(ClockAlgorithm):
         """Current (possibly provisional) value, for inspection/debugging."""
         ts = self.timestamp(eid)
         if ts is None:
-            _eid, mpre, mpost = self._open[eid.proc][eid.index]
+            mpre, mpost = self._open[eid.proc][eid.index]
             ts = CoverTimestamp(
                 eid.proc, eid.index, mpre, tuple(mpost), self._cover
             )
@@ -404,14 +416,12 @@ class CoverInlineClock(ClockAlgorithm):
         start = len(self._newly_finalized)
         for key, emitted in self._ctrl_emitted.items():
             c, j = key
-            applied = self._ctrl_seq_in.get(key, 0)
-            for seq in range(applied, len(emitted)):
-                a, b = emitted[seq]
+            for a, b in emitted[self._ctrl_seq_in[key]:]:
                 self._apply_control(c, j, a, b)
             self._ctrl_seq_in[key] = len(emitted)
-            self._ctrl_buffer.get(key, {}).clear()
-        for open_p in self._open:
-            for entry in open_p.values():
-                self._close(entry)
+            self._ctrl_buffer[key].clear()
+        for p, open_p in enumerate(self._open):
+            for k, entry in open_p.items():
+                self._close(p, k, entry)
             open_p.clear()
-        return list(self._newly_finalized[start:])
+        return [EventId(p, k) for p, k in self._newly_finalized[start:]]

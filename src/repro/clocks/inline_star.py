@@ -36,7 +36,7 @@ remaining ``∞`` is the event's true, permanent ``post`` value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.clocks.base import (
     INFINITY,
@@ -47,7 +47,7 @@ from repro.clocks.base import (
     dominance_rows,
     id_bits,
 )
-from repro.core.events import Event, EventId, ProcessId
+from repro.core.events import EventId, ProcessId
 
 PostValue = Union[int, float]  # int, or INFINITY
 
@@ -199,23 +199,28 @@ class StarInlineClock(ClockAlgorithm):
         if not 0 <= center < n_processes:
             raise ValueError("center out of range")
         self._center = center
+        #: ``_nbrs[p]``: the processes *p* shares a channel with — every
+        #: other process for the centre, the centre alone for a radial one
+        self._nbrs: Tuple[FrozenSet[ProcessId], ...] = tuple(
+            frozenset(range(n_processes)) - {p} if p == center else frozenset((center,))
+            for p in range(n_processes)
+        )
         self._pre = [0] * n_processes
-        #: per radial process, ``{ctr: (event id, pre)}`` of the events still
-        #: ``⊥`` (their ``post`` is ∞ until the acknowledgement that closes
-        #: them); an entry is dropped when its timestamp goes to ``_stamps``
-        self._open: List[Dict[int, Tuple[EventId, int]]] = [{} for _ in range(n_processes)]
-        # control-channel sequencing (C -> j), and resequencing state at j
-        self._ctrl_seq_out = [0] * n_processes  # next seq to emit, per dst
+        #: per radial process, ``{ctr: pre}`` of the events still ``⊥``
+        #: (their ``post`` is ∞ until the acknowledgement that closes them);
+        #: an entry is dropped when its timestamp goes to ``_stamps``
+        self._open: List[Dict[int, int]] = [{} for _ in range(n_processes)]
+        # resequencing state of each control channel C -> j, at j
         self._ctrl_seq_in = [0] * n_processes  # next seq expected, per dst
-        self._ctrl_buffer: Dict[ProcessId, Dict[int, Tuple[int, int]]] = {
-            p: {} for p in range(n_processes)
-        }
+        self._ctrl_buffer: List[Dict[int, Tuple[int, int]]] = [
+            {} for _ in range(n_processes)
+        ]
         # events with ctr <= finalized_upto[j] have final post values
         self._finalized_upto = [0] * n_processes
-        # all emitted controls, and how many were actually delivered, per dst
-        self._ctrl_emitted: Dict[ProcessId, List[Tuple[int, int]]] = {
-            p: [] for p in range(n_processes)
-        }
+        #: every control emitted, per dst: control ``seq`` is entry ``seq``
+        self._ctrl_emitted: List[List[Tuple[int, int]]] = [
+            [] for _ in range(n_processes)
+        ]
         self._terminated = False
 
     # ------------------------------------------------------------------
@@ -223,63 +228,57 @@ class StarInlineClock(ClockAlgorithm):
     def center(self) -> ProcessId:
         return self._center
 
-    def _new_event(self, ev: Event, ctr_m: int = 0) -> Tuple[int, int]:
-        """The record step: ``(ctr, pre)`` of *ev*; *ctr_m* is the index a
-        message received from ``C`` carries.  A central event's timestamp
-        is final here and stamped; a radial one opens an entry."""
-        self._check_star_event(ev)
-        eid = ev.eid
-        self._expect(eid)
-        p = eid.proc
-        ctr = eid.index
+    def _step(self, p: ProcessId, k: int, ctr_m: int = 0) -> int:
+        """The record step of event *k* at *p*, after the peer check: the
+        index check, then its ``pre``; *ctr_m* is the index a message
+        received from ``C`` carries.  A central event's timestamp is final
+        here and stamped; a radial one opens an entry."""
+        stamps = self._stamps[p]
+        if k != len(stamps) + 1:
+            self._expect(p, k)
         if p == self._center:
-            self._stamp(eid, StarTimestamp(p, ctr, ctr, None, p))
-            return ctr, ctr
-        pre = self._pre[p] = max(self._pre[p], ctr_m)
-        self._stamps[p].append(None)
-        self._open[p][ctr] = (eid, pre)
-        return ctr, pre
+            stamps.append(StarTimestamp(p, k, k, None, p))
+            self._newly_finalized.append((p, k))
+            return k
+        pre = self._pre[p]
+        if ctr_m > pre:
+            pre = self._pre[p] = ctr_m
+        stamps.append(None)
+        self._open[p][k] = pre
+        return pre
 
-    def _close(self, entry: Tuple[EventId, int], post: PostValue) -> None:
+    def _close(self, p: ProcessId, k: int, pre: int, post: PostValue) -> None:
         """A radial event's ``post`` is permanent: build its timestamp, once."""
-        eid, pre = entry
-        self._stamps[eid.proc][eid.index - 1] = StarTimestamp(
-            eid.proc, eid.index, pre, post, self._center
-        )
-        self._newly_finalized.append(eid)
+        self._stamps[p][k - 1] = StarTimestamp(p, k, pre, post, self._center)
+        self._newly_finalized.append((p, k))
 
     # ------------------------------------------------------------------
-    # hooks
+    # record steps
     # ------------------------------------------------------------------
-    def on_local(self, ev: Event) -> None:
-        self._new_event(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        return self._new_event(ev)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        if peer not in self._nbrs[p]:
+            self._refuse_peer(p, peer)
+        return (k, self._step(p, k))
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        if peer not in self._nbrs[p]:
+            self._refuse_peer(p, peer)
         ctr_m, _pre_m = payload
-        p = ev.eid.proc
         if p != self._center:
             # radial receive: the message necessarily came from C
-            self._new_event(ev, ctr_m)
+            self._step(p, k, ctr_m)
             return []
-        ctr, _pre = self._new_event(ev)
-        # acknowledge: tell sender j at which index its message arrived
-        j = ev.peer
-        assert j is not None
-        seq = self._ctrl_seq_out[j]
-        self._ctrl_seq_out[j] += 1
-        self._ctrl_emitted[j].append((ctr_m, ctr))
-        return [ControlMessage(src=p, dst=j, payload=(seq, ctr_m, ctr))]
-
-    def _check_star_event(self, ev: Event) -> None:
-        center = self._center
-        if ev.peer is not None and ev.eid.proc != center and ev.peer != center:
-            raise ValueError(
-                f"message between two radial processes "
-                f"(p{ev.eid.proc} and p{ev.peer}) violates the star topology"
-            )
+        self._step(p, k)
+        # acknowledge: tell sender *peer* at which index its message arrived
+        emitted = self._ctrl_emitted[peer]
+        seq = len(emitted)
+        emitted.append((ctr_m, k))
+        return [ControlMessage(src=p, dst=peer, payload=(seq, ctr_m, k))]
 
     # ------------------------------------------------------------------
     # control handling
@@ -289,19 +288,25 @@ class StarInlineClock(ClockAlgorithm):
 
         Applies it in sequence-number order (resequencing buffer), per the
         paper's FIFO control channel requirement.  *src* is necessarily the
-        central process.
+        central process.  A second copy of a control — already applied, or
+        still buffered — is refused.
         """
         if src != self._center:
             raise ValueError(f"control message from non-central process p{src}")
         seq, a, b = payload
+        expected = self._ctrl_seq_in[dst]
         buf = self._ctrl_buffer[dst]
-        if seq in buf:
+        if seq < expected or seq in buf:
             raise ValueError(f"duplicate control message seq {seq} for p{dst}")
-        buf[seq] = (a, b)
-        while self._ctrl_seq_in[dst] in buf:
-            a2, b2 = buf.pop(self._ctrl_seq_in[dst])
-            self._ctrl_seq_in[dst] += 1
-            self._apply_control(dst, a2, b2)
+        if seq > expected:
+            buf[seq] = (a, b)
+            return
+        self._ctrl_seq_in[dst] = expected = expected + 1
+        self._apply_control(dst, a, b)
+        while expected in buf:
+            a, b = buf.pop(expected)
+            self._ctrl_seq_in[dst] = expected = expected + 1
+            self._apply_control(dst, a, b)
 
     def _apply_control(self, j: ProcessId, a: int, b: int) -> None:
         """Close the events at *j* with ``ctr`` in ``(finalized_upto, a]``
@@ -313,9 +318,9 @@ class StarInlineClock(ClockAlgorithm):
         self._finalized_upto[j] = a
         open_j = self._open[j]
         for ctr in range(upto + 1, a + 1):
-            entry = open_j.pop(ctr, None)
-            if entry is not None:  # None: an index *j* never reached
-                self._close(entry, b)
+            pre = open_j.pop(ctr, None)
+            if pre is not None:  # None: an index *j* never reached
+                self._close(j, ctr, pre, b)
 
     # ------------------------------------------------------------------
     # queries
@@ -332,7 +337,7 @@ class StarInlineClock(ClockAlgorithm):
         """The current (possibly not yet permanent) value — for inspection."""
         ts = self.timestamp(eid)
         if ts is None:
-            _eid, pre = self._open[eid.proc][eid.index]
+            pre = self._open[eid.proc][eid.index]
             ts = StarTimestamp(eid.proc, eid.index, pre, INFINITY, self._center)
         return ts
 
@@ -362,14 +367,13 @@ class StarInlineClock(ClockAlgorithm):
             if j == self._center:
                 continue
             # apply every emitted-but-not-yet-applied control, in order
-            applied = self._ctrl_seq_in[j]
-            for seq in range(applied, len(self._ctrl_emitted[j])):
-                a, b = self._ctrl_emitted[j][seq]
+            emitted = self._ctrl_emitted[j]
+            for a, b in emitted[self._ctrl_seq_in[j]:]:
                 self._apply_control(j, a, b)
-            self._ctrl_seq_in[j] = len(self._ctrl_emitted[j])
+            self._ctrl_seq_in[j] = len(emitted)
             self._ctrl_buffer[j].clear()
             # remaining infinities are true: no causal successor at C
-            for entry in self._open[j].values():
-                self._close(entry, INFINITY)
+            for ctr, pre in self._open[j].items():
+                self._close(j, ctr, pre, INFINITY)
             self._open[j].clear()
-        return list(self._newly_finalized[start:])
+        return [EventId(p, k) for p, k in self._newly_finalized[start:]]

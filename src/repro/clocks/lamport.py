@@ -17,7 +17,7 @@ from repro.clocks.base import (
     Timestamp,
     total_order_rows,
 )
-from repro.core.events import Event
+from repro.core.events import ProcessId
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,20 +53,20 @@ class LamportClock(ClockAlgorithm):
         super().__init__(n_processes)
         self._clock = [0] * n_processes
 
-    def _tick(self, ev: Event, floor: int = 0) -> int:
-        eid = ev.eid
-        self._expect(eid)
-        p = eid.proc
+    def _tick(self, p: ProcessId, k: int, floor: int = 0) -> int:
+        self._expect(p, k)
         clock = self._clock[p] = max(self._clock[p], floor) + 1
-        self._stamp(eid, LamportTimestamp(clock, p))
+        self._stamp(p, k, LamportTimestamp(clock, p))
         return clock
 
-    def on_local(self, ev: Event) -> None:
-        self._tick(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._tick(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        return self._tick(ev)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        return self._tick(p, k)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._tick(ev, floor=int(payload))
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        self._tick(p, k, floor=int(payload))
         return []

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.clocks.base import ClockAlgorithm, Timestamp, precedes_matrix_rows
 from repro.clocks.inline_cover import CoverInlineClock
 from repro.clocks.inline_star import StarInlineClock
-from repro.core.events import EventId
+from repro.core.events import EventId, EventKind
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import (
@@ -483,29 +483,36 @@ def replay(
     ]
     #: rank[p][k]: position of event (p, k) in the replayer's total order
     rank: List[List[int]] = [[0] * (c + 1) for c in execution.event_counts()]
+    by_proc = [execution.events_at(p) for p in range(execution.n_processes)]
+    LOCAL, SEND = EventKind.LOCAL, EventKind.SEND
     #: per algorithm, {finalization delay in events: how many events}
     delays: List[Dict[int, int]] = [dict() for _ in algorithms]
     for idx, ev in enumerate(execution.delivery_order()):
         rank[ev.eid.proc][ev.eid.index] = idx
+        kind = ev.kind
+        # the replayer holds events, so it calls the Event hooks: a caller
+        # may rebind them on an instance (the benchmark's offline workload
+        # times ``on_send`` / ``on_receive`` that way)
         for i, algo in enumerate(algorithms):
-            if ev.is_local:
+            if kind is LOCAL:
                 algo.on_local(ev)
-            elif ev.is_send:
+            elif kind is SEND:
                 payloads[i][ev.msg_id] = algo.on_send(ev)  # type: ignore[index]
             else:
                 payload = payloads[i].pop(ev.msg_id)  # type: ignore[arg-type]
-                controls = algo.on_receive(ev, payload)
-                for cm in controls:
+                for cm in algo.on_receive(ev, payload):
                     algo.on_control(cm.src, cm.dst, cm.payload)
-            newly = algo.drain_newly_finalized()
+            newly = algo._newly_finalized
             if newly:
-                finalized[i].extend(newly)
+                final_ids = finalized[i]
                 tally = delays[i]
-                for eid in newly:
+                for q, j in newly:
+                    final_ids.append(by_proc[q][j - 1].eid)
                     # time-to-non-⊥ in events under the replayer's total
                     # order (instant control delivery = best case)
-                    delay = idx - rank[eid.proc][eid.index]
+                    delay = idx - rank[q][j]
                     tally[delay] = tally.get(delay, 0) + 1
+                newly.clear()
     # integer delays: n observations of one value are exactly observe_n
     for hist, tally in zip(delay_hists, delays):
         for delay, count in tally.items():

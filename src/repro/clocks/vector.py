@@ -20,7 +20,7 @@ from repro.clocks.base import (
     standard_vector_words,
     vector_lt,
 )
-from repro.core.events import Event
+from repro.core.events import ProcessId
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,27 +63,34 @@ class VectorClock(ClockAlgorithm):
         super().__init__(n_processes)
         self._clock = [[0] * n_processes for _ in range(n_processes)]
 
-    def _record(self, ev: Event, received: Sequence[int] = ()) -> Tuple[int, ...]:
-        """Merge a *received* vector, tick, stamp; returns the event's vector."""
-        eid = ev.eid
-        self._expect(eid)
-        clock = self._clock[eid.proc]
-        for k, v in enumerate(received):
-            if v > clock[k]:
-                clock[k] = v
-        clock[eid.proc] += 1
+    def _step(
+        self, p: ProcessId, k: int, received: Sequence[int] = ()
+    ) -> Tuple[int, ...]:
+        """Check the index, merge a *received* vector, tick, stamp; returns
+        the event's vector."""
+        stamps = self._stamps[p]
+        if k != len(stamps) + 1:
+            self._expect(p, k)
+        clock = self._clock[p]
+        for i, v in enumerate(received):
+            if v > clock[i]:
+                clock[i] = v
+        clock[p] += 1
         vector = tuple(clock)
-        self._stamp(eid, VectorTimestamp(vector))
+        stamps.append(VectorTimestamp(vector))
+        self._newly_finalized.append((p, k))
         return vector
 
-    def on_local(self, ev: Event) -> None:
-        self._record(ev)
+    def record_local(self, p: ProcessId, k: int) -> None:
+        self._step(p, k)
 
-    def on_send(self, ev: Event) -> Any:
-        return self._record(ev)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        return self._step(p, k)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        self._record(ev, payload)
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        self._step(p, k, payload)
         return []
 
     def payload_elements(self, payload: Any) -> int:

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.clocks.base import ControlMessage
 from repro.clocks.vector import VectorClock
-from repro.core.events import Event, ProcessId
+from repro.core.events import ProcessId
 
 
 class SKVectorClock(VectorClock):
@@ -59,11 +59,9 @@ class SKVectorClock(VectorClock):
         self._messages_sent = 0
 
     # ------------------------------------------------------------------
-    def on_send(self, ev: Event) -> Any:
-        clock = super().on_send(ev)  # the full vector a plain clock sends
-        src, dst = ev.proc, ev.peer
-        assert dst is not None
-        key = (src, dst)
+    def record_send(self, p: ProcessId, k: int, peer: ProcessId) -> Any:
+        clock = super().record_send(p, k, peer)  # what a plain clock sends
+        key = (p, peer)
         last = self._last_sent.get(key)
         if last is None:
             diff = tuple((i, v) for i, v in enumerate(clock) if v > 0)
@@ -78,24 +76,24 @@ class SKVectorClock(VectorClock):
         self._messages_sent += 1
         return (seq, diff)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
-        src, dst = ev.peer, ev.proc
-        assert src is not None
-        key = (src, dst)
+    def record_receive(
+        self, p: ProcessId, k: int, peer: ProcessId, payload: Any
+    ) -> List[ControlMessage]:
+        key = (peer, p)
         seq, diff = payload
-        self._expect(ev.eid)  # before the channel state below moves
+        self._expect(p, k)  # before the channel state below moves
         expected = self._seq_in.get(key, 0)
         if seq != expected:
             raise ValueError(
                 f"SK vector clocks require FIFO channels: got diff #{seq} "
-                f"on channel p{src}->p{dst}, expected #{expected}"
+                f"on channel p{peer}->p{p}, expected #{expected}"
             )
         self._seq_in[key] = expected + 1
         view = self._channel_view.setdefault(key, [0] * self._n)
         for i, v in diff:
             view[i] = v  # in-order: overwrite reconstructs the sender vector
         # the reconstructed channel view is what a plain clock receives
-        return super().on_receive(ev, view)
+        return super().record_receive(p, k, peer, view)
 
     # ------------------------------------------------------------------
     def payload_elements(self, payload: Any) -> int:

@@ -64,7 +64,6 @@ from repro.conformance.registry import (
 from repro.core import HappenedBeforeOracle
 from repro.core.backend import use_backend
 from repro.core.cuts import full_cut, is_consistent
-from repro.core.execution import ExecutionBuilder
 from repro.core.incremental import IncrementalHBOracle
 from repro.core.random_executions import (
     Op,
@@ -322,9 +321,10 @@ def _check_finalization(
     for spec in inline_specs:
         report.count("finalization-monotonic")
         clock = spec.build(graph, center)
-        builder = ExecutionBuilder(graph.n_vertices, graph=graph)
-        msg_ids: Dict[int, int] = {}
-        payloads: Dict[int, Any] = {}
+        # the ops are a valid execution (``check_execution`` built it):
+        # events per process so far, and tag -> (src, dst, payload)
+        counts = [0] * graph.n_vertices
+        in_flight: Dict[int, Tuple[int, int, Any]] = {}
         final_ts: Dict = {}
 
         def record_final(source: str, step: int) -> None:
@@ -342,18 +342,17 @@ def _check_finalization(
         for step, op in enumerate(ops):
             kind = op[0]
             if kind == "local":
-                ev = builder.local(op[1])
-                clock.on_local(ev)
+                p = op[1]
+                counts[p] += 1
+                clock.record_local(p, counts[p])
             elif kind == "send":
                 tag, src, dst = op[1], op[2], op[3]
-                msg_ids[tag] = builder.send(src, dst)
-                ev = builder.last_event(src)
-                payloads[tag] = clock.on_send(ev)
+                counts[src] += 1
+                in_flight[tag] = (src, dst, clock.record_send(src, counts[src], dst))
             else:
-                tag = op[1]
-                msg = builder.message(msg_ids[tag])
-                ev = builder.receive(msg.dst, msg_ids[tag])
-                for cm in clock.on_receive(ev, payloads.pop(tag)):
+                src, dst, payload = in_flight.pop(op[1])
+                counts[dst] += 1
+                for cm in clock.record_receive(dst, counts[dst], src, payload):
                     clock.on_control(cm.src, cm.dst, cm.payload)
             record_final("stream", step)
             # previously finalized timestamps must read back unchanged

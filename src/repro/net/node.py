@@ -76,7 +76,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.applications.causal_kv import VALUE_HOPS, Operation, StoreConfig, WriteRecord
 from repro.clocks.base import ClockAlgorithm
-from repro.core.events import Event, EventId, EventKind
+from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.net.chaos_proxy import ChaosInterposer
 from repro.net.transport import (
@@ -249,9 +249,11 @@ class LiveClockHost:
 
     The run is logged as three integer columns — process, peer, and message
     id (``~mid`` for a receive) — and the clock's own table holds the
-    timestamps: the :class:`~repro.core.events.Event` a hook hands the clock
-    is built for that call and not kept, and the clock's newly-finalized
-    list, which nothing here reads, is drained after every call.
+    timestamps.  A hop hands the clock the integers it logs, through the
+    clock's record step: no :class:`~repro.core.events.Event` or
+    :class:`~repro.core.events.EventId` is built for it.  The clock's
+    newly-finalized list, which nothing here reads, is emptied after every
+    call.
     """
 
     def __init__(self, clock: ClockAlgorithm, spec: ClusterSpec) -> None:
@@ -269,17 +271,23 @@ class LiveClockHost:
         self._procs = array("q")
         self._peers = array("q")
         self._mids = array("q")
-        self._ctrl_seq: Dict[Tuple[int, int], int] = {}
-        self._ctrl_expect: Dict[Tuple[int, int], int] = {}
-        self._ctrl_buffer: Dict[Tuple[int, int], Dict[int, Any]] = {}
+        # per control channel — a directed graph edge — the next sequence
+        # number to stamp, the next one to apply, and the early arrivals
+        channels = [(p, q) for p, nbrs in enumerate(spec.neighbours) for q in nbrs]
+        self._ctrl_seq: Dict[Tuple[int, int], int] = dict.fromkeys(channels, 0)
+        self._ctrl_expect: Dict[Tuple[int, int], int] = dict.fromkeys(channels, 0)
+        self._ctrl_buffer: Dict[Tuple[int, int], Dict[int, Any]] = {
+            chan: {} for chan in channels
+        }
 
-    def _new_event(self, proc: int, kind: EventKind, mid: int, peer: int) -> Event:
-        """Log one event and build the transient :class:`Event` for it."""
+    def _log(self, proc: int, peer: int, mid: int) -> int:
+        """Log one event (*mid* is ``~mid`` for a receive); returns its
+        index at *proc*."""
         index = self._next_index[proc] = self._next_index[proc] + 1
         self._procs.append(proc)
         self._peers.append(peer)
-        self._mids.append(mid if kind is EventKind.SEND else ~mid)
-        return Event(EventId(proc, index), kind, msg_id=mid, peer=peer)
+        self._mids.append(mid)
+        return index
 
     # -- app-message hooks ---------------------------------------------
     def envelope(self, src: int, dst: int) -> Dict[str, Any]:
@@ -287,8 +295,9 @@ class LiveClockHost:
         if dst not in self._neighbours[src]:
             raise ValueError(f"no channel p{src} -> p{dst} in the cluster graph")
         mid = next(self._next_mid)
-        payload = self.clock.on_send(self._new_event(src, EventKind.SEND, mid, dst))
-        self.clock.drain_newly_finalized()
+        clock = self.clock
+        payload = clock.record_send(src, self._log(src, dst, mid), dst)
+        clock._newly_finalized.clear()
         return {"mid": mid, "ts": pack_payload(payload)}
 
     def deliver(
@@ -304,13 +313,15 @@ class LiveClockHost:
             counter("net.clock_dup_receives").inc()
             return []
         self._received.add(mid)
-        ev = self._new_event(dst, EventKind.RECEIVE, mid, src)
-        controls = self.clock.on_receive(ev, unpack_payload(env["ts"]))
-        self.clock.drain_newly_finalized()
+        clock = self.clock
+        controls = clock.record_receive(
+            dst, self._log(dst, src, ~mid), src, unpack_payload(env["ts"])
+        )
+        clock._newly_finalized.clear()
         out: List[Dict[str, Any]] = []
         for cm in controls:
             chan = (cm.src, cm.dst)
-            seq = self._ctrl_seq.get(chan, 0)
+            seq = self._ctrl_seq[chan]
             self._ctrl_seq[chan] = seq + 1
             out.append(
                 {
@@ -326,17 +337,22 @@ class LiveClockHost:
     def control(self, src: int, dst: int, seq: int, packed: Any) -> None:
         """Deliver one control datagram; buffers to enforce per-channel FIFO."""
         chan = (src, dst)
-        expect = self._ctrl_expect.get(chan, 0)
+        expect = self._ctrl_expect[chan]
         if seq < expect:  # duplicate of an already-applied datagram
             counter("net.ctl_dup").inc()
             return
-        buf = self._ctrl_buffer.setdefault(chan, {})
-        buf[seq] = packed
+        buf = self._ctrl_buffer[chan]
+        if seq > expect:
+            buf[seq] = packed
+            return
+        clock = self.clock
+        clock.on_control(src, dst, unpack_payload(packed))
+        expect += 1
         while expect in buf:
-            self.clock.on_control(src, dst, unpack_payload(buf.pop(expect)))
+            clock.on_control(src, dst, unpack_payload(buf.pop(expect)))
             expect += 1
         self._ctrl_expect[chan] = expect
-        self.clock.drain_newly_finalized()
+        clock._newly_finalized.clear()
 
     # -- reporting ------------------------------------------------------
     @property

@@ -421,8 +421,9 @@ class Simulation:
         times.rows[proc].append(now)
         if self._oracle is not None:
             self._oracle.append_local(ev.eid)
+        index = ev.eid.index
         for cs in self._clocks:
-            cs.algo.on_local(ev)
+            cs.algo.record_local(proc, index)
             if cs.algo._newly_finalized:
                 self._drain(cs)
         return ev
@@ -460,9 +461,10 @@ class Simulation:
         piggyback: List[Optional[List[ControlMessage]]] = (
             [] if piggybacking else self._no_piggyback
         )
+        index = ev.eid.index
         for cs in self._clocks:
             algo = cs.algo
-            payload = algo.on_send(ev)
+            payload = algo.record_send(src, index, dst)
             cs.payloads[msg_id] = payload
             n_elems = algo.payload_elements(payload)
             cs.stats.app_payload_elements += n_elems
@@ -530,16 +532,18 @@ class Simulation:
         piggyback: Sequence[Optional[List[ControlMessage]]],
     ) -> None:
         msg = self._builder.message(msg_id)
-        recv = self._builder.receive(msg.dst, msg_id)
+        dst, src = msg.dst, msg.src
+        recv = self._builder.receive(dst, msg_id)
+        index = recv.eid.index
         times = self._event_times
-        self._event_seq[msg.dst].append(len(times.ids))
+        self._event_seq[dst].append(len(times.ids))
         times.ids.append(recv.eid)
-        times.rows[msg.dst].append(self._scheduler.now)
+        times.rows[dst].append(self._scheduler.now)
         if self._oracle is not None:
             self._oracle.append_receive(recv.eid, msg.send_event)
         for cs, riders in zip(self._clocks, piggyback):
             algo = cs.algo
-            controls = algo.on_receive(recv, cs.payloads.pop(msg_id))
+            controls = algo.record_receive(dst, index, src, cs.payloads.pop(msg_id))
             if algo._newly_finalized:
                 self._drain(cs)
             for cm in controls:
@@ -640,24 +644,26 @@ class Simulation:
         """Stamp the events *cs*'s clock just finalized (callers check that
         there are some: most hooks of an inline clock finalize nothing)."""
         now = self._scheduler.now
-        last = len(self._event_times.ids) - 1
+        ids = self._event_times.ids
+        last = len(ids) - 1
         event_seq = self._event_seq
         final_rows, final_ids = cs.final_times.rows, cs.final_times.ids
         delays = cs.delay_events
         # the list the callers just tested, emptied in place: no list per event
         newly = cs.algo._newly_finalized
-        for eid in newly:
-            k = eid.index - 1
-            row = final_rows[eid.proc]
+        for p, k in newly:
+            k -= 1
+            row = final_rows[p]
             while k >= len(row):  # once: schemes finalize in index order
                 row.append(None)
+            seq = event_seq[p][k]
             if row[k] is None:  # (final again keeps its place, as in a dict)
-                final_ids.append(eid)
+                final_ids.append(ids[seq])  # the run's own id: none is built
             row[k] = now
             # time-to-non-⊥ measured in events: how many events the run
             # performed while this event's timestamp was still provisional
             # (0 = finalized at its own occurrence, the online case)
-            waited = last - event_seq[eid.proc][k]
+            waited = last - seq
             delays[waited] = delays.get(waited, 0) + 1
         newly.clear()
 

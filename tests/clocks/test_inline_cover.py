@@ -269,6 +269,28 @@ class TestFinalization:
         with pytest.raises(ValueError):
             clock.on_control(1, 2, (0, 1, 1))
 
+    def test_control_off_every_channel_rejected(self):
+        g = generators.double_star(1, 1)  # 0-1, 0-2, 1-3
+        clock = CoverInlineClock(g, cover=(0, 1))
+        for src, dst in ((0, 3), (0, 1)):  # no edge; cover to cover
+            with pytest.raises(ValueError, match="no control channel"):
+                clock.on_control(src, dst, (0, 1, 1))
+
+    def test_second_copy_of_an_applied_control_rejected(self):
+        """A copy of a control whose ``seq`` was already applied used to be
+        buffered for ever — and pickled into every checkpoint — and only a
+        third copy raised."""
+        g = generators.star(3)
+        b = ExecutionBuilder(3, graph=g)
+        clock = CoverInlineClock(g, cover=(0,))
+        m = b.send(1, 0)
+        payload = clock.on_send(b.last_event(1))
+        (cm,) = clock.on_receive(b.receive(0, m), payload)
+        clock.on_control(cm.src, cm.dst, cm.payload)
+        with pytest.raises(ValueError, match="duplicate"):
+            clock.on_control(cm.src, cm.dst, cm.payload)
+        assert clock._ctrl_buffer[(0, 1)] == {}
+
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_termination_flush_preserves_correctness(self, seed):

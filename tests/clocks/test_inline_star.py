@@ -248,6 +248,20 @@ class TestControlResequencing:
         with pytest.raises(ValueError):
             clock.on_control(0, 1, (5, 1, 1))
 
+    def test_second_copy_of_an_applied_control_rejected(self):
+        """A copy of a control whose ``seq`` was already applied used to be
+        buffered for ever — and pickled into every checkpoint — and only a
+        third copy raised."""
+        b = ExecutionBuilder(3, graph=generators.star(3))
+        clock = StarInlineClock(3, center=0)
+        m = b.send(1, 0)
+        payload = clock.on_send(b.last_event(1))
+        (cm,) = clock.on_receive(b.receive(0, m), payload)
+        clock.on_control(cm.src, cm.dst, cm.payload)
+        with pytest.raises(ValueError, match="duplicate"):
+            clock.on_control(cm.src, cm.dst, cm.payload)
+        assert clock._ctrl_buffer[1] == {}
+
 
 class TestTerminationFinalization:
     def test_undelivered_controls_are_flushed(self):

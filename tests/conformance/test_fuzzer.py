@@ -147,17 +147,17 @@ class _DriftingLamport(LamportClock):
         super().__init__(n)
         self._ticks = 0
 
-    def on_local(self, ev):
+    def record_local(self, p, k):
         self._ticks += 1
-        return super().on_local(ev)
+        return super().record_local(p, k)
 
-    def on_send(self, ev):
+    def record_send(self, p, k, peer):
         self._ticks += 1
-        return super().on_send(ev)
+        return super().record_send(p, k, peer)
 
-    def on_receive(self, ev, payload):
+    def record_receive(self, p, k, peer, payload):
         self._ticks += 1
-        return super().on_receive(ev, payload)
+        return super().record_receive(p, k, peer, payload)
 
     def timestamp(self, eid):
         ts = super().timestamp(eid)

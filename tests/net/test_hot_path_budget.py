@@ -1,4 +1,4 @@
-"""Two deterministic budgets for one operation of the live store.
+"""Deterministic budgets for one operation of the live store.
 
 Wall-clock gates flake; on a :class:`~repro.net.virtual.VirtualLoop` the
 number of Python-level function calls a seeded run makes does not, nor does
@@ -19,10 +19,15 @@ operation alive at quiesce on CPython 3.11 (1,599.7 / 1,468.7 calls and
 in the clock host, the decoded response dicts of every cached RPC, and an
 ``EventId`` per event in the clock's newly-finalized list.  With the host
 logging integer columns, responses cached as encoded bytes, an idle stream
-written without a coroutine and the hot counters resolved once, it makes
-1,502.4 / 1,346.0 calls and keeps 48.8 / 42.0 objects (3.12: 1,362.8 /
+written without a coroutine and the hot counters resolved once, it made
+1,502.4 / 1,346.0 calls and kept 48.8 / 42.0 objects (3.12: 1,362.8 /
 1,240.9 and 48.7 / 42.0) — of those, the timestamp of each event is the
-run's product.
+run's product.  With the clock host calling each clock's integer record
+step — no ``Event`` or ``EventId`` per hop — and an in-order control
+applied without touching the resequencing buffer, it makes 1,308.7 /
+1,181.8 calls (3.12: 1,169.0 / 1,076.7) and keeps 48.9 / 42.0 objects.
+That no hop builds an ``Event`` is pinned on its own: the run completes
+with ``Event`` construction made to raise.
 
 The wire must not move: frames and events are pinned exactly.
 """
@@ -33,6 +38,7 @@ import sys
 import pytest
 
 from repro.applications.causal_kv import StoreConfig
+from repro.core.events import Event
 from repro.net import VirtualLoop, run_live_store, supervisor
 
 CONFIG = StoreConfig(
@@ -42,8 +48,8 @@ OPS = 160
 EVENTS = 3_752
 #: clock -> frames sent, measured at the parent and unchanged since
 FRAMES = {"inline-cover": 1_916, "vector": 1_904}
-#: measured 1,502.4 / 1,346.0 on CPython 3.11; +5 %
-CEILING_CALLS_PER_OP = {"inline-cover": 1_577.5, "vector": 1_413.3}
+#: measured 1,308.7 / 1,181.8 on CPython 3.11; +5 %
+CEILING_CALLS_PER_OP = {"inline-cover": 1_374.1, "vector": 1_240.9}
 #: measured 48.8 / 42.0 on CPython 3.11; +5 %
 CEILING_ALIVE_PER_OP = {"inline-cover": 51.2, "vector": 44.1}
 
@@ -104,3 +110,15 @@ def test_objects_alive_at_quiesce_per_op_stay_under_the_ceiling(clock, monkeypat
     (alive,) = at_quiesce
     per_op = (alive - before) / OPS
     assert per_op <= CEILING_ALIVE_PER_OP[clock], per_op
+
+
+@pytest.mark.parametrize("clock", sorted(FRAMES))
+def test_a_live_hop_builds_no_event(clock, monkeypatch):
+    """The clock host hands the clock integers: with ``Event`` construction
+    made to raise, the run still completes, frames and events exact."""
+
+    def refuse(self):
+        raise AssertionError(f"a live run built {self!r}")
+
+    monkeypatch.setattr(Event, "__post_init__", refuse)
+    _run(clock)

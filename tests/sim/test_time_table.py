@@ -55,8 +55,8 @@ class _DictKeeping(Simulation):
 
     def _drain(self, cs):
         times = self.old_final_times.setdefault(cs.name, {})
-        for eid in cs.algo._newly_finalized:
-            times[eid] = self.now
+        for p, k in cs.algo._newly_finalized:
+            times[EventId(p, k)] = self.now
         super()._drain(cs)
 
 
