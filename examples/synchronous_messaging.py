@@ -4,9 +4,10 @@
 The paper's §5 contrasts its asynchronous inline timestamps with
 Garg–Skawratananond's timestamps for *synchronous* messages, where a sender
 blocks until the receiver acknowledges (Figure 3) and a message is one
-joint event of both processes.  Messages within a star or triangle
-component of an edge decomposition are then totally ordered, and component
-counters can replace process counters.
+joint event of both processes — here the four asynchronous events Figure 3
+draws: the send, its receive, the acknowledgement and its receive.
+Messages within a star or triangle component of an edge decomposition are
+then totally ordered, and component counters can replace process counters.
 
 This example runs our component-timestamp variant on a synchronous
 client/server system and shows:
@@ -22,12 +23,17 @@ Run:  python examples/synchronous_messaging.py
 
 import random
 
+from repro.core import ExecutionBuilder, HappenedBeforeOracle
 from repro.sync import (
     ComponentSyncClock,
-    SyncExecutionBuilder,
-    SyncOracle,
     best_decomposition,
+    handshake,
+    internal_event,
+    joint_happened_before,
     random_sync_execution,
+    star_decomposition,
+    star_triangle_decomposition,
+    timestamp_mismatches,
 )
 from repro.topology import generators
 from repro.topology.vertex_cover import best_cover
@@ -36,37 +42,29 @@ from repro.topology.vertex_cover import best_cover
 def main() -> None:
     # 1. the synchrony effect
     g = generators.star(3)
-    b = SyncExecutionBuilder(3, graph=g)
-    before = b.internal(1)  # at the receiver, before the rendezvous
-    b.message(0, 1)
-    after = b.internal(0)  # at the sender, after the rendezvous
-    oracle = SyncOracle(b.freeze())
+    b = ExecutionBuilder(3, graph=g)
+    before = internal_event(b, 1)  # at the receiver, before the rendezvous
+    handshake(b, 0, 1)  # send, receive, acknowledgement, its receive
+    after = internal_event(b, 0)  # at the sender, after the rendezvous
+    oracle = HappenedBeforeOracle(b.freeze())
     print("synchrony: receiver's earlier event precedes sender's later one:",
-          oracle.happened_before(before, after))
+          joint_happened_before(oracle, before, after))
 
     # 2. exact causality with component timestamps
     n = 12
     g = generators.star(n)
     dec = best_decomposition(g)
-    ex = random_sync_execution(g, random.Random(7), steps=5 * n)
+    ex, joints = random_sync_execution(g, random.Random(7), steps=5 * n)
     clock = ComponentSyncClock(dec)
-    clock.replay(ex)
-    finalized_early = sum(1 for ev in ex.events if clock.is_final(ev))
+    clock.replay(ex, joints)
+    finalized_early = sum(map(clock.is_final, range(len(joints))))
     clock.finalize_at_termination()
-    oracle = SyncOracle(ex)
-    mismatches = sum(
-        1
-        for e in ex.events
-        for f in ex.events
-        if e.uid != f.uid
-        and clock.timestamp(e).precedes(clock.timestamp(f))
-        != oracle.happened_before(e, f)
-    )
-    print(f"\nsynchronous star, n={n}: {ex.n_events} events, "
+    mismatches = len(timestamp_mismatches(clock, ex, joints))
+    print(f"\nsynchronous star, n={n}: {len(joints)} events, "
           f"d={dec.d} component(s)")
     print(f"causality mismatches vs oracle: {mismatches}")
     print(f"events finalized before termination: "
-          f"{finalized_early}/{ex.n_events}")
+          f"{finalized_early}/{len(joints)}")
 
     # 3. the size comparison
     cover = best_cover(g)
@@ -75,7 +73,6 @@ def main() -> None:
     print(f"  async inline (paper):      {2 * len(cover) + 2} elements")
     print(f"  sync component timestamps: {clock.max_elements()} elements "
           f"(bound 2d+4 = {2 * dec.d + 4})")
-    from repro.sync import star_decomposition, star_triangle_decomposition
 
     k3 = generators.clique(3)
     print("\ntriangles help on dense graphs: K3 needs "

@@ -353,8 +353,12 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 def cmd_sync(args: argparse.Namespace) -> int:
     """Run a timed synchronous computation with component timestamps."""
-    from repro.sync import ComponentSyncClock, SyncOracle, best_decomposition
-    from repro.sync.timed import simulate_sync
+    from repro.sync import (
+        ComponentSyncClock,
+        best_decomposition,
+        simulate_sync,
+        timestamp_mismatches,
+    )
 
     graph = build_topology(args.topology, args.n, args.seed)
     dec = best_decomposition(graph)
@@ -365,21 +369,13 @@ def cmd_sync(args: argparse.Namespace) -> int:
         decomposition=dec,
     )
     clock = ComponentSyncClock(dec)
-    clock.replay(res.execution)
+    clock.replay(res.execution, res.joints)
     clock.finalize_at_termination()
-    oracle = SyncOracle(res.execution)
-    mismatches = sum(
-        1
-        for e in res.execution.events
-        for f in res.execution.events
-        if e.uid != f.uid
-        and clock.timestamp(e).precedes(clock.timestamp(f))
-        != oracle.happened_before(e, f)
-    )
+    mismatches = len(timestamp_mismatches(clock, res.execution, res.joints))
     lats = sorted(res.finalization_latencies().values())
     mean_lat = sum(lats) / len(lats) if lats else 0.0
     print(
-        f"synchronous run: {res.execution.n_events} events, "
+        f"synchronous run: {len(res.joints)} events, "
         f"d={dec.d} component(s), duration={res.duration:.1f}"
     )
     print(f"timestamp elements: max {clock.max_elements()} "

@@ -14,8 +14,8 @@ event ``e`` carries
 - ``W_e[j]`` — the index of the first component-``j`` message ``m`` with
   ``e ⪯ m`` **at one of e's own processes** (``min ∅ = ∞``).
 
-Comparison (proved in the module tests against the ground-truth oracle):
-events sharing a process compare by local index; otherwise
+Comparison (checked by :func:`timestamp_mismatches` against the core
+oracle): events sharing a process compare by local index; otherwise
 ``e → f  iff  ∃j: W_e[j] ≤ V_f[j]`` — the first hop of any causal path out
 of ``e``'s processes is a message at one of them, and the component total
 order bridges it to the last component message below ``f``.
@@ -35,18 +35,24 @@ discusses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.clocks.base import INFINITY
+from repro.core.execution import Execution
+from repro.core.happened_before import HappenedBeforeOracle
 from repro.sync.decomposition import Decomposition
-from repro.sync.model import SyncEvent, SyncExecution
+from repro.sync.model import Joint, joint_happened_before
 
 Value = Union[int, float]
+
+#: an event still waiting on a ``W`` entry: procs, ctr, V, W so far, and the
+#: components whose entry is still unknown
+_Open = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], List[Value], Set[int]]
 
 
 @dataclass(frozen=True)
 class ComponentTimestamp:
-    """A (possibly finalized) component timestamp of a synchronous event."""
+    """The component timestamp of a synchronous event."""
 
     procs: Tuple[int, ...]
     ctr: Tuple[int, ...]  # local index per participant, aligned with procs
@@ -54,17 +60,13 @@ class ComponentTimestamp:
     w: Tuple[Value, ...]  # per-component first-future message index
 
     def precedes(self, other: "ComponentTimestamp") -> bool:
+        if len(self.w) != len(other.v):
+            raise ValueError("timestamps come from different decompositions")
         shared = set(self.procs) & set(other.procs)
         if shared:
             p = min(shared)
-            return self.index_at(p) < other.index_at(p)
+            return self.ctr[self.procs.index(p)] < other.ctr[other.procs.index(p)]
         return any(wj <= vj for wj, vj in zip(self.w, other.v))
-
-    def index_at(self, proc: int) -> int:
-        for p, i in zip(self.procs, self.ctr):
-            if p == proc:
-                return i
-        raise KeyError(f"process {proc} not a participant")
 
     def elements(self) -> Tuple[Value, ...]:
         return self.procs + self.ctr + self.v + self.w
@@ -75,108 +77,103 @@ class ComponentTimestamp:
 
 
 class ComponentSyncClock:
-    """Assigns component timestamps by replaying a synchronous execution.
+    """Assigns component timestamps to a synchronous computation's joint
+    events, fed one :meth:`record` step each and named by their position in
+    creation order.  It counts each process's joint events itself, so
+    ``ctr`` is a joint index, not an asynchronous event's.
 
     The clock is *inline*: :meth:`timestamp` returns ``None`` while an
     event's ``W`` entries for incident components are still unknown;
     :meth:`finalize_at_termination` turns the remaining ``∞`` entries
-    permanent (no further component messages will occur).
+    permanent (no further component messages will occur).  A timestamp is
+    built once, when its event becomes final.
     """
 
     def __init__(self, decomposition: Decomposition) -> None:
         self._dec = decomposition
         self._d = decomposition.d
         n = decomposition.graph.n_vertices
-        self._n = n
         #: per-process current knowledge of component counts
         self._v: List[List[int]] = [[0] * self._d for _ in range(n)]
-        #: global per-component message counters (for validation only)
-        self._count = [0] * self._d
-        #: per event uid: mutable record
-        self._records: Dict[int, _Record] = {}
-        #: per process: uids of its events with pending W entries
-        self._pending: List[List[int]] = [[] for _ in range(n)]
+        #: per process, its joint events so far
+        self._ctr = [0] * n
         #: incident components per process
         self._incident: List[Tuple[int, ...]] = [
             decomposition.components_of_vertex(p) for p in range(n)
         ]
-        self._terminated = False
+        #: per event uid, its timestamp once final
+        self._stamps: List[Optional[ComponentTimestamp]] = []
+        #: per process, ``{uid: open entry}`` of its events still ``⊥``; an
+        #: entry is dropped from every participant when it closes
+        self._open: List[Dict[int, _Open]] = [{} for _ in range(n)]
         self._newly_final: List[int] = []
 
     # ------------------------------------------------------------------
-    def process_event(self, ev: SyncEvent) -> None:
-        """Feed the next event of the execution (in global order)."""
-        if ev.uid in self._records:
-            raise ValueError(f"event {ev.uid} already processed")
-        if ev.is_message:
-            a, b = ev.procs
-            j = self._dec.component_of_edge(a, b)
-            merged = [
-                max(x, y) for x, y in zip(self._v[a], self._v[b])
-            ]
-            index = merged[j] + 1
-            self._count[j] += 1
-            if index != self._count[j]:
-                raise AssertionError(
-                    "component total-order invariant violated"
-                )  # pragma: no cover
-            merged[j] = index
-            self._v[a] = list(merged)
-            self._v[b] = list(merged)
-            rec = _Record(
-                ev=ev,
-                v=tuple(merged),
-                w=[INFINITY] * self._d,
-                needed=set(self._incident[a]) | set(self._incident[b]),
-            )
-            rec.w[j] = index
-            rec.needed.discard(j)
-            self._records[ev.uid] = rec
-            # this message resolves pending W[j] entries at both endpoints
-            for p in (a, b):
-                self._resolve_pending(p, j, index)
-                self._pending[p].append(ev.uid)
+    def record(self, proc: int, peer: Optional[int] = None) -> int:
+        """Feed the next joint event: internal to *proc*, or a message
+        between *proc* and *peer*.  Returns its uid."""
+        uid = len(self._stamps)
+        self._stamps.append(None)
+        w: List[Value] = [INFINITY] * self._d
+        needed = set(self._incident[proc])
+        if peer is None:
+            procs: Tuple[int, ...] = (proc,)
+            v = tuple(self._v[proc])
         else:
-            (p,) = ev.procs
-            rec = _Record(
-                ev=ev,
-                v=tuple(self._v[p]),
-                w=[INFINITY] * self._d,
-                needed=set(self._incident[p]),
-            )
-            self._records[ev.uid] = rec
-            self._pending[p].append(ev.uid)
-        if not self._records[ev.uid].needed and not self._records[ev.uid].final:
-            self._records[ev.uid].final = True
-            self._newly_final.append(ev.uid)
+            procs = (min(proc, peer), max(proc, peer))
+            j = self._dec.component_of_edge(proc, peer)
+            merged = list(map(max, self._v[proc], self._v[peer]))
+            merged[j] += 1
+            self._v[proc] = merged
+            self._v[peer] = list(merged)
+            v = tuple(merged)
+            w[j] = merged[j]
+            needed.update(self._incident[peer])
+            needed.discard(j)
+            # this message resolves pending W[j] entries at both endpoints
+            for p in procs:
+                self._resolve(p, j, merged[j])
+        for p in procs:
+            self._ctr[p] += 1
+        entry = (procs, tuple(self._ctr[p] for p in procs), v, w, needed)
+        if needed:
+            for p in procs:
+                self._open[p][uid] = entry
+        else:
+            self._close(uid, entry)
+        return uid
 
-    def _resolve_pending(self, p: int, j: int, index: int) -> None:
+    def _resolve(self, p: int, j: int, index: int) -> None:
         """A component-j message with *index* occurred at *p*: it is the
-        first future component-j message for every pending event of p that
+        first future component-j message for every open event of p that
         still lacks W[j]."""
-        for uid in self._pending[p]:
-            rec = self._records[uid]
-            if j in rec.needed:
-                rec.w[j] = min(rec.w[j], index)
-                rec.needed.discard(j)
-                if not rec.needed:
-                    rec.final = True
-                    self._newly_final.append(rec.ev.uid)
+        for uid, entry in list(self._open[p].items()):
+            needed = entry[4]
+            if j in needed:
+                entry[3][j] = index
+                needed.discard(j)
+                if not needed:
+                    self._close(uid, entry)
+
+    def _close(self, uid: int, entry: _Open) -> None:
+        """An event's ``W`` is permanent: build its timestamp, once."""
+        procs, ctr, v, w, _needed = entry
+        self._stamps[uid] = ComponentTimestamp(procs, ctr, v, tuple(w))
+        for p in procs:
+            self._open[p].pop(uid, None)
+        self._newly_final.append(uid)
 
     # ------------------------------------------------------------------
-    def replay(self, execution: SyncExecution) -> None:
-        """Process every event of *execution* in order."""
-        for ev in execution.events:
-            self.process_event(ev)
+    def replay(self, execution: Execution, joints: Sequence[Joint]) -> None:
+        """Record every joint event of *execution* in creation order."""
+        for first, _last in joints:
+            self.record(first.proc, execution.event(first).peer)
 
     def finalize_at_termination(self) -> None:
         """No more events: remaining ∞ entries are permanent."""
-        self._terminated = True
-        for rec in self._records.values():
-            rec.needed.clear()
-            if not rec.final:
-                rec.final = True
-                self._newly_final.append(rec.ev.uid)
+        for open_p in self._open:
+            for uid, entry in list(open_p.items()):
+                self._close(uid, entry)
 
     def drain_newly_finalized(self) -> List[int]:
         """Event uids finalized since the last drain (for timing hosts)."""
@@ -185,42 +182,36 @@ class ComponentSyncClock:
         return out
 
     # ------------------------------------------------------------------
-    def is_final(self, ev: SyncEvent) -> bool:
-        return self._records[ev.uid].final
+    def is_final(self, uid: int) -> bool:
+        return self._stamps[uid] is not None
 
-    def timestamp(self, ev: SyncEvent) -> Optional[ComponentTimestamp]:
-        rec = self._records[ev.uid]
-        if not rec.final:
-            return None
-        return self._to_timestamp(rec)
-
-    def provisional_timestamp(self, ev: SyncEvent) -> ComponentTimestamp:
-        return self._to_timestamp(self._records[ev.uid])
-
-    def _to_timestamp(self, rec: "_Record") -> ComponentTimestamp:
-        ev = rec.ev
-        return ComponentTimestamp(
-            procs=ev.procs,
-            ctr=tuple(ev.index_at(p) for p in ev.procs),
-            v=rec.v,
-            w=tuple(rec.w),
-        )
+    def timestamp(self, uid: int) -> Optional[ComponentTimestamp]:
+        return self._stamps[uid]
 
     @property
     def d(self) -> int:
         return self._d
 
     def max_elements(self) -> int:
+        """Stored elements of the widest final timestamp."""
         return max(
-            (self._to_timestamp(r).n_elements for r in self._records.values()),
-            default=0,
+            (ts.n_elements for ts in self._stamps if ts is not None), default=0
         )
 
 
-@dataclass
-class _Record:
-    ev: SyncEvent
-    v: Tuple[int, ...]
-    w: List[Value]
-    needed: set
-    final: bool = False
+def timestamp_mismatches(
+    clock: ComponentSyncClock, execution: Execution, joints: Sequence[Joint]
+) -> List[Tuple[int, int]]:
+    """Every ordered pair of joint events (as uids) on which the finalized
+    *clock*'s ``precedes`` disagrees with joint happened-before on the core
+    oracle."""
+    oracle = HappenedBeforeOracle(execution)
+    stamps = [clock.timestamp(uid) for uid in range(len(joints))]
+    return [
+        (i, k)
+        for i, e in enumerate(joints)
+        for k, f in enumerate(joints)
+        if i != k
+        and stamps[i].precedes(stamps[k])  # type: ignore[union-attr]
+        != joint_happened_before(oracle, e, f)
+    ]

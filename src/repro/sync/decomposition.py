@@ -93,11 +93,7 @@ class Decomposition:
 
     def components_of_vertex(self, v: int) -> Tuple[int, ...]:
         """Indices of components with an edge incident to *v*."""
-        return tuple(
-            j
-            for j, comp in enumerate(self.components)
-            if any(v in e for e in comp.edges)
-        )
+        return tuple(j for j, comp in enumerate(self.components) if v in comp.vertices)
 
 
 def star_decomposition(
@@ -143,17 +139,14 @@ def star_triangle_decomposition(graph: CommunicationGraph) -> Decomposition:
                         Component("triangle", center=-1, edges=(e1, e2, e3))
                     )
     rest = CommunicationGraph(graph.n_vertices, remaining)
-    stars = (
-        star_decomposition(rest).components if remaining else tuple()
-    )
-    return Decomposition(graph, tuple(triangles) + tuple(stars))
+    stars = star_decomposition(rest).components if remaining else ()
+    return Decomposition(graph, tuple(triangles) + stars)
 
 
 def best_decomposition(graph: CommunicationGraph) -> Decomposition:
     """The smaller of the pure-star and triangle-greedy decompositions."""
-    candidates = [star_decomposition(graph)]
-    try:
-        candidates.append(star_triangle_decomposition(graph))
-    except ValueError:  # pragma: no cover - defensive
-        pass
-    return min(candidates, key=lambda dec: dec.d)
+    return min(
+        star_decomposition(graph),
+        star_triangle_decomposition(graph),
+        key=lambda dec: dec.d,
+    )

@@ -1,253 +1,65 @@
-"""Synchronous computations: joint message events (paper §5, Figure 3).
+"""Synchronous computations as asynchronous events (paper §5, Figure 3).
 
 In a synchronous system the sender of a message blocks until the receiver
-acknowledges it (Figure 3), so a message is best modelled as a single
-*joint event* spanning both endpoint processes — the standard model used by
-Garg & Skawratananond [10, 11], whose timestamps the paper compares itself
-against.  This module provides that model from scratch, parallel to the
-asynchronous :mod:`repro.core`:
+acknowledges it (Figure 3).  Garg & Skawratananond [10, 11], whose
+timestamps the paper compares itself against, treat such a message as one
+*joint event* of both endpoints.  Here a joint event is recorded on a core
+:class:`~repro.core.execution.ExecutionBuilder` as the asynchronous events
+Figure 3 draws, appended together:
 
-- :class:`SyncEvent` — an internal event of one process, or a message event
-  shared by exactly two adjacent processes;
-- :class:`SyncExecution` / :class:`SyncExecutionBuilder` — validated
-  computations over a communication graph;
-- :class:`SyncOracle` — ground-truth happened-before via vector clocks
-  generalized to joint events (a message event merges both participants'
-  vectors and increments both coordinates);
-- :func:`random_sync_execution` — seeded fuzzing for the property tests.
+- an internal event is one local event (:func:`internal_event`);
+- a message is four (:func:`handshake`): the initiator sends, the partner
+  receives, the partner sends the acknowledgement, and the initiator
+  receives it.
 
-The crucial structural property (used by the component timestamps in
-:mod:`repro.sync.component_clock`): any two messages within one *star* or
-*triangle* component share an endpoint process, hence their joint events
-are causally ordered — messages within a component are **totally ordered**,
-which is exactly the fact [10, 11] exploit and the paper's §5 recounts.
+A joint event is named by its first and last :class:`EventId` — the
+initiator's send and its receive of the acknowledgement, or the local event
+twice — and a run keeps its joint events in creation order, so a joint
+event's position in that sequence is its ``uid``.  Joint happened-before is
+one rule on the core oracle (:func:`joint_happened_before`)::
+
+    e -> f   iff   e != f  and  first(e) -> last(f)
+
+``first(e)`` precedes every asynchronous event of ``e`` and ``last(f)``
+follows every one of ``f``, and every asynchronous message lies inside one
+handshake, so a causal path from one to the other changes process only
+inside joint events: the synchronous order.
 """
 
 from __future__ import annotations
 
-import enum
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Tuple
 
+from repro.core.events import EventId
+from repro.core.execution import Execution, ExecutionBuilder
+from repro.core.happened_before import HappenedBeforeOracle
 from repro.topology.graph import CommunicationGraph
 
-
-class SyncEventKind(enum.Enum):
-    INTERNAL = "internal"
-    MESSAGE = "message"
+#: a joint event: its first and last asynchronous event
+Joint = Tuple[EventId, EventId]
 
 
-@dataclass(frozen=True)
-class SyncEvent:
-    """An event of a synchronous computation.
-
-    ``procs`` holds one process for internal events, the two endpoints
-    (sorted) for message events.  ``local_index`` maps each participant to
-    the event's 1-based position in that process's sequence.
-    """
-
-    uid: int
-    kind: SyncEventKind
-    procs: Tuple[int, ...]
-    local_index: Tuple[Tuple[int, int], ...]  # ((proc, index), ...)
-
-    def __post_init__(self) -> None:
-        if self.kind is SyncEventKind.INTERNAL and len(self.procs) != 1:
-            raise ValueError("internal events have exactly one process")
-        if self.kind is SyncEventKind.MESSAGE and len(self.procs) != 2:
-            raise ValueError("message events have exactly two processes")
-        if tuple(sorted(self.procs)) != self.procs:
-            raise ValueError("procs must be sorted")
-        if {p for p, _ in self.local_index} != set(self.procs):
-            raise ValueError("local_index must cover exactly the participants")
-
-    def index_at(self, proc: int) -> int:
-        for p, i in self.local_index:
-            if p == proc:
-                return i
-        raise KeyError(f"process {proc} does not participate in event {self.uid}")
-
-    @property
-    def is_message(self) -> bool:
-        return self.kind is SyncEventKind.MESSAGE
-
-    def __str__(self) -> str:
-        if self.is_message:
-            a, b = self.procs
-            return f"m{self.uid}(p{a}~p{b})"
-        return f"i{self.uid}@p{self.procs[0]}"
+def internal_event(builder: ExecutionBuilder, proc: int) -> Joint:
+    """Append an internal event at *proc*: one local event."""
+    eid = builder.local(proc).eid
+    return eid, eid
 
 
-class SyncExecution:
-    """An immutable synchronous computation."""
-
-    def __init__(
-        self,
-        n_processes: int,
-        events: Sequence[SyncEvent],
-        graph: Optional[CommunicationGraph] = None,
-    ) -> None:
-        self._n = n_processes
-        self._events: Tuple[SyncEvent, ...] = tuple(events)
-        self._graph = graph
-        self._by_proc: List[List[SyncEvent]] = [[] for _ in range(n_processes)]
-        for ev in self._events:
-            for p in ev.procs:
-                self._by_proc[p].append(ev)
-        for p in range(n_processes):
-            for i, ev in enumerate(self._by_proc[p], start=1):
-                if ev.index_at(p) != i:
-                    raise ValueError("local indices are not consecutive")
-
-    @property
-    def n_processes(self) -> int:
-        return self._n
-
-    @property
-    def graph(self) -> Optional[CommunicationGraph]:
-        return self._graph
-
-    @property
-    def events(self) -> Tuple[SyncEvent, ...]:
-        """All events in global creation order."""
-        return self._events
-
-    @property
-    def n_events(self) -> int:
-        return len(self._events)
-
-    def events_at(self, proc: int) -> Tuple[SyncEvent, ...]:
-        return tuple(self._by_proc[proc])
-
-    def messages(self) -> Iterator[SyncEvent]:
-        return (ev for ev in self._events if ev.is_message)
-
-    def __repr__(self) -> str:
-        msgs = sum(1 for _ in self.messages())
-        return (
-            f"SyncExecution(n={self._n}, events={len(self._events)}, "
-            f"messages={msgs})"
-        )
+def handshake(builder: ExecutionBuilder, initiator: int, partner: int) -> Joint:
+    """Append a synchronous message from *initiator* to *partner*: the send,
+    its receive, the acknowledgement and its receive (Figure 3)."""
+    msg = builder.send(initiator, partner)
+    first = builder.last_event(initiator).eid
+    builder.receive(partner, msg)
+    ack = builder.send(partner, initiator)
+    return first, builder.receive(initiator, ack).eid
 
 
-class SyncExecutionBuilder:
-    """Builds synchronous computations step by step.
-
-    Unlike the asynchronous builder there is no in-flight state: a message
-    is one atomic joint event of both endpoints.
-    """
-
-    def __init__(
-        self,
-        n_processes: int,
-        graph: Optional[CommunicationGraph] = None,
-    ) -> None:
-        if n_processes < 1:
-            raise ValueError("need at least one process")
-        if graph is not None and graph.n_vertices != n_processes:
-            raise ValueError("graph size does not match process count")
-        self._n = n_processes
-        self._graph = graph
-        self._events: List[SyncEvent] = []
-        self._counts = [0] * n_processes
-        self._frozen = False
-
-    def _check(self) -> None:
-        if self._frozen:
-            raise ValueError("builder already frozen")
-
-    def internal(self, proc: int) -> SyncEvent:
-        """Append an internal event at *proc*."""
-        self._check()
-        if not 0 <= proc < self._n:
-            raise ValueError(f"process {proc} out of range")
-        self._counts[proc] += 1
-        ev = SyncEvent(
-            uid=len(self._events),
-            kind=SyncEventKind.INTERNAL,
-            procs=(proc,),
-            local_index=((proc, self._counts[proc]),),
-        )
-        self._events.append(ev)
-        return ev
-
-    def message(self, a: int, b: int) -> SyncEvent:
-        """Append a synchronous message (joint event) between *a* and *b*."""
-        self._check()
-        if a == b:
-            raise ValueError("a synchronous message needs two processes")
-        if not (0 <= a < self._n and 0 <= b < self._n):
-            raise ValueError("process out of range")
-        if self._graph is not None and not self._graph.has_edge(a, b):
-            raise ValueError(f"no channel between p{a} and p{b}")
-        lo, hi = sorted((a, b))
-        self._counts[lo] += 1
-        self._counts[hi] += 1
-        ev = SyncEvent(
-            uid=len(self._events),
-            kind=SyncEventKind.MESSAGE,
-            procs=(lo, hi),
-            local_index=((lo, self._counts[lo]), (hi, self._counts[hi])),
-        )
-        self._events.append(ev)
-        return ev
-
-    def freeze(self) -> SyncExecution:
-        self._check()
-        self._frozen = True
-        return SyncExecution(self._n, self._events, self._graph)
-
-
-class SyncOracle:
-    """Ground-truth happened-before for synchronous computations.
-
-    Vector clocks generalized to joint events: a message event takes the
-    pointwise max of both participants' vectors and increments *both* their
-    coordinates; both processes continue from the merged vector.  For
-    distinct events ``e, f``: ``e -> f`` iff ``vc_e <= vc_f`` pointwise
-    (distinct events always differ in some coordinate, since each event
-    increments its participants' entries past anything previously seen).
-    """
-
-    def __init__(self, execution: SyncExecution) -> None:
-        self._execution = execution
-        n = execution.n_processes
-        clock = [[0] * n for _ in range(n)]
-        self._vc: Dict[int, Tuple[int, ...]] = {}
-        for ev in execution.events:
-            if ev.is_message:
-                a, b = ev.procs
-                merged = [max(x, y) for x, y in zip(clock[a], clock[b])]
-                merged[a] += 1
-                merged[b] += 1
-                clock[a] = list(merged)
-                clock[b] = list(merged)
-                self._vc[ev.uid] = tuple(merged)
-            else:
-                (p,) = ev.procs
-                clock[p][p] += 1
-                self._vc[ev.uid] = tuple(clock[p])
-
-    @property
-    def execution(self) -> SyncExecution:
-        return self._execution
-
-    def vector_clock(self, ev: SyncEvent) -> Tuple[int, ...]:
-        return self._vc[ev.uid]
-
-    def happened_before(self, e: SyncEvent, f: SyncEvent) -> bool:
-        if e.uid == f.uid:
-            return False
-        ve, vf = self._vc[e.uid], self._vc[f.uid]
-        return all(x <= y for x, y in zip(ve, vf))
-
-    def concurrent(self, e: SyncEvent, f: SyncEvent) -> bool:
-        return (
-            e.uid != f.uid
-            and not self.happened_before(e, f)
-            and not self.happened_before(f, e)
-        )
+def joint_happened_before(oracle: HappenedBeforeOracle, e: Joint, f: Joint) -> bool:
+    """Whether joint event *e* happened before *f*: ``first(e) -> last(f)``
+    (a streaming oracle answers it too)."""
+    return e != f and oracle.happened_before(e[0], f[1])
 
 
 def random_sync_execution(
@@ -255,16 +67,17 @@ def random_sync_execution(
     rng: random.Random,
     steps: int = 30,
     p_internal: float = 0.35,
-) -> SyncExecution:
-    """A random synchronous computation over *graph*."""
+) -> Tuple[Execution, Tuple[Joint, ...]]:
+    """A random synchronous computation over *graph* and its joint events."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    builder = SyncExecutionBuilder(graph.n_vertices, graph=graph)
+    builder = ExecutionBuilder(graph.n_vertices, graph=graph)
     edges = list(graph.edges)
+    joints = []
     for _ in range(steps):
         if not edges or rng.random() < p_internal:
-            builder.internal(rng.randrange(graph.n_vertices))
+            joints.append(internal_event(builder, rng.randrange(graph.n_vertices)))
         else:
             a, b = edges[rng.randrange(len(edges))]
-            builder.message(a, b)
-    return builder.freeze()
+            joints.append(handshake(builder, a, b))
+    return builder.freeze(), tuple(joints)

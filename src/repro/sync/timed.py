@@ -11,14 +11,14 @@ the synchronous counterpart of experiment E8's finalization-latency story.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.execution import Execution, ExecutionBuilder
 from repro.sync.component_clock import ComponentSyncClock
 from repro.sync.decomposition import Decomposition, best_decomposition
-from repro.sync.model import SyncEvent, SyncExecution, SyncExecutionBuilder
+from repro.sync.model import Joint, handshake, internal_event
 from repro.topology.graph import CommunicationGraph
 
 
@@ -26,7 +26,8 @@ from repro.topology.graph import CommunicationGraph
 class SyncSimResult:
     """A timed synchronous run with component-clock finalization times."""
 
-    execution: SyncExecution
+    execution: Execution
+    joints: Tuple[Joint, ...]  # the joint events in creation order
     decomposition: Decomposition
     event_times: Dict[int, float]  # uid -> completion time
     finalization_times: Dict[int, float]  # uid -> permanent-timestamp time
@@ -39,7 +40,7 @@ class SyncSimResult:
         }
 
     def fraction_finalized_during_run(self) -> float:
-        total = self.execution.n_events
+        total = len(self.joints)
         return len(self.finalization_times) / total if total else 1.0
 
 
@@ -80,18 +81,13 @@ def simulate_sync(
                 plan.append(rng.choice(neighbors))
         plans.append(plan)
 
-    builder = SyncExecutionBuilder(n, graph=graph)
+    builder = ExecutionBuilder(n, graph=graph)
+    joints: List[Joint] = []
     clock = ComponentSyncClock(decomposition)
     free = [0.0] * n
     cursor = [0] * n
     event_times: Dict[int, float] = {}
     finalization_times: Dict[int, float] = {}
-
-    def record(ev: SyncEvent, t: float) -> None:
-        event_times[ev.uid] = t
-        clock.process_event(ev)
-        for uid in clock.drain_newly_finalized():
-            finalization_times[uid] = t
 
     # greedy scheduler: repeatedly execute the enabled action with the
     # earliest possible completion time
@@ -112,20 +108,22 @@ def simulate_sync(
         completion, p = best
         partner = plans[p][cursor[p]]
         cursor[p] += 1
+        free[p] = completion
         if partner is None:
-            free[p] = completion
-            record(builder.internal(p), completion)
+            joints.append(internal_event(builder, p))
         else:
-            free[p] = completion
             free[partner] = completion
-            record(builder.message(p, partner), completion)
+            joints.append(handshake(builder, p, partner))
+        event_times[clock.record(p, partner)] = completion
+        for uid in clock.drain_newly_finalized():
+            finalization_times[uid] = completion
 
-    execution = builder.freeze()
     duration = max(free) if n else 0.0
     return SyncSimResult(
-        execution=execution,
+        execution=builder.freeze(),
+        joints=tuple(joints),
         decomposition=decomposition,
         event_times=event_times,
-        finalization_times=dict(finalization_times),
+        finalization_times=finalization_times,
         duration=duration,
     )

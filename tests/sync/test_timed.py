@@ -2,19 +2,29 @@
 
 import pytest
 
-from repro.sync.model import SyncOracle
+from repro.sync.component_clock import ComponentSyncClock, timestamp_mismatches
 from repro.sync.timed import simulate_sync
 from repro.topology import generators
+
+
+def participants(res, joint):
+    """The processes of a joint event: its initiator and, for a message,
+    the partner its first event was sent to."""
+    first, last = joint
+    if first == last:
+        return (first.proc,)
+    return (first.proc, res.execution.event(first).peer)
 
 
 class TestTimedSimulation:
     def test_all_actions_execute(self):
         g = generators.star(5)
         res = simulate_sync(g, actions_per_process=10, seed=1)
-        # every process performed its 10 actions; messages count for two
-        per_proc = [len(res.execution.events_at(p)) for p in range(5)]
-        n_messages = sum(1 for _ in res.execution.messages())
-        assert sum(per_proc) == 5 * 10 + n_messages
+        # every action is one joint event; a message is four asynchronous
+        # events and an internal action one
+        assert len(res.joints) == 5 * 10
+        n_messages = sum(first != last for first, last in res.joints)
+        assert res.execution.n_events == 5 * 10 + 3 * n_messages
 
     def test_deterministic(self):
         g = generators.cycle(5)
@@ -28,7 +38,9 @@ class TestTimedSimulation:
         res = simulate_sync(g, seed=2)
         for p in range(g.n_vertices):
             times = [
-                res.event_times[ev.uid] for ev in res.execution.events_at(p)
+                res.event_times[uid]
+                for uid, joint in enumerate(res.joints)
+                if p in participants(res, joint)
             ]
             assert times == sorted(times)
 
@@ -37,15 +49,15 @@ class TestTimedSimulation:
         completion times plus the handshake."""
         g = generators.star(4)
         res = simulate_sync(g, seed=5, handshake_duration=1.0)
-        ex = res.execution
         last: dict = {}
-        for ev in sorted(ex.events, key=lambda e: res.event_times[e.uid]):
-            t = res.event_times[ev.uid]
-            if ev.is_message:
-                for p in ev.procs:
+        for uid in sorted(range(len(res.joints)), key=res.event_times.get):
+            t = res.event_times[uid]
+            procs = participants(res, res.joints[uid])
+            if len(procs) == 2:
+                for p in procs:
                     if p in last:
                         assert t >= last[p] + 1.0 - 1e-9
-            for p in ev.procs:
+            for p in procs:
                 last[p] = t
 
     def test_finalization_never_before_event(self):
@@ -57,18 +69,10 @@ class TestTimedSimulation:
     def test_component_clock_correct_under_timing(self):
         g = generators.double_star(2, 2)
         res = simulate_sync(g, seed=4, actions_per_process=12)
-        from repro.sync.component_clock import ComponentSyncClock
-
         clock = ComponentSyncClock(res.decomposition)
-        clock.replay(res.execution)
+        clock.replay(res.execution, res.joints)
         clock.finalize_at_termination()
-        oracle = SyncOracle(res.execution)
-        for e in res.execution.events:
-            for f in res.execution.events:
-                if e.uid != f.uid:
-                    assert clock.timestamp(e).precedes(
-                        clock.timestamp(f)
-                    ) == oracle.happened_before(e, f)
+        assert timestamp_mismatches(clock, res.execution, res.joints) == []
 
     def test_chatty_runs_finalize_more(self):
         g = generators.star(6)
