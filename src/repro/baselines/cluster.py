@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
-    ControlMessage,
     Timestamp,
     standard_vector_rows,
     standard_vector_words,
@@ -158,7 +157,6 @@ class ClusterClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         external = self._cluster_of[peer] != self._cluster_of[p]
         self._step(p, k, cluster_receive=external, received=payload)
-        return []

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
-from repro.clocks.base import ClockAlgorithm, ControlMessage, Timestamp
+from repro.clocks.base import ClockAlgorithm, Timestamp
 from repro.core.events import ProcessId
 
 
@@ -81,9 +81,8 @@ class EncodedClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         self._step(p, k, payload)
-        return []
 
     def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
         """Actual storage cost: the big integer's bit length."""

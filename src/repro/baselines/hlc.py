@@ -31,11 +31,10 @@ per-process skew) and in the replayer (deterministic synthetic time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
-    ControlMessage,
     Timestamp,
     total_order_rows,
 )
@@ -148,7 +147,7 @@ class HybridLogicalClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         self._expect(p, k)
         l_m, c_m = payload
         pt = self._time(p)
@@ -166,7 +165,6 @@ class HybridLogicalClock(ClockAlgorithm):
         self._l[p] = new_l
         self._c[p] = c
         self._stamp(p, k, HLCTimestamp(new_l, c, p))
-        return []
 
     # ------------------------------------------------------------------
     def drift_from_physical(self, proc: int) -> float:

@@ -18,7 +18,6 @@ from typing import Any, List, Sequence, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
-    ControlMessage,
     Timestamp,
     standard_vector_rows,
     standard_vector_words,
@@ -101,6 +100,5 @@ class PlausibleClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         self._step(p, k, payload)
-        return []

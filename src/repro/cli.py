@@ -19,6 +19,14 @@ without writing code:
 - ``experiments``  — quick headline reproduction of the core claims.
 - ``metrics``      — run a workload (or reload ``--trace-out`` files) and
   export the metrics registry as JSON (see :mod:`repro.obs`).
+- ``conformance``  — differential fuzz of every clock scheme against both
+  causality oracles, replaying a pinned corpus first.
+- ``fabric-worker`` — join a fabric coordinator over TCP and run the cells
+  it leases (see :mod:`repro.fabric`).
+- ``kv-live``      — boot the Figure-4 store as a loopback TCP cluster in
+  this process, load it, optionally crash and fault it, and audit it.
+- ``serve``        — run one store node in this OS process; nodes find
+  each other through a shared JSON address book.
 
 ``simulate``, ``validate``, and ``chaos`` accept ``--trace-out PATH`` to
 write a structured JSONL trace of the run: a deterministic run header,

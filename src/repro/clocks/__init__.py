@@ -3,7 +3,7 @@
 from repro.clocks.base import (
     INFINITY,
     ClockAlgorithm,
-    ControlMessage,
+    DuplicateControl,
     Timestamp,
     vector_leq,
     vector_lt,
@@ -23,7 +23,7 @@ from repro.clocks.vector_sk import SKVectorClock
 __all__ = [
     "INFINITY",
     "ClockAlgorithm",
-    "ControlMessage",
+    "DuplicateControl",
     "Timestamp",
     "vector_leq",
     "vector_lt",

@@ -14,12 +14,16 @@ real protocol stack would host the algorithm:
   payload back.  :meth:`ClockAlgorithm.on_local` / ``on_send`` /
   ``on_receive`` take an :class:`~repro.core.events.Event` instead and pass
   its integers on; a host that has no ``Event`` builds none.
-- ``record_receive`` may return :class:`ControlMessage` objects.  The paper's
-  inline algorithms use these to tell a sender at which index its message was
-  received (Figure 1's ``⟨ctr_m, ctr_C⟩`` message).  The *transport* of
-  control messages is owned by the host (the replayer delivers them
-  instantly; the simulator routes them through FIFO control channels with
-  real delays, or piggybacks them — see :mod:`repro.sim.runner`).
+- ``record_receive`` returns the control payload *p* owes *peer*, or
+  ``None``.  The paper's only control is the receiver's acknowledgement,
+  Figure 1's ``⟨ctr_m, ctr_C⟩``: it tells a sender at which index its
+  message was received, and it always travels back to that sender, from
+  *p* to *peer*, so a host delivers it with ``on_control(p, peer,
+  payload)``.  The *transport* is the host's (the replayer delivers
+  instantly; the simulator routes controls through FIFO control channels
+  with real delays, or piggybacks them — see :mod:`repro.sim.runner`); the
+  ordering is the clock's: :class:`InlineClock` applies each channel's
+  controls once and in order, whatever order they arrive in.
 - :meth:`ClockAlgorithm.timestamp` returns the permanent timestamp of an
   event, or ``None`` for ``⊥`` while it has none;
   :meth:`ClockAlgorithm.is_final` says whether it has one.  Online
@@ -36,7 +40,6 @@ clocks, the paper's Theorem 3.1 / 4.1 operators for the inline schemes).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from operator import le
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -107,18 +110,8 @@ class Timestamp(abc.ABC):
         return len(self.elements())
 
 
-@dataclass(frozen=True, slots=True)
-class ControlMessage:
-    """A metadata-only message emitted by a clock algorithm.
-
-    The paper requires control channels to be FIFO per directed pair (the
-    application channels need not be).  ``src``/``dst`` are processes;
-    ``payload`` is scheme-private.
-    """
-
-    src: ProcessId
-    dst: ProcessId
-    payload: Any
+class DuplicateControl(ValueError):
+    """A second copy of a control that its channel already applied or holds."""
 
 
 class ClockAlgorithm(abc.ABC):
@@ -176,11 +169,12 @@ class ClockAlgorithm(abc.ABC):
     @abc.abstractmethod
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> Any:
         """*p* received a message from *peer* carrying the sender's
         *payload*.
 
-        Returns control messages for the host to transport (possibly empty).
+        Returns the control payload *p* now owes *peer*, for the host to
+        hand to ``on_control(p, peer, ...)``, or ``None``.
         """
 
     # ------------------------------------------------------------------
@@ -192,7 +186,7 @@ class ClockAlgorithm(abc.ABC):
     def on_send(self, ev: Event) -> Any:
         return self.record_send(ev.eid.proc, ev.eid.index, ev.peer)
 
-    def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
+    def on_receive(self, ev: Event, payload: Any) -> Any:
         return self.record_receive(ev.eid.proc, ev.eid.index, ev.peer, payload)
 
     def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
@@ -314,6 +308,121 @@ class ClockAlgorithm(abc.ABC):
         """Bits to encode *ts*: :meth:`width_bits` of its element count.  A
         scheme whose cost depends on the *value* overrides this instead."""
         return self.width_bits(ts.n_elements, max_events)
+
+
+class InlineClock(ClockAlgorithm):
+    """What the paper's two inline schemes share: the acknowledgement.
+
+    A process *c* that receives an application message from *j* owes *j*
+    the control ``⟨ctr_m, ctr_C⟩`` exactly when *j*'s events wait for it
+    (the star's centre, a cover process acknowledging a non-cover one).
+    :meth:`_ack` logs it on the control channel ``(c, j)`` and returns it
+    as ``(seq, a, b)``: *a* the message's send index at *j*, *b* its
+    receive index at *c*, *seq* its position on the channel.  The paper
+    needs the control channels FIFO; rather than trust the host's,
+    :meth:`on_control` simulates one: it applies each channel's controls in
+    *seq* order, holds early arrivals until the gap fills, and refuses a
+    second copy of a control already applied or held with
+    :class:`DuplicateControl`, before anything moves.  The log lets
+    :meth:`finalize_at_termination` apply what no host delivered: the
+    information exists at *c*, and a terminating run can always flush it.
+
+    A subclass names its control channels, fills ``_open[p]`` — ``{k:
+    entry}`` of *p*'s events still ``⊥``, which the flush closes as they
+    are — and implements :meth:`_apply_control` and :meth:`_close`.
+    """
+
+    def __init__(
+        self, n_processes: int, channels: Iterable[Tuple[ProcessId, ProcessId]]
+    ) -> None:
+        super().__init__(n_processes)
+        self._open: List[Dict[int, Any]] = [{} for _ in range(n_processes)]
+        #: per control channel: every control emitted on it (control
+        #: ``seq`` is entry ``seq``), the next seq to apply, and the early
+        #: arrivals by seq
+        self._ctrl_emitted: Dict[Tuple[ProcessId, ProcessId], List[Tuple[int, int]]] = {
+            chan: [] for chan in channels
+        }
+        self._ctrl_seq_in = dict.fromkeys(self._ctrl_emitted, 0)
+        self._ctrl_buffer: Dict[Tuple[ProcessId, ProcessId], Dict[int, Tuple[int, int]]] = {
+            chan: {} for chan in self._ctrl_emitted
+        }
+        self._terminated = False
+
+    def _ack(self, c: ProcessId, j: ProcessId, a: int, b: int) -> Tuple[int, int, int]:
+        """*c* received at its index *b* the message *j* sent at its index
+        *a*: log the acknowledgement on channel ``(c, j)`` and return it."""
+        emitted = self._ctrl_emitted[(c, j)]
+        seq = len(emitted)
+        emitted.append((a, b))
+        return (seq, a, b)
+
+    def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
+        """Deliver the control ``(seq, a, b)`` that *src* sent *dst*: apply
+        it and every held one it unblocks if it is the channel's next, hold
+        it if it is early, refuse it if it is a second copy."""
+        chan = (src, dst)
+        buf = self._ctrl_buffer.get(chan)
+        if buf is None:
+            raise ValueError(f"no control channel p{src} -> p{dst}")
+        seq, a, b = payload
+        expected = self._ctrl_seq_in[chan]
+        if seq < expected or seq in buf:
+            raise DuplicateControl(f"duplicate control seq {seq} on p{src} -> p{dst}")
+        if seq > expected:
+            buf[seq] = (a, b)
+            return
+        self._apply_control(src, dst, a, b)
+        expected += 1
+        while expected in buf:
+            a, b = buf.pop(expected)
+            self._apply_control(src, dst, a, b)
+            expected += 1
+        self._ctrl_seq_in[chan] = expected
+
+    @abc.abstractmethod
+    def _apply_control(self, c: ProcessId, j: ProcessId, a: int, b: int) -> None:
+        """Channel ``(c, j)``'s next acknowledgement, in order: *j*'s events
+        up to index *a* are in the causal past of *c*'s event *b*."""
+
+    @abc.abstractmethod
+    def _close(self, p: ProcessId, k: int, entry: Any) -> None:
+        """Open event ``(p, k)`` is final: build its timestamp from
+        *entry* into ``_stamps``, once, and log it as newly finalized."""
+
+    def timestamp(self, eid: EventId) -> Optional[Timestamp]:
+        """The base class's table read, but an event that never occurred
+        is a ``KeyError``, not ``⊥``."""
+        try:
+            return self._stamps[eid.proc][eid.index - 1]
+        except IndexError:
+            raise KeyError(f"unknown event {eid}") from None
+
+    def finalize_at_termination(self) -> List[EventId]:
+        """Apply every control emitted but never delivered, in channel
+        order; then no event's value can change, and the open ones close
+        as they are."""
+        if self._terminated:
+            return []
+        self._terminated = True
+        start = len(self._newly_finalized)
+        for chan, emitted in self._ctrl_emitted.items():
+            c, j = chan
+            for a, b in emitted[self._ctrl_seq_in[chan]:]:
+                self._apply_control(c, j, a, b)
+            self._ctrl_seq_in[chan] = len(emitted)
+            self._ctrl_buffer[chan].clear()
+        for p, open_p in enumerate(self._open):
+            for k, entry in open_p.items():
+                self._close(p, k, entry)
+            open_p.clear()
+        return [EventId(p, k) for p, k in self._newly_finalized[start:]]
+
+    def width_bits(self, n_elements: int, max_events: int) -> int:
+        """Theorem 4.3 accounting: ``id`` costs ``ceil(log2 n)`` bits,
+        every other stored element ``ceil(log2(K+1))`` bits (an ∞ entry is
+        encoded as 0, which no real receive index uses)."""
+        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
 
 
 def counter_bits(max_events: int) -> int:

@@ -24,9 +24,10 @@ Definitions implemented (with max ∅ = 0 and min ∅ = ∞):
   message ``m`` from ``j`` to ``c`` has ``e ⪯ send(m)`` and
   ``receive(m) ⪯ f`` (the minimum is attained at ``f = receive(m)``).
 
-Comparison is Theorem 4.1's four-case operator.  Control messages (a cover
-process acknowledging ``⟨mctr_m, mctr_of_receive⟩`` to a non-cover sender)
-are resequenced per directed pair exactly as in
+Comparison is Theorem 4.1's four-case operator.  The control messages (a
+cover process acknowledging ``⟨mctr_m, mctr_of_receive⟩`` to a non-cover
+sender) travel on one channel per such edge, resequenced and flushed at
+termination by :class:`~repro.clocks.base.InlineClock`, as in
 :class:`repro.clocks.inline_star.StarInlineClock`; with ``VC = {center}`` on
 a star graph this class degenerates to the Section-3 algorithm (a property
 the test suite checks exhaustively).
@@ -40,12 +41,9 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.clocks.base import (
     INFINITY,
-    ClockAlgorithm,
-    ControlMessage,
+    InlineClock,
     Timestamp,
-    counter_bits,
     dominance_rows,
-    id_bits,
     vector_leq,
     vector_lt,
 )
@@ -166,12 +164,12 @@ class CoverTimestamp(Timestamp):
         return 2 + len(self.mpre) + len(self.mpost)
 
 
-#: what a non-cover event keeps while its timestamp is ``⊥``: ``mpre``, and
-#: the ``mpost`` being filled in
+#: what a non-cover event keeps in ``_open`` while its timestamp is ``⊥``:
+#: ``mpre``, and the ``mpost`` being filled in
 _Open = Tuple[Tuple[int, ...], List[PostValue]]
 
 
-class CoverInlineClock(ClockAlgorithm):
+class CoverInlineClock(InlineClock):
     """The Section-4 algorithm for an arbitrary communication graph.
 
     Parameters
@@ -193,7 +191,6 @@ class CoverInlineClock(ClockAlgorithm):
         graph: CommunicationGraph,
         cover: Optional[Tuple[ProcessId, ...]] = None,
     ) -> None:
-        super().__init__(graph.n_vertices)
         if cover is None:
             from repro.topology.vertex_cover import best_cover
 
@@ -201,6 +198,17 @@ class CoverInlineClock(ClockAlgorithm):
         self._cover: Tuple[ProcessId, ...] = tuple(sorted(set(cover)))
         if not graph.is_vertex_cover(self._cover):
             raise ValueError(f"{self._cover} is not a vertex cover")
+        # one control channel per edge from a cover process c to a
+        # non-cover j
+        super().__init__(
+            graph.n_vertices,
+            [
+                (c, j)
+                for c in self._cover
+                for j in sorted(graph.neighbors(c))
+                if j not in self._cover
+            ],
+        )
         self._graph = graph
         #: ``_nbrs[p]``: the processes *p* shares a channel with
         self._nbrs: Tuple[FrozenSet[ProcessId], ...] = tuple(
@@ -211,9 +219,6 @@ class CoverInlineClock(ClockAlgorithm):
         }
         k = len(self._cover)
         self._mpre: List[List[int]] = [[0] * k for _ in range(self._n)]
-        #: per process, ``{index: open entry}`` of the events still ``⊥``;
-        #: an entry is dropped when its timestamp is written to ``_stamps``
-        self._open: List[Dict[int, _Open]] = [{} for _ in range(self._n)]
         # which mpost slots of a non-cover process can ever become finite
         self._adjacent_cover: Dict[ProcessId, Tuple[int, ...]] = {}
         #: ``_upto[j][slot]``: events at non-cover *j* with ``mctr`` up to
@@ -229,24 +234,6 @@ class CoverInlineClock(ClockAlgorithm):
                 self._upto[p] = [
                     0 if slot in adjacent else INFINITY for slot in range(k)
                 ]
-        # the control channels: one per edge from a cover process c to a
-        # non-cover j, and per channel every control c emitted (control
-        # ``seq`` is entry ``seq``), the next seq j expects, and j's
-        # resequencing buffer
-        channels = [
-            (c, j)
-            for c in self._cover
-            for j in sorted(graph.neighbors(c))
-            if j not in self._cpos
-        ]
-        self._ctrl_emitted: Dict[Tuple[ProcessId, ProcessId], List[Tuple[int, int]]] = {
-            chan: [] for chan in channels
-        }
-        self._ctrl_seq_in: Dict[Tuple[ProcessId, ProcessId], int] = dict.fromkeys(channels, 0)
-        self._ctrl_buffer: Dict[Tuple[ProcessId, ProcessId], Dict[int, Tuple[int, int]]] = {
-            chan: {} for chan in channels
-        }
-        self._terminated = False
 
     # ------------------------------------------------------------------
     @property
@@ -310,7 +297,7 @@ class CoverInlineClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> Optional[Tuple[int, int, int]]:
         if peer not in self._nbrs[p]:
             self._refuse_peer(p, peer)
         _src, mctr_m, mpre_m = payload
@@ -318,38 +305,8 @@ class CoverInlineClock(ClockAlgorithm):
         if p in self._cpos and peer not in self._cpos:
             # acknowledge to the non-cover sender (paper: control message
             # with the send index and the receive index at the cover process)
-            emitted = self._ctrl_emitted[(p, peer)]
-            seq = len(emitted)
-            emitted.append((mctr_m, k))
-            return [ControlMessage(src=p, dst=peer, payload=(seq, mctr_m, k))]
-        return []
-
-    # ------------------------------------------------------------------
-    # control handling
-    # ------------------------------------------------------------------
-    def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        """Deliver a control message, resequencing per (src, dst) pair.  A
-        second copy of a control — already applied, or still buffered — is
-        refused."""
-        if src not in self._cpos:
-            raise ValueError(f"control message from non-cover process p{src}")
-        seq, a, b = payload
-        key = (src, dst)
-        buf = self._ctrl_buffer.get(key)
-        if buf is None:
-            raise ValueError(f"no control channel p{src} -> p{dst}")
-        expected = self._ctrl_seq_in[key]
-        if seq < expected or seq in buf:
-            raise ValueError(f"duplicate control seq {seq} on {key}")
-        if seq > expected:
-            buf[seq] = (a, b)
-            return
-        self._ctrl_seq_in[key] = expected = expected + 1
-        self._apply_control(src, dst, a, b)
-        while expected in buf:
-            a, b = buf.pop(expected)
-            self._ctrl_seq_in[key] = expected = expected + 1
-            self._apply_control(src, dst, a, b)
+            return self._ack(p, peer, mctr_m, k)
+        return None
 
     def _apply_control(self, c: ProcessId, j: ProcessId, a: int, b: int) -> None:
         """Set ``mpost[c] = b`` for the events at *j* in ``(upto, a]`` — the
@@ -374,16 +331,6 @@ class CoverInlineClock(ClockAlgorithm):
                 self._close(j, k, entry)
 
     # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def timestamp(self, eid: EventId) -> Optional[CoverTimestamp]:
-        """The base class's table read, but an event that never occurred
-        is a ``KeyError``, not ``⊥``."""
-        try:
-            return self._stamps[eid.proc][eid.index - 1]  # type: ignore[return-value]
-        except IndexError:
-            raise KeyError(f"unknown event {eid}") from None
-
     def provisional_timestamp(self, eid: EventId) -> CoverTimestamp:
         """Current (possibly provisional) value, for inspection/debugging."""
         ts = self.timestamp(eid)
@@ -394,34 +341,8 @@ class CoverInlineClock(ClockAlgorithm):
             )
         return ts
 
-    # ------------------------------------------------------------------
-    def width_bits(self, n_elements: int, max_events: int) -> int:
-        """Theorem 4.3 accounting: ``id`` costs ``ceil(log2 n)`` bits,
-        every other stored element ``ceil(log2(K+1))`` bits (∞ entries are
-        encoded as 0, which no real receive index uses)."""
-        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
-
     def payload_elements(self, payload: Any) -> int:
         """``(id, mctr, mpre)`` on an application message, ``(seq, send
         index, receive index)`` on a control message."""
         mpre = payload[2]
         return 3 if isinstance(mpre, int) else 2 + len(mpre)
-
-    # ------------------------------------------------------------------
-    def finalize_at_termination(self) -> List[EventId]:
-        """Flush undelivered acknowledgements; remaining ∞ become permanent."""
-        if self._terminated:
-            return []
-        self._terminated = True
-        start = len(self._newly_finalized)
-        for key, emitted in self._ctrl_emitted.items():
-            c, j = key
-            for a, b in emitted[self._ctrl_seq_in[key]:]:
-                self._apply_control(c, j, a, b)
-            self._ctrl_seq_in[key] = len(emitted)
-            self._ctrl_buffer[key].clear()
-        for p, open_p in enumerate(self._open):
-            for k, entry in open_p.items():
-                self._close(p, k, entry)
-            open_p.clear()
-        return [EventId(p, k) for p, k in self._newly_finalized[start:]]

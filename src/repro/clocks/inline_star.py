@@ -20,17 +20,11 @@ control channel, the receipt of a message the radial process sent at or
 after the event.  Until then the timestamp is ``⊥`` (inline).  Comparison is
 Theorem 3.1's four-case operator — *not* the standard vector comparison.
 
-FIFO control transport: rather than assuming the host's channels are FIFO,
-the algorithm stamps every control message with a per-channel sequence
-number and resequences at the receiver, exactly as the paper notes one can
-"simulate a FIFO channel for the control messages".  This keeps finalization
-semantics correct even when the host piggybacks controls on non-FIFO
-application messages.
-
-``finalize_at_termination`` models the end of the computation: any control
-message that was emitted but never transported is applied (the information
-exists at ``C``; a terminating run can always flush it), after which every
-remaining ``∞`` is the event's true, permanent ``post`` value.
+The control channels, their resequencing and the termination flush are
+:class:`~repro.clocks.base.InlineClock`'s, shared with the cover scheme:
+this module keeps the record steps, what an acknowledgement does at a
+radial process, and the timestamp.  After the flush every remaining ``∞`` is
+the event's true, permanent ``post`` value.
 """
 
 from __future__ import annotations
@@ -40,12 +34,9 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.clocks.base import (
     INFINITY,
-    ClockAlgorithm,
-    ControlMessage,
+    InlineClock,
     Timestamp,
-    counter_bits,
     dominance_rows,
-    id_bits,
 )
 from repro.core.events import EventId, ProcessId
 
@@ -179,7 +170,7 @@ class StarTimestamp(Timestamp):
         return 2 if self.id == self.center else 4
 
 
-class StarInlineClock(ClockAlgorithm):
+class StarInlineClock(InlineClock):
     """The Figure-1 algorithm.
 
     Parameters
@@ -195,9 +186,12 @@ class StarInlineClock(ClockAlgorithm):
     characterizes_causality = True
 
     def __init__(self, n_processes: int, center: ProcessId = 0) -> None:
-        super().__init__(n_processes)
         if not 0 <= center < n_processes:
             raise ValueError("center out of range")
+        # one control channel per radial process, from the centre
+        super().__init__(
+            n_processes, [(center, j) for j in range(n_processes) if j != center]
+        )
         self._center = center
         #: ``_nbrs[p]``: the processes *p* shares a channel with — every
         #: other process for the centre, the centre alone for a radial one
@@ -206,22 +200,10 @@ class StarInlineClock(ClockAlgorithm):
             for p in range(n_processes)
         )
         self._pre = [0] * n_processes
-        #: per radial process, ``{ctr: pre}`` of the events still ``⊥``
-        #: (their ``post`` is ∞ until the acknowledgement that closes them);
-        #: an entry is dropped when its timestamp goes to ``_stamps``
-        self._open: List[Dict[int, int]] = [{} for _ in range(n_processes)]
-        # resequencing state of each control channel C -> j, at j
-        self._ctrl_seq_in = [0] * n_processes  # next seq expected, per dst
-        self._ctrl_buffer: List[Dict[int, Tuple[int, int]]] = [
-            {} for _ in range(n_processes)
-        ]
-        # events with ctr <= finalized_upto[j] have final post values
+        # a radial event's ``_open`` entry is its ``pre``: its ``post`` is ∞
+        # until the acknowledgement that closes it; events with ctr <=
+        # finalized_upto[j] have final post values
         self._finalized_upto = [0] * n_processes
-        #: every control emitted, per dst: control ``seq`` is entry ``seq``
-        self._ctrl_emitted: List[List[Tuple[int, int]]] = [
-            [] for _ in range(n_processes)
-        ]
-        self._terminated = False
 
     # ------------------------------------------------------------------
     @property
@@ -247,7 +229,7 @@ class StarInlineClock(ClockAlgorithm):
         self._open[p][k] = pre
         return pre
 
-    def _close(self, p: ProcessId, k: int, pre: int, post: PostValue) -> None:
+    def _close(self, p: ProcessId, k: int, pre: int, post: PostValue = INFINITY) -> None:
         """A radial event's ``post`` is permanent: build its timestamp, once."""
         self._stamps[p][k - 1] = StarTimestamp(p, k, pre, post, self._center)
         self._newly_finalized.append((p, k))
@@ -265,50 +247,19 @@ class StarInlineClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> Optional[Tuple[int, int, int]]:
         if peer not in self._nbrs[p]:
             self._refuse_peer(p, peer)
         ctr_m, _pre_m = payload
         if p != self._center:
             # radial receive: the message necessarily came from C
             self._step(p, k, ctr_m)
-            return []
+            return None
         self._step(p, k)
         # acknowledge: tell sender *peer* at which index its message arrived
-        emitted = self._ctrl_emitted[peer]
-        seq = len(emitted)
-        emitted.append((ctr_m, k))
-        return [ControlMessage(src=p, dst=peer, payload=(seq, ctr_m, k))]
+        return self._ack(p, peer, ctr_m, k)
 
-    # ------------------------------------------------------------------
-    # control handling
-    # ------------------------------------------------------------------
-    def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        """Deliver a control message ``(seq, a, b)`` to radial process *dst*.
-
-        Applies it in sequence-number order (resequencing buffer), per the
-        paper's FIFO control channel requirement.  *src* is necessarily the
-        central process.  A second copy of a control — already applied, or
-        still buffered — is refused.
-        """
-        if src != self._center:
-            raise ValueError(f"control message from non-central process p{src}")
-        seq, a, b = payload
-        expected = self._ctrl_seq_in[dst]
-        buf = self._ctrl_buffer[dst]
-        if seq < expected or seq in buf:
-            raise ValueError(f"duplicate control message seq {seq} for p{dst}")
-        if seq > expected:
-            buf[seq] = (a, b)
-            return
-        self._ctrl_seq_in[dst] = expected = expected + 1
-        self._apply_control(dst, a, b)
-        while expected in buf:
-            a, b = buf.pop(expected)
-            self._ctrl_seq_in[dst] = expected = expected + 1
-            self._apply_control(dst, a, b)
-
-    def _apply_control(self, j: ProcessId, a: int, b: int) -> None:
+    def _apply_control(self, c: ProcessId, j: ProcessId, a: int, b: int) -> None:
         """Close the events at *j* with ``ctr`` in ``(finalized_upto, a]``
         with ``post = b`` — those are exactly the events for which this is
         the first (hence minimal, by FIFO) applicable acknowledgement."""
@@ -323,16 +274,6 @@ class StarInlineClock(ClockAlgorithm):
                 self._close(j, ctr, pre, b)
 
     # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def timestamp(self, eid: EventId) -> Optional[StarTimestamp]:
-        """The base class's table read, but an event that never occurred
-        is a ``KeyError``, not ``⊥``."""
-        try:
-            return self._stamps[eid.proc][eid.index - 1]  # type: ignore[return-value]
-        except IndexError:
-            raise KeyError(f"unknown event {eid}") from None
-
     def provisional_timestamp(self, eid: EventId) -> StarTimestamp:
         """The current (possibly not yet permanent) value — for inspection."""
         ts = self.timestamp(eid)
@@ -341,39 +282,7 @@ class StarInlineClock(ClockAlgorithm):
             ts = StarTimestamp(eid.proc, eid.index, pre, INFINITY, self._center)
         return ts
 
-    # ------------------------------------------------------------------
-    def width_bits(self, n_elements: int, max_events: int) -> int:
-        """Theorem 4.3 accounting for the star (|VC| = 1).
-
-        The ``id`` element costs ``ceil(log2 n)`` bits; every other stored
-        element costs ``ceil(log2(K+1))`` bits (a ``post`` of ∞ is encoded
-        as 0, which no real receive index uses).
-        """
-        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
-
     def payload_elements(self, payload: Any) -> int:
         """``(ctr, pre)`` on an application message, ``(seq, send index,
         receive index)`` on a control message: flat tuples of integers."""
         return len(payload)
-
-    # ------------------------------------------------------------------
-    def finalize_at_termination(self) -> List[EventId]:
-        """Flush undelivered control information and make all posts permanent."""
-        if self._terminated:
-            return []
-        self._terminated = True
-        start = len(self._newly_finalized)
-        for j in range(self._n):
-            if j == self._center:
-                continue
-            # apply every emitted-but-not-yet-applied control, in order
-            emitted = self._ctrl_emitted[j]
-            for a, b in emitted[self._ctrl_seq_in[j]:]:
-                self._apply_control(j, a, b)
-            self._ctrl_seq_in[j] = len(emitted)
-            self._ctrl_buffer[j].clear()
-            # remaining infinities are true: no causal successor at C
-            for ctr, pre in self._open[j].items():
-                self._close(j, ctr, pre, INFINITY)
-            self._open[j].clear()
-        return [EventId(p, k) for p, k in self._newly_finalized[start:]]

@@ -9,11 +9,10 @@ for the size/accuracy trade-off benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
-    ControlMessage,
     Timestamp,
     total_order_rows,
 )
@@ -67,6 +66,5 @@ class LamportClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         self._tick(p, k, floor=int(payload))
-        return []

@@ -500,8 +500,9 @@ def replay(
                 payloads[i][ev.msg_id] = algo.on_send(ev)  # type: ignore[index]
             else:
                 payload = payloads[i].pop(ev.msg_id)  # type: ignore[arg-type]
-                for cm in algo.on_receive(ev, payload):
-                    algo.on_control(cm.src, cm.dst, cm.payload)
+                ack = algo.on_receive(ev, payload)
+                if ack is not None:
+                    algo.on_control(ev.eid.proc, ev.peer, ack)
             newly = algo._newly_finalized
             if newly:
                 final_ids = finalized[i]

@@ -10,11 +10,10 @@ reduced below ``n`` (integer entries) even when the topology is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.clocks.base import (
     ClockAlgorithm,
-    ControlMessage,
     Timestamp,
     standard_vector_rows,
     standard_vector_words,
@@ -89,9 +88,8 @@ class VectorClock(ClockAlgorithm):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         self._step(p, k, payload)
-        return []
 
     def payload_elements(self, payload: Any) -> int:
         return len(payload)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.clocks.base import ControlMessage
 from repro.clocks.vector import VectorClock
 from repro.core.events import ProcessId
 
@@ -78,7 +77,7 @@ class SKVectorClock(VectorClock):
 
     def record_receive(
         self, p: ProcessId, k: int, peer: ProcessId, payload: Any
-    ) -> List[ControlMessage]:
+    ) -> None:
         key = (peer, p)
         seq, diff = payload
         self._expect(p, k)  # before the channel state below moves

@@ -352,8 +352,9 @@ def _check_finalization(
             else:
                 src, dst, payload = in_flight.pop(op[1])
                 counts[dst] += 1
-                for cm in clock.record_receive(dst, counts[dst], src, payload):
-                    clock.on_control(cm.src, cm.dst, cm.payload)
+                ack = clock.record_receive(dst, counts[dst], src, payload)
+                if ack is not None:
+                    clock.on_control(dst, src, ack)
             record_final("stream", step)
             # previously finalized timestamps must read back unchanged
             for eid, ts in final_ts.items():

@@ -35,7 +35,6 @@ import abc
 import random
 from typing import Any, Dict, List, Tuple
 
-from repro.clocks.base import ClockAlgorithm, ControlMessage, Timestamp
 from repro.clocks.vector import VectorClock
 from repro.core.events import Event, EventId
 

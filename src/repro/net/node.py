@@ -29,16 +29,18 @@ Section 3.2 piggybacking; the simulator's ``ControlTransport.PIGGYBACK``).
 A control the algorithm emits on receiving a *request* goes back in the
 ``"ctl"`` list of that request's response; one emitted on receiving a
 *response* waits in a per-destination outbox for this node's next request to
-that process.  The receiver applies the list after the frame's own receive
-event, through :meth:`LiveClockHost.control`, whose per-channel sequence
-numbers restore FIFO order and drop repeats — so a retransmitted request or
-a replayed cached response is harmless, and a request that fails puts its
-controls back at the head of the outbox.  There is no per-control RPC and no
-timer: an edge that goes idle finalizes at its next message, or when the node
-quiesces and :meth:`LiveNode.flush_controls` sends what is left, one batched
-``{"type": "ctl"}`` request per destination.  A response never empties the
-outbox: which of two concurrent exchanges on an edge ends last depends on
-timing, and the number of frames a run sends must not.  A node only accepts
+that process.  The receiver hands the list to its clock after the frame's
+own receive event, through :meth:`LiveClockHost.control`; the clock applies
+each control channel in the order of the controls' own sequence numbers and
+refuses a repeat (:class:`~repro.clocks.base.InlineClock`) — so a
+retransmitted request or a replayed cached response is harmless, and a
+request that fails puts its controls back at the head of the outbox.  There
+is no per-control RPC and no timer: an edge that goes idle finalizes at its
+next message, or when the node quiesces and :meth:`LiveNode.flush_controls`
+sends what is left, one batched ``{"type": "ctl"}`` request per
+destination.  A response never empties the outbox: which of two concurrent
+exchanges on an edge ends last depends on timing, and the number of frames a
+run sends must not.  A node only accepts
 controls whose channel is the frame's own two endpoints.  What is lost: the
 controls on a response whose requester gave up on the request id (they
 count as piggybacked; the receiver's channel then holds later ones back),
@@ -66,6 +68,7 @@ Robustness properties the nodes provide:
 from __future__ import annotations
 
 import asyncio
+import fcntl
 import itertools
 import json
 import os
@@ -75,7 +78,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.applications.causal_kv import VALUE_HOPS, Operation, StoreConfig, WriteRecord
-from repro.clocks.base import ClockAlgorithm
+from repro.clocks.base import ClockAlgorithm, DuplicateControl
 from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.net.chaos_proxy import ChaosInterposer
@@ -124,9 +127,11 @@ class AddressBook:
 class FileAddressBook(AddressBook):
     """Address book shared between OS processes through a JSON file.
 
-    ``repro serve`` nodes register themselves by rewriting the file; lookups
-    re-read it, so peers started later (or restarted on a new port) are
-    found without coordination beyond the shared path.
+    ``repro serve`` nodes register themselves by rewriting the file, one
+    at a time under an exclusive lock on ``PATH.lock``, so nodes started
+    together do not drop each other's entries; lookups re-read it, so peers
+    started later (or restarted on a new port) are found without
+    coordination beyond the shared path.
     """
 
     def __init__(self, path: str) -> None:
@@ -142,12 +147,14 @@ class FileAddressBook(AddressBook):
         return {int(k): (v[0], int(v[1])) for k, v in raw.items()}
 
     def set(self, proc: int, addr: Tuple[str, int]) -> None:
-        entries = self._load()
-        entries[proc] = (addr[0], int(addr[1]))
-        tmp = f"{self._path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump({str(k): list(v) for k, v in entries.items()}, fh)
-        os.replace(tmp, self._path)
+        with open(f"{self._path}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when *lock* closes
+            entries = self._load()
+            entries[proc] = (addr[0], int(addr[1]))
+            tmp = f"{self._path}.tmp.{os.getpid()}"
+            with open(tmp, "w") as fh:
+                json.dump({str(k): list(v) for k, v in entries.items()}, fh)
+            os.replace(tmp, self._path)
 
     def get(self, proc: int) -> Tuple[str, int]:
         addr = self._load().get(proc)
@@ -241,9 +248,10 @@ class LiveClockHost:
     """Hosts one :class:`ClockAlgorithm` over the live message flow.
 
     The host owns event-index allocation (per process, contiguous from 1),
-    message ids, receive-side dedup, and FIFO sequencing of control
-    messages, so the algorithm observes exactly the execution model it was
-    written for even though the wire may duplicate or reorder frames.
+    message ids and receive-side dedup, so the algorithm observes exactly
+    the execution model it was written for even though the wire may
+    duplicate or reorder frames.  Controls go to the clock as they arrive:
+    it orders each control channel itself, and refuses a second copy.
     Single-threaded by construction: all entry points are synchronous and
     run on the event loop thread.
 
@@ -271,14 +279,6 @@ class LiveClockHost:
         self._procs = array("q")
         self._peers = array("q")
         self._mids = array("q")
-        # per control channel — a directed graph edge — the next sequence
-        # number to stamp, the next one to apply, and the early arrivals
-        channels = [(p, q) for p, nbrs in enumerate(spec.neighbours) for q in nbrs]
-        self._ctrl_seq: Dict[Tuple[int, int], int] = dict.fromkeys(channels, 0)
-        self._ctrl_expect: Dict[Tuple[int, int], int] = dict.fromkeys(channels, 0)
-        self._ctrl_buffer: Dict[Tuple[int, int], Dict[int, Any]] = {
-            chan: {} for chan in channels
-        }
 
     def _log(self, proc: int, peer: int, mid: int) -> int:
         """Log one event (*mid* is ``~mid`` for a receive); returns its
@@ -303,7 +303,8 @@ class LiveClockHost:
     def deliver(
         self, dst: int, src: int, env: Dict[str, Any]
     ) -> List[Dict[str, Any]]:
-        """Receive event for an incoming envelope; returns control messages.
+        """Receive event for an incoming envelope; returns the control it
+        makes *dst* owe *src*, if any, as a one-element list.
 
         Duplicate copies (same message id) are absorbed here — the
         execution model has at most one receive event per message.
@@ -314,44 +315,26 @@ class LiveClockHost:
             return []
         self._received.add(mid)
         clock = self.clock
-        controls = clock.record_receive(
+        ack = clock.record_receive(
             dst, self._log(dst, src, ~mid), src, unpack_payload(env["ts"])
         )
         clock._newly_finalized.clear()
-        out: List[Dict[str, Any]] = []
-        for cm in controls:
-            chan = (cm.src, cm.dst)
-            seq = self._ctrl_seq[chan]
-            self._ctrl_seq[chan] = seq + 1
-            out.append(
-                {
-                    "csrc": cm.src,
-                    "cdst": cm.dst,
-                    "seq": seq,
-                    "pl": pack_payload(cm.payload),
-                }
-            )
-        return out
+        if ack is None:
+            return []
+        # the wire's "seq" is the clock's own: the ack's first element
+        return [{"csrc": dst, "cdst": src, "seq": ack[0], "pl": pack_payload(ack)}]
 
     # -- control-message hooks -----------------------------------------
     def control(self, src: int, dst: int, seq: int, packed: Any) -> None:
-        """Deliver one control datagram; buffers to enforce per-channel FIFO."""
-        chan = (src, dst)
-        expect = self._ctrl_expect[chan]
-        if seq < expect:  # duplicate of an already-applied datagram
+        """Hand one control to the clock, which orders its channel by the
+        control's own *seq*; a second copy is counted (``net.ctl_dup``),
+        not applied."""
+        clock = self.clock
+        try:
+            clock.on_control(src, dst, unpack_payload(packed))
+        except DuplicateControl:
             counter("net.ctl_dup").inc()
             return
-        buf = self._ctrl_buffer[chan]
-        if seq > expect:
-            buf[seq] = packed
-            return
-        clock = self.clock
-        clock.on_control(src, dst, unpack_payload(packed))
-        expect += 1
-        while expect in buf:
-            clock.on_control(src, dst, unpack_payload(buf.pop(expect)))
-            expect += 1
-        self._ctrl_expect[chan] = expect
         clock._newly_finalized.clear()
 
     # -- reporting ------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.clocks.base import ClockAlgorithm, ControlMessage
+from repro.clocks.base import ClockAlgorithm
 from repro.clocks.replay import TimestampAssignment, collect_assignment
 from repro.core.events import Event, EventId, MessageId, ProcessId
 from repro.core.execution import Execution, ExecutionBuilder
@@ -147,8 +147,9 @@ class _ClockState:
     stats: AlgorithmStats = field(default_factory=AlgorithmStats)
     #: in-flight application payloads by message id
     payloads: Dict[MessageId, Any] = field(default_factory=dict)
-    #: PIGGYBACK transport: controls waiting for a carrier, per channel
-    pending: Dict[Tuple[ProcessId, ProcessId], List[ControlMessage]] = field(
+    #: PIGGYBACK transport: control payloads waiting for a carrier, per
+    #: channel
+    pending: Dict[Tuple[ProcessId, ProcessId], List[Any]] = field(
         default_factory=dict
     )
     piggy_elems: Dict[int, int] = field(default_factory=dict)
@@ -458,7 +459,7 @@ class Simulation:
             dropped = fate.drop
             copies = fate.copies
         piggybacking = self._transport is ControlTransport.PIGGYBACK
-        piggyback: List[Optional[List[ControlMessage]]] = (
+        piggyback: List[Optional[List[Any]]] = (
             [] if piggybacking else self._no_piggyback
         )
         index = ev.eid.index
@@ -489,7 +490,7 @@ class Simulation:
         src: ProcessId,
         dst: ProcessId,
         msg_id: MessageId,
-        piggyback: Sequence[Optional[List[ControlMessage]]],
+        piggyback: Sequence[Optional[List[Any]]],
         copies: int,
     ) -> None:
         """Schedule *copies* deliveries; the first to arrive at a live
@@ -529,7 +530,7 @@ class Simulation:
     def _deliver(
         self,
         msg_id: MessageId,
-        piggyback: Sequence[Optional[List[ControlMessage]]],
+        piggyback: Sequence[Optional[List[Any]]],
     ) -> None:
         msg = self._builder.message(msg_id)
         dst, src = msg.dst, msg.src
@@ -543,38 +544,42 @@ class Simulation:
             self._oracle.append_receive(recv.eid, msg.send_event)
         for cs, riders in zip(self._clocks, piggyback):
             algo = cs.algo
-            controls = algo.record_receive(dst, index, src, cs.payloads.pop(msg_id))
+            ack = algo.record_receive(dst, index, src, cs.payloads.pop(msg_id))
             if algo._newly_finalized:
                 self._drain(cs)
-            for cm in controls:
-                self._emit_control(cs, cm)
+            if ack is not None:
+                self._emit_control(cs, dst, src, ack)
             if riders:
-                for cm in riders:
+                # the controls src owed dst, riding src's message to dst
+                for ctl in riders:
                     cs.stats.control_messages += 1
-                    cs.stats.control_elements += algo.payload_elements(
-                        cm.payload
-                    )
-                    algo.on_control(cm.src, cm.dst, cm.payload)
+                    cs.stats.control_elements += algo.payload_elements(ctl)
+                    algo.on_control(src, dst, ctl)
                 if algo._newly_finalized:
                     self._drain(cs)
         self._workload.on_deliver(self, self._builder.message(msg_id), recv)
 
-    def _emit_control(self, cs: _ClockState, cm: ControlMessage) -> None:
+    def _emit_control(
+        self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
+    ) -> None:
+        """Send the control *ctl* that *src*'s clock owes *dst*."""
         if self._transport is ControlTransport.PIGGYBACK:
-            cs.pending.setdefault((cm.src, cm.dst), []).append(cm)
+            cs.pending.setdefault((src, dst), []).append(ctl)
             return
         cs.stats.control_messages += 1
-        cs.stats.control_elements += cs.algo.payload_elements(cm.payload)
-        deliver = partial(self._deliver_control, cs, cm)
+        cs.stats.control_elements += cs.algo.payload_elements(ctl)
+        deliver = partial(self._deliver_control, cs, src, dst, ctl)
         if cs.link is not None:
-            cs.link.send(cm.src, cm.dst, deliver)
+            cs.link.send(src, dst, deliver)
         else:
             self._send_control_datagram(
-                cm.src, cm.dst, deliver, "data", dedup_stats=cs.stats
+                src, dst, deliver, "data", dedup_stats=cs.stats
             )
 
-    def _deliver_control(self, cs: _ClockState, cm: ControlMessage) -> None:
-        cs.algo.on_control(cm.src, cm.dst, cm.payload)
+    def _deliver_control(
+        self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
+    ) -> None:
+        cs.algo.on_control(src, dst, ctl)
         if cs.algo._newly_finalized:
             self._drain(cs)
 
@@ -699,7 +704,7 @@ class Simulation:
             for name, algo in self._clock_map.items()
         ]
         #: rides every application message outside PIGGYBACK; shared, not mutated
-        self._no_piggyback: List[Optional[List[ControlMessage]]] = [None] * len(
+        self._no_piggyback: List[Optional[List[Any]]] = [None] * len(
             self._clocks
         )
         self._event_times = _TimeTable(n)

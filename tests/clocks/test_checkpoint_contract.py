@@ -30,8 +30,9 @@ def _drive(clock, events, payloads):
         elif ev.is_send:
             payloads[ev.msg_id] = clock.on_send(ev)
         else:
-            for cm in clock.on_receive(ev, payloads.pop(ev.msg_id)):
-                clock.on_control(cm.src, cm.dst, cm.payload)
+            ack = clock.on_receive(ev, payloads.pop(ev.msg_id))
+            if ack is not None:
+                clock.on_control(ev.eid.proc, ev.peer, ack)
 
 
 @pytest.mark.parametrize("spec", all_schemes(), ids=lambda spec: spec.name)
@@ -103,7 +104,9 @@ def test_open_entries_survive_a_snapshot(spec):
         elif ev.is_send:
             payloads[ev.msg_id] = live.on_send(ev)
         else:
-            held.extend(live.on_receive(ev, payloads.pop(ev.msg_id)))
+            ack = live.on_receive(ev, payloads.pop(ev.msg_id))
+            if ack is not None:
+                held.append((ev.eid.proc, ev.peer, ack))
     ids = [ev.eid for ev in execution.all_events()]
     still_open = [eid for eid in ids if live.timestamp(eid) is None]
     assert still_open and held, "nothing was open at the snapshot"
@@ -117,8 +120,8 @@ def test_open_entries_survive_a_snapshot(spec):
 
     # half of the acknowledgements arrive, the run ends for the rest
     for clock in (live, restored):
-        for cm in held[: len(held) // 2]:
-            clock.on_control(cm.src, cm.dst, cm.payload)
+        for src, dst, ack in held[: len(held) // 2]:
+            clock.on_control(src, dst, ack)
     closed = live.drain_newly_finalized()
     assert closed and closed == restored.drain_newly_finalized()
     assert live.finalize_at_termination() == restored.finalize_at_termination()

@@ -89,8 +89,9 @@ def _drive(clock, events, payloads, refuse_first=False):
         elif ev.is_send:
             sent[ev.msg_id] = payloads[ev.msg_id] = clock.on_send(ev)
         else:
-            for cm in clock.on_receive(ev, payloads.pop(ev.msg_id)):
-                clock.on_control(cm.src, cm.dst, cm.payload)
+            ack = clock.on_receive(ev, payloads.pop(ev.msg_id))
+            if ack is not None:
+                clock.on_control(ev.eid.proc, ev.peer, ack)
     return sent
 
 
@@ -144,9 +145,8 @@ def _record(clock, order, hook):
         out = hook(clock, ev, payloads.pop(ev.msg_id) if ev.is_receive else None)
         if ev.is_send:
             payloads[ev.msg_id] = out
-        elif ev.is_receive:
-            for cm in out:
-                clock.on_control(cm.src, cm.dst, cm.payload)
+        elif ev.is_receive and out is not None:
+            clock.on_control(ev.eid.proc, ev.peer, out)
         trace.append((out, clock.drain_newly_finalized()))
     return trace
 
@@ -218,9 +218,8 @@ def test_each_step_checks_before_it_moves_anything(spec):
             out = _step(clock, ev, payloads.pop(ev.msg_id, None))
             if ev.is_send:
                 payloads[ev.msg_id] = out
-            elif ev.is_receive:
-                for cm in out:
-                    clock.on_control(cm.src, cm.dst, cm.payload)
+            elif ev.is_receive and out is not None:
+                clock.on_control(p, peer, out)
         twin = spec.build(graph, CENTER)
         _record(twin, order, _step)
         assert clock._stamps == twin._stamps

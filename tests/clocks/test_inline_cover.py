@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clocks import CoverInlineClock, StarInlineClock, replay, replay_one
+from repro.clocks import (
+    CoverInlineClock,
+    DuplicateControl,
+    StarInlineClock,
+    replay,
+    replay_one,
+)
 from repro.clocks.base import INFINITY
 from repro.clocks.inline_cover import CoverTimestamp
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
@@ -211,16 +217,14 @@ class TestFinalization:
         m = b.send(1, 0)
         pay = clock.on_send(b.last_event(1))
         r = b.receive(0, m)
-        (cm,) = clock.on_receive(r, pay)
-        clock.on_control(cm.src, cm.dst, cm.payload)
+        clock.on_control(r.eid.proc, r.peer, clock.on_receive(r, pay))
         assert not clock.is_final(ev.eid)  # still waiting on 2
 
         # round trip with 2
         m = b.send(1, 2)
         pay = clock.on_send(b.last_event(1))
         r = b.receive(2, m)
-        (cm,) = clock.on_receive(r, pay)
-        clock.on_control(cm.src, cm.dst, cm.payload)
+        clock.on_control(r.eid.proc, r.peer, clock.on_receive(r, pay))
         assert clock.is_final(ev.eid)
 
     def test_unconnected_cover_entry_stays_infinite(self):
@@ -234,8 +238,7 @@ class TestFinalization:
         m = b.send(2, 0)
         pay = clock.on_send(b.last_event(2))
         r = b.receive(0, m)
-        (cm,) = clock.on_receive(r, pay)
-        clock.on_control(cm.src, cm.dst, cm.payload)
+        clock.on_control(r.eid.proc, r.peer, clock.on_receive(r, pay))
         assert clock.is_final(EventId(2, 1))
         ts = clock.timestamp(EventId(2, 1))
         assert ts is not None
@@ -260,13 +263,12 @@ class TestFinalization:
         m = b.send(0, 1)
         pay = clock.on_send(b.last_event(0))
         r = b.receive(1, m)
-        controls = clock.on_receive(r, pay)
-        assert controls == []
+        assert clock.on_receive(r, pay) is None
 
     def test_control_from_noncover_rejected(self):
         g = generators.star(3)
         clock = CoverInlineClock(g, cover=(0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no control channel"):
             clock.on_control(1, 2, (0, 1, 1))
 
     def test_control_off_every_channel_rejected(self):
@@ -277,19 +279,15 @@ class TestFinalization:
                 clock.on_control(src, dst, (0, 1, 1))
 
     def test_second_copy_of_an_applied_control_rejected(self):
-        """A copy of a control whose ``seq`` was already applied used to be
-        buffered for ever — and pickled into every checkpoint — and only a
-        third copy raised."""
-        g = generators.star(3)
-        b = ExecutionBuilder(3, graph=g)
-        clock = CoverInlineClock(g, cover=(0,))
-        m = b.send(1, 0)
-        payload = clock.on_send(b.last_event(1))
-        (cm,) = clock.on_receive(b.receive(0, m), payload)
-        clock.on_control(cm.src, cm.dst, cm.payload)
-        with pytest.raises(ValueError, match="duplicate"):
-            clock.on_control(cm.src, cm.dst, cm.payload)
-        assert clock._ctrl_buffer[(0, 1)] == {}
+        g = generators.path(3)
+        clock = CoverInlineClock(g, cover=(0, 2))
+        pay = clock.record_send(1, 1, 0)
+        ack = clock.record_receive(0, 1, 1, pay)
+        clock.on_control(0, 1, ack)
+        before = clock.checkpoint()
+        with pytest.raises(DuplicateControl):
+            clock.on_control(0, 1, ack)
+        assert clock.checkpoint() == before
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -324,11 +322,11 @@ class TestWorkedExample:
         def drive(ev, msg_id=None, recv_of=None):
             if ev.is_send:
                 payloads[ev.msg_id] = clock.on_send(ev)
-                return []
+                return None
             if ev.is_receive:
                 return clock.on_receive(ev, payloads[ev.msg_id])
             clock.on_local(ev)
-            return []
+            return None
 
         # p1 performs one event and tells p0; p0 relays to p3 -> event g
         m1 = b.send(1, 0)
@@ -346,9 +344,9 @@ class TestWorkedExample:
         # p3 sends back to p0; the receive at p0 is its 3rd event
         m3 = b.send(3, 0)
         drive(b.last_event(3))
-        controls = drive(b.receive(0, m3))
-        assert len(controls) == 1
-        clock.on_control(controls[0].src, controls[0].dst, controls[0].payload)
+        ack = drive(b.receive(0, m3))
+        assert ack == (0, 2, 3)  # p3's send (its event 2) is p0's event 3
+        clock.on_control(0, 3, ack)
 
         ts = clock.timestamp(g.eid)
         assert ts is not None  # finalized: p3's only cover neighbour is p0

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clocks import StarInlineClock, replay_one
+from repro.clocks import DuplicateControl, StarInlineClock, replay_one
 from repro.clocks.base import INFINITY
 from repro.clocks.inline_star import StarTimestamp
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
@@ -144,14 +144,13 @@ class TestInlineSemantics:
         payload = clock.on_send(send_ev)
         assert not clock.is_final(send_ev.eid)
 
-        # centre receives; emits control
+        # centre receives; owes the sender its acknowledgement
         recv_ev = b.receive(0, msg)
-        controls = clock.on_receive(recv_ev, payload)
-        assert len(controls) == 1
-        assert controls[0].dst == 1
+        ack = clock.on_receive(recv_ev, payload)
+        assert ack == (0, 2, 1)  # seq 0: p1's send 2 arrived at C's index 1
 
         # control arrives back: both earlier radial events finalize
-        clock.on_control(controls[0].src, controls[0].dst, controls[0].payload)
+        clock.on_control(0, 1, ack)
         assert clock.is_final(ev.eid)
         assert clock.is_final(send_ev.eid)
         ts = clock.timestamp(ev.eid)
@@ -165,8 +164,7 @@ class TestInlineSemantics:
         msg = b.send(1, 0)
         payload = clock.on_send(b.last_event(1))
         recv = b.receive(0, msg)
-        (cm,) = clock.on_receive(recv, payload)
-        clock.on_control(cm.src, cm.dst, cm.payload)
+        clock.on_control(0, 1, clock.on_receive(recv, payload))
         ts = clock.timestamp(EventId(1, 1))
         assert ts is not None
         assert ts.post == 1
@@ -179,10 +177,10 @@ class TestInlineSemantics:
         payload = clock.on_send(b.last_event(1))
         clock.drain_newly_finalized()
         recv = b.receive(0, msg)
-        (cm,) = clock.on_receive(recv, payload)
+        ack = clock.on_receive(recv, payload)
         newly = clock.drain_newly_finalized()
         assert EventId(0, 1) in newly  # centre event
-        clock.on_control(cm.src, cm.dst, cm.payload)
+        clock.on_control(0, 1, ack)
         newly = clock.drain_newly_finalized()
         assert EventId(1, 1) in newly
 
@@ -194,8 +192,13 @@ class TestInlineSemantics:
 
     def test_rejects_control_from_non_center(self):
         clock = StarInlineClock(3, center=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no control channel"):
             clock.on_control(2, 1, (0, 1, 1))
+
+    def test_radial_receive_owes_no_control(self):
+        clock = StarInlineClock(2, center=0)
+        payload = clock.record_send(0, 1, 1)
+        assert clock.record_receive(1, 1, 0, payload) is None
 
     def test_rejects_bad_center(self):
         with pytest.raises(ValueError):
@@ -220,14 +223,14 @@ class TestControlResequencing:
         m2 = b.send(1, 0)
         pay2 = clock.on_send(b.last_event(1))
         r1 = b.receive(0, m1)
-        (c1,) = clock.on_receive(r1, pay1)
+        c1 = clock.on_receive(r1, pay1)
         r2 = b.receive(0, m2)
-        (c2,) = clock.on_receive(r2, pay2)
+        c2 = clock.on_receive(r2, pay2)
         # deliver the controls out of order: c2 first
-        clock.on_control(c2.src, c2.dst, c2.payload)
+        clock.on_control(0, 1, c2)
         # nothing finalized yet: c2 is buffered awaiting seq 0
         assert not clock.is_final(EventId(1, 1))
-        clock.on_control(c1.src, c1.dst, c1.payload)
+        clock.on_control(0, 1, c1)
         assert clock.is_final(EventId(1, 1))
         assert clock.is_final(EventId(1, 2))
         ts1 = clock.timestamp(EventId(1, 1))
@@ -236,31 +239,28 @@ class TestControlResequencing:
         assert ts2 is not None and ts2.post == 2
 
     def test_duplicate_control_rejected(self):
-        graph = generators.star(2)
-        b = ExecutionBuilder(2, graph=graph)
+        """A second copy of a control still held early is refused."""
         clock = StarInlineClock(2, center=0)
-        m1 = b.send(1, 0)
-        pay = clock.on_send(b.last_event(1))
-        r1 = b.receive(0, m1)
-        (c1,) = clock.on_receive(r1, pay)
-        # buffer a far-future seq, then replay the same seq
-        clock.on_control(0, 1, (5, 1, 1))
-        with pytest.raises(ValueError):
-            clock.on_control(0, 1, (5, 1, 1))
+        pay1 = clock.record_send(1, 1, 0)
+        pay2 = clock.record_send(1, 2, 0)
+        clock.record_receive(0, 1, 1, pay1)
+        c2 = clock.record_receive(0, 2, 1, pay2)
+        clock.on_control(0, 1, c2)  # held: seq 0 has not arrived
+        before = clock.checkpoint()
+        with pytest.raises(DuplicateControl):
+            clock.on_control(0, 1, c2)
+        assert clock.checkpoint() == before
 
     def test_second_copy_of_an_applied_control_rejected(self):
-        """A copy of a control whose ``seq`` was already applied used to be
-        buffered for ever — and pickled into every checkpoint — and only a
-        third copy raised."""
-        b = ExecutionBuilder(3, graph=generators.star(3))
-        clock = StarInlineClock(3, center=0)
-        m = b.send(1, 0)
-        payload = clock.on_send(b.last_event(1))
-        (cm,) = clock.on_receive(b.receive(0, m), payload)
-        clock.on_control(cm.src, cm.dst, cm.payload)
-        with pytest.raises(ValueError, match="duplicate"):
-            clock.on_control(cm.src, cm.dst, cm.payload)
-        assert clock._ctrl_buffer[1] == {}
+        clock = StarInlineClock(2, center=0)
+        pay = clock.record_send(1, 1, 0)
+        ack = clock.record_receive(0, 1, 1, pay)
+        clock.on_control(0, 1, ack)
+        assert clock.is_final(EventId(1, 1))
+        before = clock.checkpoint()
+        with pytest.raises(DuplicateControl):
+            clock.on_control(0, 1, ack)
+        assert clock.checkpoint() == before
 
 
 class TestTerminationFinalization:

@@ -36,8 +36,9 @@ def drive_with_snapshots(execution, clock):
         elif ev.is_send:
             payloads[ev.msg_id] = clock.on_send(ev)
         else:
-            for cm in clock.on_receive(ev, payloads.pop(ev.msg_id)):
-                clock.on_control(cm.src, cm.dst, cm.payload)
+            ack = clock.on_receive(ev, payloads.pop(ev.msg_id))
+            if ack is not None:
+                clock.on_control(ev.eid.proc, ev.peer, ack)
         drain()
     clock.finalize_at_termination()
     drain()

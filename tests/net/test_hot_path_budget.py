@@ -29,17 +29,21 @@ applied without touching the resequencing buffer, it makes 1,308.7 /
 That no hop builds an ``Event`` is pinned on its own: the run completes
 with ``Event`` construction made to raise.
 
-The wire must not move: frames and events are pinned exactly.
+The wire must not move: frames and events are pinned exactly, and so are
+the compact-JSON bytes of every envelope's ``ts`` and every control's ``pl``
+and the number of controls, as measured at ``43f638e`` — before the clock,
+not the host, numbered each control channel.
 """
 
 import gc
+import json
 import sys
 
 import pytest
 
 from repro.applications.causal_kv import StoreConfig
 from repro.core.events import Event
-from repro.net import VirtualLoop, run_live_store, supervisor
+from repro.net import LiveClockHost, VirtualLoop, loadgen, run_live_store, supervisor
 
 CONFIG = StoreConfig(
     n_sequencers=3, n_servers=4, n_clients=16, n_keys=8, ops_per_client=10, seed=7
@@ -48,6 +52,9 @@ OPS = 160
 EVENTS = 3_752
 #: clock -> frames sent, measured at the parent and unchanged since
 FRAMES = {"inline-cover": 1_916, "vector": 1_904}
+#: clock -> (envelope ``ts`` bytes, control ``pl`` bytes, controls), compact
+#: JSON, summed over the run
+WIRE = {"inline-cover": (72_739, 17_395, 812), "vector": (140_394, 0, 0)}
 #: measured 1,308.7 / 1,181.8 on CPython 3.11; +5 %
 CEILING_CALLS_PER_OP = {"inline-cover": 1_374.1, "vector": 1_240.9}
 #: measured 48.8 / 42.0 on CPython 3.11; +5 %
@@ -122,3 +129,28 @@ def test_a_live_hop_builds_no_event(clock, monkeypatch):
 
     monkeypatch.setattr(Event, "__post_init__", refuse)
     _run(clock)
+
+
+@pytest.mark.parametrize("clock", sorted(FRAMES))
+def test_the_wire_carries_the_same_bytes(clock, monkeypatch):
+    totals = [0, 0, 0]
+
+    def wire(obj):
+        return len(json.dumps(obj, separators=(",", ":")))
+
+    class CountingHost(LiveClockHost):
+        def envelope(self, src, dst):
+            env = super().envelope(src, dst)
+            totals[0] += wire(env["ts"])
+            return env
+
+        def deliver(self, dst, src, env):
+            controls = super().deliver(dst, src, env)
+            for ctl in controls:
+                totals[1] += wire(ctl["pl"])
+                totals[2] += 1
+            return controls
+
+    monkeypatch.setattr(loadgen, "LiveClockHost", CountingHost)
+    _run(clock)
+    assert tuple(totals) == WIRE[clock]

@@ -37,6 +37,7 @@ from repro.net import (
     TransportPolicy,
     loadgen,
     make_node,
+    pack_payload,
     run_live_store,
     run_virtual,
     unpack_payload,
@@ -60,15 +61,20 @@ def config(**kw):
 
 
 class RecordingClock(CoverInlineClock):
-    """The paper's clock, remembering every control it was handed."""
+    """The paper's clock, remembering every control it accepted, in the
+    order it applied them — the n-th on a channel as ``(n, a, b)``, since
+    the clock applies a channel's controls in seq order.  The termination
+    flush is not a delivery: it is not recorded."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.applied = defaultdict(list)  # (src, dst) -> payloads, in order
 
-    def on_control(self, src, dst, payload):
-        self.applied[(src, dst)].append(payload)
-        super().on_control(src, dst, payload)
+    def _apply_control(self, c, j, a, b):
+        if not self._terminated:
+            applied = self.applied[(c, j)]
+            applied.append((len(applied), a, b))
+        super()._apply_control(c, j, a, b)
 
 
 class RecordingHost(LiveClockHost):
@@ -399,16 +405,17 @@ class TestForgedControls:
             src = spec.home(victim)
             peer = PeerClient(src, victim, resolve=lambda: nodes[victim].book.get(victim))
             try:
-                # out of order on purpose: seq 1 waits for seq 0, which
-                # never comes, so the clock sees nothing yet
-                response = await peer.request(
-                    {"type": "ctl", "ctl": [dict(_good(src, victim), seq=1)]}
-                )
+                # out of order on purpose: seq 1 waits in the clock for
+                # seq 0, which never comes, so nothing is applied yet
+                early = dict(_good(src, victim), seq=1, pl=pack_payload((1, 1, 1)))
+                response = await peer.request({"type": "ctl", "ctl": [early]})
             finally:
                 await peer.close()
             assert response == {}
             assert host.log == [("control", src, victim, 1)]
             assert registry.counter_value("net.ctl_rejected") == 0
+            assert host.clock.applied == {}
+            assert host.clock._ctrl_buffer[(src, victim)] == {1: (1, 1)}
 
     @on_virtual_time
     async def test_response_with_forged_controls_is_refused(self):

@@ -9,6 +9,7 @@ and failover run on virtual time (``test_virtual.py``,
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -85,6 +86,35 @@ class TestFileAddressBook:
         book = FileAddressBook(str(tmp_path / "book.json"))
         with pytest.raises(TransportError, match="p9 not in address book"):
             book.get(9)
+
+    def test_concurrent_registrations_are_all_kept(self, tmp_path):
+        """Nodes started together register at once; each ``set`` is a
+        read-modify-replace of the one file, and without a lock the last
+        replace dropped what the others had written in between."""
+        path = str(tmp_path / "book.json")
+        ctx = multiprocessing.get_context("spawn")
+        workers, each = 8, 10
+        barrier = ctx.Barrier(workers)
+        procs = [
+            ctx.Process(target=_register_many, args=(path, barrier, w, each))
+            for w in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(30)
+        assert [proc.exitcode for proc in procs] == [0] * workers
+        book = FileAddressBook(path)
+        for pid in range(workers * each):
+            assert book.get(pid) == ("127.0.0.1", 5000 + pid)
+
+
+def _register_many(path, barrier, worker, each):
+    """One OS process registering *each* ids, all starting at once."""
+    book = FileAddressBook(path)
+    barrier.wait()
+    for pid in range(worker * each, (worker + 1) * each):
+        book.set(pid, ("127.0.0.1", 5000 + pid))
 
 
 class TestBuildLiveClock:
