@@ -11,8 +11,9 @@ scenarios with inline timestamps attached and shows two things:
    before a crash read back unchanged from the clock-state checkpoint.
 2. *Liveness is bought with the reliable control transport* — with
    fire-and-forget control messages a lost round trip means the event only
-   finalizes at termination, while sequence numbers + acks +
-   retransmission keep the fraction finalized *during the run* high.
+   finalizes at termination, while acks + retransmission keep the
+   fraction finalized *during the run* high (the clocks refuse the copies
+   a retransmission delivers twice).
 
 Run:  python examples/chaos_fault_tolerance.py
 """

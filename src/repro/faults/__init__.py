@@ -7,9 +7,10 @@ crash-stop / crash-recovery schedules — that
 query.  :mod:`repro.faults.chaos` sweeps fault scenarios × clock algorithms
 and asserts the correctness invariants (timestamps agree with
 happened-before on the surviving execution; finalized timestamps survive
-crash checkpoints).  The reliable control transport these scenarios
+crash checkpoints).  The at-least-once control transport these scenarios
 exercise lives in :mod:`repro.sim.network`
-(:class:`~repro.sim.network.ReliableLink`).
+(:class:`~repro.sim.network.ReliableLink`); the clocks refuse the control
+copies it and the fault models deliver twice.
 """
 
 from repro.faults.chaos import (

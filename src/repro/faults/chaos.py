@@ -57,15 +57,12 @@ class ChaosScenario:
 
     name: str
     fault: Optional[FaultModel] = None
-    app_loss: float = 0.0
     control_loss: float = 0.0
 
     def describe(self) -> str:
         parts = []
         if self.fault is not None:
             parts.append(self.fault.describe())
-        if self.app_loss:
-            parts.append(f"app_loss={self.app_loss:.0%}")
         if self.control_loss:
             parts.append(f"control_loss={self.control_loss:.0%}")
         return " + ".join(parts) or "no faults"
@@ -270,7 +267,6 @@ def run_scenario(
             graph,
             seed=seed,
             clocks=clocks,
-            app_loss_rate=scenario.app_loss,
             control_loss_rate=scenario.control_loss,
             fault_model=scenario.fault,
             control_retry=retry if reliable else None,

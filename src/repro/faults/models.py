@@ -213,9 +213,9 @@ class DuplicationFault(FaultModel):
 
     Duplicates test exactly-once machinery: the simulator suppresses extra
     application-message copies at the receiver (one receive event per
-    message, as the execution model requires) and the reliable control
-    transport suppresses duplicate datagrams by sequence number — both are
-    counted, never silently discarded.
+    message, as the execution model requires) and hands every control copy
+    to the clock, which refuses a second copy by the control's own
+    sequence number — both are counted, never silently discarded.
     """
 
     def __init__(self, rate: float = 0.1, copies: int = 2, scope: str = "both") -> None:

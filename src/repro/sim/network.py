@@ -15,9 +15,10 @@ channels arbitrarily slow (the "slow channel" trick of Lemmas 2.3/2.4).
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.events import ProcessId
 from repro.sim.scheduler import EventScheduler, TimerHandle
@@ -120,11 +121,6 @@ class Network:
         self._delay_model = delay_model
         self._rng = rng
         self._fifo_watermark: Dict[Tuple[ProcessId, ProcessId], float] = {}
-        self._messages_sent = 0
-
-    @property
-    def messages_sent(self) -> int:
-        return self._messages_sent
 
     def transmit(
         self,
@@ -132,12 +128,10 @@ class Network:
         dst: ProcessId,
         deliver: Callable[[], None],
         fifo: bool = False,
-        delay_model: Optional[DelayModel] = None,
     ) -> float:
         """Send; returns the scheduled delivery time."""
-        model = delay_model or self._delay_model
-        delay = model.sample(src, dst, self._rng)
-        if delay <= 0:
+        delay = self._delay_model.sample(src, dst, self._rng)
+        if not delay > 0:  # NaN too
             raise ValueError("delay models must produce positive delays")
         when = self._scheduler.now + delay
         if fifo:
@@ -150,7 +144,6 @@ class Network:
                 when = floor + 1e-9
             self._fifo_watermark[key] = when
         self._scheduler.at(when, deliver)
-        self._messages_sent += 1
         return when
 
 
@@ -177,10 +170,11 @@ class RetryPolicy:
     max_retries: int = 4
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
+        # written so that NaN fails too: it compares false both ways
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
+        if not 1.0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be >= 1 and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -193,9 +187,7 @@ class RetryPolicy:
 class LinkStats:
     """Transport-level accounting of one :class:`ReliableLink`."""
 
-    data_transmissions: int = 0
     retransmissions: int = 0
-    duplicates_suppressed: int = 0
     acks_received: int = 0
     abandoned: int = 0
 
@@ -210,14 +202,17 @@ class _Pending:
 
 
 class ReliableLink:
-    """Exactly-once control delivery over an unreliable datagram service.
+    """At-least-once control delivery over an unreliable datagram service.
 
-    The classic positive-acknowledgement protocol: every payload on a
-    directed channel carries a transport sequence number; the receiver
-    delivers each number once (suppressing duplicated or retransmitted
-    copies) and acknowledges every copy; the sender retransmits on timeout
-    with exponential backoff, giving up after
-    :attr:`RetryPolicy.max_retries` retransmissions.
+    The classic positive-acknowledgement protocol: the receiver runs every
+    copy that arrives and acknowledges each one; the sender retransmits on
+    timeout with exponential backoff until an acknowledgement arrives,
+    giving up after :attr:`RetryPolicy.max_retries` retransmissions.  The
+    link keeps no sequence numbers and no record of what it delivered:
+    refusing a second copy is the clock's job
+    (:meth:`~repro.clocks.base.InlineClock.on_control` orders each control
+    channel by the control's own ``seq`` and raises
+    :class:`~repro.clocks.base.DuplicateControl`).
 
     The link owns no network model of its own — the host supplies
     ``send_datagram(src, dst, deliver_cb, kind)``, an *unreliable* service
@@ -235,16 +230,7 @@ class ReliableLink:
         self._scheduler = scheduler
         self._policy = policy
         self._send_datagram = send_datagram
-        self._seq_out: Dict[Tuple[ProcessId, ProcessId], int] = {}
-        self._delivered: Dict[Tuple[ProcessId, ProcessId], Set[int]] = {}
-        self._in_flight: Set[int] = set()
-        self._next_token = 0
         self.stats = LinkStats()
-
-    @property
-    def unacked(self) -> int:
-        """Messages sent but neither acknowledged nor abandoned yet."""
-        return len(self._in_flight)
 
     def send(
         self,
@@ -252,75 +238,44 @@ class ReliableLink:
         dst: ProcessId,
         deliver: Callable[[], None],
     ) -> None:
-        """Reliably run *deliver* at *dst*, exactly once, retrying as needed."""
-        key = (src, dst)
-        seq = self._seq_out.get(key, 0)
-        self._seq_out[key] = seq + 1
-        entry = _Pending(deliver)
-        token = self._next_token
-        self._next_token += 1
-        self._in_flight.add(token)
-        self._transmit(key, seq, entry, token, attempt=0)
+        """Run *deliver* at *dst* at least once, retrying until acknowledged."""
+        self._transmit(src, dst, _Pending(deliver), attempt=0)
 
     # ------------------------------------------------------------------
     def _transmit(
-        self,
-        key: Tuple[ProcessId, ProcessId],
-        seq: int,
-        entry: _Pending,
-        token: int,
-        attempt: int,
+        self, src: ProcessId, dst: ProcessId, entry: _Pending, attempt: int
     ) -> None:
         if entry.acked:
             return
-        self.stats.data_transmissions += 1
         if attempt > 0:
             self.stats.retransmissions += 1
-        src, dst = key
         self._send_datagram(
-            src, dst, lambda: self._on_data(key, seq, entry, token), "data"
+            src, dst, lambda: self._on_data(src, dst, entry), "data"
         )
         delay = self._policy.retry_delay(attempt)
         if attempt < self._policy.max_retries:
             entry.timer = self._scheduler.after(
-                delay,
-                lambda: self._transmit(key, seq, entry, token, attempt + 1),
+                delay, lambda: self._transmit(src, dst, entry, attempt + 1)
             )
         else:
             entry.timer = self._scheduler.after(
-                delay, lambda: self._give_up(entry, token)
+                delay, lambda: self._give_up(entry)
             )
 
-    def _on_data(
-        self,
-        key: Tuple[ProcessId, ProcessId],
-        seq: int,
-        entry: _Pending,
-        token: int,
-    ) -> None:
-        # a copy of (key, seq) arrived at the receiver
-        seen = self._delivered.setdefault(key, set())
-        if seq in seen:
-            self.stats.duplicates_suppressed += 1
-        else:
-            seen.add(seq)
-            entry.deliver()
-        # acknowledge every copy: the ack for an earlier one may be lost
-        src, dst = key
-        self._send_datagram(
-            dst, src, lambda: self._on_ack(entry, token), "ack"
-        )
+    def _on_data(self, src: ProcessId, dst: ProcessId, entry: _Pending) -> None:
+        # a copy arrived at dst: run it, and acknowledge every copy, since
+        # the ack for an earlier one may be lost
+        entry.deliver()
+        self._send_datagram(dst, src, lambda: self._on_ack(entry), "ack")
 
-    def _on_ack(self, entry: _Pending, token: int) -> None:
+    def _on_ack(self, entry: _Pending) -> None:
         if entry.acked:
             return
         entry.acked = True
         self.stats.acks_received += 1
-        self._in_flight.discard(token)
         if entry.timer is not None:
             entry.timer.cancel()
 
-    def _give_up(self, entry: _Pending, token: int) -> None:
+    def _give_up(self, entry: _Pending) -> None:
         if not entry.acked:
             self.stats.abandoned += 1
-            self._in_flight.discard(token)

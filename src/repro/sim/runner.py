@@ -12,7 +12,7 @@ timestamp became permanent.
 Control transport policies (paper Section 3.2 discusses both):
 
 - ``EAGER`` — each control message travels on a dedicated FIFO control
-  channel with its own delay model (the default);
+  channel (the default);
 - ``PIGGYBACK`` — control payloads wait at the emitting process and ride on
   the *next application message* to their destination.  Cheaper, but
   finalization is delayed until such a message happens to be sent (the
@@ -25,11 +25,17 @@ Robustness machinery (see :mod:`repro.faults`):
   failures — bursty loss, duplication, partitions, process crashes — on top
   of the independent ``app_loss_rate`` / ``control_loss_rate`` knobs;
 - passing a :class:`~repro.sim.network.RetryPolicy` as ``control_retry``
-  upgrades the EAGER control transport to a reliable one
-  (:class:`~repro.sim.network.ReliableLink`): sequence numbers, positive
-  acks, timeout retransmission with exponential backoff, and duplicate
-  suppression, so inline finalization survives lossy control channels
-  instead of degrading to offline (termination-only) finalization.
+  upgrades the EAGER control transport to an at-least-once one
+  (:class:`~repro.sim.network.ReliableLink`): positive acks and timeout
+  retransmission with exponential backoff, so inline finalization survives
+  lossy control channels instead of degrading to offline
+  (termination-only) finalization.
+
+Either transport hands every control copy that survives to the clock.  The
+clock is the one place that refuses a second copy: an inline clock orders
+each control channel by the control's own ``seq`` and raises
+:class:`~repro.clocks.base.DuplicateControl`, which the runner counts as
+``control_duplicates_suppressed``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.clocks.base import ClockAlgorithm
+from repro.clocks.base import ClockAlgorithm, DuplicateControl
 from repro.clocks.replay import TimestampAssignment, collect_assignment
 from repro.core.events import Event, EventId, MessageId, ProcessId
 from repro.core.execution import Execution, ExecutionBuilder
@@ -78,8 +84,8 @@ class AlgorithmStats:
     """Per-algorithm communication accounting for one simulation run.
 
     The ``control_*`` transport counters are populated by the reliable
-    control transport (``control_retry``) and by duplicate suppression of
-    fault-injected control copies; they stay 0 on a fault-free run with the
+    control transport (``control_retry``) and by the clock's refusal of
+    duplicated control copies; they stay 0 on a fault-free run with the
     fire-and-forget transport.
     """
 
@@ -88,7 +94,7 @@ class AlgorithmStats:
     control_elements: int = 0
     #: datagram copies re-sent after an acknowledgement timeout
     control_retransmissions: int = 0
-    #: received control copies suppressed as already-delivered
+    #: control copies the clock refused as already applied or held
     control_duplicates_suppressed: int = 0
     #: acknowledgements received by the reliable transport
     control_acks: int = 0
@@ -243,9 +249,8 @@ class Simulation:
     clocks:
         Algorithms observing the run, keyed by a display name.  They all see
         exactly the same execution, making comparisons apples-to-apples.
-    delay_model / control_delay_model:
-        One-way delay distributions for application and control messages
-        (control defaults to the application model).
+    delay_model:
+        One-way delay distribution for application and control messages.
     control_transport:
         ``EAGER`` dedicated FIFO channels or ``PIGGYBACK`` on app messages.
     fifo_app_channels:
@@ -269,11 +274,11 @@ class Simulation:
         (:meth:`~repro.clocks.base.ClockAlgorithm.checkpoint`) and the
         snapshots are returned in ``SimulationResult.crash_checkpoints``.
     control_retry:
-        A :class:`~repro.sim.network.RetryPolicy` enabling the reliable
-        control transport (EAGER only): sequence-numbered datagrams,
-        positive acks, timeout retransmission with exponential backoff and
-        bounded retries, duplicate suppression.  ``None`` (default) keeps
-        the legacy fire-and-forget transport.
+        A :class:`~repro.sim.network.RetryPolicy` enabling the at-least-once
+        control transport (EAGER only): positive acks, timeout
+        retransmission with exponential backoff and bounded retries.
+        ``None`` (default) keeps the fire-and-forget transport.  Either way
+        the clock refuses the copies that arrive twice.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` the run records into
         (per-clock finalization-delay histograms, piggyback sizes,
@@ -295,7 +300,6 @@ class Simulation:
         seed: int = 0,
         clocks: Optional[Mapping[str, ClockAlgorithm]] = None,
         delay_model: Optional[DelayModel] = None,
-        control_delay_model: Optional[DelayModel] = None,
         control_transport: ControlTransport = ControlTransport.EAGER,
         fifo_app_channels: bool = False,
         app_loss_rate: float = 0.0,
@@ -315,7 +319,6 @@ class Simulation:
                     f"graph has {graph.n_vertices}"
                 )
         self._delay_model = delay_model or UniformDelay(0.5, 1.5)
-        self._control_delay_model = control_delay_model or self._delay_model
         self._transport = control_transport
         self._fifo_app = fifo_app_channels
         if not 0.0 <= app_loss_rate < 1.0 or not 0.0 <= control_loss_rate < 1.0:
@@ -572,14 +575,17 @@ class Simulation:
         if cs.link is not None:
             cs.link.send(src, dst, deliver)
         else:
-            self._send_control_datagram(
-                src, dst, deliver, "data", dedup_stats=cs.stats
-            )
+            self._send_control_datagram(src, dst, deliver)
 
     def _deliver_control(
         self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
     ) -> None:
-        cs.algo.on_control(src, dst, ctl)
+        """Hand one copy of *ctl* to the clock, which refuses a second."""
+        try:
+            cs.algo.on_control(src, dst, ctl)
+        except DuplicateControl:
+            cs.stats.control_duplicates_suppressed += 1
+            return
         if cs.algo._newly_finalized:
             self._drain(cs)
 
@@ -589,29 +595,20 @@ class Simulation:
         dst: ProcessId,
         deliver_cb: Callable[[], None],
         kind: str = "data",
-        dedup_stats: Optional[AlgorithmStats] = None,
     ) -> None:
         """The unreliable control datagram service.
 
         Applies the independent control loss rate, the fault model, and
-        destination liveness, then ships over the FIFO control channel with
-        the control delay model.  ``kind`` is ``"data"`` for control
-        payloads and ``"ack"`` for reliable-transport acknowledgements;
-        only lost data datagrams count into ``dropped_control_messages``.
-
-        With *dedup_stats*, fault-injected duplicate copies are suppressed
-        first-copy-wins (the fire-and-forget path, where the clock
-        algorithms require exactly-once control delivery); without it every
-        copy invokes *deliver_cb* and the caller — the reliable link —
-        dedups by sequence number.
+        destination liveness, then ships over the FIFO control channel.
+        ``kind`` is ``"data"`` for control payloads and ``"ack"`` for
+        reliable-transport acknowledgements; only lost data datagrams count
+        into ``dropped_control_messages``.  Every copy that reaches a live
+        destination invokes *deliver_cb*.
         """
         if self._fault_model is None and self._control_loss == 0.0:
             # nothing can drop or duplicate the datagram, or crash its
             # destination: one unguarded copy
-            self._network.transmit(
-                src, dst, deliver_cb,
-                fifo=True, delay_model=self._control_delay_model,
-            )
+            self._network.transmit(src, dst, deliver_cb, fifo=True)
             return
         lost = self._control_loss > 0.0 and self._rng.random() < self._control_loss
         fate = DELIVER
@@ -623,7 +620,6 @@ class Simulation:
             if kind == "data":
                 self._dropped_control += 1
             return
-        state = {"delivered": False}
         fault_model = self._fault_model
 
         def guarded() -> None:
@@ -632,18 +628,10 @@ class Simulation:
                 if kind == "data":
                     self._dropped_control += 1
                 return
-            if dedup_stats is not None:
-                if state["delivered"]:
-                    dedup_stats.control_duplicates_suppressed += 1
-                    return
-                state["delivered"] = True
             deliver_cb()
 
         for _ in range(fate.copies):
-            self._network.transmit(
-                src, dst, guarded,
-                fifo=True, delay_model=self._control_delay_model,
-            )
+            self._network.transmit(src, dst, guarded, fifo=True)
 
     def _drain(self, cs: _ClockState) -> None:
         """Stamp the events *cs*'s clock just finalized (callers check that
@@ -740,7 +728,6 @@ class Simulation:
             if cs.link is not None:
                 st, sent = cs.stats, cs.link.stats
                 st.control_retransmissions += sent.retransmissions
-                st.control_duplicates_suppressed += sent.duplicates_suppressed
                 st.control_acks += sent.acks_received
                 st.control_abandoned += sent.abandoned
             # the ids as they are: nothing is drained into them after the run

@@ -104,8 +104,8 @@ class EventScheduler:
 
     def at(self, time: float, fn: Callback) -> TimerHandle:
         """Schedule *fn* at absolute virtual time *time*."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        if not time >= self.now:  # NaN too: it compares false both ways
+            raise ValueError(f"cannot schedule at {time} (now {self.now})")
         handle = TimerHandle(self)
         heapq.heappush(self._heap, (time, self._seq, fn, handle))
         self._seq += 1

@@ -1,8 +1,12 @@
 """Tests for the chaos harness (scenario sweep + invariant checks)."""
 
+import hashlib
+from functools import partial
+
 import pytest
 
 from repro.clocks import LamportClock, SKVectorClock, StarInlineClock
+from repro.conformance.registry import build_clock
 from repro.faults import (
     ChaosCell,
     ChaosScenario,
@@ -15,6 +19,7 @@ from repro.faults import (
     default_scenarios,
     run_chaos,
 )
+from repro.obs.tracing import RunTracer, deterministic_run_id
 from repro.topology import generators
 
 N = 6
@@ -98,6 +103,39 @@ class TestRunChaos:
         assert cell(rel).finalized_fraction > cell(raw).finalized_fraction
         assert cell(rel).retransmissions > 0
         assert cell(raw).retransmissions == 0
+
+
+class TestFullSweepTrace:
+    """All six default scenarios, pinned byte for byte.  The tracer carries
+    the header ``repro chaos --events 10 [--unreliable] --trace-out``
+    writes (star, n = 8, seed 0, the default clocks), so each digest is
+    also that command's file's, wherever its cells ran."""
+
+    @pytest.mark.parametrize("reliable, digest", [
+        (True, "a22a1453ed59adc1712708a1d6ea94e8fc94dea21fb68f25675eb3a022edd40d"),
+        (False, "1ff33ccdf70af279977522be1d30ca00488b6e0b33a86a67e3d76a207009151b"),
+    ], ids=["reliable", "unreliable"])
+    def test_the_full_sweep_trace_is_pinned(self, reliable, digest):
+        graph = generators.star(8)
+        clocks = ["inline", "vector", "lamport"]
+        meta = dict(clocks=clocks, events=10, n=8, quick=False,
+                    reliable=reliable, seed=0, topology="star")
+        tracer = RunTracer(
+            kind="chaos",
+            run_id=deterministic_run_id("chaos", tuple(meta.items())),
+            meta=meta,
+        )
+        report = run_chaos(
+            graph,
+            {name: partial(build_clock, name, graph) for name in clocks},
+            events_per_process=10, seed=0, reliable=reliable, tracer=tracer,
+        )
+        assert report.ok
+        assert [c.scenario for c in report.cells[::3]] == [
+            s.name for s in default_scenarios(8)
+        ]
+        text = "".join(line + "\n" for line in tracer.lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _combined_fault():

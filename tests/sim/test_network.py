@@ -65,7 +65,6 @@ class TestNetwork:
         net.transmit(0, 1, lambda: seen.append(sched.now))
         sched.run()
         assert seen == [2.0]
-        assert net.messages_sent == 1
 
     def test_fifo_clamping(self):
         """On a FIFO channel a later send never overtakes an earlier one."""
@@ -113,10 +112,14 @@ class TestNetwork:
         assert t1 == 1.0
         assert t2 > t1
 
-    def test_per_call_delay_model(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_rejects_a_delay_that_is_not_positive(self, bad):
+        class Fixed(ConstantDelay):
+            def sample(self, src, dst, rng):
+                return bad
+
         sched = EventScheduler()
-        net = Network(sched, ConstantDelay(5.0), random.Random(0))
-        seen = []
-        net.transmit(0, 1, lambda: seen.append(sched.now), delay_model=ConstantDelay(1.0))
-        sched.run()
-        assert seen == [1.0]
+        net = Network(sched, Fixed(), random.Random(0))
+        with pytest.raises(ValueError, match="positive"):
+            net.transmit(0, 1, lambda: None)
+        assert sched.pending == 0

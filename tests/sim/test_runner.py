@@ -5,7 +5,6 @@ import pytest
 from repro.clocks import CoverInlineClock, StarInlineClock, VectorClock
 from repro.core import HappenedBeforeOracle
 from repro.sim import (
-    ConstantDelay,
     ControlTransport,
     Simulation,
     UniformWorkload,
@@ -91,28 +90,6 @@ class TestFinalizationTiming:
         frac_vector = res.fraction_finalized_during_run("vector")
         assert frac_vector == 1.0
         assert 0 < frac_inline <= 1.0
-
-    def test_faster_control_channel_lowers_latency(self):
-        g = generators.star(5)
-
-        def run(control_delay):
-            sim = Simulation(
-                g,
-                seed=5,
-                clocks={"inline": StarInlineClock(5)},
-                delay_model=ConstantDelay(1.0),
-                control_delay_model=ConstantDelay(control_delay),
-            )
-            res = sim.run(UniformWorkload(events_per_process=12, p_local=0.2))
-            lats = res.finalization_latencies("inline").values()
-            radial = [
-                lat
-                for eid, lat in res.finalization_latencies("inline").items()
-                if eid.proc != 0
-            ]
-            return sum(radial) / len(radial)
-
-        assert run(0.1) < run(5.0)
 
 
 class TestControlTransports:

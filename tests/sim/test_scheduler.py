@@ -84,6 +84,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             s.after(-1.0, lambda: None)
 
+    def test_nan_time_is_refused(self):
+        # a NaN entry would run before every other and set `now` to NaN
+        s = EventScheduler()
+        for schedule in (s.at, s.after):
+            with pytest.raises(ValueError):
+                schedule(float("nan"), lambda: None)
+        assert s.pending == 0
+
 
 class TestTimerCancellation:
     def test_cancelled_timer_does_not_fire(self):

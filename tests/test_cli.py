@@ -375,6 +375,15 @@ class TestBadPathExitCodes:
             "--trace-out", str(tmp_path / "no" / "dir" / "t.jsonl"),
         ])
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_chaos_rejects_non_finite_retry_timeout(self, capsys, timeout):
+        # used to be a ValueError traceback from hashing the cell spec
+        err = self._expect_failure(capsys, [
+            "chaos", "--quick", "--n", "4", "--events", "4",
+            "--retry-timeout", timeout,
+        ])
+        assert "finite" in err and "Traceback" not in err
+
     def test_conformance_missing_corpus(self, tmp_path, capsys):
         self._expect_failure(capsys, [
             "conformance", "--trials", "0",
