@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import abc
 from operator import le
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.events import Event, EventId, ProcessId
 
@@ -195,6 +195,14 @@ class ClockAlgorithm(abc.ABC):
         Default: the scheme uses no control messages.
         """
         raise NotImplementedError(f"{self.name} does not use control messages")
+
+    @property
+    def control_channels(self) -> FrozenSet[Tuple[ProcessId, ProcessId]]:
+        """The ``(src, dst)`` pairs :meth:`on_control` accepts controls on.
+
+        Default: none, the scheme uses no control messages.
+        """
+        return frozenset()
 
     # ------------------------------------------------------------------
     # timestamp queries
@@ -356,6 +364,10 @@ class InlineClock(ClockAlgorithm):
         seq = len(emitted)
         emitted.append((a, b))
         return (seq, a, b)
+
+    @property
+    def control_channels(self) -> FrozenSet[Tuple[ProcessId, ProcessId]]:
+        return frozenset(self._ctrl_emitted)
 
     def on_control(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         """Deliver the control ``(seq, a, b)`` that *src* sent *dst*: apply

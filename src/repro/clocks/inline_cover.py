@@ -53,7 +53,7 @@ from repro.topology.graph import CommunicationGraph
 PostValue = Union[int, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoverTimestamp(Timestamp):
     """A finalized vertex-cover inline timestamp.
 
@@ -67,6 +67,23 @@ class CoverTimestamp(Timestamp):
     mpre: Tuple[int, ...]
     mpost: Optional[Tuple[PostValue, ...]]
     cover: Tuple[ProcessId, ...]
+
+    def __init__(
+        self,
+        id: ProcessId,
+        mctr: int,
+        mpre: Tuple[int, ...],
+        mpost: Optional[Tuple[PostValue, ...]],
+        cover: Tuple[ProcessId, ...],
+    ) -> None:
+        # the frozen dataclass's own __init__ goes through
+        # ``object.__setattr__`` once per field; writing each slot through
+        # its descriptor is the same store at about half the cost
+        _set_id(self, id)
+        _set_mctr(self, mctr)
+        _set_mpre(self, mpre)
+        _set_mpost(self, mpost)
+        _set_cover(self, cover)
 
     @property
     def in_cover(self) -> bool:
@@ -162,6 +179,15 @@ class CoverTimestamp(Timestamp):
         if self.mpost is None:
             return 2 + len(self.mpre)
         return 2 + len(self.mpre) + len(self.mpost)
+
+
+#: the slot descriptors' setters, which ``CoverTimestamp.__init__`` writes
+#: through (the class is frozen: ``setattr`` on an instance raises)
+_set_id = CoverTimestamp.id.__set__  # type: ignore[attr-defined]
+_set_mctr = CoverTimestamp.mctr.__set__  # type: ignore[attr-defined]
+_set_mpre = CoverTimestamp.mpre.__set__  # type: ignore[attr-defined]
+_set_mpost = CoverTimestamp.mpost.__set__  # type: ignore[attr-defined]
+_set_cover = CoverTimestamp.cover.__set__  # type: ignore[attr-defined]
 
 
 #: what a non-cover event keeps in ``_open`` while its timestamp is ``⊥``:

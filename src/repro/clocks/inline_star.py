@@ -43,7 +43,7 @@ from repro.core.events import EventId, ProcessId
 PostValue = Union[int, float]  # int, or INFINITY
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StarTimestamp(Timestamp):
     """A finalized ``⟨id, ctr, pre, post⟩`` star timestamp.
 
@@ -59,40 +59,54 @@ class StarTimestamp(Timestamp):
     post: Optional[PostValue]
     center: ProcessId
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: ProcessId,
+        ctr: int,
+        pre: int,
+        post: Optional[PostValue],
+        center: ProcessId,
+    ) -> None:
         # Theorem 3.1's cases read ``post`` without a None check, so the
         # central/radial boundary is enforced at construction: central
         # events have no ``post`` (it is undefined there, not ∞), radial
         # events always carry one — an integer receive index at C, or
         # INFINITY when no event at C ever hears of this event.
-        if self.ctr < 1:
-            raise ValueError(f"ctr must be >= 1, got {self.ctr}")
-        if self.pre < 0:
-            raise ValueError(f"pre must be >= 0, got {self.pre}")
-        if self.id == self.center:
-            if self.post is not None:
+        if ctr < 1:
+            raise ValueError(f"ctr must be >= 1, got {ctr}")
+        if pre < 0:
+            raise ValueError(f"pre must be >= 0, got {pre}")
+        if id == center:
+            if post is not None:
                 raise ValueError(
-                    f"central event ⟨id={self.id}, ctr={self.ctr}⟩ must "
-                    f"have post=None, got {self.post!r}"
+                    f"central event ⟨id={id}, ctr={ctr}⟩ must "
+                    f"have post=None, got {post!r}"
                 )
-            if self.pre != self.ctr:
+            if pre != ctr:
                 raise ValueError(
                     f"central event must have pre == ctr, got "
-                    f"pre={self.pre} ctr={self.ctr}"
+                    f"pre={pre} ctr={ctr}"
                 )
         else:
-            if self.post is None:
+            if post is None:
                 raise ValueError(
-                    f"radial event ⟨id={self.id}, ctr={self.ctr}⟩ needs a "
+                    f"radial event ⟨id={id}, ctr={ctr}⟩ needs a "
                     f"post value (an index at C, or INFINITY)"
                 )
-            if self.post != INFINITY and (
-                not isinstance(self.post, int) or self.post < 1
+            if post != INFINITY and (
+                not isinstance(post, int) or post < 1
             ):
                 raise ValueError(
                     f"radial post must be an index >= 1 or INFINITY, "
-                    f"got {self.post!r}"
+                    f"got {post!r}"
                 )
+        # each slot written through its descriptor, as ``CoverTimestamp``
+        # does: about half of ``object.__setattr__``'s cost
+        _set_id(self, id)
+        _set_ctr(self, ctr)
+        _set_pre(self, pre)
+        _set_post(self, post)
+        _set_center(self, center)
 
     @property
     def at_center(self) -> bool:
@@ -168,6 +182,15 @@ class StarTimestamp(Timestamp):
     @property
     def n_elements(self) -> int:
         return 2 if self.id == self.center else 4
+
+
+#: the slot descriptors' setters, which ``StarTimestamp.__init__`` writes
+#: through (the class is frozen: ``setattr`` on an instance raises)
+_set_id = StarTimestamp.id.__set__  # type: ignore[attr-defined]
+_set_ctr = StarTimestamp.ctr.__set__  # type: ignore[attr-defined]
+_set_pre = StarTimestamp.pre.__set__  # type: ignore[attr-defined]
+_set_post = StarTimestamp.post.__set__  # type: ignore[attr-defined]
+_set_center = StarTimestamp.center.__set__  # type: ignore[attr-defined]
 
 
 class StarInlineClock(InlineClock):

@@ -29,24 +29,29 @@ Section 3.2 piggybacking; the simulator's ``ControlTransport.PIGGYBACK``).
 A control the algorithm emits on receiving a *request* goes back in the
 ``"ctl"`` list of that request's response; one emitted on receiving a
 *response* waits in a per-destination outbox for this node's next request to
-that process.  The receiver hands the list to its clock after the frame's
-own receive event, through :meth:`LiveClockHost.control`; the clock applies
-each control channel in the order of the controls' own sequence numbers and
-refuses a repeat (:class:`~repro.clocks.base.InlineClock`) — so a
-retransmitted request or a replayed cached response is harmless, and a
-request that fails puts its controls back at the head of the outbox.  There
-is no per-control RPC and no timer: an edge that goes idle finalizes at its
-next message, or when the node quiesces and :meth:`LiveNode.flush_controls`
-sends what is left, one batched ``{"type": "ctl"}`` request per
-destination.  A response never empties the outbox: which of two concurrent
-exchanges on an edge ends last depends on timing, and the number of frames a
-run sends must not.  A node only accepts
-controls whose channel is the frame's own two endpoints.  What is lost: the
-controls on a response whose requester gave up on the request id (they
-count as piggybacked; the receiver's channel then holds later ones back),
-those of a flush that exhausts its retries (``net.ctl_lost``), and whatever
-a crashed node still held.  Their events finalize at termination, as in the
-simulator's lossy-control runs.
+that process.  A riding control is its acknowledgement alone, ``{"pl":
+{"__tup": [seq, a, b]}}``: the frame's sender is the control channel's
+source and its receiver the destination, and the acknowledgement's first
+element is its sequence number.  The receiver checks a frame's list once,
+before the clock sees anything: the hop must be one of the clock's control
+channels and every payload three integers with ``seq >= 0`` and ``a, b >=
+1``, or the whole frame is refused (``net.ctl_rejected``).  It then hands
+the list to its clock after the frame's own receive event, through
+:meth:`LiveClockHost.control`; the clock applies each control channel in
+the order of the controls' own sequence numbers and refuses a repeat
+(:class:`~repro.clocks.base.InlineClock`) — so a retransmitted request or a
+replayed cached response is harmless, and a request that fails puts its
+controls back at the head of the outbox.  There is no per-control RPC and
+no timer: an edge that goes idle finalizes at its next message, or when the
+node quiesces and :meth:`LiveNode.flush_controls` sends what is left, one
+batched ``{"type": "ctl"}`` request per destination.  A response never
+empties the outbox: which of two concurrent exchanges on an edge ends last
+depends on timing, and the number of frames a run sends must not.  What is
+lost: the controls on a response whose requester gave up on the request id
+(they count as piggybacked; the receiver's channel then holds later ones
+back), those of a flush that exhausts its retries (``net.ctl_lost``), and
+whatever a crashed node still held.  Their events finalize at termination,
+as in the simulator's lossy-control runs.
 
 Robustness properties the nodes provide:
 
@@ -271,6 +276,8 @@ class LiveClockHost:
                 f"cluster has {spec.n_processes}"
             )
         self.clock = clock
+        #: the ``(src, dst)`` hops a control may ride
+        self.control_channels = clock.control_channels
         self._spec = spec
         self._neighbours = spec.neighbours
         self._next_index = [0] * spec.n_processes
@@ -280,23 +287,23 @@ class LiveClockHost:
         self._peers = array("q")
         self._mids = array("q")
 
-    def _log(self, proc: int, peer: int, mid: int) -> int:
-        """Log one event (*mid* is ``~mid`` for a receive); returns its
-        index at *proc*."""
-        index = self._next_index[proc] = self._next_index[proc] + 1
+    def _log(self, proc: int, peer: int, mid: int) -> None:
+        """Log one event the clock took (*mid* is ``~mid`` for a receive)."""
+        self._next_index[proc] += 1
         self._procs.append(proc)
         self._peers.append(peer)
         self._mids.append(mid)
-        return index
 
     # -- app-message hooks ---------------------------------------------
     def envelope(self, src: int, dst: int) -> Dict[str, Any]:
         """Send event for one ``src -> dst`` hop; the frame's clock payload."""
         if dst not in self._neighbours[src]:
             raise ValueError(f"no channel p{src} -> p{dst} in the cluster graph")
-        mid = next(self._next_mid)
         clock = self.clock
-        payload = clock.record_send(src, self._log(src, dst, mid), dst)
+        payload = clock.record_send(src, self._next_index[src] + 1, dst)
+        # logged once the clock took the event: a refused one leaves no trace
+        mid = next(self._next_mid)
+        self._log(src, dst, mid)
         clock._newly_finalized.clear()
         return {"mid": mid, "ts": pack_payload(payload)}
 
@@ -304,34 +311,41 @@ class LiveClockHost:
         self, dst: int, src: int, env: Dict[str, Any]
     ) -> List[Dict[str, Any]]:
         """Receive event for an incoming envelope; returns the control it
-        makes *dst* owe *src*, if any, as a one-element list.
+        makes *dst* owe *src*, if any, as a one-element list of
+        ``{"pl": <packed (seq, a, b)>}``: the frame that carries it back to
+        *src* names its channel.
 
         Duplicate copies (same message id) are absorbed here — the
-        execution model has at most one receive event per message.
+        execution model has at most one receive event per message.  A
+        payload the clock refuses raises, and leaves no receive logged and
+        the message id unseen.
         """
         mid = int(env["mid"])
         if mid in self._received:
             counter("net.clock_dup_receives").inc()
             return []
-        self._received.add(mid)
         clock = self.clock
         ack = clock.record_receive(
-            dst, self._log(dst, src, ~mid), src, unpack_payload(env["ts"])
+            dst, self._next_index[dst] + 1, src, unpack_payload(env["ts"])
         )
+        self._received.add(mid)
+        self._log(dst, src, ~mid)
         clock._newly_finalized.clear()
         if ack is None:
             return []
-        # the wire's "seq" is the clock's own: the ack's first element
-        return [{"csrc": dst, "cdst": src, "seq": ack[0], "pl": pack_payload(ack)}]
+        # an ack is three integers: packed as pack_payload packs them
+        return [{"pl": {"__tup": list(ack)}}]
 
     # -- control-message hooks -----------------------------------------
     def control(self, src: int, dst: int, seq: int, packed: Any) -> None:
-        """Hand one control to the clock, which orders its channel by the
-        control's own *seq*; a second copy is counted (``net.ctl_dup``),
-        not applied."""
+        """Hand the control *packed* that rode a ``src -> dst`` frame to the
+        clock, which orders its channel by the control's own *seq* (the
+        acknowledgement's first element); a second copy is counted
+        (``net.ctl_dup``), not applied.  *packed* is an acknowledgement the
+        node checked: ``{"__tup": [seq, a, b]}``, three integers."""
         clock = self.clock
         try:
-            clock.on_control(src, dst, unpack_payload(packed))
+            clock.on_control(src, dst, tuple(packed["__tup"]))
         except DuplicateControl:
             counter("net.ctl_dup").inc()
             return
@@ -511,8 +525,10 @@ class LiveNode:
             raise
         if riding:
             self._piggybacked.inc(len(riding))
-        # controls for the responder wait for the next request going there
-        self._queue_controls(self._absorb(nxt, response))
+        produced = self._absorb(nxt, response)
+        if produced:
+            # controls for the responder wait for the next request going there
+            self._queue_controls(nxt, produced)
         return response
 
     def _count_hop(self, message: Dict[str, Any], response: bool) -> None:
@@ -526,50 +542,66 @@ class LiveNode:
         """Strip the clock fields off a frame from *peer* and act on them:
         the frame's own receive event first, then the controls it carried —
         the order the simulator delivers a piggybacked message in.  Returns
-        the controls the receive event produced (all addressed to *peer*).
+        the controls the receive event produced (all owed to *peer*).  Every
+        carried control is on channel ``peer -> here``: the hop names it.
         """
         env = frame.pop("env", None)
         carried = frame.pop("ctl", None)
         if carried is not None:
             self._check_controls(peer, carried)
-        if self.clock_host is None:
+        host = self.clock_host
+        if host is None:
             return []
-        produced = (
-            self.clock_host.deliver(self.pid, peer, env) if env is not None else []
-        )
-        for ctl in carried or ():
-            self.clock_host.control(peer, self.pid, ctl["seq"], ctl["pl"])
+        produced = host.deliver(self.pid, peer, env) if env is not None else []
+        if carried:
+            pid = self.pid
+            for ctl in carried:
+                packed = ctl["pl"]
+                host.control(peer, pid, packed["__tup"][0], packed)
         return produced
 
-    def _queue_controls(self, controls: List[Dict[str, Any]]) -> None:
-        """Hold *controls* until a frame goes to their destination anyway."""
-        for ctl in controls:
-            if ctl["csrc"] != self.pid:  # pragma: no cover - defensive
-                raise AssertionError("control message must originate here")
-            self._ctl_out.setdefault(ctl["cdst"], []).append(ctl)
+    def _queue_controls(self, dst: int, controls: List[Dict[str, Any]]) -> None:
+        """Hold *controls*, owed to *dst*, until a frame goes there anyway."""
+        self._ctl_out.setdefault(dst, []).extend(controls)
 
     def _check_controls(self, peer: int, controls: Any) -> None:
-        """Reject controls that could not have come from *peer* for this node.
+        """Refuse a frame from *peer* whose controls the clock cannot take.
 
-        A control travels only on frames between the two ends of its own
-        channel, so anything else on the frame is forged or malformed; the
-        whole frame is refused before the clock sees any of it.
+        The frame's hop is the controls' channel, so ``peer -> here`` must
+        be one of the clock's control channels, and each control must be an
+        acknowledgement ``{"pl": {"__tup": [seq, a, b]}}`` of three integers
+        with ``seq >= 0`` and ``a, b >= 1``.  One bad control refuses the
+        whole frame, before the clock sees its receive event or any control.
         """
-        if isinstance(controls, list) and all(
-            isinstance(ctl, dict)
-            and ctl.get("csrc") == peer
-            and ctl.get("cdst") == self.pid
-            and type(ctl.get("seq")) is int
-            and ctl["seq"] >= 0
-            and "pl" in ctl
-            for ctl in controls
-        ):
-            return
-        counter("net.ctl_rejected").inc()
-        raise TransportError(
-            f"p{self.pid} refused controls on a frame from p{peer}: each must "
-            f"be an object with csrc={peer}, cdst={self.pid} and an integer seq"
-        )
+        if not self._controls_acceptable(peer, controls):
+            counter("net.ctl_rejected").inc()
+            raise TransportError(
+                f"p{self.pid} refused controls on a frame from p{peer}: the "
+                f"hop must be a control channel, and each control an "
+                f'acknowledgement {{"pl": {{"__tup": [seq, a, b]}}}} of '
+                f"integers, seq >= 0, a, b >= 1"
+            )
+
+    def _controls_acceptable(self, peer: int, controls: Any) -> bool:
+        if type(controls) is not list:
+            return False
+        host = self.clock_host
+        if host is not None and (peer, self.pid) not in host.control_channels:
+            return False
+        for ctl in controls:
+            packed = ctl.get("pl") if type(ctl) is dict else None
+            if type(packed) is not dict or len(packed) != 1:
+                return False
+            ack = packed.get("__tup")
+            if type(ack) is not list or len(ack) != 3:
+                return False
+            seq, a, b = ack
+            # ``type(x) is int``: a bool is not an index
+            if type(seq) is not int or type(a) is not int or type(b) is not int:
+                return False
+            if seq < 0 or a < 1 or b < 1:
+                return False
+        return True
 
     def _spawn(self, coro: Any) -> None:
         task = asyncio.ensure_future(coro)
@@ -617,7 +649,8 @@ class LiveNode:
                 body = await self.handle_app(peer, message)
         except Exception:
             # an error response has no body for them to ride
-            self._queue_controls(owed)
+            if owed:
+                self._queue_controls(peer, owed)
             raise
         self._count_hop(message["inner"] if kind == "fwd" else message, True)
         if self.clock_host is not None:

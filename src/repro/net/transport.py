@@ -62,7 +62,7 @@ from repro.obs import counter
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: wire-format version tag carried in every hello frame
-WIRE_SCHEMA = "repro.net/1"
+WIRE_SCHEMA = "repro.net/2"
 
 
 class TransportError(Exception):

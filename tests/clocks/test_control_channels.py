@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.clocks import CoverInlineClock, DuplicateControl, StarInlineClock
+from repro.clocks import CoverInlineClock, DuplicateControl, StarInlineClock, VectorClock
 from repro.core.random_executions import random_execution
 from repro.topology import generators
 
@@ -96,3 +96,21 @@ def test_any_arrival_order_applies_each_control_once_in_channel_order(
     # nothing is left for the termination flush to apply
     assert shuffled.finalize_at_termination() == in_order.finalize_at_termination()
     assert shuffled._stamps == in_order._stamps
+
+
+@pytest.mark.parametrize("name", sorted(CLOCKS))
+def test_the_control_channels_are_the_channels_controls_are_emitted_on(name):
+    graph, build = CLOCKS[name]
+    clock = build(graph)
+    execution = random_execution(graph, random.Random(1), steps=120, deliver_all=True)
+    emitted = {(src, dst) for src, dst, _ack in _run_holding_controls(clock, execution)}
+    assert emitted <= clock.control_channels
+    # every channel has a receiver that acknowledges and a sender that waits
+    for src, dst in clock.control_channels:
+        assert dst in graph.neighbors(src)
+        with pytest.raises(ValueError, match="no control channel"):
+            clock.on_control(dst, src, (0, 1, 1))
+
+
+def test_a_scheme_without_controls_has_no_control_channels():
+    assert VectorClock(4).control_channels == frozenset()

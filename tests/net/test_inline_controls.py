@@ -2,11 +2,13 @@
 
 A sequencer's controls travel on the response to the request that caused
 them, or on its next request to the process they are addressed to, and the
-last one on an idle edge in one batched flush when the node quiesces.  These
-tests pin the wire behaviour (which frame carries what, in which order it is
-applied, what a lost or repeated frame does), the rejection of controls that
-did not come from their own channel, the accounting counters, and that the
-number of frames stays a function of the input.
+last one on an idle edge in one batched flush when the node quiesces.  A
+riding control is its packed acknowledgement alone, ``{"pl": ...}``: the hop
+that carries it names its channel.  These tests pin the wire behaviour (which
+frame carries what, in which order it is applied, what a lost or repeated
+frame does), the refusal of malformed controls and of controls on a hop that
+is no control channel, the accounting counters, and that the number of
+frames stays a function of the input.
 """
 
 import asyncio
@@ -88,10 +90,8 @@ class RecordingHost(LiveClockHost):
     def deliver(self, dst, src, env):
         self.log.append(("deliver", dst, src))
         controls = super().deliver(dst, src, env)
-        for ctl in controls:
-            self.emitted[(ctl["csrc"], ctl["cdst"])].append(
-                unpack_payload(ctl["pl"])
-            )
+        for ctl in controls:  # owed by dst to src
+            self.emitted[(dst, src)].append(unpack_payload(ctl["pl"]))
         return controls
 
     def control(self, src, dst, seq, packed):
@@ -234,15 +234,13 @@ class TestControlsRideFrames:
             seq = spec.home(client)
             node = nodes[seq]
             server = spec.servers[0]
-            first = {"csrc": seq, "cdst": server, "seq": 0, "pl": None}
-            second = {"csrc": seq, "cdst": server, "seq": 1, "pl": None}
-            later = {"csrc": seq, "cdst": server, "seq": 2, "pl": None}
-            node._queue_controls([first, second])
+            first, second, later = (_ack(i) for i in range(3))
+            node._queue_controls(server, [first, second])
             await nodes[server].kill()
             failing = asyncio.ensure_future(node.call(server, {"type": "read"}))
             await asyncio.sleep(0)  # the request takes the outbox along
             assert server not in node._ctl_out
-            node._queue_controls([later])
+            node._queue_controls(server, [later])
             with pytest.raises(RequestTimeout):
                 await failing
             assert node._ctl_out[server] == [first, second, later]
@@ -346,31 +344,53 @@ class TestFlush:
 
 
 # ----------------------------------------------------------------------
-# forged and malformed controls
+# malformed controls, and controls on a hop that is no control channel
 # ----------------------------------------------------------------------
-def _good(src, dst):
-    return {"csrc": src, "cdst": dst, "seq": 0, "pl": None}
+def _ack(seq=0, a=1, b=1):
+    """A riding control: the packed acknowledgement ``(seq, a, b)``."""
+    return {"pl": pack_payload((seq, a, b))}
 
 
 MALFORMED = {
-    "forged source": lambda s, d: [dict(_good(s, d), csrc=s + 1)],
-    "wrong destination": lambda s, d: [dict(_good(s, d), cdst=d + 1)],
-    "not a list": lambda s, d: _good(s, d),
-    "element not an object": lambda s, d: [[s, d, 0, None]],
-    "string seq": lambda s, d: [dict(_good(s, d), seq="0")],
-    "boolean seq": lambda s, d: [dict(_good(s, d), seq=False)],
-    "fractional seq": lambda s, d: [dict(_good(s, d), seq=0.0)],
-    "negative seq": lambda s, d: [dict(_good(s, d), seq=-1)],
-    "missing seq": lambda s, d: [
-        {k: v for k, v in _good(s, d).items() if k != "seq"}
-    ],
-    "missing payload": lambda s, d: [
-        {k: v for k, v in _good(s, d).items() if k != "pl"}
-    ],
-    "one bad among good": lambda s, d: [
-        _good(s, d), dict(_good(s, d), seq=1, csrc=s + 1)
-    ],
+    "not a list": lambda: _ack(),
+    "element not an object": lambda: [[0, 1, 1]],
+    "missing payload": lambda: [{}],
+    "null payload": lambda: [{"pl": None}],
+    "string payload": lambda: [{"pl": "(0, 1, 1)"}],
+    "boolean payload": lambda: [{"pl": True}],
+    "untagged payload": lambda: [{"pl": [0, 1, 1]}],
+    "second tag": lambda: [{"pl": {"__tup": [0, 1, 1], "__map": []}}],
+    "two elements": lambda: [{"pl": pack_payload((0, 1))}],
+    "four elements": lambda: [{"pl": pack_payload((0, 1, 1, 1))}],
+    "string seq": lambda: [{"pl": {"__tup": ["0", 1, 1]}}],
+    "boolean seq": lambda: [{"pl": {"__tup": [False, 1, 1]}}],
+    "fractional seq": lambda: [_ack(0.0)],
+    "negative seq": lambda: [_ack(-1)],
+    "string index": lambda: [_ack(0, "y", 1)],
+    "boolean index": lambda: [_ack(0, 1, True)],
+    "zero send index": lambda: [_ack(0, 0, 1)],
+    "zero receive index": lambda: [_ack(0, 1, 0)],
+    "one bad among good": lambda: [_ack(0), _ack(1, "y", 1)],
 }
+
+
+async def _send_frames(nodes, src, dst, controls):
+    """Ask *dst* as *src*, with *controls* on a flush and on a read; returns
+    the error each frame was answered with."""
+    peer = PeerClient(src, dst, resolve=lambda: nodes[dst].book.get(dst))
+    errors = []
+    try:
+        for frame in (
+            {"type": "ctl"},  # as a flush
+            {"type": "read", "env": {"mid": 99, "ts": None}},
+        ):
+            frame["ctl"] = controls
+            with pytest.raises(TransportError) as caught:
+                await peer.request(frame)
+            errors.append(str(caught.value))
+    finally:
+        await peer.close()
+    return errors
 
 
 class TestForgedControls:
@@ -378,25 +398,53 @@ class TestForgedControls:
     @on_virtual_time
     async def test_request_with_bad_controls_is_refused(self, what):
         async with cluster() as (spec, host, nodes, registry):
-            # an attached sequencer's identity, so only the controls
-            # are wrong with the frame
+            # from an attached sequencer, so only the controls are wrong
+            # with the frame
             victim = spec.clients[0]
             src = spec.home(victim)
-            peer = PeerClient(src, victim, resolve=lambda: nodes[victim].book.get(victim))
-            try:
-                for frame in (
-                    {"type": "ctl"},  # as a flush
-                    {"type": "read", "env": {"mid": 99, "ts": None}},
-                ):
-                    frame["ctl"] = MALFORMED[what](src, victim)
-                    with pytest.raises(TransportError, match="refused"):
-                        await peer.request(frame)
-            finally:
-                await peer.close()
+            errors = await _send_frames(nodes, src, victim, MALFORMED[what]())
+            assert all("refused" in error for error in errors), errors
             assert registry.counter_value("net.ctl_rejected") == 2
             # clock untouched: no receive event, nothing applied
             assert host.log == []
             assert host.n_events == 0
+            assert host.clock.applied == {}
+
+    @on_virtual_time
+    async def test_controls_on_a_hop_that_is_no_control_channel_are_refused(self):
+        async with cluster() as (spec, host, nodes, registry):
+            # well-formed, but a client owes a sequencer no acknowledgement
+            client = spec.clients[0]
+            seq = spec.home(client)
+            errors = await _send_frames(nodes, client, seq, [_ack()])
+            assert all("refused" in error for error in errors), errors
+            assert registry.counter_value("net.ctl_rejected") == 2
+            assert host.log == []
+
+    @on_virtual_time
+    async def test_a_control_is_applied_on_the_channel_of_its_hop(self):
+        async with cluster() as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            home, other = spec.attached(client)
+            for src in (home, other):
+                peer = PeerClient(
+                    src, client, resolve=lambda: nodes[client].book.get(client)
+                )
+                try:
+                    await peer.request({"type": "ctl", "ctl": [_ack(0, 1, src + 1)]})
+                finally:
+                    await peer.close()
+            assert host.log == [
+                ("control", home, client, 0), ("control", other, client, 0)
+            ]
+            # the same seq twice, and no duplicate: one per channel, each
+            # the sender's
+            assert host.clock.applied == {
+                (home, client): [(0, 1, home + 1)],
+                (other, client): [(0, 1, other + 1)],
+            }
+            assert registry.counter_value("net.ctl_rejected") == 0
+            assert registry.counter_value("net.ctl_dup") == 0
 
     @on_virtual_time
     async def test_well_formed_flush_from_the_channels_source_is_applied(self):
@@ -407,8 +455,7 @@ class TestForgedControls:
             try:
                 # out of order on purpose: seq 1 waits in the clock for
                 # seq 0, which never comes, so nothing is applied yet
-                early = dict(_good(src, victim), seq=1, pl=pack_payload((1, 1, 1)))
-                response = await peer.request({"type": "ctl", "ctl": [early]})
+                response = await peer.request({"type": "ctl", "ctl": [_ack(1)]})
             finally:
                 await peer.close()
             assert response == {}
@@ -423,25 +470,48 @@ class TestForgedControls:
         registry = MetricsRegistry()
         with use_registry(registry):
             host = RecordingHost(RecordingClock(spec.graph, tuple(spec.sequencers)), spec)
-            client = spec.clients[0]
-            seq, other = spec.attached(client)
+            seq = spec.sequencers[0]
+            server = spec.servers[0]
 
             async def impostor(_peer, _message):
-                # claims to speak for the client's other sequencer
-                return {"version": 0, "ctl": [_good(other, client)]}
+                # a server owes a sequencer no acknowledgement
+                return {"version": 0, "ctl": [_ack()]}
 
-            server = RpcServer(seq, impostor)
+            rpc = RpcServer(server, impostor)
             book = AddressBook()
-            book.set(seq, await server.start())
-            node = make_node(client, spec, book, None, None, host)
+            book.set(server, await rpc.start())
+            node = make_node(seq, spec, book, None, None, host)
             try:
                 with pytest.raises(TransportError, match="refused"):
-                    await node.call(seq, read_of(client))
+                    await node.call(server, {"type": "read"})
             finally:
                 await node.stop()
-                await server.stop()
+                await rpc.stop()
             assert registry.counter_value("net.ctl_rejected") == 1
             assert host.clock.applied == {}
+
+
+class TestRefusedEnvelope:
+    @on_virtual_time
+    async def test_a_refused_envelope_leaves_the_clock_usable(self):
+        async with cluster() as (spec, host, nodes, registry):
+            client = spec.clients[0]
+            seq = spec.home(client)
+            peer = PeerClient(seq, client, resolve=lambda: nodes[client].book.get(client))
+            try:
+                # a payload the clock refuses
+                with pytest.raises(TransportError):
+                    await peer.request(
+                        {"type": "read", "env": {"mid": 1_000_000, "ts": None}}
+                    )
+            finally:
+                await peer.close()
+            assert host.n_events == 0
+            assert 1_000_000 not in host._received
+            # the client's next event is the clock's next event there
+            await nodes[client].call(seq, read_of(client))
+            table = sum(len(row) for row in host.clock._stamps)
+            assert host.n_events == table > 0
 
 
 # ----------------------------------------------------------------------

@@ -577,7 +577,7 @@ class TestReconnect:
         await server.stop()
         ours, theirs = socket.socketpair()
         for frame in (
-            {"t": "hello", "schema": "repro.net/1", "proc": 0},
+            HELLO,
             {"t": "req", "rid": "r-1", "m": {"n": 1}},
         ):
             body = json.dumps(frame).encode()
@@ -694,12 +694,15 @@ class TestMalformedFrames:
             (HELLO, (100).to_bytes(4, "big") + b'{"t":', 0),
             ({**HELLO, "proc": "zero"}, b"", 1),
             ({**HELLO, "schema": "repro.net/0"}, b"", 1),
+            # controls with their own channel fields, before a riding
+            # control was its acknowledgement alone
+            ({**HELLO, "schema": "repro.net/1"}, b"", 1),
             ({"t": "req", "rid": "r", "m": {}}, b"", 1),
         ],
         ids=[
             "garbage-body", "bad-utf8", "json-array", "oversized-prefix",
             "truncated-body-then-eof", "non-integer-proc", "wrong-schema",
-            "no-hello",
+            "previous-schema", "no-hello",
         ],
     )
     @on_loop
