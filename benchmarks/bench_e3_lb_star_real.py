@@ -8,8 +8,8 @@ survives the same construction.
 import pytest
 
 from repro.analysis.reports import format_table
+from repro.clocks import VectorClock
 from repro.lowerbounds import (
-    FullVectorScheme,
     ProjectedVectorScheme,
     star_adversary_real,
 )
@@ -35,7 +35,7 @@ def run_sweep(n_values=(4, 6, 8, 12, 16)):
                     result.violation.kind.value if result.violation else "-",
                 )
             )
-        full = star_adversary_real(lambda nn: FullVectorScheme(nn), n)
+        full = star_adversary_real(VectorClock, n)
         rows.append((n, n, "full-vector", full.refuted, "-"))
     return rows
 

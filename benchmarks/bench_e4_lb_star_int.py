@@ -9,10 +9,10 @@ length n−1.
 import pytest
 
 from repro.analysis.reports import format_table
+from repro.clocks import VectorClock
 from repro.lowerbounds import (
     DroppedCoordinateScheme,
     FoldedVectorScheme,
-    FullVectorScheme,
     star_adversary_integer,
 )
 
@@ -27,7 +27,7 @@ def run_sweep(n_values=(3, 4, 6, 8, 10)):
             ("dropped-centre", lambda nn: DroppedCoordinateScheme(nn, 0), n - 1),
             ("folded(n/2)", lambda nn: FoldedVectorScheme(nn, max(1, nn // 2)),
              max(1, n // 2)),
-            ("full-vector", lambda nn: FullVectorScheme(nn), n),
+            ("full-vector", VectorClock, n),
         ]:
             result = star_adversary_integer(factory, n)
             rows.append(

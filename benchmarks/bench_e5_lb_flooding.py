@@ -9,9 +9,9 @@ survives.
 import pytest
 
 from repro.analysis.reports import format_table
+from repro.clocks import VectorClock
 from repro.lowerbounds import (
     FoldedVectorScheme,
-    FullVectorScheme,
     flooding_adversary,
 )
 from repro.topology import generators
@@ -34,7 +34,7 @@ def lemma23_rows():
         n = g.n_vertices
         kappa = vertex_connectivity(g)
         short = flooding_adversary(lambda nn: FoldedVectorScheme(nn, nn - 1), g)
-        full = flooding_adversary(lambda nn: FullVectorScheme(nn), g)
+        full = flooding_adversary(VectorClock, g)
         rows.append(
             (name, n, kappa, n - 1, short.refuted, not full.refuted)
         )
@@ -57,7 +57,7 @@ def lemma24_rows():
             lambda nn, s=s: FoldedVectorScheme(nn, s), g, restrict_to_x=True
         )
         full = flooding_adversary(
-            lambda nn: FullVectorScheme(nn), g, restrict_to_x=True
+            VectorClock, g, restrict_to_x=True
         )
         rows.append(
             (name, g.n_vertices, len(x), s, short.refuted, not full.refuted)

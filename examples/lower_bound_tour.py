@@ -16,9 +16,9 @@ the bounds are tight where the paper says they are.
 Run:  python examples/lower_bound_tour.py
 """
 
+from repro.clocks import VectorClock
 from repro.lowerbounds import (
     FoldedVectorScheme,
-    FullVectorScheme,
     ProjectedVectorScheme,
     execution_dimension_exceeds_2,
     find_high_dimension_execution,
@@ -41,7 +41,7 @@ def main() -> None:
     )
     print(f"   length n-2={n - 2}: refuted={r.refuted}")
     print(f"   counterexample: {r.violation.describe()}")
-    ok = star_adversary_real(lambda nn: FullVectorScheme(nn), n)
+    ok = star_adversary_real(VectorClock, n)
     print(f"   full vector clock (length n): refuted={ok.refuted}")
 
     print("\n2) Lemma 2.2 — integer online vectors on the star")
@@ -55,7 +55,7 @@ def main() -> None:
     g = generators.cycle(7)
     r = flooding_adversary(lambda nn: FoldedVectorScheme(nn, nn - 1), g)
     print(f"   length n-1=6: refuted={r.refuted}")
-    ok = flooding_adversary(lambda nn: FullVectorScheme(nn), g)
+    ok = flooding_adversary(VectorClock, g)
     print(f"   full vector clock: refuted={ok.refuted}")
 
     print("\n4) Lemma 2.4 — connectivity-1 graphs (star of 8)")

@@ -46,6 +46,7 @@ import random
 import signal
 import sys
 import tempfile
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis import (
@@ -461,16 +462,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     and interruption history, and equal to :func:`repro.faults.run_chaos`
     on the same coordinates.
     """
-    from repro.fabric import (
-        CellFailed,
-        FabricInterrupted,
-        StreamingTraceWriter,
-        cell_key,
-        compact_fragments,
-        run_fabric,
-    )
+    from repro.fabric import CellFailed, FabricInterrupted, cell_key, run_fabric
     from repro.fabric.drivers import chaos_cell_specs, merge_chaos_results
     from repro.faults import ROW_HEADER
+    from repro.faults.chaos import split_fifo_clocks
     from repro.sim.network import RetryPolicy
 
     try:
@@ -493,10 +488,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _error(str(exc))
     keys = [cell_key(spec) for spec in specs]
-    skipped = sorted(
-        name for name in args.clocks
-        if build_clock(name, graph).requires_fifo_app
+    _usable, skipped = split_fifo_clocks(
+        {name: partial(build_clock, name, graph) for name in args.clocks}
     )
+    skipped.sort()
     with _sweep_store(args.fabric) as store:
         interrupted: Optional[FabricInterrupted] = None
         try:
@@ -532,22 +527,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 quick=bool(args.quick),
                 reliable=not args.unreliable,
             )
+            tracer = RunTracer(**header)
+            if skipped:
+                tracer.event("skipped-clocks", clocks=skipped)
+            # input order, whatever order the cells completed in; an
+            # interrupted sweep keeps the cells it completed
+            for key in keys:
+                if interrupted is None or store.has(key):
+                    tracer.extend(store.get(key)["trace"])
+            if report is not None:
+                tracer.event(
+                    "sweep-summary",
+                    cells=len(report.cells),
+                    failures=len(report.failures()),
+                    ok=report.ok,
+                )
             try:
-                with StreamingTraceWriter(args.trace_out, **header) as writer:
-                    if skipped:
-                        writer.event("skipped-clocks", clocks=skipped)
-                    # an interrupted sweep flushes the cells it completed
-                    compact_fragments(
-                        writer, store, keys,
-                        skip_missing=interrupted is not None,
-                    )
-                    if report is not None:
-                        writer.event(
-                            "sweep-summary",
-                            cells=len(report.cells),
-                            failures=len(report.failures()),
-                            ok=report.ok,
-                        )
+                tracer.write(args.trace_out)
             except OSError as exc:
                 return _error(f"cannot write trace {args.trace_out}: {exc}")
         if interrupted is not None:

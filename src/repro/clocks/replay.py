@@ -267,21 +267,10 @@ class TimestampAssignment:
 
         *events* restricts the check to a subset (e.g. a finalized cut);
         defaults to every event in the execution.  Either oracle flavor is
-        accepted — an incremental oracle is frozen, not rebuilt.
-
-        The comparison is matrix-based, in the representation the oracle
-        already holds.  On the array kernel the scheme's precedes-matrix
-        (:meth:`~repro.clocks.base.Timestamp.precedes_matrix_words`, or its
-        packed-int rows converted once) is XORed against the oracle's
-        ``uint64`` matrix and the mismatching cells are decoded in bulk
-        (:func:`repro.core.npkernel.mismatch_indices`); on the pure kernel
-        the same is done on packed ints, one row at a time.  Either way the
-        cost beyond the XOR is the mismatches, and every one of them is
-        materialized as an ``(EventId, EventId)`` pair.  The report is
-        identical — field for field, including mismatch ordering — to the
-        pairwise reference :meth:`validate_pairwise`, and so are the
-        ``validate.*`` counters between the two kernels (the
-        backend-differential fuzzer invariant pins it).
+        accepted — an incremental oracle is frozen, not rebuilt.  The
+        comparison is :func:`decode_mismatches`; the report is identical —
+        field for field, including mismatch ordering — to the pairwise
+        reference :meth:`validate_pairwise`.
         """
         oracle = self._batch_oracle(oracle)
         # ids in all_events() order follow the oracle's dense indexing, so
@@ -289,40 +278,9 @@ class TimestampAssignment:
         ids = list(events) if events is not None else oracle.event_order
         sel = None if events is None else [oracle.index_of(e) for e in ids]
         m = len(ids)
-        ts_list = [self[eid] for eid in ids]
-        truth = oracle.past_matrix()
-        if truth is not None:
-            from repro.core import npkernel
-
-            if sel is not None:
-                truth = npkernel.submatrix(truth, sel)
-            kinds = set(map(type, ts_list))
-            scheme = (
-                kinds.pop().precedes_matrix_words(ts_list)
-                if len(kinds) == 1
-                else None
-            )
-            if scheme is None:
-                scheme = npkernel.rows_to_matrix(precedes_matrix_rows(ts_list))
-            n_ordered = npkernel.ordered_pair_count(truth)
-            neg_i, neg_j, pos_i, pos_j = npkernel.mismatch_indices(scheme, truth)
-        else:
-            rows = oracle.past_masks()
-            if sel is not None:
-                rows = [
-                    sum((rows[j] >> i & 1) << a for a, i in enumerate(sel))
-                    for j in sel
-                ]
-            n_ordered = sum(row.bit_count() for row in rows)
-            neg_i, neg_j, pos_i, pos_j = _mismatch_indices(
-                precedes_matrix_rows(ts_list), rows
-            )
-        # observability: how much work the matrix validator did — compared
-        # cells (the full m×m grid) and mismatch bits it had to decode
-        reg = active_registry()
-        reg.counter("validate.cells").inc(m * m)
-        reg.counter("validate.mismatch_decodes").inc(len(neg_i) + len(pos_i))
-        reg.counter("validate.runs").inc()
+        n_ordered, neg_i, neg_j, pos_i, pos_j = decode_mismatches(
+            [self[eid] for eid in ids], oracle, sel
+        )
         at = ids.__getitem__
         return ValidationReport(
             algorithm=self._algorithm.name,
@@ -405,6 +363,69 @@ def _sample_pairs(seed: int, n: int, n_pairs: int) -> Iterator[Sequence[int]]:
             while j >= n:
                 j = getrandbits(bits)
         yield i, j
+
+
+def decode_mismatches(
+    ts_list: Sequence[Timestamp],
+    oracle: HappenedBeforeOracle,
+    sel: Optional[Sequence[int]] = None,
+) -> Tuple[int, List[int], List[int], List[int], List[int]]:
+    """Where *ts_list*'s order and *oracle*'s happened-before disagree.
+
+    ``ts_list[a]`` is the timestamp of the oracle's event at dense position
+    ``sel[a]`` (at position ``a`` without *sel*).  Returns ``(n_ordered,
+    neg_i, neg_j, pos_i, pos_j)``: the causally ordered pairs among them,
+    then the missed orderings and the claimed ones as positions into
+    *ts_list* — ``i -> j`` in the truth but not in the timestamps, and the
+    reverse — each in the pairwise reference order (pair-major over (min,
+    max), direction min->max first).
+
+    The comparison is matrix-based, in the representation the oracle
+    already holds.  On the array kernel the scheme's precedes-matrix
+    (:meth:`~repro.clocks.base.Timestamp.precedes_matrix_words`, or its
+    packed-int rows converted once) is XORed against the oracle's
+    ``uint64`` matrix and the mismatching cells are decoded in bulk
+    (:func:`repro.core.npkernel.mismatch_indices`); on the pure kernel the
+    same is done on packed ints, one row at a time.  Either way the cost
+    beyond the XOR is the mismatches.  The ``validate.*`` counters are equal
+    between the two kernels (the backend-differential fuzzer invariant pins
+    it).
+    """
+    m = len(ts_list)
+    truth = oracle.past_matrix()
+    if truth is not None:
+        from repro.core import npkernel
+
+        if sel is not None:
+            truth = npkernel.submatrix(truth, sel)
+        kinds = set(map(type, ts_list))
+        scheme = (
+            kinds.pop().precedes_matrix_words(ts_list)
+            if len(kinds) == 1
+            else None
+        )
+        if scheme is None:
+            scheme = npkernel.rows_to_matrix(precedes_matrix_rows(ts_list))
+        n_ordered = npkernel.ordered_pair_count(truth)
+        neg_i, neg_j, pos_i, pos_j = npkernel.mismatch_indices(scheme, truth)
+    else:
+        rows = oracle.past_masks()
+        if sel is not None:
+            rows = [
+                sum((rows[j] >> i & 1) << a for a, i in enumerate(sel))
+                for j in sel
+            ]
+        n_ordered = sum(row.bit_count() for row in rows)
+        neg_i, neg_j, pos_i, pos_j = _mismatch_indices(
+            precedes_matrix_rows(ts_list), rows
+        )
+    # observability: how much work the matrix validator did — compared
+    # cells (the full m×m grid) and mismatch bits it had to decode
+    reg = active_registry()
+    reg.counter("validate.cells").inc(m * m)
+    reg.counter("validate.mismatch_decodes").inc(len(neg_i) + len(pos_i))
+    reg.counter("validate.runs").inc()
+    return n_ordered, neg_i, neg_j, pos_i, pos_j
 
 
 def _mismatch_indices(

@@ -4,12 +4,12 @@ The repo's one process-parallel sweep runner, a work-queue fabric:
 sweep cells are content-hash keyed JSON specs, completed results land
 atomically in a resumable :class:`ResultStore`, and the same sweep runs
 serially, across local worker processes, or across hosts attached via
-``repro fabric-worker`` — always producing byte-identical stores and
-(after compaction) byte-identical traces.  See ``EXPERIMENTS.md`` for
+``repro fabric-worker`` — always producing byte-identical stores and,
+with each cell's trace fragment absorbed in input order, byte-identical
+traces.  See ``EXPERIMENTS.md`` for
 the operational guide.
 """
 
-from repro.fabric.compaction import StreamingTraceWriter, compact_fragments
 from repro.fabric.coordinator import (
     FabricInterrupted,
     FabricReport,
@@ -27,12 +27,10 @@ __all__ = [
     "FabricReport",
     "ResultStore",
     "StoreError",
-    "StreamingTraceWriter",
     "WORK_KINDS",
     "WorkQueue",
     "canonical_json",
     "cell_key",
-    "compact_fragments",
     "execute_cell",
     "run_fabric",
     "work_kind",

@@ -114,9 +114,9 @@ class FabricReport:
 
     ``keys`` are in *input order* regardless of execution placement;
     results are read back from the store so memory stays bounded —
-    :meth:`iter_results` streams one cell at a time (the path trace
-    compaction uses), :meth:`load_results` materializes the list for
-    small sweeps.
+    :meth:`iter_results` streams one cell at a time (the path the report
+    merges use), :meth:`load_results` materializes the list for small
+    sweeps.
     """
 
     store: ResultStore

@@ -128,9 +128,9 @@ class ResultStore:
     def iter_results(self, keys: Iterator[str]) -> Iterator[Any]:
         """Stream result payloads for *keys*, one loaded at a time.
 
-        This is the bounded-memory read path trace compaction uses: a
-        million-event sweep is folded cell by cell, never holding more
-        than one cell's payload.
+        This is the bounded-memory read path the report merges use: a
+        sweep is folded cell by cell, never holding more than one cell's
+        payload.
         """
         for key in keys:
             yield self.get(key)

@@ -4,7 +4,6 @@ from repro.lowerbounds.charron_bost import (
     CrownWitness,
     certified_dimension_lower_bound,
     charron_bost_execution,
-    verify_crown,
 )
 from repro.lowerbounds.crowns import (
     crown_dimension_bound,
@@ -23,8 +22,6 @@ from repro.lowerbounds.offline_star import (
 from repro.lowerbounds.online import (
     DroppedCoordinateScheme,
     FoldedVectorScheme,
-    FullVectorScheme,
-    OnlineVectorScheme,
     ProjectedVectorScheme,
 )
 from repro.lowerbounds.posets import (
@@ -57,7 +54,6 @@ __all__ = [
     "CrownWitness",
     "certified_dimension_lower_bound",
     "charron_bost_execution",
-    "verify_crown",
     "crown_dimension_bound",
     "find_crown",
     "is_crown_embedding",
@@ -70,8 +66,6 @@ __all__ = [
     "theorem_4_4_witness",
     "DroppedCoordinateScheme",
     "FoldedVectorScheme",
-    "FullVectorScheme",
-    "OnlineVectorScheme",
     "ProjectedVectorScheme",
     "Poset",
     "has_dimension_at_most_2",

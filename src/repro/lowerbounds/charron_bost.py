@@ -15,11 +15,12 @@ constructively and certifiably:
 2. The events ``a'_i := a_{i+1 mod n}`` and ``b_i`` then form the *standard
    example* crown ``S⁰ₙ`` as an induced subposet of happened-before:
    ``a'_i ∥ b_i`` and ``a'_j < b_i`` for ``j ≠ i``, with the ``a``s and
-   ``b``s pairwise concurrent.  :func:`verify_crown` checks every induced
-   relation against the ground-truth oracle, certifying (Dushnik–Miller)
-   that the execution's order dimension is at least ``n`` — hence no
-   ``(n-1)``-element vector assignment, online *or offline*, can realize
-   its causality under the standard comparison.
+   ``b``s pairwise concurrent.
+   :func:`~repro.lowerbounds.crowns.is_crown_embedding` on the ground-truth
+   oracle's ``happened_before`` checks every induced relation, certifying
+   (Dushnik–Miller) that the execution's order dimension is at least ``n``
+   — hence no ``(n-1)``-element vector assignment, online *or offline*, can
+   realize its causality under the standard comparison.
 
 For ``n = 3`` the certified dimension-3 poset lives on a 3-process clique;
 the paper's Theorem 4.4 shows the analogous obstruction already appears on
@@ -37,6 +38,7 @@ from typing import List, Tuple
 from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.core.happened_before import HappenedBeforeOracle
+from repro.lowerbounds.crowns import is_crown_embedding
 from repro.lowerbounds.posets import Poset
 from repro.topology import generators
 
@@ -105,37 +107,6 @@ def charron_bost_execution(n: int) -> Tuple[Execution, CrownWitness]:
     return b.freeze(), CrownWitness(a_primed, tuple(b_events))
 
 
-def verify_crown(
-    oracle: HappenedBeforeOracle, witness: CrownWitness
-) -> bool:
-    """Check every induced relation of the crown against the oracle.
-
-    Requires exactly: ``a_i ∥ b_i``; ``a_j → b_i`` for ``j ≠ i``;
-    all ``a``s pairwise concurrent; all ``b``s pairwise concurrent; and no
-    ``b → a`` edges.  Any deviation (including *extra* order) breaks the
-    induced-subposet requirement and fails verification.
-    """
-    k = witness.k
-    a, b = witness.a_events, witness.b_events
-    if len(set(a) | set(b)) != 2 * k:
-        return False
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                if not oracle.happened_before(a[j], b[i]):
-                    return False
-                if not oracle.concurrent(a[i], a[j]):
-                    return False
-                if not oracle.concurrent(b[i], b[j]):
-                    return False
-            else:
-                if not oracle.concurrent(a[i], b[i]):
-                    return False
-            if oracle.happened_before(b[i], a[j]):
-                return False
-    return True
-
-
 def certified_dimension_lower_bound(n: int) -> int:
     """Build, verify, and return the certified dimension bound for size n.
 
@@ -143,8 +114,8 @@ def certified_dimension_lower_bound(n: int) -> int:
     which would indicate a bug, never an expected outcome.
     """
     execution, witness = charron_bost_execution(n)
-    oracle = HappenedBeforeOracle(execution)
-    if not verify_crown(oracle, witness):
+    hb = HappenedBeforeOracle(execution).happened_before
+    if not is_crown_embedding(hb, witness.a_events, witness.b_events):
         raise AssertionError(
             "Charron-Bost construction failed crown verification"
         )

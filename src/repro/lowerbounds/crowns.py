@@ -18,37 +18,42 @@ decision procedure.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.lowerbounds.posets import Element, Poset
 
 
 def is_crown_embedding(
-    poset: Poset,
+    lt: Callable[[Element, Element], bool],
     a_side: Sequence[Element],
     b_side: Sequence[Element],
 ) -> bool:
-    """Check that ``(a_side, b_side)`` induce ``S⁰ₖ``: ``aᵢ ∥ bᵢ``,
-    ``aⱼ < bᵢ`` for ``j ≠ i``, and both sides are antichains."""
+    """Check that ``(a_side, b_side)`` induce ``S⁰ₖ`` under the strict order
+    *lt* (:meth:`Poset.lt`, or an oracle's ``happened_before``): ``aᵢ ∥ bᵢ``,
+    ``aⱼ < bᵢ`` for ``j ≠ i``, both sides antichains and no ``b`` below an
+    ``a``.  Any deviation, extra order included, breaks the induced
+    subposet."""
     k = len(a_side)
     if k != len(b_side) or k < 2:
         return False
-    elems = list(a_side) + list(b_side)
-    if len(set(elems)) != 2 * k:
+    if len(set(a_side) | set(b_side)) != 2 * k:
         return False
+
+    def comparable(x: Element, y: Element) -> bool:
+        return lt(x, y) or lt(y, x)
+
     for i in range(k):
         for j in range(k):
             if i != j:
-                if not poset.lt(a_side[j], b_side[i]):
+                if not lt(a_side[j], b_side[i]):
                     return False
-                if poset.comparable(a_side[i], a_side[j]):
+                if comparable(a_side[i], a_side[j]):
                     return False
-                if poset.comparable(b_side[i], b_side[j]):
+                if comparable(b_side[i], b_side[j]):
                     return False
-            else:
-                if poset.comparable(a_side[i], b_side[i]):
-                    return False
-            if poset.lt(b_side[i], a_side[j]):
+            elif comparable(a_side[i], b_side[i]):
+                return False
+            if lt(b_side[i], a_side[j]):
                 return False
     return True
 
@@ -114,7 +119,7 @@ def find_crown(
 
     result = backtrack([], [], 0)
     if result is not None:
-        assert is_crown_embedding(poset, result[0], result[1])
+        assert is_crown_embedding(poset.lt, result[0], result[1])
     return result
 
 

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
-from repro.lowerbounds.online import OnlineVectorScheme
 from repro.lowerbounds.star_adversary import (
     AdversaryResult,
     SchemeFactory,
@@ -75,9 +74,8 @@ def flooding_adversary(
     if len(initiators) < 2:
         raise ValueError("need at least two initiators")
 
-    scheme = scheme_factory(n)
     builder = ExecutionBuilder(n, graph=graph)
-    driver = _SchemeDriver(scheme, builder)
+    driver = _SchemeDriver(scheme_factory(n), builder)
 
     # ------------------------------------------------------------------
     # stage 1: every initiator sends its token to each neighbour.
@@ -99,7 +97,7 @@ def flooding_adversary(
     # victim selection from the (permanent) first-event timestamps
     # ------------------------------------------------------------------
     first_eids = [first_events[p] for p in initiators]
-    victim_eid = _pick_outside_s(driver.vectors, first_eids, scheme.length)
+    victim_eid = _pick_outside_s(driver.vectors, first_eids)
     victim = victim_eid.proc if victim_eid is not None else None
 
     # ------------------------------------------------------------------
@@ -151,7 +149,7 @@ def flooding_adversary(
     return AdversaryResult(
         lemma=lemma,
         n_processes=n,
-        vector_length=scheme.length,
+        vector_length=report.vector_length,
         execution=execution,
         vectors=driver.vectors,
         predicted_pair=predicted_pair,

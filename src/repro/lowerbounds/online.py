@@ -6,13 +6,14 @@ length ``n`` is necessary on a star graph for integer entries (Lemma 2.2),
 ``n-1`` for real entries (Lemma 2.1), ``n`` for any 2-connected graph
 (Lemma 2.3) and ``|X|`` for connectivity-1 graphs (Lemma 2.4).
 
-To make those proofs *executable*, this module defines the interface the
-adversaries attack — an online scheme assigns a permanent, fixed-length
-vector to every event the moment it occurs — and a family of candidate
-schemes of tunable length ``s``:
+The adversaries attack :class:`~repro.clocks.base.ClockAlgorithm`\\ s whose
+timestamps are :class:`~repro.clocks.vector.VectorTimestamp`\\ s: the
+standard :class:`~repro.clocks.vector.VectorClock` (``s = n``, the only
+candidate that survives every adversary) and this module's family of
+candidates of tunable length ``s``.  Each candidate is a vector clock that
+piggybacks the full vector but stamps every event, the moment it occurs,
+with a shorter vector derived from it:
 
-- :class:`FullVectorScheme` — the standard vector clock (``s = n``); the
-  only candidate that survives every adversary.
 - :class:`FoldedVectorScheme` — integer vectors of length ``s`` obtained by
   folding process ``i`` onto coordinate ``i mod s`` (a "plausible clock"
   style compression).  Consistent but not characterizing for ``s < n``.
@@ -24,99 +25,46 @@ schemes of tunable length ``s``:
   coordinate dropped (``s = n-1``): events of the dropped process reuse the
   remaining coordinates.
 
-Schemes are deliberately *online*: ``vector_of`` must return the permanent
-value immediately after the event hook runs, and the adversaries exploit
-exactly that.
+Stamps are permanent the moment a record step returns, and the adversaries
+exploit exactly that.
 """
 
 from __future__ import annotations
 
-import abc
 import random
-from typing import Any, Dict, List, Tuple
+from functools import reduce
+from operator import add, mul
+from typing import List, Sequence, Tuple
 
-from repro.clocks.vector import VectorClock
-from repro.core.events import Event, EventId
+from repro.clocks.vector import VectorClock, VectorTimestamp
+from repro.core.events import ProcessId
 
 
-class OnlineVectorScheme(abc.ABC):
-    """An online algorithm assigning fixed-length vector timestamps.
+class _DerivedVectorClock(VectorClock):
+    """A vector clock that stamps each event with a vector of length
+    :attr:`length` derived from its full vector; the payload stays the full
+    vector."""
 
-    The host calls the event hooks in real-time order; ``vector_of`` must
-    already return the permanent vector for any event that has occurred.
-    """
-
-    #: vector length; set by concrete schemes
-    length: int
-    #: whether entries are guaranteed integers (Lemma 2.2) or reals (2.1)
-    integer_valued: bool
+    characterizes_causality = False
 
     def __init__(self, n_processes: int, length: int) -> None:
         if length < 1:
             raise ValueError("vector length must be >= 1")
-        self.n_processes = n_processes
+        super().__init__(n_processes)
         self.length = length
 
-    @abc.abstractmethod
-    def on_local(self, ev: Event) -> None: ...
-
-    @abc.abstractmethod
-    def on_send(self, ev: Event) -> Any:
-        """Returns the piggybacked payload."""
-
-    @abc.abstractmethod
-    def on_receive(self, ev: Event, payload: Any) -> None: ...
-
-    @abc.abstractmethod
-    def vector_of(self, eid: EventId) -> Tuple[float, ...]: ...
-
-
-class _VCBacked(OnlineVectorScheme):
-    """Base for schemes derived from a hidden full vector clock."""
-
-    def __init__(self, n_processes: int, length: int) -> None:
-        super().__init__(n_processes, length)
-        self._vc = VectorClock(n_processes)
-        self._vectors: Dict[EventId, Tuple[float, ...]] = {}
-
-    def _derive(self, full: Tuple[int, ...], eid: EventId) -> Tuple[float, ...]:
+    def _derive(self, full: Tuple[int, ...]) -> Tuple[float, ...]:
         raise NotImplementedError
 
-    def _capture(self, ev: Event) -> None:
-        ts = self._vc.timestamp(ev.eid)
-        assert ts is not None
-        self._vectors[ev.eid] = self._derive(ts.vector, ev.eid)
-
-    def on_local(self, ev: Event) -> None:
-        self._vc.on_local(ev)
-        self._capture(ev)
-
-    def on_send(self, ev: Event) -> Any:
-        payload = self._vc.on_send(ev)
-        self._capture(ev)
-        return payload
-
-    def on_receive(self, ev: Event, payload: Any) -> None:
-        self._vc.on_receive(ev, payload)
-        self._capture(ev)
-
-    def vector_of(self, eid: EventId) -> Tuple[float, ...]:
-        return self._vectors[eid]
+    def _step(
+        self, p: ProcessId, k: int, received: Sequence[int] = ()
+    ) -> Tuple[int, ...]:
+        full = super()._step(p, k, received)
+        self._stamps[p][-1] = VectorTimestamp(self._derive(full))
+        return full
 
 
-class FullVectorScheme(_VCBacked):
-    """The standard length-``n`` vector clock (the correct upper bound)."""
-
-    integer_valued = True
-
-    def __init__(self, n_processes: int) -> None:
-        super().__init__(n_processes, n_processes)
-
-    def _derive(self, full: Tuple[int, ...], eid: EventId) -> Tuple[float, ...]:
-        return tuple(full)
-
-
-class FoldedVectorScheme(_VCBacked):
+class FoldedVectorScheme(_DerivedVectorClock):
     """Integer compression: coordinate ``i mod s`` accumulates process i.
 
     For each folded coordinate we keep the *sum* of the constituent
@@ -124,19 +72,16 @@ class FoldedVectorScheme(_VCBacked):
     events can appear ordered once ``s < n``.
     """
 
-    integer_valued = True
+    name = "folded"
 
-    def __init__(self, n_processes: int, length: int) -> None:
-        super().__init__(n_processes, length)
-
-    def _derive(self, full: Tuple[int, ...], eid: EventId) -> Tuple[float, ...]:
+    def _derive(self, full: Tuple[int, ...]) -> Tuple[float, ...]:
         out = [0] * self.length
         for i, v in enumerate(full):
             out[i % self.length] += v
         return tuple(out)
 
 
-class ProjectedVectorScheme(_VCBacked):
+class ProjectedVectorScheme(_DerivedVectorClock):
     """Real-valued compression via random positive linear projections.
 
     Coordinate ``l`` is ``sum_i w[l][i] * vc[i]`` with strictly positive
@@ -145,7 +90,7 @@ class ProjectedVectorScheme(_VCBacked):
     that only an adversarial execution can refute when ``s <= n-2``.
     """
 
-    integer_valued = False
+    name = "projected"
 
     def __init__(self, n_processes: int, length: int, seed: int = 0) -> None:
         super().__init__(n_processes, length)
@@ -155,13 +100,13 @@ class ProjectedVectorScheme(_VCBacked):
             for _ in range(length)
         ]
 
-    def _derive(self, full: Tuple[int, ...], eid: EventId) -> Tuple[float, ...]:
-        return tuple(
-            sum(w * v for w, v in zip(row, full)) for row in self._weights
-        )
+    def _derive(self, full: Tuple[int, ...]) -> Tuple[float, ...]:
+        # added left to right on every interpreter: from Python 3.12 on,
+        # ``sum`` compensates float rounding and moves the last digit
+        return tuple(reduce(add, map(mul, row, full)) for row in self._weights)
 
 
-class DroppedCoordinateScheme(_VCBacked):
+class DroppedCoordinateScheme(_DerivedVectorClock):
     """The true vector clock with the coordinate of *dropped* removed.
 
     Events at the dropped process are still timestamped (with the remaining
@@ -170,7 +115,7 @@ class DroppedCoordinateScheme(_VCBacked):
     dropping the hub, which Lemma 2.2 shows cannot work.
     """
 
-    integer_valued = True
+    name = "dropped"
 
     def __init__(self, n_processes: int, dropped: int = 0) -> None:
         if n_processes < 2:
@@ -180,7 +125,5 @@ class DroppedCoordinateScheme(_VCBacked):
         super().__init__(n_processes, n_processes - 1)
         self._dropped = dropped
 
-    def _derive(self, full: Tuple[int, ...], eid: EventId) -> Tuple[float, ...]:
-        return tuple(
-            v for i, v in enumerate(full) if i != self._dropped
-        )
+    def _derive(self, full: Tuple[int, ...]) -> Tuple[float, ...]:
+        return full[: self._dropped] + full[self._dropped + 1 :]

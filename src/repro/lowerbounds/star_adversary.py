@@ -1,8 +1,9 @@
 """Executable adversaries for the star-graph lower bounds (Lemmas 2.1, 2.2).
 
-Both adversaries attack an arbitrary *online* scheme (an
-:class:`~repro.lowerbounds.online.OnlineVectorScheme`) on the star with
-central process ``p_0`` and radial processes ``p_1 .. p_{n-1}``:
+Both adversaries attack an arbitrary *online* vector scheme (a
+:class:`~repro.clocks.vector.VectorClock` or one of the candidates in
+:mod:`repro.lowerbounds.online`) on the star with central process ``p_0``
+and radial processes ``p_1 .. p_{n-1}``:
 
 **Lemma 2.1 (real-valued, length ≤ n-2).**  Each radial process performs a
 single send to the centre; these ``n-1`` events are pairwise concurrent and
@@ -34,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.clocks.vector import VectorClock
 from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
-from repro.core.happened_before import HappenedBeforeOracle
-from repro.lowerbounds.online import OnlineVectorScheme
 from repro.lowerbounds.verify import (
     VectorAssignmentReport,
     Violation,
@@ -45,7 +45,7 @@ from repro.lowerbounds.verify import (
 )
 from repro.topology import generators
 
-SchemeFactory = Callable[[int], OnlineVectorScheme]
+SchemeFactory = Callable[[int], VectorClock]
 
 
 @dataclass(frozen=True)
@@ -69,47 +69,50 @@ class AdversaryResult:
 
 
 class _SchemeDriver:
-    """Feeds builder events to a scheme and records its vectors."""
+    """Feeds builder events to a clock's record steps and keeps each
+    event's vector the moment the clock stamps it."""
 
-    def __init__(self, scheme: OnlineVectorScheme, builder: ExecutionBuilder):
-        self.scheme = scheme
+    def __init__(self, clock: VectorClock, builder: ExecutionBuilder):
+        self.clock = clock
         self.builder = builder
         self.vectors: Dict[EventId, Tuple[float, ...]] = {}
         self._payloads: Dict[int, object] = {}
 
+    def _stamped(self, eid: EventId) -> EventId:
+        self.vectors[eid] = self.clock.timestamp(eid).vector
+        return eid
+
     def local(self, p: int) -> EventId:
-        ev = self.builder.local(p)
-        self.scheme.on_local(ev)
-        self.vectors[ev.eid] = self.scheme.vector_of(ev.eid)
-        return ev.eid
+        eid = self.builder.local(p).eid
+        self.clock.record_local(p, eid.index)
+        return self._stamped(eid)
 
     def send(self, src: int, dst: int) -> Tuple[EventId, int]:
         msg_id = self.builder.send(src, dst)
-        ev = self.builder.last_event(src)
-        self._payloads[msg_id] = self.scheme.on_send(ev)
-        self.vectors[ev.eid] = self.scheme.vector_of(ev.eid)
-        return ev.eid, msg_id
+        eid = self.builder.last_event(src).eid
+        self._payloads[msg_id] = self.clock.record_send(src, eid.index, dst)
+        return self._stamped(eid), msg_id
 
     def receive(self, p: int, msg_id: int) -> EventId:
         ev = self.builder.receive(p, msg_id)
-        self.scheme.on_receive(ev, self._payloads.pop(msg_id))
-        self.vectors[ev.eid] = self.scheme.vector_of(ev.eid)
-        return ev.eid
+        self.clock.record_receive(
+            p, ev.eid.index, ev.peer, self._payloads.pop(msg_id)
+        )
+        return self._stamped(ev.eid)
 
 
 def _pick_outside_s(
     vectors: Dict[EventId, Tuple[float, ...]],
     candidates: List[EventId],
-    length: int,
 ) -> Optional[EventId]:
     """Pick an event whose process is outside the dominating set ``S``.
 
     ``S`` takes, per coordinate, one maximizing candidate — exactly the
     proofs' construction.  Returns ``None`` when every candidate landed in
-    ``S`` (cannot happen while ``len(candidates) > length``).
+    ``S`` (cannot happen while there are more candidates than coordinates).
     """
     s_events: set = set()
-    for l in range(length):
+    for l in range(len(vectors[candidates[0]])):
         best = max(candidates, key=lambda e: vectors[e][l])
         s_events.add(best)
     for e in candidates:
@@ -129,10 +132,9 @@ def star_adversary_real(
     """
     if n < 3:
         raise ValueError("Lemma 2.1 construction needs n >= 3")
-    scheme = scheme_factory(n)
     graph = generators.star(n)
     builder = ExecutionBuilder(n, graph=graph)
-    driver = _SchemeDriver(scheme, builder)
+    driver = _SchemeDriver(scheme_factory(n), builder)
 
     # stage 1: concurrent sends at every radial process
     sends: List[Tuple[EventId, int]] = [
@@ -141,7 +143,7 @@ def star_adversary_real(
     send_eids = [eid for eid, _ in sends]
 
     # adversary reads the (already permanent) timestamps and picks p_k
-    victim = _pick_outside_s(driver.vectors, send_eids, scheme.length)
+    victim = _pick_outside_s(driver.vectors, send_eids)
     predicted_pair: Optional[Tuple[EventId, EventId]] = None
 
     # stage 2: deliver everything except the victim's message; victim last
@@ -163,7 +165,7 @@ def star_adversary_real(
     return AdversaryResult(
         lemma="2.1",
         n_processes=n,
-        vector_length=scheme.length,
+        vector_length=report.vector_length,
         execution=execution,
         vectors=driver.vectors,
         predicted_pair=predicted_pair,
@@ -183,18 +185,19 @@ def star_adversary_integer(
     """
     if n < 2:
         raise ValueError("Lemma 2.2 construction needs n >= 2")
-    scheme = scheme_factory(n)
-    if not scheme.integer_valued:
-        raise ValueError("Lemma 2.2 applies to integer-valued schemes")
     graph = generators.star(n)
     builder = ExecutionBuilder(n, graph=graph)
-    driver = _SchemeDriver(scheme, builder)
+    driver = _SchemeDriver(scheme_factory(n), builder)
 
     # stage 1: concurrent sends at every radial process
     sends: List[Tuple[EventId, int]] = [
         driver.send(i, 0) for i in range(1, n)
     ]
     send_eids = [eid for eid, _ in sends]
+    if not all(
+        isinstance(x, int) for e in send_eids for x in driver.vectors[e]
+    ):
+        raise ValueError("Lemma 2.2 applies to integer-valued schemes")
     m_value = max(
         (max(driver.vectors[e]) for e in send_eids), default=0
     )
@@ -209,7 +212,7 @@ def star_adversary_integer(
 
     # W = {e_P^0} ∪ radial sends; pick a radial p_k outside S
     w = [centre_last] + send_eids
-    victim = _pick_outside_s(driver.vectors, w, scheme.length)
+    victim = _pick_outside_s(driver.vectors, w)
     if victim == centre_last:
         victim = None  # the proof needs a radial victim
 
@@ -232,7 +235,7 @@ def star_adversary_integer(
     return AdversaryResult(
         lemma="2.2",
         n_processes=n,
-        vector_length=scheme.length,
+        vector_length=report.vector_length,
         execution=execution,
         vectors=driver.vectors,
         predicted_pair=predicted_pair,

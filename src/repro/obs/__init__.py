@@ -11,9 +11,11 @@ hot seams of the library are instrumented against it:
   events** (how many events elapse while a timestamp is still ``⊥``);
 - the simulator and :mod:`repro.faults` report messages
   sent/dropped/duplicated/retransmitted and partition epochs;
-- the matrix validators (:meth:`repro.clocks.replay.TimestampAssignment
-  .validate`, :func:`repro.lowerbounds.verify.check_vector_assignment`)
-  report compared cell counts and mismatch decodes.
+- the matrix validator (:func:`repro.clocks.replay.decode_mismatches`,
+  behind :meth:`~repro.clocks.replay.TimestampAssignment.validate` and
+  :func:`repro.lowerbounds.verify.check_vector_assignment`) reports
+  compared cells and decoded mismatch bits; a lower-bound duplicate pair
+  is not a decoded bit.
 
 See EXPERIMENTS.md → Observability for the metric name catalog and the
 trace schema, ``repro metrics`` / ``--trace-out`` for the CLI surface, and

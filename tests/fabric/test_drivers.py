@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fabric import (
-    ResultStore,
-    StreamingTraceWriter,
-    cell_key,
-    compact_fragments,
-    execute_cell,
-    run_fabric,
-)
+from repro.fabric import ResultStore, cell_key, execute_cell, run_fabric
 from repro.fabric.drivers import (
     WORK_KINDS,
     chaos_cell_specs,
@@ -71,7 +64,8 @@ def test_chaos_specs_one_per_scenario():
 
 
 def test_chaos_fabric_equals_run_chaos(tmp_path):
-    """The merged fabric report and the compacted trace match run_chaos."""
+    """The merged fabric report, and the trace built from the store's cell
+    fragments, match run_chaos."""
     from functools import partial
 
     from repro.conformance.registry import build_clock
@@ -108,18 +102,20 @@ def test_chaos_fabric_equals_run_chaos(tmp_path):
     assert merged.metrics.as_dict() == serial.metrics.as_dict()
     assert merged.ok == serial.ok
 
-    # what `repro chaos --trace-out` writes is, byte for byte, the
-    # in-process tracer's file
+    # what `repro chaos --trace-out` writes, each stored cell's fragment in
+    # input order, is byte for byte the in-process tracer's file
     tracer.write(tmp_path / "serial.jsonl")
-    with StreamingTraceWriter(tmp_path / "fabric.jsonl", **header) as writer:
-        writer.event("skipped-clocks", clocks=merged.skipped)
-        compact_fragments(writer, store, fabric_report.keys)
-        writer.event(
-            "sweep-summary",
-            cells=len(merged.cells),
-            failures=len(merged.failures()),
-            ok=merged.ok,
-        )
+    fabric = RunTracer(**header)
+    fabric.event("skipped-clocks", clocks=merged.skipped)
+    for key in fabric_report.keys:
+        fabric.extend(store.get(key)["trace"])
+    fabric.event(
+        "sweep-summary",
+        cells=len(merged.cells),
+        failures=len(merged.failures()),
+        ok=merged.ok,
+    )
+    fabric.write(tmp_path / "fabric.jsonl")
     assert (tmp_path / "fabric.jsonl").read_bytes() == (
         tmp_path / "serial.jsonl"
     ).read_bytes()

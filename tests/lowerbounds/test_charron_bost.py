@@ -8,8 +8,8 @@ from repro.lowerbounds.charron_bost import (
     certified_dimension_lower_bound,
     charron_bost_execution,
     induced_crown_poset,
-    verify_crown,
 )
+from repro.lowerbounds.crowns import is_crown_embedding
 from repro.lowerbounds.posets import has_dimension_at_most_2, standard_example
 
 
@@ -18,7 +18,9 @@ class TestConstruction:
     def test_crown_verifies(self, n):
         ex, witness = charron_bost_execution(n)
         oracle = HappenedBeforeOracle(ex)
-        assert verify_crown(oracle, witness)
+        assert is_crown_embedding(
+            oracle.happened_before, witness.a_events, witness.b_events
+        )
         assert witness.dimension_lower_bound == n
 
     def test_small_n_rejected(self):
@@ -68,7 +70,9 @@ class TestVerifierRejectsBrokenWitnesses:
         broken = CrownWitness(
             witness.a_events, (witness.b_events[0],) + witness.b_events[:2]
         )
-        assert not verify_crown(oracle, broken)
+        assert not is_crown_embedding(
+            oracle.happened_before, broken.a_events, broken.b_events
+        )
 
     def test_wrong_pairing_rejected(self):
         ex, witness = charron_bost_execution(3)
@@ -78,4 +82,6 @@ class TestVerifierRejectsBrokenWitnesses:
             witness.a_events,
             witness.b_events[1:] + witness.b_events[:1],
         )
-        assert not verify_crown(oracle, rotated)
+        assert not is_crown_embedding(
+            oracle.happened_before, rotated.a_events, rotated.b_events
+        )

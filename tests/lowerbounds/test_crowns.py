@@ -16,19 +16,19 @@ class TestEmbeddingChecker:
         p = standard_example(3)
         a = [("a", i) for i in range(3)]
         b = [("b", i) for i in range(3)]
-        assert is_crown_embedding(p, a, b)
+        assert is_crown_embedding(p.lt, a, b)
 
     def test_rejects_wrong_pairing(self):
         p = standard_example(3)
         a = [("a", 0), ("a", 1), ("a", 2)]
         b = [("b", 1), ("b", 2), ("b", 0)]  # rotated: a0 < b1 is paired
-        assert not is_crown_embedding(p, a, b)
+        assert not is_crown_embedding(p.lt, a, b)
 
     def test_rejects_duplicates(self):
         p = standard_example(3)
         a = [("a", 0), ("a", 0), ("a", 2)]
         b = [("b", 0), ("b", 1), ("b", 2)]
-        assert not is_crown_embedding(p, a, b)
+        assert not is_crown_embedding(p.lt, a, b)
 
 
 class TestSearch:
@@ -37,7 +37,7 @@ class TestSearch:
             p = standard_example(k)
             found = find_crown(p, k)
             assert found is not None
-            assert is_crown_embedding(p, found[0], found[1])
+            assert is_crown_embedding(p.lt, found[0], found[1])
 
     def test_no_oversized_crown_in_small_example(self):
         p = standard_example(3)

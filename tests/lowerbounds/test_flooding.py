@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.clocks import VectorClock
 from repro.lowerbounds import (
     FoldedVectorScheme,
-    FullVectorScheme,
     flooding_adversary,
 )
 from repro.topology import generators
@@ -36,14 +36,14 @@ class TestLemma23:
 
     def test_full_vector_survives(self):
         graph = generators.cycle(5)
-        result = flooding_adversary(lambda nn: FullVectorScheme(nn), graph)
+        result = flooding_adversary(VectorClock, graph)
         assert not result.refuted
         assert result.report.valid
 
     def test_rejects_low_connectivity(self):
         with pytest.raises(ValueError):
             flooding_adversary(
-                lambda nn: FullVectorScheme(nn), generators.path(4)
+                VectorClock, generators.path(4)
             )
 
     def test_flooding_reaches_completion(self):
@@ -75,14 +75,14 @@ class TestLemma24:
     def test_full_vector_survives(self):
         graph = generators.star(5)
         result = flooding_adversary(
-            lambda nn: FullVectorScheme(nn), graph, restrict_to_x=True
+            VectorClock, graph, restrict_to_x=True
         )
         assert not result.refuted
 
     def test_rejects_2_connected(self):
         with pytest.raises(ValueError):
             flooding_adversary(
-                lambda nn: FullVectorScheme(nn),
+                VectorClock,
                 generators.cycle(5),
                 restrict_to_x=True,
             )

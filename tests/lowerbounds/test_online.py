@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clocks import VectorClock
+from repro.clocks.replay import replay_one
 from repro.core import ExecutionBuilder
+from repro.core.events import EventId
 from repro.core.random_executions import random_execution
 from repro.lowerbounds.online import (
     DroppedCoordinateScheme,
     FoldedVectorScheme,
-    FullVectorScheme,
     ProjectedVectorScheme,
 )
 from repro.lowerbounds.verify import check_vector_assignment
@@ -18,18 +20,12 @@ from repro.topology import generators
 
 
 def drive(scheme, execution):
-    """Replay an execution through an online scheme; return vectors."""
-    payloads = {}
-    vectors = {}
-    for ev in execution.delivery_order():
-        if ev.is_local:
-            scheme.on_local(ev)
-        elif ev.is_send:
-            payloads[ev.msg_id] = scheme.on_send(ev)
-        else:
-            scheme.on_receive(ev, payloads.pop(ev.msg_id))
-        vectors[ev.eid] = scheme.vector_of(ev.eid)
-    return vectors
+    """Replay an execution through a vector clock; return its vectors."""
+    return {eid: ts.vector for eid, ts in replay_one(execution, scheme).items()}
+
+
+def small_star_run(n):
+    return random_execution(generators.star(n), random.Random(0), steps=12)
 
 
 class TestFullVector:
@@ -39,19 +35,26 @@ class TestFullVector:
         rng = random.Random(seed)
         g = generators.erdos_renyi(5, 0.4, rng)
         ex = random_execution(g, rng, steps=25)
-        scheme = FullVectorScheme(5)
-        vectors = drive(scheme, ex)
+        vectors = drive(VectorClock(5), ex)
         assert check_vector_assignment(ex, vectors).valid
 
     def test_length(self):
-        assert FullVectorScheme(7).length == 7
-        assert FullVectorScheme(7).integer_valued
+        vectors = drive(VectorClock(7), small_star_run(7)).values()
+        assert {len(v) for v in vectors} == {7}
+        assert all(isinstance(x, int) for v in vectors for x in v)
 
 
 class TestFoldedVector:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             FoldedVectorScheme(4, 0)
+
+    def test_payload_is_the_full_vector(self):
+        scheme = FoldedVectorScheme(3, 1)
+        assert scheme.record_send(0, 1, 1) == (1, 0, 0)
+        scheme.record_receive(1, 1, 0, (1, 0, 0))
+        assert scheme.timestamp(EventId(1, 1)).vector == (2,)
+        assert not scheme.characterizes_causality
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), s=st.integers(1, 3))
@@ -73,15 +76,14 @@ class TestFoldedVector:
         ex = b.freeze()
         vectors = drive(FoldedVectorScheme(4, 2), ex)
         # process 0 -> coord 0, process 2 -> coord 0 as well
-        from repro.core.events import EventId
-
         assert vectors[EventId(0, 1)][0] == 1
         assert vectors[EventId(2, 1)][0] == 1
 
 
 class TestProjectedVector:
     def test_real_valued(self):
-        assert not ProjectedVectorScheme(4, 2).integer_valued
+        vectors = drive(ProjectedVectorScheme(4, 2), small_star_run(4))
+        assert all(isinstance(x, float) for v in vectors.values() for x in v)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 5_000), s=st.integers(1, 3))

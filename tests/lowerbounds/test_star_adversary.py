@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.clocks import VectorClock
 from repro.lowerbounds import (
     DroppedCoordinateScheme,
     FoldedVectorScheme,
-    FullVectorScheme,
     ProjectedVectorScheme,
     ViolationKind,
     star_adversary_integer,
@@ -44,13 +44,13 @@ class TestLemma21RealValued:
 
     def test_full_vector_survives(self):
         for n in (3, 5, 8):
-            result = star_adversary_real(lambda nn: FullVectorScheme(nn), n)
+            result = star_adversary_real(VectorClock, n)
             assert not result.refuted
             assert result.report.valid
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            star_adversary_real(lambda nn: FullVectorScheme(nn), 2)
+            star_adversary_real(VectorClock, 2)
 
     def test_execution_shape(self):
         """n-1 radial sends, n-1 central receives."""
@@ -83,7 +83,7 @@ class TestLemma22IntegerValued:
 
     def test_full_vector_survives(self):
         for n in (3, 5):
-            result = star_adversary_integer(lambda nn: FullVectorScheme(nn), n)
+            result = star_adversary_integer(VectorClock, n)
             assert not result.refuted
 
     def test_real_schemes_rejected(self):
