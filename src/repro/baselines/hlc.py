@@ -82,16 +82,16 @@ class HLCTimestamp(Timestamp):
         return (self.l, self.c)
 
 
-def counter_time_source(step: float = 1.0) -> TimeSource:
+def counter_time_source() -> TimeSource:
     """A deterministic synthetic time source for replay-based tests.
 
-    Every call advances a single global counter by *step* — perfectly
+    Every call advances a single global counter by 1.0 — perfectly
     synchronized clocks whose reading strictly increases between events.
     """
     state = {"t": 0.0}
 
     def source(_proc: int) -> float:
-        state["t"] += step
+        state["t"] += 1.0
         return state["t"]
 
     return source

@@ -6,8 +6,9 @@ without writing code:
 - ``simulate``     — run a seeded workload on a chosen topology with one or
   more clock algorithms attached; prints validation, sizes, finalization
   statistics; optionally archives the execution trace.
-- ``validate``     — load a trace (see :mod:`repro.core.trace`) and check a
-  clock algorithm against ground truth on it.
+- ``validate``     — load a saved execution or a corpus case (an op record,
+  see :mod:`repro.core.trace`) and check clock algorithms against ground
+  truth on it.
 - ``sizes``        — the analytic Theorem 4.2/4.3 size model and crossover.
 - ``lower-bound``  — run one of the paper's lower-bound adversaries
   (lemmas 2.1/2.2/2.3/2.4) or the Theorem 4.4 dimension argument.
@@ -56,7 +57,7 @@ from repro.analysis import (
 )
 from repro.analysis.reports import format_table
 from repro.clocks import ClockAlgorithm, CoverInlineClock, VectorClock
-from repro.conformance.registry import CLOCK_NAMES, build_clock
+from repro.conformance.registry import CLOCK_NAMES, LIVE_CLOCKS, build_clock
 from repro.core import HappenedBeforeOracle
 from repro.core.trace import load_execution, save_execution
 from repro.clocks.replay import replay
@@ -1124,7 +1125,8 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["eager", "piggyback"])
     p.add_argument("--fifo", action="store_true",
                    help="FIFO application channels")
-    p.add_argument("--save-trace", metavar="PATH", default=None)
+    p.add_argument("--save-trace", metavar="PATH", default=None,
+                   help="write the execution as its op record (JSON)")
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write a structured JSONL run trace (repro.obs)")
     p.add_argument("--online-oracle", action="store_true",
@@ -1247,8 +1249,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clock", default="inline",
-                   choices=["inline", "inline-cover", "vector", "lamport",
-                            "hlc", "cluster", "encoded", "plausible", "none"],
+                   choices=LIVE_CLOCKS + ("none",),
                    help="timestamping scheme hosted on the clock seam")
     p.add_argument("--loss", type=float, default=0.0,
                    help="mean Gilbert-Elliott frame loss rate, e.g. 0.05")

@@ -131,6 +131,15 @@ def scheme_by_name(name: str) -> SchemeSpec:
     raise ValueError(f"unknown clock scheme {name!r}")
 
 
+#: the names the live transport can host (``repro kv-live --clock``): it
+#: retransmits and reorders, and its cluster graph is not a star
+LIVE_CLOCKS = tuple(
+    name
+    for name in CLOCK_NAMES
+    if not (scheme_by_name(name).requires_fifo or scheme_by_name(name).star_only)
+)
+
+
 def build_clock(name: str, graph: CommunicationGraph) -> ClockAlgorithm:
     """Construct a scheme by name or alias (``inline-star``: center 0)."""
     return scheme_by_name(name).build(graph)

@@ -29,7 +29,6 @@ MAX_PROBES = 400
 def shrink_ops(
     ops: Sequence[Op],
     still_fails: Callable[[Sequence[Op]], bool],
-    max_probes: int = MAX_PROBES,
 ) -> List[Op]:
     """Minimize *ops* while *still_fails* holds.
 
@@ -43,10 +42,10 @@ def shrink_ops(
         return list(ops)
     probes = 0
     chunk = max(1, len(current) // 2)
-    while probes < max_probes:
+    while probes < MAX_PROBES:
         removed_any = False
         start = 0
-        while start < len(current) and probes < max_probes:
+        while start < len(current) and probes < MAX_PROBES:
             candidate = normalize_ops(
                 current[:start] + current[start + chunk:]
             )
@@ -64,7 +63,7 @@ def shrink_ops(
     return current
 
 
-def shrink_mismatch(graph: CommunicationGraph, mismatch, max_probes: int = MAX_PROBES):
+def shrink_mismatch(graph: CommunicationGraph, mismatch):
     """Shrink a :class:`~repro.conformance.fuzzer.Mismatch` in place.
 
     Returns a new ``Mismatch`` whose ``ops`` are minimized (and whose
@@ -90,7 +89,7 @@ def shrink_mismatch(graph: CommunicationGraph, mismatch, max_probes: int = MAX_P
                 return True
         return False
 
-    small = shrink_ops(mismatch.ops, still_fails, max_probes=max_probes)
+    small = shrink_ops(mismatch.ops, still_fails)
     key = tuple(tuple(op) for op in small)
     if key not in witnesses:
         return mismatch

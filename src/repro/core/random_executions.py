@@ -17,9 +17,10 @@ Two layers:
   shrinker (:mod:`repro.conformance.shrinker`) deletes ops and re-validates
   with :func:`normalize_ops`.
 - :func:`execution_from_ops` replays an op list through the validating
-  :class:`~repro.core.execution.ExecutionBuilder`, and
-  :func:`random_execution` composes the two (its random stream is
-  unchanged from when it built executions directly).
+  :class:`~repro.core.execution.ExecutionBuilder`, :func:`ops_of` is its
+  inverse (the saved form of an execution, :mod:`repro.core.trace`), and
+  :func:`random_execution` composes generation and replay (its random
+  stream is unchanged from when it built executions directly).
 
 An optional :class:`~repro.faults.models.FaultModel` lets the fuzzer reuse
 the structured fault schedules from :mod:`repro.faults`: each send consults
@@ -36,7 +37,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.execution import Execution, ExecutionBuilder
+from repro.core.execution import Execution, ExecutionBuilder, ExecutionError
 from repro.topology.graph import CommunicationGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -168,8 +169,8 @@ def execution_from_ops(
 ) -> Execution:
     """Build a validated :class:`Execution` from an op list.
 
-    Raises :class:`~repro.core.execution.ExecutionError` (or ``ValueError``
-    for malformed ops) when the list is not a valid execution — run
+    Raises :class:`~repro.core.execution.ExecutionError` when the list is
+    not a valid execution — run
     :func:`normalize_ops` first after editing an op list.  *builder*
     substitutes a drop-in replacement for the default
     :class:`~repro.core.execution.ExecutionBuilder` (the conformance
@@ -186,17 +187,42 @@ def execution_from_ops(
         elif kind == "send":
             tag, src, dst = op[1], op[2], op[3]
             if tag in msg_ids:
-                raise ValueError(f"duplicate send tag {tag}")
+                raise ExecutionError(f"duplicate send tag {tag}")
             msg_ids[tag] = builder.send(src, dst)
         elif kind == "recv":
             tag = op[1]
             if tag not in msg_ids:
-                raise ValueError(f"recv of unknown tag {tag}")
+                raise ExecutionError(f"recv of unknown tag {tag}")
             msg = builder.message(msg_ids[tag])
             builder.receive(msg.dst, msg_ids[tag])
         else:
-            raise ValueError(f"unknown op kind {kind!r}")
+            raise ExecutionError(f"unknown op kind {kind!r}")
     return builder.freeze()
+
+
+def ops_of(execution: Execution) -> List[Op]:
+    """The op list :func:`execution_from_ops` rebuilds *execution* from.
+
+    A message's tag is its id.  Messages are walked in id order, each
+    sender advancing to its send; a receive met on the way is of an earlier
+    id (already sent), so a rebuild gives every message its old id.
+    """
+    ops: List[Op] = []
+    done = [0] * execution.n_processes
+
+    def advance(p: int, upto: int) -> None:
+        for ev in execution.events_at(p)[done[p]:upto]:
+            if ev.is_send:
+                ops.append(("send", ev.msg_id, p, execution.message(ev.msg_id).dst))
+            else:
+                ops.append(("recv", ev.msg_id) if ev.is_receive else ("local", p))
+        done[p] = upto
+
+    for msg in execution.messages:
+        advance(msg.src, msg.send_event.index)
+    for p in range(execution.n_processes):
+        advance(p, len(execution.events_at(p)))
+    return ops
 
 
 def random_execution(

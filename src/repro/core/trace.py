@@ -1,177 +1,69 @@
-"""Execution trace (de)serialization.
+"""Execution records: an execution is saved as its op list.
 
-Executions — together with their communication graphs — round-trip through
-a plain-JSON-compatible dict format, so adversarial constructions, failing
-fuzz cases, and simulator outputs can be archived, shared, and replayed:
+An execution (and its communication graph, if any) round-trips through the
+op-list format that conformance corpus cases and fuzz mismatch records
+already use, so adversarial constructions, failing fuzz cases and simulator
+outputs can be archived, shared and replayed::
 
-    data = execution_to_dict(execution)
-    json.dump(data, open("trace.json", "w"))
-    ...
-    execution = execution_from_dict(json.load(open("trace.json")))
+    {"schema": "repro.execution/2", "n_processes": 3,
+     "edges": [[0, 1], [0, 2]],      # null when no graph was declared
+     "ops": [["send", 0, 1, 0], ["local", 2], ["recv", 0]]}
 
-The format stores per-process event streams (kind, message id, peer) and
-the message table (src, dst, endpoints); loading re-validates everything by
-rebuilding the execution, so a corrupted trace fails loudly rather than
-producing an inconsistent object.
+:func:`~repro.core.random_executions.ops_of` writes the ops (a message's
+tag is its id) and loading replays them through
+:func:`~repro.core.random_executions.execution_from_ops`, so every model
+invariant is re-checked and every message keeps its id.  Loading reads only
+``n_processes``, ``edges`` and ``ops``, so a corpus case loads as it is.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
-from repro.core.events import EventKind
 from repro.core.execution import Execution, ExecutionBuilder, ExecutionError
+from repro.core.random_executions import execution_from_ops, ops_of
 from repro.topology.graph import CommunicationGraph
 
-FORMAT_VERSION = 1
-
-
-def graph_to_dict(graph: CommunicationGraph) -> Dict[str, Any]:
-    """Serialize a communication graph."""
-    return {
-        "n_vertices": graph.n_vertices,
-        "edges": [list(e) for e in graph.edges],
-    }
-
-
-def graph_from_dict(data: Dict[str, Any]) -> CommunicationGraph:
-    """Deserialize a communication graph."""
-    return CommunicationGraph(
-        int(data["n_vertices"]),
-        [(int(u), int(v)) for u, v in data["edges"]],
-    )
+SCHEMA = "repro.execution/2"
 
 
 def execution_to_dict(execution: Execution) -> Dict[str, Any]:
-    """Serialize an execution (and its graph, if any)."""
-    events: List[List[Dict[str, Any]]] = []
-    for p in range(execution.n_processes):
-        stream = []
-        for ev in execution.events_at(p):
-            entry: Dict[str, Any] = {"kind": ev.kind.value}
-            if ev.msg_id is not None:
-                entry["msg"] = ev.msg_id
-            stream.append(entry)
-        events.append(stream)
+    """Serialize an execution (and its graph, if any) as its op list."""
+    graph = execution.graph
     return {
-        "version": FORMAT_VERSION,
+        "schema": SCHEMA,
         "n_processes": execution.n_processes,
-        "graph": (
-            graph_to_dict(execution.graph)
-            if execution.graph is not None
-            else None
-        ),
-        "events": events,
-        "messages": [
-            {
-                "src": m.src,
-                "dst": m.dst,
-                "send": [m.send_event.proc, m.send_event.index],
-                "recv": (
-                    [m.recv_event.proc, m.recv_event.index]
-                    if m.recv_event is not None
-                    else None
-                ),
-            }
-            for m in execution.messages
-        ],
+        "edges": None if graph is None else [list(e) for e in graph.edges],
+        "ops": [list(op) for op in ops_of(execution)],
     }
 
 
 def execution_from_dict(data: Dict[str, Any]) -> Execution:
-    """Rebuild (and re-validate) an execution from its dict form.
-
-    The trace is replayed through :class:`ExecutionBuilder` in a causally
-    consistent order, so every model invariant is re-checked on load.
-    """
-    if data.get("version") != FORMAT_VERSION:
-        raise ExecutionError(
-            f"unsupported trace version {data.get('version')!r}"
-        )
-    graph = (
-        graph_from_dict(data["graph"]) if data.get("graph") else None
-    )
+    """Rebuild (and re-validate) an execution from its op record."""
+    if "ops" not in data:
+        raise ExecutionError("not an execution record: it has no 'ops'")
     n = int(data["n_processes"])
-    builder = ExecutionBuilder(n, graph=graph)
-
-    messages = data["messages"]
-    cursors = [0] * n
-    emitted = [len(stream) for stream in data["events"]]
-    builder_msg: Dict[int, int] = {}
-
-    def replay_one(p: int) -> None:
-        entry = data["events"][p][cursors[p]]
-        kind = EventKind(entry["kind"])
-        if kind is EventKind.LOCAL:
-            builder.local(p)
-        elif kind is EventKind.SEND:
-            m = messages[entry["msg"]]
-            if list(m["send"]) != [p, cursors[p] + 1]:
-                raise ExecutionError(
-                    "trace message table disagrees with event stream"
-                )
-            builder_msg[entry["msg"]] = builder.send(p, int(m["dst"]))
-        else:
-            if entry["msg"] not in builder_msg:
-                raise ExecutionError(
-                    "trace is not causally consistent: receive before send"
-                )
-            builder.receive(p, builder_msg[entry["msg"]])
-        cursors[p] += 1
-
-    # Replay sends in original msg-id order so builder ids match the trace.
-    # Any receive encountered while advancing a sender's cursor is of an
-    # earlier-sent (hence already replayed) message — message ids are
-    # assigned in temporal send order.
-    for idx, m in enumerate(messages):
-        sp, si = int(m["send"][0]), int(m["send"][1])
-        if not (0 <= sp < n and 1 <= si <= emitted[sp]):
-            raise ExecutionError("message send endpoint out of range")
-        while cursors[sp] < si:
-            replay_one(sp)
-        if builder_msg.get(idx) is None:
-            raise ExecutionError(
-                "trace message table disagrees with event stream"
-            )
-    # flush remaining events (locals and receives after the last send)
-    done = sum(cursors)
-    total = sum(emitted)
-    while done < total:
-        progressed = False
-        for p in range(n):
-            while cursors[p] < emitted[p]:
-                entry = data["events"][p][cursors[p]]
-                if (
-                    EventKind(entry["kind"]) is EventKind.RECEIVE
-                    and entry["msg"] not in builder_msg
-                ):
-                    break
-                replay_one(p)
-                done += 1
-                progressed = True
-        if not progressed:
-            raise ExecutionError("trace is not causally consistent")
-    execution = builder.freeze()
-
-    # verify undelivered messages match the trace
-    for idx, m in enumerate(messages):
-        rebuilt = execution.message(builder_msg[idx])
-        if m["recv"] is None and rebuilt.delivered:
-            raise ExecutionError("trace marks a delivered message in flight")
-    return execution
-
-
-def save_execution(
-    execution: Execution, path: Union[str, Path]
-) -> None:
-    """Write an execution trace as JSON."""
-    Path(path).write_text(
-        json.dumps(execution_to_dict(execution), indent=1)
+    edges = data["edges"]
+    graph = (
+        None
+        if edges is None
+        else CommunicationGraph(n, [(int(u), int(v)) for u, v in edges])
     )
+    try:
+        return execution_from_ops(
+            graph, data["ops"], builder=ExecutionBuilder(n, graph=graph)
+        )
+    except (IndexError, TypeError) as exc:
+        raise ExecutionError(f"malformed op: {exc}") from exc
+
+
+def save_execution(execution: Execution, path: Union[str, Path]) -> None:
+    """Write an execution record as JSON."""
+    Path(path).write_text(json.dumps(execution_to_dict(execution)) + "\n")
 
 
 def load_execution(path: Union[str, Path]) -> Execution:
-    """Load and re-validate an execution trace."""
+    """Load and re-validate an execution record (or a corpus case)."""
     return execution_from_dict(json.loads(Path(path).read_text()))

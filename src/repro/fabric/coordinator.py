@@ -16,7 +16,7 @@ Fault model, in increasing severity:
   duplicate completion.
 - **SIGKILLed / crashed worker** — its ``Process.sentinel`` wakes the
   coordinator; its leased cells are requeued immediately and a
-  replacement worker is spawned (bounded by ``max_respawns``).
+  replacement worker is spawned (at most ``workers + 4`` in one run).
 - **Failing cell** — a work-function exception is retried up to
   ``max_retries`` times, then surfaces as
   :class:`~repro.fabric.queue.CellFailed` carrying every attempt's
@@ -246,7 +246,6 @@ def run_fabric(
     lease_timeout: float = 30.0,
     heartbeat_interval: Optional[float] = None,
     max_retries: int = 2,
-    max_respawns: Optional[int] = None,
     listen: Optional[Tuple[str, int]] = None,
     listen_ready: Optional[Callable[[Tuple[str, int]], None]] = None,
     interrupt_after: Optional[int] = None,
@@ -318,7 +317,6 @@ def run_fabric(
                 lease_timeout=lease_timeout,
                 heartbeat_interval=heartbeat_interval,
                 max_retries=max_retries,
-                max_respawns=max_respawns,
                 listen=listen,
                 listen_ready=listen_ready,
                 interrupt_after=interrupt_after,
@@ -379,22 +377,19 @@ def _run_coordinated(
     lease_timeout: float,
     heartbeat_interval: Optional[float],
     max_retries: int,
-    max_respawns: Optional[int],
     listen: Optional[Tuple[str, int]],
     listen_ready: Optional[Callable[[Tuple[str, int]], None]],
     interrupt_after: Optional[int],
 ) -> None:
     if heartbeat_interval is None:
         heartbeat_interval = min(5.0, max(0.05, lease_timeout / 4.0))
-    if max_respawns is None:
-        max_respawns = workers + 4
     queue = WorkQueue(
         dict(pending), lease_timeout=lease_timeout, max_retries=max_retries
     )
     ctx = multiprocessing.get_context()
     fleet: List[_LocalWorker] = []
     next_wid = 0
-    respawns_left = max_respawns
+    respawns_left = max_respawns = workers + 4
     service = None
     depth = gauge("fabric.queue_depth")
 

@@ -14,8 +14,9 @@ virtual time and in-memory connections, where
 - :mod:`repro.net.chaos_proxy` — the simulator's
   :class:`~repro.faults.models.FaultModel` hierarchy applied to live
   connections, deterministically seeded;
-- :mod:`repro.net.supervisor` — crash-recovery from clock + durable-state
-  checkpoints, mesh rejoin on new ports, slow-node degradation;
+- :mod:`repro.net.supervisor` — crash-recovery from durable-state
+  checkpoints, the permanence audit of timestamps final at a crash, mesh
+  rejoin on new ports, slow-node degradation;
 - :mod:`repro.net.loadgen` — closed-loop load generation, latency
   CDF/throughput reports, and the post-hoc causal audit;
 - :mod:`repro.net.virtual` — :class:`~repro.net.virtual.VirtualLoop`, an

@@ -48,6 +48,7 @@ from repro.applications.causal_kv import (
     run_store,
 )
 from repro.clocks.base import ClockAlgorithm
+from repro.conformance.registry import LIVE_CLOCKS
 from repro.core.events import EventId
 from repro.faults.models import FaultModel
 from repro.net.chaos_proxy import ChaosInterposer
@@ -65,17 +66,8 @@ from repro.net.node import (
 from repro.net.supervisor import CrashPlan, Supervisor
 from repro.obs import MetricsRegistry, counter, use_registry
 
-#: schemes runnable on the live transport, by CLI name
-LIVE_CLOCKS = (
-    "inline",
-    "inline-cover",
-    "vector",
-    "lamport",
-    "hlc",
-    "cluster",
-    "encoded",
-    "plausible",
-)
+#: :meth:`LiveReport.latency_cdf` samples the latencies at this many points
+CDF_POINTS = 20
 
 
 def build_live_clock(name: str, spec: ClusterSpec) -> ClockAlgorithm:
@@ -162,14 +154,15 @@ class LiveReport:
     def percentile(self, p: float) -> float:
         return _percentile(self.latencies_ms, p)
 
-    def latency_cdf(self, points: int = 20) -> List[Tuple[float, float]]:
-        """``(latency_ms, fraction_of_ops_at_or_below)`` sample points."""
+    def latency_cdf(self) -> List[Tuple[float, float]]:
+        """``(latency_ms, fraction_of_ops_at_or_below)`` at the fractions
+        ``1/CDF_POINTS, 2/CDF_POINTS, ..., 1``."""
         n = len(self.latencies_ms)
         if n == 0:
             return []
         out = []
-        for i in range(1, points + 1):
-            frac = i / points
+        for i in range(1, CDF_POINTS + 1):
+            frac = i / CDF_POINTS
             out.append((_percentile(self.latencies_ms, frac - 1e-9), frac))
         return out
 
@@ -345,10 +338,8 @@ async def deploy(
     with use_registry(registry):
         interposer = ChaosInterposer(fault_model, seed=config.seed)
         clock_host: Optional[LiveClockHost] = None
-        clock_factory: Optional[Callable[[], ClockAlgorithm]] = None
         if clock_name is not None:
-            clock_factory = lambda: build_live_clock(clock_name, spec)  # noqa: E731
-            clock_host = LiveClockHost(clock_factory(), spec)
+            clock_host = LiveClockHost(build_live_clock(clock_name, spec), spec)
         book = AddressBook()
         supervisor = Supervisor(clock_host)
         for pid in range(spec.n_processes):
@@ -415,15 +406,13 @@ async def deploy(
         clock_stats: Dict[str, Any] = {}
         checkpoint_problems: List[str] = []
         at_termination: List[EventId] = []
-        if clock_host is not None and clock_factory is not None:
+        if clock_host is not None:
             clock_stats = clock_host.stats()  # online finalization fraction
             at_termination = clock_host.clock.finalize_at_termination()
             flushed = clock_host.stats()
             clock_stats["max_elements"] = flushed["max_elements"]
             clock_stats["finalized_after_flush"] = flushed["finalized"]
-            checkpoint_problems = supervisor.verify_clock_checkpoints(
-                clock_factory
-            )
+            checkpoint_problems = supervisor.verify_permanence()
 
         writes, index = collect_writes(servers)
         operations, lost = link_operations(clients, index)

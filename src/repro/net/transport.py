@@ -64,6 +64,9 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: wire-format version tag carried in every hello frame
 WIRE_SCHEMA = "repro.net/2"
 
+#: responses an :class:`RpcServer` keeps for retransmitted request ids
+DEDUP_CAPACITY = 4096
+
 
 class TransportError(Exception):
     """Base class for transport failures."""
@@ -570,9 +573,9 @@ class RpcServer:
     the first invocation running.  Each response is encoded once, when the
     invocation finishes, and its frame's bytes are cached by request id —
     a result JSON cannot carry becomes an ``ok: false`` response with the
-    encoder's message, like a handler exception.  The cache is bounded and
-    FIFO: the oldest response goes first, and a hit does not refresh it.  A
-    retransmission of a *completed* request writes the cached bytes again,
+    encoder's message, like a handler exception.  The cache holds
+    :data:`DEDUP_CAPACITY` responses, FIFO: the oldest goes first, and a hit
+    does not refresh it.  A retransmission of a *completed* request writes the cached bytes again,
     and one racing an in-flight invocation joins the connections that
     invocation answers when it finishes.
     """
@@ -582,10 +585,7 @@ class RpcServer:
         proc: int,
         handler: Handler,
         interposer: Optional[Any] = None,
-        dedup_capacity: int = 4096,
     ) -> None:
-        if dedup_capacity < 1:
-            raise ValueError("dedup_capacity must be >= 1")
         self.proc = proc
         self._handler = handler
         self._interposer = interposer
@@ -594,7 +594,6 @@ class RpcServer:
         self._done: "OrderedDict[str, bytes]" = OrderedDict()
         #: rid whose handler is running -> everyone waiting for its response
         self._inflight: Dict[str, List[Asker]] = {}
-        self._capacity = dedup_capacity
         self._invocations: set = set()
         self._conn_tasks: set = set()
         self.address: Optional[Tuple[str, int]] = None
@@ -677,7 +676,7 @@ class RpcServer:
             # from here on a copy of rid replays the cache: the list is final
             askers = self._inflight.pop(rid)
             self._done[rid] = response
-            while len(self._done) > self._capacity:
+            while len(self._done) > DEDUP_CAPACITY:
                 self._done.popitem(last=False)
             for stream, asker in askers:
                 if stream.idle:

@@ -58,16 +58,15 @@ class UniformDelay(DelayModel):
 
 
 class ExponentialDelay(DelayModel):
-    """Heavy-ish tail: ``epsilon + Exp(mean)`` delays."""
+    """Heavy-ish tail: ``0.001 + Exp(mean)`` delays."""
 
-    def __init__(self, mean: float = 1.0, epsilon: float = 1e-3) -> None:
-        if mean <= 0 or epsilon <= 0:
-            raise ValueError("mean and epsilon must be positive")
+    def __init__(self, mean: float = 1.0) -> None:
+        if mean <= 0:
+            raise ValueError("mean must be positive")
         self.mean = mean
-        self.epsilon = epsilon
 
     def sample(self, src: ProcessId, dst: ProcessId, rng: random.Random) -> float:
-        return self.epsilon + rng.expovariate(1.0 / self.mean)
+        return 1e-3 + rng.expovariate(1.0 / self.mean)
 
 
 class PerChannelDelay(DelayModel):

@@ -86,8 +86,8 @@ class UniformWorkload(Workload):
     p_local:
         Probability an action is a local event (the rest are sends to a
         uniformly random neighbour; isolated processes only do local steps).
-    jitter_start:
-        Randomize each process's first action time in ``[0, 1/rate]``.
+
+    Each process's first action time is uniform in ``[0, 1/rate]``.
     """
 
     def __init__(
@@ -95,7 +95,6 @@ class UniformWorkload(Workload):
         events_per_process: int = 20,
         rate: float = 1.0,
         p_local: float = 0.3,
-        jitter_start: bool = True,
     ) -> None:
         if events_per_process < 0:
             raise ValueError("events_per_process must be >= 0")
@@ -106,7 +105,6 @@ class UniformWorkload(Workload):
         self.events_per_process = events_per_process
         self.rate = rate
         self.p_local = p_local
-        self.jitter_start = jitter_start
 
     def setup(self, sim: SimHandle) -> None:
         self._neighbors = sorted_neighbors(sim.graph)
@@ -116,7 +114,7 @@ class UniformWorkload(Workload):
     def _schedule_next(self, sim: SimHandle, p: ProcessId, budget: int) -> None:
         if budget <= 0:
             return
-        if self.jitter_start and budget == self.events_per_process:
+        if budget == self.events_per_process:
             delay = sim.rng.uniform(0.0, 1.0 / self.rate) + 1e-9
         else:
             delay = sim.rng.expovariate(self.rate) + 1e-9

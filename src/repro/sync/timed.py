@@ -21,6 +21,9 @@ from repro.sync.decomposition import Decomposition, best_decomposition
 from repro.sync.model import Joint, handshake, internal_event
 from repro.topology.graph import CommunicationGraph
 
+#: how long an internal action occupies its process
+INTERNAL_DURATION = 0.2
+
 
 @dataclass(frozen=True)
 class SyncSimResult:
@@ -48,7 +51,6 @@ def simulate_sync(
     graph: CommunicationGraph,
     actions_per_process: int = 15,
     p_internal: float = 0.4,
-    internal_duration: float = 0.2,
     handshake_duration: float = 1.0,
     seed: int = 0,
     decomposition: Optional[Decomposition] = None,
@@ -56,7 +58,7 @@ def simulate_sync(
     """Run a random synchronous workload under rendezvous timing.
 
     Each process performs *actions_per_process* actions.  An internal
-    action occupies the process for *internal_duration*; a message action
+    action occupies the process for ``INTERNAL_DURATION``; a message action
     picks a random neighbour and occupies **both** endpoints from the
     moment both are free until *handshake_duration* later (the blocking
     send of Figure 3).  Message actions of busy partners simply wait —
@@ -98,7 +100,7 @@ def simulate_sync(
                 continue
             partner = plans[p][cursor[p]]
             if partner is None:
-                completion = free[p] + internal_duration
+                completion = free[p] + INTERNAL_DURATION
             else:
                 completion = max(free[p], free[partner]) + handshake_duration
             if best is None or (completion, p) < best:

@@ -124,6 +124,16 @@ class TestBuildLiveClock:
             clock = build_live_clock(name, spec)
             assert clock.n_processes == spec.n_processes
 
+    def test_kv_live_offers_exactly_the_live_clocks(self, capsys):
+        from repro.cli import make_parser
+
+        parser = make_parser()
+        for name in LIVE_CLOCKS + ("none",):
+            assert parser.parse_args(["kv-live", "--clock", name]).clock == name
+        for name in ("vector-sk", "inline-star"):  # FIFO-only, star-only
+            with pytest.raises(SystemExit):
+                parser.parse_args(["kv-live", "--clock", name])
+
     def test_fifo_requiring_clock_is_rejected(self):
         spec = ClusterSpec(small_config())
         with pytest.raises(ValueError, match="FIFO"):

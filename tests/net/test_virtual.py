@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.applications.causal_kv import StoreConfig
+from repro.clocks import VectorClock
 from repro.faults import GilbertElliottLoss
 from repro.net import (
     AddressBook,
@@ -21,6 +22,7 @@ from repro.net import (
     make_node,
     run_virtual,
 )
+from repro.net import loadgen
 from repro.net.loadgen import deploy
 
 
@@ -117,6 +119,34 @@ class TestDeterminism:
         assert report.counters["net.frames_sent"] == frames
         assert report.clock_stats["events"] == events
         assert {name: report.counters[name] for name in counters} == counters
+
+
+class ImpermanentClock(VectorClock):
+    """Breaks permanence at termination: each process's first timestamp,
+    final since it was stamped, becomes that process's last one."""
+
+    def finalize_at_termination(self):
+        for row in self._stamps:
+            if row:
+                row[0] = row[-1]
+        return []
+
+
+class TestCrashAudit:
+    def test_a_timestamp_rewritten_after_the_crash_fails_the_audit(self, monkeypatch):
+        monkeypatch.setattr(
+            loadgen, "build_live_clock", lambda _name, spec: ImpermanentClock(spec.n_processes)
+        )
+        run = run_virtual(deploy(
+            store_config(),
+            "vector",
+            crash_plan=CrashPlan(pid=0, after_ops=4, downtime=0.2),
+            policy=TransportPolicy(request_timeout=0.2, max_retries=5, seed=11),
+        ))
+        report = run.report
+        assert report.counters["net.crashes"] == 1
+        assert report.checkpoint_problems and not report.ok
+        assert all("timestamp changed" in p for p in report.checkpoint_problems)
 
 
 class TestSlowSequencerFailover:
