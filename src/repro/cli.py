@@ -22,8 +22,6 @@ without writing code:
   export the metrics registry as JSON (see :mod:`repro.obs`).
 - ``conformance``  — differential fuzz of every clock scheme against both
   causality oracles, replaying a pinned corpus first.
-- ``fabric-worker`` — join a fabric coordinator over TCP and run the cells
-  it leases (see :mod:`repro.fabric`).
 - ``kv-live``      — boot the Figure-4 store as a loopback TCP cluster in
   this process, load it, optionally crash and fault it, and audit it.
 - ``serve``        — run one store node in this OS process; nodes find
@@ -48,7 +46,7 @@ import signal
 import sys
 import tempfile
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence
 
 from repro.analysis import (
     compare_sizes,
@@ -398,36 +396,6 @@ def cmd_sync(args: argparse.Namespace) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def _parse_hostport(flag: str, raw: str) -> Tuple[str, int]:
-    host, _, port = raw.rpartition(":")
-    try:
-        return host or "127.0.0.1", int(port)
-    except ValueError:
-        raise ValueError(f"{flag} expects HOST:PORT, got {raw!r}") from None
-
-
-def _announce_listen(addr: Tuple[str, int]) -> None:
-    # printed (and flushed) before any cell runs, so scripts can scrape
-    # the bound port and launch `repro fabric-worker --connect`
-    print(f"fabric: serving work queue on {addr[0]}:{addr[1]}", flush=True)
-
-
-def _fabric_listen(args: argparse.Namespace) -> Optional[Tuple[str, int]]:
-    """The ``--fabric-listen`` address, once the fabric flags are coherent.
-
-    Raises :class:`ValueError` for a flag that needs a kept store without
-    ``--fabric DIR``, and for an address that is not ``HOST:PORT``.
-    """
-    if args.fabric is None:
-        if args.resume:
-            raise ValueError("--resume requires --fabric DIR")
-        if args.fabric_listen:
-            raise ValueError("--fabric-listen requires --fabric DIR")
-    if not args.fabric_listen:
-        return None
-    return _parse_hostport("--fabric-listen", args.fabric_listen)
-
-
 @contextlib.contextmanager
 def _sweep_store(fabric: Optional[str]) -> Iterator[ResultStore]:
     """The ``--fabric DIR`` store, or a temporary one removed on exit."""
@@ -457,8 +425,8 @@ def _sweep_interrupted(args: argparse.Namespace, what: str,
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Fault-scenario sweep with invariant checking (experiment E16).
 
-    One fabric cell per scenario.  The cells run in this process, in
-    ``--workers N`` local processes or on remote workers; the compacted
+    One fabric cell per scenario.  The cells run in this process or in
+    ``--workers N`` local processes; the compacted
     trace and the merged report are byte-identical for every placement
     and interruption history, and equal to :func:`repro.faults.run_chaos`
     on the same coordinates.
@@ -469,8 +437,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import split_fifo_clocks
     from repro.sim.network import RetryPolicy
 
+    if args.resume and args.fabric is None:
+        return _error("--resume requires --fabric DIR")
     try:
-        listen = _fabric_listen(args)
         graph = build_topology(args.topology, args.n, args.seed)
         retry = RetryPolicy(
             timeout=args.retry_timeout, max_retries=args.max_retries
@@ -502,8 +471,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     store,
                     workers=args.workers,
                     resume=args.resume,
-                    listen=listen,
-                    listen_ready=_announce_listen,
                 )
         except FabricInterrupted as exc:
             interrupted = exc
@@ -902,8 +869,9 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     # indices seed each trial, so the merged report — and the JSONL
     # --report — is the same for every chunking and placement, and equal
     # to repro.conformance.fuzz on the same coordinates
+    if args.resume and args.fabric is None:
+        return _error("--resume requires --fabric DIR")
     try:
-        listen = _fabric_listen(args)
         specs = conformance_chunk_specs(
             args.trials,
             args.seed,
@@ -946,8 +914,6 @@ def cmd_conformance(args: argparse.Namespace) -> int:
                     store,
                     workers=args.workers,
                     resume=args.resume,
-                    listen=listen,
-                    listen_ready=_announce_listen,
                 )
         except FabricInterrupted as exc:
             return _sweep_interrupted(args, "conformance campaign", exc)
@@ -1042,36 +1008,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_fabric_worker(args: argparse.Namespace) -> int:
-    """Attach to a fabric coordinator and execute leased cells.
-
-    The counterpart of ``--fabric-listen`` on ``repro chaos`` /
-    ``repro conformance``: this process leases cells over TCP, runs them
-    through the same work-kind registry, and ships results home.  Exits
-    0 when the coordinator's queue drains or the coordinator goes away.
-    """
-    from repro.fabric.netqueue import run_remote_worker
-
-    try:
-        host, port = _parse_hostport("--connect", args.connect)
-    except ValueError as exc:
-        return _error(str(exc))
-    try:
-        with _graceful_signals():
-            completed = run_remote_worker(
-                host,
-                port,
-                name=args.name,
-                heartbeat_interval=args.heartbeat_interval,
-                max_cells=args.max_cells,
-            )
-    except KeyboardInterrupt:
-        print("repro: error: fabric worker interrupted", file=sys.stderr)
-        return INTERRUPTED
-    print(f"fabric worker: completed {completed} cell(s)")
-    return 0
-
-
 # ----------------------------------------------------------------------
 def _add_workload_args(p: argparse.ArgumentParser, events: int) -> None:
     """The coordinates of a seeded run: family, size, length, seed."""
@@ -1099,12 +1035,7 @@ def _add_fabric_args(p: argparse.ArgumentParser) -> None:
                    "store instead of refusing to overwrite them")
     g.add_argument("--workers", type=int, default=1,
                    help="local worker processes (1 = run the cells in this "
-                   "process; 0 = serve remote workers only, requires "
-                   "--fabric-listen)")
-    g.add_argument("--fabric-listen", metavar="HOST:PORT", default=None,
-                   help="serve the work queue over TCP so 'repro "
-                   "fabric-worker --connect' processes can join (port 0 "
-                   "picks a free port, printed on startup)")
+                   "process)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -1220,21 +1151,6 @@ def make_parser() -> argparse.ArgumentParser:
                    "(byte-identical for any --workers)")
     _add_fabric_args(p)
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser(
-        "fabric-worker",
-        help="join a fabric coordinator over TCP and execute leased cells",
-    )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="coordinator address printed by --fabric-listen")
-    p.add_argument("--name", default=None,
-                   help="worker name in lease/heartbeat bookkeeping "
-                   "(default: net-<pid>)")
-    p.add_argument("--heartbeat-interval", type=float, default=1.0,
-                   help="seconds between lease heartbeats")
-    p.add_argument("--max-cells", type=int, default=None,
-                   help="exit after completing this many cells")
-    p.set_defaults(fn=cmd_fabric_worker)
 
     p = sub.add_parser(
         "kv-live",

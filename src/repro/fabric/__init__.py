@@ -3,11 +3,10 @@
 The repo's one process-parallel sweep runner, a work-queue fabric:
 sweep cells are content-hash keyed JSON specs, completed results land
 atomically in a resumable :class:`ResultStore`, and the same sweep runs
-serially, across local worker processes, or across hosts attached via
-``repro fabric-worker`` — always producing byte-identical stores and,
-with each cell's trace fragment absorbed in input order, byte-identical
-traces.  See ``EXPERIMENTS.md`` for
-the operational guide.
+serially or across local worker processes on this host — always
+producing byte-identical stores and, with each cell's trace fragment
+absorbed in input order, byte-identical traces.  See ``EXPERIMENTS.md``
+for the operational guide.
 """
 
 from repro.fabric.coordinator import (

@@ -4,9 +4,8 @@
 crash-tolerant fabric: cells are content-hash keyed
 (:mod:`repro.fabric.hashing`), completed results land atomically in a
 :class:`~repro.fabric.store.ResultStore`, and placement is free —
-serial, N local worker processes, or remote workers attached over the
-:mod:`repro.net` transport (:mod:`repro.fabric.netqueue`) all produce
-byte-identical stores.
+serial or N local worker processes on this host produce byte-identical
+stores.
 
 Fault model, in increasing severity:
 
@@ -83,10 +82,6 @@ __all__ = [
 KILL_ENV = "REPRO_FABRIC_TEST_KILL"
 HANG_ENV = "REPRO_FABRIC_TEST_HANG"
 INTERRUPT_ENV = "REPRO_FABRIC_TEST_INTERRUPT"
-
-#: how often the coordinator looks at the queue while remote workers,
-#: whose completions arrive on the FabricService thread, may be finishing it
-_SERVICE_POLL = 0.02
 
 Executor = Callable[[Mapping[str, Any]], Any]
 
@@ -244,10 +239,7 @@ def run_fabric(
     workers: int = 1,
     resume: bool = False,
     lease_timeout: float = 30.0,
-    heartbeat_interval: Optional[float] = None,
     max_retries: int = 2,
-    listen: Optional[Tuple[str, int]] = None,
-    listen_ready: Optional[Callable[[Tuple[str, int]], None]] = None,
     interrupt_after: Optional[int] = None,
 ) -> FabricReport:
     """Run every cell of a sweep through the fabric; return in input order.
@@ -255,20 +247,18 @@ def run_fabric(
     *specs* are JSON-safe cell descriptors (see
     :func:`repro.fabric.hashing.cell_key`); *executor* maps one spec to a
     JSON-safe result (default: the ``kind``-dispatched registry of
-    :mod:`repro.fabric.drivers`).  ``workers <= 1`` with no ``listen``
-    address runs serially in-process — no pickling requirements, and the
-    reference mode the byte-identity guarantee is stated against.
-    ``workers = 0`` with ``listen`` serves remote workers only.
+    :mod:`repro.fabric.drivers`).  ``workers = 1`` runs serially
+    in-process — no pickling requirements, and the reference mode the
+    byte-identity guarantee is stated against; ``workers > 1`` spawns that
+    many local worker processes.
 
     ``resume=True`` skips cells already completed in *store*;
     ``resume=False`` insists on a store containing no cell of this sweep
     (mixing two different sweeps in one store directory is always fine —
     keys never collide).
     """
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
-    if workers == 0 and listen is None:
-        raise ValueError("workers=0 needs a listen address (remote-only run)")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     keyed: List[Tuple[str, Dict[str, Any]]] = []
     seen: Dict[str, int] = {}
     for i, spec in enumerate(specs):
@@ -305,7 +295,7 @@ def run_fabric(
         "workers_spawned": 0,
     }
     if pending:
-        if workers <= 1 and listen is None:
+        if workers == 1:
             _run_serial(
                 pending, store, executor or _default_executor(), stats,
                 max_retries, interrupt_after,
@@ -315,10 +305,7 @@ def run_fabric(
                 pending, store, executor or _default_executor(), stats,
                 workers=workers,
                 lease_timeout=lease_timeout,
-                heartbeat_interval=heartbeat_interval,
                 max_retries=max_retries,
-                listen=listen,
-                listen_ready=listen_ready,
                 interrupt_after=interrupt_after,
             )
     return FabricReport(
@@ -375,14 +362,10 @@ def _run_coordinated(
     *,
     workers: int,
     lease_timeout: float,
-    heartbeat_interval: Optional[float],
     max_retries: int,
-    listen: Optional[Tuple[str, int]],
-    listen_ready: Optional[Callable[[Tuple[str, int]], None]],
     interrupt_after: Optional[int],
 ) -> None:
-    if heartbeat_interval is None:
-        heartbeat_interval = min(5.0, max(0.05, lease_timeout / 4.0))
+    heartbeat_interval = min(5.0, max(0.05, lease_timeout / 4.0))
     queue = WorkQueue(
         dict(pending), lease_timeout=lease_timeout, max_retries=max_retries
     )
@@ -390,7 +373,6 @@ def _run_coordinated(
     fleet: List[_LocalWorker] = []
     next_wid = 0
     respawns_left = max_respawns = workers + 4
-    service = None
     depth = gauge("fabric.queue_depth")
 
     def spawn() -> None:
@@ -429,10 +411,9 @@ def _run_coordinated(
         return True
 
     def account() -> None:
-        # completions are counted off the queue rather than off worker
-        # events so remote completions (absorbed by the FabricService in
-        # its own thread) land in the same stats and the same thread's
-        # metrics registry as local ones
+        # counted off the queue rather than off worker events: the queue
+        # is where reassignments (expiry, a dead worker's requeued lease)
+        # and retries are counted, which no single worker event reports
         for name, total in (
             ("cells_done", queue.done_count()),
             ("cells_retried", queue.retried),
@@ -452,13 +433,6 @@ def _run_coordinated(
             raise KeyboardInterrupt
 
     try:
-        if listen is not None:
-            from repro.fabric.netqueue import FabricService  # deferred
-
-            service = FabricService(queue, store)
-            addr = service.start(*listen)
-            if listen_ready is not None:
-                listen_ready(addr)
         for _ in range(workers):
             spawn()
         while not queue.all_done():
@@ -498,20 +472,15 @@ def _run_coordinated(
             account()
             if queue.all_done():
                 break
-            if not fleet and service is None:
+            if not fleet:
                 raise RuntimeError(
                     "fabric coordinator has no workers left (respawn budget "
-                    f"of {max_respawns} exhausted) and no remote listener"
+                    f"of {max_respawns} exhausted)"
                 )
-            # 4) block until a worker reports or dies, or a lease runs out;
-            #    a FabricService completes cells on its own thread, which
-            #    no local pipe announces, so poll while one is serving
-            if service is not None:
-                timeout: Optional[float] = _SERVICE_POLL
-            else:
-                timeout = queue.next_deadline()
-                if timeout is not None:  # already past: wait() only polls
-                    timeout -= time.monotonic()
+            # 4) block until a worker reports or dies, or a lease runs out
+            timeout = queue.next_deadline()
+            if timeout is not None:  # already past: wait() only polls
+                timeout -= time.monotonic()
             ready = wait(
                 [w.conn for w in fleet] + [w.proc.sentinel for w in fleet],
                 timeout,
@@ -523,8 +492,6 @@ def _run_coordinated(
     except KeyboardInterrupt:
         raise FabricInterrupted(stats["cells_done"], queue.depth()) from None
     finally:
-        if service is not None:
-            service.stop()
         _shutdown_fleet(fleet)
 
 

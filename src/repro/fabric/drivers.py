@@ -1,10 +1,9 @@
 """Spec-driven work kinds: what a fabric cell actually computes.
 
 A fabric cell is described entirely by a JSON spec — no pickled
-closures, no shared memory — so the *same* cell can run in a local
-worker process or on another host entirely (a ``repro fabric-worker``
-attached over the :mod:`repro.net` transport), and the content hash of
-the spec is the cell's identity everywhere.  This module is the
+closures, no shared memory — so the *same* cell runs in this process or
+in a worker process, and the content hash of the spec is the cell's
+identity everywhere.  This module is the
 dispatch table from ``spec["kind"]`` to the function that rebuilds the
 work from the spec and returns a JSON-safe result.
 
@@ -100,8 +99,8 @@ def chaos_cell_specs(
 def _run_chaos_scenario(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Rebuild one chaos scenario from its spec and run it.
 
-    Everything is reconstructed from names alone, so remote hosts need
-    nothing but the repo checkout.
+    Everything is reconstructed from names alone, so a worker process
+    needs nothing but the spec.
     """
     from repro.conformance.registry import build_clock
     from repro.faults.chaos import (

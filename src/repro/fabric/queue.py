@@ -1,9 +1,8 @@
 """Lease-based work queue: the coordinator's bookkeeping core.
 
 Pure state machine, no processes and no sockets — the multiprocess
-coordinator (:mod:`repro.fabric.coordinator`) and the cross-host RPC
-service (:mod:`repro.fabric.netqueue`) both drive this one object, which
-is why it is thread-safe (a single internal lock) and free of I/O.
+coordinator (:mod:`repro.fabric.coordinator`) drives this one object.
+It is free of I/O and guards its state with a single internal lock.
 
 Cell lifecycle::
 
@@ -131,7 +130,12 @@ class WorkQueue:
             return first
 
     def fail_attempt(self, key: str, worker: str, error: str) -> None:
-        """Record a failed execution of *key*; requeue or give up."""
+        """Record a failed execution of *key*; requeue or give up.
+
+        The error consumes an attempt whoever reports it, but the cell is
+        requeued only when it is neither pending nor leased: a straggler
+        whose lease expired must not hand out a cell another worker holds.
+        """
         with self._lock:
             state = self._cells.get(key)
             if state is None or key in self._done:
@@ -143,7 +147,7 @@ class WorkQueue:
             state.errors.append(error)
             if state.attempts > self.max_retries:
                 self._failed = CellFailed(key, state.spec, state.errors)
-            elif key not in self._pending:
+            elif key not in self._pending and key not in self._leases:
                 self.retried += 1
                 self._pending.append(key)
 

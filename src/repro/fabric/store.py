@@ -15,7 +15,7 @@ design invariants:
   harmless by construction.
 - **Byte-identical stores.**  Because file names are content hashes and
   file bodies are canonical JSON of deterministic results, a store
-  filled serially, in parallel, across hosts, or across several
+  filled serially, by parallel workers, or across several
   interrupted-and-resumed runs ends up with identical bytes.
   :meth:`ResultStore.digest` condenses that into one sha256 for CI to
   compare.

@@ -498,8 +498,6 @@ class LiveNode:
         target: int,
         message: Dict[str, Any],
         rid: Optional[str] = None,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Route *message* one hop toward *target* (relaying if needed)."""
         nxt = self.spec.next_hop(self.pid, target)
@@ -514,9 +512,7 @@ class LiveNode:
             if riding:
                 frame["ctl"] = riding
         try:
-            response = await self.peer(nxt).request(
-                frame, rid=rid, timeout=timeout, max_retries=max_retries
-            )
+            response = await self.peer(nxt).request(frame, rid=rid)
         except (RequestTimeout, TransportError):
             if riding:
                 # back to the head of the queue; copies the receiver already

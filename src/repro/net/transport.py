@@ -466,8 +466,6 @@ class PeerClient:
         self,
         message: Dict[str, Any],
         rid: Optional[str] = None,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Send *message*, await the matching response; retransmit on timeout.
 
@@ -479,7 +477,7 @@ class PeerClient:
         if self._closed:
             raise ConnectionClosed("client closed")
         rid = rid or self.next_rid()
-        retries = self.policy.max_retries if max_retries is None else max_retries
+        retries = self.policy.max_retries
         # encoded once: every transmission writes the same bytes
         frame = _encode_frame({"t": "req", "rid": rid, "m": message})
         loop = asyncio.get_running_loop()
@@ -487,12 +485,9 @@ class PeerClient:
             for attempt in range(retries + 1):
                 if attempt:
                     counter("net.retransmits").inc()
-                per_attempt = (
-                    timeout
-                    if timeout is not None
-                    else self.policy.attempt_timeout(attempt)
+                per_attempt = self.policy.attempt_timeout(attempt) * (
+                    1.0 + self.policy.jitter * self._rng.random()
                 )
-                per_attempt *= 1.0 + self.policy.jitter * self._rng.random()
                 # a fresh future under the same rid: a response to an earlier
                 # transmission completes whichever attempt is waiting
                 fut = self._pending[rid] = loop.create_future()

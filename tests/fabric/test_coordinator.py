@@ -186,9 +186,12 @@ def test_coordinator_waits_on_events_not_on_a_tick(tmp_path, monkeypatch):
     assert report.stats["workers_spawned"] == 2
 
 
-def test_workers_zero_without_listener_rejected(tmp_path):
-    with pytest.raises(ValueError, match="listen"):
-        run_fabric(selftest_specs(1), ResultStore(tmp_path / "z"), workers=0)
+@pytest.mark.parametrize("workers", [0, -1])
+def test_too_few_workers_rejected(tmp_path, workers):
+    with pytest.raises(ValueError, match=r"workers must be >= 1"):
+        run_fabric(
+            selftest_specs(1), ResultStore(tmp_path / "z"), workers=workers
+        )
 
 
 def test_mixing_sweeps_in_one_store_is_fine(tmp_path):

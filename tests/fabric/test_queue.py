@@ -125,3 +125,19 @@ def test_expired_then_completed_not_requeued_again():
     # the straggler's stale lease must not resurrect the done cell
     assert q.expire(now=100.0) == []
     assert q.all_done()
+
+
+def test_straggler_error_does_not_requeue_a_cell_held_elsewhere():
+    q = WorkQueue(_cells(1), lease_timeout=5.0)
+    key, _ = q.lease("A", now=0.0)
+    q.expire(now=5.0)
+    q.lease("B", now=6.0)
+    # A's lease expired while it hung; its late error must not put the
+    # cell B holds back in the queue for a third worker
+    q.fail_attempt(key, "A", "late boom")
+    assert q.pending_count() == 0
+    assert q.lease("C", now=7.0) is None
+    assert q.worker_of(key) == "B"
+    assert q.heartbeat(key, "B", now=7.0) is True
+    assert q.failure() is None
+    assert q.retried == 0

@@ -905,14 +905,17 @@ class TestAttempts:
             s.bind(("127.0.0.1", 0))
             dead = s.getsockname()[:2]
 
-        # default policy: left alone, the reconnect ladder alone would
-        # back off for seconds
-        client = PeerClient(0, 1, resolve=lambda: dead)
+        # the default reconnect ladder: left alone, it would back off for
+        # seconds
+        policy = TransportPolicy(
+            request_timeout=0.05, max_retries=2, backoff=1.0, jitter=0.0
+        )
+        client = PeerClient(0, 1, resolve=lambda: dead, policy=policy)
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
             with pytest.raises(RequestTimeout, match=r"after 3 attempt\(s\)"):
-                await client.request({"n": 1}, max_retries=2, timeout=0.05)
+                await client.request({"n": 1})
         finally:
             await client.close()
 

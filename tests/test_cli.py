@@ -406,12 +406,15 @@ class TestBadPathExitCodes:
             "--fabric", str(tmp_path / "s"), "--chunk-size", "0",
         ])
 
-    def test_chaos_malformed_fabric_listen(self, tmp_path, capsys):
-        # used to be a ValueError traceback from int("foo")
-        self._expect_failure(capsys, [
-            "chaos", "--quick", "--fabric", str(tmp_path / "s"),
-            "--fabric-listen", "foo",
-        ])
+    @pytest.mark.parametrize("command", ["chaos", "conformance"])
+    def test_sweep_zero_workers(self, command, capsys):
+        err = self._expect_failure(capsys, [command, "--workers", "0"])
+        assert "workers must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["chaos", "conformance"])
+    def test_sweep_resume_without_store(self, command, capsys):
+        err = self._expect_failure(capsys, [command, "--resume"])
+        assert "--resume requires --fabric DIR" in err
 
     def test_chaos_refuses_held_store_in_cli_words(self, tmp_path, capsys):
         argv = ["chaos", "--quick", "--n", "4", "--events", "4",
