@@ -10,7 +10,7 @@ This script is the scale smoke CI runs against that property: the 3/4/16
 sequencer deployment of Figure 4, inline-cover and vector clocks, the
 online oracle fed during the run, then ``hb_oracle()`` and 20,000 sampled
 pairs per clock.  With a matrix-building oracle the same run needs > 2.5 GB
-at 10^5 events; here it must finish under 300 MB with zero mismatches.
+at 10^5 events; here it must finish under 200 MB with zero mismatches.
 
 A cut is a vector clock too, so the Section-6 stage runs at the same size:
 a :class:`FinalizedCutMonitor` is fed the run's notifications, and the cut
@@ -38,7 +38,7 @@ from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 
 FULL_EVENTS_PER_PROCESS = 2_600  # x 23 processes, plus receives: ~10^5 events
-RSS_BUDGET_MB = 300
+RSS_BUDGET_MB = 200
 N_PAIRS = 20_000
 
 

@@ -353,7 +353,7 @@ class ColumnarExecution(Execution):
     """An :class:`Execution` backed by an :class:`EventStore`.
 
     Every inherited method works unchanged: the object-model attributes
-    (``_events_by_proc``, ``_messages``, ``_by_id``) are materialized
+    (``_events_by_proc``, ``_messages``) are materialized
     lazily on first touch via ``__getattr__``, so consumers that never
     ask for event objects (O(1) counts, the columnar kernel fast path)
     keep the columnar memory footprint.
@@ -380,10 +380,6 @@ class ColumnarExecution(Execution):
             )
         elif name == "_messages":
             value = self._store.messages()
-        elif name == "_by_id":
-            value = {
-                ev.eid: ev for evts in self._events_by_proc for ev in evts
-            }
         else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -399,10 +395,11 @@ class ColumnarExecution(Execution):
     def n_events(self) -> int:
         return self._store.n_events
 
-    def __contains__(self, eid: EventId) -> bool:
+    def __contains__(self, eid: object) -> bool:
         return (
-            0 <= eid.proc < self._n
-            and 1 <= eid.index <= self._store.count_at(eid.proc)
+            isinstance(eid, EventId)
+            and eid.proc < self._n
+            and eid.index <= self._store.count_at(eid.proc)
         )
 
     def event_counts(self) -> List[int]:

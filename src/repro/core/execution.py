@@ -22,7 +22,7 @@ Validation enforced by the builder:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.events import (
     Event,
@@ -62,9 +62,7 @@ class Execution:
         )
         self._messages: Tuple[Message, ...] = tuple(messages)
         self._graph = graph
-        self._by_id: Dict[EventId, Event] = {
-            ev.eid: ev for evts in self._events_by_proc for ev in evts
-        }
+        self._n_events = sum(map(len, self._events_by_proc))
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -94,19 +92,31 @@ class Execution:
             yield from evts
 
     def event(self, eid: EventId) -> Event:
-        """Look up an event by id; raises ``KeyError`` if absent."""
-        return self._by_id[eid]
+        """Look up an event by id; raises ``KeyError`` if absent.
 
-    def __contains__(self, eid: EventId) -> bool:
-        return eid in self._by_id
+        Event ``(p, k)`` is the *k*-th of process *p*: it is found by
+        position, and nothing is hashed.
+        """
+        if isinstance(eid, EventId):
+            try:
+                return self._events_by_proc[eid.proc][eid.index - 1]
+            except IndexError:  # proc >= n, or past p's last event
+                pass
+        raise KeyError(eid)
+
+    def __contains__(self, eid: object) -> bool:
+        if not isinstance(eid, EventId):
+            return False
+        evts = self._events_by_proc
+        return eid.proc < len(evts) and eid.index <= len(evts[eid.proc])
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return self._n_events
 
     @property
     def n_events(self) -> int:
         """Total number of events across all processes."""
-        return len(self._by_id)
+        return self._n_events
 
     def message(self, msg_id: MessageId) -> Message:
         """Look up a message by id."""
@@ -134,15 +144,19 @@ class Execution:
         if not recv.is_receive:
             raise ValueError(f"{recv} is not a receive event")
         assert recv.msg_id is not None
-        return self._by_id[self._messages[recv.msg_id].send_event]
+        # the message table is this execution's: its ids index directly
+        send = self._messages[recv.msg_id].send_event
+        return self._events_by_proc[send.proc][send.index - 1]
 
     def receive_of(self, send: Event) -> Optional[Event]:
         """Given a send event, return the matching receive (or ``None``)."""
         if not send.is_send:
             raise ValueError(f"{send} is not a send event")
         assert send.msg_id is not None
-        recv_eid = self._messages[send.msg_id].recv_event
-        return None if recv_eid is None else self._by_id[recv_eid]
+        recv = self._messages[send.msg_id].recv_event
+        if recv is None:
+            return None
+        return self._events_by_proc[recv.proc][recv.index - 1]
 
     def undelivered_messages(self) -> List[Message]:
         """Messages sent but never received in this execution."""
@@ -168,7 +182,8 @@ class Execution:
         return list(self._delivery_order)
 
     def _merge_order(self) -> List[Event]:
-        emitted: set[EventId] = set()
+        # cursors[p] events of p are out, in index order: send (q, k) has
+        # been emitted iff cursors[q] >= k
         cursors = [0] * self._n
         out: List[Event] = []
         total = self.n_events
@@ -178,11 +193,10 @@ class Execution:
                 while cursors[proc] < len(self._events_by_proc[proc]):
                     ev = self._events_by_proc[proc][cursors[proc]]
                     if ev.is_receive:
-                        send_eid = self._messages[ev.msg_id].send_event  # type: ignore[index]
-                        if send_eid not in emitted:
+                        send = self._messages[ev.msg_id].send_event  # type: ignore[index]
+                        if cursors[send.proc] < send.index:
                             break
                     out.append(ev)
-                    emitted.add(ev.eid)
                     cursors[proc] += 1
                     progressed = True
             if not progressed:

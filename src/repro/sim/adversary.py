@@ -54,17 +54,16 @@ class _AllInitiatorsFlood(Workload):
             self._needed.discard(self._victim)
         for p in self.initiators:
             self._have[p].add(p)
-            sim.schedule(1e-9, self._make_broadcast(sim, p, p, None))
+            sim.schedule(1e-9, self._broadcast, sim, p, p, None)
 
-    def _make_broadcast(self, sim: SimHandle, proc, token, came_from):
-        def go() -> None:
-            for q in self._neighbors[proc]:
-                if q != came_from:
-                    ev = sim.do_send(proc, q)
-                    assert ev.msg_id is not None
-                    self._token_of_msg[ev.msg_id] = token
-
-        return go
+    def _broadcast(
+        self, sim: SimHandle, proc: int, token: int, came_from: Optional[int]
+    ) -> None:
+        for q in self._neighbors[proc]:
+            if q != came_from:
+                ev = sim.do_send(proc, q)
+                assert ev is not None and ev.msg_id is not None
+                self._token_of_msg[ev.msg_id] = token
 
     def on_deliver(self, sim, msg, recv) -> None:
         token = self._token_of_msg.get(msg.msg_id)
@@ -78,9 +77,7 @@ class _AllInitiatorsFlood(Workload):
         ):
             self.completion_time[msg.dst] = sim.now
         if first:
-            sim.schedule(
-                1e-9, self._make_broadcast(sim, msg.dst, token, msg.src)
-            )
+            sim.schedule(1e-9, self._broadcast, sim, msg.dst, token, msg.src)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import abc
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.events import ProcessId
 from repro.sim.scheduler import EventScheduler, TimerHandle
@@ -36,8 +36,8 @@ class ConstantDelay(DelayModel):
     """Every message takes exactly *delay* time units."""
 
     def __init__(self, delay: float = 1.0) -> None:
-        if delay <= 0:
-            raise ValueError("delay must be positive")
+        if not 0 < delay < math.inf:  # NaN too
+            raise ValueError("delay must be positive and finite")
         self.delay = delay
 
     def sample(self, src: ProcessId, dst: ProcessId, rng: random.Random) -> float:
@@ -48,21 +48,23 @@ class UniformDelay(DelayModel):
     """Delays drawn uniformly from ``[low, high]``."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
+        if not 0 < low <= high < math.inf:  # NaN too
+            raise ValueError("need 0 < low <= high < inf")
         self.low = low
         self.high = high
 
     def sample(self, src: ProcessId, dst: ProcessId, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # rng.uniform(low, high), spelled out: the same draw and the same
+        # float, one Python call fewer per message
+        return self.low + (self.high - self.low) * rng.random()
 
 
 class ExponentialDelay(DelayModel):
     """Heavy-ish tail: ``0.001 + Exp(mean)`` delays."""
 
     def __init__(self, mean: float = 1.0) -> None:
-        if mean <= 0:
-            raise ValueError("mean must be positive")
+        if not 0 < mean < math.inf:  # NaN too
+            raise ValueError("mean must be positive and finite")
         self.mean = mean
 
     def sample(self, src: ProcessId, dst: ProcessId, rng: random.Random) -> float:
@@ -105,9 +107,10 @@ class PerChannelDelay(DelayModel):
 class Network:
     """Delivers payloads between processes over the scheduler.
 
-    ``transmit`` samples a delay and schedules the delivery callback.  FIFO
-    channels keep a per-directed-pair high-water mark and never deliver
-    earlier than a previously scheduled delivery on the same channel.
+    ``transmit`` samples a delay and schedules the delivery callback with
+    its arguments.  FIFO channels keep a per-directed-pair high-water mark
+    and never deliver earlier than a previously scheduled delivery on the
+    same channel.
     """
 
     def __init__(
@@ -125,13 +128,15 @@ class Network:
         self,
         src: ProcessId,
         dst: ProcessId,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
+        *args: Any,
         fifo: bool = False,
     ) -> float:
-        """Send; returns the scheduled delivery time."""
+        """Send: run ``deliver(*args)`` at *dst* after a sampled delay;
+        returns the scheduled delivery time."""
         delay = self._delay_model.sample(src, dst, self._rng)
-        if not delay > 0:  # NaN too
-            raise ValueError("delay models must produce positive delays")
+        if not 0 < delay < math.inf:  # NaN too
+            raise ValueError("delay models must produce positive, finite delays")
         when = self._scheduler.now + delay
         if fifo:
             key = (src, dst)
@@ -142,7 +147,7 @@ class Network:
             if when <= floor:
                 when = floor + 1e-9
             self._fifo_watermark[key] = when
-        self._scheduler.at(when, deliver)
+        self._scheduler.at(when, deliver, *args)
         return when
 
 
@@ -192,10 +197,11 @@ class LinkStats:
 
 
 class _Pending:
-    __slots__ = ("deliver", "acked", "timer")
+    __slots__ = ("deliver", "args", "acked", "timer")
 
-    def __init__(self, deliver: Callable[[], None]) -> None:
+    def __init__(self, deliver: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self.deliver = deliver
+        self.args = args
         self.acked = False
         self.timer: Optional[TimerHandle] = None
 
@@ -214,17 +220,20 @@ class ReliableLink:
     :class:`~repro.clocks.base.DuplicateControl`).
 
     The link owns no network model of its own — the host supplies
-    ``send_datagram(src, dst, deliver_cb, kind)``, an *unreliable* service
-    that may drop, delay, or duplicate each call ("data" payload copies and
-    "ack" confirmations alike).  That keeps every loss decision — rates,
-    fault models, crashed destinations — in one place, the simulation.
+    ``send_datagram(src, dst, fn, *args, kind=...)``, an *unreliable*
+    service that may drop, delay, or duplicate each call ("data" payload
+    copies and "ack" confirmations alike) and runs ``fn(*args)`` for every
+    copy that arrives.  That keeps every loss decision — rates, fault
+    models, crashed destinations — in one place, the simulation.  The
+    retransmission timer is the simulator's one cancellable callback
+    (:meth:`~repro.sim.scheduler.EventScheduler.timer`).
     """
 
     def __init__(
         self,
         scheduler: EventScheduler,
         policy: RetryPolicy,
-        send_datagram: Callable[[ProcessId, ProcessId, Callable[[], None], str], None],
+        send_datagram: Callable[..., None],
     ) -> None:
         self._scheduler = scheduler
         self._policy = policy
@@ -235,10 +244,12 @@ class ReliableLink:
         self,
         src: ProcessId,
         dst: ProcessId,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
+        *args: Any,
     ) -> None:
-        """Run *deliver* at *dst* at least once, retrying until acknowledged."""
-        self._transmit(src, dst, _Pending(deliver), attempt=0)
+        """Run ``deliver(*args)`` at *dst* at least once, retrying until
+        acknowledged."""
+        self._transmit(src, dst, _Pending(deliver, args), 0)
 
     # ------------------------------------------------------------------
     def _transmit(
@@ -248,24 +259,20 @@ class ReliableLink:
             return
         if attempt > 0:
             self.stats.retransmissions += 1
-        self._send_datagram(
-            src, dst, lambda: self._on_data(src, dst, entry), "data"
-        )
+        self._send_datagram(src, dst, self._on_data, src, dst, entry, kind="data")
         delay = self._policy.retry_delay(attempt)
         if attempt < self._policy.max_retries:
-            entry.timer = self._scheduler.after(
-                delay, lambda: self._transmit(src, dst, entry, attempt + 1)
+            entry.timer = self._scheduler.timer(
+                delay, self._transmit, src, dst, entry, attempt + 1
             )
         else:
-            entry.timer = self._scheduler.after(
-                delay, lambda: self._give_up(entry)
-            )
+            entry.timer = self._scheduler.timer(delay, self._give_up, entry)
 
     def _on_data(self, src: ProcessId, dst: ProcessId, entry: _Pending) -> None:
         # a copy arrived at dst: run it, and acknowledge every copy, since
         # the ack for an earlier one may be lost
-        entry.deliver()
-        self._send_datagram(dst, src, lambda: self._on_ack(entry), "ack")
+        entry.deliver(*entry.args)
+        self._send_datagram(dst, src, self._on_ack, entry, kind="ack")
 
     def _on_ack(self, entry: _Pending) -> None:
         if entry.acked:

@@ -45,7 +45,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.clocks.base import ClockAlgorithm, DuplicateControl
 from repro.clocks.replay import TimestampAssignment, collect_assignment
@@ -163,6 +163,10 @@ class _ClockState:
 
 
 _NOT_STARTED = "Simulation has not started: call run()"
+
+#: per attached clock, the piggybacked controls a message carries (``None``
+#: for none), in ``_clocks`` order
+_Riders = Sequence[Optional[List[Any]]]
 
 
 def _fold(histogram: Histogram, tally: Mapping[int, int], scale: int = 1) -> None:
@@ -406,10 +410,11 @@ class Simulation:
         """
         return self._oracle
 
-    def schedule(self, delay: float, fn) -> None:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after *delay* units of virtual time."""
         if self._scheduler is None:
             raise RuntimeError(_NOT_STARTED)
-        self._scheduler.after(delay, fn)
+        self._scheduler.after(delay, fn, *args)
 
     def do_local(self, proc: ProcessId) -> Optional[Event]:
         """Perform a local event at *proc* now (``None`` if *proc* is down)."""
@@ -428,8 +433,7 @@ class Simulation:
         index = ev.eid.index
         for cs in self._clocks:
             cs.algo.record_local(proc, index)
-            if cs.algo._newly_finalized:
-                self._drain(cs)
+        self._drain()
         return ev
 
     def do_send(self, src: ProcessId, dst: ProcessId) -> Optional[Event]:
@@ -462,9 +466,7 @@ class Simulation:
             dropped = fate.drop
             copies = fate.copies
         piggybacking = self._transport is ControlTransport.PIGGYBACK
-        piggyback: List[Optional[List[Any]]] = (
-            [] if piggybacking else self._no_piggyback
-        )
+        piggyback = [] if piggybacking else self._no_piggyback
         index = ev.eid.index
         for cs in self._clocks:
             algo = cs.algo
@@ -473,8 +475,6 @@ class Simulation:
             n_elems = algo.payload_elements(payload)
             cs.stats.app_payload_elements += n_elems
             cs.piggy_elems[n_elems] = cs.piggy_elems.get(n_elems, 0) + 1
-            if algo._newly_finalized:
-                self._drain(cs)
             if not piggybacking:
                 continue
             if dropped:
@@ -482,59 +482,37 @@ class Simulation:
                 piggyback.append(None)
             else:
                 piggyback.append(cs.pending.pop((src, dst), None))
+        self._drain()
         if dropped:
             self._dropped_app += 1
-        else:
-            self._transmit_app(src, dst, msg_id, piggyback, copies)
+            return ev
+        # the first copy to reach a live destination is delivered; with no
+        # fault model there is one copy and nothing to check
+        deliver = self._deliver if fault_model is None else self._deliver_copy
+        for _ in range(copies):
+            self._network.transmit(
+                src, dst, deliver, msg_id, piggyback, fifo=self._fifo_app
+            )
         return ev
 
-    def _transmit_app(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        msg_id: MessageId,
-        piggyback: Sequence[Optional[List[Any]]],
-        copies: int,
-    ) -> None:
-        """Schedule *copies* deliveries; the first to arrive at a live
-        destination wins, later copies are counted as suppressed duplicates."""
-        if self._fault_model is None:
-            # nothing can duplicate the message or crash its destination:
-            # the one copy is the delivery
-            self._network.transmit(
-                src, dst, partial(self._deliver, msg_id, piggyback),
-                fifo=self._fifo_app,
-            )
-            return
-        state = {"delivered": False, "crash_counted": False}
-
-        def deliver_copy() -> None:
-            if state["delivered"]:
-                self._dup_app_suppressed += 1
-                return
-            if not self._fault_model.process_up(dst, self._scheduler.now):
-                if not state["crash_counted"]:
-                    state["crash_counted"] = True
-                    self._crash_dropped_app += 1
-                return
-            state["delivered"] = True
-            if state["crash_counted"]:
-                # an earlier copy hit the outage, but this one made it
-                state["crash_counted"] = False
-                self._crash_dropped_app -= 1
+    def _deliver_copy(self, msg_id: MessageId, piggyback: _Riders) -> None:
+        """One copy of an application message that the fault model may have
+        duplicated arrives; the message itself says whether an earlier copy
+        was delivered."""
+        msg = self._builder.message(msg_id)
+        if msg.delivered:
+            self._dup_app_suppressed += 1
+        elif not self._fault_model.process_up(msg.dst, self._scheduler.now):
+            # counted once, and uncounted if a later copy makes it
+            self._crash_lost.add(msg_id)
+        else:
+            self._crash_lost.discard(msg_id)
             self._deliver(msg_id, piggyback)
-
-        for _ in range(copies):
-            self._network.transmit(src, dst, deliver_copy, fifo=self._fifo_app)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _deliver(
-        self,
-        msg_id: MessageId,
-        piggyback: Sequence[Optional[List[Any]]],
-    ) -> None:
+    def _deliver(self, msg_id: MessageId, piggyback: _Riders) -> None:
         msg = self._builder.message(msg_id)
         dst, src = msg.dst, msg.src
         recv = self._builder.receive(dst, msg_id)
@@ -548,8 +526,6 @@ class Simulation:
         for cs, riders in zip(self._clocks, piggyback):
             algo = cs.algo
             ack = algo.record_receive(dst, index, src, cs.payloads.pop(msg_id))
-            if algo._newly_finalized:
-                self._drain(cs)
             if ack is not None:
                 self._emit_control(cs, dst, src, ack)
             if riders:
@@ -558,9 +534,9 @@ class Simulation:
                     cs.stats.control_messages += 1
                     cs.stats.control_elements += algo.payload_elements(ctl)
                     algo.on_control(src, dst, ctl)
-                if algo._newly_finalized:
-                    self._drain(cs)
-        self._workload.on_deliver(self, self._builder.message(msg_id), recv)
+        self._drain()
+        if self._on_deliver is not None:
+            self._on_deliver(self, self._builder.message(msg_id), recv)
 
     def _emit_control(
         self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
@@ -571,11 +547,16 @@ class Simulation:
             return
         cs.stats.control_messages += 1
         cs.stats.control_elements += cs.algo.payload_elements(ctl)
-        deliver = partial(self._deliver_control, cs, src, dst, ctl)
         if cs.link is not None:
-            cs.link.send(src, dst, deliver)
+            cs.link.send(src, dst, self._deliver_control, cs, src, dst, ctl)
+        elif self._fault_model is None and self._control_loss == 0.0:
+            # nothing can drop or duplicate the control, or crash its
+            # destination: one unguarded copy on the FIFO control channel
+            self._network.transmit(
+                src, dst, self._deliver_control, cs, src, dst, ctl, fifo=True
+            )
         else:
-            self._send_control_datagram(src, dst, deliver)
+            self._send_control_datagram(src, dst, self._deliver_control, cs, src, dst, ctl)
 
     def _deliver_control(
         self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
@@ -586,15 +567,11 @@ class Simulation:
         except DuplicateControl:
             cs.stats.control_duplicates_suppressed += 1
             return
-        if cs.algo._newly_finalized:
-            self._drain(cs)
+        self._drain()
 
     def _send_control_datagram(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        deliver_cb: Callable[[], None],
-        kind: str = "data",
+        self, src: ProcessId, dst: ProcessId, deliver: Callable[..., None],
+        *args: Any, kind: str = "data",
     ) -> None:
         """The unreliable control datagram service.
 
@@ -603,13 +580,8 @@ class Simulation:
         ``kind`` is ``"data"`` for control payloads and ``"ack"`` for
         reliable-transport acknowledgements; only lost data datagrams count
         into ``dropped_control_messages``.  Every copy that reaches a live
-        destination invokes *deliver_cb*.
+        destination runs ``deliver(*args)``.
         """
-        if self._fault_model is None and self._control_loss == 0.0:
-            # nothing can drop or duplicate the datagram, or crash its
-            # destination: one unguarded copy
-            self._network.transmit(src, dst, deliver_cb, fifo=True)
-            return
         lost = self._control_loss > 0.0 and self._rng.random() < self._control_loss
         fate = DELIVER
         if not lost and self._fault_model is not None:
@@ -620,45 +592,59 @@ class Simulation:
             if kind == "data":
                 self._dropped_control += 1
             return
-        fault_model = self._fault_model
-
-        def guarded() -> None:
-            now = self._scheduler.now
-            if fault_model is not None and not fault_model.process_up(dst, now):
-                if kind == "data":
-                    self._dropped_control += 1
-                return
-            deliver_cb()
-
         for _ in range(fate.copies):
-            self._network.transmit(src, dst, guarded, fifo=True)
+            self._network.transmit(
+                src, dst, self._guarded_datagram, dst, kind, deliver, args,
+                fifo=True,
+            )
 
-    def _drain(self, cs: _ClockState) -> None:
-        """Stamp the events *cs*'s clock just finalized (callers check that
-        there are some: most hooks of an inline clock finalize nothing)."""
+    def _guarded_datagram(
+        self, dst: ProcessId, kind: str, deliver: Callable[..., None], args: Tuple[Any, ...]
+    ) -> None:
+        """A control datagram copy arrives: run it unless *dst* is down."""
+        fault_model = self._fault_model
+        if fault_model is not None and not fault_model.process_up(
+            dst, self._scheduler.now
+        ):
+            if kind == "data":
+                self._dropped_control += 1
+            return
+        deliver(*args)
+
+    def _drain(self) -> None:
+        """Stamp the events the clocks just finalized: once per step, after
+        every clock has seen it (an online clock finalizes on every step,
+        an inline one on few)."""
         now = self._scheduler.now
         ids = self._event_times.ids
         last = len(ids) - 1
         event_seq = self._event_seq
-        final_rows, final_ids = cs.final_times.rows, cs.final_times.ids
-        delays = cs.delay_events
-        # the list the callers just tested, emptied in place: no list per event
-        newly = cs.algo._newly_finalized
-        for p, k in newly:
-            k -= 1
-            row = final_rows[p]
-            while k >= len(row):  # once: schemes finalize in index order
-                row.append(None)
-            seq = event_seq[p][k]
-            if row[k] is None:  # (final again keeps its place, as in a dict)
-                final_ids.append(ids[seq])  # the run's own id: none is built
-            row[k] = now
-            # time-to-non-⊥ measured in events: how many events the run
-            # performed while this event's timestamp was still provisional
-            # (0 = finalized at its own occurrence, the online case)
-            waited = last - seq
-            delays[waited] = delays.get(waited, 0) + 1
-        newly.clear()
+        for cs in self._clocks:
+            # the clock's own list, emptied in place: no list per event
+            newly = cs.algo._newly_finalized
+            if not newly:
+                continue
+            final_rows, final_ids = cs.final_times.rows, cs.final_times.ids
+            delays = cs.delay_events
+            for p, k in newly:
+                row = final_rows[p]
+                seq = event_seq[p][k - 1]
+                if k > len(row):  # p's next (the usual case), or past a gap
+                    while k > len(row) + 1:
+                        row.append(None)
+                    row.append(now)
+                    final_ids.append(ids[seq])  # the run's own id: none is built
+                else:
+                    if row[k - 1] is None:  # (final again keeps its place)
+                        final_ids.append(ids[seq])
+                    row[k - 1] = now
+                # time-to-non-⊥ measured in events: how many events the run
+                # performed while this event's timestamp was still
+                # provisional (0 = finalized at its own occurrence, the
+                # online case)
+                waited = last - seq
+                delays[waited] = delays.get(waited, 0) + 1
+            newly.clear()
 
     # ------------------------------------------------------------------
     def run(
@@ -706,11 +692,16 @@ class Simulation:
         self._dropped_app = 0
         self._dropped_control = 0
         self._dup_app_suppressed = 0
-        self._crash_dropped_app = 0
+        #: messages whose every copy so far found the destination crashed
+        self._crash_lost: Set[MessageId] = set()
         self._suppressed_events = 0
         self._retained_piggyback = 0
         self._crash_checkpoints: List[Tuple[float, Dict[str, Any]]] = []
-        self._workload = workload
+        #: the workload's delivery hook; None when it keeps the base no-op
+        hook = workload.on_deliver
+        self._on_deliver = (
+            None if getattr(hook, "__func__", None) is Workload.on_deliver else hook
+        )
 
         if self._fault_model is not None:
             self._fault_model.reset(self._rng)
@@ -748,7 +739,7 @@ class Simulation:
             dropped_app_messages=self._dropped_app,
             dropped_control_messages=self._dropped_control,
             duplicate_app_deliveries=self._dup_app_suppressed,
-            crash_dropped_app_messages=self._crash_dropped_app,
+            crash_dropped_app_messages=len(self._crash_lost),
             suppressed_events=self._suppressed_events,
             piggyback_controls_retained=self._retained_piggyback,
             crash_checkpoints=self._crash_checkpoints,
@@ -780,7 +771,7 @@ class Simulation:
             ("events_total", execution.n_events),
             ("app_messages_sent", len(execution.messages) + self._dropped_app),
             ("app_messages_dropped", self._dropped_app),
-            ("app_messages_crash_dropped", self._crash_dropped_app),
+            ("app_messages_crash_dropped", len(self._crash_lost)),
             ("app_duplicates_suppressed", self._dup_app_suppressed),
             ("control_messages_dropped", self._dropped_control),
             ("suppressed_events", self._suppressed_events),

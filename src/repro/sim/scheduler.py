@@ -4,14 +4,21 @@ A minimal priority-queue scheduler: callbacks are executed in timestamp
 order, ties broken by insertion order, so a fixed seed always yields the
 identical execution.  Virtual time is a float with no unit; delay models in
 :mod:`repro.sim.network` define its scale.
+
+A scheduled callback is a function and its arguments: a heap entry is
+``(time, seq, fn, args, handle)`` and running it is ``fn(*args)``, so a
+caller schedules a bound method with what it needs instead of building a
+closure or a ``partial`` per step.  Only :meth:`EventScheduler.timer`
+allocates a :class:`TimerHandle`; :meth:`~EventScheduler.at` and
+:meth:`~EventScheduler.after` push ``handle=None`` and return nothing.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-Callback = Callable[[], None]
+Callback = Callable[..., None]
 
 #: compaction floor: never rebuild the heap for fewer dead entries than
 #: this, no matter how small the heap is.  Without a floor, a tiny heap
@@ -24,7 +31,8 @@ _COMPACT_MIN = 64
 
 
 class TimerHandle:
-    """Cancellation token for a scheduled callback.
+    """Cancellation token for a callback scheduled by
+    :meth:`EventScheduler.timer`.
 
     Cancelling is O(1): the heap entry stays queued but is skipped on pop
     without executing, advancing virtual time, or counting as a step.  The
@@ -53,7 +61,9 @@ class EventScheduler:
     """Runs callbacks in virtual-time order."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callback, TimerHandle]] = []
+        self._heap: List[
+            Tuple[float, int, Callback, Tuple[Any, ...], Optional[TimerHandle]]
+        ] = []
         self._seq = 0
         #: current virtual time (a plain attribute, not a property: the
         #: simulator reads it several times per event); only :meth:`run`
@@ -97,25 +107,37 @@ class EventScheduler:
             self._compact()
 
     def _compact(self) -> None:
-        self._heap = [e for e in self._heap if not e[3].cancelled]
+        self._heap = [e for e in self._heap if e[4] is None or not e[4]._cancelled]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compactions += 1
 
-    def at(self, time: float, fn: Callback) -> TimerHandle:
-        """Schedule *fn* at absolute virtual time *time*."""
+    def at(self, time: float, fn: Callback, *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute virtual time *time*."""
         if not time >= self.now:  # NaN too: it compares false both ways
             raise ValueError(f"cannot schedule at {time} (now {self.now})")
+        heapq.heappush(self._heap, (time, self._seq, fn, args, None))
+        self._seq += 1
+
+    def after(self, delay: float, fn: Callback, *args: Any) -> None:
+        """Schedule ``fn(*args)`` after *delay* units of virtual time."""
+        if not delay >= 0:  # NaN too
+            raise ValueError(f"cannot schedule after {delay}")
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, None))
+        self._seq += 1
+
+    def timer(self, delay: float, fn: Callback, *args: Any) -> TimerHandle:
+        """Schedule ``fn(*args)`` after *delay*, cancellably.
+
+        The one scheduling call that builds a handle: the returned
+        :class:`TimerHandle` cancels the entry in O(1).
+        """
+        if not delay >= 0:  # NaN too
+            raise ValueError(f"cannot schedule after {delay}")
         handle = TimerHandle(self)
-        heapq.heappush(self._heap, (time, self._seq, fn, handle))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, handle))
         self._seq += 1
         return handle
-
-    def after(self, delay: float, fn: Callback) -> TimerHandle:
-        """Schedule *fn* after *delay* units of virtual time."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        return self.at(self.now + delay, fn)
 
     def run(
         self,
@@ -129,21 +151,26 @@ class EventScheduler:
         and virtual time stops at the last executed callback.
         """
         steps = 0
-        while self._heap:
+        heap = self._heap
+        while heap:
             if max_steps is not None and steps >= max_steps:
                 break
-            time, _seq, fn, handle = self._heap[0]
-            if handle._cancelled:
-                heapq.heappop(self._heap)
+            time, _seq, fn, args, handle = heap[0]
+            if handle is not None and handle._cancelled:
+                heapq.heappop(heap)
                 self._cancelled_pending -= 1
                 continue
             if max_time is not None and time > max_time:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             self.now = time
-            # executed entries can no longer be cancelled; flag directly so a
-            # late cancel() does not skew the pending-count bookkeeping
-            handle._cancelled = True
-            fn()
+            if handle is not None:
+                # executed entries can no longer be cancelled; flag directly
+                # so a late cancel() does not skew the pending-count
+                # bookkeeping
+                handle._cancelled = True
+            fn(*args)
             steps += 1
             self._steps += 1
+            # a compaction during fn replaced the list
+            heap = self._heap

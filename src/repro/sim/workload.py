@@ -28,8 +28,9 @@ Provided policies:
 from __future__ import annotations
 
 import abc
+import math
 import random
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.events import Event, Message, ProcessId
 from repro.topology.graph import CommunicationGraph
@@ -51,7 +52,8 @@ class SimHandle(Protocol):
 
     def do_send(self, src: ProcessId, dst: ProcessId) -> Optional[Event]: ...
 
-    def schedule(self, delay: float, fn) -> None: ...
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after *delay* units of virtual time."""
 
 
 def sorted_neighbors(graph: CommunicationGraph) -> Dict[ProcessId, List[ProcessId]]:
@@ -98,8 +100,8 @@ class UniformWorkload(Workload):
     ) -> None:
         if events_per_process < 0:
             raise ValueError("events_per_process must be >= 0")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate < math.inf:  # NaN too
+            raise ValueError("rate must be positive and finite")
         if not 0.0 <= p_local <= 1.0:
             raise ValueError("p_local must be a probability")
         self.events_per_process = events_per_process
@@ -107,28 +109,22 @@ class UniformWorkload(Workload):
         self.p_local = p_local
 
     def setup(self, sim: SimHandle) -> None:
+        self._rng = sim.rng
         self._neighbors = sorted_neighbors(sim.graph)
-        for p in sim.graph.vertices():
-            self._schedule_next(sim, p, self.events_per_process)
+        if self.events_per_process > 0:
+            for p in sim.graph.vertices():
+                delay = self._rng.uniform(0.0, 1.0 / self.rate) + 1e-9
+                sim.schedule(delay, self._act, sim, p, self.events_per_process)
 
-    def _schedule_next(self, sim: SimHandle, p: ProcessId, budget: int) -> None:
-        if budget <= 0:
-            return
-        if budget == self.events_per_process:
-            delay = sim.rng.uniform(0.0, 1.0 / self.rate) + 1e-9
+    def _act(self, sim: SimHandle, p: ProcessId, budget: int) -> None:
+        neighbors = self._neighbors[p]
+        if not neighbors or self._rng.random() < self.p_local:
+            sim.do_local(p)
         else:
-            delay = sim.rng.expovariate(self.rate) + 1e-9
-
-        def act() -> None:
-            neighbors = self._neighbors[p]
-            rng = sim.rng
-            if not neighbors or rng.random() < self.p_local:
-                sim.do_local(p)
-            else:
-                sim.do_send(p, rng.choice(neighbors))
-            self._schedule_next(sim, p, budget - 1)
-
-        sim.schedule(delay, act)
+            sim.do_send(p, self._rng.choice(neighbors))
+        if budget > 1:
+            delay = self._rng.expovariate(self.rate) + 1e-9
+            sim.schedule(delay, self._act, sim, p, budget - 1)
 
 
 class ClientServerWorkload(Workload):
@@ -149,8 +145,8 @@ class ClientServerWorkload(Workload):
     ) -> None:
         if requests_per_client < 0:
             raise ValueError("requests_per_client must be >= 0")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < rate < math.inf:  # NaN too
+            raise ValueError("rate must be positive and finite")
         if not 0.0 <= reply_prob <= 1.0:
             raise ValueError("reply_prob must be a probability")
         self.requests_per_client = requests_per_client
@@ -159,6 +155,7 @@ class ClientServerWorkload(Workload):
         self.servers = servers
 
     def setup(self, sim: SimHandle) -> None:
+        self._rng = sim.rng
         if self.servers is None:
             from repro.topology.vertex_cover import best_cover
 
@@ -178,26 +175,23 @@ class ClientServerWorkload(Workload):
     def _schedule_request(
         self, sim: SimHandle, client: ProcessId, budget: int
     ) -> None:
-        if budget <= 0:
-            return
+        if budget > 0:
+            delay = self._rng.expovariate(self.rate) + 1e-9
+            sim.schedule(delay, self._request, sim, client, budget)
+
+    def _request(self, sim: SimHandle, client: ProcessId, budget: int) -> None:
         targets = self._targets[client]
-
-        def act() -> None:
-            if targets:
-                sim.do_send(client, sim.rng.choice(targets))
-            else:
-                sim.do_local(client)
-            self._schedule_request(sim, client, budget - 1)
-
-        sim.schedule(sim.rng.expovariate(self.rate) + 1e-9, act)
+        if targets:
+            sim.do_send(client, self._rng.choice(targets))
+        else:
+            sim.do_local(client)
+        self._schedule_request(sim, client, budget - 1)
 
     def on_deliver(self, sim: SimHandle, msg: Message, recv: Event) -> None:
         if msg.dst in self._server_set and msg.src not in self._server_set:
-            if sim.rng.random() < self.reply_prob:
-                reply_delay = sim.rng.expovariate(self.rate * 4) + 1e-9
-                sim.schedule(
-                    reply_delay, lambda: sim.do_send(msg.dst, msg.src)
-                )
+            if self._rng.random() < self.reply_prob:
+                reply_delay = self._rng.expovariate(self.rate * 4) + 1e-9
+                sim.schedule(reply_delay, sim.do_send, msg.dst, msg.src)
 
 
 class BroadcastWorkload(Workload):
@@ -221,25 +215,22 @@ class BroadcastWorkload(Workload):
         for r in range(self.rounds):
             self._forwarded.add((r, self.initiator))
             delay = float(r) + 1e-9
-            sim.schedule(delay, self._make_flood(sim, r, self.initiator, None))
+            sim.schedule(delay, self._flood, sim, r, self.initiator, None)
 
-    def _make_flood(
+    def _flood(
         self,
         sim: SimHandle,
         round_id: int,
         p: ProcessId,
         heard_from: Optional[ProcessId],
-    ):
-        def flood() -> None:
-            for q in self._neighbors[p]:
-                if q != heard_from:
-                    ev = sim.do_send(p, q)
-                    if ev is None:  # p is crashed; fault injection active
-                        return
-                    assert ev.msg_id is not None
-                    self._round_of_msg[ev.msg_id] = round_id
-
-        return flood
+    ) -> None:
+        for q in self._neighbors[p]:
+            if q != heard_from:
+                ev = sim.do_send(p, q)
+                if ev is None:  # p is crashed; fault injection active
+                    return
+                assert ev.msg_id is not None
+                self._round_of_msg[ev.msg_id] = round_id
 
     def on_deliver(self, sim: SimHandle, msg: Message, recv: Event) -> None:
         round_id = self._round_of_msg.get(msg.msg_id)
@@ -249,9 +240,7 @@ class BroadcastWorkload(Workload):
         if key in self._forwarded:
             return
         self._forwarded.add(key)
-        sim.schedule(
-            1e-9, self._make_flood(sim, round_id, msg.dst, msg.src)
-        )
+        sim.schedule(1e-9, self._flood, sim, round_id, msg.dst, msg.src)
 
 
 class PingPongWorkload(Workload):
@@ -273,22 +262,16 @@ class PingPongWorkload(Workload):
             (a, b): self.rounds for a, b in self.pairs
         }
         for i, (a, b) in enumerate(self.pairs):
-            sim.schedule(1e-9 * (i + 1), self._make_ping(sim, a, b))
-
-    def _make_ping(self, sim: SimHandle, a: ProcessId, b: ProcessId):
-        def ping() -> None:
-            sim.do_send(a, b)
-
-        return ping
+            sim.schedule(1e-9 * (i + 1), sim.do_send, a, b)
 
     def on_deliver(self, sim: SimHandle, msg: Message, recv: Event) -> None:
         key = (msg.src, msg.dst)
         rkey = (msg.dst, msg.src)
         if key in self._remaining:
             # this was a ping: send the pong
-            sim.schedule(1e-9, self._make_ping(sim, msg.dst, msg.src))
+            sim.schedule(1e-9, sim.do_send, msg.dst, msg.src)
         elif rkey in self._remaining:
             # this was a pong: one round completed
             self._remaining[rkey] -= 1
             if self._remaining[rkey] > 0:
-                sim.schedule(1e-9, self._make_ping(sim, msg.dst, msg.src))
+                sim.schedule(1e-9, sim.do_send, msg.dst, msg.src)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.colstore import EventStore
 from repro.core.events import EventId, EventKind
 from repro.core.execution import ExecutionBuilder, ExecutionError
 from repro.topology import generators
@@ -119,6 +120,73 @@ class TestExecutionStructure:
         assert s.is_send and r.is_receive
         ex = b.freeze()
         assert ex.messages[0].delivered
+
+
+def _with_undelivered():
+    """p0 sends m0 to p1 and m1 to p2; only m0 arrives.  Three processes,
+    p0 with 2 events, p1 with 2, p2 with none."""
+    b = ExecutionBuilder(3)
+    m0 = b.send(0, 1)
+    b.send(0, 2)
+    b.receive(1, m0)
+    b.local(1)
+    return b.freeze()
+
+
+@pytest.fixture(params=["object", "columnar"])
+def flavour(request):
+    """The execution as built, or its columnar re-encoding: both must
+    answer every lookup the same way."""
+    if request.param == "object":
+        return lambda ex: ex
+    return lambda ex: EventStore.from_execution(ex).freeze()
+
+
+class TestPositionalLookup:
+    """An event is found by its position: ``(p, k)`` is the *k*-th event of
+    process *p*.  Nothing about the answers depends on how."""
+
+    def test_own_ids(self, flavour):
+        ex = flavour(_with_undelivered())
+        assert len(ex) == ex.n_events == 4
+        for p in range(ex.n_processes):
+            for k, ev in enumerate(ex.events_at(p), start=1):
+                eid = EventId(p, k)
+                assert eid in ex
+                assert ex.event(eid) == ev
+                assert ex.event(eid).eid == eid
+
+    def test_proc_out_of_range(self, flavour):
+        ex = flavour(_with_undelivered())
+        for eid in (EventId(3, 1), EventId(99, 1)):
+            assert eid not in ex
+            with pytest.raises(KeyError):
+                ex.event(eid)
+
+    def test_index_past_the_last_event(self, flavour):
+        ex = flavour(_with_undelivered())
+        # p0 and p1 have two events, p2 none
+        for eid in (EventId(0, 3), EventId(1, 3), EventId(2, 1)):
+            assert eid not in ex
+            with pytest.raises(KeyError):
+                ex.event(eid)
+
+    def test_send_and_receive_of(self, flavour):
+        ex = flavour(_with_undelivered())
+        delivered, undelivered = ex.events_at(0)
+        recv = ex.receive_of(delivered)
+        assert recv == ex.event(EventId(1, 1))
+        assert ex.send_of(recv) == delivered
+        assert ex.receive_of(undelivered) is None
+        with pytest.raises(ValueError):
+            ex.send_of(ex.event(EventId(1, 2)))
+
+    def test_a_key_that_is_no_event_id(self, flavour):
+        ex = flavour(_with_undelivered())
+        for key in ((0, 1), "e1@p0", None):
+            assert key not in ex
+            with pytest.raises(KeyError):
+                ex.event(key)
 
 
 class TestDeliveryOrder:

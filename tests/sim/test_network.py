@@ -41,6 +41,24 @@ class TestDelayModels:
         m = ExponentialDelay(1.0)
         assert m.sample(0, 1, random.Random(seed)) > 0
 
+    @pytest.mark.parametrize(
+        "model, args",
+        [
+            (ConstantDelay, (float("nan"),)),
+            (ConstantDelay, (float("inf"),)),
+            (UniformDelay, (0.5, float("inf"))),
+            (UniformDelay, (float("nan"), 1.5)),
+            (UniformDelay, (0.5, float("nan"))),
+            (ExponentialDelay, (float("nan"),)),
+            (ExponentialDelay, (float("inf"),)),
+        ],
+    )
+    def test_non_finite_parameters_are_refused(self, model, args):
+        # refused at construction: a NaN would fail far from its cause, at
+        # the first sample, and an infinite delay would deliver at t = inf
+        with pytest.raises(ValueError, match="finite|inf"):
+            model(*args)
+
     def test_per_channel_override(self):
         m = PerChannelDelay(ConstantDelay(1.0))
         m.set_channel(0, 1, ConstantDelay(9.0))
@@ -123,3 +141,23 @@ class TestNetwork:
         with pytest.raises(ValueError, match="positive"):
             net.transmit(0, 1, lambda: None)
         assert sched.pending == 0
+
+    def test_rejects_an_infinite_delay(self):
+        class Forever(ConstantDelay):
+            def sample(self, src, dst, rng):
+                return float("inf")
+
+        sched = EventScheduler()
+        net = Network(sched, Forever(), random.Random(0))
+        with pytest.raises(ValueError, match="finite"):
+            net.transmit(0, 1, lambda: None)
+        assert sched.pending == 0
+
+    def test_transmit_passes_the_arguments_through(self):
+        sched = EventScheduler()
+        net = Network(sched, ConstantDelay(1.0), random.Random(0))
+        seen = []
+        net.transmit(0, 1, seen.append, "m0", fifo=True)
+        net.transmit(0, 1, lambda a, b: seen.append(a + b), 1, 2)
+        sched.run()
+        assert seen == ["m0", 3]

@@ -27,14 +27,14 @@ class ScriptedService:
         self.copies_plan = list(copies_plan)
         self.log = []
 
-    def __call__(self, src, dst, deliver, kind):
+    def __call__(self, src, dst, deliver, *args, kind):
         self.log.append((src, dst, kind))
         drop = self.drop_plan.pop(0) if self.drop_plan else False
         copies = self.copies_plan.pop(0) if self.copies_plan else 1
         if drop:
             return
         for _ in range(copies):
-            self.scheduler.after(1.0, deliver)
+            self.scheduler.after(1.0, deliver, *args)
 
 
 def make_link(drop_plan=(), copies_plan=(), policy=None):
@@ -107,7 +107,7 @@ class TestReliableLink:
         sched = EventScheduler()
         times = []
 
-        def svc(src, dst, deliver, kind):
+        def svc(src, dst, deliver, *args, kind):
             times.append(sched.now)  # never deliver
 
         link = ReliableLink(sched, policy, svc)

@@ -97,7 +97,7 @@ class TestTimerCancellation:
     def test_cancelled_timer_does_not_fire(self):
         s = EventScheduler()
         log = []
-        handle = s.at(2.0, lambda: log.append("x"))
+        handle = s.timer(2.0, lambda: log.append("x"))
         s.at(1.0, lambda: log.append("a"))
         handle.cancel()
         s.run()
@@ -105,7 +105,7 @@ class TestTimerCancellation:
 
     def test_cancel_updates_pending_count(self):
         s = EventScheduler()
-        h = s.at(1.0, lambda: None)
+        h = s.timer(1.0, lambda: None)
         s.at(2.0, lambda: None)
         assert s.pending == 2
         h.cancel()
@@ -115,7 +115,7 @@ class TestTimerCancellation:
 
     def test_cancel_is_idempotent(self):
         s = EventScheduler()
-        h = s.at(1.0, lambda: None)
+        h = s.timer(1.0, lambda: None)
         h.cancel()
         h.cancel()
         assert s.pending == 0
@@ -123,7 +123,7 @@ class TestTimerCancellation:
 
     def test_cancel_after_execution_is_harmless(self):
         s = EventScheduler()
-        h = s.at(1.0, lambda: None)
+        h = s.timer(1.0, lambda: None)
         s.at(2.0, lambda: None)
         s.run(max_time=1.5)
         h.cancel()  # already fired; must not skew bookkeeping
@@ -134,7 +134,7 @@ class TestTimerCancellation:
     def test_skipping_cancelled_head_does_not_advance_time(self):
         s = EventScheduler()
         seen = []
-        h = s.at(5.0, lambda: None)
+        h = s.timer(5.0, lambda: None)
         s.at(7.0, lambda: seen.append(s.now))
         h.cancel()
         s.run()
@@ -144,7 +144,7 @@ class TestTimerCancellation:
     def test_cancel_from_earlier_callback(self):
         s = EventScheduler()
         log = []
-        h = s.at(3.0, lambda: log.append("late"))
+        h = s.timer(3.0, lambda: log.append("late"))
         s.at(1.0, h.cancel)
         s.run()
         assert log == []
@@ -153,7 +153,7 @@ class TestTimerCancellation:
 class TestHeapCompaction:
     def test_mass_cancellation_shrinks_heap(self):
         s = EventScheduler()
-        handles = [s.at(float(i + 1), lambda: None) for i in range(400)]
+        handles = [s.timer(float(i + 1), lambda: None) for i in range(400)]
         assert s.heap_size == 400
         for h in handles[:360]:
             h.cancel()
@@ -166,7 +166,7 @@ class TestHeapCompaction:
 
     def test_compaction_threshold_proportional_to_live(self):
         s = EventScheduler()
-        handles = [s.at(float(i + 1), lambda: None) for i in range(200)]
+        handles = [s.timer(float(i + 1), lambda: None) for i in range(200)]
         for h in handles[:100]:
             h.cancel()
         # 100 dead vs 100 live: dead do not outnumber live, no rebuild yet
@@ -180,7 +180,7 @@ class TestHeapCompaction:
         # dead > live but below the absolute floor: tiny heaps must not
         # re-heapify on every other cancel
         s = EventScheduler()
-        handles = [s.at(float(i + 1), lambda: None) for i in range(10)]
+        handles = [s.timer(float(i + 1), lambda: None) for i in range(10)]
         for h in handles:
             h.cancel()
         assert s.compactions == 0
@@ -193,7 +193,7 @@ class TestHeapCompaction:
         # rare (no O(n) rebuild per cancel — the regression this pins).
         s = EventScheduler()
         for i in range(1000):
-            s.at(float(i + 1), lambda: None).cancel()
+            s.timer(float(i + 1), lambda: None).cancel()
             assert s.pending == 0  # exact throughout
         assert s.heap_size <= 128  # bounded by the compaction floor
         assert 1 <= s.compactions <= 1000 // 64 + 1
@@ -202,9 +202,9 @@ class TestHeapCompaction:
 
     def test_cancel_heavy_with_live_entries_bounded(self):
         s = EventScheduler()
-        live = [s.at(1000.0 + i, lambda: None) for i in range(10)]
+        live = [s.timer(1000.0 + i, lambda: None) for i in range(10)]
         for i in range(2000):
-            s.at(float(i + 1), lambda: None).cancel()
+            s.timer(float(i + 1), lambda: None).cancel()
         assert s.pending == 10
         # heap stays within live + floor-bounded dead residue at all times
         assert s.heap_size <= 10 + 128
@@ -215,7 +215,7 @@ class TestHeapCompaction:
         log = []
         keep = []
         for i in range(200):
-            h = s.at(float(200 - i), lambda i=i: log.append(i))
+            h = s.timer(float(200 - i), lambda i=i: log.append(i))
             if i % 5 == 0:
                 keep.append((200 - i, i))
             else:
@@ -230,7 +230,7 @@ class TestHeapCompaction:
         log = []
         for i in range(8):
             s.at(1.0, lambda i=i: log.append(i))
-        doomed = [s.at(2.0, lambda: None) for _ in range(100)]
+        doomed = [s.timer(2.0, lambda: None) for _ in range(100)]
         for h in doomed:
             h.cancel()
         assert s.compactions >= 1
@@ -239,10 +239,64 @@ class TestHeapCompaction:
 
     def test_cancel_during_run_can_compact(self):
         s = EventScheduler()
-        doomed = [s.at(float(i + 10), lambda: None) for i in range(100)]
+        doomed = [s.timer(float(i + 10), lambda: None) for i in range(100)]
         fired = []
         s.at(1.0, lambda: ([h.cancel() for h in doomed], fired.append(True)))
         s.run()
         assert fired == [True]
         assert s.compactions >= 1
         assert s.pending == 0
+
+
+class TestArguments:
+    """A scheduled callback is a function and its arguments."""
+
+    def test_at_and_after_pass_arguments(self):
+        s = EventScheduler()
+        log = []
+        s.at(1.0, log.append, "a")
+        s.after(2.0, lambda x, y: log.append(x + y), 1, 2)
+        s.at(3.0, log.extend, ("b", "c"))
+        s.run()
+        assert log == ["a", 3, "b", "c"]
+
+    def test_plain_scheduling_returns_no_handle(self):
+        s = EventScheduler()
+        assert s.at(1.0, lambda: None) is None
+        assert s.after(1.0, print, "unused") is None
+        assert s.pending == 2
+
+    def test_timer_passes_arguments_and_cancels(self):
+        s = EventScheduler()
+        log = []
+        kept = s.timer(1.0, log.append, "kept")
+        dropped = s.timer(2.0, log.append, "dropped")
+        dropped.cancel()
+        s.run()
+        assert log == ["kept"]
+        assert kept.cancelled and dropped.cancelled
+        assert s.steps_executed == 1
+
+    def test_timer_refuses_negative_and_nan_delays(self):
+        s = EventScheduler()
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                s.timer(delay, lambda: None)
+        assert s.pending == 0
+
+    def test_ties_keep_insertion_order_across_timer_and_at(self):
+        s = EventScheduler()
+        log = []
+        s.timer(1.0, log.append, 0)
+        s.at(1.0, log.append, 1)
+        s.after(1.0, log.append, 2)
+        s.run()
+        assert log == [0, 1, 2]
+
+    def test_each_entry_keeps_its_own_arguments(self):
+        s = EventScheduler()
+        log = []
+        for i in range(5):
+            s.after(float(5 - i), log.append, i)
+        s.run()
+        assert log == [4, 3, 2, 1, 0]

@@ -53,11 +53,12 @@ class _DictKeeping(Simulation):
         super()._deliver(msg_id, piggyback)  # UniformWorkload: no reaction
         self._occurred(self._builder.message(msg_id).recv_event)
 
-    def _drain(self, cs):
-        times = self.old_final_times.setdefault(cs.name, {})
-        for p, k in cs.algo._newly_finalized:
-            times[EventId(p, k)] = self.now
-        super()._drain(cs)
+    def _drain(self):
+        for cs in self._clocks:
+            times = self.old_final_times.setdefault(cs.name, {})
+            for p, k in cs.algo._newly_finalized:
+                times[EventId(p, k)] = self.now
+        super()._drain()
 
 
 def _run(seed, **kwargs):

@@ -124,3 +124,13 @@ class TestPingPongWorkload:
         pongs = sum(1 for m in res.execution.messages if m.src == 0)
         assert pings == 4
         assert pongs == 4
+
+
+@pytest.mark.parametrize("workload", [UniformWorkload, ClientServerWorkload])
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_non_finite_rates_are_refused(workload, rate):
+    # refused at construction: a NaN would surface as "cannot schedule at
+    # nan" once the run started, an infinite rate would schedule every
+    # action at once
+    with pytest.raises(ValueError, match="rate"):
+        workload(rate=rate)
