@@ -22,11 +22,16 @@ from repro.clocks.base import (
 from repro.core.events import ProcessId
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VectorTimestamp(Timestamp):
     """An ``n``-element integer vector under the standard comparison."""
 
     vector: Tuple[int, ...]
+
+    def __init__(self, vector: Tuple[int, ...]) -> None:
+        # built once per event by every vector-family clock: one store
+        # through the slot descriptor, as ``CoverTimestamp`` does
+        _set_vector(self, vector)
 
     def precedes(self, other: "Timestamp") -> bool:
         if not isinstance(other, VectorTimestamp):
@@ -50,6 +55,11 @@ class VectorTimestamp(Timestamp):
 
     def __getitem__(self, k: int) -> int:
         return self.vector[k]
+
+
+_set_vector = VectorTimestamp.vector.__set__  # type: ignore[attr-defined]
+# the generated __init__'s signature, ``-> None`` not PEP 563's ``-> 'None'``
+VectorTimestamp.__init__.__annotations__["return"] = None
 
 
 class VectorClock(ClockAlgorithm):

@@ -43,29 +43,37 @@ class EventKind(enum.Enum):
         return f"EventKind.{self.name}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class EventId:
     """Identity of an event: the process it occurred on and its 1-based index.
 
     ``EventId(j, x)`` is the paper's :math:`e_x^j` — the ``x``-th event at
     process ``p_j``.  The ordering defined here (process-major) is only used
-    for deterministic iteration; it has no causal meaning.
+    for deterministic iteration; it has no causal meaning.  Both fields are
+    plain ``int``s: a ``bool``, a float or a numpy integer is a ``TypeError``.
     """
 
     proc: ProcessId
     index: int
 
-    def __post_init__(self) -> None:
-        if self.proc < 0:
-            raise ValueError(f"process id must be >= 0, got {self.proc}")
-        if self.index < 1:
-            raise ValueError(f"event index must be >= 1, got {self.index}")
+    def __init__(self, proc: ProcessId, index: int) -> None:
+        if type(proc) is not int or type(index) is not int:
+            raise TypeError(
+                f"process id and event index must be int, got "
+                f"{type(proc).__name__} and {type(index).__name__}"
+            )
+        if proc < 0:
+            raise ValueError(f"process id must be >= 0, got {proc}")
+        if index < 1:
+            raise ValueError(f"event index must be >= 1, got {index}")
+        _set_proc(self, proc)
+        _set_index(self, index)
 
     def __str__(self) -> str:
         return f"e{self.index}@p{self.proc}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
     """A point-to-point message.
 
@@ -87,13 +95,25 @@ class Message:
     send_event: EventId
     recv_event: Optional[EventId] = None
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
+    def __init__(
+        self,
+        msg_id: MessageId,
+        src: ProcessId,
+        dst: ProcessId,
+        send_event: EventId,
+        recv_event: Optional[EventId] = None,
+    ) -> None:
+        if src == dst:
             raise ValueError("self-messages are not part of the model")
-        if self.send_event.proc != self.src:
+        if send_event.proc != src:
             raise ValueError("send event must occur at the source process")
-        if self.recv_event is not None and self.recv_event.proc != self.dst:
+        if recv_event is not None and recv_event.proc != dst:
             raise ValueError("receive event must occur at the destination")
+        _set_msg_id(self, msg_id)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_send_event(self, send_event)
+        _set_recv_event(self, recv_event)
 
     @property
     def delivered(self) -> bool:
@@ -107,7 +127,7 @@ class Message:
         return Message(self.msg_id, self.src, self.dst, self.send_event, recv_event)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """An event in an execution.
 
@@ -123,15 +143,25 @@ class Event:
     msg_id: Optional[MessageId] = None
     peer: Optional[ProcessId] = None
 
-    def __post_init__(self) -> None:
-        if self.kind is EventKind.LOCAL:
-            if self.msg_id is not None or self.peer is not None:
+    def __init__(
+        self,
+        eid: EventId,
+        kind: EventKind,
+        msg_id: Optional[MessageId] = None,
+        peer: Optional[ProcessId] = None,
+    ) -> None:
+        if kind is EventKind.LOCAL:
+            if msg_id is not None or peer is not None:
                 raise ValueError("local events carry no message")
         else:
-            if self.msg_id is None or self.peer is None:
-                raise ValueError(f"{self.kind.value} events need msg_id and peer")
-            if self.peer == self.eid.proc:
+            if msg_id is None or peer is None:
+                raise ValueError(f"{kind.value} events need msg_id and peer")
+            if peer == eid.proc:
                 raise ValueError("peer must differ from the event's process")
+        _set_eid(self, eid)
+        _set_kind(self, kind)
+        _set_msg_id_of_event(self, msg_id)
+        _set_peer(self, peer)
 
     @property
     def proc(self) -> ProcessId:
@@ -161,3 +191,25 @@ class Event:
         ]
         extra = "" if self.msg_id is None else f"(m{self.msg_id})"
         return f"{self.eid}:{tag}{extra}"
+
+
+# Each value class above is built once or twice per event, so its __init__
+# checks inline and writes every slot through the slot's own descriptor: the
+# generated frozen __init__ would make one ``object.__setattr__`` call per
+# field and then call ``__post_init__``.  The generated __init__'s return
+# annotation is the object ``None`` (under PEP 563 ours is the string), so
+# the signatures stay exactly the generated ones.
+_set_proc = EventId.proc.__set__  # type: ignore[attr-defined]
+_set_index = EventId.index.__set__  # type: ignore[attr-defined]
+_set_msg_id = Message.msg_id.__set__  # type: ignore[attr-defined]
+_set_src = Message.src.__set__  # type: ignore[attr-defined]
+_set_dst = Message.dst.__set__  # type: ignore[attr-defined]
+_set_send_event = Message.send_event.__set__  # type: ignore[attr-defined]
+_set_recv_event = Message.recv_event.__set__  # type: ignore[attr-defined]
+_set_eid = Event.eid.__set__  # type: ignore[attr-defined]
+_set_kind = Event.kind.__set__  # type: ignore[attr-defined]
+_set_msg_id_of_event = Event.msg_id.__set__  # type: ignore[attr-defined]
+_set_peer = Event.peer.__set__  # type: ignore[attr-defined]
+for _cls in (EventId, Message, Event):
+    _cls.__init__.__annotations__["return"] = None
+del _cls

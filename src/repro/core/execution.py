@@ -214,6 +214,15 @@ class Execution:
         )
 
 
+_LOCAL, _SEND, _RECEIVE = EventKind.LOCAL, EventKind.SEND, EventKind.RECEIVE
+
+
+def _bad_process(role: str, proc: object, n: int) -> ExecutionError:
+    if type(proc) is not int:
+        return ExecutionError(f"{role} {proc!r} is not an int process id")
+    return ExecutionError(f"{role} {proc} out of range [0, {n})")
+
+
 class ExecutionBuilder:
     """Mutable builder that validates the message-passing model step by step.
 
@@ -250,56 +259,63 @@ class ExecutionBuilder:
         self._frozen = False
 
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._frozen:
-            raise ExecutionError("builder already frozen")
-
-    def _next_eid(self, proc: ProcessId) -> EventId:
-        if not 0 <= proc < self._n:
-            raise ExecutionError(f"process {proc} out of range [0, {self._n})")
-        return EventId(proc, len(self._events[proc]) + 1)
-
+    # local / send / receive run once per event: each checks inline, in
+    # the order below, and builds its values directly
     def local(self, proc: ProcessId) -> Event:
         """Append a local (internal) event at *proc*."""
-        self._check_open()
-        ev = Event(self._next_eid(proc), EventKind.LOCAL)
-        self._events[proc].append(ev)
+        if self._frozen:
+            raise ExecutionError("builder already frozen")
+        if type(proc) is not int or not 0 <= proc < self._n:
+            raise _bad_process("process", proc, self._n)
+        evts = self._events[proc]
+        ev = Event(EventId(proc, len(evts) + 1), _LOCAL)
+        evts.append(ev)
         return ev
 
     def send(self, src: ProcessId, dst: ProcessId) -> MessageId:
         """Append a send event at *src* addressed to *dst*; returns the id."""
-        self._check_open()
-        if not 0 <= dst < self._n:
-            raise ExecutionError(f"destination {dst} out of range [0, {self._n})")
+        if self._frozen:
+            raise ExecutionError("builder already frozen")
+        n = self._n
+        if type(dst) is not int or not 0 <= dst < n:
+            raise _bad_process("destination", dst, n)
         if src == dst:
             raise ExecutionError("self-messages are not part of the model")
         if self._graph is not None and not self._graph.has_edge(src, dst):
             raise ExecutionError(
                 f"no channel between p{src} and p{dst} in the topology"
             )
-        eid = self._next_eid(src)
-        msg_id = len(self._messages)
-        ev = Event(eid, EventKind.SEND, msg_id=msg_id, peer=dst)
-        self._events[src].append(ev)
-        self._messages.append(Message(msg_id, src, dst, eid))
+        if type(src) is not int or not 0 <= src < n:
+            raise _bad_process("process", src, n)
+        evts = self._events[src]
+        eid = EventId(src, len(evts) + 1)
+        messages = self._messages
+        msg_id = len(messages)
+        evts.append(Event(eid, _SEND, msg_id, dst))
+        messages.append(Message(msg_id, src, dst, eid))
         return msg_id
 
     def receive(self, proc: ProcessId, msg_id: MessageId) -> Event:
         """Append the receive of message *msg_id* at *proc*."""
-        self._check_open()
-        if not 0 <= msg_id < len(self._messages):
-            raise ExecutionError(f"unknown message id {msg_id}")
-        msg = self._messages[msg_id]
-        if msg.delivered:
+        if self._frozen:
+            raise ExecutionError("builder already frozen")
+        messages = self._messages
+        if type(msg_id) is not int or not 0 <= msg_id < len(messages):
+            raise ExecutionError(f"unknown message id {msg_id!r}")
+        msg = messages[msg_id]
+        if msg.recv_event is not None:
             raise ExecutionError(f"message {msg_id} already delivered")
         if msg.dst != proc:
             raise ExecutionError(
                 f"message {msg_id} is addressed to p{msg.dst}, not p{proc}"
             )
-        eid = self._next_eid(proc)
-        ev = Event(eid, EventKind.RECEIVE, msg_id=msg_id, peer=msg.src)
-        self._events[proc].append(ev)
-        self._messages[msg_id] = msg.with_receive(eid)
+        if type(proc) is not int or not 0 <= proc < self._n:
+            raise _bad_process("process", proc, self._n)
+        evts = self._events[proc]
+        eid = EventId(proc, len(evts) + 1)
+        ev = Event(eid, _RECEIVE, msg_id, msg.src)
+        evts.append(ev)
+        messages[msg_id] = Message(msg_id, msg.src, proc, msg.send_event, eid)
         return ev
 
     def send_and_receive(self, src: ProcessId, dst: ProcessId) -> Tuple[Event, Event]:
@@ -327,6 +343,7 @@ class ExecutionBuilder:
 
     def freeze(self) -> Execution:
         """Finish building and return the immutable execution."""
-        self._check_open()
+        if self._frozen:
+            raise ExecutionError("builder already frozen")
         self._frozen = True
         return Execution(self._n, self._events, self._messages, self._graph)

@@ -153,6 +153,10 @@ def _heartbeat_loop(conn, lock: threading.Lock, leased: List[Optional[str]],
                     return
 
 
+#: the thread-pool sizes a numeric library reads once, on import
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _worker_main(
     wid: int,
     conn,
@@ -166,7 +170,15 @@ def _worker_main(
     posted, so a crash between the two at worst reports the cell late —
     never loses it.  SIGINT is ignored: interactive ^C hits the whole
     process group, and shutdown is the coordinator's call.
+
+    A worker is one core, so it starts no BLAS thread pool: numpy (the
+    backend-differential invariant imports it) would otherwise start one
+    thread per core on import, for nothing.  As loky/joblib workers do, the
+    pool sizes are set to 1 before the first cell runs, unless the
+    environment already chose them; the coordinator's own stay as they are.
     """
+    for var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     kill_plan = _parse_kill_plan(os.environ.get(KILL_ENV))
     hang_raw = os.environ.get(HANG_ENV)

@@ -55,6 +55,29 @@ class TestBuilderValidation:
         with pytest.raises(ExecutionError):
             b.receive(1, m)
 
+    @pytest.mark.parametrize("proc", [True, False, 1.0, "1", None])
+    def test_rejects_a_process_that_is_no_int(self, proc):
+        b = ExecutionBuilder(3)
+        m = b.send(0, 1)
+        with pytest.raises(ExecutionError, match="is not an int process id"):
+            b.local(proc)
+        with pytest.raises(ExecutionError, match="is not an int process id"):
+            b.send(0 if proc != 0 else 2, proc)
+        with pytest.raises(ExecutionError, match="is not an int process id"):
+            b.send(proc, 2)
+        if proc == 1:  # addressed right, but not by an int
+            with pytest.raises(ExecutionError, match="is not an int process id"):
+                b.receive(proc, m)
+        ex = b.freeze()
+        assert ex.n_events == 1 and not ex.messages[0].delivered
+
+    @pytest.mark.parametrize("msg_id", [True, 0.0])
+    def test_rejects_a_message_id_that_is_no_int(self, msg_id):
+        b = ExecutionBuilder(2)
+        b.send(0, 1)
+        with pytest.raises(ExecutionError, match="unknown message id"):
+            b.receive(1, msg_id)
+
     def test_frozen_builder_rejects_everything(self):
         b = ExecutionBuilder(2)
         b.freeze()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from types import SimpleNamespace
 
@@ -200,3 +201,33 @@ def test_mixing_sweeps_in_one_store_is_fine(tmp_path):
     # a different sweep (different seed) shares the directory untroubled
     run_fabric(selftest_specs(2, seed=1), store)
     assert len(store) == 4
+
+
+def _blas_threads_of(spec):
+    """An executor that reports the BLAS pool size the worker would start."""
+    return {
+        "index": spec["index"],
+        "blas": [os.environ.get(var) for var in coordinator._BLAS_THREAD_VARS],
+    }
+
+
+def test_a_worker_starts_no_blas_thread_pool(tmp_path, monkeypatch):
+    for var in coordinator._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    store = ResultStore(tmp_path / "blas")
+    report = run_fabric(
+        selftest_specs(6), store, executor=_blas_threads_of, workers=2,
+        lease_timeout=30.0,
+    )
+    assert [r["blas"] for r in report.iter_results()] == [["1", "1", "1"]] * 6
+    # the coordinator's own environment is untouched
+    assert not any(os.environ.get(v) for v in coordinator._BLAS_THREAD_VARS)
+
+
+def test_a_chosen_blas_pool_size_is_kept(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    report = run_fabric(
+        selftest_specs(2), ResultStore(tmp_path / "kept"),
+        executor=_blas_threads_of, workers=2, lease_timeout=30.0,
+    )
+    assert {r["blas"][0] for r in report.iter_results()} == {"2"}

@@ -152,10 +152,10 @@ def test_a_live_hop_builds_no_event(clock, monkeypatch):
     """The clock host hands the clock integers: with ``Event`` construction
     made to raise, the run still completes, frames and events exact."""
 
-    def refuse(self):
-        raise AssertionError(f"a live run built {self!r}")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a live run built an Event{args!r}")
 
-    monkeypatch.setattr(Event, "__post_init__", refuse)
+    monkeypatch.setattr(Event, "__init__", refuse)
     _run(clock)
 
 

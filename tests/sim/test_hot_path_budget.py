@@ -20,7 +20,10 @@ it made 38.3; with every scheduled callback a function and its arguments —
 no ``TimerHandle`` unless a caller asks to cancel, no ``partial`` per
 message, no closure per workload action — the finalized events drained once
 per step for all clocks, a fault-free control handed straight to the
-network and no call to a workload's no-op delivery hook, it makes 30.8.
+network and no call to a workload's no-op delivery hook, it made 30.8; with
+``EventId``, ``Event`` and ``Message`` each built by one ``__init__`` that
+checks inline (no ``__post_init__``) and the builder's per-event helpers
+inlined, it makes 25.2.
 
 The collector's share never showed in a call count (cProfile books a
 collection to whoever allocated).  At ``315f754`` the run kept 6.58
@@ -44,8 +47,8 @@ from repro.sim.scheduler import EventScheduler, TimerHandle
 from repro.topology import generators
 
 PARENT_CALLS_PER_EVENT = 513_844 / 3_901
-#: measured 30.8 on CPython 3.11, 3.12 and 3.13; +5 %
-CEILING_CALLS_PER_EVENT = 32.4
+#: measured 25.2 on CPython 3.10, 3.11, 3.12 and 3.13; +5 %
+CEILING_CALLS_PER_EVENT = 26.4
 #: measured 4.49 on CPython 3.11 and 3.12; +5 %
 CEILING_RETAINED_OBJECTS_PER_EVENT = 4.72
 
