@@ -201,8 +201,13 @@ class TimestampAssignment:
         a streaming :class:`~repro.core.incremental.IncrementalHBOracle`
         is queried as it is, and with no oracle the execution is streamed
         through one (O(|E|·n) integers, where the batch build is O(|E|²)
-        bits).  Another execution's oracle is a ``ValueError``.
+        bits).  Another execution's oracle is a ``ValueError``, and so is a
+        negative *n_pairs*; one that is not an ``int`` is a ``TypeError``.
         """
+        if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
+            raise TypeError(f"n_pairs must be an int, not {type(n_pairs).__name__}")
+        if n_pairs < 0:
+            raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
         if oracle is None:
             oracle = incremental_from_execution(self._execution)
         self._refuse_foreign(oracle)

@@ -9,51 +9,44 @@ for the four invariants, :mod:`repro.conformance.registry` for the scheme
 table, and ``repro conformance --help`` for the CLI entry point.
 """
 
-from repro.conformance.corpus import (
-    CASE_SCHEMA,
-    CorpusCase,
-    case_from_mismatch,
-    load_case,
-    load_corpus,
-    replay_case,
-    save_case,
-)
-from repro.conformance.fuzzer import (
-    INVARIANTS,
-    ConformanceReport,
-    Mismatch,
-    check_execution,
-    fuzz,
-    generate_trial,
-)
-from repro.conformance.registry import (
-    SchemeSpec,
-    all_schemes,
-    scheme_by_name,
-    schemes_for,
-    star_center_of,
-)
-from repro.conformance.shrinker import shrink_mismatch, shrink_ops
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CASE_SCHEMA",
-    "INVARIANTS",
-    "ConformanceReport",
-    "CorpusCase",
-    "Mismatch",
-    "SchemeSpec",
-    "all_schemes",
-    "case_from_mismatch",
-    "check_execution",
-    "fuzz",
-    "generate_trial",
-    "load_case",
-    "load_corpus",
-    "replay_case",
-    "save_case",
-    "scheme_by_name",
-    "schemes_for",
-    "shrink_mismatch",
-    "shrink_ops",
-    "star_center_of",
-]
+_EXPORTS = {
+    "corpus": (
+        "CASE_SCHEMA", "CorpusCase", "case_from_mismatch", "load_case", "load_corpus",
+        "replay_case", "save_case",
+    ),
+    "fuzzer": (
+        "INVARIANTS", "ConformanceReport", "Mismatch", "check_execution", "fuzz",
+        "generate_trial",
+    ),
+    "registry": (
+        "SchemeSpec", "all_schemes", "scheme_by_name", "schemes_for", "star_center_of",
+    ),
+    "shrinker": ("shrink_mismatch", "shrink_ops"),
+}
+
+if TYPE_CHECKING:
+    from repro.conformance.corpus import (
+        CASE_SCHEMA as CASE_SCHEMA, CorpusCase as CorpusCase,
+        case_from_mismatch as case_from_mismatch, load_case as load_case,
+        load_corpus as load_corpus, replay_case as replay_case, save_case as save_case,
+    )
+    from repro.conformance.fuzzer import (
+        INVARIANTS as INVARIANTS, ConformanceReport as ConformanceReport,
+        Mismatch as Mismatch, check_execution as check_execution, fuzz as fuzz,
+        generate_trial as generate_trial,
+    )
+    from repro.conformance.registry import (
+        SchemeSpec as SchemeSpec, all_schemes as all_schemes,
+        scheme_by_name as scheme_by_name, schemes_for as schemes_for,
+        star_center_of as star_center_of,
+    )
+    from repro.conformance.shrinker import (
+        shrink_mismatch as shrink_mismatch, shrink_ops as shrink_ops,
+    )
+else:
+    from repro._exports import lazy_exports
+
+    __all__ = [name for names in _EXPORTS.values() for name in names]
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,28 +9,32 @@ absorbed in input order, byte-identical traces.  See ``EXPERIMENTS.md``
 for the operational guide.
 """
 
-from repro.fabric.coordinator import (
-    FabricInterrupted,
-    FabricReport,
-    run_fabric,
-)
-from repro.fabric.drivers import WORK_KINDS, execute_cell, work_kind
-from repro.fabric.hashing import FABRIC_SCHEMA, canonical_json, cell_key
-from repro.fabric.queue import CellFailed, WorkQueue
-from repro.fabric.store import ResultStore, StoreError
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FABRIC_SCHEMA",
-    "CellFailed",
-    "FabricInterrupted",
-    "FabricReport",
-    "ResultStore",
-    "StoreError",
-    "WORK_KINDS",
-    "WorkQueue",
-    "canonical_json",
-    "cell_key",
-    "execute_cell",
-    "run_fabric",
-    "work_kind",
-]
+_EXPORTS = {
+    "coordinator": ("FabricInterrupted", "FabricReport", "run_fabric"),
+    "drivers": ("WORK_KINDS", "execute_cell", "work_kind"),
+    "hashing": ("FABRIC_SCHEMA", "canonical_json", "cell_key"),
+    "queue": ("CellFailed", "WorkQueue"),
+    "store": ("ResultStore", "StoreError"),
+}
+
+if TYPE_CHECKING:
+    from repro.fabric.coordinator import (
+        FabricInterrupted as FabricInterrupted, FabricReport as FabricReport,
+        run_fabric as run_fabric,
+    )
+    from repro.fabric.drivers import (
+        WORK_KINDS as WORK_KINDS, execute_cell as execute_cell, work_kind as work_kind,
+    )
+    from repro.fabric.hashing import (
+        FABRIC_SCHEMA as FABRIC_SCHEMA, canonical_json as canonical_json,
+        cell_key as cell_key,
+    )
+    from repro.fabric.queue import CellFailed as CellFailed, WorkQueue as WorkQueue
+    from repro.fabric.store import ResultStore as ResultStore, StoreError as StoreError
+else:
+    from repro._exports import lazy_exports
+
+    __all__ = [name for names in _EXPORTS.values() for name in names]
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

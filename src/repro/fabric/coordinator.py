@@ -46,6 +46,7 @@ crash-resume test suite; never set them in real runs):
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -271,6 +272,9 @@ def run_fabric(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # checked here, not only by WorkQueue, so the serial path refuses it too
+    if not 0 < lease_timeout < math.inf:
+        raise ValueError("lease_timeout must be positive and finite")
     keyed: List[Tuple[str, Dict[str, Any]]] = []
     seen: Dict[str, int] = {}
     for i, spec in enumerate(specs):

@@ -20,6 +20,7 @@ straggler that eventually finishes a reassigned cell does no harm.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -67,8 +68,9 @@ class WorkQueue:
         lease_timeout: float = 60.0,
         max_retries: int = 2,
     ) -> None:
-        if lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
+        # written so that NaN fails too: it compares false both ways
+        if not 0 < lease_timeout < math.inf:
+            raise ValueError("lease_timeout must be positive and finite")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.lease_timeout = lease_timeout

@@ -13,42 +13,35 @@ exercise lives in :mod:`repro.sim.network`
 copies it and the fault models deliver twice.
 """
 
-from repro.faults.chaos import (
-    ROW_HEADER,
-    ChaosCell,
-    ChaosReport,
-    ChaosScenario,
-    default_scenarios,
-    run_chaos,
-)
-from repro.faults.models import (
-    DELIVER,
-    DROP,
-    NEVER,
-    CompositeFault,
-    CrashSchedule,
-    DuplicationFault,
-    FaultModel,
-    GilbertElliottLoss,
-    MessageFate,
-    PartitionFault,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ROW_HEADER",
-    "ChaosCell",
-    "ChaosReport",
-    "ChaosScenario",
-    "default_scenarios",
-    "run_chaos",
-    "DELIVER",
-    "DROP",
-    "NEVER",
-    "CompositeFault",
-    "CrashSchedule",
-    "DuplicationFault",
-    "FaultModel",
-    "GilbertElliottLoss",
-    "MessageFate",
-    "PartitionFault",
-]
+_EXPORTS = {
+    "chaos": (
+        "ROW_HEADER", "ChaosCell", "ChaosReport", "ChaosScenario", "default_scenarios",
+        "run_chaos",
+    ),
+    "models": (
+        "DELIVER", "DROP", "NEVER", "CompositeFault", "CrashSchedule",
+        "DuplicationFault", "FaultModel", "GilbertElliottLoss", "MessageFate",
+        "PartitionFault",
+    ),
+}
+
+if TYPE_CHECKING:
+    from repro.faults.chaos import (
+        ROW_HEADER as ROW_HEADER, ChaosCell as ChaosCell, ChaosReport as ChaosReport,
+        ChaosScenario as ChaosScenario, default_scenarios as default_scenarios,
+        run_chaos as run_chaos,
+    )
+    from repro.faults.models import (
+        DELIVER as DELIVER, DROP as DROP, NEVER as NEVER,
+        CompositeFault as CompositeFault, CrashSchedule as CrashSchedule,
+        DuplicationFault as DuplicationFault, FaultModel as FaultModel,
+        GilbertElliottLoss as GilbertElliottLoss, MessageFate as MessageFate,
+        PartitionFault as PartitionFault,
+    )
+else:
+    from repro._exports import lazy_exports
+
+    __all__ = [name for names in _EXPORTS.values() for name in names]
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,69 +28,55 @@ CLI: ``repro kv-live`` (full loopback cluster in one command) and
 address book).
 """
 
-from repro.net.chaos_proxy import ChaosInterposer
-from repro.net.loadgen import (
-    LIVE_CLOCKS,
-    LiveReport,
-    build_live_clock,
-    run_live_store,
-    run_live_store_sync,
-    simulator_prediction,
-)
-from repro.net.node import (
-    AddressBook,
-    ClientNode,
-    ClusterSpec,
-    FileAddressBook,
-    LiveClockHost,
-    LiveNode,
-    SequencerNode,
-    ServerNode,
-    make_node,
-)
-from repro.net.supervisor import CrashPlan, CrashSnapshot, Supervisor
-from repro.net.transport import (
-    ConnectionClosed,
-    FrameStream,
-    PeerClient,
-    RequestTimeout,
-    RpcServer,
-    TransportError,
-    TransportPolicy,
-    pack_payload,
-    unpack_payload,
-)
-from repro.net.virtual import VirtualLoop, run_virtual
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AddressBook",
-    "ChaosInterposer",
-    "ClientNode",
-    "ClusterSpec",
-    "ConnectionClosed",
-    "CrashPlan",
-    "CrashSnapshot",
-    "FileAddressBook",
-    "FrameStream",
-    "LIVE_CLOCKS",
-    "LiveClockHost",
-    "LiveNode",
-    "LiveReport",
-    "PeerClient",
-    "RequestTimeout",
-    "RpcServer",
-    "SequencerNode",
-    "ServerNode",
-    "Supervisor",
-    "TransportError",
-    "TransportPolicy",
-    "VirtualLoop",
-    "build_live_clock",
-    "make_node",
-    "pack_payload",
-    "run_live_store",
-    "run_live_store_sync",
-    "run_virtual",
-    "simulator_prediction",
-    "unpack_payload",
-]
+_EXPORTS = {
+    "chaos_proxy": ("ChaosInterposer",),
+    "loadgen": (
+        "LIVE_CLOCKS", "LiveReport", "build_live_clock", "run_live_store",
+        "run_live_store_sync", "simulator_prediction",
+    ),
+    "node": (
+        "AddressBook", "ClientNode", "ClusterSpec", "FileAddressBook", "LiveClockHost",
+        "LiveNode", "SequencerNode", "ServerNode", "make_node",
+    ),
+    "supervisor": ("CrashPlan", "CrashSnapshot", "Supervisor"),
+    "transport": (
+        "ConnectionClosed", "FrameStream", "PeerClient", "RequestTimeout", "RpcServer",
+        "TransportError", "TransportPolicy", "pack_payload", "unpack_payload",
+    ),
+    "virtual": ("VirtualLoop", "run_virtual"),
+}
+
+if TYPE_CHECKING:
+    from repro.net.chaos_proxy import ChaosInterposer as ChaosInterposer
+    from repro.net.loadgen import (
+        LIVE_CLOCKS as LIVE_CLOCKS, LiveReport as LiveReport,
+        build_live_clock as build_live_clock, run_live_store as run_live_store,
+        run_live_store_sync as run_live_store_sync,
+        simulator_prediction as simulator_prediction,
+    )
+    from repro.net.node import (
+        AddressBook as AddressBook, ClientNode as ClientNode,
+        ClusterSpec as ClusterSpec, FileAddressBook as FileAddressBook,
+        LiveClockHost as LiveClockHost, LiveNode as LiveNode,
+        SequencerNode as SequencerNode, ServerNode as ServerNode,
+        make_node as make_node,
+    )
+    from repro.net.supervisor import (
+        CrashPlan as CrashPlan, CrashSnapshot as CrashSnapshot,
+        Supervisor as Supervisor,
+    )
+    from repro.net.transport import (
+        ConnectionClosed as ConnectionClosed, FrameStream as FrameStream,
+        PeerClient as PeerClient, RequestTimeout as RequestTimeout,
+        RpcServer as RpcServer, TransportError as TransportError,
+        TransportPolicy as TransportPolicy, pack_payload as pack_payload,
+        unpack_payload as unpack_payload,
+    )
+    from repro.net.virtual import VirtualLoop as VirtualLoop, run_virtual as run_virtual
+else:
+    from repro._exports import lazy_exports
+
+    __all__ = [name for names in _EXPORTS.values() for name in names]
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,53 +22,40 @@ trace schema, ``repro metrics`` / ``--trace-out`` for the CLI surface, and
 ``tools/metrics_report.py`` for rendering traces as markdown.
 """
 
-from repro.obs.metrics import (
-    BYTE_BUCKETS,
-    DEFAULT_BUCKETS,
-    METRICS_SCHEMA,
-    VTIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    active_registry,
-    counter,
-    default_registry,
-    gauge,
-    metric,
-    use_registry,
-)
-from repro.obs.report import render_report, render_trace_report
-from repro.obs.tracing import (
-    TRACE_SCHEMA,
-    RunTracer,
-    deterministic_run_id,
-    load_trace,
-    registry_from_trace,
-    run_header,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BYTE_BUCKETS",
-    "DEFAULT_BUCKETS",
-    "METRICS_SCHEMA",
-    "VTIME_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "active_registry",
-    "counter",
-    "default_registry",
-    "gauge",
-    "metric",
-    "use_registry",
-    "render_report",
-    "render_trace_report",
-    "TRACE_SCHEMA",
-    "RunTracer",
-    "deterministic_run_id",
-    "load_trace",
-    "registry_from_trace",
-    "run_header",
-]
+_EXPORTS = {
+    "metrics": (
+        "BYTE_BUCKETS", "DEFAULT_BUCKETS", "METRICS_SCHEMA", "VTIME_BUCKETS", "Counter",
+        "Gauge", "Histogram", "MetricsRegistry", "active_registry", "counter",
+        "default_registry", "gauge", "metric", "use_registry",
+    ),
+    "report": ("render_report", "render_trace_report"),
+    "tracing": (
+        "TRACE_SCHEMA", "RunTracer", "deterministic_run_id", "load_trace",
+        "registry_from_trace", "run_header",
+    ),
+}
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import (
+        BYTE_BUCKETS as BYTE_BUCKETS, DEFAULT_BUCKETS as DEFAULT_BUCKETS,
+        METRICS_SCHEMA as METRICS_SCHEMA, VTIME_BUCKETS as VTIME_BUCKETS,
+        Counter as Counter, Gauge as Gauge, Histogram as Histogram,
+        MetricsRegistry as MetricsRegistry, active_registry as active_registry,
+        counter as counter, default_registry as default_registry, gauge as gauge,
+        metric as metric, use_registry as use_registry,
+    )
+    from repro.obs.report import (
+        render_report as render_report, render_trace_report as render_trace_report,
+    )
+    from repro.obs.tracing import (
+        TRACE_SCHEMA as TRACE_SCHEMA, RunTracer as RunTracer,
+        deterministic_run_id as deterministic_run_id, load_trace as load_trace,
+        registry_from_trace as registry_from_trace, run_header as run_header,
+    )
+else:
+    from repro._exports import lazy_exports
+
+    __all__ = [name for names in _EXPORTS.values() for name in names]
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
