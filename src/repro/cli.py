@@ -855,6 +855,8 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 
     if args.trials < 0:
         return _error(f"--trials must be >= 0, got {args.trials}")
+    if args.steps < 0:
+        return _error(f"--steps must be >= 0, got {args.steps}")
     if args.chunk_size < 1:
         return _error(f"--chunk-size must be >= 1, got {args.chunk_size}")
     if args.backend == "numpy":

@@ -472,7 +472,11 @@ def vector_leq(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def vector_lt(a: Sequence[float], b: Sequence[float]) -> bool:
     """The paper's *standard vector clock comparison*: ``<= and !=``."""
-    return vector_leq(a, b) and tuple(a) != tuple(b)
+    # vector_leq's body, not a call to it: this runs once per vector,
+    # plausible, cluster and cover-to-cover ``precedes``
+    if len(a) != len(b):
+        raise ValueError("vector length mismatch")
+    return all(map(le, a, b)) and tuple(a) != tuple(b)
 
 
 # ----------------------------------------------------------------------

@@ -85,6 +85,15 @@ class CoverTimestamp(Timestamp):
         _set_mpost(self, mpost)
         _set_cover(self, cover)
 
+    def __reduce__(self):
+        # a checkpoint pickles its stamps: the constructor's arguments skip
+        # the slots dataclass's ``__getstate__``, which calls
+        # ``dataclasses.fields()`` per object
+        return (
+            CoverTimestamp,
+            (self.id, self.mctr, self.mpre, self.mpost, self.cover),
+        )
+
     @property
     def in_cover(self) -> bool:
         return self.mpost is None

@@ -108,6 +108,14 @@ class StarTimestamp(Timestamp):
         _set_post(self, post)
         _set_center(self, center)
 
+    def __reduce__(self):
+        # as ``CoverTimestamp``'s: constructor arguments, so unpickling
+        # and ``copy`` run the checks above
+        return (
+            StarTimestamp,
+            (self.id, self.ctr, self.pre, self.post, self.center),
+        )
+
     @property
     def at_center(self) -> bool:
         return self.id == self.center

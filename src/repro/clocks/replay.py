@@ -275,12 +275,15 @@ class TimestampAssignment:
         accepted — an incremental oracle is frozen, not rebuilt.  The
         comparison is :func:`decode_mismatches`; the report is identical —
         field for field, including mismatch ordering — to the pairwise
-        reference :meth:`validate_pairwise`.
+        reference :meth:`validate_pairwise`.  An event listed twice in
+        *events* is a ``ValueError``: it is not concurrent with itself.
         """
+        if events is not None:
+            events = _distinct(events)
         oracle = self._batch_oracle(oracle)
         # ids in all_events() order follow the oracle's dense indexing, so
         # its rows are the truth verbatim; a subset is gathered by position
-        ids = list(events) if events is not None else oracle.event_order
+        ids = events if events is not None else oracle.event_order
         sel = None if events is None else [oracle.index_of(e) for e in ids]
         m = len(ids)
         n_ordered, neg_i, neg_j, pos_i, pos_j = decode_mismatches(
@@ -305,10 +308,13 @@ class TimestampAssignment:
 
         Quadratic in both comparisons and oracle queries; kept as the
         ground-truth for the equivalence tests and the benchmark baseline.
+        Refuses an event listed twice in *events*, as :meth:`validate` does.
         """
+        if events is not None:
+            events = _distinct(events)
         oracle = self._batch_oracle(oracle)
         ids = (
-            list(events)
+            events
             if events is not None
             else [ev.eid for ev in self._execution.all_events()]
         )
@@ -340,6 +346,14 @@ class TimestampAssignment:
             false_negatives=tuple(false_neg),
             false_positives=tuple(false_pos),
         )
+
+
+def _distinct(events: Iterable[EventId]) -> List[EventId]:
+    """*events* as a list; ``ValueError`` if one of them repeats."""
+    ids = list(events)
+    if len(set(ids)) != len(ids):
+        raise ValueError("events lists an event more than once")
+    return ids
 
 
 def _sample_pairs(seed: int, n: int, n_pairs: int) -> Iterator[Sequence[int]]:

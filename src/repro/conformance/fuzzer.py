@@ -56,6 +56,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.bench import cell_seed
 from repro.clocks.replay import replay_one
 from repro.clocks.vector import VectorClock
+from repro.conformance.campaign import TRIAL_TOPOLOGIES, check_campaign
 from repro.conformance.registry import (
     SchemeSpec,
     schemes_for,
@@ -306,12 +307,25 @@ def _check_oracles(graph, ops, execution, oracle, fifo, context, report):
 # invariant 3: inline finalization monotonicity, from every prefix
 # ----------------------------------------------------------------------
 def _check_finalization(
-    graph, ops, specs, center, fifo, context, report, prefix_samples=4
+    graph, ops, oracle, specs, center, fifo, context, report, prefix_samples=4
 ):
     out: List[Mismatch] = []
     inline_specs = [s for s in specs if s.inline]
     if not inline_specs:
         return out
+    # a prefix's happened-before is the trial oracle's restricted to its
+    # events: an op list receives a message only after the op that sent it,
+    # so nothing outside a prefix is in the causal past of an event inside
+    # it.  Per process, each event with its vector clock, process-major as
+    # ``all_events()`` lists them; ``e -> f`` for e != f iff
+    # ``vc_f[e.proc] >= e.index``, the formula ``happened_before`` evaluates
+    order = oracle.event_order
+    rows: List[List[Tuple[Any, Tuple[int, ...]]]] = []
+    base = 0
+    for p in range(graph.n_vertices):
+        end = base + oracle.event_count(p)
+        rows.append([(eid, oracle.vector_clock(eid)) for eid in order[base:end]])
+        base = end
     n_ops = len(ops)
     sample_at = set()
     if n_ops:
@@ -359,7 +373,10 @@ def _check_finalization(
             # previously finalized timestamps must read back unchanged
             for eid, ts in final_ts.items():
                 now = clock.timestamp(eid)
-                if now != ts:
+                # the table hands back the object it stored, so identity
+                # settles almost every read; a replaced object is compared
+                # by value
+                if now is not ts and now != ts:
                     out.append(_mk(
                         "finalization-monotonic", spec.name,
                         f"step {step}: finalized {eid} drifted "
@@ -383,27 +400,25 @@ def _check_finalization(
                         f"already-final {eid}: {ts} -> {now}",
                         graph, ops, fifo, context,
                     ))
-            prefix_ex = execution_from_ops(graph, ops[: step + 1])
-            prefix_oracle = HappenedBeforeOracle(prefix_ex)
-            ids = [e.eid for e in prefix_ex.all_events()]
             stamped = []
-            for eid in ids:
-                t = clone.timestamp(eid)
-                if t is None:
-                    out.append(_mk(
-                        "finalization-monotonic", spec.name,
-                        f"prefix {step}: {eid} still ⊥ after "
-                        f"finalize_at_termination",
-                        graph, ops, fifo, context,
-                    ))
-                else:
-                    stamped.append((eid, t))
-            happened_before = prefix_oracle.happened_before
-            for a, ts_a in stamped:
-                for b, ts_b in stamped:
+            for row, k in zip(rows, counts):
+                for eid, vc in row[:k]:
+                    t = clone.timestamp(eid)
+                    if t is None:
+                        out.append(_mk(
+                            "finalization-monotonic", spec.name,
+                            f"prefix {step}: {eid} still ⊥ after "
+                            f"finalize_at_termination",
+                            graph, ops, fifo, context,
+                        ))
+                    else:
+                        stamped.append((eid, t, vc))
+            for a, ts_a, _ in stamped:
+                a_proc, a_index = a.proc, a.index
+                for b, ts_b, vc_b in stamped:
                     if a is b:
                         continue
-                    hb = happened_before(a, b)
+                    hb = vc_b[a_proc] >= a_index
                     claimed = ts_a.precedes(ts_b)
                     if hb != claimed:
                         out.append(_mk(
@@ -620,7 +635,7 @@ def check_execution(
             graph, ops, execution, oracle, fifo, context, report
         )
         mismatches += _check_finalization(
-            graph, ops, specs, center, fifo, context, report
+            graph, ops, oracle, specs, center, fifo, context, report
         )
         mismatches += _check_stores(
             graph, ops, execution, oracle, fifo, context, report
@@ -654,9 +669,7 @@ def _trial_graph(kind: str, n: int, rng: random.Random) -> CommunicationGraph:
         return generators.star(n)
     if kind == "tree":
         return generators.random_tree(n, rng)
-    if kind == "random":
-        return generators.erdos_renyi(n, 0.5, rng)
-    raise ValueError(f"unknown topology kind {kind!r}")
+    return generators.erdos_renyi(n, 0.5, rng)  # "random"; check_campaign ran
 
 
 def generate_trial(
@@ -665,7 +678,11 @@ def generate_trial(
     topologies: Sequence[str],
     max_steps: int,
 ) -> Tuple[CommunicationGraph, List[Op], bool, Dict[str, Any]]:
-    """Deterministically generate trial *trial* of a campaign."""
+    """Deterministically generate trial *trial* of a campaign.
+
+    Refuses what :func:`check_campaign` refuses.
+    """
+    check_campaign(topologies, max_steps)
     rng = random.Random(cell_seed(seed, "conformance", trial))
     kind = topologies[trial % len(topologies)]
     n = rng.randrange(2, 8)
@@ -700,7 +717,7 @@ def run_trials(
     hi: int,
     *,
     seed: int = 0,
-    topologies: Sequence[str] = ("star", "tree", "random"),
+    topologies: Sequence[str] = TRIAL_TOPOLOGIES,
     max_steps: int = 40,
     shrink: bool = True,
     backend: str = "auto",
@@ -711,10 +728,12 @@ def run_trials(
     Trial generation keys off the *absolute* trial index, so a campaign
     sharded into chunks (the fabric's ``conformance-chunk`` work kind)
     reproduces the serial campaign exactly, per trial, no matter how the
-    chunks are placed or in which order they complete.
+    chunks are placed or in which order they complete.  Coordinates that
+    :func:`check_campaign` refuses raise before any trial runs.
     """
     from repro.conformance.shrinker import shrink_mismatch
 
+    check_campaign(topologies, max_steps)
     for trial in range(lo, hi):
         graph, ops, fifo, context = generate_trial(
             seed, trial, topologies, max_steps
@@ -736,7 +755,7 @@ def run_trials(
 def fuzz(
     trials: int,
     seed: int = 0,
-    topologies: Sequence[str] = ("star", "tree", "random"),
+    topologies: Sequence[str] = TRIAL_TOPOLOGIES,
     max_steps: int = 40,
     tracer=None,
     shrink: bool = True,
@@ -747,7 +766,8 @@ def fuzz(
     The campaign is a pure function of ``(trials, seed, topologies,
     max_steps)`` — per-trial RNGs derive from :func:`repro.bench.cell_seed`
     so reports reproduce exactly.  *backend* is passed through to
-    :func:`check_execution`.
+    :func:`check_execution`; coordinates that :func:`check_campaign`
+    refuses raise before any trial runs.
     """
     report = ConformanceReport()
     run_trials(

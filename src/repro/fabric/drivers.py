@@ -176,9 +176,15 @@ def conformance_chunk_specs(
     Per-trial RNGs derive from the absolute trial index
     (:func:`repro.bench.cell_seed`), so the union of chunk results is
     exactly the serial campaign regardless of chunking or placement.
+    Coordinates no trial can run on (see
+    :func:`repro.conformance.campaign.check_campaign`) raise here, before
+    any cell is built.
     """
+    from repro.conformance.campaign import check_campaign
+
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    check_campaign(topologies, max_steps)
     return [
         {
             "kind": "conformance-chunk",

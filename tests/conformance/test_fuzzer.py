@@ -1,10 +1,16 @@
 """The differential conformance fuzzer: invariants, detection, shrinking."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
+from repro.clocks.base import INFINITY
+from repro.clocks.inline_cover import CoverTimestamp
+from repro.clocks.inline_star import StarInlineClock, StarTimestamp
 from repro.clocks.lamport import LamportClock, LamportTimestamp
+from repro.clocks.replay import replay_one
 from repro.conformance import (
     ConformanceReport,
     SchemeSpec,
@@ -18,6 +24,7 @@ from repro.conformance import (
     star_center_of,
 )
 from repro.core.backend import numpy_available
+from repro.core.events import EventId
 from repro.core.random_executions import (
     execution_from_ops,
     normalize_ops,
@@ -166,6 +173,24 @@ class _DriftingLamport(LamportClock):
         return LamportTimestamp(ts.clock + self._ticks, ts.proc)
 
 
+class _CopyingStarClock(StarInlineClock):
+    """Answers every read with a new stamp equal to the stored one."""
+
+    def timestamp(self, eid):
+        ts = super().timestamp(eid)
+        return None if ts is None else copy.copy(ts)
+
+
+class _Forged:
+    """Pickles as ``cls(*args)``, whatever *args* are."""
+
+    def __init__(self, cls, args):
+        self._reduced = (cls, args)
+
+    def __reduce__(self):
+        return self._reduced
+
+
 class TestDetection:
     """The fuzzer must actually flag broken schemes, not just pass good ones."""
 
@@ -207,6 +232,73 @@ class TestDetection:
         assert report.events_checked == 2
         assert report.checks["oracle-differential"] == 1
         assert report.checks["store-differential"] == 1
+
+    def test_flags_an_inexact_finalized_prefix(self):
+        # lamport's total order finalizes every stamp at once, so only the
+        # prefix check can object, and it objects to each overclaimed pair
+        g = generators.star(3)
+        spec = SchemeSpec(
+            "lamport-inline",
+            lambda gr, _c: LamportClock(gr.n_vertices),
+            exact=False,
+            inline=True,
+        )
+        ops = [("local", 1), ("send", 0, 1, 0), ("local", 2), ("recv", 0)]
+        found = check_execution(g, ops, schemes=[spec], backend="pure")
+        assert {mm.invariant for mm in found} == {"finalization-monotonic"}
+        assert all(
+            mm.detail.startswith("prefix ")
+            and "finalized prefix claims True" in mm.detail
+            for mm in found
+        )
+        assert [mm.detail for mm in found] == [
+            "prefix 2: e1@p1->e1@p2 hb=False but finalized prefix claims True",
+            "prefix 2: e1@p2->e2@p1 hb=False but finalized prefix claims True",
+            "prefix 3: e1@p1->e1@p2 hb=False but finalized prefix claims True",
+            "prefix 3: e1@p2->e1@p0 hb=False but finalized prefix claims True",
+            "prefix 3: e1@p2->e2@p1 hb=False but finalized prefix claims True",
+        ]
+
+    def test_an_equal_copy_of_a_finalized_stamp_is_not_drift(self):
+        g = generators.star(4)
+        spec = SchemeSpec(
+            "copying-inline-star",
+            lambda gr, c: _CopyingStarClock(gr.n_vertices, center=c),
+            exact=True,
+            inline=True,
+        )
+        ops = random_ops(g, random.Random(3), steps=30, deliver_all=True)
+        clock = spec.build(g, 0)
+        replay_one(execution_from_ops(g, ops), clock)
+        first = clock.timestamp(EventId(0, 1))
+        assert first == clock.timestamp(EventId(0, 1))
+        assert first is not clock.timestamp(EventId(0, 1))
+        report = ConformanceReport()
+        assert check_execution(g, ops, schemes=[spec], report=report) == []
+        assert report.checks["finalization-monotonic"] == 1
+
+    @pytest.mark.parametrize("ts", [
+        CoverTimestamp(0, 2, (2, 1), None, (0, 1)),
+        CoverTimestamp(2, 3, (1, 0), (INFINITY, 4), (0, 1)),
+        StarTimestamp(0, 2, 2, None, 0),
+        StarTimestamp(1, 3, 1, INFINITY, 0),
+        StarTimestamp(2, 1, 0, 5, 0),
+    ], ids=repr)
+    def test_inline_stamps_round_trip(self, ts):
+        for twin in (
+            pickle.loads(pickle.dumps(ts)), copy.copy(ts), copy.deepcopy(ts)
+        ):
+            assert type(twin) is type(ts)
+            assert twin == ts
+
+    def test_unpickling_checks_the_central_radial_rule(self):
+        for args, match in [
+            ((0, 2, 1, None, 0), "central event must have pre == ctr"),
+            ((0, 2, 2, 3, 0), "must have post=None"),
+            ((1, 2, 1, None, 0), "needs a post value"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                pickle.loads(pickle.dumps(_Forged(StarTimestamp, args)))
 
 
 class TestShrinker:
