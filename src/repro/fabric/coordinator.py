@@ -33,19 +33,28 @@ coordinator alone.  Progress is exported through the active
 ``fabric.cells_reassigned`` / ``fabric.workers_spawned`` counters and
 the ``fabric.queue_depth`` gauge.
 
-Deterministic chaos hooks (used by the fabric-smoke CI job and the
-crash-resume test suite; never set them in real runs):
+A worker starts warm: before its first fork the coordinator imports the
+modules the sweep's work kinds declare (:func:`repro.fabric.drivers.work_kind`),
+so every forked worker inherits them compiled and its first cell loads
+only numpy and :mod:`repro.core.npkernel`.  numpy itself is never loaded
+here: it would grow the coordinator's resident set by ≈ 11 MB.
 
-- ``REPRO_FABRIC_TEST_KILL="W:N"`` — worker ``W`` SIGKILLs itself after
-  completing ``N`` cells.
-- ``REPRO_FABRIC_TEST_HANG="W"`` — worker ``W`` hangs instead of
+Deterministic chaos hooks (used by the fabric-smoke CI job and the
+crash-resume test suite; never set them in real runs).  :func:`run_fabric`
+reads them once, before any cell runs, and refuses a malformed value with
+a ``ValueError``; workers are handed their part as arguments:
+
+- ``REPRO_FABRIC_TEST_KILL="W[:N]"`` — worker ``W`` (≥ 0) SIGKILLs itself
+  after completing ``N`` (≥ 1, default 1) cells.
+- ``REPRO_FABRIC_TEST_HANG="W"`` — worker ``W`` (≥ 0) hangs instead of
   executing its first leased cell (exercises lease-timeout reassignment).
 - ``REPRO_FABRIC_TEST_INTERRUPT="N"`` — the coordinator behaves as if
-  ^C arrived after ``N`` completions of the current run.
+  ^C arrived after ``N`` (≥ 1) completions of the current run.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import multiprocessing
 import os
@@ -67,6 +76,7 @@ from typing import (
     Tuple,
 )
 
+from repro.fabric.drivers import KIND_IMPORTS, execute_cell
 from repro.fabric.hashing import cell_key
 from repro.fabric.queue import CellFailed, WorkQueue
 from repro.fabric.store import ResultStore
@@ -127,15 +137,54 @@ class FabricReport:
 
 
 # ----------------------------------------------------------------------
+# test hooks
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _TestHooks:
+    kill: Optional[Tuple[int, int]]  # (worker id, cells it completes first)
+    hang: Optional[int]  # worker id
+    interrupt_after: Optional[int]
+
+
+def _hook_int(var: str, raw: str, part: str, form: str, least: int) -> int:
+    try:
+        value = int(part)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise ValueError(f"{var}={raw!r}: expected {form}")
+    return value
+
+
+def _read_hooks(interrupt_after: Optional[int]) -> _TestHooks:
+    """Parse the test-hook variables (see module docstring), once."""
+    kill = None
+    raw = os.environ.get(KILL_ENV)
+    if raw:
+        form = "W or W:N, worker id W >= 0 dying after N >= 1 cells"
+        wid, sep, after = raw.partition(":")
+        kill = (
+            _hook_int(KILL_ENV, raw, wid, form, 0),
+            _hook_int(KILL_ENV, raw, after if sep else "1", form, 1),
+        )
+    hang = None
+    raw = os.environ.get(HANG_ENV)
+    if raw:
+        hang = _hook_int(HANG_ENV, raw, raw, "W, a worker id >= 0", 0)
+    if interrupt_after is None:
+        raw = os.environ.get(INTERRUPT_ENV)
+        if raw:
+            interrupt_after = _hook_int(
+                INTERRUPT_ENV, raw, raw, "N, a completion count >= 1", 1
+            )
+    elif interrupt_after < 1:
+        raise ValueError(f"interrupt_after must be >= 1, got {interrupt_after}")
+    return _TestHooks(kill, hang, interrupt_after)
+
+
+# ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _parse_kill_plan(raw: Optional[str]) -> Optional[Tuple[int, int]]:
-    if not raw:
-        return None
-    wid, _, after = raw.partition(":")
-    return int(wid), max(1, int(after or "1"))
-
-
 def _heartbeat_loop(conn, lock: threading.Lock, leased: List[Optional[str]],
                     interval: float) -> None:
     """Renew the lease on whatever cell the worker holds, for its whole life.
@@ -159,11 +208,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _worker_main(
-    wid: int,
     conn,
     store_root: str,
     executor: Executor,
     heartbeat_interval: float,
+    kill_after: Optional[int],
+    hang: bool,
 ) -> None:
     """One worker: lease loop of execute → store → report.
 
@@ -177,13 +227,13 @@ def _worker_main(
     thread per core on import, for nothing.  As loky/joblib workers do, the
     pool sizes are set to 1 before the first cell runs, unless the
     environment already chose them; the coordinator's own stay as they are.
+
+    *kill_after* and *hang* are this worker's part of the test hooks: it
+    SIGKILLs itself after that many completed cells, or hangs on its first.
     """
     for var in _BLAS_THREAD_VARS:
         os.environ.setdefault(var, "1")
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    kill_plan = _parse_kill_plan(os.environ.get(KILL_ENV))
-    hang_raw = os.environ.get(HANG_ENV)
-    hang_wid = int(hang_raw) if hang_raw else None
     store = ResultStore(store_root)
     lock = threading.Lock()
     leased: List[Optional[str]] = [None]
@@ -201,7 +251,7 @@ def _worker_main(
         if task is None:
             return
         key, spec = task
-        if hang_wid == wid:
+        if hang:
             # deliberately stuck before any heartbeat: the lease expires
             # and the coordinator reassigns the cell to a live worker
             time.sleep(3600.0)
@@ -219,11 +269,7 @@ def _worker_main(
         if event[0] == "err":
             continue
         completed += 1
-        if (
-            kill_plan is not None
-            and kill_plan[0] == wid
-            and completed >= kill_plan[1]
-        ):
+        if kill_after is not None and completed >= kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -236,12 +282,6 @@ class _LocalWorker:
     proc: multiprocessing.Process
     conn: Any  # this end of the worker's duplex pipe: cells out, events in
     busy_key: Optional[str] = None
-
-
-def _default_executor() -> Executor:
-    from repro.fabric.drivers import execute_cell  # deferred: import cycle
-
-    return execute_cell
 
 
 def run_fabric(
@@ -263,18 +303,26 @@ def run_fabric(
     :mod:`repro.fabric.drivers`).  ``workers = 1`` runs serially
     in-process — no pickling requirements, and the reference mode the
     byte-identity guarantee is stated against; ``workers > 1`` spawns that
-    many local worker processes.
+    many local worker processes, which start warm: the coordinator first
+    imports the modules the sweep's work kinds declare (see
+    :func:`repro.fabric.drivers.work_kind`), never numpy.
 
     ``resume=True`` skips cells already completed in *store*;
     ``resume=False`` insists on a store containing no cell of this sweep
     (mixing two different sweeps in one store directory is always fine —
     keys never collide).
+
+    *interrupt_after* (or ``REPRO_FABRIC_TEST_INTERRUPT``) stops the run as
+    ^C would after that many completions, at least 1.  It and the other
+    test hooks are checked before any cell or worker starts: a malformed
+    value raises ``ValueError`` on every placement.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # checked here, not only by WorkQueue, so the serial path refuses it too
     if not 0 < lease_timeout < math.inf:
         raise ValueError("lease_timeout must be positive and finite")
+    hooks = _read_hooks(interrupt_after)
     keyed: List[Tuple[str, Dict[str, Any]]] = []
     seen: Dict[str, int] = {}
     for i, spec in enumerate(specs):
@@ -298,10 +346,6 @@ def run_fabric(
     pending = [(k, s) for k, s in keyed if k not in done_keys]
     gauge("fabric.queue_depth").set(len(pending))
 
-    if interrupt_after is None:
-        raw = os.environ.get(INTERRUPT_ENV)
-        interrupt_after = int(raw) if raw else None
-
     stats = {
         "cells_total": len(keyed),
         "cells_resumed": len(done_keys),
@@ -313,16 +357,16 @@ def run_fabric(
     if pending:
         if workers == 1:
             _run_serial(
-                pending, store, executor or _default_executor(), stats,
-                max_retries, interrupt_after,
+                pending, store, executor or execute_cell, stats,
+                max_retries, hooks.interrupt_after,
             )
         else:
             _run_coordinated(
-                pending, store, executor or _default_executor(), stats,
+                pending, store, executor or execute_cell, stats,
                 workers=workers,
                 lease_timeout=lease_timeout,
                 max_retries=max_retries,
-                interrupt_after=interrupt_after,
+                hooks=hooks,
             )
     return FabricReport(
         store=store, keys=[k for k, _ in keyed], stats=stats
@@ -379,8 +423,9 @@ def _run_coordinated(
     workers: int,
     lease_timeout: float,
     max_retries: int,
-    interrupt_after: Optional[int],
+    hooks: _TestHooks,
 ) -> None:
+    interrupt_after = hooks.interrupt_after
     heartbeat_interval = min(5.0, max(0.05, lease_timeout / 4.0))
     queue = WorkQueue(
         dict(pending), lease_timeout=lease_timeout, max_retries=max_retries
@@ -394,10 +439,15 @@ def _run_coordinated(
     def spawn() -> None:
         nonlocal next_wid
         conn, worker_end = ctx.Pipe()
+        kill_after = (
+            hooks.kill[1]
+            if hooks.kill is not None and hooks.kill[0] == next_wid
+            else None
+        )
         proc = ctx.Process(
             target=_worker_main,
-            args=(next_wid, worker_end, str(store.root), executor,
-                  heartbeat_interval),
+            args=(worker_end, str(store.root), executor, heartbeat_interval,
+                  kill_after, hooks.hang == next_wid),
             daemon=True,
         )
         proc.start()
@@ -448,6 +498,11 @@ def _run_coordinated(
         ):
             raise KeyboardInterrupt
 
+    # forked workers inherit these: the cells' code is compiled once here,
+    # not once per worker on its first cell
+    for kind in {spec.get("kind") for _, spec in pending}:
+        for module in KIND_IMPORTS.get(kind, ()):
+            importlib.import_module(module)
     try:
         for _ in range(workers):
             spawn()

@@ -22,13 +22,17 @@ Every executor is a pure function of its spec (given the repo's code),
 which is what makes reassignment, retry, and resume byte-safe.  When a
 code change alters what a kind computes, bump that kind's ``"v"`` so
 old store entries stop matching.
+
+Each kind also declares the modules its cells import
+(:data:`KIND_IMPORTS`); a multi-worker run loads them in the coordinator
+before it forks, so a worker's first cell compiles none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.bench import cell_seed
 
@@ -36,12 +40,28 @@ WorkFn = Callable[[Mapping[str, Any]], Any]
 
 WORK_KINDS: Dict[str, WorkFn] = {}
 
+#: the modules each kind's cells import, by kind
+KIND_IMPORTS: Dict[str, Tuple[str, ...]] = {}
 
-def work_kind(name: str) -> Callable[[WorkFn], WorkFn]:
-    """Register an executor for ``spec["kind"] == name``."""
+
+def work_kind(
+    name: str, imports: Sequence[str] = ()
+) -> Callable[[WorkFn], WorkFn]:
+    """Register an executor for ``spec["kind"] == name``.
+
+    *imports* names the modules the executor's cells import, its deferred
+    imports and theirs included: imported together they must leave a cell
+    nothing of ``repro`` to load but :mod:`repro.core.npkernel`.  The
+    coordinator of a multi-worker run imports them once, before its first
+    fork, so the forked workers inherit them compiled.  List no module
+    that imports numpy at module level: numpy stays in the workers, where
+    the first cell that needs it loads it, because a coordinator holding
+    it grows by ≈ 11 MB resident.
+    """
 
     def register(fn: WorkFn) -> WorkFn:
         WORK_KINDS[name] = fn
+        KIND_IMPORTS[name] = tuple(imports)
         return fn
 
     return register
@@ -95,7 +115,16 @@ def chaos_cell_specs(
     ]
 
 
-@work_kind("chaos-scenario")
+@work_kind(
+    "chaos-scenario",
+    imports=(
+        "repro.conformance.registry",
+        "repro.faults.chaos",
+        "repro.sim.runner",  # deferred in repro.faults.chaos
+        "repro.topology.generators",
+        "repro.topology.vertex_cover",  # deferred in the inline-cover clock
+    ),
+)
 def _run_chaos_scenario(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Rebuild one chaos scenario from its spec and run it.
 
@@ -201,7 +230,14 @@ def conformance_chunk_specs(
     ]
 
 
-@work_kind("conformance-chunk")
+@work_kind(
+    "conformance-chunk",
+    imports=(
+        "repro.conformance.fuzzer",
+        "repro.conformance.shrinker",  # deferred in run_trials
+        "repro.topology.vertex_cover",  # deferred in the inline-cover clock
+    ),
+)
 def _run_conformance_chunk(spec: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.conformance.fuzzer import ConformanceReport, run_trials
 

@@ -187,6 +187,57 @@ def test_coordinator_waits_on_events_not_on_a_tick(tmp_path, monkeypatch):
     assert report.stats["workers_spawned"] == 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "how", [{"interrupt_after": 0}, {"interrupt_after": -2}, {INTERRUPT_ENV: "0"}],
+    ids=["keyword-0", "keyword-minus-2", "test-hook-0"],
+)
+def test_interrupt_before_the_first_cell_is_refused(
+    tmp_path, monkeypatch, workers, how
+):
+    # a threshold below 1 used to stop a serial run after one cell and a
+    # two-worker run after none: it is refused the same on every placement
+    how = dict(how)
+    if INTERRUPT_ENV in how:
+        monkeypatch.setenv(INTERRUPT_ENV, how.pop(INTERRUPT_ENV))
+    store = ResultStore(tmp_path / "early")
+    with pytest.raises(ValueError, match="must be >= 1|expected N"):
+        run_fabric(selftest_specs(5, seed=1), store, workers=workers, **how)
+    assert len(store) == 0
+
+
+@pytest.mark.parametrize(
+    "var, raw",
+    [
+        (KILL_ENV, "x"),
+        (KILL_ENV, "0:-3"),
+        (KILL_ENV, "-1:1"),
+        (HANG_ENV, "x"),
+        (INTERRUPT_ENV, "abc"),
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_malformed_test_hook_is_refused_before_any_cell(
+    tmp_path, monkeypatch, var, raw, workers
+):
+    # KILL=x killed every worker at start and was reported as a failed
+    # cell; KILL=0:-3 ran as 0:1; INTERRUPT=abc was a bare int() error
+    monkeypatch.setenv(var, raw)
+    store = ResultStore(tmp_path / "hook")
+    with pytest.raises(ValueError, match=f"^{var}={raw!r}: expected "):
+        run_fabric(selftest_specs(4), store, workers=workers)
+    assert len(store) == 0
+
+
+def test_kill_hook_without_a_count_kills_after_one_cell(tmp_path, monkeypatch):
+    specs = selftest_specs(6, sleep=0.02)
+    monkeypatch.setenv(KILL_ENV, "1")
+    store = ResultStore(tmp_path / "k1")
+    report = run_fabric(specs, store, workers=2, lease_timeout=5.0)
+    assert store.digest() == _reference_digest(tmp_path, specs)
+    assert report.stats["workers_spawned"] >= 3
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_too_few_workers_rejected(tmp_path, workers):
     with pytest.raises(ValueError, match=r"workers must be >= 1"):
