@@ -836,9 +836,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_conformance(args: argparse.Namespace) -> int:
     """Differential conformance fuzzing across all clock schemes/oracles.
 
-    Optionally replays a pinned-case corpus first, then runs the seeded
-    fuzz campaign.  Exit status 0 iff no corpus case and no fuzz trial
-    surfaced a mismatch.  ``--report`` writes every mismatch (plus a
+    Runs the seeded fuzz campaign, then optionally replays a pinned-case
+    corpus (loaded, and refused if malformed, before the campaign starts).
+    Exit status 0 iff no corpus case and no fuzz trial surfaced a
+    mismatch.  ``--report`` writes every mismatch (plus a
     summary record) as a structured JSONL trace via :mod:`repro.obs`.
     """
     from repro.conformance import (
@@ -893,21 +894,15 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         steps=args.steps,
         backend=args.backend,
     )
-    corpus_mismatches = 0
+    cases = None
     if args.corpus:
+        # refused before the sweep, replayed after it: the replay's backend
+        # differential imports numpy, which a coordinator about to fork
+        # workers must not hold (the same order for every placement)
         try:
             cases = load_corpus(args.corpus)
         except (OSError, ValueError, KeyError) as exc:
             return _error(f"cannot load corpus {args.corpus}: {exc}")
-        for case in cases:
-            for mm in replay_case(case):
-                corpus_mismatches += 1
-                tracer.event("corpus-mismatch", case=case.name,
-                             **mm.to_record())
-                print(f"corpus FAIL {case.name} [{mm.invariant}] "
-                      f"{mm.scheme}: {mm.detail}", file=sys.stderr)
-        print(f"corpus: {len(cases)} pinned case(s), "
-              f"{corpus_mismatches} mismatch(es)")
     with _sweep_store(args.fabric) as store:
         try:
             with _graceful_signals():
@@ -922,6 +917,17 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         except (CellFailed, ValueError, OSError) as exc:
             return _error(str(exc))
         report = merge_conformance_results(fabric_report.iter_results())
+    corpus_mismatches = 0
+    if cases is not None:
+        for case in cases:
+            for mm in replay_case(case):
+                corpus_mismatches += 1
+                tracer.event("corpus-mismatch", case=case.name,
+                             **mm.to_record())
+                print(f"corpus FAIL {case.name} [{mm.invariant}] "
+                      f"{mm.scheme}: {mm.detail}", file=sys.stderr)
+        print(f"corpus: {len(cases)} pinned case(s), "
+              f"{corpus_mismatches} mismatch(es)")
     for mm in report.mismatches:
         tracer.event("mismatch", **mm.to_record())
     tracer.event(

@@ -286,9 +286,11 @@ class TimestampAssignment:
         ids = events if events is not None else oracle.event_order
         sel = None if events is None else [oracle.index_of(e) for e in ids]
         m = len(ids)
-        n_ordered, neg_i, neg_j, pos_i, pos_j = decode_mismatches(
-            [self[eid] for eid in ids], oracle, sel
-        )
+        # with no event ⊥ the process-major rows are in event_order order;
+        # else ``self[eid]`` raises ``KeyError(eid)`` for the ⊥ one
+        whole = events is None and len(self) == m
+        stamps = [ts for row in self._rows for ts in row] if whole else [self[eid] for eid in ids]
+        n_ordered, neg_i, neg_j, pos_i, pos_j = decode_mismatches(stamps, oracle, sel)
         at = ids.__getitem__
         return ValidationReport(
             algorithm=self._algorithm.name,

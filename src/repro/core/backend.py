@@ -94,7 +94,8 @@ def resolve_backend(n_events: int, override: Optional[str] = None) -> str:
     """
     choice = _validate(override) if override is not None else _pinned or "auto"
     if choice == "auto":
-        if numpy_available() and n_events >= NUMPY_MIN_EVENTS:
+        # the size first: a small oracle never imports numpy to decide
+        if n_events >= NUMPY_MIN_EVENTS and numpy_available():
             return "numpy"
         return "pure"
     if choice == "numpy" and not numpy_available():

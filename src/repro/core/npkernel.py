@@ -17,6 +17,7 @@ Intentionally import-guarded: import this module only after
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -140,6 +141,11 @@ def ordered_pair_count(mat: np.ndarray) -> int:
 # ----------------------------------------------------------------------
 # scheme-side fast path: standard vector comparison, word-parallel
 # ----------------------------------------------------------------------
+#: bytes of output rows per block: a block and its gather buffer stay in L2
+#: while every table of a group is ANDed in
+BLOCK_BYTES = 1 << 18
+
+
 def standard_vector_matrix(
     vectors: Sequence[Tuple[Any, ...]],
 ) -> Optional[np.ndarray]:
@@ -150,8 +156,11 @@ def standard_vector_matrix(
     componentwise-strictly.  Per coordinate, one argsort of the composite
     key ``value * W + word`` groups equal values *and* target words in a
     single pass; grouped ORs (``bitwise_or.reduceat``) plus a cumulative
-    OR down the groups give the dominance mask, ANDed across coordinates;
-    equal-vector groups are then cleared.
+    OR down the groups give one dominance row per value.  These tables and
+    the equal-vector groups' complement are gathered per event and ANDed
+    into the output a cache-sized block of rows at a time, in groups of at
+    most ``m + n`` table rows: all of a vector clock's tables (coordinate
+    ``q`` takes at most count(q) + 1 values), never ``n`` all-distinct ones.
 
     Returns ``None`` — caller falls back to the pure path — when the
     input is ragged, non-numeric, or has non-finite / non-integral float
@@ -161,67 +170,96 @@ def standard_vector_matrix(
     m = len(vectors)
     if m == 0:
         return np.zeros((0, 1), dtype=np.uint64)
-    V = np.asarray(vectors)
-    if V.ndim != 2 or V.dtype == object:
-        return None
-    if not np.issubdtype(V.dtype, np.integer):
-        if not np.issubdtype(V.dtype, np.floating):
+    try:  # ints go in with no dtype discovery; a float entry sums to a float
+        n = len(vectors[0])
+        ints = set(map(len, vectors)) == {n} and type(sum(map(sum, vectors))) is int
+        V = np.fromiter(chain.from_iterable(vectors), np.int64, m * n) if ints else None
+    except (TypeError, ValueError, OverflowError):
+        V = None
+    if V is not None:
+        V = V.reshape(m, n)
+    else:  # floats (integral ones kept), or what the pure sweep takes
+        V = np.asarray(vectors)
+        if V.ndim != 2 or V.dtype == object:
             return None
-        if not np.isfinite(V).all():
-            return None
-        Vi = V.astype(np.int64)
-        if not (Vi == V).all():
-            return None
-        V = Vi
-    else:
-        V = V.astype(np.int64, copy=False)
+        if not np.issubdtype(V.dtype, np.integer):
+            if not np.issubdtype(V.dtype, np.floating):
+                return None
+            if not np.isfinite(V).all():
+                return None
+            Vi = V.astype(np.int64)
+            if not (Vi == V).all():
+                return None
+            V = Vi
+        else:
+            V = V.astype(np.int64, copy=False)
     n = V.shape[1]
     W = (m + 63) >> 6
     if n == 0:
         # every vector equals every other: nothing strictly precedes
         return np.zeros((m, W), dtype=np.uint64)
-    rows = np.full((m, W), FULL, dtype=np.uint64)
+    out = np.full((m, W), FULL, dtype=np.uint64)
     idx = np.arange(m)
     col = idx >> 6
     val_all = U64(1) << (idx & 63).astype(np.uint64)
-    gid_orig = np.empty(m, dtype=np.intp)
-    tmp = np.empty_like(rows)
-    starts = np.empty(m, dtype=bool)
-    sub = np.empty(m, dtype=bool)
+    starts = np.ones(m, dtype=bool)
+    # equal-vector removal, built while no other table is held (lexsort is
+    # stable: an equal run is in index order); the diagonal is cleared last
+    perm = np.lexsort(V.T[::-1])
+    np.any(V[perm[1:]] != V[perm[:-1]], axis=1, out=starts[1:])
+    gid = np.cumsum(starts) - 1
+    group, held = [], 0
+    if gid[-1] < m - 1:  # some vector repeats
+        group.append(_group_table(perm, gid, gid * W + col[perm], W, val_all))
+        np.invert(group[0][0], out=group[0][0])
+        held = len(group[0][0])
     for k in range(n):
         keys = V[:, k]
         # composite (value, word) key: 0 <= col < W keeps it lexicographic
         comp = keys * W + col
         perm = np.argsort(comp)
-        cs = comp[perm]
         ks = keys[perm]
-        starts[0] = True
         np.not_equal(ks[1:], ks[:-1], out=starts[1:])
-        sub[0] = True
-        np.not_equal(cs[1:], cs[:-1], out=sub[1:])
         gid = np.cumsum(starts) - 1
-        substart = np.flatnonzero(sub)
-        orvals = np.bitwise_or.reduceat(val_all[perm], substart)
-        grouped = np.zeros((int(gid[-1]) + 1, W), dtype=np.uint64)
-        grouped[gid[substart], cs[substart] - ks[substart] * W] = orvals
-        np.bitwise_or.accumulate(grouped, axis=0, out=grouped)
-        gid_orig[perm] = gid
-        np.take(grouped, gid_orig, axis=0, out=tmp)
-        np.bitwise_and(rows, tmp, out=rows)
-    # equal-vector removal: vectors never strictly precede their equals
-    perm = np.lexsort(V.T[::-1])
-    Vs = V[perm]
-    starts[0] = True
-    np.any(Vs[1:] != Vs[:-1], axis=1, out=starts[1:])
-    gid = np.cumsum(starts) - 1
-    comp = gid * W + col[perm]
-    sub[0] = True
-    np.not_equal(comp[1:], comp[:-1], out=sub[1:])
+        n_values = int(gid[-1]) + 1
+        if held + n_values > m + n:
+            _and_tables(out, group)
+            group, held = [], 0
+        group.append(_group_table(perm, gid, comp[perm], W, val_all))
+        np.bitwise_or.accumulate(group[-1][0], axis=0, out=group[-1][0])
+        held += n_values
+    _and_tables(out, group)
+    out[idx, col] &= ~val_all
+    return out
+
+
+def _group_table(
+    perm: np.ndarray, gid: np.ndarray, key: np.ndarray, W: int, val_all: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(table, row_of)``: row ``g`` ORs the bits of group ``g``, and
+    ``row_of[e]`` is event ``e``'s group.  *perm* lists the events by group,
+    then by word; ``gid[i]`` is the group of ``perm[i]`` and ``key[i]`` a
+    key that ascends with (group, word), its word ``key[i] % W``."""
+    sub = np.ones(len(perm), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=sub[1:])
     substart = np.flatnonzero(sub)
-    orvals = np.bitwise_or.reduceat(val_all[perm], substart)
-    grouped = np.zeros((int(gid[-1]) + 1, W), dtype=np.uint64)
-    grouped[comp[substart] // W, comp[substart] % W] = orvals
-    gid_orig[perm] = gid
-    np.take(grouped, gid_orig, axis=0, out=tmp)
-    rows &= ~tmp
-    return rows
+    table = np.zeros((int(gid[-1]) + 1, W), dtype=np.uint64)
+    table[gid[substart], key[substart] % W] = np.bitwise_or.reduceat(
+        val_all[perm], substart
+    )
+    row_of = np.empty(len(perm), dtype=np.int32)
+    row_of[perm] = gid
+    return table, row_of
+
+
+def _and_tables(out: np.ndarray, group: List[Tuple[np.ndarray, np.ndarray]]) -> None:
+    """AND into each block of *out*'s rows every table's rows of *group*."""
+    step = max(1, BLOCK_BYTES // out[0].nbytes)
+    gathered = np.empty((min(step, len(out)), out.shape[1]), dtype=np.uint64)
+    for lo in range(0, len(out), step):
+        block = out[lo : lo + step]
+        buf = gathered[: len(block)]
+        for table, row_of in group:
+            # indices are in range; "clip" skips the default's buffered copy
+            np.take(table, row_of[lo : lo + step], axis=0, out=buf, mode="clip")
+            np.bitwise_and(block, buf, out=block)

@@ -93,9 +93,23 @@ def chaos_cell_specs(
     retry_timeout: float = 4.0,
     retry_max: int = 4,
 ) -> List[Dict[str, Any]]:
-    """One spec per default chaos scenario, in sweep (input) order."""
-    from repro.faults.chaos import default_scenarios
+    """One spec per default chaos scenario, in sweep (input) order.
 
+    A clock that cannot run on *topology* — ``inline-star`` anywhere but on
+    a star centered at process 0, where its cells build it — is a
+    ``ValueError`` naming both, before any cell exists to fail.
+    """
+    from repro.conformance.registry import scheme_by_name, star_center_of
+    from repro.faults.chaos import default_scenarios
+    from repro.topology.generators import build_topology
+
+    graph = build_topology(topology, n, seed)
+    for name in clocks:
+        if scheme_by_name(name).star_only and star_center_of(graph) != 0:
+            raise ValueError(
+                f"clock {name!r} cannot run on topology {topology!r}: it "
+                "needs a star centered at process 0"
+            )
     return [
         {
             "kind": "chaos-scenario",

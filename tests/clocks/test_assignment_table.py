@@ -14,6 +14,8 @@ import pytest
 
 from repro.clocks import TimestampAssignment, replay_one
 from repro.conformance.registry import all_schemes
+from repro.core import HappenedBeforeOracle
+from repro.core.backend import numpy_available
 from repro.core.events import EventId
 from repro.core.random_executions import (
     execution_from_ops,
@@ -109,3 +111,34 @@ def test_the_table_is_a_copy_and_only_of_this_execution(spec):
     assert dict(shorter.items()) == {
         ev.eid: algo.timestamp(ev.eid) for ev in prefix.all_events()
     }
+
+
+@pytest.mark.parametrize("backend", ["pure", "numpy"])
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in all_schemes() if spec.inline],
+    ids=lambda spec: spec.name,
+)
+def test_validate_names_the_first_bottom_event(spec, backend):
+    """``validate`` reads the table by position only when no event is ⊥;
+    with a hole it raises ``KeyError`` for the first ⊥ event in the
+    oracle's order, whole or for a subset, as a lookup per event did."""
+    if backend == "numpy" and not numpy_available():
+        pytest.skip("requires numpy >= 2.0")
+    graph = generators.star(N)
+    execution = random_execution(
+        graph, random.Random(11), steps=80, fifo=True, deliver_all=True
+    )
+    asg = replay_one(execution, spec.build(graph, CENTER), finalize=False)
+    oracle = HappenedBeforeOracle(execution, backend=backend)
+    holes = [eid for eid in oracle.event_order if eid not in asg]
+    assert holes and len(asg) + len(holes) == execution.n_events
+    with pytest.raises(KeyError) as whole:
+        asg.validate(oracle)
+    assert whole.value.args == (holes[0],)
+    subset = [eid for eid in oracle.event_order if eid in asg][:5] + holes[-1:]
+    with pytest.raises(KeyError) as part:
+        asg.validate(oracle, subset)
+    assert part.value.args == (holes[-1],)
+    full = replay_one(execution, spec.build(graph, CENTER))
+    assert full.validate(oracle) == full.validate_pairwise(oracle)

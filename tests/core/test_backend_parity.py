@@ -11,7 +11,10 @@ held against :func:`tests.helpers.reference_past_masks`, a delivery-order
 OR recurrence that shares no code with either decoder.
 """
 
+import os
 import random
+import subprocess
+import sys
 from contextlib import nullcontext
 from itertools import accumulate
 
@@ -268,6 +271,28 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             with use_backend("cuda"):
                 pass
+
+    def test_a_small_oracle_does_not_import_numpy(self):
+        """The size rule is tested before numpy is probed: a 10-event
+        oracle resolves to ``pure`` and leaves numpy unimported (a fabric
+        coordinator that replays a small case before it forks must not
+        hand numpy to its workers).  Run in a fresh interpreter, since this
+        one has long imported numpy."""
+        code = (
+            "import random, sys\n"
+            "from repro.core import HappenedBeforeOracle\n"
+            "from repro.core.random_executions import random_execution\n"
+            "from repro.topology import generators\n"
+            "ex = random_execution(generators.star(3), random.Random(0), steps=10)\n"
+            "assert 0 < ex.n_events < 12, ex.n_events\n"
+            "print(HappenedBeforeOracle(ex).backend, 'numpy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.split() == ["pure", "False"]
 
     @needs_numpy
     def test_oracle_honours_forcing(self):

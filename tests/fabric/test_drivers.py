@@ -179,3 +179,17 @@ def test_mismatch_record_round_trip():
                  "fault": "none"},
     )
     assert mismatch_from_record(mm.to_record()) == mm
+
+
+@pytest.mark.parametrize(
+    "topology, n", [("tree", 5), ("path", 3), ("cycle", 4), ("double-star", 6)]
+)
+def test_chaos_specs_refuse_a_star_clock_off_the_star(topology, n):
+    with pytest.raises(ValueError, match=f"'inline-star' cannot run on topology '{topology}'"):
+        chaos_cell_specs(topology, n, 10, 0, ["vector", "inline-star"], quick=True)
+    assert chaos_cell_specs(topology, n, 10, 0, ["vector", "inline"], quick=True)
+
+
+@pytest.mark.parametrize("topology, n", [("star", 5), ("path", 2)])
+def test_chaos_specs_keep_a_star_clock_on_a_star(topology, n):
+    assert chaos_cell_specs(topology, n, 10, 0, ["inline-star"], quick=True)

@@ -8,7 +8,9 @@ the test process has long loaded every ``repro`` module a cell needs:
   but ``repro.core.npkernel`` (an undeclared deferred import fails here);
 - in a two-worker sweep, each worker's first cell imports no other
   ``repro`` module, so the preload happened before the fork;
-- the coordinator itself never imports numpy.
+- the coordinator itself never imports numpy, and a ``--corpus``
+  campaign replays its corpus (which does import numpy) only after the
+  workers have exited.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +134,42 @@ def test_the_coordinator_never_imports_numpy():
     out = run_fresh(SWEEP, "default")
     assert len(out["results"]) == 4
     assert not out["coordinator_numpy"]
+
+
+CORPUS_CAMPAIGN = """
+import contextlib, io, json, multiprocessing.process, sys
+from repro.cli import main
+
+start = multiprocessing.process.BaseProcess.start
+numpy_at_start = []
+
+
+def checked_start(self):
+    # a forked worker starts with what its coordinator holds right now
+    numpy_at_start.append("numpy" in sys.modules)
+    start(self)
+
+
+multiprocessing.process.BaseProcess.start = checked_start
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    status = main(sys.argv[1:])
+print(json.dumps({"status": status, "numpy_at_start": numpy_at_start,
+                  "stdout": out.getvalue()}))
+"""
+
+
+def test_a_corpus_campaign_starts_no_worker_with_numpy(tmp_path):
+    """The corpus is loaded before the sweep and replayed after it: its
+    replay runs the backend differential, which imports numpy."""
+    corpus = Path(__file__).resolve().parents[1] / "conformance" / "corpus"
+    out = run_fresh(
+        CORPUS_CAMPAIGN, "conformance", "--trials", "4", "--steps", "20",
+        "--backend", "auto", "--corpus", str(corpus), "--workers", "2",
+        "--chunk-size", "2", "--fabric", str(tmp_path / "store"),
+    )
+    assert out["status"] == 0, out["stdout"]
+    assert out["numpy_at_start"] == [False, False]
+    lines = out["stdout"].splitlines()
+    corpus_line = next(i for i, line in enumerate(lines) if line.startswith("corpus:"))
+    assert lines[corpus_line + 1].startswith("conformance: 4 trial(s)")

@@ -384,6 +384,20 @@ class TestBadPathExitCodes:
         ])
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "placement", [[], ["--workers", "2"]], ids=["flagless", "workers2"]
+    )
+    def test_chaos_refuses_a_clock_its_topology_cannot_run(self, placement, capsys):
+        # used to run every cell max_retries times, then report a cell failure
+        err = self._expect_failure(capsys, [
+            "chaos", "--topology", "tree", "--clocks", "inline-star", "vector",
+            "--n", "5", "--events", "10", "--quick", *placement,
+        ])
+        assert err == (
+            "repro: error: clock 'inline-star' cannot run on topology "
+            "'tree': it needs a star centered at process 0\n"
+        )
+
     def test_conformance_missing_corpus(self, tmp_path, capsys):
         self._expect_failure(capsys, [
             "conformance", "--trials", "0",
