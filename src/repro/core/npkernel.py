@@ -179,7 +179,10 @@ def standard_vector_matrix(
     if V is not None:
         V = V.reshape(m, n)
     else:  # floats (integral ones kept), or what the pure sweep takes
-        V = np.asarray(vectors)
+        try:
+            V = np.asarray(vectors)
+        except ValueError:  # ragged: numpy refuses an inhomogeneous shape
+            return None
         if V.ndim != 2 or V.dtype == object:
             return None
         if not np.issubdtype(V.dtype, np.integer):

@@ -1,7 +1,7 @@
 """Client/sequencer/server nodes of the Figure-4 causal KV store.
 
 The store's roles, routing discipline and session-causal guard, on asyncio
-streams via :mod:`repro.net.transport`; its configuration, records and audit
+protocols via :mod:`repro.net.transport`; its configuration, records and audit
 live in :mod:`repro.applications.causal_kv`.  The same nodes run on TCP
 (``repro kv-live``: one OS process hosts the whole loopback cluster; ``repro
 serve``: one node per process with a shared JSON address book) and on
@@ -715,6 +715,8 @@ class ServerNode(LiveNode):
         self.version_counter: Dict[str, int] = {}
         self._commit_by_rid: Dict[str, Dict[str, Any]] = {}
         self._applied = asyncio.Condition()
+        #: reads waiting on ``_applied``: an apply notifies only while one is
+        self._reads_waiting = 0
         self.read_guard_timeout = 15.0
         self._commits = counter("net.commits")
         self._reads_served = counter("net.reads_served")
@@ -775,8 +777,9 @@ class ServerNode(LiveNode):
         self._commits.inc()
         response = {"version": version}
         self._commit_by_rid[orid] = dict(response)
-        async with self._applied:
-            self._applied.notify_all()
+        if self._reads_waiting:
+            async with self._applied:
+                self._applied.notify_all()
         repl = {
             "type": "repl",
             "key": key,
@@ -812,8 +815,9 @@ class ServerNode(LiveNode):
                 int(message["writer"]),
                 int(message["wsi"]),
             )
-            async with self._applied:
-                self._applied.notify_all()
+            if self._reads_waiting:
+                async with self._applied:
+                    self._applied.notify_all()
         return {}
 
     def _satisfied(self, deps: Dict[str, int]) -> bool:
@@ -823,17 +827,21 @@ class ServerNode(LiveNode):
 
     async def _handle_read(self, message: Dict[str, Any]) -> Dict[str, Any]:
         deps = {str(k): int(v) for k, v in dict(message["deps"]).items()}
-        async with self._applied:
+        if not self._satisfied(deps):  # usually met on arrival: no wait
+            self._reads_waiting += 1
             try:
-                await asyncio.wait_for(
-                    self._applied.wait_for(lambda: self._satisfied(deps)),
-                    self.read_guard_timeout,
-                )
+                async with self._applied:
+                    await asyncio.wait_for(
+                        self._applied.wait_for(lambda: self._satisfied(deps)),
+                        self.read_guard_timeout,
+                    )
             except asyncio.TimeoutError:
                 counter("net.read_guard_timeouts").inc()
                 raise TransportError(
                     f"read guard timed out at p{self.pid}: deps {deps} unmet"
                 ) from None
+            finally:
+                self._reads_waiting -= 1
         key = message["key"]
         version, wdeps, writer, wsi = self.replica.get(key, (0, {}, -1, -1))
         self._reads_served.inc()

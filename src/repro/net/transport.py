@@ -9,23 +9,24 @@ of the :mod:`repro.net` runtime.  Design goals, in order:
   wire; clock payloads (tuples, integer-keyed dicts, ``inf`` sentinels) are
   carried through the lossless :func:`pack_payload` tagging scheme because
   plain JSON would silently turn tuples into lists and integer keys into
-  strings.  A frame that is oversized, not JSON or not an object costs the
-  connection it arrived on and nothing else (``net.frames_rejected``): the
-  client drops that connection and its running attempt's retransmission
-  dials a new one, the server closes it and keeps serving the others.
+  strings.  A connection is a :class:`FrameStream`, an ``asyncio.Protocol``
+  that hands each frame to its owner where its bytes arrive: no reader task
+  and no wake-up per socket read.  A frame that is oversized, not JSON or
+  not an object costs the connection it arrived on and nothing else
+  (``net.frames_rejected``): the client drops that connection and its
+  running attempt's retransmission dials a new one, the server closes it
+  and keeps serving the others.
 - **At-least-once requests, exactly-once effects.**  Every request carries
   an idempotent request id (``rid``).  :class:`PeerClient` retransmits a
   request after a per-attempt deadline with exponential backoff + jitter,
   up to a bounded retry budget.  One attempt is one timer: it covers
   (re)connecting, writing the frame and waiting for the response, and a
   response to *any* earlier transmission of the rid completes the attempt
-  that is waiting.  :class:`RpcServer` deduplicates by ``rid`` — a
-  retransmit of a completed request replays the cached response frame,
-  byte for byte, without re-invoking the handler or re-encoding anything,
-  and a retransmit of an in-flight request joins the first invocation.  A
-  handler result JSON cannot carry is an error response, like a handler
-  exception.  That invocation is one task owned by the server,
-  not by the connection that asked first, so losing the connection neither
+  that is waiting.  :class:`RpcServer` deduplicates by ``rid`` as each
+  request arrives — a retransmit of a completed request replays the cached
+  response frame, byte for byte, and one of an in-flight request joins the
+  first invocation.  That invocation is one task owned by the server, not
+  by the connection that asked first, so losing the connection neither
   cancels the handler nor forgets its result; only :meth:`RpcServer.stop`
   cancels it, and then nothing is cached and nothing is answered.
 - **Reconnection.**  A :class:`PeerClient` owns at most one TCP connection
@@ -196,15 +197,6 @@ def unpack_payload(obj: Any) -> Any:
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _decode = json.JSONDecoder().decode
 
-#: bytes asked of the socket per read; a read often carries several frames
-_READ_CHUNK = 64 * 1024
-
-
-def _reject(reason: str) -> TransportError:
-    counter("net.frames_rejected").inc()
-    return TransportError(reason)
-
-
 def _encode_frame(obj: Dict[str, Any]) -> bytes:
     """*obj* as one frame: a 4-byte big-endian length, then compact JSON.
     Raises ``TypeError`` / ``ValueError`` / ``RecursionError`` for what JSON
@@ -215,29 +207,77 @@ def _encode_frame(obj: Dict[str, Any]) -> bytes:
     return len(body).to_bytes(4, "big") + body
 
 
-class FrameStream:
-    """Length-prefixed JSON frames over one asyncio stream pair.
+class FrameStream(asyncio.Protocol):
+    """Length-prefixed JSON frames over one connection.
 
-    A frame is a single transport ``write()``, which asyncio never
-    interleaves with another, so concurrent senders need no lock.  The write
-    buffer's high-water mark is raised to one maximal frame: a frame written
-    while the buffer is empty (:attr:`idle`) can then never push the stream
-    into back-pressure, so it goes out as one synchronous :meth:`write` —
-    no coroutine — which is what lets :meth:`PeerClient.request` and
-    :class:`RpcServer` write inline.  Only a stream with bytes still
-    buffered makes :meth:`send` wait for :meth:`drain` first.
+    :meth:`data_received` cuts whole frames off the connection's buffer and
+    hands each to ``on_frame(stream, frame)`` there and then, and
+    ``on_frame(stream, None)`` once the connection is gone (EOF closes it:
+    :meth:`eof_received` is the base class's).  A frame that is oversized,
+    not JSON or not an object costs the connection (:meth:`reject`).
+
+    A frame is one transport ``write()``, never interleaved with another, so
+    senders need no lock.  The high-water mark is one maximal frame, so a
+    frame written while nothing is buffered (:attr:`idle`) cannot cause
+    back-pressure and goes out as one synchronous :meth:`write`, no
+    coroutine; only :meth:`send` to a stream with bytes still buffered
+    waits, for :meth:`drain`, which ``pause_writing`` / ``resume_writing``
+    drive.
     """
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, on_frame: Callable[["FrameStream", Optional[Dict[str, Any]]], None]
     ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._transport = writer.transport
+        self._on_frame = on_frame
+        self._transport: Optional[asyncio.BaseTransport] = None
         self._inbox = bytearray()
+        self._closed = False
+        #: while the transport holds writing back: what drain() waits for
+        self._drained: Optional[asyncio.Future] = None
         self._frames_sent = counter("net.frames_sent")
         self._frames_received = counter("net.frames_received")
-        self._transport.set_write_buffer_limits(high=MAX_FRAME_BYTES + 4)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        transport.set_write_buffer_limits(high=MAX_FRAME_BYTES + 4)
+        if self._closed:  # closed before the connection was made
+            transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        inbox = self._inbox
+        inbox += data
+        start, have = 0, len(inbox)
+        while have - start >= 4 and not self._closed:
+            size = int.from_bytes(inbox[start:start + 4], "big")
+            if size > MAX_FRAME_BYTES:
+                return self.reject()
+            end = start + 4 + size
+            if end > have:
+                break
+            body = inbox[start + 4:end]
+            start = end
+            try:
+                frame = _decode(body.decode("utf-8"))
+            except ValueError:  # bad UTF-8 or bad JSON
+                return self.reject()
+            if type(frame) is not dict:
+                return self.reject()
+            self._frames_received.inc()
+            self._on_frame(self, frame)
+        del inbox[:start]
+
+    def pause_writing(self) -> None:
+        self._drained = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        waiter, self._drained = self._drained, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closed = True
+        self.resume_writing()  # a waiting drain() wakes up and raises
+        self._on_frame(self, None)
 
     @property
     def idle(self) -> bool:
@@ -246,14 +286,11 @@ class FrameStream:
         return self._transport.get_write_buffer_size() == 0
 
     def write(self, frame: bytes) -> None:
-        """Put one encoded frame on the wire now, without waiting.
-
-        Meant for an :attr:`idle` stream, which one frame cannot push into
-        back-pressure, or for one just drained.  A connection that is
+        """Put one encoded frame on the wire now, without waiting (an
+        :attr:`idle` stream, or one just drained).  A connection that is
         closing, or whose socket write just failed, raises
         :class:`ConnectionClosed` at once: asyncio would drop the bytes
-        silently.
-        """
+        silently."""
         transport = self._transport
         if not transport.is_closing():
             transport.write(frame)
@@ -263,11 +300,11 @@ class FrameStream:
         raise ConnectionClosed("connection lost")
 
     async def drain(self) -> None:
-        """Wait until the write buffer is back under its high-water mark."""
-        try:
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            raise ConnectionClosed(str(exc)) from exc
+        """Wait until the write buffer is back under its low-water mark."""
+        if self._drained is not None:
+            await self._drained
+        if self._transport.is_closing():
+            raise ConnectionClosed("connection lost")
 
     async def send(self, obj: Dict[str, Any]) -> None:
         """Encode *obj* and write it as one frame, after waiting out
@@ -277,47 +314,15 @@ class FrameStream:
             await self.drain()
         self.write(frame)
 
-    async def recv(self) -> Optional[Dict[str, Any]]:
-        """Next frame, or ``None`` on EOF (mid-frame included).
-
-        Frames are cut off a per-connection buffer that one ``read()``
-        refills, so a socket read costs one wake-up however many frames it
-        carried.  An oversized, undecodable or non-object frame raises
-        :class:`TransportError` (``net.frames_rejected``): the byte stream
-        cannot be trusted past it, so the caller gives the connection up.
-        """
-        inbox = self._inbox
-        while True:
-            if len(inbox) >= 4:
-                size = int.from_bytes(inbox[:4], "big")
-                if size > MAX_FRAME_BYTES:
-                    raise _reject(f"incoming frame too large ({size} bytes)")
-                end = 4 + size
-                if len(inbox) >= end:
-                    body = inbox[4:end]
-                    del inbox[:end]
-                    break
-            try:
-                chunk = await self._reader.read(_READ_CHUNK)
-            except (ConnectionError, OSError):
-                return None
-            if not chunk:
-                return None
-            inbox += chunk
-        try:
-            frame = _decode(body.decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise _reject(f"undecodable frame: {exc}") from exc
-        if type(frame) is not dict:
-            raise _reject(f"frame is not an object: {type(frame).__name__}")
-        self._frames_received.inc()
-        return frame
+    def reject(self) -> None:
+        """Give the connection up over a frame that cannot be trusted."""
+        counter("net.frames_rejected").inc()
+        self.close()
 
     def close(self) -> None:
-        try:
-            self._writer.close()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+        self._closed = True
+        if self._transport is not None:
+            self._transport.close()
 
 
 def _write_interposed(
@@ -384,7 +389,6 @@ class PeerClient:
         self._rng = random.Random((self.policy.seed << 20) ^ (src << 10) ^ dst)
         self._nonce = f"{os.getpid():x}.{time.monotonic_ns():x}"
         self._stream: Optional[FrameStream] = None
-        self._reader_task: Optional[asyncio.Task] = None
         self._pending: Dict[str, asyncio.Future] = {}
         self._rid_counter = itertools.count()
         self._conn_lock = asyncio.Lock()
@@ -397,24 +401,20 @@ class PeerClient:
                 return self._stream
             delay = self.policy.reconnect_delay
             attempt = 0
+            loop = asyncio.get_running_loop()
             while True:
                 if self._closed:
                     raise ConnectionClosed("client closed")
                 host, port = self._resolve()
                 try:
-                    reader, writer = await asyncio.open_connection(host, port)
-                    stream = FrameStream(reader, writer)
-                    try:
-                        await stream.send(
-                            {"t": "hello", "schema": WIRE_SCHEMA, "proc": self.src}
-                        )
-                    except BaseException:
-                        stream.close()  # failed or cancelled at the deadline
-                        raise
-                    self._stream = stream
-                    self._reader_task = asyncio.ensure_future(
-                        self._read_loop(stream)
+                    _, stream = await loop.create_connection(
+                        lambda: FrameStream(self._on_frame), host, port
                     )
+                    # a new stream is idle: nothing waits, nothing is cancelled
+                    stream.write(_encode_frame(
+                        {"t": "hello", "schema": WIRE_SCHEMA, "proc": self.src}
+                    ))
+                    self._stream = stream
                     if attempt:
                         counter("net.reconnects").inc()
                     return stream
@@ -426,33 +426,24 @@ class PeerClient:
                     await asyncio.sleep(sleep)
                     delay *= self.policy.backoff
 
-    async def _read_loop(self, stream: FrameStream) -> None:
-        while True:
-            try:
-                frame = await stream.recv()
-            except TransportError:
-                frame = None  # malformed: this connection is lost
-            if frame is None:
-                break
-            if frame.get("t") == "res":
-                fut = self._pending.get(frame.get("rid"))
-                if fut is not None and not fut.done():
-                    fut.set_result(frame)
-                else:
-                    # a duplicate, or its requester gave the rid up
-                    counter("net.responses_unmatched").inc()
-        # connection died: drop it so the next transmission reconnects
-        if self._stream is stream:
-            self._stream = None
-        stream.close()
+    def _on_frame(self, stream: FrameStream, frame: Optional[Dict[str, Any]]) -> None:
+        """A response resolves the attempt waiting for its rid; the end of
+        the connection drops it, so the next transmission reconnects."""
+        if frame is None:
+            if self._stream is stream:
+                self._stream = None
+        elif frame.get("t") == "res":
+            fut = self._pending.get(frame.get("rid"))
+            if fut is not None and not fut.done():
+                fut.set_result(frame)
+            else:
+                # a duplicate, or its requester gave the rid up
+                counter("net.responses_unmatched").inc()
 
     def _drop_connection(self) -> None:
         if self._stream is not None:
             self._stream.close()
             self._stream = None
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            self._reader_task = None
 
     # -- request path ---------------------------------------------------
     def next_rid(self) -> str:
@@ -561,18 +552,20 @@ Asker = Tuple[FrameStream, int]
 class RpcServer:
     """Accepts framed connections, dispatches requests exactly once.
 
-    ``handler(src_proc, message) -> response`` runs in one task per request
-    id, owned by the server and not by the connection that asked first: a
-    deferred read cannot head-of-line-block a connection, and a requester
-    that loses its connection and retransmits over a new one still finds
-    the first invocation running.  Each response is encoded once, when the
-    invocation finishes, and its frame's bytes are cached by request id —
-    a result JSON cannot carry becomes an ``ok: false`` response with the
-    encoder's message, like a handler exception.  The cache holds
-    :data:`DEDUP_CAPACITY` responses, FIFO: the oldest goes first, and a hit
-    does not refresh it.  A retransmission of a *completed* request writes the cached bytes again,
-    and one racing an in-flight invocation joins the connections that
-    invocation answers when it finishes.
+    A connection's first frame must be a hello naming the peer; each
+    request after it is looked up in the dedup tables as it arrives
+    (:meth:`_on_frame`).  ``handler(src_proc, message) -> response`` runs in
+    one task per request id, owned by the server and not by the connection
+    that asked first: a deferred read cannot head-of-line-block a
+    connection, and a requester that loses its connection and retransmits
+    over a new one still finds the first invocation running.  Each response
+    is encoded once, when the invocation finishes, and its frame's bytes are
+    cached by request id — a result JSON cannot carry becomes an ``ok:
+    false`` response with the encoder's message, like a handler exception.
+    The cache holds :data:`DEDUP_CAPACITY` responses, FIFO: a hit does not
+    refresh one.  A retransmission of a *completed* request writes the
+    cached bytes again, and one racing an in-flight invocation joins the
+    connections that invocation answers when it finishes.
     """
 
     def __init__(
@@ -585,78 +578,69 @@ class RpcServer:
         self._handler = handler
         self._interposer = interposer
         self._server: Optional[asyncio.AbstractServer] = None
+        #: open connection -> the peer its hello named (``None`` before it)
+        self._conns: Dict[FrameStream, Optional[int]] = {}
         #: rid -> its response frame, encoded, oldest first
         self._done: "OrderedDict[str, bytes]" = OrderedDict()
         #: rid whose handler is running -> everyone waiting for its response
         self._inflight: Dict[str, List[Asker]] = {}
-        self._invocations: set = set()
-        self._conn_tasks: set = set()
+        #: handler invocations, and replays waiting out back-pressure
+        self._tasks: set = set()
         self.address: Optional[Tuple[str, int]] = None
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(self._accept, host, port)
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
         return self.address
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> FrameStream:
+        """The protocol factory: one :class:`FrameStream` per connection."""
+        stream = FrameStream(self._on_frame)
         if self._server is None:
-            # accepted just as stop() closed the listener, so stop() never
-            # saw this task: serving it would leave a stopped (crashed) node
-            # answering on a connection its peer has no reason to drop
-            writer.close()
+            # accepted just as stop() closed the listener: serving it would
+            # leave a stopped (crashed) node answering on a connection its
+            # peer has no reason to drop
+            stream.close()
+        else:
+            self._conns[stream] = None
+        return stream
+
+    def _on_frame(self, stream: FrameStream, frame: Optional[Dict[str, Any]]) -> None:
+        conns = self._conns
+        if frame is None:
+            conns.pop(stream, None)
             return
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        stream = FrameStream(reader, writer)
-        loop = asyncio.get_running_loop()
-        try:
-            hello = await stream.recv()
-            if hello is None:
-                return
-            peer = hello.get("proc")
+        peer = conns.get(stream)
+        if peer is None:
+            peer = frame.get("proc")
             if (
-                hello.get("t") != "hello"
-                or hello.get("schema") != WIRE_SCHEMA
+                frame.get("t") != "hello"
+                or frame.get("schema") != WIRE_SCHEMA
                 or type(peer) is not int
             ):
-                raise _reject(f"not a {WIRE_SCHEMA} hello: {hello!r}")
-            while True:
-                frame = await stream.recv()
-                if frame is None:
-                    break
-                if frame.get("t") != "req":
-                    continue
-                rid = frame.get("rid", "")
-                response = self._done.get(rid)
-                if response is not None:
-                    counter("net.dedup_hits").inc()
-                    counter("net.dedup_replayed").inc()
-                    if stream.idle:
-                        self._respond_now(stream, peer, response)
-                    else:
-                        await self._respond(stream, peer, response)
-                elif rid in self._inflight:
-                    counter("net.dedup_hits").inc()
-                    counter("net.dedup_joined").inc()
-                    self._inflight[rid].append((stream, peer))
-                else:
-                    self._inflight[rid] = [(stream, peer)]
-                    self._invocations.add(
-                        loop.create_task(
-                            self._invoke(rid, peer, frame.get("m", {}))
-                        )
-                    )
-        except TransportError:
-            pass  # malformed frame, already counted: this connection only
-        except asyncio.CancelledError:
-            pass  # server teardown; fall through to cleanup
-        finally:
-            stream.close()
+                stream.reject()  # not a hello of this schema
+            else:
+                conns[stream] = peer
+            return
+        if frame.get("t") != "req":
+            return
+        rid = frame.get("rid", "")
+        response = self._done.get(rid)
+        if response is not None:
+            counter("net.dedup_hits").inc()
+            counter("net.dedup_replayed").inc()
+            self._respond(stream, peer, response)
+        elif rid in self._inflight:
+            counter("net.dedup_hits").inc()
+            counter("net.dedup_joined").inc()
+            self._inflight[rid].append((stream, peer))
+        else:
+            self._inflight[rid] = [(stream, peer)]
+            self._tasks.add(asyncio.get_running_loop().create_task(
+                self._invoke(rid, peer, frame.get("m", {}))
+            ))
 
     async def _invoke(self, rid: str, peer: int, message: Dict[str, Any]) -> None:
         """Run the handler once for *rid*, cache the encoded response, answer
@@ -674,38 +658,44 @@ class RpcServer:
             while len(self._done) > DEDUP_CAPACITY:
                 self._done.popitem(last=False)
             for stream, asker in askers:
-                if stream.idle:
-                    self._respond_now(stream, asker, response)
-                else:
-                    await self._respond(stream, asker, response)
+                self._respond(stream, asker, response)
         finally:
-            self._invocations.discard(asyncio.current_task())
+            self._tasks.discard(asyncio.current_task())
 
-    async def _respond(self, stream: FrameStream, peer: int, response: bytes) -> None:
-        """Send *response* once *stream*'s back-pressure clears; an idle
-        stream takes it through :meth:`_respond_now`, with no coroutine."""
+    def _respond(self, stream: FrameStream, peer: int, response: bytes) -> None:
+        """Write *response* now to an idle *stream*, with no coroutine; a
+        back-pressured one gets it from a task once it drains."""
+        if not stream.idle:
+            task = asyncio.get_running_loop().create_task(
+                self._respond_drained(stream, peer, response)
+            )
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+            return
         try:
-            await _send_interposed(stream, response, self._interposer, self.proc, peer)
+            _write_interposed(stream, response, self._interposer, self.proc, peer)
         except TransportError:
             pass  # requester reconnects and retransmits; dedup replays
 
-    def _respond_now(self, stream: FrameStream, peer: int, response: bytes) -> None:
-        """:meth:`_respond` for an idle stream: nothing waits."""
+    async def _respond_drained(self, stream: FrameStream, peer: int, response: bytes) -> None:
         try:
-            _write_interposed(stream, response, self._interposer, self.proc, peer)
+            await _send_interposed(stream, response, self._interposer, self.proc, peer)
         except TransportError:
             pass  # as in _respond
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = [*self._invocations, *self._conn_tasks]
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()  # from here on, _accept closes what it is handed
+        for stream in list(self._conns):
+            stream.close()
+        self._conns.clear()
+        tasks = list(self._tasks)
         for t in tasks:
             t.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
         # what a task cancelled before its first step could not tidy itself
-        self._invocations.clear()
+        self._tasks.clear()
         self._inflight.clear()

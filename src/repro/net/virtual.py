@@ -5,10 +5,11 @@ deterministically and as fast as the processor allows.  Its ``time()`` moves
 only when nothing is ready to run: the selector, asked to wait for the next
 timer, advances the clock to it instead (and raises when there is no timer
 to wait for).  ``create_server`` / ``create_connection`` — what
-``asyncio.start_server`` / ``open_connection`` call — join the two protocols
-with in-memory transports: bytes arrive in order one loop step after they
-are written, a closed end reads EOF, a connect nobody listens for is
-refused.  Threads are outside the loop: nothing waits on its self-pipe.
+:mod:`repro.net.transport` calls — join the two protocols with in-memory
+transports: bytes arrive in order one loop step after they are written, a
+closed end reads EOF (and closes, unless ``eof_received`` answers true), a
+connect nobody listens for is refused.  Threads are outside the loop:
+nothing waits on its self-pipe.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class _Pipe(asyncio.Transport):
     def _receive_eof(self) -> None:
         if not (self._lost or self._eof):
             self._eof = True
-            self._protocol.eof_received()  # a stream keeps its end open
+            if not self._protocol.eof_received():  # asyncio's rule
+                self.close()
 
     def _lose(self) -> None:
         self._lost = True

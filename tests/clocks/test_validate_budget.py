@@ -6,7 +6,10 @@ does, but ``call`` *and* ``c_call`` events — every function the interpreter
 dispatches, Python or builtin, because the old per-bit loop spent its time
 in ``min``/``max``/``append``/``bit_length`` — for one ``validate()`` of a
 lossy scheme against a numpy oracle, over a FIFO star(32) execution of
-1,035 events.
+1,035 events.  The count follows one uncounted ``validate()`` on objects of
+its own (the first in a process pays for lazy imports) and runs with the
+collector off, so it is the same alone, after other tests and twice in one
+process.
 
 At ``389689e`` the mismatch decode ran in the interpreter, one iteration per
 mismatch bit (run this file as a script to print the figures; the
@@ -47,6 +50,7 @@ vector component.  Drawn by position, each stamp fetched once and vectors
 compared by ``all(map(le, a, b))`` it costs 10.1 and 12.8.
 """
 
+import gc
 import random
 import sys
 from pathlib import Path
@@ -71,10 +75,13 @@ from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 
 PARENT_CALLS = {"hlc": 662_679, "lamport": 661_641, "plausible": 284_464}
-#: measured 2.7-6.5 alone and 3.1-7.0 after ``tests/core`` in one pytest
-#: run on CPython 3.11 (3.7-7.5 and 3.9-8.0 while ``validate`` fetched each
-#: timestamp by event id), + 5 %
-CEILING_CALLS_PER_EVENT = 7.3
+#: measured 2.79-6.36 (plausible 2,885, lamport 5,549, hlc 6,584 calls) on
+#: CPython 3.11, the same alone, after ``tests/core`` and twice in one
+#: process, + 5 %.  Counted without the warm-up and with the collector on it
+#: was 2.7-6.5 alone and 3.1-7.0 after ``tests/core`` (hypothesis's
+#: ``gc.callbacks`` hook ran inside the count), and 3.7-7.5 / 3.9-8.0 while
+#: ``validate`` fetched each timestamp by event id
+CEILING_CALLS_PER_EVENT = 6.7
 #: calls per sampled pair at ``e71ddf4``, and the ceiling: 10.1 / 12.8
 #: measured on CPython 3.11 and 3.12, + 5 %
 SAMPLED_PARENT_CALLS_PER_PAIR = {"inline-cover": 28.4, "vector": 42.3}
@@ -90,7 +97,9 @@ def _fixed_execution():
 
 
 def _count_calls(fn, kinds):
-    """``(profile events of *kinds* during fn(), fn()'s result)``."""
+    """``(profile events of *kinds* during fn(), fn()'s result)``, with the
+    collector off: a collection would run whatever ``gc.callbacks`` hold
+    (hypothesis installs one) inside the count."""
     calls = 0
 
     def profile(_frame, event, _arg):
@@ -99,19 +108,27 @@ def _count_calls(fn, kinds):
             calls += 1
 
     previous = sys.getprofile()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = fn()
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls, result
 
 
 def _validate_calls(scheme: str):
-    graph, ex = _fixed_execution()
-    asg = replay_one(ex, scheme_by_name(scheme).build(graph, 0))
-    oracle = HappenedBeforeOracle(ex, backend="numpy")
-    return _count_calls(lambda: asg.validate(oracle), ("call", "c_call"))
+    def validate():
+        graph, ex = _fixed_execution()
+        asg = replay_one(ex, scheme_by_name(scheme).build(graph, 0))
+        oracle = HappenedBeforeOracle(ex, backend="numpy")
+        return lambda: asg.validate(oracle)
+
+    # one uncounted run on objects of its own first: the first in a process
+    # pays for lazy imports, which the count is not about
+    validate()()
+    return _count_calls(validate(), ("call", "c_call"))
 
 
 @pytest.mark.skipif(not numpy_available(), reason="requires numpy >= 2.0")

@@ -21,6 +21,8 @@ import pytest
 
 from repro.clocks import INFINITY, VectorClock, replay_one
 from repro.clocks.base import standard_vector_rows, vector_lt
+from repro.clocks.vector import VectorTimestamp
+from repro.core import HappenedBeforeOracle
 from repro.core.backend import numpy_available
 from repro.core.random_executions import random_execution
 from repro.topology import generators
@@ -127,11 +129,56 @@ def test_default_block_height_against_the_pure_kernel():
         [(0, 1), (2**70, 2)],  # beyond int64
         [(0, 1), (None, 2)],
         [("a", "b"), ("c", "d")],
+        [(1, 2), (3,)],  # ragged: numpy refuses the shape
+        [(0.5, 1.0), (1.0,)],  # ragged, floats first
     ],
-    ids=["infinity", "fractional", "int-then-fraction", "huge-int", "none", "str"],
+    ids=[
+        "infinity", "fractional", "int-then-fraction", "huge-int", "none", "str",
+        "ragged", "ragged-floats",
+    ],
 )
 def test_inputs_left_to_the_pure_sweep_give_none(vectors):
     assert _npkernel().standard_vector_matrix(vectors) is None
+
+
+class TrimmedTimestamp(VectorTimestamp):
+    """A vector clock with its trailing zeros left off, so that vectors
+    differ in length; compared as if padded with zeros."""
+
+    __slots__ = ()
+
+    def precedes(self, other):
+        a, b = self.vector, other.vector
+        n = max(len(a), len(b))
+        return vector_lt(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))
+
+
+class TrimmedVectorClock(VectorClock):
+    def _step(self, p, k, received=()):
+        vector = super()._step(p, k, received)
+        trimmed = list(vector)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        self._stamps[p][-1] = TrimmedTimestamp(tuple(trimmed))
+        return vector
+
+
+def test_ragged_vectors_validate_as_on_the_pure_kernel():
+    """The kernel hands ragged vectors back (``None``), and ``validate()``
+    on a numpy oracle falls back to the pairwise comparison: its report is
+    the pure oracle's, field for field."""
+    graph = generators.star(8)
+    execution = random_execution(
+        graph, random.Random(5), steps=120, fifo=True, deliver_all=True
+    )
+    asg = replay_one(execution, TrimmedVectorClock(graph.n_vertices))
+    vectors = [asg[ev.eid].vector for ev in execution.all_events()]
+    assert len(set(map(len, vectors))) > 1
+    assert standard_vector_rows(vectors) is None
+    assert _npkernel().standard_vector_matrix(vectors) is None
+    numpy_report = asg.validate(HappenedBeforeOracle(execution, backend="numpy"))
+    assert numpy_report == asg.validate(HappenedBeforeOracle(execution, backend="pure"))
+    assert numpy_report.characterizes
 
 
 def _peak_bytes(fn):

@@ -7,7 +7,9 @@ Both are taken on the benchmark's 3/4/16 sequencer deployment, 10 operations
 per client (160 in all) over 8 keys, seed 7, with ``inline-cover`` and with
 ``vector``; calls are counted with ``sys.setprofile`` (``call`` events only,
 coroutine resumptions included, the way the benchmark counts
-``net.py_calls_per_op``).  Objects are counted as ``len(gc.get_objects())``
+``net.py_calls_per_op``), after one uncounted run and with the collector
+off, so that neither a first run's lazy imports nor a ``gc.callbacks`` hook
+another test installed lands in the count.  Objects are counted as ``len(gc.get_objects())``
 when the run quiesces — sessions over, controls flushed, the audit done,
 just before the nodes stop — minus before the run, the collector off in
 between so that no collection untracks a tuple on one side only.
@@ -32,13 +34,30 @@ per frame, and the inline timestamps written slot by slot, it makes
 objects.  That no hop builds an ``Event`` is pinned on its own: the run
 completes with ``Event`` construction made to raise.
 
+Below the clocks, the loop's own work is counted too: futures created
+(``loop.create_future``) and callbacks scheduled (``loop.call_soon`` — task
+steps, future callbacks and the virtual pipes' deliveries).  With a
+``StreamReader`` and a reading task per connection and a ``Condition``
+round trip on every read, a run made 16.4 / 16.3 futures and
+40.0 / 39.7 callbacks per operation (1,273.9 / 1,175.9 calls).  With the
+``FrameStream`` an ``asyncio.Protocol`` that hands each frame to its owner
+in ``data_received``, and a read whose dependencies are met answered
+without waiting, it makes 5.9 / 5.9 futures, 28.3 / 28.2 callbacks and
+1,029.0 / 932.5 calls per operation.
+
 The metadata on the wire must not move: frames and events are pinned
 exactly, and so are the compact-JSON bytes of every envelope's ``ts`` and
 every control's ``pl`` and the number of controls, as measured at
 ``43f638e`` — before the clock, not the host, numbered each control
 channel.  The frames' own bytes are pinned too: dropping each control's
 channel fields took ``inline-cover`` from 411,337 to 389,324, and
-``vector`` stays at 427,586.
+``vector`` stays at 427,586.  Dispatching a frame where its bytes arrive is
+a loop step earlier than a reader task's wake-up, and a read answered at
+once skips several more, so the run interleaves differently: frames,
+events and controls stay, while the envelopes' bytes went from (72,739,
+17,395) to (72,672, 17,382) (``vector``: 140,394 to 140,283) and the frames'
+from 389,324 to 388,346 (``vector``: 427,586 to 426,529): the same frames
+carry other values when events are stamped in another order.
 """
 
 import dataclasses
@@ -72,15 +91,19 @@ EVENTS = 3_752
 FRAMES = {"inline-cover": 1_916, "vector": 1_904}
 #: clock -> (envelope ``ts`` bytes, control ``pl`` bytes, controls), compact
 #: JSON, summed over the run
-WIRE = {"inline-cover": (72_739, 17_395, 812), "vector": (140_394, 0, 0)}
+WIRE = {"inline-cover": (72_672, 17_382, 812), "vector": (140_283, 0, 0)}
 #: clock -> bytes of every frame written, length prefixes and hellos
 #: included, with each client's request-id nonce fixed at ``NONCE``
-FRAME_BYTES = {"inline-cover": 389_324, "vector": 427_586}
+FRAME_BYTES = {"inline-cover": 388_346, "vector": 426_529}
 #: a request-id nonce is the process id and a clock reading in hex; this one
 #: has a typical length, 16 characters
 NONCE = "1a2b.0123456789a"
-#: measured 1,279.6 / 1,175.6 on CPython 3.11; +5 %
-CEILING_CALLS_PER_OP = {"inline-cover": 1_343.6, "vector": 1_234.4}
+#: measured 1,029.0 / 932.5 on CPython 3.11; +5 %
+CEILING_CALLS_PER_OP = {"inline-cover": 1_080.5, "vector": 979.1}
+#: measured 5.91 / 5.87 futures and 28.34 / 28.19 callbacks on CPython
+#: 3.11; +5 %
+CEILING_FUTURES_PER_OP = {"inline-cover": 6.21, "vector": 6.16}
+CEILING_CALLBACKS_PER_OP = {"inline-cover": 29.76, "vector": 29.60}
 #: measured 49.0 / 41.9 on CPython 3.11; +5 %
 CEILING_ALIVE_PER_OP = {"inline-cover": 51.5, "vector": 44.0}
 #: µs to build one ``CoverTimestamp``, the best of many timings (measured
@@ -89,8 +112,23 @@ CEILING_ALIVE_PER_OP = {"inline-cover": 51.5, "vector": 44.0}
 CEILING_COVER_TIMESTAMP_US = 0.85
 
 
-def _run(clock):
-    loop = VirtualLoop()
+class CountingLoop(VirtualLoop):
+    """A :class:`VirtualLoop` that counts the futures it creates and the
+    callbacks it schedules."""
+
+    futures = callbacks = 0
+
+    def create_future(self):
+        self.futures += 1
+        return super().create_future()
+
+    def call_soon(self, *args, **kw):
+        self.callbacks += 1
+        return super().call_soon(*args, **kw)
+
+
+def _run(clock, loop=None):
+    loop = loop or VirtualLoop()
     # asyncio's debug mode (``-X dev``, as CI runs tests/net) keeps a
     # traceback per callback and future: the budgets count the run, not that
     loop.set_debug(False)
@@ -114,14 +152,26 @@ def test_calls_per_op_stay_under_the_ceiling(clock):
         if event == "call":
             calls += 1
 
+    _run(clock)  # the first run in a process pays for lazy imports
     previous = sys.getprofile()
+    gc.disable()
     sys.setprofile(profile)
     try:
         _run(clock)
     finally:
         sys.setprofile(previous)
+        gc.enable()
     per_op = calls / OPS
     assert per_op <= CEILING_CALLS_PER_OP[clock], per_op
+
+
+@pytest.mark.parametrize("clock", sorted(FRAMES))
+def test_futures_and_callbacks_per_op_stay_under_the_ceiling(clock):
+    loop = CountingLoop()
+    _run(clock, loop)
+    futures, callbacks = loop.futures / OPS, loop.callbacks / OPS
+    assert futures <= CEILING_FUTURES_PER_OP[clock], futures
+    assert callbacks <= CEILING_CALLBACKS_PER_OP[clock], callbacks
 
 
 @pytest.mark.parametrize("clock", sorted(FRAMES))

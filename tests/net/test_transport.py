@@ -13,7 +13,7 @@ import enum
 import functools
 import json
 import socket
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,11 +83,26 @@ async def read_frame(reader) -> bytes:
     return prefix + await reader.readexactly(int.from_bytes(prefix, "big"))
 
 
-async def dial(address) -> FrameStream:
+def queued() -> Tuple[FrameStream, asyncio.Queue]:
+    """A hand-driven :class:`FrameStream`: each frame it receives, then
+    ``None`` when its connection ends, goes into the queue."""
+    inbox: asyncio.Queue = asyncio.Queue()
+    return FrameStream(lambda _stream, frame: inbox.put_nowait(frame)), inbox
+
+
+async def on_socket(sock) -> Tuple[FrameStream, asyncio.Queue]:
+    """:func:`queued`, connected over the socket *sock*."""
+    stream, inbox = queued()
+    await asyncio.get_running_loop().connect_accepted_socket(lambda: stream, sock)
+    return stream, inbox
+
+
+async def dial(address) -> Tuple[FrameStream, asyncio.Queue]:
     """A hand-driven connection to an ``RpcServer``, hello already sent."""
-    stream = FrameStream(*await asyncio.open_connection(*address))
+    stream, inbox = queued()
+    await asyncio.get_running_loop().create_connection(lambda: stream, *address)
     await stream.send(HELLO)
-    return stream
+    return stream, inbox
 
 
 @contextlib.asynccontextmanager
@@ -97,18 +112,20 @@ async def scripted_peer(answer):
     every connection must already have seen its client's EOF."""
     serving = []
 
-    async def on_connection(reader, writer):
-        serving.append(asyncio.current_task())
-        nth = len(serving)
-        stream = FrameStream(reader, writer)
+    async def serve(stream, inbox, nth):
         try:
-            await stream.recv()  # hello
-            while (frame := await stream.recv()) is not None:
-                await answer(stream, frame, nth)
+            if await inbox.get() is not None:  # hello
+                while (frame := await inbox.get()) is not None:
+                    await answer(stream, frame, nth)
         finally:
             stream.close()
 
-    listener = await asyncio.start_server(on_connection, "127.0.0.1", 0)
+    def accept():
+        stream, inbox = queued()
+        serving.append(asyncio.ensure_future(serve(stream, inbox, len(serving) + 1)))
+        return stream
+
+    listener = await asyncio.get_running_loop().create_server(accept, "127.0.0.1", 0)
     try:
         yield listener.sockets[0].getsockname()[:2]
     finally:
@@ -567,10 +584,11 @@ class TestReconnect:
 
     @on_loop
     async def test_connection_accepted_during_stop_is_not_served(self):
-        """A dial that lands while ``stop()`` closes the listener starts its
-        connection task after ``stop()`` has cancelled the ones it knew; a
-        stopped server must close it, or the peer keeps a healthy-looking
-        connection to a dead node and never re-resolves its address."""
+        """A dial that lands while ``stop()`` closes the listener reaches
+        the protocol factory after ``stop()`` has closed the connections it
+        knew; a stopped server must close it, or the peer keeps a
+        healthy-looking connection to a dead node and never re-resolves its
+        address."""
         handler = CountingHandler()
         server = RpcServer(1, handler)
         await server.start()
@@ -583,15 +601,14 @@ class TestReconnect:
             body = json.dumps(frame).encode()
             theirs.sendall(len(body).to_bytes(4, "big") + body)
 
-        reader, writer = await asyncio.open_connection(sock=ours)
+        transport, _ = await asyncio.get_running_loop().connect_accepted_socket(
+            server._accept, ours
+        )
         try:
-            await asyncio.wait_for(
-                server._on_connection(reader, writer), 1.0
-            )
             await asyncio.sleep(0.05)  # a served request would run now
-            assert writer.is_closing()
+            assert transport.is_closing()
         finally:
-            writer.close()
+            transport.close()
             theirs.close()
 
         assert handler.calls == 0
@@ -612,21 +629,16 @@ class TestFraming:
     @on_loop
     async def test_recv_yields_the_same_frames_however_the_bytes_arrive(self, cut):
         ours, theirs = socket.socketpair()
-        stream = FrameStream(*await asyncio.open_connection(sock=ours))
+        stream, inbox = await on_socket(ours)
         got = []
-
-        async def read_all():
-            while (frame := await stream.recv()) is not None:
-                got.append(frame)
-
-        reading = asyncio.ensure_future(read_all())
         try:
             for piece in cut(b"".join(framed(f) for f in self.FRAMES)):
                 theirs.sendall(piece)
                 await asyncio.sleep(0)  # let the loop deliver it alone
                 await asyncio.sleep(0)
             theirs.close()
-            await asyncio.wait_for(reading, 2.0)
+            while (frame := await asyncio.wait_for(inbox.get(), 2.0)) is not None:
+                got.append(frame)
         finally:
             theirs.close()
             stream.close()
@@ -636,7 +648,7 @@ class TestFraming:
     @on_loop
     async def test_a_write_to_a_lost_connection_fails_at_once(self, registry):
         ours, theirs = socket.socketpair()
-        stream = FrameStream(*await asyncio.open_connection(sock=ours))
+        stream, _ = await on_socket(ours)
         theirs.close()
         try:
             # the socket refuses the bytes: asyncio would drop them silently
@@ -653,10 +665,9 @@ class TestFraming:
     async def test_a_back_pressured_stream_waits_for_drain(self, registry):
         ours, theirs = socket.socketpair()
         theirs.setblocking(False)
-        reader, writer = await asyncio.open_connection(sock=ours)
-        stream = FrameStream(reader, writer)
+        stream, _ = await on_socket(ours)
         # a high-water mark below one frame the socket cannot take at once
-        writer.transport.set_write_buffer_limits(high=1024)
+        stream._transport.set_write_buffer_limits(high=1024)
         loop = asyncio.get_running_loop()
         try:
             # an idle stream takes a frame at once, however large
@@ -736,7 +747,7 @@ class TestMalformedFrames:
         stream still installed: every later request timed out."""
         async def answer(stream, frame, connection):
             if connection == 1:
-                stream._writer.write((3).to_bytes(4, "big") + b"{{{")
+                stream._transport.write((3).to_bytes(4, "big") + b"{{{")
             else:
                 await stream.send(
                     {"t": "res", "rid": frame["rid"], "ok": True,
@@ -788,19 +799,19 @@ class TestHandlerOwnership:
         server = RpcServer(1, handler)
         addr = await server.start()
         request = {"t": "req", "rid": "r", "m": {}}
-        first = await dial(addr)
+        first, _ = await dial(addr)
         second = None
         try:
             await first.send(request)
             await until(lambda: handler.calls == 1)
             first.close()  # the requester lost its connection ...
-            second = await dial(addr)  # ... and retransmits over a new one
+            second, inbox = await dial(addr)  # ... and retransmits over a new one
             await second.send(request)
             await until(
                 lambda: registry.counter_value("net.dedup_joined") == 1
             )
             handler.release.set()
-            response = await asyncio.wait_for(second.recv(), 1.0)
+            response = await asyncio.wait_for(inbox.get(), 1.0)
             assert response == {
                 "t": "res", "rid": "r", "ok": True, "m": {"call": 1}
             }
@@ -826,7 +837,7 @@ class TestHandlerOwnership:
         server = RpcServer(1, handler)
         addr = await server.start()
         request = {"t": "req", "rid": "r", "m": {}}
-        first = await dial(addr)
+        first, _ = await dial(addr)
         second = None
         try:
             await first.send(request)
@@ -837,14 +848,14 @@ class TestHandlerOwnership:
             if retransmit == "after-it-finished":
                 handler.release.set()
                 await until(lambda: handler.finished == 1)
-            second = await dial(addr)
+            second, inbox = await dial(addr)
             await second.send(request)
             if retransmit == "while-running":
                 await until(
                     lambda: registry.counter_value("net.dedup_joined") == 1
                 )
                 handler.release.set()
-            response = await asyncio.wait_for(second.recv(), 1.0)
+            response = await asyncio.wait_for(inbox.get(), 1.0)
             assert response["m"] == {"call": 1}
             assert handler.calls == handler.finished == 1
         finally:
@@ -862,14 +873,14 @@ class TestHandlerOwnership:
         handler = GatedHandler()
         server = RpcServer(1, handler)
         addr = await server.start()
-        asker = await dial(addr)
+        asker, inbox = await dial(addr)
         try:
             await asker.send({"t": "req", "rid": "r", "m": {}})
             await until(lambda: handler.calls == 1)
             await server.stop()
             assert handler.cancelled == 1 and handler.finished == 0
             assert not server._done and not server._inflight
-            assert await asyncio.wait_for(asker.recv(), 1.0) is None
+            assert await asyncio.wait_for(inbox.get(), 1.0) is None
         finally:
             asker.close()
 

@@ -18,12 +18,14 @@ from repro.net import (
     ClusterSpec,
     CrashPlan,
     Supervisor,
+    TransportError,
     TransportPolicy,
     make_node,
     run_virtual,
 )
 from repro.net import loadgen
 from repro.net.loadgen import deploy
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def store_config(**kw):
@@ -76,6 +78,44 @@ class TestLoop:
 
         run_virtual(go())
 
+    @pytest.mark.parametrize("keep_open", [None, True], ids=["falsy", "true"])
+    def test_eof_received_decides_whether_the_end_closes(self, keep_open):
+        """asyncio's own transports close an end whose protocol answers EOF
+        with a falsy value, and keep a half-open one that answers true."""
+
+        class Probe(asyncio.Protocol):
+            transport = None
+            lost = False
+
+            def connection_made(self, transport):
+                self.transport = transport
+
+            def eof_received(self):
+                return keep_open
+
+            def connection_lost(self, exc):
+                self.lost = True
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            far = Probe()
+            server = await loop.create_server(lambda: far, "127.0.0.1", 0)
+            near, probe = await loop.create_connection(
+                Probe, *server.sockets[0].getsockname()
+            )
+            await asyncio.sleep(0)  # the far end's connection_made
+            far.transport.close()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            seen = probe.lost, near.is_closing()
+            near.write(b"still writable?")  # never raises, closed or not
+            near.close()
+            server.close()
+            return seen
+
+        closed = not keep_open
+        assert run_virtual(go()) == (closed, closed)
+
 
 def store_run(faults):
     """Operations, writes, frames, events and timestamps of one run."""
@@ -103,8 +143,8 @@ class TestDeterminism:
         "faults, frames, events, counters",
         [
             (False, 107, 192, {"net.crashes": 0, "net.drops_injected": 0}),
-            # the crash lands mid-run: 6 of 15 operations done at t = 0.22
-            (True, 120, 198, {
+            # the crash lands mid-run: 7 of 15 operations done at t = 0.01
+            (True, 123, 204, {
                 "net.crashes": 1, "net.restarts": 1,
                 "net.drops_injected": 5, "net.retransmits": 7,
             }),
@@ -147,6 +187,74 @@ class TestCrashAudit:
         assert report.counters["net.crashes"] == 1
         assert report.checkpoint_problems and not report.ok
         assert all("timestamp changed" in p for p in report.checkpoint_problems)
+
+
+def lone_server():
+    """The one server of a deployment with one: a commit it takes has no
+    replica to go to."""
+    spec = ClusterSpec(store_config(n_servers=1))
+    return make_node(spec.servers[0], spec, AddressBook())
+
+
+def read(deps):
+    return {"key": "k0", "deps": deps}
+
+
+REPL = {"key": "k0", "version": 1, "deps": {}, "writer": 4, "wsi": 0}
+COMMIT = {"key": "k0", "deps": {}, "client": 4, "wsi": 0, "orid": "c4-0"}
+
+
+class TestReadGuard:
+    """A server holds a read until its replica meets the read's
+    dependencies; one that already does is answered at once."""
+
+    def test_a_read_whose_dependencies_are_met_never_suspends(self):
+        """Its first step returns the response: no task, timer or future
+        is made for it, and the ``Condition`` is not touched."""
+        node = lone_server()
+        node._applied = None  # any use of the Condition raises
+        with pytest.raises(StopIteration):
+            node._handle_repl(REPL).send(None)  # no read waits: no notify
+        with pytest.raises(StopIteration) as done:
+            node._handle_read(read({"k0": 1})).send(None)
+        assert done.value.value["version"] == 1
+        with pytest.raises(StopIteration):
+            node._handle_read(read({})).send(None)
+
+    @pytest.mark.parametrize("apply", ["repl", "commit"])
+    def test_an_unmet_read_is_woken_by_the_apply_that_meets_it(self, apply):
+        node = lone_server()
+
+        async def go():
+            waiting = asyncio.ensure_future(node._handle_read(read({"k0": 1})))
+            await asyncio.sleep(1.0)
+            assert not waiting.done() and node._reads_waiting == 1
+            if apply == "repl":
+                await node._handle_repl(REPL)
+            else:
+                await node._handle_commit(COMMIT)
+            response = await waiting
+            return response, asyncio.get_running_loop().time()
+
+        response, woken_at = run_virtual(go())
+        assert response["version"] == 1
+        assert woken_at == 1.0  # at the apply, not at a timer
+        assert node._reads_waiting == 0
+
+    def test_a_read_never_met_times_out_and_is_counted(self):
+        with use_registry(MetricsRegistry()) as registry:
+            node = lone_server()
+            node.read_guard_timeout = 0.5
+
+            async def go():
+                with pytest.raises(TransportError, match="read guard timed out"):
+                    await node._handle_read(read({"k0": 1}))
+                return asyncio.get_running_loop().time()
+
+            assert run_virtual(go()) == 0.5
+        assert registry.counter_value("net.read_guard_timeouts") == 1
+        assert registry.counter_value("net.reads_served") == 0
+        assert node._reads_waiting == 0
 
 
 class TestSlowSequencerFailover:
