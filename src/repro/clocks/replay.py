@@ -308,9 +308,12 @@ class TimestampAssignment:
     ) -> ValidationReport:
         """Pairwise reference implementation of :meth:`validate`.
 
-        Quadratic in both comparisons and oracle queries; kept as the
-        ground-truth for the equivalence tests and the benchmark baseline.
-        Refuses an event listed twice in *events*, as :meth:`validate` does.
+        Quadratic in comparisons: ``precedes`` once per ordered pair, the
+        check itself.  The truth is read off each event's vector clock,
+        once per event: for distinct events ``e -> f`` iff
+        ``vc_f[e.proc] >= e.index``.  Kept as the ground-truth for the
+        equivalence tests and the benchmark baseline.  Refuses an event
+        listed twice in *events*, as :meth:`validate` does.
         """
         if events is not None:
             events = _distinct(events)
@@ -320,18 +323,19 @@ class TimestampAssignment:
             if events is not None
             else [ev.eid for ev in self._execution.all_events()]
         )
-        # one timestamp fetch per event and one oracle question per ordered
-        # pair; both answers also classify the unordered pair
+        # one timestamp fetch (a ⊥ one raises first) and one clock read per
+        # event; both directions also classify the unordered pair
         ts = [self[eid] for eid in ids]
-        happened_before = oracle.happened_before
+        vcs = [oracle.vector_clock(eid) for eid in ids]
         false_neg: List[Tuple[EventId, EventId]] = []
         false_pos: List[Tuple[EventId, EventId]] = []
         n_ordered = 0
         n_concurrent = 0
-        for i, (e, ts_e) in enumerate(zip(ids, ts), 1):
-            for f, ts_f in zip(ids[i:], ts[i:]):
-                hb_ef = happened_before(e, f)
-                hb_fe = happened_before(f, e)
+        for i, (e, ts_e, vc_e) in enumerate(zip(ids, ts, vcs), 1):
+            p, k = e.proc, e.index
+            for f, ts_f, vc_f in zip(ids[i:], ts[i:], vcs[i:]):
+                hb_ef = vc_f[p] >= k
+                hb_fe = vc_e[f.proc] >= f.index
                 if hb_ef != ts_e.precedes(ts_f):
                     (false_neg if hb_ef else false_pos).append((e, f))
                 if hb_fe != ts_f.precedes(ts_e):

@@ -192,7 +192,10 @@ def mismatch_from_record(record: Mapping[str, Any]) -> Mismatch:
 def _check_schemes(
     graph, ops, execution, oracle, specs, center, fifo, context, report
 ):
+    """The mismatches, and the ``vector`` scheme's assignment and matrix
+    report against *oracle* (``None`` when it did not replay)."""
     out: List[Mismatch] = []
+    vector = None
     for spec in specs:
         clock = spec.build(graph, center)
         try:
@@ -204,6 +207,8 @@ def _check_schemes(
             ))
             continue
         rep_m = asg.validate(oracle)
+        if spec.name == "vector":
+            vector = (asg, rep_m)
         rep_p = asg.validate_pairwise(oracle)
         report.count("matrix-vs-pairwise")
         if (rep_m.false_negatives != rep_p.false_negatives
@@ -235,7 +240,7 @@ def _check_schemes(
                     f"missed causal pairs: {rep_p.false_negatives[:3]}",
                     graph, ops, fifo, context,
                 ))
-    return out
+    return out, vector
 
 
 # ----------------------------------------------------------------------
@@ -434,10 +439,18 @@ def _check_finalization(
     return out
 
 
+def _vector_report(graph, execution, oracle):
+    """A ``vector`` replay of *execution* and its report against *oracle*,
+    where the trial has none to reuse."""
+    asg = replay_one(execution, VectorClock(graph.n_vertices))
+    return asg, asg.validate(oracle)
+
+
 # ----------------------------------------------------------------------
 # invariant 5: numpy array kernel vs pure packed-int kernel
 # ----------------------------------------------------------------------
-def _check_backends(graph, ops, execution, fifo, context, report):
+def _check_backends(graph, ops, execution, oracle, vector, fifo, context,
+                    report):
     from repro.core.backend import numpy_available
 
     out: List[Mismatch] = []
@@ -451,7 +464,12 @@ def _check_backends(graph, ops, execution, fifo, context, report):
             graph, ops, fifo, context,
         ))
 
-    pure = HappenedBeforeOracle(execution, backend="pure")
+    # a pure trial oracle is the pure side, and so is the vector scheme's
+    # report against it; a numpy one (a pin, or a long auto trial) is not
+    if oracle.backend == "pure":
+        pure = oracle
+    else:
+        pure, vector = HappenedBeforeOracle(execution, backend="pure"), None
     fast = HappenedBeforeOracle(execution, backend="numpy")
     if fast.past_masks() != pure.past_masks():
         bad("numpy past matrix != pure causal-past rows")
@@ -491,8 +509,8 @@ def _check_backends(graph, ops, execution, fifo, context, report):
     # one scheme validation end to end: the array matrix-validate path
     # (numpy oracle) must yield the identical report to the packed-int
     # path (pure oracle), mismatch ordering included
-    asg = replay_one(execution, VectorClock(graph.n_vertices))
-    if asg.validate(fast) != asg.validate(pure):
+    asg, rep_pure = vector or _vector_report(graph, execution, pure)
+    if asg.validate(fast) != rep_pure:
         bad("validate() report differs between numpy and pure oracles")
     return out
 
@@ -500,7 +518,8 @@ def _check_backends(graph, ops, execution, fifo, context, report):
 # ----------------------------------------------------------------------
 # invariant 6: columnar store, and an oracle fed from it, vs the object model
 # ----------------------------------------------------------------------
-def _check_stores(graph, ops, execution, oracle, fifo, context, report):
+def _check_stores(graph, ops, execution, oracle, vector, fifo, context,
+                  report):
     from repro.core.colstore import ColumnarExecutionBuilder, EventStore
 
     out: List[Mismatch] = []
@@ -528,9 +547,9 @@ def _check_stores(graph, ops, execution, oracle, fifo, context, report):
     col_oracle = HappenedBeforeOracle(cex)
     if col_oracle.past_masks() != oracle.past_masks():
         bad("causal-past rows differ when built over the columnar store")
-    asg_obj = replay_one(execution, VectorClock(graph.n_vertices))
+    _, rep_obj = vector or _vector_report(graph, execution, oracle)
     asg_col = replay_one(cex, VectorClock(graph.n_vertices))
-    if asg_obj.validate(oracle) != asg_col.validate(col_oracle):
+    if rep_obj != asg_col.validate(col_oracle):
         bad("validate() report differs between object and columnar store")
 
     # feed differential: the same ops grow a columnar store one row at a
@@ -626,8 +645,8 @@ def check_execution(
     ctx = use_backend(pin) if pin is not None else nullcontext()
     with ctx:
         oracle = HappenedBeforeOracle(execution)
-        mismatches: List[Mismatch] = []
-        mismatches += _check_schemes(
+        # the vector scheme's (assignment, report against oracle), if any
+        mismatches, vector = _check_schemes(
             graph, ops, execution, oracle, specs, center, fifo, context,
             report,
         )
@@ -638,11 +657,11 @@ def check_execution(
             graph, ops, oracle, specs, center, fifo, context, report
         )
         mismatches += _check_stores(
-            graph, ops, execution, oracle, fifo, context, report
+            graph, ops, execution, oracle, vector, fifo, context, report
         )
     if backend != "pure":
         mismatches += _check_backends(
-            graph, ops, execution, fifo, context, report
+            graph, ops, execution, oracle, vector, fifo, context, report
         )
     return mismatches
 

@@ -62,7 +62,9 @@ class _Pipe(asyncio.Transport):
             self._loop.call_soon(self.peer._receive, bytes(data))
 
     def _receive(self, data: bytes) -> None:
-        if not (self._lost or self._eof):
+        # a socket transport stops reading at close(): bytes in flight to
+        # an end closed here never reach its protocol
+        if not (self._closing or self._lost or self._eof):
             self._protocol.data_received(data)
 
     def _receive_eof(self) -> None:

@@ -122,7 +122,8 @@ def test_the_table_is_a_copy_and_only_of_this_execution(spec):
 def test_validate_names_the_first_bottom_event(spec, backend):
     """``validate`` reads the table by position only when no event is ⊥;
     with a hole it raises ``KeyError`` for the first ⊥ event in the
-    oracle's order, whole or for a subset, as a lookup per event did."""
+    oracle's order, whole or for a subset, as a lookup per event did, and
+    so does the pairwise reference."""
     if backend == "numpy" and not numpy_available():
         pytest.skip("requires numpy >= 2.0")
     graph = generators.star(N)
@@ -136,6 +137,9 @@ def test_validate_names_the_first_bottom_event(spec, backend):
     with pytest.raises(KeyError) as whole:
         asg.validate(oracle)
     assert whole.value.args == (holes[0],)
+    with pytest.raises(KeyError) as pairwise:
+        asg.validate_pairwise(oracle)
+    assert pairwise.value.args == (holes[0],)
     subset = [eid for eid in oracle.event_order if eid in asg][:5] + holes[-1:]
     with pytest.raises(KeyError) as part:
         asg.validate(oracle, subset)

@@ -34,11 +34,16 @@ merge behind ``Execution.delivery_order()`` runs once however many replays,
 oracle builds and streamed oracles ask for it (eleven times a rep in the
 ``offline-nine`` workload at ``389689e``).
 
-The third is the pairwise reference itself: ``validate_pairwise`` over m
-events asks the oracle once per *ordered* pair, m·(m−1) questions (at
-``3ae9261`` it asked four times per unordered pair, twice that), and its
-report stays equal to ``validate``'s field for field on every pinned corpus
-case.
+The third is the pairwise reference itself, held against Lamport's
+definition rather than against the oracle it reads: on every pinned corpus
+case and scheme, its report equals one built from happened-before computed
+here as the transitive closure of program order and send → receive over
+the case's op list, for the whole execution and for a subset.  It asks each
+timestamp's ``precedes`` once per *ordered* pair, m·(m−1) comparisons, and
+the oracle for m vector clocks and no ``happened_before`` at all: ``e → f``
+is ``vc_f[e.proc] ≥ e.index``.  Until ``0b03faa`` it asked
+``happened_before`` once per ordered pair (at ``3ae9261`` four times per
+unordered pair).
 
 The fourth is sampled validation, in Python-level calls (``call`` events
 only, as the simulator's budget counts) per sampled pair: 2,000 pairs of the
@@ -57,7 +62,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.clocks import CoverInlineClock, VectorClock, replay_one
+from repro.clocks import (
+    CoverInlineClock,
+    ValidationReport,
+    VectorClock,
+    replay_one,
+)
 from repro.conformance.corpus import load_corpus
 from repro.conformance.registry import (
     scheme_by_name,
@@ -65,6 +75,7 @@ from repro.conformance.registry import (
     star_center_of,
 )
 from repro.core import (
+    EventId,
     Execution,
     HappenedBeforeOracle,
     incremental_from_execution,
@@ -166,11 +177,64 @@ def test_the_delivery_order_is_merged_once_per_execution(monkeypatch):
 
 
 class _CountingOracle(HappenedBeforeOracle):
-    asked = 0
+    clocks_read = asked = 0
+
+    def vector_clock(self, eid):
+        self.clocks_read += 1
+        return super().vector_clock(eid)
 
     def happened_before(self, e, f):
         self.asked += 1
         return super().happened_before(e, f)
+
+
+def _closure(n_processes, ops):
+    """Happened-before from its definition: every event's strict causal
+    past, as the transitive closure of program order and send → receive
+    over *ops*, one reachability pass in op order (a receive comes after
+    its send, so each predecessor's past is complete when it is read)."""
+    past = {}
+    last = [None] * n_processes
+    sends = {}
+    for op in ops:
+        if op[0] == "recv":
+            send = sends[op[1]]
+            proc = send[1]
+        else:
+            proc = op[1] if op[0] == "local" else op[2]
+        count = last[proc].index if last[proc] is not None else 0
+        eid = EventId(proc, count + 1)
+        preds = [last[proc]] if last[proc] is not None else []
+        if op[0] == "recv":
+            preds.append(send[0])
+        elif op[0] == "send":
+            sends[op[1]] = (eid, op[3])
+        past[eid] = set().union(*({p} | past[p] for p in preds))
+        last[proc] = eid
+    return past
+
+
+def _report_from_definition(asg, past, ids):
+    """The report ``validate_pairwise`` must give over *ids*: each
+    unordered pair once in list order, ``(e, f)`` then ``(f, e)``."""
+    false_neg, false_pos = [], []
+    n_ordered = 0
+    for i, e in enumerate(ids):
+        for f in ids[i + 1:]:
+            hb_ef, hb_fe = e in past[f], f in past[e]
+            for a, b, hb in ((e, f, hb_ef), (f, e, hb_fe)):
+                if hb != asg[a].precedes(asg[b]):
+                    (false_neg if hb else false_pos).append((a, b))
+            n_ordered += hb_ef or hb_fe
+    m = len(ids)
+    return ValidationReport(
+        algorithm=asg.algorithm.name,
+        n_events=m,
+        n_ordered_pairs=n_ordered,
+        n_concurrent_pairs=m * (m - 1) // 2 - n_ordered,
+        false_negatives=tuple(false_neg),
+        false_positives=tuple(false_pos),
+    )
 
 
 @pytest.mark.parametrize(
@@ -178,23 +242,45 @@ class _CountingOracle(HappenedBeforeOracle):
     load_corpus(Path(__file__).parent.parent / "conformance" / "corpus"),
     ids=lambda case: case.name,
 )
-def test_pairwise_reference_asks_once_per_ordered_pair(case):
+def test_pairwise_reference_asks_once_per_ordered_pair(case, monkeypatch):
     graph = case.graph()
     execution = execution_from_ops(graph, case.ops)
+    past = _closure(graph.n_vertices, case.ops)
+    assert set(past) == {ev.eid for ev in execution.all_events()}
     specs = (
         [scheme_by_name(name) for name in case.schemes]
         if case.schemes is not None
         else schemes_for(graph, case.fifo)
     )
-    m = execution.n_events
+    compared = 0
+
+    def counting(precedes):
+        def wrapper(self, other):
+            nonlocal compared
+            compared += 1
+            return precedes(self, other)
+        return wrapper
+
+    ids = [ev.eid for ev in execution.all_events()]
+    subset = ids[::-2]
+    m = len(ids)
     for spec in specs:
         asg = replay_one(
             execution, spec.build(graph, star_center_of(graph) or 0)
         )
         oracle = _CountingOracle(execution)
-        pairwise = asg.validate_pairwise(oracle)
-        assert oracle.asked == m * (m - 1), spec.name
+        with monkeypatch.context() as patch:
+            for cls in {type(ts) for _, ts in asg.items()}:
+                patch.setattr(cls, "precedes", counting(cls.precedes))
+            compared = 0
+            pairwise = asg.validate_pairwise(oracle)
+        assert (oracle.clocks_read, oracle.asked) == (m, 0), spec.name
+        assert compared == m * (m - 1), spec.name
+        assert pairwise == _report_from_definition(asg, past, ids), spec.name
         assert pairwise == asg.validate(oracle), spec.name
+        assert asg.validate_pairwise(oracle, subset) == _report_from_definition(
+            asg, past, subset
+        ), spec.name
 
 
 def _sampled_calls_per_pair():

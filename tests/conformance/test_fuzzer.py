@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+import repro.conformance.fuzzer as fuzzer
 from repro.clocks.base import INFINITY
 from repro.clocks.inline_cover import CoverTimestamp
 from repro.clocks.inline_star import StarInlineClock, StarTimestamp
 from repro.clocks.lamport import LamportClock, LamportTimestamp
-from repro.clocks.replay import replay_one
+from repro.clocks.replay import TimestampAssignment, replay_one
+from repro.clocks.vector import VectorClock
 from repro.conformance import (
     ConformanceReport,
     SchemeSpec,
@@ -18,12 +20,14 @@ from repro.conformance import (
     check_execution,
     fuzz,
     generate_trial,
+    scheme_by_name,
     schemes_for,
     shrink_mismatch,
     shrink_ops,
     star_center_of,
 )
-from repro.core.backend import numpy_available
+from repro.core import HappenedBeforeOracle
+from repro.core.backend import NUMPY_MIN_EVENTS, numpy_available
 from repro.core.events import EventId
 from repro.core.random_executions import (
     execution_from_ops,
@@ -133,6 +137,87 @@ class TestInvariants:
         assert a[1] == b[1] and a[2] == b[2] and a[3] == b[3]
         c = generate_trial(1, 7, ("star", "tree", "random"), 40)
         assert a[1] != c[1] or a[3] != c[3]
+
+
+def _record_oracles(monkeypatch):
+    """``(built, validated)``: the kernel of every oracle the fuzzer
+    builds, and ``(scheme, kernel)`` of every ``validate`` it runs."""
+    built, validated = [], []
+
+    class Recording(HappenedBeforeOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.backend)
+
+    validate = TimestampAssignment.validate
+
+    def recording(self, oracle=None, events=None):
+        validated.append((self.algorithm.name, oracle.backend))
+        return validate(self, oracle, events)
+
+    monkeypatch.setattr(fuzzer, "HappenedBeforeOracle", Recording)
+    monkeypatch.setattr(TimestampAssignment, "validate", recording)
+    return built, validated
+
+
+@pytest.mark.skipif(not numpy_available(), reason="requires numpy >= 2.0")
+class TestBackendReuse:
+    """backend-differential reuses the trial's oracle and ``vector`` report
+    as its pure side only when that oracle is on the pure kernel."""
+
+    @pytest.mark.parametrize(
+        "backend, steps, schemes",
+        [("numpy", 40, None), ("auto", NUMPY_MIN_EVENTS, ["vector"])],
+        ids=["numpy-pin", "auto-long"],
+    )
+    def test_a_numpy_trial_still_validates_against_a_pure_oracle(
+        self, monkeypatch, backend, steps, schemes
+    ):
+        graph = generators.star(5)
+        ops = random_ops(graph, random.Random(3), steps=steps, deliver_all=True)
+        assert backend == "numpy" or len(ops) >= NUMPY_MIN_EVENTS
+        built, validated = _record_oracles(monkeypatch)
+        report = ConformanceReport()
+        specs = None if schemes is None else [scheme_by_name(s) for s in schemes]
+        assert check_execution(
+            graph, ops, schemes=specs, report=report, backend=backend
+        ) == []
+        assert report.checks["backend-differential"] == 1
+        assert built[0] == "numpy"  # the trial's oracle
+        assert built.count("pure") == 1
+        assert ("vector", "pure") in validated
+        assert ("vector", "numpy") in validated
+
+    def test_a_pure_trial_lends_its_oracle_and_report(self, monkeypatch):
+        graph = generators.star(5)
+        ops = random_ops(graph, random.Random(3), steps=40, deliver_all=True)
+        built, validated = _record_oracles(monkeypatch)
+        assert check_execution(graph, ops, backend="auto") == []
+        # the trial's, the columnar store's and backend-differential's numpy
+        assert built == ["pure", "pure", "numpy"]
+        assert validated.count(("vector", "pure")) == 2  # trial, columnar
+        assert validated.count(("vector", "numpy")) == 1
+
+    def test_an_auto_trial_replays_vector_twice(self, monkeypatch):
+        """Once for the scheme checks, once over the columnar store."""
+        replays = 0
+
+        def counting(execution, clock, **kwargs):
+            nonlocal replays
+            replays += type(clock) is VectorClock
+            return replay_one(execution, clock, **kwargs)
+
+        monkeypatch.setattr(fuzzer, "replay_one", counting)
+        graph, ops, fifo, _context = generate_trial(
+            0, 1, ("star", "tree", "random"), 40
+        )
+        assert check_execution(graph, ops, fifo=fifo, backend="auto") == []
+        assert replays == 2
+        # with no ``vector`` scheme to reuse, each differential replays it
+        replays = 0
+        lamport = [scheme_by_name("lamport")]
+        assert check_execution(graph, ops, schemes=lamport) == []
+        assert replays == 3
 
 
 def _overclaiming_spec():

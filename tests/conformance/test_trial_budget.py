@@ -14,7 +14,11 @@ after a warm-up campaign has loaded every module a trial imports lazily.
   stamps through ``dataclasses.fields()``.  Reading each prefix's
   happened-before off the trial's oracle, comparing a stamp by identity
   first, one-frame ``vector_lt`` and stamps that pickle as their
-  constructor arguments, it makes 14,567.
+  constructor arguments, it made 14,567 (14,429 at ``0b03faa``; 13,910 on
+  3.12, 13,905 on 3.13).  With the pairwise reference reading each event's
+  vector clock once instead of asking ``happened_before`` per ordered pair,
+  and the store differential reusing the ``vector`` scheme's report, it
+  makes 12,181 (11,693 on 3.12, 11,687 on 3.13).
 - Execution builds: exactly two per trial, the trial's own and the
   columnar-store differential's (nine at ``f0c9468``).
 - A clock checkpoint calls ``dataclasses.fields`` zero times (52 for the
@@ -34,8 +38,8 @@ from repro.core.random_executions import execution_from_ops
 
 TRIALS = 60
 PARENT_CALLS_PER_TRIAL = 18_774
-#: measured 14,567 on CPython 3.11 (14,048 on 3.12, 14,043 on 3.13); +5 %
-CEILING_CALLS_PER_TRIAL = 15_300
+#: measured 12,181 on CPython 3.11 (11,693 on 3.12, 11,687 on 3.13); +5 %
+CEILING_CALLS_PER_TRIAL = 12_800
 
 
 def _campaign():

@@ -116,6 +116,42 @@ class TestLoop:
         closed = not keep_open
         assert run_virtual(go()) == (closed, closed)
 
+    def test_an_end_closed_here_gets_no_bytes_already_in_flight(self):
+        """asyncio's socket transports stop reading at ``close()``: a write
+        from the far end that has not arrived when the near end closes is
+        never handed to the near end's protocol."""
+
+        class Probe(asyncio.Protocol):
+            transport = None
+
+            def __init__(self):
+                self.received = []
+
+            def connection_made(self, transport):
+                self.transport = transport
+
+            def data_received(self, data):
+                self.received.append(data)
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            far = Probe()
+            server = await loop.create_server(lambda: far, "127.0.0.1", 0)
+            near, probe = await loop.create_connection(
+                Probe, *server.sockets[0].getsockname()
+            )
+            await asyncio.sleep(0)  # the far end's connection_made
+            far.transport.write(b"early")
+            await asyncio.sleep(0)
+            far.transport.write(b"late")  # in flight when the near end closes
+            near.close()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            server.close()
+            return probe.received
+
+        assert run_virtual(go()) == [b"early"]
+
 
 def store_run(faults):
     """Operations, writes, frames, events and timestamps of one run."""
