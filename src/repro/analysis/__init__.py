@@ -9,15 +9,10 @@ _EXPORTS = {
         "percentile", "summarize_latencies",
     ),
     "reliability": ("ReliabilitySummary", "summarize_reliability"),
-    "overhead_model": (
-        "expected_control_elements", "expected_control_messages",
-        "expected_piggyback_elements", "overhead_ratio_vs_vector",
-    ),
     "reports": ("format_series", "format_table"),
     "size_model": (
         "SizeComparison", "compare_sizes", "counter_bits", "crossover_cover_size",
-        "id_bits", "inline_bits", "inline_elements", "inline_wins_bits",
-        "inline_wins_elements", "size_sweep", "vector_bits", "vector_elements",
+        "id_bits", "inline_bits", "inline_elements", "vector_bits", "vector_elements",
     ),
 }
 
@@ -34,12 +29,6 @@ if TYPE_CHECKING:
         ReliabilitySummary as ReliabilitySummary,
         summarize_reliability as summarize_reliability,
     )
-    from repro.analysis.overhead_model import (
-        expected_control_elements as expected_control_elements,
-        expected_control_messages as expected_control_messages,
-        expected_piggyback_elements as expected_piggyback_elements,
-        overhead_ratio_vs_vector as overhead_ratio_vs_vector,
-    )
     from repro.analysis.reports import (
         format_series as format_series, format_table as format_table,
     )
@@ -47,9 +36,8 @@ if TYPE_CHECKING:
         SizeComparison as SizeComparison, compare_sizes as compare_sizes,
         counter_bits as counter_bits, crossover_cover_size as crossover_cover_size,
         id_bits as id_bits, inline_bits as inline_bits,
-        inline_elements as inline_elements, inline_wins_bits as inline_wins_bits,
-        inline_wins_elements as inline_wins_elements, size_sweep as size_sweep,
-        vector_bits as vector_bits, vector_elements as vector_elements,
+        inline_elements as inline_elements, vector_bits as vector_bits,
+        vector_elements as vector_elements,
     )
 else:
     from repro._exports import lazy_exports

@@ -15,7 +15,6 @@ measure the same quantities from real runs and compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
 
 from repro.clocks import base as _clock_sizes
 
@@ -58,11 +57,6 @@ def vector_elements(n_processes: int) -> int:
 def vector_bits(n_processes: int, max_events: int) -> int:
     """Standard vector clock size in bits."""
     return n_processes * counter_bits(max_events)
-
-
-def inline_wins_elements(n_processes: int, cover_size: int) -> bool:
-    """Element-count crossover: the paper's ``|VC| < n/2 − 1`` condition."""
-    return inline_elements(cover_size) < vector_elements(n_processes)
 
 
 def inline_wins_bits(n_processes: int, max_events: int, cover_size: int) -> bool:
@@ -121,17 +115,3 @@ def compare_sizes(
         inline_bits=inline_bits(n_processes, max_events, cover_size),
         vector_bits=vector_bits(n_processes, max_events),
     )
-
-
-def size_sweep(
-    n_values: Sequence[int],
-    k_values: Sequence[int],
-    cover_for_n: Optional[dict] = None,
-) -> List[SizeComparison]:
-    """Cartesian sweep of the analytic model (default cover = 1, a star)."""
-    out = []
-    for n in n_values:
-        vc = (cover_for_n or {}).get(n, 1)
-        for k in k_values:
-            out.append(compare_sizes(n, k, vc))
-    return out

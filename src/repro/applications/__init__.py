@@ -7,23 +7,13 @@ _EXPORTS = {
         "Operation", "StoreConfig", "StoreRunResult", "TrafficReport", "WriteRecord",
         "run_store", "verify_causal_reads",
     ),
-    "causal_broadcast": (
-        "Broadcast", "CausalBroadcastProcess", "check_causal_delivery",
-    ),
     "session": ("AnalysisSession", "Snapshot"),
-    "detection_latency": ("DetectionLag", "detection_lag", "first_detection_time"),
-    "global_predicate": (
-        "count_consistent_cuts", "definitely", "enumerate_consistent_cuts", "possibly",
-        "possibly_with_inline",
-    ),
+    "detection_latency": ("DetectionLag", "detection_lag"),
+    "global_predicate": ("definitely", "possibly"),
     "monitor": ("CutSample", "FinalizedCutMonitor", "cut_evolution"),
-    "concurrent_updates": (
-        "ConflictReport", "OnlineConcurrentUpdateDetector",
-        "conflict_resolution_status", "find_conflicts",
-    ),
+    "concurrent_updates": ("ConflictReport", "conflict_resolution_status"),
     "predicate": (
-        "DetectionResult", "OnlineConjunctiveDetector", "assignment_comparator",
-        "detect_conjunctive", "detect_with_inline",
+        "DetectionResult", "detect_conjunctive", "detect_with_inline",
     ),
     "recovery": (
         "RecoveryComparison", "periodic_checkpoints", "recovery_line",
@@ -39,21 +29,14 @@ if TYPE_CHECKING:
         WriteRecord as WriteRecord, run_store as run_store,
         verify_causal_reads as verify_causal_reads,
     )
-    from repro.applications.causal_broadcast import (
-        Broadcast as Broadcast, CausalBroadcastProcess as CausalBroadcastProcess,
-        check_causal_delivery as check_causal_delivery,
-    )
     from repro.applications.session import (
         AnalysisSession as AnalysisSession, Snapshot as Snapshot,
     )
     from repro.applications.detection_latency import (
         DetectionLag as DetectionLag, detection_lag as detection_lag,
-        first_detection_time as first_detection_time,
     )
     from repro.applications.global_predicate import (
-        count_consistent_cuts as count_consistent_cuts, definitely as definitely,
-        enumerate_consistent_cuts as enumerate_consistent_cuts, possibly as possibly,
-        possibly_with_inline as possibly_with_inline,
+        definitely as definitely, possibly as possibly,
     )
     from repro.applications.monitor import (
         CutSample as CutSample, FinalizedCutMonitor as FinalizedCutMonitor,
@@ -61,15 +44,10 @@ if TYPE_CHECKING:
     )
     from repro.applications.concurrent_updates import (
         ConflictReport as ConflictReport,
-        OnlineConcurrentUpdateDetector as OnlineConcurrentUpdateDetector,
         conflict_resolution_status as conflict_resolution_status,
-        find_conflicts as find_conflicts,
     )
     from repro.applications.predicate import (
-        DetectionResult as DetectionResult,
-        OnlineConjunctiveDetector as OnlineConjunctiveDetector,
-        assignment_comparator as assignment_comparator,
-        detect_conjunctive as detect_conjunctive,
+        DetectionResult as DetectionResult, detect_conjunctive as detect_conjunctive,
         detect_with_inline as detect_with_inline,
     )
     from repro.applications.recovery import (

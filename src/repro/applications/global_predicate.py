@@ -24,26 +24,18 @@ lattice upward).
 
 Inline-timestamp integration (paper Section 6): pass ``within`` to restrict
 the walk to the sublattice of cuts inside the currently *finalized*
-consistent cut.  A ``possibly`` witness found there is final (the sublattice
-only grows); a negative answer may flip as more timestamps finalize —
-exactly the paper's "the cut in which predicates can be detected will
-grow" behaviour, which :func:`possibly_with_inline` exposes.
+consistent cut (:func:`~repro.core.cuts.max_consistent_cut_within`).  A
+``possibly`` witness found there is final (the sublattice only grows); a
+negative answer may flip as more timestamps finalize — exactly the paper's
+"the cut in which predicates can be detected will grow" behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Set, Tuple
+from typing import Callable, Iterator, Optional, Set
 
-from repro.clocks.replay import TimestampAssignment
-from repro.core.cuts import (
-    Cut,
-    empty_cut,
-    full_cut,
-    is_consistent,
-    max_consistent_cut_within,
-)
+from repro.core.cuts import Cut, empty_cut, full_cut, is_consistent
 from repro.core.events import EventId
-from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import AnyOracle
 
 #: a global predicate over consistent cuts (entry p = events taken at p)
@@ -148,32 +140,3 @@ def definitely(
     # every ¬Φ path dead-ends before the limit cut — note a dead end is
     # impossible in a full lattice walk unless a Φ-cut blocked it
     return True
-
-
-def count_consistent_cuts(
-    oracle: AnyOracle, within: Optional[Cut] = None
-) -> int:
-    """Size of the (restricted) consistent-cut lattice."""
-    return sum(1 for _ in enumerate_consistent_cuts(oracle, within))
-
-
-def possibly_with_inline(
-    assignment: TimestampAssignment,
-    predicate: GlobalPredicate,
-    finalized: Optional[Set[EventId]] = None,
-    oracle: Optional[AnyOracle] = None,
-) -> Tuple[Optional[Cut], Cut]:
-    """``possibly`` over the finalized sublattice (Section-6 recipe).
-
-    Returns ``(witness_or_None, finalized_cut)``.  A witness is definitive;
-    ``None`` only means "not detectable *yet*" — rerun after more events
-    finalize.  The consistency machinery uses the ground-truth oracle (the
-    checker process in a real deployment would use the finalized inline
-    timestamps themselves, which agree with it by Theorem 4.1).
-    """
-    if oracle is None:
-        oracle = HappenedBeforeOracle(assignment.execution)
-    if finalized is None:
-        finalized = set(assignment.finalized_during_run)
-    limit = max_consistent_cut_within(oracle, lambda e: e in finalized)
-    return possibly(oracle, predicate, within=limit), limit

@@ -4,7 +4,7 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "cluster": ("ClusterClock", "ClusterTimestamp"),
-    "encoded": ("EncodedClock", "EncodedTimestamp", "first_primes"),
+    "encoded": ("EncodedClock", "EncodedTimestamp"),
     "hlc": ("HLCTimestamp", "HybridLogicalClock", "counter_time_source"),
     "plausible": ("PlausibleClock", "PlausibleTimestamp"),
 }
@@ -15,7 +15,6 @@ if TYPE_CHECKING:
     )
     from repro.baselines.encoded import (
         EncodedClock as EncodedClock, EncodedTimestamp as EncodedTimestamp,
-        first_primes as first_primes,
     )
     from repro.baselines.hlc import (
         HLCTimestamp as HLCTimestamp, HybridLogicalClock as HybridLogicalClock,

@@ -13,38 +13,32 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "corpus": (
-        "CASE_SCHEMA", "CorpusCase", "case_from_mismatch", "load_case", "load_corpus",
+        "CASE_SCHEMA", "CorpusCase", "case_from_mismatch", "load_corpus",
         "replay_case", "save_case",
     ),
-    "fuzzer": (
-        "INVARIANTS", "ConformanceReport", "Mismatch", "check_execution", "fuzz",
-        "generate_trial",
-    ),
+    "fuzzer": ("INVARIANTS", "ConformanceReport", "Mismatch", "check_execution", "fuzz"),
     "registry": (
         "SchemeSpec", "all_schemes", "scheme_by_name", "schemes_for", "star_center_of",
     ),
-    "shrinker": ("shrink_mismatch", "shrink_ops"),
+    "shrinker": ("shrink_mismatch",),
 }
 
 if TYPE_CHECKING:
     from repro.conformance.corpus import (
         CASE_SCHEMA as CASE_SCHEMA, CorpusCase as CorpusCase,
-        case_from_mismatch as case_from_mismatch, load_case as load_case,
-        load_corpus as load_corpus, replay_case as replay_case, save_case as save_case,
+        case_from_mismatch as case_from_mismatch, load_corpus as load_corpus,
+        replay_case as replay_case, save_case as save_case,
     )
     from repro.conformance.fuzzer import (
         INVARIANTS as INVARIANTS, ConformanceReport as ConformanceReport,
         Mismatch as Mismatch, check_execution as check_execution, fuzz as fuzz,
-        generate_trial as generate_trial,
     )
     from repro.conformance.registry import (
         SchemeSpec as SchemeSpec, all_schemes as all_schemes,
         scheme_by_name as scheme_by_name, schemes_for as schemes_for,
         star_center_of as star_center_of,
     )
-    from repro.conformance.shrinker import (
-        shrink_mismatch as shrink_mismatch, shrink_ops as shrink_ops,
-    )
+    from repro.conformance.shrinker import shrink_mismatch as shrink_mismatch
 else:
     from repro._exports import lazy_exports
 

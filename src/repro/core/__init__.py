@@ -11,9 +11,7 @@ _EXPORTS = {
         "IncrementalHBOracle", "as_batch_oracle", "incremental_from_execution",
     ),
     "random_executions": ("random_execution",),
-    "trace": (
-        "execution_from_dict", "execution_to_dict", "load_execution", "save_execution",
-    ),
+    "trace": ("load_execution", "save_execution"),
     "cuts": (
         "Cut", "cut_from_events", "cut_size", "empty_cut", "events_in_cut", "frontier",
         "full_cut", "is_consistent", "join", "max_consistent_cut_within", "meet",
@@ -40,9 +38,7 @@ if TYPE_CHECKING:
     )
     from repro.core.random_executions import random_execution as random_execution
     from repro.core.trace import (
-        execution_from_dict as execution_from_dict,
-        execution_to_dict as execution_to_dict, load_execution as load_execution,
-        save_execution as save_execution,
+        load_execution as load_execution, save_execution as save_execution,
     )
     from repro.core.cuts import (
         Cut as Cut, cut_from_events as cut_from_events, cut_size as cut_size,

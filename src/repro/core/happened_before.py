@@ -1,9 +1,10 @@
 """Ground-truth happened-before oracle: one clock table, bit rows decoded from it.
 
-The oracle derives Lamport's happened-before relation [Lamport 1978] directly
-from an :class:`~repro.core.execution.Execution`, independently of any clock
-algorithm under test.  It is the reference against which every timestamping
-scheme in the library is validated.
+The oracle derives Lamport's happened-before relation [Lamport 1978] from an
+:class:`~repro.core.execution.Execution` by the Fidge–Mattern max-merge that the
+``vector`` scheme also runs.  Every scheme is validated against it; the reference
+independent of both is ``_closure`` in ``tests/clocks/test_validate_budget.py``,
+the transitive closure of program order and send → receive.
 
 **The clock table** — every event's full-length (``n``-entry) vector clock
 (Fidge 1991, Mattern 1988), one flat ``array('i')`` per process with the

@@ -6,7 +6,7 @@ _EXPORTS = {
     "charron_bost": (
         "CrownWitness", "certified_dimension_lower_bound", "charron_bost_execution",
     ),
-    "crowns": ("crown_dimension_bound", "find_crown", "is_crown_embedding"),
+    "crowns": ("find_crown", "is_crown_embedding"),
     "flooding": ("flooding_adversary",),
     "offline_star": (
         "SearchOutcome", "execution_dimension_exceeds_2",
@@ -16,13 +16,9 @@ _EXPORTS = {
     "online": (
         "DroppedCoordinateScheme", "FoldedVectorScheme", "ProjectedVectorScheme",
     ),
-    "posets": (
-        "Poset", "has_dimension_at_most_2", "realizer2", "standard_example",
-        "transitive_orientation", "two_element_vectors",
-    ),
+    "posets": ("Poset", "has_dimension_at_most_2", "realizer2", "two_element_vectors"),
     "realizers": (
-        "greedy_realizer", "offline_vector_timestamps", "verify_offline_vectors",
-        "verify_realizer",
+        "offline_vector_timestamps", "verify_offline_vectors", "verify_realizer",
     ),
     "star_adversary": (
         "AdversaryResult", "star_adversary_integer", "star_adversary_real",
@@ -40,8 +36,7 @@ if TYPE_CHECKING:
         charron_bost_execution as charron_bost_execution,
     )
     from repro.lowerbounds.crowns import (
-        crown_dimension_bound as crown_dimension_bound, find_crown as find_crown,
-        is_crown_embedding as is_crown_embedding,
+        find_crown as find_crown, is_crown_embedding as is_crown_embedding,
     )
     from repro.lowerbounds.flooding import flooding_adversary as flooding_adversary
     from repro.lowerbounds.offline_star import (
@@ -59,12 +54,9 @@ if TYPE_CHECKING:
     )
     from repro.lowerbounds.posets import (
         Poset as Poset, has_dimension_at_most_2 as has_dimension_at_most_2,
-        realizer2 as realizer2, standard_example as standard_example,
-        transitive_orientation as transitive_orientation,
-        two_element_vectors as two_element_vectors,
+        realizer2 as realizer2, two_element_vectors as two_element_vectors,
     )
     from repro.lowerbounds.realizers import (
-        greedy_realizer as greedy_realizer,
         offline_vector_timestamps as offline_vector_timestamps,
         verify_offline_vectors as verify_offline_vectors,
         verify_realizer as verify_realizer,

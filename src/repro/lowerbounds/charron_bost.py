@@ -39,7 +39,6 @@ from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.lowerbounds.crowns import is_crown_embedding
-from repro.lowerbounds.posets import Poset
 from repro.topology import generators
 
 
@@ -120,11 +119,3 @@ def certified_dimension_lower_bound(n: int) -> int:
             "Charron-Bost construction failed crown verification"
         )
     return witness.dimension_lower_bound
-
-
-def induced_crown_poset(
-    execution: Execution, witness: CrownWitness
-) -> Poset:
-    """The induced subposet on the witness events (for inspection/tests)."""
-    full = Poset.from_execution(execution)
-    return full.subposet(list(witness.a_events) + list(witness.b_events))

@@ -121,17 +121,3 @@ def find_crown(
     if result is not None:
         assert is_crown_embedding(poset.lt, result[0], result[1])
     return result
-
-
-def crown_dimension_bound(
-    poset: Poset, max_k: int = 6, node_budget: int = 200_000
-) -> int:
-    """Largest ``k`` with an embedded crown found, i.e. a certified
-    dimension lower bound (≥ 3 is informative; returns 2 as the trivial
-    bound when no crown ≥ 3 is found)."""
-    best = 2
-    for k in range(3, max_k + 1):
-        if find_crown(poset, k, node_budget=node_budget) is None:
-            break
-        best = k
-    return best

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
 
@@ -140,23 +139,6 @@ class Poset:
             list(subset),
             {(a, b) for a, b in self._lt if a in sset and b in sset},
         )
-
-
-def standard_example(k: int) -> Poset:
-    """The crown S⁰ₖ: elements a₁..aₖ, b₁..bₖ with aᵢ < bⱼ iff i ≠ j.
-
-    The canonical poset of order dimension exactly ``k`` (for k ≥ 2); used
-    to test the dimension machinery.
-    """
-    if k < 2:
-        raise ValueError("crown needs k >= 2")
-    elements: List[Element] = [("a", i) for i in range(k)] + [
-        ("b", j) for j in range(k)
-    ]
-    lt = {
-        (("a", i), ("b", j)) for i in range(k) for j in range(k) if i != j
-    }
-    return Poset(elements, lt)
 
 
 # ----------------------------------------------------------------------
@@ -296,14 +278,3 @@ def two_element_vectors(
     pos1 = {x: i for i, x in enumerate(l1)}
     pos2 = {x: i for i, x in enumerate(l2)}
     return {x: (pos1[x], pos2[x]) for x in poset.elements}
-
-
-def dimension_lower_bound_certificate(poset: Poset) -> str:
-    """Human-readable certificate for a dim > 2 verdict (for reports)."""
-    if has_dimension_at_most_2(poset):
-        return "poset has dimension <= 2 (no certificate)"
-    return (
-        "incomparability graph admits no transitive orientation; by "
-        "Dushnik-Miller, order dimension >= 3, hence no 2-element vector "
-        "timestamp assignment exists"
-    )

@@ -32,17 +32,14 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "chaos_proxy": ("ChaosInterposer",),
-    "loadgen": (
-        "LIVE_CLOCKS", "LiveReport", "build_live_clock", "run_live_store",
-        "run_live_store_sync", "simulator_prediction",
-    ),
+    "loadgen": ("LIVE_CLOCKS", "LiveReport", "run_live_store", "run_live_store_sync"),
     "node": (
         "AddressBook", "ClientNode", "ClusterSpec", "FileAddressBook", "LiveClockHost",
-        "LiveNode", "SequencerNode", "ServerNode", "make_node",
+        "LiveNode", "ServerNode", "make_node",
     ),
     "supervisor": ("CrashPlan", "CrashSnapshot", "Supervisor"),
     "transport": (
-        "ConnectionClosed", "FrameStream", "PeerClient", "RequestTimeout", "RpcServer",
+        "ConnectionClosed", "PeerClient", "RequestTimeout", "RpcServer",
         "TransportError", "TransportPolicy", "pack_payload", "unpack_payload",
     ),
     "virtual": ("VirtualLoop", "run_virtual"),
@@ -52,24 +49,21 @@ if TYPE_CHECKING:
     from repro.net.chaos_proxy import ChaosInterposer as ChaosInterposer
     from repro.net.loadgen import (
         LIVE_CLOCKS as LIVE_CLOCKS, LiveReport as LiveReport,
-        build_live_clock as build_live_clock, run_live_store as run_live_store,
-        run_live_store_sync as run_live_store_sync,
-        simulator_prediction as simulator_prediction,
+        run_live_store as run_live_store, run_live_store_sync as run_live_store_sync,
     )
     from repro.net.node import (
         AddressBook as AddressBook, ClientNode as ClientNode,
         ClusterSpec as ClusterSpec, FileAddressBook as FileAddressBook,
         LiveClockHost as LiveClockHost, LiveNode as LiveNode,
-        SequencerNode as SequencerNode, ServerNode as ServerNode,
-        make_node as make_node,
+        ServerNode as ServerNode, make_node as make_node,
     )
     from repro.net.supervisor import (
         CrashPlan as CrashPlan, CrashSnapshot as CrashSnapshot,
         Supervisor as Supervisor,
     )
     from repro.net.transport import (
-        ConnectionClosed as ConnectionClosed, FrameStream as FrameStream,
-        PeerClient as PeerClient, RequestTimeout as RequestTimeout,
+        ConnectionClosed as ConnectionClosed, PeerClient as PeerClient,
+        RequestTimeout as RequestTimeout,
         RpcServer as RpcServer, TransportError as TransportError,
         TransportPolicy as TransportPolicy, pack_payload as pack_payload,
         unpack_payload as unpack_payload,

@@ -68,7 +68,8 @@ class _Pipe(asyncio.Transport):
             self._protocol.data_received(data)
 
     def _receive_eof(self) -> None:
-        if not (self._lost or self._eof):
+        # nor does an EOF in flight to it
+        if not (self._closing or self._lost or self._eof):
             self._eof = True
             if not self._protocol.eof_received():  # asyncio's rule
                 self.close()

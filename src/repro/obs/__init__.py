@@ -28,9 +28,9 @@ _EXPORTS = {
     "metrics": (
         "BYTE_BUCKETS", "DEFAULT_BUCKETS", "METRICS_SCHEMA", "VTIME_BUCKETS", "Counter",
         "Gauge", "Histogram", "MetricsRegistry", "active_registry", "counter",
-        "default_registry", "gauge", "metric", "use_registry",
+        "gauge", "metric", "use_registry",
     ),
-    "report": ("render_report", "render_trace_report"),
+    "report": ("render_report",),
     "tracing": (
         "TRACE_SCHEMA", "RunTracer", "deterministic_run_id", "load_trace",
         "registry_from_trace", "run_header",
@@ -43,12 +43,10 @@ if TYPE_CHECKING:
         METRICS_SCHEMA as METRICS_SCHEMA, VTIME_BUCKETS as VTIME_BUCKETS,
         Counter as Counter, Gauge as Gauge, Histogram as Histogram,
         MetricsRegistry as MetricsRegistry, active_registry as active_registry,
-        counter as counter, default_registry as default_registry, gauge as gauge,
-        metric as metric, use_registry as use_registry,
+        counter as counter, gauge as gauge, metric as metric,
+        use_registry as use_registry,
     )
-    from repro.obs.report import (
-        render_report as render_report, render_trace_report as render_trace_report,
-    )
+    from repro.obs.report import render_report as render_report
     from repro.obs.tracing import (
         TRACE_SCHEMA as TRACE_SCHEMA, RunTracer as RunTracer,
         deterministic_run_id as deterministic_run_id, load_trace as load_trace,

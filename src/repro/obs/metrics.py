@@ -336,11 +336,6 @@ _default_registry = MetricsRegistry()
 _active = threading.local()
 
 
-def default_registry() -> MetricsRegistry:
-    """The per-process fallback registry (instrumentation's last resort)."""
-    return _default_registry
-
-
 def active_registry() -> MetricsRegistry:
     """The registry instrumented code should record into.
 

@@ -4,22 +4,20 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "network": (
-        "ConstantDelay", "DelayModel", "ExponentialDelay", "LinkStats", "Network",
-        "PerChannelDelay", "ReliableLink", "RetryPolicy", "UniformDelay",
+        "ConstantDelay", "DelayModel", "Network", "PerChannelDelay", "ReliableLink",
+        "RetryPolicy", "UniformDelay",
     ),
     "adversary": ("FloodTiming", "slow_victim_flood"),
     "runner": ("AlgorithmStats", "ControlTransport", "Simulation", "SimulationResult"),
     "scheduler": ("EventScheduler",),
     "workload": (
-        "BroadcastWorkload", "ClientServerWorkload", "PingPongWorkload",
-        "UniformWorkload", "Workload",
+        "BroadcastWorkload", "ClientServerWorkload", "UniformWorkload", "Workload",
     ),
 }
 
 if TYPE_CHECKING:
     from repro.sim.network import (
         ConstantDelay as ConstantDelay, DelayModel as DelayModel,
-        ExponentialDelay as ExponentialDelay, LinkStats as LinkStats,
         Network as Network, PerChannelDelay as PerChannelDelay,
         ReliableLink as ReliableLink, RetryPolicy as RetryPolicy,
         UniformDelay as UniformDelay,
@@ -35,8 +33,7 @@ if TYPE_CHECKING:
     from repro.sim.workload import (
         BroadcastWorkload as BroadcastWorkload,
         ClientServerWorkload as ClientServerWorkload,
-        PingPongWorkload as PingPongWorkload, UniformWorkload as UniformWorkload,
-        Workload as Workload,
+        UniformWorkload as UniformWorkload, Workload as Workload,
     )
 else:
     from repro._exports import lazy_exports

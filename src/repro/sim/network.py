@@ -59,18 +59,6 @@ class UniformDelay(DelayModel):
         return self.low + (self.high - self.low) * rng.random()
 
 
-class ExponentialDelay(DelayModel):
-    """Heavy-ish tail: ``0.001 + Exp(mean)`` delays."""
-
-    def __init__(self, mean: float = 1.0) -> None:
-        if not 0 < mean < math.inf:  # NaN too
-            raise ValueError("mean must be positive and finite")
-        self.mean = mean
-
-    def sample(self, src: ProcessId, dst: ProcessId, rng: random.Random) -> float:
-        return 1e-3 + rng.expovariate(1.0 / self.mean)
-
-
 class PerChannelDelay(DelayModel):
     """Channel-specific overrides on top of a default model.
 

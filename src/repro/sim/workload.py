@@ -21,8 +21,6 @@ Provided policies:
   discussion and produces the round trips that finalize inline timestamps.
 - :class:`BroadcastWorkload` — one initiator floods via its neighbours
   (receivers forward once); a stress test for deep causal chains.
-- :class:`PingPongWorkload` — deterministic alternation over a fixed list of
-  process pairs; useful for reproducible unit-test scenarios.
 """
 
 from __future__ import annotations
@@ -241,37 +239,3 @@ class BroadcastWorkload(Workload):
             return
         self._forwarded.add(key)
         sim.schedule(1e-9, self._flood, sim, round_id, msg.dst, msg.src)
-
-
-class PingPongWorkload(Workload):
-    """Deterministic request/response ping-pong over fixed pairs.
-
-    For each ``(a, b)`` pair, ``a`` sends, ``b`` replies, *rounds* times.
-    """
-
-    def __init__(
-        self, pairs: Sequence[Tuple[ProcessId, ProcessId]], rounds: int = 5
-    ) -> None:
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.pairs = list(pairs)
-        self.rounds = rounds
-
-    def setup(self, sim: SimHandle) -> None:
-        self._remaining: Dict[Tuple[ProcessId, ProcessId], int] = {
-            (a, b): self.rounds for a, b in self.pairs
-        }
-        for i, (a, b) in enumerate(self.pairs):
-            sim.schedule(1e-9 * (i + 1), sim.do_send, a, b)
-
-    def on_deliver(self, sim: SimHandle, msg: Message, recv: Event) -> None:
-        key = (msg.src, msg.dst)
-        rkey = (msg.dst, msg.src)
-        if key in self._remaining:
-            # this was a ping: send the pong
-            sim.schedule(1e-9, sim.do_send, msg.dst, msg.src)
-        elif rkey in self._remaining:
-            # this was a pong: one round completed
-            self._remaining[rkey] -= 1
-            if self._remaining[rkey] > 0:
-                sim.schedule(1e-9, sim.do_send, msg.dst, msg.src)

@@ -6,13 +6,9 @@ _EXPORTS = {
     "graph": ("CommunicationGraph", "Edge"),
     "generators": ("generators",),
     "vertex_cover": (
-        "best_cover", "exact_minimum_cover", "greedy_degree_cover", "is_minimal_cover",
-        "matching_cover",
+        "best_cover", "exact_minimum_cover", "greedy_degree_cover", "matching_cover",
     ),
-    "properties": (
-        "adversary_diameter", "articulation_points", "lemma_2_4_set_x",
-        "vertex_connectivity",
-    ),
+    "properties": ("adversary_diameter", "lemma_2_4_set_x", "vertex_connectivity"),
 }
 
 if TYPE_CHECKING:
@@ -23,11 +19,11 @@ if TYPE_CHECKING:
     from repro.topology.vertex_cover import (
         best_cover as best_cover, exact_minimum_cover as exact_minimum_cover,
         greedy_degree_cover as greedy_degree_cover,
-        is_minimal_cover as is_minimal_cover, matching_cover as matching_cover,
+        matching_cover as matching_cover,
     )
     from repro.topology.properties import (
         adversary_diameter as adversary_diameter,
-        articulation_points as articulation_points, lemma_2_4_set_x as lemma_2_4_set_x,
+        lemma_2_4_set_x as lemma_2_4_set_x,
         vertex_connectivity as vertex_connectivity,
     )
 else:

@@ -179,11 +179,3 @@ def best_cover(graph: CommunicationGraph, node_budget: int = 200_000) -> List[in
         hit = tuple(min(candidates, key=len))
         _best_cover_memo[key] = hit
     return list(hit)
-
-
-def is_minimal_cover(graph: CommunicationGraph, cover: Sequence[int]) -> bool:
-    """Whether *cover* is a cover with no removable vertex (inclusion-minimal)."""
-    cset = set(cover)
-    if not graph.is_vertex_cover(cset):
-        return False
-    return all(not graph.is_vertex_cover(cset - {v}) for v in cset)

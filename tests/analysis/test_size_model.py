@@ -12,8 +12,6 @@ from repro.analysis.size_model import (
     inline_bits,
     inline_elements,
     inline_wins_bits,
-    inline_wins_elements,
-    size_sweep,
     vector_bits,
     vector_elements,
 )
@@ -61,7 +59,8 @@ class TestCrossover:
         """Inline wins in element count iff |VC| < n/2 - 1."""
         for n in range(4, 40):
             for vc in range(0, n):
-                assert inline_wins_elements(n, vc) == (vc < n / 2 - 1)
+                wins = inline_elements(vc) < vector_elements(n)
+                assert wins == (vc < n / 2 - 1)
 
     def test_star_wins_for_large_n(self):
         assert inline_wins_bits(n_processes=16, max_events=100, cover_size=1)
@@ -86,8 +85,7 @@ class TestCrossover:
 
 class TestSweep:
     def test_rows(self):
-        rows = size_sweep([8, 16], [10, 100], cover_for_n={8: 1, 16: 2})
-        assert len(rows) == 4
+        rows = [compare_sizes(n, k, {8: 1, 16: 2}[n]) for n in (8, 16) for k in (10, 100)]
         for row in rows:
             assert row.inline_elements == 2 * row.cover_size + 2
             assert row.bit_ratio > 0

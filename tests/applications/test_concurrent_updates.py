@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.applications.concurrent_updates import (
-    conflict_resolution_status,
-    find_conflicts,
-)
+from repro.applications.concurrent_updates import conflict_resolution_status
 from repro.clocks import StarInlineClock, VectorClock, replay_one
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
 from repro.core.events import EventId
@@ -32,11 +29,19 @@ def star_updates_execution():
     return ex, updates
 
 
+def true_conflicts(ex, updates):
+    """The ground-truth side of the report: concurrent same-key pairs."""
+    report = conflict_resolution_status(
+        replay_one(ex, VectorClock(ex.n_processes)), updates,
+        oracle=HappenedBeforeOracle(ex),
+    )
+    return report.true_conflicts
+
+
 class TestFindConflicts:
     def test_ground_truth_conflicts(self):
         ex, updates = star_updates_execution()
-        oracle = HappenedBeforeOracle(ex)
-        conflicts = find_conflicts(oracle.happened_before, updates)
+        conflicts = true_conflicts(ex, updates)
         assert frozenset({EventId(1, 1), EventId(2, 1)}) in conflicts
         # e1@p1 -> e3@p2, so not a conflict
         assert frozenset({EventId(1, 1), EventId(2, 3)}) not in conflicts
@@ -45,9 +50,8 @@ class TestFindConflicts:
 
     def test_different_keys_never_conflict(self):
         ex, _ = star_updates_execution()
-        oracle = HappenedBeforeOracle(ex)
         updates = {EventId(1, 1): "x", EventId(2, 1): "y"}
-        assert find_conflicts(oracle.happened_before, updates) == set()
+        assert true_conflicts(ex, updates) == set()
 
 
 class TestResolutionStatus:

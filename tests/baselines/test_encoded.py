@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import EncodedClock, first_primes
+from repro.baselines import EncodedClock
+from repro.baselines.encoded import first_primes
 from repro.baselines.encoded import EncodedTimestamp
 from repro.clocks import VectorClock, replay, replay_one
 from repro.core.random_executions import random_execution

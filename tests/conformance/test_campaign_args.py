@@ -9,7 +9,8 @@ and the CLI says which flag was wrong.
 import pytest
 
 from repro.cli import main
-from repro.conformance import fuzz, generate_trial
+from repro.conformance import fuzz
+from repro.conformance.fuzzer import generate_trial
 from repro.conformance.fuzzer import ConformanceReport, run_trials
 
 BAD = [

@@ -16,11 +16,11 @@ from repro.conformance import (
     CorpusCase,
     Mismatch,
     case_from_mismatch,
-    load_case,
     load_corpus,
     replay_case,
     save_case,
 )
+from repro.conformance.corpus import load_case
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 

@@ -19,13 +19,13 @@ from repro.conformance import (
     all_schemes,
     check_execution,
     fuzz,
-    generate_trial,
     scheme_by_name,
     schemes_for,
     shrink_mismatch,
-    shrink_ops,
     star_center_of,
 )
+from repro.conformance.fuzzer import generate_trial
+from repro.conformance.shrinker import shrink_ops
 from repro.core import HappenedBeforeOracle
 from repro.core.backend import NUMPY_MIN_EVENTS, numpy_available
 from repro.core.events import EventId

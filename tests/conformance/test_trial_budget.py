@@ -32,7 +32,8 @@ import pytest
 
 import repro.conformance.fuzzer as fuzzer
 from repro.clocks.replay import replay_one
-from repro.conformance import fuzz, generate_trial, scheme_by_name
+from repro.conformance import fuzz, scheme_by_name
+from repro.conformance.fuzzer import generate_trial
 from repro.conformance.registry import star_center_of
 from repro.core.random_executions import execution_from_ops
 

@@ -499,8 +499,8 @@ class TestFreezeBuildsNothing:
         for oracle in (frozen, batch, inc, None):
             assert asg.validate_sampled(oracle, n_pairs=200).characterizes
         assert builds == []
-        self._ask_every_table_query(frozen, asg, rng)
-        self._ask_every_table_query(batch, asg, rng)
+        self._ask_every_table_query(frozen, rng)
+        self._ask_every_table_query(batch, rng)
         assert builds == []
         first = frozen.past_masks()
         assert builds == ["masks"]
@@ -515,10 +515,10 @@ class TestFreezeBuildsNothing:
             assert matrix is None and builds == ["masks"]
 
     @staticmethod
-    def _ask_every_table_query(frozen, asg, rng):
+    def _ask_every_table_query(frozen, rng):
         """``causal_past``, every ``cuts.py`` function and the Section-6
         entry points built on them: all answered from the clock table."""
-        from repro.applications.global_predicate import possibly_with_inline
+        from repro.applications.global_predicate import possibly
         from repro.applications.recovery import (
             periodic_checkpoints,
             recovery_line,
@@ -549,11 +549,9 @@ class TestFreezeBuildsNothing:
         assert cuts.is_consistent(frozen, line)
         assert all(k <= w for k, w in zip(line, within))
         # a predicate met at the empty cut: the walk is one step, the
-        # finalized-cut computation before it is the point
-        witness, limit = possibly_with_inline(
-            asg, lambda c: True, finalized=set(ids) - banned, oracle=frozen
-        )
-        assert witness == cuts.empty_cut(ex.n_processes) and limit == within
+        # consistency check of *within* before it is the point
+        witness = possibly(frozen, lambda c: True, within=within)
+        assert witness == cuts.empty_cut(ex.n_processes)
 
     @pytest.mark.parametrize("backend", ["pure", "numpy"])
     def test_each_bit_consumer_triggers_the_one_build(self, builds, backend):

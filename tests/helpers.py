@@ -1,6 +1,6 @@
 """Cross-cutting test helpers: declarative timestamp definitions, an
-independent causal-past reference, and the three oracles every cut query
-must answer alike on.
+independent causal-past reference, the three oracles every cut query
+must answer alike on, and the crown poset the dimension tests start from.
 
 The paper defines the star and cover timestamps *declaratively* (Sections
 3.1 and 4) and then gives operational rules (Figure 1).  These helpers
@@ -19,6 +19,7 @@ from repro.core.events import EventId
 from repro.core.execution import Execution
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import IncrementalHBOracle
+from repro.lowerbounds.posets import Poset
 
 Post = Union[int, float]
 
@@ -174,3 +175,11 @@ def clip_checkpoints(checkpoints, oracle):
 def leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether cut *a* lies inside cut *b*."""
     return all(x <= y for x, y in zip(a, b, strict=True))
+
+
+def standard_example(k: int) -> Poset:
+    """The crown S⁰ₖ: elements a₀..aₖ₋₁, b₀..bₖ₋₁ with aᵢ < bⱼ iff i ≠ j,
+    the canonical poset of order dimension exactly ``k`` (k ≥ 2)."""
+    a = [("a", i) for i in range(k)]
+    b = [("b", j) for j in range(k)]
+    return Poset(a + b, {(a[i], b[j]) for i in range(k) for j in range(k) if i != j})

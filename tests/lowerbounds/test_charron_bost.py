@@ -7,10 +7,10 @@ from repro.lowerbounds.charron_bost import (
     CrownWitness,
     certified_dimension_lower_bound,
     charron_bost_execution,
-    induced_crown_poset,
 )
 from repro.lowerbounds.crowns import is_crown_embedding
-from repro.lowerbounds.posets import has_dimension_at_most_2, standard_example
+from repro.lowerbounds.posets import Poset, has_dimension_at_most_2
+from tests.helpers import standard_example
 
 
 class TestConstruction:
@@ -36,7 +36,9 @@ class TestConstruction:
 
     def test_induced_subposet_is_the_crown(self):
         ex, witness = charron_bost_execution(3)
-        induced = induced_crown_poset(ex, witness)
+        induced = Poset.from_execution(ex).subposet(
+            list(witness.a_events) + list(witness.b_events)
+        )
         crown = standard_example(3)
         # same relation profile: count of ordered pairs matches
         induced_pairs = sum(
@@ -55,8 +57,6 @@ class TestConstruction:
 
     def test_dimension_exceeds_2_for_n3(self):
         ex, _w = charron_bost_execution(3)
-        from repro.lowerbounds.posets import Poset
-
         assert not has_dimension_at_most_2(Poset.from_execution(ex))
 
     def test_certified_bound(self):

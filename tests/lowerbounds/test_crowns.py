@@ -3,12 +3,9 @@
 import pytest
 
 from repro.lowerbounds.charron_bost import charron_bost_execution
-from repro.lowerbounds.crowns import (
-    crown_dimension_bound,
-    find_crown,
-    is_crown_embedding,
-)
-from repro.lowerbounds.posets import Poset, standard_example
+from repro.lowerbounds.crowns import find_crown, is_crown_embedding
+from repro.lowerbounds.posets import Poset
+from tests.helpers import standard_example
 
 
 class TestEmbeddingChecker:
@@ -65,17 +62,3 @@ class TestSearch:
             found = find_crown(p, n)
             assert found is not None
 
-
-class TestDimensionBound:
-    def test_bound_on_crowns(self):
-        assert crown_dimension_bound(standard_example(3)) == 3
-        assert crown_dimension_bound(standard_example(4)) == 4
-
-    def test_trivial_bound_on_chains(self):
-        p = Poset([1, 2], {(1, 2)})
-        assert crown_dimension_bound(p) == 2
-
-    def test_charron_bost_bound(self):
-        ex, _w = charron_bost_execution(4)
-        p = Poset.from_execution(ex)
-        assert crown_dimension_bound(p, max_k=4) == 4

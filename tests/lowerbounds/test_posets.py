@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.random_executions import random_execution
 from repro.lowerbounds.posets import (
     Poset,
-    dimension_lower_bound_certificate,
     has_dimension_at_most_2,
     realizer2,
-    standard_example,
     transitive_orientation,
     two_element_vectors,
 )
 from repro.topology import generators
+from tests.helpers import standard_example
 
 
 class TestPosetBasics:
@@ -68,10 +67,6 @@ class TestCrowns:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_higher_crowns_exceed_2(self, k):
         assert not has_dimension_at_most_2(standard_example(k))
-
-    def test_crown_validation(self):
-        with pytest.raises(ValueError):
-            standard_example(1)
 
 
 class TestTransitiveOrientation:
@@ -141,11 +136,3 @@ class TestRealizers:
     def test_crown3_has_no_realizer(self):
         assert realizer2(standard_example(3)) is None
         assert two_element_vectors(standard_example(3)) is None
-
-    def test_certificate_strings(self):
-        assert "dimension <= 2" in dimension_lower_bound_certificate(
-            standard_example(2)
-        )
-        assert "Dushnik" in dimension_lower_bound_certificate(
-            standard_example(3)
-        )

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ExecutionBuilder
 from repro.core.random_executions import random_execution
 from repro.lowerbounds.charron_bost import charron_bost_execution
-from repro.lowerbounds.posets import Poset, standard_example
+from repro.lowerbounds.posets import Poset
 from repro.lowerbounds.realizers import (
     greedy_realizer,
     offline_vector_timestamps,
     verify_offline_vectors,
     verify_realizer,
 )
+from tests.helpers import standard_example
 from repro.topology import generators
 
 

@@ -19,9 +19,9 @@ from repro.net import (
     ClusterSpec,
     FileAddressBook,
     TransportError,
-    build_live_clock,
     run_live_store_sync,
 )
+from repro.net.loadgen import build_live_clock
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -22,7 +22,6 @@ from repro.faults.models import DuplicationFault
 from repro.net import (
     ChaosInterposer,
     ConnectionClosed,
-    FrameStream,
     PeerClient,
     RequestTimeout,
     RpcServer,
@@ -31,7 +30,7 @@ from repro.net import (
     pack_payload,
     unpack_payload,
 )
-from repro.net.transport import MAX_FRAME_BYTES, WIRE_SCHEMA
+from repro.net.transport import MAX_FRAME_BYTES, WIRE_SCHEMA, FrameStream
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 HELLO = {"t": "hello", "schema": WIRE_SCHEMA, "proc": 0}

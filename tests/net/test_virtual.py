@@ -152,6 +152,43 @@ class TestLoop:
 
         assert run_virtual(go()) == [b"early"]
 
+    def test_an_end_closed_here_gets_no_eof_already_in_flight(self):
+        """Nor does an EOF: the far end closes, and the near end closes
+        before that EOF lands, so the near protocol sees only
+        ``connection_lost``."""
+
+        class Probe(asyncio.Protocol):
+            transport = None
+
+            def __init__(self):
+                self.calls = []
+
+            def connection_made(self, transport):
+                self.transport = transport
+
+            def eof_received(self):
+                self.calls.append("eof")
+
+            def connection_lost(self, exc):
+                self.calls.append("lost")
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            far = Probe()
+            server = await loop.create_server(lambda: far, "127.0.0.1", 0)
+            near, probe = await loop.create_connection(
+                Probe, *server.sockets[0].getsockname()
+            )
+            await asyncio.sleep(0)  # the far end's connection_made
+            far.transport.close()  # its EOF is in flight to the near end
+            near.close()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            server.close()
+            return probe.calls, far.calls
+
+        assert run_virtual(go()) == (["lost"], ["lost"])
+
 
 def store_run(faults):
     """Operations, writes, frames, events and timestamps of one run."""

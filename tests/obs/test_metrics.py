@@ -16,11 +16,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     active_registry,
     counter,
-    default_registry,
     gauge,
     metric,
     use_registry,
 )
+from repro.obs.metrics import _default_registry as process_default
 
 
 class TestCounter:
@@ -291,7 +291,7 @@ class TestMerge:
 
 class TestActiveRegistry:
     def test_default_when_no_scope(self):
-        assert active_registry() is default_registry()
+        assert active_registry() is process_default
 
     def test_use_registry_scopes_and_nests(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
@@ -303,7 +303,7 @@ class TestActiveRegistry:
             assert active_registry() is outer
             metric("h").observe(1)
             gauge("g").set(2)
-        assert active_registry() is default_registry()
+        assert active_registry() is process_default
         assert inner.counter_value("c") == 1
         assert outer.histogram("h").count == 1
         assert outer.as_dict()["gauges"]["g"] == 2
@@ -313,7 +313,7 @@ class TestActiveRegistry:
         with pytest.raises(RuntimeError):
             with use_registry(reg):
                 raise RuntimeError("boom")
-        assert active_registry() is default_registry()
+        assert active_registry() is process_default
 
     def test_thread_isolation(self):
         """A scope installed on one thread is invisible to another."""
@@ -332,7 +332,7 @@ class TestActiveRegistry:
             t = threading.Thread(target=worker)
             t.start()
             t.join()
-        assert seen["registry"] is default_registry()
+        assert seen["registry"] is process_default
         assert seen["scoped"] is True
         assert seen["count"] == 1
         assert main_reg.counter_value("t.c") == 0

@@ -198,3 +198,21 @@ class TestCoverClockUnderSimulation:
         res = sim.run(UniformWorkload(events_per_process=12, p_local=0.2))
         oracle = HappenedBeforeOracle(res.execution)
         assert res.assignments["cover"].validate(oracle).characterizes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_overhead_counts_are_exact(self, seed):
+        """Each delivered message from outside the cover to inside it costs
+        one 3-element acknowledgement; every application message carries
+        ``|VC| + 2`` elements (sender id, counter, mpre)."""
+        g = generators.double_star(2, 3)
+        cover = (0, 1)
+        sim = Simulation(g, seed=seed, clocks={"inline": CoverInlineClock(g, cover)})
+        res = sim.run(UniformWorkload(events_per_process=15, p_local=0.2))
+        controls = sum(
+            1 for msg in res.execution.messages
+            if msg.recv_event is not None and msg.src not in cover and msg.dst in cover
+        )
+        stats = res.stats["inline"]
+        assert stats.control_messages == controls > 0
+        assert stats.control_elements == 3 * controls
+        assert stats.app_payload_elements == (len(cover) + 2) * res.app_messages

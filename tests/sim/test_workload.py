@@ -6,7 +6,6 @@ from repro.core.events import EventKind
 from repro.sim import (
     BroadcastWorkload,
     ClientServerWorkload,
-    PingPongWorkload,
     Simulation,
     UniformWorkload,
 )
@@ -112,18 +111,6 @@ class TestBroadcastWorkload:
         res1 = Simulation(g, seed=7).run(BroadcastWorkload(0, rounds=1))
         res2 = Simulation(g, seed=7).run(BroadcastWorkload(0, rounds=2))
         assert res2.execution.n_events > res1.execution.n_events
-
-
-class TestPingPongWorkload:
-    def test_round_count(self):
-        g = generators.star(3)
-        res = Simulation(g, seed=8).run(
-            PingPongWorkload([(1, 0)], rounds=4)
-        )
-        pings = sum(1 for m in res.execution.messages if m.src == 1)
-        pongs = sum(1 for m in res.execution.messages if m.src == 0)
-        assert pings == 4
-        assert pongs == 4
 
 
 @pytest.mark.parametrize("workload", [UniformWorkload, ClientServerWorkload])

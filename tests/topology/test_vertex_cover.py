@@ -11,7 +11,6 @@ from repro.topology.vertex_cover import (
     best_cover,
     exact_minimum_cover,
     greedy_degree_cover,
-    is_minimal_cover,
     matching_cover,
 )
 
@@ -75,10 +74,3 @@ class TestHeuristics:
         assert len(best) <= len(greedy_degree_cover(g))
         assert len(best) == len(exact_minimum_cover(g))
 
-
-class TestMinimality:
-    def test_is_minimal_cover(self):
-        g = generators.star(5)
-        assert is_minimal_cover(g, [0])
-        assert not is_minimal_cover(g, [0, 1])  # 1 removable
-        assert not is_minimal_cover(g, [1, 2])  # not a cover
