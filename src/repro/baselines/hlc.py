@@ -112,7 +112,6 @@ class HybridLogicalClock(ClockAlgorithm):
         self._time = time_source or counter_time_source()
         self._l = [0.0] * n_processes
         self._c = [0] * n_processes
-        self._max_pt_seen = [0.0] * n_processes
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> Any:
@@ -132,7 +131,6 @@ class HybridLogicalClock(ClockAlgorithm):
     def _local_step(self, p: ProcessId, k: int) -> None:
         self._expect(p, k)  # before the time source is read: it may count
         pt = self._time(p)
-        self._max_pt_seen[p] = max(self._max_pt_seen[p], pt)
         new_l = max(self._l[p], pt)
         self._c[p] = self._c[p] + 1 if new_l == self._l[p] else 0
         self._l[p] = new_l
@@ -151,7 +149,6 @@ class HybridLogicalClock(ClockAlgorithm):
         self._expect(p, k)
         l_m, c_m = payload
         pt = self._time(p)
-        self._max_pt_seen[p] = max(self._max_pt_seen[p], pt)
         old_l = self._l[p]
         new_l = max(old_l, l_m, pt)
         if new_l == old_l and new_l == l_m:
@@ -165,10 +162,3 @@ class HybridLogicalClock(ClockAlgorithm):
         self._l[p] = new_l
         self._c[p] = c
         self._stamp(p, k, HLCTimestamp(new_l, c, p))
-
-    # ------------------------------------------------------------------
-    def drift_from_physical(self, proc: int) -> float:
-        """``l - max physical reading seen`` — bounded by the clock-skew
-        spread across the system (the HLC paper's Theorem 3), unlike
-        Lamport clocks, whose value can run arbitrarily far ahead."""
-        return self._l[proc] - self._max_pt_seen[proc]

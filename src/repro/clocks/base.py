@@ -100,10 +100,6 @@ class Timestamp(abc.ABC):
     def elements(self) -> Tuple[Any, ...]:
         """The scheme's integer (or real) elements, for size accounting."""
 
-    def concurrent_with(self, other: "Timestamp") -> bool:
-        """Neither precedes the other (events are distinct by construction)."""
-        return not self.precedes(other) and not other.precedes(self)
-
     @property
     def n_elements(self) -> int:
         """Number of stored elements — the paper's size metric (Thm 4.2)."""

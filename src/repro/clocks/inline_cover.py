@@ -47,7 +47,7 @@ from repro.clocks.base import (
     vector_leq,
     vector_lt,
 )
-from repro.core.events import EventId, ProcessId
+from repro.core.events import ProcessId
 from repro.topology.graph import CommunicationGraph
 
 PostValue = Union[int, float]
@@ -366,16 +366,6 @@ class CoverInlineClock(InlineClock):
                 self._close(j, k, entry)
 
     # ------------------------------------------------------------------
-    def provisional_timestamp(self, eid: EventId) -> CoverTimestamp:
-        """Current (possibly provisional) value, for inspection/debugging."""
-        ts = self.timestamp(eid)
-        if ts is None:
-            mpre, mpost = self._open[eid.proc][eid.index]
-            ts = CoverTimestamp(
-                eid.proc, eid.index, mpre, tuple(mpost), self._cover
-            )
-        return ts
-
     def payload_elements(self, payload: Any) -> int:
         """``(id, mctr, mpre)`` on an application message, ``(seq, send
         index, receive index)`` on a control message."""

@@ -38,7 +38,7 @@ from repro.clocks.base import (
     Timestamp,
     dominance_rows,
 )
-from repro.core.events import EventId, ProcessId
+from repro.core.events import ProcessId
 
 PostValue = Union[int, float]  # int, or INFINITY
 
@@ -305,14 +305,6 @@ class StarInlineClock(InlineClock):
                 self._close(j, ctr, pre, b)
 
     # ------------------------------------------------------------------
-    def provisional_timestamp(self, eid: EventId) -> StarTimestamp:
-        """The current (possibly not yet permanent) value — for inspection."""
-        ts = self.timestamp(eid)
-        if ts is None:
-            pre = self._open[eid.proc][eid.index]
-            ts = StarTimestamp(eid.proc, eid.index, pre, INFINITY, self._center)
-        return ts
-
     def payload_elements(self, payload: Any) -> int:
         """``(ctr, pre)`` on an application message, ``(seq, send index,
         receive index)`` on a control message: flat tuples of integers."""

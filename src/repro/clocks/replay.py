@@ -168,9 +168,6 @@ class TimestampAssignment:
         """Timestamp-based causality decision for two events."""
         return self[e].precedes(self[f])
 
-    def concurrent(self, e: EventId, f: EventId) -> bool:
-        return e != f and not self.precedes(e, f) and not self.precedes(f, e)
-
     # ------------------------------------------------------------------
     def max_elements(self) -> int:
         """Largest element count of any assigned timestamp (paper's metric)."""

@@ -133,7 +133,13 @@ class ConformanceReport:
         return not self.mismatches
 
     def count(self, invariant: str, n: int = 1) -> None:
+        if invariant not in INVARIANTS:
+            raise ValueError(_unknown(invariant))
         self.checks[invariant] = self.checks.get(invariant, 0) + n
+
+
+def _unknown(invariant: str) -> str:
+    return f"unknown invariant {invariant!r}: expected one of {INVARIANTS}"
 
 
 def _mk(
@@ -145,6 +151,8 @@ def _mk(
     fifo: bool,
     context: Mapping[str, Any],
 ) -> Mismatch:
+    if invariant not in INVARIANTS:
+        raise ValueError(_unknown(invariant))
     return Mismatch(
         invariant=invariant,
         scheme=scheme,

@@ -128,10 +128,6 @@ class EventStore:
     def n_events(self) -> int:
         return len(self._proc)
 
-    @property
-    def n_messages(self) -> int:
-        return len(self._msrc)
-
     def count_at(self, proc: ProcessId) -> int:
         """Events appended at *proc* so far."""
         return len(self._rows_of[proc])
@@ -219,12 +215,6 @@ class EventStore:
         """Global row of the *index*-th (1-based) event at *proc*."""
         return self._rows_of[proc][index - 1]
 
-    def proc_of(self, row: int) -> ProcessId:
-        return self._proc[row]
-
-    def seq_of(self, row: int) -> int:
-        return self._seq[row]
-
     def kind_of(self, row: int) -> int:
         """The compact kind code (``KIND_LOCAL``/``KIND_SEND``/``KIND_RECEIVE``)."""
         return self._kind[row]
@@ -236,10 +226,6 @@ class EventStore:
     def send_row_of(self, msg_id: MessageId) -> int:
         """Global row of the send event of *msg_id* (the send anchor)."""
         return self._msend[msg_id]
-
-    def recv_row_of(self, msg_id: MessageId) -> int:
-        """Global row of the receive of *msg_id*, or -1 while in flight."""
-        return self._mrecv[msg_id]
 
     # ------------------------------------------------------------------
     # object materialization (the unchanged public API, on demand)
@@ -338,15 +324,6 @@ class EventStore:
     def freeze(self) -> "ColumnarExecution":
         """An :class:`Execution` view over these columns (lazy objects)."""
         return ColumnarExecution(self)
-
-    def materialize(self) -> Execution:
-        """A plain object-model :class:`Execution` copy of the store."""
-        return Execution(
-            self._n,
-            [self.events_at(p) for p in range(self._n)],
-            self.messages(),
-            self._graph,
-        )
 
 
 class ColumnarExecution(Execution):
@@ -452,14 +429,6 @@ class ColumnarExecutionBuilder:
     def receive(self, proc: ProcessId, msg_id: MessageId) -> Event:
         self._check_open()
         return self._store.event(self._store.append_receive(proc, msg_id))
-
-    def send_and_receive(
-        self, src: ProcessId, dst: ProcessId
-    ) -> Tuple[Event, Event]:
-        msg_id = self.send(src, dst)
-        send_ev = self._store.event(self._store.send_row_of(msg_id))
-        recv_ev = self.receive(dst, msg_id)
-        return send_ev, recv_ev
 
     def last_event(self, proc: ProcessId) -> Event:
         if self._store.count_at(proc) == 0:

@@ -120,12 +120,6 @@ class Message:
         """Whether the message has been received."""
         return self.recv_event is not None
 
-    def with_receive(self, recv_event: EventId) -> "Message":
-        """Return a copy of this message marked as received at *recv_event*."""
-        if self.recv_event is not None:
-            raise ValueError(f"message {self.msg_id} already delivered")
-        return Message(self.msg_id, self.src, self.dst, self.send_event, recv_event)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class Event:

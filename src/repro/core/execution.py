@@ -148,16 +148,6 @@ class Execution:
         send = self._messages[recv.msg_id].send_event
         return self._events_by_proc[send.proc][send.index - 1]
 
-    def receive_of(self, send: Event) -> Optional[Event]:
-        """Given a send event, return the matching receive (or ``None``)."""
-        if not send.is_send:
-            raise ValueError(f"{send} is not a send event")
-        assert send.msg_id is not None
-        recv = self._messages[send.msg_id].recv_event
-        if recv is None:
-            return None
-        return self._events_by_proc[recv.proc][recv.index - 1]
-
     def undelivered_messages(self) -> List[Message]:
         """Messages sent but never received in this execution."""
         return [m for m in self._messages if not m.delivered]
@@ -317,13 +307,6 @@ class ExecutionBuilder:
         evts.append(ev)
         messages[msg_id] = Message(msg_id, msg.src, proc, msg.send_event, eid)
         return ev
-
-    def send_and_receive(self, src: ProcessId, dst: ProcessId) -> Tuple[Event, Event]:
-        """Convenience: send from *src* to *dst* and deliver it immediately."""
-        msg_id = self.send(src, dst)
-        send_ev = self._events[src][-1]
-        recv_ev = self.receive(dst, msg_id)
-        return send_ev, recv_ev
 
     @property
     def n_processes(self) -> int:

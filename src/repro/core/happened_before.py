@@ -13,8 +13,8 @@ relation, so everything but the exhaustive validators reads nothing else::
 
     e -> f   iff   e != f  and  vc_f[e.proc] >= e.index
 
-``happened_before`` / ``leq`` / ``concurrent`` / ``vector_clock`` are index
-operations on it, ``causal_past`` is one prefix per process and
+``happened_before`` / ``vector_clock`` are index operations on it,
+``causal_past`` is one prefix per process and
 ``relation_counts`` sums it (an event's strict past has ``sum(vc) - 1``
 members).  There is one builder of the table, the streaming oracle's
 max-merge recurrence (:meth:`repro.core.incremental.IncrementalHBOracle._append`):
@@ -199,18 +199,6 @@ class HappenedBeforeOracle:
         if ep == fp:
             return ei < fi
         return self._clocks[fp][(fi - 1) * n + ep] >= ei
-
-    def leq(self, e: EventId, f: EventId) -> bool:
-        """Whether ``e == f`` or ``e -> f``."""
-        return e == f or self.happened_before(e, f)
-
-    def concurrent(self, e: EventId, f: EventId) -> bool:
-        """Whether *e* and *f* are distinct and causally unordered."""
-        return (
-            not self.happened_before(e, f)
-            and not self.happened_before(f, e)
-            and e != f
-        )
 
     # ------------------------------------------------------------------
     def causal_past(self, f: EventId) -> Set[EventId]:

@@ -15,8 +15,8 @@ so the streaming oracle keeps exactly that per event and nothing else:
   into it.  That is the whole recurrence, and it is inherently incremental:
   no append ever touches an existing row;
 - ``happened_before`` is two index operations and one integer compare;
-  ``causal_past`` / ``causal_frontier`` / ``relation_counts`` are read off
-  the same clocks (a past is a union of per-process prefixes).
+  ``causal_past`` / ``relation_counts`` are read off the same clocks (a
+  past is a union of per-process prefixes).
 
 There is **one** row-construction path, :meth:`IncrementalHBOracle._append`:
 every append finalizes its clock and its metrics at once.
@@ -54,7 +54,7 @@ the registry active at construction.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.core.colstore import KIND_RECEIVE, EventStore
 from repro.core.events import Event, EventId, ProcessId
@@ -279,23 +279,11 @@ class IncrementalHBOracle:
         # f's own entry is its index, so the same-process case needs `>`
         return seen > e.index if e.proc == f.proc else seen >= e.index
 
-    def leq(self, e: EventId, f: EventId) -> bool:
-        """Whether ``e == f`` or ``e -> f``."""
-        return e == f or self.happened_before(e, f)
-
     def vector_clock(self, eid: EventId) -> Tuple[int, ...]:
         """The ground-truth full-length vector clock of *eid*."""
         self.flush()
         off = self._offset(eid)  # raises KeyError for unknown events
         return tuple(self._clocks[eid.proc][off : off + self._n])
-
-    def concurrent(self, e: EventId, f: EventId) -> bool:
-        """Whether *e* and *f* are distinct and causally unordered."""
-        return (
-            e != f
-            and not self.happened_before(e, f)
-            and not self.happened_before(f, e)
-        )
 
     def causal_past(self, f: EventId) -> Set[EventId]:
         """All appended events ``e`` with ``e -> f``."""
@@ -305,29 +293,6 @@ class IncrementalHBOracle:
             for p, seen in enumerate(self.vector_clock(f))
             for k in range(1, seen + (p != f.proc))
         }
-
-    def causal_frontier(self, events: Iterable[EventId]) -> List[EventId]:
-        """Maximal events of the downward closure of *events*.
-
-        The smallest causally-closed set containing *events* is a union of
-        causal pasts, i.e. one prefix per process — the entrywise max of
-        the seeds' clocks.  Its maximal elements — the frontier a consistent
-        snapshot would cut along — are the prefix tops no other top has
-        seen (O(n²) integer compares), returned in process order.
-        """
-        top = [0] * self._n
-        for f in events:
-            top = list(map(max, top, self.vector_clock(f)))
-        tops = [
-            (p, self.vector_clock(EventId(p, k)))
-            for p, k in enumerate(top)
-            if k
-        ]
-        return [
-            EventId(p, top[p])
-            for p, _own in tops
-            if not any(vc[p] >= top[p] for q, vc in tops if q != p)
-        ]
 
     def relation_counts(self) -> Tuple[int, int]:
         """``(ordered_pairs, concurrent_unordered_pairs)`` so far.

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "coordinator": ("FabricInterrupted", "FabricReport", "run_fabric"),
-    "drivers": ("WORK_KINDS", "execute_cell", "work_kind"),
+    "drivers": ("WORK_KINDS", "execute_cell"),
     "hashing": ("FABRIC_SCHEMA", "canonical_json", "cell_key"),
     "queue": ("CellFailed", "WorkQueue"),
     "store": ("ResultStore", "StoreError"),
@@ -24,9 +24,7 @@ if TYPE_CHECKING:
         FabricInterrupted as FabricInterrupted, FabricReport as FabricReport,
         run_fabric as run_fabric,
     )
-    from repro.fabric.drivers import (
-        WORK_KINDS as WORK_KINDS, execute_cell as execute_cell, work_kind as work_kind,
-    )
+    from repro.fabric.drivers import WORK_KINDS as WORK_KINDS, execute_cell as execute_cell
     from repro.fabric.hashing import (
         FABRIC_SCHEMA as FABRIC_SCHEMA, canonical_json as canonical_json,
         cell_key as cell_key,

@@ -133,13 +133,6 @@ class Poset:
         pos = {x: i for i, x in enumerate(order)}
         return all(pos[a] < pos[b] for a, b in self._lt)
 
-    def subposet(self, subset: Sequence[Element]) -> "Poset":
-        sset = set(subset)
-        return Poset(
-            list(subset),
-            {(a, b) for a, b in self._lt if a in sset and b in sset},
-        )
-
 
 # ----------------------------------------------------------------------
 # transitive orientation (Golumbic's forcing algorithm)

@@ -42,7 +42,7 @@ _EXPORTS = {
         "ConnectionClosed", "PeerClient", "RequestTimeout", "RpcServer",
         "TransportError", "TransportPolicy", "pack_payload", "unpack_payload",
     ),
-    "virtual": ("VirtualLoop", "run_virtual"),
+    "virtual": ("run_virtual",),
 }
 
 if TYPE_CHECKING:
@@ -68,7 +68,7 @@ if TYPE_CHECKING:
         TransportPolicy as TransportPolicy, pack_payload as pack_payload,
         unpack_payload as unpack_payload,
     )
-    from repro.net.virtual import VirtualLoop as VirtualLoop, run_virtual as run_virtual
+    from repro.net.virtual import run_virtual as run_virtual
 else:
     from repro._exports import lazy_exports
 

@@ -244,15 +244,6 @@ class MetricsRegistry:
         inst = self._counters.get(_full_name(name, labels))
         return inst.value if inst is not None else 0
 
-    def histograms_matching(self, prefix: str) -> Dict[str, Histogram]:
-        """All histograms whose full name starts with *prefix* (sorted)."""
-        return {
-            k: h
-            for k in sorted(self._histograms)
-            if k.startswith(prefix)
-            for h in (self._histograms[k],)
-        }
-
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 

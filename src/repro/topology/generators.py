@@ -184,27 +184,6 @@ def wheel(n: int) -> CommunicationGraph:
     return CommunicationGraph(n, edges)
 
 
-def grid(rows: int, cols: int) -> CommunicationGraph:
-    """2D mesh: vertex ``r*cols + c`` connects to its 4-neighbourhood.
-
-    Vertex connectivity 2 for meshes with both dimensions ≥ 2 (a Lemma 2.3
-    family); the minimum vertex cover is large (~n/2), so it is also a
-    topology where the inline scheme does *not* beat vector clocks — useful
-    for exercising both sides of the crossover.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("grid needs positive dimensions")
-    edges: List[Edge] = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return CommunicationGraph(rows * cols, edges)
-
-
 def caterpillar(spine: int, legs_per_vertex: int) -> CommunicationGraph:
     """A path (the spine) with *legs_per_vertex* leaves on each spine vertex.
 

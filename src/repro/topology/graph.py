@@ -82,18 +82,6 @@ class CommunicationGraph:
         cset = set(cover)
         return all(u in cset or v in cset for u, v in self._edges)
 
-    def subgraph_without(self, removed: Iterable[int]) -> "CommunicationGraph":
-        """The induced subgraph on the complement of *removed*.
-
-        Vertex ids are preserved (the graph keeps ``n`` vertices; removed
-        vertices become isolated).  Used by connectivity computations.
-        """
-        rset = set(removed)
-        return CommunicationGraph(
-            self._n,
-            [e for e in self._edges if e[0] not in rset and e[1] not in rset],
-        )
-
     def connected_components(self, ignore: Iterable[int] = ()) -> List[Set[int]]:
         """Connected components, optionally ignoring some vertices entirely."""
         skip = set(ignore)

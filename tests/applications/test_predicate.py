@@ -70,7 +70,8 @@ class TestDetection:
         assert result.witness[0].index in (1, 2)
         # witness must be pairwise concurrent
         e, f = result.witness[0], result.witness[1]
-        assert oracle.concurrent(e, f)
+        assert not oracle.happened_before(e, f)
+        assert not oracle.happened_before(f, e)
 
     def test_empty_marks_for_one_process(self):
         ex = concurrent_execution()

@@ -57,10 +57,3 @@ class TestBaseValidation:
         vc = VectorClock(2)
         with pytest.raises(NotImplementedError):
             vc.on_control(0, 1, None)
-
-    def test_concurrent_with(self):
-        a = VectorTimestamp((1, 0))
-        b = VectorTimestamp((0, 1))
-        assert a.concurrent_with(b)
-        c = VectorTimestamp((2, 1))
-        assert not a.concurrent_with(c)

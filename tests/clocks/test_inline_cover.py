@@ -18,6 +18,7 @@ from repro.core import ExecutionBuilder, HappenedBeforeOracle
 from repro.core.events import EventId
 from repro.core.random_executions import random_execution
 from repro.topology import generators
+from repro.topology.graph import CommunicationGraph
 from repro.topology.vertex_cover import best_cover
 
 from tests.helpers import declarative_cover_values
@@ -37,7 +38,10 @@ GRAPH_FAMILIES = {
     "clique4": generators.clique(4),
     "bipartite": generators.complete_bipartite(2, 4),
     "caterpillar": generators.caterpillar(3, 2),
-    "grid2x3": generators.grid(2, 3),
+    # the 2×3 mesh, vertex r*3 + c
+    "grid2x3": CommunicationGraph(
+        6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]
+    ),
 }
 
 
@@ -310,8 +314,6 @@ class TestWorkedExample:
     def test_event_g(self):
         graph = generators.double_star(1, 1)  # edges 0-1, 0-2, 1-3
         # relabel for the scenario: p3 talks to p1... use explicit graph:
-        from repro.topology.graph import CommunicationGraph
-
         graph = CommunicationGraph(4, [(0, 1), (0, 3), (1, 2)])
         cover = (0, 1)
         b = ExecutionBuilder(4, graph=graph)
@@ -337,9 +339,7 @@ class TestWorkedExample:
         g = b.receive(3, m2)
         drive(g)
 
-        ts = clock.provisional_timestamp(g.eid)
-        # g knows p1's event (mctr 1) and p0's two events
-        assert ts.mpre == (2, 1)
+        assert clock.timestamp(g.eid) is None  # ⊥ until p0 acknowledges
 
         # p3 sends back to p0; the receive at p0 is its 3rd event
         m3 = b.send(3, 0)
@@ -350,4 +350,6 @@ class TestWorkedExample:
 
         ts = clock.timestamp(g.eid)
         assert ts is not None  # finalized: p3's only cover neighbour is p0
+        # g knows p1's event (mctr 1) and p0's two events
+        assert ts.mpre == (2, 1)
         assert ts.mpost == (3, INFINITY)  # no channel p3-p1 -> ∞ forever

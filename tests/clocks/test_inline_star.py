@@ -349,7 +349,7 @@ class TestPostBoundary:
         b = ExecutionBuilder(3, graph=graph)
         b.local(1)
         b.send(1, 0)            # never delivered: no ack will ever exist
-        b.send_and_receive(0, 2)  # C(1) -> p2(1): the rest of the star works
+        b.receive(2, b.send(0, 2))  # C(1) -> p2(1): the rest of the star works
         m_back = b.send(2, 0)
         b.receive(0, m_back)    # C(2) receives p2's reply
         b.local(1)              # p1 keeps going, still unacknowledged

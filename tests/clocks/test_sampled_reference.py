@@ -31,7 +31,8 @@ def _execution_of(n_events):
     left = n_events
     while left:
         if left >= 2 and rng.random() < 0.4:
-            builder.send_and_receive(*rng.choice([(0, 1), (2, 0), (0, 3), (3, 0)]))
+            src, dst = rng.choice([(0, 1), (2, 0), (0, 3), (3, 0)])
+            builder.receive(dst, builder.send(src, dst))
             left -= 2
         else:
             builder.local(rng.randrange(4))

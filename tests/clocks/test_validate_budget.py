@@ -1,19 +1,15 @@
 """Call budgets for exhaustive validation and for the delivery order.
 
 Wall-clock gates flake; the number of calls a seeded run makes does not.
-Counted with ``sys.setprofile`` as ``tests/sim/test_hot_path_budget.py``
-does, but ``call`` *and* ``c_call`` events — every function the interpreter
-dispatches, Python or builtin, because the old per-bit loop spent its time
-in ``min``/``max``/``append``/``bit_length`` — for one ``validate()`` of a
-lossy scheme against a numpy oracle, over a FIFO star(32) execution of
-1,035 events.  The count follows one uncounted ``validate()`` on objects of
-its own (the first in a process pays for lazy imports) and runs with the
-collector off, so it is the same alone, after other tests and twice in one
-process.
+Counted by ``tests/meter.py``'s rule, ``call`` *and* ``c_call`` events —
+every function the interpreter dispatches, Python or builtin, because the
+old per-bit loop spent its time in ``min``/``max``/``append``/``bit_length``
+— for one ``validate()`` of a lossy scheme against a numpy oracle, over a
+FIFO star(32) execution of 1,035 events.
 
 At ``389689e`` the mismatch decode ran in the interpreter, one iteration per
-mismatch bit (run this file as a script to print the figures; the
-Python-level ``call`` events alone were 224,706 / 223,668 / 96,626):
+mismatch bit (``python -m tests.clocks.test_validate_budget`` prints the
+figures; the Python-level ``call`` events alone were 224,706 / 223,668 / 96,626):
 
 ==========  ===============  ========  =============  ==================
 scheme      false positives  calls     calls / event  calls / event here
@@ -46,18 +42,18 @@ is ``vc_f[e.proc] ≥ e.index``.  Until ``0b03faa`` it asked
 unordered pair).
 
 The fourth is sampled validation, in Python-level calls (``call`` events
-only, as the simulator's budget counts) per sampled pair: 2,000 pairs of the
+only, by the same rule) per sampled pair: 2,000 pairs of the
 hot-path budget's run — the 3/4/16 sequencer graph, 100 events per process,
 seed 7 — against its frozen streamed oracle.  At ``e71ddf4`` a pair cost
 28.4 (inline-cover) and 42.3 (vector) calls: ``random.sample``'s argument
 checks, four timestamp lookups by hashed event id, a generator resumed per
 vector component.  Drawn by position, each stamp fetched once and vectors
-compared by ``all(map(le, a, b))`` it costs 10.1 and 12.8.
+compared by ``all(map(le, a, b))`` it cost 10.1 and 12.8; under the meter
+it costs 7.9 and 9.0 on CPython 3.11, the same as the count without a
+warm-up at ``9639e48``.
 """
 
-import gc
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -84,14 +80,12 @@ from repro.core.backend import numpy_available
 from repro.core.random_executions import execution_from_ops, random_execution
 from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
+from tests import meter
 
 PARENT_CALLS = {"hlc": 662_679, "lamport": 661_641, "plausible": 284_464}
 #: measured 2.79-6.36 (plausible 2,885, lamport 5,549, hlc 6,584 calls) on
-#: CPython 3.11, the same alone, after ``tests/core`` and twice in one
-#: process, + 5 %.  Counted without the warm-up and with the collector on it
-#: was 2.7-6.5 alone and 3.1-7.0 after ``tests/core`` (hypothesis's
-#: ``gc.callbacks`` hook ran inside the count), and 3.7-7.5 / 3.9-8.0 while
-#: ``validate`` fetched each timestamp by event id
+#: CPython 3.11, + 5 %; 3.7-7.5 while ``validate`` fetched each timestamp by
+#: event id
 CEILING_CALLS_PER_EVENT = 6.7
 #: calls per sampled pair at ``e71ddf4``, and the ceiling: 10.1 / 12.8
 #: measured on CPython 3.11 and 3.12, + 5 %
@@ -107,28 +101,6 @@ def _fixed_execution():
     )
 
 
-def _count_calls(fn, kinds):
-    """``(profile events of *kinds* during fn(), fn()'s result)``, with the
-    collector off: a collection would run whatever ``gc.callbacks`` hold
-    (hypothesis installs one) inside the count."""
-    calls = 0
-
-    def profile(_frame, event, _arg):
-        nonlocal calls
-        if event in kinds:
-            calls += 1
-
-    previous = sys.getprofile()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
-    return calls, result
-
-
 def _validate_calls(scheme: str):
     def validate():
         graph, ex = _fixed_execution()
@@ -136,10 +108,7 @@ def _validate_calls(scheme: str):
         oracle = HappenedBeforeOracle(ex, backend="numpy")
         return lambda: asg.validate(oracle)
 
-    # one uncounted run on objects of its own first: the first in a process
-    # pays for lazy imports, which the count is not about
-    validate()()
-    return _count_calls(validate(), ("call", "c_call"))
+    return meter.calls(validate, c_calls=True)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="requires numpy >= 2.0")
@@ -299,9 +268,8 @@ def _sampled_calls_per_pair():
     oracle = res.hb_oracle()
     per_pair = {}
     for name, asg in res.assignments.items():
-        calls, report = _count_calls(
-            lambda: asg.validate_sampled(oracle, n_pairs=SAMPLED_PAIRS, seed=7),
-            ("call",),
+        calls, report = meter.calls(
+            lambda: lambda: asg.validate_sampled(oracle, n_pairs=SAMPLED_PAIRS, seed=7)
         )
         assert report.characterizes
         assert report.n_ordered_pairs + report.n_concurrent_pairs == SAMPLED_PAIRS

@@ -1,8 +1,10 @@
 """The differential conformance fuzzer: invariants, detection, shrinking."""
 
 import copy
+import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.clocks.lamport import LamportClock, LamportTimestamp
 from repro.clocks.replay import TimestampAssignment, replay_one
 from repro.clocks.vector import VectorClock
 from repro.conformance import (
+    INVARIANTS,
     ConformanceReport,
     SchemeSpec,
     all_schemes,
@@ -122,14 +125,22 @@ class TestInvariants:
         assert report.trials == 20
         # every invariant family actually ran (backend-differential needs
         # the optional numpy kernel)
-        expected = {
-            "exact-vs-hb", "matrix-vs-pairwise", "one-sided",
-            "oracle-differential", "finalization-monotonic",
-            "store-differential",
-        }
-        if numpy_available():
-            expected.add("backend-differential")
+        expected = set(INVARIANTS)
+        if not numpy_available():
+            expected.remove("backend-differential")
         assert set(report.checks) == expected
+
+    def test_the_golden_campaign_checks_every_invariant(self):
+        golden = Path(__file__).parent / "golden" / "report_trials200_seed0.jsonl"
+        records = map(json.loads, golden.read_text().splitlines())
+        (summary,) = [rec for rec in records if rec.get("name") == "summary"]
+        assert sorted(summary["attrs"]["checks"]) == sorted(INVARIANTS)
+
+    def test_a_name_outside_the_invariants_is_refused(self):
+        with pytest.raises(ValueError, match="unknown invariant 'planted'"):
+            ConformanceReport().count("planted")
+        with pytest.raises(ValueError, match="unknown invariant 'planted'"):
+            fuzzer._mk("planted", "vector", "", generators.star(3), [], True, {})
 
     def test_trial_generation_is_deterministic(self):
         a = generate_trial(0, 7, ("star", "tree", "random"), 40)

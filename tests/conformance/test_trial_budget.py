@@ -2,11 +2,10 @@
 budgets.
 
 Wall-clock gates flake; what a seeded campaign computes does not.  Taken on
-the 60-trial campaign ``fuzz(60, seed=0, max_steps=30, backend="pure")``,
-after a warm-up campaign has loaded every module a trial imports lazily.
+the 60-trial campaign ``fuzz(60, seed=0, max_steps=30, backend="pure")``.
 
-- Python-level calls (``sys.setprofile``, ``call`` events only, as the
-  simulator's budget counts) per trial.  At ``f0c9468`` a trial made 18,774
+- Python-level calls (``call`` events, counted by ``tests/meter.py``'s rule)
+  per trial.  At ``f0c9468`` a trial made 18,774
   on CPython 3.11 (18,178 on 3.12 and 3.13):
   each sampled prefix rebuilt an execution and a batch oracle, every
   finalized stamp was compared with the dataclass ``__eq__`` at every step,
@@ -18,7 +17,9 @@ after a warm-up campaign has loaded every module a trial imports lazily.
   3.12, 13,905 on 3.13).  With the pairwise reference reading each event's
   vector clock once instead of asking ``happened_before`` per ordered pair,
   and the store differential reusing the ``vector`` scheme's report, it
-  makes 12,181 (11,693 on 3.12, 11,687 on 3.13).
+  made 12,181 (11,693 on 3.12, 11,687 on 3.13) after a 3-trial warm-up; by
+  the meter's rule, the memo caches full, it makes 12,142.3 in any order
+  (11,657.4 on 3.12, 11,652.2 on 3.13).
 - Execution builds: exactly two per trial, the trial's own and the
   columnar-store differential's (nine at ``f0c9468``).
 - A clock checkpoint calls ``dataclasses.fields`` zero times (52 for the
@@ -26,7 +27,6 @@ after a warm-up campaign has loaded every module a trial imports lazily.
 """
 
 import dataclasses
-import sys
 
 import pytest
 
@@ -36,10 +36,11 @@ from repro.conformance import fuzz, scheme_by_name
 from repro.conformance.fuzzer import generate_trial
 from repro.conformance.registry import star_center_of
 from repro.core.random_executions import execution_from_ops
+from tests import meter
 
 TRIALS = 60
 PARENT_CALLS_PER_TRIAL = 18_774
-#: measured 12,181 on CPython 3.11 (11,693 on 3.12, 11,687 on 3.13); +5 %
+#: 12,181 on CPython 3.11 + 5 %, measured before the meter's rule (12,142.3)
 CEILING_CALLS_PER_TRIAL = 12_800
 
 
@@ -47,25 +48,8 @@ def _campaign():
     return fuzz(TRIALS, seed=0, max_steps=30, backend="pure")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    fuzz(3, seed=0, max_steps=30, backend="pure")
-
-
 def _calls_per_trial():
-    calls = 0
-
-    def profile(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        report = _campaign()
-    finally:
-        sys.setprofile(previous)
+    calls, report = meter.calls(lambda: _campaign)
     assert report.ok and report.trials == TRIALS
     return calls / TRIALS
 
@@ -115,5 +99,4 @@ def test_a_checkpoint_reads_no_dataclass_fields(monkeypatch, scheme):
 
 
 if __name__ == "__main__":
-    fuzz(3, seed=0, max_steps=30, backend="pure")
     print(f"calls/trial={_calls_per_trial():,.1f}")

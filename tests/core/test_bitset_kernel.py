@@ -101,9 +101,6 @@ def test_bitset_oracle_matches_vector_clock_oracle(family, n, seed, steps):
                 continue
             expected = vc_happened_before(oracle, e, f)
             assert oracle.happened_before(e, f) == expected, (e, f)
-            assert oracle.concurrent(e, f) == (
-                not expected and not vc_happened_before(oracle, f, e)
-            )
             n_ordered += expected
 
     for f in ids:

@@ -119,23 +119,15 @@ class TestStorageParity:
         ).store
         recorded = EventStore.from_execution(ex_obj)
         assert recorded.n_events == live.n_events
-        assert recorded.n_messages == live.n_messages
 
         def shape(store):
             events = {
-                str(store.event_id(r)): (
-                    store.proc_of(r), store.seq_of(r), store.kind_of(r)
-                )
+                str(store.event_id(r)): store.kind_of(r)
                 for r in range(store.n_events)
             }
             msgs = sorted(
-                (
-                    str(store.event_id(store.send_row_of(m))),
-                    str(store.event_id(store.recv_row_of(m)))
-                    if store.recv_row_of(m) >= 0
-                    else None,
-                )
-                for m in range(store.n_messages)
+                (str(m.send_event), str(m.recv_event) if m.delivered else None)
+                for m in store.messages()
             )
             return events, msgs
 

@@ -88,17 +88,6 @@ class TestMessage:
         assert not m.delivered
         assert m.recv_event is None
 
-    def test_with_receive(self):
-        m = Message(0, src=1, dst=2, send_event=EventId(1, 1))
-        m2 = m.with_receive(EventId(2, 1))
-        assert m2.delivered
-        assert not m.delivered  # immutability
-
-    def test_double_receive_rejected(self):
-        m = Message(0, 1, 2, EventId(1, 1)).with_receive(EventId(2, 1))
-        with pytest.raises(ValueError):
-            m.with_receive(EventId(2, 2))
-
     def test_self_message_rejected(self):
         with pytest.raises(ValueError):
             Message(0, 1, 1, EventId(1, 1))
@@ -258,9 +247,9 @@ class TestConstructionContract:
         with pytest.raises(ValueError, match="peer must differ"):
             dataclasses.replace(send, peer=0)
         msg = Message(0, 1, 2, EventId(1, 1))
-        assert dataclasses.replace(
-            msg, recv_event=EventId(2, 1)
-        ) == msg.with_receive(EventId(2, 1))
+        assert dataclasses.replace(msg, recv_event=EventId(2, 1)) == Message(
+            0, 1, 2, EventId(1, 1), EventId(2, 1)
+        )
         with pytest.raises(ValueError, match="at the destination"):
             dataclasses.replace(msg, recv_event=EventId(1, 2))
 

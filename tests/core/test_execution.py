@@ -114,8 +114,8 @@ class TestExecutionStructure:
         ex = small_star_execution
         for msg in ex.messages:
             send = ex.event(msg.send_event)
-            recv = ex.receive_of(send)
-            assert recv is not None
+            recv = ex.event(msg.recv_event)
+            assert recv.msg_id == send.msg_id == msg.msg_id
             assert ex.send_of(recv) is send
 
     def test_send_of_rejects_non_receive(self, small_star_execution):
@@ -136,13 +136,6 @@ class TestExecutionStructure:
             b.last_event(0)
         b.local(0)
         assert b.last_event(0).eid == EventId(0, 1)
-
-    def test_send_and_receive_convenience(self):
-        b = ExecutionBuilder(2)
-        s, r = b.send_and_receive(0, 1)
-        assert s.is_send and r.is_receive
-        ex = b.freeze()
-        assert ex.messages[0].delivered
 
 
 def _with_undelivered():
@@ -197,10 +190,10 @@ class TestPositionalLookup:
     def test_send_and_receive_of(self, flavour):
         ex = flavour(_with_undelivered())
         delivered, undelivered = ex.events_at(0)
-        recv = ex.receive_of(delivered)
-        assert recv == ex.event(EventId(1, 1))
+        recv = ex.event(EventId(1, 1))
         assert ex.send_of(recv) == delivered
-        assert ex.receive_of(undelivered) is None
+        assert ex.messages[delivered.msg_id].recv_event == recv.eid
+        assert not ex.messages[undelivered.msg_id].delivered
         with pytest.raises(ValueError):
             ex.send_of(ex.event(EventId(1, 2)))
 

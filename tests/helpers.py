@@ -39,7 +39,8 @@ def declarative_star_values(
         e = ev.eid
         ctr = e.index
         pre = max(
-            (f.index for f in centre_events if oracle.leq(f.eid, e)),
+            (f.index for f in centre_events
+             if f.eid == e or oracle.happened_before(f.eid, e)),
             default=0,
         )
         if e.proc == center:
@@ -83,7 +84,7 @@ def declarative_cover_values(
                 (
                     f.index
                     for f in execution.events_at(c)
-                    if oracle.leq(f.eid, e)
+                    if f.eid == e or oracle.happened_before(f.eid, e)
                 ),
                 default=0,
             )

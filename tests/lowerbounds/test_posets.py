@@ -50,11 +50,6 @@ class TestPosetBasics:
         assert not p.is_linear_extension([2, 1, 3])
         assert not p.is_linear_extension([1, 2])
 
-    def test_subposet(self):
-        p = standard_example(3)
-        sub = p.subposet([("a", 0), ("b", 1)])
-        assert sub.lt(("a", 0), ("b", 1))
-
     def test_from_execution(self, small_star_execution):
         p = Poset.from_execution(small_star_execution)
         assert len(p) == small_star_execution.n_events

@@ -5,11 +5,8 @@ number of Python-level function calls a seeded run makes does not, nor does
 the number of objects the run keeps for the cyclic collector to traverse.
 Both are taken on the benchmark's 3/4/16 sequencer deployment, 10 operations
 per client (160 in all) over 8 keys, seed 7, with ``inline-cover`` and with
-``vector``; calls are counted with ``sys.setprofile`` (``call`` events only,
-coroutine resumptions included, the way the benchmark counts
-``net.py_calls_per_op``), after one uncounted run and with the collector
-off, so that neither a first run's lazy imports nor a ``gc.callbacks`` hook
-another test installed lands in the count.  Objects are counted as ``len(gc.get_objects())``
+``vector``; calls are ``call`` events (coroutine resumptions included)
+counted by ``tests/meter.py``'s rule.  Objects are counted as ``len(gc.get_objects())``
 when the run quiesces — sessions over, controls flushed, the audit done,
 just before the nodes stop — minus before the run, the collector off in
 between so that no collection untracks a tuple on one side only.
@@ -63,7 +60,7 @@ carry other values when events are stamped in another order.
 import dataclasses
 import gc
 import json
-import sys
+from functools import partial
 
 import pytest
 
@@ -74,12 +71,13 @@ from repro.core.events import Event
 from repro.net import (
     LiveClockHost,
     PeerClient,
-    VirtualLoop,
     loadgen,
     run_live_store,
     supervisor,
     transport,
 )
+from repro.net.virtual import VirtualLoop
+from tests import meter
 
 CONFIG = StoreConfig(
     n_sequencers=3, n_servers=4, n_clients=16, n_keys=8, ops_per_client=10, seed=7
@@ -147,22 +145,7 @@ def _run(clock, loop=None):
 
 @pytest.mark.parametrize("clock", sorted(FRAMES))
 def test_calls_per_op_stay_under_the_ceiling(clock):
-    calls = 0
-
-    def profile(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    _run(clock)  # the first run in a process pays for lazy imports
-    previous = sys.getprofile()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        _run(clock)
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
+    calls, _ = meter.calls(lambda: partial(_run, clock))
     per_op = calls / OPS
     assert per_op <= CEILING_CALLS_PER_OP[clock], per_op
 
@@ -257,50 +240,10 @@ def test_the_frames_carry_the_same_bytes(clock, monkeypatch):
     assert total == FRAME_BYTES[clock]
 
 
-def _instructions(fn):
-    """Bytecode instructions executed in the frames ``fn()`` runs: opcode
-    tracing, or on 3.12+ the ``sys.monitoring`` events it is built on (on
-    3.12.1 a frame whose tracer turns opcode events on at its ``call``
-    event never gets one)."""
-    count = 0
-    if hasattr(sys, "monitoring"):
-        monitoring, here = sys.monitoring, sys._getframe().f_code
-        tool = next(t for t in range(6) if monitoring.get_tool(t) is None)
-
-        def on_instruction(code, _offset):
-            nonlocal count
-            count += code is not here
-
-        monitoring.use_tool_id(tool, "instruction budget")
-        monitoring.register_callback(tool, monitoring.events.INSTRUCTION, on_instruction)
-        monitoring.set_events(tool, monitoring.events.INSTRUCTION)
-        try:
-            fn()
-        finally:
-            monitoring.set_events(tool, 0)
-            monitoring.free_tool_id(tool)
-        return count
-
-    def trace(frame, event, _arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        count += event == "opcode"
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        fn()
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 def test_a_cover_timestamp_is_built_under_the_ceiling():
     fields = (5, 3, (1, 2, 3), (4, INFINITY, 5), (0, 1, 2))
     build = lambda: CoverTimestamp(*fields)  # noqa: E731
-    build()
-    executed = _instructions(build)
+    executed, _ = meter.instructions(lambda: build)
     assert executed <= CEILING_COVER_TIMESTAMP_INSTRUCTIONS, executed
     # still a frozen dataclass, compared and hashed by value
     ts = CoverTimestamp(*fields)

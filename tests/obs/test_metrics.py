@@ -190,17 +190,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.histogram("h", buckets=(1, 2, 3))
 
-    def test_histograms_matching_prefix(self):
-        reg = MetricsRegistry()
-        reg.histogram("clock.delay", clock="a")
-        reg.histogram("clock.delay", clock="b")
-        reg.histogram("sim.other")
-        found = reg.histograms_matching("clock.delay")
-        assert sorted(found) == [
-            "clock.delay{clock=a}",
-            "clock.delay{clock=b}",
-        ]
-
     def test_as_dict_is_deterministic_json(self):
         reg = MetricsRegistry()
         reg.counter("b").inc(2)

@@ -21,6 +21,11 @@ from repro.obs import load_trace, registry_from_trace
 from repro.obs.tracing import run_header
 
 
+def _matching(histograms, prefix):
+    """The exported histograms whose full name starts with *prefix*."""
+    return [h for name, h in histograms.items() if name.startswith(prefix)]
+
+
 def _chaos_args(trace_path):
     return [
         "chaos", "--quick", "--events", "10",
@@ -95,19 +100,14 @@ class TestChaosTraceRoundTrip:
         trace = tmp_path / "t.jsonl"
         assert main(_chaos_args(trace)) == 0
         capsys.readouterr()
-        registry = registry_from_trace(load_trace(trace))
-        hists = registry.histograms_matching(
-            "clock.finalization_delay_events{clock=inline}"
-        )
-        assert hists, "inline finalization-delay histogram missing"
-        for h in hists.values():
-            assert h.count > 0
+        hists = registry_from_trace(load_trace(trace)).as_dict()["histograms"]
+        inline = _matching(hists, "clock.finalization_delay_events{clock=inline}")
+        assert inline, "inline finalization-delay histogram missing"
+        for h in inline:
+            assert h["count"] > 0
         # online schemes finalize at their own occurrence: delay always 0
-        vec = registry.histograms_matching(
-            "clock.finalization_delay_events{clock=vector}"
-        )
-        for h in vec.values():
-            assert h.max == 0
+        for h in _matching(hists, "clock.finalization_delay_events{clock=vector}"):
+            assert h["max"] == 0
 
     def test_header_and_events_present(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -143,7 +143,7 @@ class TestSimulateValidateTraces:
         assert run_header(records)["kind"] == "simulate"
         registry = registry_from_trace(records)
         assert registry.counter_value("sim.events_total") > 0
-        assert registry.histograms_matching("clock.timestamp_elements")
+        assert _matching(registry.as_dict()["histograms"], "clock.timestamp_elements")
 
     def test_validate_trace_roundtrip(self, tmp_path, capsys):
         exec_trace = tmp_path / "exec.json"

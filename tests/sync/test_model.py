@@ -36,8 +36,8 @@ class TestBuilder:
         ex = b.freeze()
         send, ack_recv = ex.events_at(0)
         _local, recv, ack_send = ex.events_at(1)
-        assert send.is_send and ex.receive_of(send) == recv
-        assert ack_send.is_send and ex.receive_of(ack_send) == ack_recv
+        assert send.is_send and ex.send_of(recv) == send
+        assert ack_send.is_send and ex.send_of(ack_recv) == ack_send
 
     def test_message_normalizes_order(self):
         """Either side may initiate; the span sits at the initiator and the

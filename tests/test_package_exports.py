@@ -77,7 +77,7 @@ PUBLIC = {
     "repro.fabric": [
         "CellFailed", "FABRIC_SCHEMA", "FabricInterrupted", "FabricReport",
         "ResultStore", "StoreError", "WORK_KINDS", "WorkQueue", "canonical_json",
-        "cell_key", "execute_cell", "run_fabric", "work_kind",
+        "cell_key", "execute_cell", "run_fabric",
     ],
     "repro.faults": [
         "ChaosCell", "ChaosReport", "ChaosScenario", "CompositeFault", "CrashSchedule",
@@ -103,7 +103,7 @@ PUBLIC = {
         "ConnectionClosed", "CrashPlan", "CrashSnapshot", "FileAddressBook",
         "LIVE_CLOCKS", "LiveClockHost", "LiveNode", "LiveReport", "PeerClient",
         "RequestTimeout", "RpcServer", "ServerNode", "Supervisor", "TransportError",
-        "TransportPolicy", "VirtualLoop", "make_node", "pack_payload", "run_live_store",
+        "TransportPolicy", "make_node", "pack_payload", "run_live_store",
         "run_live_store_sync", "run_virtual", "unpack_payload",
     ],
     "repro.obs": [

@@ -10,15 +10,16 @@ exceptions, each with its reason: a result type, exception or constant that
 a public function hands its caller, or a function the tests use as an
 independent reference for other code.
 
-Each file is read once into a set of words, so a name costs one set lookup
-per file.  A word search cannot see string dispatch (registry names, CLI
-choices), so a name it flags is checked by hand before it goes.
+Each file is read once into the set of words its code uses: names,
+attributes, imported names and strings that are one identifier, so a comment,
+docstring or message that mentions a name is not a user.  A name
+costs one set lookup per file.  The word set cannot see a name built at run
+time, so a name it flags is checked by hand before it goes.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -34,18 +35,21 @@ ALLOWED = {
     "repro.applications.ConflictReport": "conflict_resolution_status' result",
     "repro.applications.DetectionLag": "detection_lag's result",
     "repro.applications.RecoveryComparison": "recovery_line_lag's result",
+    "repro.applications.Snapshot": "AnalysisSession.snapshot's result",
     "repro.applications.StoreRunResult": "run_store's result",
     "repro.applications.TrafficReport": "the type of StoreRunResult.traffic",
     "repro.baselines.ClusterTimestamp": "ClusterClock's timestamp",
     "repro.baselines.EncodedTimestamp": "EncodedClock's timestamp",
     "repro.baselines.HLCTimestamp": "HybridLogicalClock's timestamp",
     "repro.baselines.PlausibleTimestamp": "PlausibleClock's timestamp",
+    "repro.clocks.CoverTimestamp": "CoverInlineClock's timestamp",
     "repro.clocks.LamportTimestamp": "LamportClock's timestamp",
     "repro.clocks.StarTimestamp": "StarInlineClock's timestamp",
     "repro.clocks.ValidationReport": "TimestampAssignment.validate's result",
     "repro.conformance.CASE_SCHEMA": "the schema tag save_case writes and load_corpus checks",
     "repro.conformance.CorpusCase": "the element type of load_corpus' result",
     "repro.conformance.INVARIANTS": "the values of Mismatch.invariant",
+    "repro.conformance.fuzz": "the serial campaign the fabric path is compared against",
     "repro.core.ColumnarExecution": "ColumnarExecutionBuilder.freeze's result",
     "repro.core.cut_from_events": "reference downward closure for the oracles' past rows",
     "repro.core.meet": "reference clip of a finalized cut to a mid-run oracle",
@@ -62,17 +66,17 @@ ALLOWED = {
     "repro.lowerbounds.verify_realizer": "independent check of greedy_realizer's extensions",
     "repro.net.ConnectionClosed": "the transport's exception for a closed connection",
     "repro.net.CrashSnapshot": "Supervisor.kill's result",
+    "repro.net.LiveReport": "run_live_store's result",
     "repro.obs.DEFAULT_BUCKETS": "Histogram's default bucket edges",
     "repro.obs.Gauge": "gauge()'s result",
     "repro.obs.METRICS_SCHEMA": "the schema tag of MetricsRegistry.as_dict",
     "repro.obs.TRACE_SCHEMA": "the schema tag of a RunTracer header",
     "repro.sim.AlgorithmStats": "the values of SimulationResult.stats",
     "repro.sim.FloodTiming": "slow_victim_flood's result",
+    "repro.sync.Component": "the element type of Decomposition.components",
     "repro.sync.ComponentTimestamp": "ComponentSyncClock's timestamp",
     "repro.sync.SyncSimResult": "simulate_sync's result",
 }
-
-WORD = re.compile(r"\w+")
 
 
 def exports():
@@ -87,11 +91,28 @@ def exports():
     return out
 
 
+def code_words(source):
+    """The words *source*'s code uses: a comment is not code, and prose in a
+    docstring or message is never a string that is one identifier."""
+    words = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            words.add(node.value)
+    return words
+
+
 @lru_cache(maxsize=None)
 def words_by_file():
-    """The set of words in each file that may use an export."""
+    """The code words of each file that may use an export."""
     return {
-        path: set(WORD.findall(path.read_text(encoding="utf-8")))
+        path: code_words(path.read_text(encoding="utf-8"))
         for top in USER_DIRS
         for path in (ROOT / top).rglob("*.py")
         if path.name != "__init__.py"
@@ -127,3 +148,13 @@ def test_no_allowed_name_has_a_user_already():
         if f"{package}.{name}" in ALLOWED and has_user(package, sub, name)
     ]
     assert needless == [], "these have a non-test user: take them off ALLOWED"
+
+
+def test_prose_is_not_a_use():
+    source = (
+        '"""Prose: planted_a."""\nimport planted_b.planted_c\n# planted_d\n'
+        'planted_e.planted_f("planted_g", "planted_h words", f"{planted_i}")\n'
+    )
+    assert {w for w in code_words(source) if w.startswith("planted")} == {
+        "planted_b", "planted_c", "planted_e", "planted_f", "planted_g", "planted_i",
+    }

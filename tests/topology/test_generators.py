@@ -68,23 +68,6 @@ class TestOtherFamilies:
         with pytest.raises(ValueError):
             generators.theta_graph([0, 0])
 
-    def test_grid(self):
-        g = generators.grid(3, 4)
-        assert g.n_vertices == 12
-        assert g.n_edges == 3 * 3 + 2 * 4  # horizontal + vertical
-        assert vertex_connectivity(g) == 2
-        # corner has degree 2, interior degree 4
-        assert g.degree(0) == 2
-        assert g.degree(5) == 4
-
-    def test_grid_line_degenerates_to_path(self):
-        g = generators.grid(1, 5)
-        assert g == generators.path(5)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            generators.grid(0, 3)
-
 
 class TestRandomFamilies:
     def test_random_tree(self):

@@ -78,9 +78,3 @@ class TestQueries:
         g = CommunicationGraph(3, [(0, 1)])
         with pytest.raises(ValueError):
             g.diameter()
-
-    def test_subgraph_without(self):
-        g = CommunicationGraph(3, [(0, 1), (1, 2), (0, 2)])
-        sub = g.subgraph_without({1})
-        assert sub.n_edges == 1
-        assert sub.has_edge(0, 2)

@@ -100,9 +100,7 @@ class TestVertexConnectivity:
                 remaining = [v for v in range(n) if v not in subset]
                 if len(remaining) < 2:
                     continue
-                comps = g.subgraph_without(subset).connected_components(
-                    ignore=subset
-                )
+                comps = g.connected_components(ignore=subset)
                 if len(comps) > 1:
                     brute = k
                     break
