@@ -3,13 +3,10 @@
 Condenses the fault-injection and reliable-control-transport counters a
 :class:`~repro.sim.runner.SimulationResult` collects into one summary per
 algorithm, for tables (``repro chaos``) and assertions (E16).  The
-interesting derived quantities:
-
-- :attr:`ReliabilitySummary.retransmission_rate` — extra datagram copies
-  per logical control message, the price of reliability;
-- :attr:`ReliabilitySummary.delivery_success` — fraction of control
-  messages that were eventually delivered (not abandoned), which bounds how
-  much finalization can happen during the run rather than at termination.
+interesting derived quantity is :attr:`ReliabilitySummary.delivery_success`:
+the fraction of control messages that were eventually delivered (not
+abandoned), which bounds how much finalization can happen during the run
+rather than at termination.
 """
 
 from __future__ import annotations
@@ -33,13 +30,6 @@ class ReliabilitySummary:
     duplicate_app_deliveries: int
     crash_dropped_app: int
     suppressed_events: int
-
-    @property
-    def retransmission_rate(self) -> float:
-        """Retransmitted copies per logical control message."""
-        if self.control_messages == 0:
-            return 0.0
-        return self.retransmissions / self.control_messages
 
     @property
     def delivery_success(self) -> float:

@@ -97,10 +97,6 @@ class SizeComparison:
     def inline_smaller(self) -> bool:
         return self.inline_bits < self.vector_bits
 
-    @property
-    def bit_ratio(self) -> float:
-        return self.inline_bits / self.vector_bits
-
 
 def compare_sizes(
     n_processes: int, max_events: int, cover_size: int

@@ -63,9 +63,6 @@ class FinalizedCutMonitor:
     def events_in_cut(self) -> int:
         return sum(self._cut)
 
-    def is_in_cut(self, eid: EventId) -> bool:
-        return eid in self._in_cut
-
     # ------------------------------------------------------------------
     def on_event(self, ev: Event, send_eid: Optional[EventId] = None) -> None:
         """Register an event's structure.

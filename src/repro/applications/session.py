@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Set
+from typing import List
 
 from repro.applications.monitor import CutSample, cut_evolution
 from repro.applications.predicate import (
@@ -27,8 +27,7 @@ from repro.applications.predicate import (
     detect_conjunctive,
 )
 from repro.applications.recovery import periodic_checkpoints, recovery_line
-from repro.core.cuts import Cut, cut_size, events_in_cut
-from repro.core.events import EventId
+from repro.core.cuts import Cut, cut_size
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.sim.runner import SimulationResult
 
@@ -85,10 +84,6 @@ class AnalysisSession:
         )
 
     # ------------------------------------------------------------------
-    def finalized_events_at(self, t: float) -> Set[EventId]:
-        """Event ids inside the finalized cut at *t*."""
-        return events_in_cut(self._oracle, self.snapshot(t).finalized_cut)
-
     def recovery_line_at(self, t: float, every_k: int = 5) -> Cut:
         """The recovery line computable from inline knowledge at *t*."""
         cut = self.snapshot(t).finalized_cut

@@ -64,10 +64,6 @@ class ClusterTimestamp(Timestamp):
             return self.cluster_vector + self.full_vector
         return self.cluster_vector
 
-    @property
-    def is_cluster_receive(self) -> bool:
-        return self.full_vector is not None
-
 
 class ClusterClock(ClockAlgorithm):
     """Two-level cluster timestamps over a process partition.

@@ -7,6 +7,7 @@ _EXPORTS = {
         "INFINITY", "ClockAlgorithm", "DuplicateControl", "Timestamp", "vector_leq",
         "vector_lt",
     ),
+    "host": ("ClockHost",),
     "inline_cover": ("CoverInlineClock", "CoverTimestamp"),
     "inline_star": ("StarInlineClock", "StarTimestamp"),
     "lamport": ("LamportClock", "LamportTimestamp"),
@@ -21,6 +22,7 @@ if TYPE_CHECKING:
         DuplicateControl as DuplicateControl, Timestamp as Timestamp,
         vector_leq as vector_leq, vector_lt as vector_lt,
     )
+    from repro.clocks.host import ClockHost as ClockHost
     from repro.clocks.inline_cover import (
         CoverInlineClock as CoverInlineClock, CoverTimestamp as CoverTimestamp,
     )

@@ -19,10 +19,8 @@ real protocol stack would host the algorithm:
   Figure 1's ``⟨ctr_m, ctr_C⟩``: it tells a sender at which index its
   message was received, and it always travels back to that sender, from
   *p* to *peer*, so a host delivers it with ``on_control(p, peer,
-  payload)``.  The *transport* is the host's (the replayer delivers
-  instantly; the simulator routes controls through FIFO control channels
-  with real delays, or piggybacks them — see :mod:`repro.sim.runner`); the
-  ordering is the clock's: :class:`InlineClock` applies each channel's
+  payload)``.  The *transport* is the host's (:mod:`repro.clocks.host`);
+  the ordering is the clock's: :class:`InlineClock` applies each channel's
   controls once and in order, whatever order they arrive in.
 - :meth:`ClockAlgorithm.timestamp` returns the permanent timestamp of an
   event, or ``None`` for ``⊥`` while it has none;

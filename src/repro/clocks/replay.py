@@ -488,21 +488,6 @@ def _mismatch_indices(
     return (*cells(missed), *cells(claimed))
 
 
-def collect_assignment(
-    algorithm: ClockAlgorithm,
-    execution: Execution,
-    finalized_during_run: Iterable[EventId],
-    finalize: bool,
-) -> TimestampAssignment:
-    """The end of a run, shared by :func:`replay` and the simulator: apply
-    termination finalization when *finalize* is set, then take the scheme's
-    table of timestamps."""
-    if finalize:
-        algorithm.finalize_at_termination()
-        algorithm.drain_newly_finalized()
-    return TimestampAssignment(algorithm, execution, finalized_during_run)
-
-
 def replay(
     execution: Execution,
     algorithms: Sequence[ClockAlgorithm],
@@ -562,9 +547,13 @@ def replay(
         for delay, count in tally.items():
             hist.observe_n(delay, count)
 
+    if finalize:
+        for algo in algorithms:
+            algo.finalize_at_termination()
+            algo.drain_newly_finalized()
     return [
-        collect_assignment(algo, execution, finalized[i], finalize)
-        for i, algo in enumerate(algorithms)
+        TimestampAssignment(algo, execution, final_ids)
+        for algo, final_ids in zip(algorithms, finalized)
     ]
 
 

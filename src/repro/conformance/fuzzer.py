@@ -51,9 +51,10 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench import cell_seed
+from repro.clocks.host import ClockHost
 from repro.clocks.replay import replay_one
 from repro.clocks.vector import VectorClock
 from repro.conformance.campaign import TRIAL_TOPOLOGIES, check_campaign
@@ -65,6 +66,7 @@ from repro.conformance.registry import (
 from repro.core import HappenedBeforeOracle
 from repro.core.backend import use_backend
 from repro.core.cuts import full_cut, is_consistent
+from repro.core.events import EventId
 from repro.core.incremental import IncrementalHBOracle
 from repro.core.random_executions import (
     Op,
@@ -345,17 +347,19 @@ def _check_finalization(
         stride = max(1, n_ops // prefix_samples)
         sample_at = set(range(stride - 1, n_ops, stride))
         sample_at.add(n_ops - 1)
+    # the ops are a valid execution (``check_execution`` built it); a recv
+    # op names only its tag, so each message's ends come from its send
+    ends = {op[1]: (op[2], op[3]) for op in ops if op[0] == "send"}
     for spec in inline_specs:
         report.count("finalization-monotonic")
-        clock = spec.build(graph, center)
-        # the ops are a valid execution (``check_execution`` built it):
-        # events per process so far, and tag -> (src, dst, payload)
-        counts = [0] * graph.n_vertices
-        in_flight: Dict[int, Tuple[int, int, Any]] = {}
+        host = ClockHost(spec.build(graph, center))
+        clock = host.clock
+        #: the event each step took: the host ranks events by step
+        taken: List[EventId] = []
         final_ts: Dict = {}
 
-        def record_final(source: str, step: int) -> None:
-            for eid in clock.drain_newly_finalized():
+        def record_final(source: str, step: int, eids: Iterable[EventId]) -> None:
+            for eid in eids:
                 ts = clock.timestamp(eid)
                 if eid in final_ts and final_ts[eid] != ts:
                     out.append(_mk(
@@ -367,22 +371,16 @@ def _check_finalization(
                 final_ts[eid] = ts
 
         for step, op in enumerate(ops):
-            kind = op[0]
-            if kind == "local":
-                p = op[1]
-                counts[p] += 1
-                clock.record_local(p, counts[p])
-            elif kind == "send":
-                tag, src, dst = op[1], op[2], op[3]
-                counts[src] += 1
-                in_flight[tag] = (src, dst, clock.record_send(src, counts[src], dst))
+            start = len(host.finalized)
+            if op[0] == "local":
+                k = host.local(p := op[1])
+            elif op[0] == "send":
+                k = host.send(p := op[2], op[3], op[1])
             else:
-                src, dst, payload = in_flight.pop(op[1])
-                counts[dst] += 1
-                ack = clock.record_receive(dst, counts[dst], src, payload)
-                if ack is not None:
-                    clock.on_control(dst, src, ack)
-            record_final("stream", step)
+                src, p = ends[op[1]]
+                k = host.receive(p, src, op[1])
+            taken.append(rows[p][k - 1][0])
+            record_final("stream", step, map(taken.__getitem__, host.finalized[start:]))
             # previously finalized timestamps must read back unchanged
             for eid, ts in final_ts.items():
                 now = clock.timestamp(eid)
@@ -414,7 +412,7 @@ def _check_finalization(
                         graph, ops, fifo, context,
                     ))
             stamped = []
-            for row, k in zip(rows, counts):
+            for row, k in zip(rows, map(len, host.ranks)):
                 for eid, vc in row[:k]:
                     t = clone.timestamp(eid)
                     if t is None:
@@ -442,8 +440,7 @@ def _check_finalization(
                         ))
         # the fully finalized run must also be exact (covered separately by
         # invariant 1, but reached through the streaming path here)
-        clock.finalize_at_termination()
-        record_final("termination", n_ops)
+        record_final("termination", n_ops, clock.finalize_at_termination())
     return out
 
 

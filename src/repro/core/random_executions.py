@@ -35,7 +35,7 @@ component of a fate is honored.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.execution import Execution, ExecutionBuilder, ExecutionError
 from repro.topology.graph import CommunicationGraph
@@ -165,7 +165,7 @@ def normalize_ops(ops: Sequence[Op]) -> List[Op]:
 
 
 def execution_from_ops(
-    graph: CommunicationGraph, ops: Sequence[Op], builder=None
+    graph: CommunicationGraph, ops: Iterable[Op], builder=None
 ) -> Execution:
     """Build a validated :class:`Execution` from an op list.
 

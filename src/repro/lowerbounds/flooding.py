@@ -34,16 +34,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.clocks.host import ClockHost
 from repro.core.events import EventId
-from repro.core.execution import Execution, ExecutionBuilder
+from repro.core.execution import ExecutionBuilder
 from repro.lowerbounds.star_adversary import (
     AdversaryResult,
     SchemeFactory,
     _pick_outside_s,
-    _select_violation,
-    _SchemeDriver,
+    _receive,
+    _result,
+    _send,
+    _vectors,
 )
-from repro.lowerbounds.verify import check_vector_assignment
 from repro.topology.graph import CommunicationGraph
 from repro.topology.properties import lemma_2_4_set_x, vertex_connectivity
 
@@ -75,7 +77,7 @@ def flooding_adversary(
         raise ValueError("need at least two initiators")
 
     builder = ExecutionBuilder(n, graph=graph)
-    driver = _SchemeDriver(scheme_factory(n), builder)
+    host = ClockHost(scheme_factory(n))
 
     # ------------------------------------------------------------------
     # stage 1: every initiator sends its token to each neighbour.
@@ -87,7 +89,7 @@ def flooding_adversary(
     pending: deque = deque()  # (msg_id, token, dst, came_from)
     for p in initiators:
         for q in sorted(graph.neighbors(p)):
-            eid, msg_id = driver.send(p, q)
+            eid, msg_id = _send(host, builder, p, q)
             if p not in first_events:
                 first_events[p] = eid
             token_of_msg[msg_id] = p
@@ -97,7 +99,7 @@ def flooding_adversary(
     # victim selection from the (permanent) first-event timestamps
     # ------------------------------------------------------------------
     first_eids = [first_events[p] for p in initiators]
-    victim_eid = _pick_outside_s(driver.vectors, first_eids)
+    victim_eid = _pick_outside_s(_vectors(host.clock, first_eids), first_eids)
     victim = victim_eid.proc if victim_eid is not None else None
 
     # ------------------------------------------------------------------
@@ -115,7 +117,7 @@ def flooding_adversary(
         if victim is not None and (dst == victim or came_from == victim):
             withheld.append((msg_id, token, dst, came_from))
             continue
-        recv_eid = driver.receive(dst, msg_id)
+        recv_eid = _receive(host, builder, dst, msg_id)
         first_time = token not in have_token[dst]
         have_token[dst].add(token)
         if dst not in completing_event and needed <= have_token[dst]:
@@ -124,7 +126,7 @@ def flooding_adversary(
             for q in sorted(graph.neighbors(dst)):
                 if q == came_from:
                     continue
-                _eid, fwd_id = driver.send(dst, q)
+                _eid, fwd_id = _send(host, builder, dst, q)
                 token_of_msg[fwd_id] = token
                 pending.append((fwd_id, token, q, dst))
 
@@ -143,16 +145,4 @@ def flooding_adversary(
                 completing_event[candidates[0]],
             )
 
-    execution = builder.freeze()
-    report = check_vector_assignment(execution, driver.vectors)
-    violation = _select_violation(report, predicted_pair)
-    return AdversaryResult(
-        lemma=lemma,
-        n_processes=n,
-        vector_length=report.vector_length,
-        execution=execution,
-        vectors=driver.vectors,
-        predicted_pair=predicted_pair,
-        violation=violation,
-        report=report,
-    )
+    return _result(lemma, host, builder, predicted_pair)

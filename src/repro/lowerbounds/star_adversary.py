@@ -33,8 +33,9 @@ the full length-``n`` vector clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.clocks.host import ClockHost
 from repro.clocks.vector import VectorClock
 from repro.core.events import EventId
 from repro.core.execution import Execution, ExecutionBuilder
@@ -68,37 +69,21 @@ class AdversaryResult:
         return self.violation is not None
 
 
-class _SchemeDriver:
-    """Feeds builder events to a clock's record steps and keeps each
-    event's vector the moment the clock stamps it."""
+def _send(host: ClockHost, builder: ExecutionBuilder, src: int, dst: int) -> Tuple[EventId, int]:
+    """*src* sends *dst* a message, in the execution and on the clock."""
+    msg_id = builder.send(src, dst)
+    return EventId(src, host.send(src, dst, msg_id)), msg_id
 
-    def __init__(self, clock: VectorClock, builder: ExecutionBuilder):
-        self.clock = clock
-        self.builder = builder
-        self.vectors: Dict[EventId, Tuple[float, ...]] = {}
-        self._payloads: Dict[int, object] = {}
 
-    def _stamped(self, eid: EventId) -> EventId:
-        self.vectors[eid] = self.clock.timestamp(eid).vector
-        return eid
+def _receive(host: ClockHost, builder: ExecutionBuilder, p: int, msg_id: int) -> EventId:
+    """*p* receives the message *msg_id*, in the execution and on the clock."""
+    src = builder.receive(p, msg_id).peer
+    return EventId(p, host.receive(p, src, msg_id))
 
-    def local(self, p: int) -> EventId:
-        eid = self.builder.local(p).eid
-        self.clock.record_local(p, eid.index)
-        return self._stamped(eid)
 
-    def send(self, src: int, dst: int) -> Tuple[EventId, int]:
-        msg_id = self.builder.send(src, dst)
-        eid = self.builder.last_event(src).eid
-        self._payloads[msg_id] = self.clock.record_send(src, eid.index, dst)
-        return self._stamped(eid), msg_id
-
-    def receive(self, p: int, msg_id: int) -> EventId:
-        ev = self.builder.receive(p, msg_id)
-        self.clock.record_receive(
-            p, ev.eid.index, ev.peer, self._payloads.pop(msg_id)
-        )
-        return self._stamped(ev.eid)
+def _vectors(clock: VectorClock, events: Iterable[EventId]) -> Dict[EventId, Tuple[float, ...]]:
+    """The vectors the online *clock* stamped *events* with, for good."""
+    return {eid: clock.timestamp(eid).vector for eid in events}
 
 
 def _pick_outside_s(
@@ -121,6 +106,57 @@ def _pick_outside_s(
     return None
 
 
+def _radial_sends(
+    scheme_factory: SchemeFactory, n: int
+) -> Tuple[ClockHost, ExecutionBuilder, List[Tuple[EventId, int]]]:
+    """Stage 1 on the star: each radial process sends the centre one
+    message, all concurrent."""
+    host = ClockHost(scheme_factory(n))
+    builder = ExecutionBuilder(n, graph=generators.star(n))
+    return host, builder, [_send(host, builder, i, 0) for i in range(1, n)]
+
+
+def _centre_receives(
+    host: ClockHost, builder: ExecutionBuilder, sends: List[Tuple[EventId, int]],
+    victim: Optional[EventId],
+) -> Optional[Tuple[EventId, EventId]]:
+    """The centre receives every message but the victim's, then the
+    victim's; returns the pair the proof predicts the scheme mis-orders."""
+    last_nonvictim_recv: Optional[EventId] = None
+    victim_msg: Optional[int] = None
+    for eid, msg_id in sends:
+        if victim is not None and eid == victim:
+            victim_msg = msg_id
+            continue
+        last_nonvictim_recv = _receive(host, builder, 0, msg_id)
+    if victim_msg is not None:
+        _receive(host, builder, 0, victim_msg)
+    if victim is not None and last_nonvictim_recv is not None:
+        return (victim, last_nonvictim_recv)
+    return None
+
+
+def _result(
+    lemma: str, host: ClockHost, builder: ExecutionBuilder,
+    predicted_pair: Optional[Tuple[EventId, EventId]],
+) -> AdversaryResult:
+    """Verify the run's vectors exhaustively; the violation on the
+    predicted pair is preferred."""
+    execution = builder.freeze()
+    vectors = _vectors(host.clock, (ev.eid for ev in execution.all_events()))
+    report = check_vector_assignment(execution, vectors)
+    return AdversaryResult(
+        lemma=lemma,
+        n_processes=execution.n_processes,
+        vector_length=report.vector_length,
+        execution=execution,
+        vectors=vectors,
+        predicted_pair=predicted_pair,
+        violation=_select_violation(report, predicted_pair),
+        report=report,
+    )
+
+
 def star_adversary_real(
     scheme_factory: SchemeFactory, n: int
 ) -> AdversaryResult:
@@ -132,46 +168,12 @@ def star_adversary_real(
     """
     if n < 3:
         raise ValueError("Lemma 2.1 construction needs n >= 3")
-    graph = generators.star(n)
-    builder = ExecutionBuilder(n, graph=graph)
-    driver = _SchemeDriver(scheme_factory(n), builder)
-
-    # stage 1: concurrent sends at every radial process
-    sends: List[Tuple[EventId, int]] = [
-        driver.send(i, 0) for i in range(1, n)
-    ]
+    host, builder, sends = _radial_sends(scheme_factory, n)
     send_eids = [eid for eid, _ in sends]
-
     # adversary reads the (already permanent) timestamps and picks p_k
-    victim = _pick_outside_s(driver.vectors, send_eids)
-    predicted_pair: Optional[Tuple[EventId, EventId]] = None
-
+    victim = _pick_outside_s(_vectors(host.clock, send_eids), send_eids)
     # stage 2: deliver everything except the victim's message; victim last
-    last_nonvictim_recv: Optional[EventId] = None
-    victim_msg: Optional[int] = None
-    for eid, msg_id in sends:
-        if victim is not None and eid == victim:
-            victim_msg = msg_id
-            continue
-        last_nonvictim_recv = driver.receive(0, msg_id)
-    if victim_msg is not None:
-        driver.receive(0, victim_msg)
-    if victim is not None and last_nonvictim_recv is not None:
-        predicted_pair = (victim, last_nonvictim_recv)
-
-    execution = builder.freeze()
-    report = check_vector_assignment(execution, driver.vectors)
-    violation = _select_violation(report, predicted_pair)
-    return AdversaryResult(
-        lemma="2.1",
-        n_processes=n,
-        vector_length=report.vector_length,
-        execution=execution,
-        vectors=driver.vectors,
-        predicted_pair=predicted_pair,
-        violation=violation,
-        report=report,
-    )
+    return _result("2.1", host, builder, _centre_receives(host, builder, sends, victim))
 
 
 def star_adversary_integer(
@@ -185,63 +187,27 @@ def star_adversary_integer(
     """
     if n < 2:
         raise ValueError("Lemma 2.2 construction needs n >= 2")
-    graph = generators.star(n)
-    builder = ExecutionBuilder(n, graph=graph)
-    driver = _SchemeDriver(scheme_factory(n), builder)
-
-    # stage 1: concurrent sends at every radial process
-    sends: List[Tuple[EventId, int]] = [
-        driver.send(i, 0) for i in range(1, n)
-    ]
+    host, builder, sends = _radial_sends(scheme_factory, n)
     send_eids = [eid for eid, _ in sends]
-    if not all(
-        isinstance(x, int) for e in send_eids for x in driver.vectors[e]
-    ):
+    radial = _vectors(host.clock, send_eids)
+    if not all(isinstance(x, int) for v in radial.values() for x in v):
         raise ValueError("Lemma 2.2 applies to integer-valued schemes")
-    m_value = max(
-        (max(driver.vectors[e]) for e in send_eids), default=0
-    )
+    m_value = max((max(v) for v in radial.values()), default=0)
     p_events = int((m_value + 2) * n)
 
     # stage 2: P computation events at the centre (timestamped online,
     # before the centre has heard anything)
-    centre_last: Optional[EventId] = None
     for _ in range(p_events):
-        centre_last = driver.local(0)
-    assert centre_last is not None
+        builder.local(0)
+        host.local(0)
+    centre_last = EventId(0, p_events)
 
     # W = {e_P^0} ∪ radial sends; pick a radial p_k outside S
     w = [centre_last] + send_eids
-    victim = _pick_outside_s(driver.vectors, w)
+    victim = _pick_outside_s(_vectors(host.clock, w), w)
     if victim == centre_last:
         victim = None  # the proof needs a radial victim
-
-    predicted_pair: Optional[Tuple[EventId, EventId]] = None
-    last_nonvictim_recv: Optional[EventId] = None
-    victim_msg: Optional[int] = None
-    for eid, msg_id in sends:
-        if victim is not None and eid == victim:
-            victim_msg = msg_id
-            continue
-        last_nonvictim_recv = driver.receive(0, msg_id)
-    if victim_msg is not None:
-        driver.receive(0, victim_msg)
-    if victim is not None and last_nonvictim_recv is not None:
-        predicted_pair = (victim, last_nonvictim_recv)
-
-    execution = builder.freeze()
-    report = check_vector_assignment(execution, driver.vectors)
-    violation = _select_violation(report, predicted_pair)
-    return AdversaryResult(
-        lemma="2.2",
-        n_processes=n,
-        vector_length=report.vector_length,
-        execution=execution,
-        vectors=driver.vectors,
-        predicted_pair=predicted_pair,
-        violation=violation,
-        report=report,
-    )
+    return _result("2.2", host, builder, _centre_receives(host, builder, sends, victim))
 
 
 def _select_violation(

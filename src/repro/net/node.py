@@ -17,12 +17,14 @@ complete).  Keeping every hop on a graph edge is what lets a real
 :class:`~repro.clocks.inline_cover.CoverInlineClock`, whose timestamps are
 sized by the sequencer vertex cover — observe the live run unchanged.
 
-The **clock seam** is :class:`LiveClockHost`: every framed request and
-response between adjacent processes is an application message carrying a
-clock envelope (send-event payload) and the receiving node replays it into
-the algorithm.  Any of the nine registered schemes drops in; duplicated
-frames are absorbed by message-id dedup so at-least-once delivery never
-produces a second receive event.
+The **clock seam** is :class:`LiveClockHost`, the wire adapter of a
+:class:`~repro.clocks.host.ClockHost`: every framed request and response
+between adjacent processes is an application message carrying a clock
+envelope (the send event's payload, packed), and the receiving node hands
+it to the host as that message's receive event.  The host runs the clock;
+the adapter keeps the wire: packing, message ids, and the dedup that
+absorbs duplicated frames, so at-least-once delivery never produces a
+second receive event.  Any of the nine registered schemes drops in.
 
 **Control messages ride the frames already going their way** (the paper's
 Section 3.2 piggybacking; the simulator's ``ControlTransport.PIGGYBACK``).
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import asyncio
 import fcntl
-import itertools
 import json
 import os
 import random
@@ -83,9 +84,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.applications.causal_kv import VALUE_HOPS, Operation, StoreConfig, WriteRecord
-from repro.clocks.base import ClockAlgorithm, DuplicateControl
+from repro.clocks.base import ClockAlgorithm
+from repro.clocks.host import ClockHost
 from repro.core.events import EventId
-from repro.core.execution import Execution, ExecutionBuilder
+from repro.core.execution import Execution
 from repro.net.chaos_proxy import ChaosInterposer
 from repro.net.transport import (
     PeerClient,
@@ -232,9 +234,6 @@ class ClusterSpec:
         """Sequencers adjacent to *pid* (home first)."""
         return self._attached[pid]
 
-    def home(self, pid: int) -> int:
-        return self._attached[pid][0]
-
     def primary_of(self, key: str) -> int:
         return self.servers[int(key[1:]) % self.config.n_servers]
 
@@ -250,23 +249,19 @@ class ClusterSpec:
 # the pluggable clock seam
 # ----------------------------------------------------------------------
 class LiveClockHost:
-    """Hosts one :class:`ClockAlgorithm` over the live message flow.
+    """The wire adapter of a :class:`~repro.clocks.host.ClockHost` that
+    runs one clock over the live message flow.
 
-    The host owns event-index allocation (per process, contiguous from 1),
-    message ids and receive-side dedup, so the algorithm observes exactly
-    the execution model it was written for even though the wire may
-    duplicate or reorder frames.  Controls go to the clock as they arrive:
-    it orders each control channel itself, and refuses a second copy.
-    Single-threaded by construction: all entry points are synchronous and
-    run on the event loop thread.
-
-    The run is logged as three integer columns — process, peer, and message
-    id (``~mid`` for a receive) — and the clock's own table holds the
-    timestamps.  A hop hands the clock the integers it logs, through the
-    clock's record step: no :class:`~repro.core.events.Event` or
-    :class:`~repro.core.events.EventId` is built for it.  The clock's
-    newly-finalized list, which nothing here reads, is emptied after every
-    call.
+    The host numbers events and hands each acknowledgement back here, for
+    the node to put on the next frame back.  Here is the wire: payloads
+    packed into envelopes and unpacked from them, message ids, receive-side
+    dedup (the execution model has at most one receive event per message),
+    the ``net.*`` counters, and the run's op list for
+    :func:`~repro.core.random_executions.execution_from_ops`, packed three
+    integers to an op (process, peer, message id; ``~mid`` for a receive):
+    a tuple per op would be an object per event for the collector.  No
+    :class:`~repro.core.events.Event` or ``EventId`` is built for a hop.
+    Single-threaded: all entry points run on the event loop thread.
     """
 
     def __init__(self, clock: ClockAlgorithm, spec: ClusterSpec) -> None:
@@ -280,32 +275,30 @@ class LiveClockHost:
         self.control_channels = clock.control_channels
         self._spec = spec
         self._neighbours = spec.neighbours
-        self._next_index = [0] * spec.n_processes
-        self._next_mid = itertools.count()
+        self._host = ClockHost(clock, self._owe)
+        #: the acknowledgement the receive in progress made, if any
+        self._owed: Optional[Tuple[int, int, int]] = None
+        self._next_mid = 0
         self._received: Set[int] = set()
-        self._procs = array("q")
-        self._peers = array("q")
-        self._mids = array("q")
+        self._ops = array("q")
 
-    def _log(self, proc: int, peer: int, mid: int) -> None:
-        """Log one event the clock took (*mid* is ``~mid`` for a receive)."""
-        self._next_index[proc] += 1
-        self._procs.append(proc)
-        self._peers.append(peer)
-        self._mids.append(mid)
+    def _owe(self, src: int, dst: int, ack: Tuple[int, int, int]) -> None:
+        """The host's control-delivery policy: *ack* goes back to the node."""
+        self._owed = ack
 
     # -- app-message hooks ---------------------------------------------
     def envelope(self, src: int, dst: int) -> Dict[str, Any]:
         """Send event for one ``src -> dst`` hop; the frame's clock payload."""
         if dst not in self._neighbours[src]:
             raise ValueError(f"no channel p{src} -> p{dst} in the cluster graph")
-        clock = self.clock
-        payload = clock.record_send(src, self._next_index[src] + 1, dst)
+        mid = self._next_mid
+        host = self._host
+        host.send(src, dst, mid)
         # logged once the clock took the event: a refused one leaves no trace
-        mid = next(self._next_mid)
-        self._log(src, dst, mid)
-        clock._newly_finalized.clear()
-        return {"mid": mid, "ts": pack_payload(payload)}
+        self._next_mid = mid + 1
+        self._ops.extend((src, dst, mid))
+        # the frame carries the payload
+        return {"mid": mid, "ts": pack_payload(host.in_flight.pop(mid))}
 
     def deliver(
         self, dst: int, src: int, env: Dict[str, Any]
@@ -324,71 +317,65 @@ class LiveClockHost:
         if mid in self._received:
             counter("net.clock_dup_receives").inc()
             return []
-        clock = self.clock
-        ack = clock.record_receive(
-            dst, self._next_index[dst] + 1, src, unpack_payload(env["ts"])
-        )
+        host = self._host
+        host.in_flight[mid] = unpack_payload(env["ts"])  # what the frame carried
+        try:
+            host.receive(dst, src, mid)
+        except BaseException:
+            del host.in_flight[mid]  # the clock refused it: nothing is carried
+            raise
         self._received.add(mid)
-        self._log(dst, src, ~mid)
-        clock._newly_finalized.clear()
+        self._ops.extend((dst, src, ~mid))
+        ack = self._owed
         if ack is None:
             return []
+        self._owed = None
         # an ack is three integers: packed as pack_payload packs them
         return [{"pl": {"__tup": list(ack)}}]
 
     # -- control-message hooks -----------------------------------------
     def control(self, src: int, dst: int, seq: int, packed: Any) -> None:
         """Hand the control *packed* that rode a ``src -> dst`` frame to the
-        clock, which orders its channel by the control's own *seq* (the
-        acknowledgement's first element); a second copy is counted
+        host; the clock orders its channel by the control's own *seq* (the
+        acknowledgement's first element), and a second copy is counted
         (``net.ctl_dup``), not applied.  *packed* is an acknowledgement the
         node checked: ``{"__tup": [seq, a, b]}``, three integers."""
-        clock = self.clock
-        try:
-            clock.on_control(src, dst, tuple(packed["__tup"]))
-        except DuplicateControl:
+        if not self._host.control(src, dst, tuple(packed["__tup"])):
             counter("net.ctl_dup").inc()
-            return
-        clock._newly_finalized.clear()
 
     # -- reporting ------------------------------------------------------
     @property
     def n_events(self) -> int:
-        return len(self._procs)
-
-    def _table(self) -> List[List[Any]]:
-        """The clock's timestamps by position: ``[p][k - 1]`` is event
-        ``(p, k)``'s, ``None`` while it is ``⊥`` — the table every
-        :class:`ClockAlgorithm` writes each timestamp into once."""
-        return self.clock._stamps
+        return self._host.n_events
 
     def execution(self) -> Execution:
         """The run so far as an :class:`~repro.core.execution.Execution`:
         one message per envelope, received or not."""
-        builder = ExecutionBuilder(self._spec.n_processes, graph=self._spec.graph)
-        for proc, peer, mid in zip(self._procs, self._peers, self._mids):
-            if mid >= 0:
-                builder.send(proc, peer)  # message ids follow envelope ids
-            else:
-                builder.receive(proc, ~mid)
-        return builder.freeze()
+        from repro.core.random_executions import execution_from_ops  # on use
+
+        ops = self._ops
+        return execution_from_ops(self._spec.graph, (
+            ("send", mid, proc, peer) if mid >= 0 else ("recv", ~mid)
+            for proc, peer, mid in zip(ops[::3], ops[1::3], ops[2::3])
+        ))
 
     def finalized_events(self) -> List[Tuple[EventId, Any]]:
         """``(eid, timestamp)`` for every event whose timestamp is final,
-        process by process."""
+        process by process, from the table every :class:`ClockAlgorithm`
+        writes each timestamp into once (``None`` while ``⊥``)."""
         return [
             (EventId(proc, index), ts)
-            for proc, row in enumerate(self._table())
+            for proc, row in enumerate(self.clock._stamps)
             for index, ts in enumerate(row, 1)
             if ts is not None
         ]
 
     def stats(self) -> Dict[str, Any]:
         # one pass over the table: ``ts is not None`` is finality
-        widths = [ts.n_elements for row in self._table() for ts in row if ts is not None]
+        widths = [ts.n_elements for row in self.clock._stamps for ts in row if ts is not None]
         final = len(widths)
         max_elements = max(widths, default=0)
-        total = len(self._procs)
+        total = self._host.n_events
         return {
             "clock": self.clock.name,
             "events": total,

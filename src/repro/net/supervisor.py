@@ -23,8 +23,8 @@ instance (:func:`repro.faults.chaos._checkpoint_permanence_ok`).  The
   sockets.
 
 Graceful degradation of a *slow* (not dead) sequencer is the other half of
-the robustness story: :meth:`Supervisor.set_slow` injects a per-response
-delay into a node, and clients fail over to their backup sequencer when the
+the robustness story: a node's ``response_delay`` delays each of its
+responses, and clients fail over to their backup sequencer when the
 slow path exceeds their retry budget — progress rides the healthy route
 while delayed finalization lets the slow path's metadata catch up later,
 the paper's core mechanism.
@@ -120,11 +120,6 @@ class Supervisor:
         await self.kill(pid)
         await asyncio.sleep(downtime)
         return await self.restart(pid)
-
-    # -- degradation ------------------------------------------------------
-    def set_slow(self, pid: int, delay: float) -> None:
-        """Make *pid* answer every request *delay* seconds late (0 heals)."""
-        self.nodes[pid].response_delay = delay
 
     # -- invariants -------------------------------------------------------
     def verify_permanence(self) -> List[str]:

@@ -74,11 +74,6 @@ class PerChannelDelay(DelayModel):
         self.default = default
         self.overrides = dict(overrides or {})
 
-    def set_channel(
-        self, src: ProcessId, dst: ProcessId, model: DelayModel
-    ) -> None:
-        self.overrides[(src, dst)] = model
-
     def slow_down_process(self, victim: ProcessId, n: int, delay: float) -> None:
         """Make every channel to/from *victim* take *delay* time units."""
         slow = ConstantDelay(delay)

@@ -31,11 +31,10 @@ Robustness machinery (see :mod:`repro.faults`):
   lossy control channels instead of degrading to offline
   (termination-only) finalization.
 
-Either transport hands every control copy that survives to the clock.  The
-clock is the one place that refuses a second copy: an inline clock orders
-each control channel by the control's own ``seq`` and raises
-:class:`~repro.clocks.base.DuplicateControl`, which the runner counts as
-``control_duplicates_suppressed``.
+Each attached clock runs on a :class:`~repro.clocks.host.ClockHost`, whose
+control-delivery policy is the transport above: every control copy that
+survives reaches the host, and the clock is the one place that refuses a
+second copy (the host counts it as ``control_duplicates_suppressed``).
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.clocks.base import ClockAlgorithm, DuplicateControl
-from repro.clocks.replay import TimestampAssignment, collect_assignment
+from repro.clocks.base import ClockAlgorithm
+from repro.clocks.host import ClockHost
+from repro.clocks.replay import TimestampAssignment
 from repro.core.events import Event, EventId, MessageId, ProcessId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.core.happened_before import HappenedBeforeOracle
@@ -101,22 +101,19 @@ class AlgorithmStats:
     #: control messages given up on after exhausting retries
     control_abandoned: int = 0
 
-    def total_elements(self) -> int:
-        return self.app_payload_elements + self.control_elements
-
 
 class _TimeTable(Mapping[EventId, float]):
     """``{event id: virtual time}``, read-only: what ``event_times`` and
     ``finalization_times[name]`` are.  ``rows[p][k - 1]`` is the time of
     event ``(p, k)`` (``None``, or a short row, where it has none); ``ids``
     are the events that have one, in the order they got it, which is the
-    order of ``iter`` / ``items()`` / ``values()``.  The run appends to both
-    by position and hashes no event id."""
+    order of ``iter`` / ``items()`` / ``values()``.  Both are filled by
+    position, and no event id is hashed."""
 
     __slots__ = ("rows", "ids")
 
-    def __init__(self, n_processes: int) -> None:
-        self.rows: List[List[Optional[float]]] = [[] for _ in range(n_processes)]
+    def __init__(self, rows: List[List[Optional[float]]]) -> None:
+        self.rows = rows
         self.ids: List[EventId] = []
 
     def __getitem__(self, eid: EventId) -> float:
@@ -135,31 +132,26 @@ class _TimeTable(Mapping[EventId, float]):
         return len(self.ids)
 
 
-@dataclass(slots=True)
-class _ClockState:
-    """What the runner keeps for one attached clock, looked up once per hook.
+class _AttachedClock(ClockHost):
+    """One attached clock's host, with what the runner's control transports
+    keep for it; its policy is :meth:`Simulation._emit_control`, its timer
+    the scheduler.  ``piggy_elems``, like ``delays``, is a ``{value:
+    count}`` tally that becomes a histogram once, after the run."""
 
-    ``piggy_elems`` and ``delay_events`` are ``{value: count}`` tallies of
-    the integer observations the per-event loop makes; they become
-    histograms once, in :meth:`Simulation._record_run_metrics`.
-    """
+    __slots__ = ("name", "link", "stats", "pending", "piggy_elems")
 
-    name: str
-    algo: ClockAlgorithm
-    #: the reliable control transport (``control_retry`` runs only)
-    link: Optional[ReliableLink]
-    #: when each event's timestamp became permanent, during the run
-    final_times: _TimeTable
-    stats: AlgorithmStats = field(default_factory=AlgorithmStats)
-    #: in-flight application payloads by message id
-    payloads: Dict[MessageId, Any] = field(default_factory=dict)
-    #: PIGGYBACK transport: control payloads waiting for a carrier, per
-    #: channel
-    pending: Dict[Tuple[ProcessId, ProcessId], List[Any]] = field(
-        default_factory=dict
-    )
-    piggy_elems: Dict[int, int] = field(default_factory=dict)
-    delay_events: Dict[int, int] = field(default_factory=dict)
+    def __init__(
+        self, sim: "Simulation", name: str, clock: ClockAlgorithm,
+        link: Optional[ReliableLink],
+    ) -> None:
+        super().__init__(clock, partial(sim._emit_control, self), sim._scheduler)
+        self.name = name
+        #: the reliable control transport (``control_retry`` runs only)
+        self.link = link
+        self.stats = AlgorithmStats()
+        #: PIGGYBACK: control payloads waiting for a carrier, per channel
+        self.pending: Dict[Tuple[ProcessId, ProcessId], List[Any]] = {}
+        self.piggy_elems: Dict[int, int] = {}
 
 
 _NOT_STARTED = "Simulation has not started: call run()"
@@ -411,7 +403,8 @@ class Simulation:
         return self._oracle
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` after *delay* units of virtual time."""
+        """Run ``fn(*args)`` after *delay* units of virtual time (once the
+        run starts, the scheduler's ``after`` itself: one call per event)."""
         if self._scheduler is None:
             raise RuntimeError(_NOT_STARTED)
         self._scheduler.after(delay, fn, *args)
@@ -425,15 +418,12 @@ class Simulation:
             return None
         ev = self._builder.local(proc)
         times = self._event_times
-        self._event_seq[proc].append(len(times.ids))
         times.ids.append(ev.eid)
         times.rows[proc].append(now)
         if self._oracle is not None:
             self._oracle.append_local(ev.eid)
-        index = ev.eid.index
-        for cs in self._clocks:
-            cs.algo.record_local(proc, index)
-        self._drain()
+        for host in self._clocks:
+            host.local(proc)
         return ev
 
     def do_send(self, src: ProcessId, dst: ProcessId) -> Optional[Event]:
@@ -449,7 +439,6 @@ class Simulation:
         msg_id = self._builder.send(src, dst)
         ev = self._builder.last_event(src)
         times = self._event_times
-        self._event_seq[src].append(len(times.ids))
         times.ids.append(ev.eid)
         times.rows[src].append(now)
         if self._oracle is not None:
@@ -467,22 +456,18 @@ class Simulation:
             copies = fate.copies
         piggybacking = self._transport is ControlTransport.PIGGYBACK
         piggyback = [] if piggybacking else self._no_piggyback
-        index = ev.eid.index
-        for cs in self._clocks:
-            algo = cs.algo
-            payload = algo.record_send(src, index, dst)
-            cs.payloads[msg_id] = payload
-            n_elems = algo.payload_elements(payload)
-            cs.stats.app_payload_elements += n_elems
-            cs.piggy_elems[n_elems] = cs.piggy_elems.get(n_elems, 0) + 1
+        for host in self._clocks:
+            host.send(src, dst, msg_id)
+            n_elems = host.clock.payload_elements(host.in_flight[msg_id])
+            host.stats.app_payload_elements += n_elems
+            host.piggy_elems[n_elems] = host.piggy_elems.get(n_elems, 0) + 1
             if not piggybacking:
                 continue
             if dropped:
-                self._retained_piggyback += len(cs.pending.get((src, dst), ()))
+                self._retained_piggyback += len(host.pending.get((src, dst), ()))
                 piggyback.append(None)
             else:
-                piggyback.append(cs.pending.pop((src, dst), None))
-        self._drain()
+                piggyback.append(host.pending.pop((src, dst), None))
         if dropped:
             self._dropped_app += 1
             return ev
@@ -491,83 +476,66 @@ class Simulation:
         deliver = self._deliver if fault_model is None else self._deliver_copy
         for _ in range(copies):
             self._network.transmit(
-                src, dst, deliver, msg_id, piggyback, fifo=self._fifo_app
+                src, dst, deliver, msg_id, dst, piggyback, fifo=self._fifo_app
             )
         return ev
 
-    def _deliver_copy(self, msg_id: MessageId, piggyback: _Riders) -> None:
+    def _deliver_copy(self, msg_id: MessageId, dst: ProcessId, piggyback: _Riders) -> None:
         """One copy of an application message that the fault model may have
         duplicated arrives; the message itself says whether an earlier copy
         was delivered."""
-        msg = self._builder.message(msg_id)
-        if msg.delivered:
+        if self._builder.message(msg_id).delivered:
             self._dup_app_suppressed += 1
-        elif not self._fault_model.process_up(msg.dst, self._scheduler.now):
+        elif not self._fault_model.process_up(dst, self._scheduler.now):
             # counted once, and uncounted if a later copy makes it
             self._crash_lost.add(msg_id)
         else:
             self._crash_lost.discard(msg_id)
-            self._deliver(msg_id, piggyback)
+            self._deliver(msg_id, dst, piggyback)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _deliver(self, msg_id: MessageId, piggyback: _Riders) -> None:
-        msg = self._builder.message(msg_id)
-        dst, src = msg.dst, msg.src
+    def _deliver(self, msg_id: MessageId, dst: ProcessId, piggyback: _Riders) -> None:
         recv = self._builder.receive(dst, msg_id)
-        index = recv.eid.index
+        src = recv.peer
         times = self._event_times
-        self._event_seq[dst].append(len(times.ids))
         times.ids.append(recv.eid)
         times.rows[dst].append(self._scheduler.now)
         if self._oracle is not None:
-            self._oracle.append_receive(recv.eid, msg.send_event)
-        for cs, riders in zip(self._clocks, piggyback):
-            algo = cs.algo
-            ack = algo.record_receive(dst, index, src, cs.payloads.pop(msg_id))
-            if ack is not None:
-                self._emit_control(cs, dst, src, ack)
+            self._oracle.append_receive(recv.eid, self._builder.message(msg_id).send_event)
+        for host, riders in zip(self._clocks, piggyback):
+            host.receive(dst, src, msg_id)
             if riders:
                 # the controls src owed dst, riding src's message to dst
+                stats = host.stats
                 for ctl in riders:
-                    cs.stats.control_messages += 1
-                    cs.stats.control_elements += algo.payload_elements(ctl)
-                    algo.on_control(src, dst, ctl)
-        self._drain()
+                    stats.control_messages += 1
+                    stats.control_elements += host.clock.payload_elements(ctl)
+                    host.control(src, dst, ctl)
         if self._on_deliver is not None:
             self._on_deliver(self, self._builder.message(msg_id), recv)
 
     def _emit_control(
-        self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
+        self, host: _AttachedClock, src: ProcessId, dst: ProcessId, ctl: Any
     ) -> None:
-        """Send the control *ctl* that *src*'s clock owes *dst*."""
+        """Send the control *ctl* that *src*'s clock owes *dst*: every copy
+        that arrives goes to the host."""
         if self._transport is ControlTransport.PIGGYBACK:
-            cs.pending.setdefault((src, dst), []).append(ctl)
+            host.pending.setdefault((src, dst), []).append(ctl)
             return
-        cs.stats.control_messages += 1
-        cs.stats.control_elements += cs.algo.payload_elements(ctl)
-        if cs.link is not None:
-            cs.link.send(src, dst, self._deliver_control, cs, src, dst, ctl)
+        host.stats.control_messages += 1
+        host.stats.control_elements += host.clock.payload_elements(ctl)
+        if host.link is not None:
+            host.link.send(src, dst, host.control, src, dst, ctl)
         elif self._fault_model is None and self._control_loss == 0.0:
             # nothing can drop or duplicate the control, or crash its
             # destination: one unguarded copy on the FIFO control channel
             self._network.transmit(
-                src, dst, self._deliver_control, cs, src, dst, ctl, fifo=True
+                src, dst, host.control, src, dst, ctl, fifo=True
             )
         else:
-            self._send_control_datagram(src, dst, self._deliver_control, cs, src, dst, ctl)
-
-    def _deliver_control(
-        self, cs: _ClockState, src: ProcessId, dst: ProcessId, ctl: Any
-    ) -> None:
-        """Hand one copy of *ctl* to the clock, which refuses a second."""
-        try:
-            cs.algo.on_control(src, dst, ctl)
-        except DuplicateControl:
-            cs.stats.control_duplicates_suppressed += 1
-            return
-        self._drain()
+            self._send_control_datagram(src, dst, host.control, src, dst, ctl)
 
     def _send_control_datagram(
         self, src: ProcessId, dst: ProcessId, deliver: Callable[..., None],
@@ -611,41 +579,6 @@ class Simulation:
             return
         deliver(*args)
 
-    def _drain(self) -> None:
-        """Stamp the events the clocks just finalized: once per step, after
-        every clock has seen it (an online clock finalizes on every step,
-        an inline one on few)."""
-        now = self._scheduler.now
-        ids = self._event_times.ids
-        last = len(ids) - 1
-        event_seq = self._event_seq
-        for cs in self._clocks:
-            # the clock's own list, emptied in place: no list per event
-            newly = cs.algo._newly_finalized
-            if not newly:
-                continue
-            final_rows, final_ids = cs.final_times.rows, cs.final_times.ids
-            delays = cs.delay_events
-            for p, k in newly:
-                row = final_rows[p]
-                seq = event_seq[p][k - 1]
-                if k > len(row):  # p's next (the usual case), or past a gap
-                    while k > len(row) + 1:
-                        row.append(None)
-                    row.append(now)
-                    final_ids.append(ids[seq])  # the run's own id: none is built
-                else:
-                    if row[k - 1] is None:  # (final again keeps its place)
-                        final_ids.append(ids[seq])
-                    row[k - 1] = now
-                # time-to-non-⊥ measured in events: how many events the run
-                # performed while this event's timestamp was still
-                # provisional (0 = finalized at its own occurrence, the
-                # online case)
-                waited = last - seq
-                delays[waited] = delays.get(waited, 0) + 1
-            newly.clear()
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -665,25 +598,24 @@ class Simulation:
 
         self._rng = random.Random(self._seed)
         self._scheduler = EventScheduler()
+        self.schedule = self._scheduler.after  # type: ignore[method-assign]
         self._network = Network(self._scheduler, self._delay_model, self._rng)
         self._builder = ExecutionBuilder(
             self._graph.n_vertices, graph=self._graph
         )
         retry = self._control_retry
         n = self._graph.n_vertices
-        self._clocks: List[_ClockState] = [
-            _ClockState(name, algo, None if retry is None else ReliableLink(
+        self._clocks: List[_AttachedClock] = [
+            _AttachedClock(self, name, algo, None if retry is None else ReliableLink(
                 self._scheduler, retry, self._send_control_datagram
-            ), _TimeTable(n))
+            ))
             for name, algo in self._clock_map.items()
         ]
         #: rides every application message outside PIGGYBACK; shared, not mutated
         self._no_piggyback: List[Optional[List[Any]]] = [None] * len(
             self._clocks
         )
-        self._event_times = _TimeTable(n)
-        #: arrival rank of every event, by process and 0-based index
-        self._event_seq: List[List[int]] = [[] for _ in range(n)]
+        self._event_times = _TimeTable([[] for _ in range(n)])
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
         if self._online_oracle:
             self._oracle = IncrementalHBOracle(
@@ -715,26 +647,27 @@ class Simulation:
         execution = self._builder.freeze()
 
         assignments: Dict[str, TimestampAssignment] = {}
-        for cs in self._clocks:
-            if cs.link is not None:
-                st, sent = cs.stats, cs.link.stats
+        final_times: Dict[str, _TimeTable] = {}
+        for host in self._clocks:
+            st = host.stats
+            st.control_duplicates_suppressed = host.duplicates
+            if host.link is not None:
+                sent = host.link.stats
                 st.control_retransmissions += sent.retransmissions
                 st.control_acks += sent.acks_received
                 st.control_abandoned += sent.abandoned
-            # the ids as they are: nothing is drained into them after the run
-            assignments[cs.name] = collect_assignment(
-                cs.algo, execution, cs.final_times.ids, finalize
-            )
+            final_times[host.name] = table = self._final_times(host)
+            assignments[host.name] = host.finish(execution, table.ids, finalize)
 
-        self._record_run_metrics(execution, assignments)
+        self._record_run_metrics(execution, assignments, final_times)
         return SimulationResult(
             execution=execution,
             graph=self._graph,
             duration=duration,
             event_times=self._event_times,
             assignments=assignments,
-            finalization_times={cs.name: cs.final_times for cs in self._clocks},
-            stats={cs.name: cs.stats for cs in self._clocks},
+            finalization_times=final_times,
+            stats={host.name: host.stats for host in self._clocks},
             app_messages=len(execution.messages),
             dropped_app_messages=self._dropped_app,
             dropped_control_messages=self._dropped_control,
@@ -747,10 +680,25 @@ class Simulation:
             online_oracle=self._oracle,
         )
 
+    def _final_times(self, host: _AttachedClock) -> _TimeTable:
+        """When each event *host*'s clock finalized during the run became
+        permanent, in the order they did (one finalized again keeps its
+        place and takes the later time)."""
+        table = _TimeTable([[None] * len(row) for row in self._event_times.rows])
+        ids = self._event_times.ids
+        for seq, now in zip(host.finalized, host.final_times):
+            eid = ids[seq]  # the run's own id: none is built
+            row = table.rows[eid.proc]
+            if row[eid.index - 1] is None:
+                table.ids.append(eid)
+            row[eid.index - 1] = now
+        return table
+
     def _record_run_metrics(
         self,
         execution: Execution,
         assignments: Dict[str, TimestampAssignment],
+        final_times: Dict[str, _TimeTable],
     ) -> None:
         """Turn the run's tallies into the metrics registry's instruments.
 
@@ -789,8 +737,8 @@ class Simulation:
                 sum(not up for _t, _p, up in transitions)
             )
         event_rows = self._event_times.rows
-        for cs in self._clocks:
-            name, stats = cs.name, cs.stats
+        for host in self._clocks:
+            name, stats = host.name, host.stats
             for field_name in (
                 "control_messages",
                 "control_elements",
@@ -803,16 +751,16 @@ class Simulation:
                     getattr(stats, field_name)
                 )
             hist = partial(reg.histogram, clock=name)
-            _fold(hist("clock.piggyback_elements"), cs.piggy_elems)
+            _fold(hist("clock.piggyback_elements"), host.piggy_elems)
             # 8-byte integers per scalar element — the same accounting the
             # Theorem 4.3 bit model coarsens, but per message
             piggy_bytes = hist("clock.piggyback_bytes", buckets=BYTE_BUCKETS)
-            _fold(piggy_bytes, cs.piggy_elems, scale=8)
-            _fold(hist("clock.finalization_delay_events"), cs.delay_events)
+            _fold(piggy_bytes, host.piggy_elems, scale=8)
+            _fold(hist("clock.finalization_delay_events"), host.delays)
             delay_vtime = hist("clock.finalization_delay_vtime", buckets=VTIME_BUCKETS)
-            final_rows = cs.final_times.rows
+            final_rows = final_times[name].rows
             on_occurrence = 0
-            for eid in cs.final_times.ids:
+            for eid in final_times[name].ids:
                 p, k = eid.proc, eid.index - 1
                 delay = final_rows[p][k] - event_rows[p][k]
                 if delay == 0.0:
@@ -832,5 +780,5 @@ class Simulation:
         before the crash read back identically from the snapshot
         (permanence survives crash-recovery).
         """
-        snapshot = {cs.name: cs.algo.checkpoint() for cs in self._clocks}
+        snapshot = {host.name: host.clock.checkpoint() for host in self._clocks}
         self._crash_checkpoints.append((self._scheduler.now, snapshot))

@@ -57,10 +57,6 @@ class Component:
     def vertices(self) -> FrozenSet[int]:
         return frozenset(v for e in self.edges for v in e)
 
-    def contains_edge(self, u: int, v: int) -> bool:
-        e = (min(u, v), max(u, v))
-        return e in self.edges
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -27,7 +27,6 @@ class TestMonitorBasics:
         assert m.cut == (0, 0)  # not finalized yet
         m.on_finalized(ev.eid)
         assert m.cut == (1, 0)
-        assert m.is_in_cut(ev.eid)
 
     def test_receive_waits_for_send(self):
         m = FinalizedCutMonitor(2)

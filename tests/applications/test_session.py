@@ -74,9 +74,6 @@ class TestSnapshots:
         oracles = oracles_for(run.execution)
         for snap in session.knowledge_curve(10):
             assert is_consistent(session.oracle, snap.finalized_cut)
-            assert session.finalized_events_at(snap.time) == events_in_cut(
-                session.oracle, snap.finalized_cut
-            )
             finalized = {e for e, t in fin_times.items() if t <= snap.time}
             for oracle in oracles:
                 clipped = meet(snap.finalized_cut, full_cut(oracle))
@@ -100,7 +97,7 @@ class TestQueries:
             assert is_consistent(session.oracle, line)
             # the same line from the finalized *set*, on whichever oracle,
             # through the checkpoints that oracle's events have reached
-            finalized = session.finalized_events_at(t)
+            finalized = events_in_cut(session.oracle, session.snapshot(t).finalized_cut)
             for oracle in oracles:
                 cps = clip_checkpoints(
                     periodic_checkpoints(run.execution, 3), oracle
@@ -129,7 +126,7 @@ class TestQueries:
             assert (not a) or b
         # pruning by cut position == pruning by finalized-set membership
         for t in times:
-            finalized = session.finalized_events_at(t)
+            finalized = events_in_cut(session.oracle, session.snapshot(t).finalized_cut)
             pruned = {
                 p: [i for i in idxs if EventId(p, i) in finalized]
                 for p, idxs in marks.items()

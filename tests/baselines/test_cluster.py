@@ -46,7 +46,7 @@ class TestStorageProfile:
         clock = ClusterClock(4, clusters=[[0, 1], [2, 3]])
         asg = replay_one(ex, clock)
         for _eid, ts in asg.items():
-            assert not ts.is_cluster_receive
+            assert ts.full_vector is None
             assert ts.n_elements == 2  # cluster vector only
 
     def test_cluster_receive_is_long(self):
@@ -57,7 +57,7 @@ class TestStorageProfile:
         clock = ClusterClock(4, clusters=[[0, 1], [2, 3]])
         asg = replay_one(ex, clock)
         ts = asg[recv.eid]
-        assert ts.is_cluster_receive
+        assert ts.full_vector is not None
         assert ts.n_elements == 2 + 4  # cluster vector + full vector
 
 

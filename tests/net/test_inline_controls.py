@@ -183,7 +183,7 @@ class TestControlsRideFrames:
     async def test_response_carries_the_control_its_request_caused(self):
         async with cluster() as (spec, host, nodes, registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             sent_before = registry.counter_value("net.frames_sent")
             await nodes[client].call(seq, read_of(client))
             # client -> seq -> server and back: four application frames
@@ -198,7 +198,7 @@ class TestControlsRideFrames:
     async def test_carried_controls_apply_after_the_frames_receive_event(self):
         async with cluster() as (spec, host, nodes, _registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             await nodes[client].call(seq, read_of(client))
             at_client = [
                 entry for entry in host.log
@@ -212,7 +212,7 @@ class TestControlsRideFrames:
     async def test_control_for_a_server_waits_for_the_next_request_there(self):
         async with cluster() as (spec, host, nodes, registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             await nodes[client].call(seq, read_of(client, orid="t-0"))
             # the server's response made the sequencer owe it a control
             (server,) = [dst for src, dst in host.emitted if src == seq and dst != client]
@@ -231,7 +231,7 @@ class TestControlsRideFrames:
         policy = TransportPolicy(request_timeout=0.1, max_retries=0, jitter=0.0)
         async with cluster(policy) as (spec, host, nodes, registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             node = nodes[seq]
             server = spec.servers[0]
             first, second, later = (_ack(i) for i in range(3))
@@ -251,7 +251,7 @@ class TestControlsRideFrames:
     async def test_replayed_response_repeats_its_controls_harmlessly(self):
         async with cluster() as (spec, host, nodes, registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             await nodes[client].call(seq, read_of(client), rid="same")
             applied = list(host.clock.applied[(seq, client)])
             events = host.n_events
@@ -268,7 +268,7 @@ class TestControlsRideFrames:
     async def test_handler_error_keeps_the_owed_control_for_later(self):
         async with cluster() as (spec, host, nodes, registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             with pytest.raises(TransportError, match="cannot handle"):
                 await nodes[client].call(seq, {"type": "nonsense"})
             # the request was received, its control had no body to ride
@@ -287,7 +287,7 @@ class TestFlush:
     async def _owe_two_servers(spec, host, nodes):
         """Drive reads through one sequencer until it owes two servers."""
         client = spec.clients[0]
-        seq = spec.home(client)
+        seq = spec.attached(client)[0]
         for i in range(40):
             await nodes[client].call(seq, read_of(client, orid=f"t-{i}"))
             if len(nodes[seq]._ctl_out) >= 2:
@@ -401,7 +401,7 @@ class TestForgedControls:
             # from an attached sequencer, so only the controls are wrong
             # with the frame
             victim = spec.clients[0]
-            src = spec.home(victim)
+            src = spec.attached(victim)[0]
             errors = await _send_frames(nodes, src, victim, MALFORMED[what]())
             assert all("refused" in error for error in errors), errors
             assert registry.counter_value("net.ctl_rejected") == 2
@@ -415,7 +415,7 @@ class TestForgedControls:
         async with cluster() as (spec, host, nodes, registry):
             # well-formed, but a client owes a sequencer no acknowledgement
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             errors = await _send_frames(nodes, client, seq, [_ack()])
             assert all("refused" in error for error in errors), errors
             assert registry.counter_value("net.ctl_rejected") == 2
@@ -450,7 +450,7 @@ class TestForgedControls:
     async def test_well_formed_flush_from_the_channels_source_is_applied(self):
         async with cluster() as (spec, host, nodes, registry):
             victim = spec.clients[0]
-            src = spec.home(victim)
+            src = spec.attached(victim)[0]
             peer = PeerClient(src, victim, resolve=lambda: nodes[victim].book.get(victim))
             try:
                 # out of order on purpose: seq 1 waits in the clock for
@@ -496,7 +496,7 @@ class TestRefusedEnvelope:
     async def test_a_refused_envelope_leaves_the_clock_usable(self):
         async with cluster() as (spec, host, nodes, registry):
             client = spec.clients[0]
-            seq = spec.home(client)
+            seq = spec.attached(client)[0]
             peer = PeerClient(seq, client, resolve=lambda: nodes[client].book.get(client))
             try:
                 # a payload the clock refuses

@@ -341,7 +341,8 @@ class TestSlowSequencerFailover:
 
         async def go():
             await supervisor.start_all()
-            supervisor.set_slow(spec.home(client), 2.0)  # past the retry budget
+            # past the retry budget
+            supervisor.nodes[spec.attached(client)[0]].response_delay = 2.0
             try:
                 await supervisor.nodes[client].run_session()
             finally:

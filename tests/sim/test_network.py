@@ -51,8 +51,7 @@ class TestDelayModels:
             model(*args)
 
     def test_per_channel_override(self):
-        m = PerChannelDelay(ConstantDelay(1.0))
-        m.set_channel(0, 1, ConstantDelay(9.0))
+        m = PerChannelDelay(ConstantDelay(1.0), {(0, 1): ConstantDelay(9.0)})
         rng = random.Random(0)
         assert m.sample(0, 1, rng) == 9.0
         assert m.sample(1, 0, rng) == 1.0

@@ -27,7 +27,9 @@ from tests.sim.test_metrics_golden import _faults, sequencer_graph
 
 
 class _DictKeeping(Simulation):
-    """Fills ``old_event_times`` / ``old_final_times`` as the old runner did."""
+    """Fills ``old_event_times`` / ``old_final_times`` as the old runner did:
+    an event's time as it occurs, and after every step of a clock the time
+    of each event the clock has just finalized."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -49,16 +51,31 @@ class _DictKeeping(Simulation):
             self._occurred(ev.eid)
         return ev
 
-    def _deliver(self, msg_id, piggyback):
-        super()._deliver(msg_id, piggyback)  # UniformWorkload: no reaction
+    def _deliver(self, msg_id, dst, piggyback):
+        super()._deliver(msg_id, dst, piggyback)  # UniformWorkload: no reaction
         self._occurred(self._builder.message(msg_id).recv_event)
 
-    def _drain(self):
-        for cs in self._clocks:
-            times = self.old_final_times.setdefault(cs.name, {})
-            for p, k in cs.algo._newly_finalized:
-                times[EventId(p, k)] = self.now
-        super()._drain()
+    def run(self, workload):
+        sinks = {
+            id(clock): self.old_final_times.setdefault(name, {})
+            for name, clock in self._clock_map.items()
+        }
+
+        def noting(step):
+            def noted(clock, *args):
+                out = step(clock, *args)
+                times = sinks[id(clock)]
+                for p, k in clock._newly_finalized:
+                    times[EventId(p, k)] = self.now
+                return out
+            return noted
+
+        # patched on the classes: a checkpoint pickles the instances' state
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in {type(clock) for clock in self._clock_map.values()}:
+                for step in ("record_local", "record_send", "record_receive", "on_control"):
+                    mp.setattr(cls, step, noting(getattr(cls, step)))
+            return super().run(workload)
 
 
 def _run(seed, **kwargs):

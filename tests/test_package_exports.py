@@ -53,7 +53,7 @@ PUBLIC = {
         "counter_time_source",
     ],
     "repro.clocks": [
-        "ClockAlgorithm", "CoverInlineClock", "CoverTimestamp", "DuplicateControl",
+        "ClockAlgorithm", "ClockHost", "CoverInlineClock", "CoverTimestamp", "DuplicateControl",
         "INFINITY", "LamportClock", "LamportTimestamp", "SKVectorClock",
         "StarInlineClock", "StarTimestamp", "Timestamp", "TimestampAssignment",
         "ValidationReport", "VectorClock", "VectorTimestamp", "replay", "replay_one",

@@ -1,4 +1,4 @@
-"""Every exported name has a user outside the tests.
+"""Every exported name, and every public method, has a user outside the tests.
 
 A subpackage's ``_EXPORTS`` table (``src/repro/*/__init__.py``) is its public
 surface.  A name earns its place there by a user that is not a test: another
@@ -9,6 +9,12 @@ its module (drop it from the table and keep the code).  ``ALLOWED`` lists the
 exceptions, each with its reason: a result type, exception or constant that
 a public function hands its caller, or a function the tests use as an
 independent reference for other code.
+
+A public method or property of a class in ``src/`` (a name without a
+leading underscore) earns its place the same way, except that a use in its
+own module counts: a method its class calls is used.  ``ALLOWED_METHODS``
+lists the exceptions: the state of a value a public function returns, an
+instrument a budget or a test reads, a callback the standard library makes.
 
 Each file is read once into the set of words its code uses: names,
 attributes, imported names and strings that are one identifier, so a comment,
@@ -79,6 +85,36 @@ ALLOWED = {
 }
 
 
+#: ``repro.<module>.<Class>.<name>`` → why it stays with no non-test user
+ALLOWED_METHODS = {
+    "repro.baselines.cluster.ClusterClock.cluster_of": (
+        "the partition the clock was built with, which its tests check"
+    ),
+    "repro.clocks.vector_sk.SKVectorClock.mean_diff_entries": (
+        "instrument: the differential payload's measured width"
+    ),
+    "repro.core.execution.Execution.undelivered_messages": (
+        "independent reference for the messages a run lost"
+    ),
+    "repro.fabric.queue.WorkQueue.pending_count": "instrument: the queue's lease state",
+    "repro.fabric.queue.WorkQueue.worker_of": "instrument: the queue's lease state",
+    "repro.lowerbounds.offline_star.SearchOutcome.success": (
+        "find_high_dimension_execution's verdict"
+    ),
+    "repro.net.transport.FrameStream.pause_writing": "asyncio.Protocol callback",
+    "repro.net.virtual._Pipe.get_extra_info": "asyncio.Transport method",
+    "repro.net.virtual._Timeline.get_map": "selectors.BaseSelector method",
+    "repro.net.virtual._Timeline.select": "selectors.BaseSelector method",
+    "repro.net.virtual._Timeline.unregister": "selectors.BaseSelector method",
+    "repro.sim.scheduler.EventScheduler.compactions": "instrument: the simulator budget reads it",
+    "repro.sim.scheduler.EventScheduler.heap_size": "instrument: the simulator budget reads it",
+    "repro.sim.scheduler.EventScheduler.steps_executed": (
+        "instrument: the cancellation tests count what ran"
+    ),
+    "repro.sim.scheduler.TimerHandle.cancelled": "the state of the handle timer() returns",
+}
+
+
 def exports():
     """``(package, submodule, name)`` for every entry of every ``_EXPORTS``."""
     out = []
@@ -91,11 +127,11 @@ def exports():
     return out
 
 
-def code_words(source):
-    """The words *source*'s code uses: a comment is not code, and prose in a
-    docstring or message is never a string that is one identifier."""
+def tree_words(tree):
+    """The words a parsed file's code uses: a comment is not code, and prose
+    in a docstring or message is never a string that is one identifier."""
     words = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             words.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -109,14 +145,51 @@ def code_words(source):
 
 
 @lru_cache(maxsize=None)
+def trees():
+    """Each file that may use an export or a method, parsed once."""
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for top in USER_DIRS
+        for path in (ROOT / top).rglob("*.py")
+    }
+
+
+def code_words(source):
+    """The words *source*'s code uses (see :func:`tree_words`)."""
+    return tree_words(ast.parse(source))
+
+
+@lru_cache(maxsize=None)
 def words_by_file():
     """The code words of each file that may use an export."""
     return {
-        path: code_words(path.read_text(encoding="utf-8"))
-        for top in USER_DIRS
-        for path in (ROOT / top).rglob("*.py")
+        path: tree_words(tree)
+        for path, tree in trees().items()
         if path.name != "__init__.py"
     }
+
+
+def methods():
+    """``repro.<module>.<Class>.<name>`` of every public method and property
+    defined in a class of ``src/``."""
+    out = []
+    for path, tree in trees().items():
+        if SRC not in path.parents:
+            continue
+        module = ".".join(("repro", *path.relative_to(SRC).with_suffix("").parts))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                out += [
+                    f"{module}.{cls.name}.{item.name}" for item in cls.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                ]
+    return out
+
+
+def method_has_user(qualname):
+    name = qualname.rsplit(".", 1)[1]
+    return any(name in words for words in words_by_file().values())
 
 
 def has_user(package, sub, name):
@@ -148,6 +221,24 @@ def test_no_allowed_name_has_a_user_already():
         if f"{package}.{name}" in ALLOWED and has_user(package, sub, name)
     ]
     assert needless == [], "these have a non-test user: take them off ALLOWED"
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    unused = [
+        name for name in methods()
+        if name not in ALLOWED_METHODS and not method_has_user(name)
+    ]
+    assert unused == [], (
+        "only tests use these methods: delete each, or make it private if its "
+        "own class uses it, or allow-list it with a reason"
+    )
+
+
+def test_every_allowed_method_is_defined_and_still_unused():
+    defined = set(methods())
+    assert sorted(set(ALLOWED_METHODS) - defined) == []
+    needless = [name for name in ALLOWED_METHODS if method_has_user(name)]
+    assert needless == [], "these have a non-test user: take them off ALLOWED_METHODS"
 
 
 def test_prose_is_not_a_use():
