@@ -9,11 +9,11 @@ latencies a :class:`~repro.sim.runner.SimulationResult` records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.events import EventId
+from repro.obs.metrics import percentile
 from repro.sim.runner import SimulationResult
 
 
@@ -31,16 +31,6 @@ class LatencySummary:
     @classmethod
     def empty(cls) -> "LatencySummary":
         return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of pre-sorted values; 0.0 for empty input."""
-    if not sorted_values:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    idx = min(len(sorted_values) - 1, max(0, math.ceil(q * len(sorted_values)) - 1))
-    return sorted_values[idx]
 
 
 def summarize_latencies(

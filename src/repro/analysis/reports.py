@@ -63,14 +63,14 @@ def format_series(
     points: Sequence[tuple],
     x_label: str = "x",
     y_label: str = "y",
-    width: int = 40,
 ) -> str:
-    """Render an (x, y) series as an ASCII sparkline table (y in [0, 1+])."""
+    """Render an (x, y) series as an ASCII sparkline table (y in [0, 1+]),
+    the largest y as a 40-character bar."""
     if not points:
         return "(empty series)"
     y_max = max(y for _x, y in points) or 1.0
     lines = [f"{x_label:>10} | {y_label}"]
     for x, y in points:
-        bar = "#" * int(round(width * y / y_max))
+        bar = "#" * int(round(40 * y / y_max))
         lines.append(f"{x:>10.2f} | {y:.3f} {bar}")
     return "\n".join(lines)

@@ -16,21 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.clocks import base as _clock_sizes
-
-
-def counter_bits(max_events: int) -> int:
-    """Bits for one counter element: ``ceil(log₂(K+1))``, at least 1."""
-    if max_events < 0:
-        raise ValueError("max_events must be >= 0")
-    return _clock_sizes.counter_bits(max_events)
-
-
-def id_bits(n_processes: int) -> int:
-    """Bits for a process id: ``ceil(log₂ n)``, at least 1."""
-    if n_processes < 1:
-        raise ValueError("need at least one process")
-    return _clock_sizes.id_bits(n_processes)
+from repro.clocks.base import counter_bits, id_bits
 
 
 def inline_elements(cover_size: int) -> int:

@@ -71,7 +71,6 @@ class ConflictReport:
 def conflict_resolution_status(
     assignment: TimestampAssignment,
     updates: UpdateMap,
-    oracle: Optional[HappenedBeforeOracle] = None,
     finalized: Optional[Set[EventId]] = None,
 ) -> ConflictReport:
     """Compare scheme-detected conflicts with ground truth.
@@ -81,8 +80,7 @@ def conflict_resolution_status(
     inline trade-off).  For a fully finalized characterizing scheme the
     report is exact with zero undecided pairs.
     """
-    if oracle is None:
-        oracle = HappenedBeforeOracle(assignment.execution)
+    oracle = HappenedBeforeOracle(assignment.execution)
     if finalized is None:
         finalized = {eid for eid, _ in assignment.items()}
 

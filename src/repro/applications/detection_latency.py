@@ -96,7 +96,6 @@ def detection_lag(
     result: SimulationResult,
     marks: PredicateMarks,
     clock_name: str,
-    oracle: Optional[HappenedBeforeOracle] = None,
 ) -> DetectionLag:
     """Compare first-detection times of the same predicate.
 
@@ -105,8 +104,7 @@ def detection_lag(
     would not, and — when every relevant event eventually finalizes —
     always catches up (the paper's "detected eventually").
     """
-    if oracle is None:
-        oracle = HappenedBeforeOracle(result.execution)
+    oracle = HappenedBeforeOracle(result.execution)
     online = first_detection_time(result, marks, None, oracle)
     inline = first_detection_time(result, marks, clock_name, oracle)
     return DetectionLag(online_time=online, inline_time=inline)

@@ -118,7 +118,6 @@ def recovery_line_lag(
     clock_name: str,
     failure_time: float,
     every_k: int = 5,
-    oracle: Optional[HappenedBeforeOracle] = None,
 ) -> RecoveryComparison:
     """Compare online vs inline recovery lines at a failure instant.
 
@@ -128,8 +127,7 @@ def recovery_line_lag(
     every *every_k* events.
     """
     execution = result.execution
-    if oracle is None:
-        oracle = HappenedBeforeOracle(execution)
+    oracle = HappenedBeforeOracle(execution)
     checkpoints = periodic_checkpoints(execution, every_k)
     event_times = result.event_times
     fin_times = result.finalization_times[clock_name]

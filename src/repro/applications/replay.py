@@ -77,7 +77,6 @@ def replay_schedule(
 def is_causal_schedule(
     execution: Execution,
     order: Sequence[EventId],
-    oracle: Optional[HappenedBeforeOracle] = None,
 ) -> bool:
     """Ground-truth check that *order* is a valid replay schedule.
 
@@ -86,8 +85,7 @@ def is_causal_schedule(
     both are present).  Equivalently, it is a linear extension of
     happened-before restricted to the listed events.
     """
-    if oracle is None:
-        oracle = HappenedBeforeOracle(execution)
+    oracle = HappenedBeforeOracle(execution)
     listed = set(order)
     if len(listed) != len(order):
         return False

@@ -432,12 +432,16 @@ class InlineClock(ClockAlgorithm):
 
 
 def counter_bits(max_events: int) -> int:
-    """``ceil(log2(K+1))``, at least 1: bits of a counter that reaches *K*."""
+    """Bits for one counter element: ``ceil(log₂(K+1))``, at least 1."""
+    if max_events < 0:
+        raise ValueError("max_events must be >= 0")
     return max(1, max_events.bit_length())
 
 
 def id_bits(n_processes: int) -> int:
-    """``ceil(log2(n))``, at least 1: bits of a process id among *n*."""
+    """Bits for a process id: ``ceil(log₂ n)``, at least 1."""
+    if n_processes < 1:
+        raise ValueError("need at least one process")
     return max(1, (n_processes - 1).bit_length())
 
 

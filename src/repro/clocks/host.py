@@ -143,14 +143,13 @@ class ClockHost:
         return True
 
     def finish(
-        self, execution: Execution, finalized_during_run: Iterable[EventId], finalize: bool = True
+        self, execution: Execution, finalized_during_run: Iterable[EventId]
     ) -> TimestampAssignment:
-        """End the run: with *finalize*, declare it terminated, so every
-        event still ``⊥`` closes (not a finalization during the run, so not
-        drained); then take the scheme's table of timestamps.  The ranks,
-        which only a step reads, go: a finished host takes no more steps."""
-        if finalize:
-            self.clock.finalize_at_termination()
-            self._newly.clear()
+        """End the run: declare it terminated, so every event still ``⊥``
+        closes (not a finalization during the run, so not drained); then
+        take the scheme's table of timestamps.  The ranks, which only a step
+        reads, go: a finished host takes no more steps."""
+        self.clock.finalize_at_termination()
+        self._newly.clear()
         self.ranks = []
         return TimestampAssignment(self.clock, execution, finalized_during_run)

@@ -16,7 +16,7 @@ implementation therefore stamps each diff with a per-channel sequence
 number and **rejects out-of-order delivery with a clear error** (contrast
 with the paper's inline algorithms, whose control messages are pure
 metadata and *can* be resequenced).  Use FIFO channels
-(``random_execution(..., fifo=True)`` or ``Simulation(...,
+(``random_ops(..., fifo=True)`` or ``Simulation(...,
 fifo_app_channels=True)``) when attaching this clock.
 
 The benchmarks (E11) compare its per-message payload against the inline

@@ -70,7 +70,7 @@ class CorpusCase:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def case_from_mismatch(name: str, mismatch: Mismatch, notes: str = "") -> CorpusCase:
+def case_from_mismatch(name: str, mismatch: Mismatch) -> CorpusCase:
     """Package a (shrunken) mismatch as a corpus case pinning its scheme."""
     schemes = None if mismatch.scheme == "oracle" else (mismatch.scheme,)
     return CorpusCase(
@@ -80,7 +80,7 @@ def case_from_mismatch(name: str, mismatch: Mismatch, notes: str = "") -> Corpus
         ops=mismatch.ops,
         fifo=mismatch.fifo,
         schemes=schemes,
-        notes=notes or mismatch.detail,
+        notes=mismatch.detail,
     )
 
 

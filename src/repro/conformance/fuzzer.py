@@ -322,7 +322,7 @@ def _check_oracles(graph, ops, execution, oracle, fifo, context, report):
 # invariant 3: inline finalization monotonicity, from every prefix
 # ----------------------------------------------------------------------
 def _check_finalization(
-    graph, ops, oracle, specs, center, fifo, context, report, prefix_samples=4
+    graph, ops, oracle, specs, center, fifo, context, report
 ):
     out: List[Mismatch] = []
     inline_specs = [s for s in specs if s.inline]
@@ -344,7 +344,7 @@ def _check_finalization(
     n_ops = len(ops)
     sample_at = set()
     if n_ops:
-        stride = max(1, n_ops // prefix_samples)
+        stride = max(1, n_ops // 4)
         sample_at = set(range(stride - 1, n_ops, stride))
         sample_at.add(n_ops - 1)
     # the ops are a valid execution (``check_execution`` built it); a recv
@@ -745,7 +745,6 @@ def run_trials(
     max_steps: int = 40,
     shrink: bool = True,
     backend: str = "auto",
-    tracer=None,
 ) -> ConformanceReport:
     """Run campaign trials ``[lo, hi)`` into *report*.
 
@@ -771,8 +770,6 @@ def run_trials(
             if shrink:
                 mm = shrink_mismatch(graph, mm)
             report.mismatches.append(mm)
-            if tracer is not None:
-                tracer.event("mismatch", **mm.to_record())
     return report
 
 
@@ -781,11 +778,9 @@ def fuzz(
     seed: int = 0,
     topologies: Sequence[str] = TRIAL_TOPOLOGIES,
     max_steps: int = 40,
-    tracer=None,
-    shrink: bool = True,
     backend: str = "auto",
 ) -> ConformanceReport:
-    """Run a fuzzing campaign; every mismatch is (optionally) shrunk.
+    """Run a fuzzing campaign; every mismatch is shrunk.
 
     The campaign is a pure function of ``(trials, seed, topologies,
     max_steps)`` — per-trial RNGs derive from :func:`repro.bench.cell_seed`
@@ -793,24 +788,12 @@ def fuzz(
     :func:`check_execution`; coordinates that :func:`check_campaign`
     refuses raise before any trial runs.
     """
-    report = ConformanceReport()
-    run_trials(
-        report,
+    return run_trials(
+        ConformanceReport(),
         0,
         trials,
         seed=seed,
         topologies=topologies,
         max_steps=max_steps,
-        shrink=shrink,
         backend=backend,
-        tracer=tracer,
     )
-    if tracer is not None:
-        tracer.event(
-            "summary",
-            trials=report.trials,
-            events=report.events_checked,
-            checks=dict(sorted(report.checks.items())),
-            mismatches=len(report.mismatches),
-        )
-    return report

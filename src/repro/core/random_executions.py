@@ -19,8 +19,9 @@ Two layers:
 - :func:`execution_from_ops` replays an op list through the validating
   :class:`~repro.core.execution.ExecutionBuilder`, :func:`ops_of` is its
   inverse (the saved form of an execution, :mod:`repro.core.trace`), and
-  :func:`random_execution` composes generation and replay (its random
-  stream is unchanged from when it built executions directly).
+  :func:`random_execution` composes generation and replay on non-FIFO,
+  fault-free channels (its random stream is unchanged from when it built
+  executions directly).
 
 An optional :class:`~repro.faults.models.FaultModel` lets the fuzzer reuse
 the structured fault schedules from :mod:`repro.faults`: each send consults
@@ -49,13 +50,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 #: same messages.
 Op = Tuple  # heterogeneous; see above
 
+#: probability a step delivers a random in-flight message (when any)
+P_DELIVER = 0.45
+#: probability a step is a local event (otherwise a send on a random edge;
+#: graphs with no edges only produce local events)
+P_LOCAL = 0.15
+
 
 def random_ops(
     graph: CommunicationGraph,
     rng: random.Random,
     steps: int = 30,
-    p_deliver: float = 0.45,
-    p_local: float = 0.15,
     deliver_all: bool = False,
     fifo: bool = False,
     fault: Optional["FaultModel"] = None,
@@ -65,12 +70,9 @@ def random_ops(
     Parameters
     ----------
     steps:
-        Number of generation steps (each produces one event).
-    p_deliver:
-        Probability a step delivers a random in-flight message (when any).
-    p_local:
-        Probability a step is a local event (otherwise a send on a random
-        edge; graphs with no edges only produce local events).
+        Number of generation steps (each produces one event): a delivery
+        with probability ``P_DELIVER``, else a local event with probability
+        ``P_LOCAL``, else a send.
     deliver_all:
         Deliver every remaining in-flight message at the end, in random
         order (useful when full finalization is desired).
@@ -112,9 +114,9 @@ def random_ops(
 
     for step in range(steps):
         roll = rng.random()
-        if in_flight and roll < p_deliver:
+        if in_flight and roll < P_DELIVER:
             deliver_one()
-        elif not edges or roll < p_deliver + p_local:
+        elif not edges or roll < P_DELIVER + P_LOCAL:
             ops.append(("local", rng.randrange(graph.n_vertices)))
         else:
             u, v = edges[rng.randrange(len(edges))]
@@ -229,21 +231,8 @@ def random_execution(
     graph: CommunicationGraph,
     rng: random.Random,
     steps: int = 30,
-    p_deliver: float = 0.45,
-    p_local: float = 0.15,
     deliver_all: bool = False,
-    fifo: bool = False,
-    fault: Optional["FaultModel"] = None,
 ) -> Execution:
     """A random execution over *graph* (see :func:`random_ops`)."""
-    ops = random_ops(
-        graph,
-        rng,
-        steps=steps,
-        p_deliver=p_deliver,
-        p_local=p_local,
-        deliver_all=deliver_all,
-        fifo=fifo,
-        fault=fault,
-    )
+    ops = random_ops(graph, rng, steps=steps, deliver_all=deliver_all)
     return execution_from_ops(graph, ops)

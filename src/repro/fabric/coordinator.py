@@ -17,7 +17,7 @@ Fault model, in increasing severity:
   coordinator; its leased cells are requeued immediately and a
   replacement worker is spawned (at most ``workers + 4`` in one run).
 - **Failing cell** — a work-function exception is retried up to
-  ``max_retries`` times, then surfaces as
+  ``MAX_RETRIES`` times, then surfaces as
   :class:`~repro.fabric.queue.CellFailed` carrying every attempt's
   traceback.
 - **Interrupted coordinator** — SIGINT/SIGTERM (or the ``KeyboardInterrupt``
@@ -94,6 +94,9 @@ KILL_ENV = "REPRO_FABRIC_TEST_KILL"
 HANG_ENV = "REPRO_FABRIC_TEST_HANG"
 INTERRUPT_ENV = "REPRO_FABRIC_TEST_INTERRUPT"
 
+#: retries of a cell that raised, after its first attempt
+MAX_RETRIES = 2
+
 Executor = Callable[[Mapping[str, Any]], Any]
 
 
@@ -156,7 +159,7 @@ def _hook_int(var: str, raw: str, part: str, form: str, least: int) -> int:
     return value
 
 
-def _read_hooks(interrupt_after: Optional[int]) -> _TestHooks:
+def _read_hooks() -> _TestHooks:
     """Parse the test-hook variables (see module docstring), once."""
     kill = None
     raw = os.environ.get(KILL_ENV)
@@ -171,14 +174,12 @@ def _read_hooks(interrupt_after: Optional[int]) -> _TestHooks:
     raw = os.environ.get(HANG_ENV)
     if raw:
         hang = _hook_int(HANG_ENV, raw, raw, "W, a worker id >= 0", 0)
-    if interrupt_after is None:
-        raw = os.environ.get(INTERRUPT_ENV)
-        if raw:
-            interrupt_after = _hook_int(
-                INTERRUPT_ENV, raw, raw, "N, a completion count >= 1", 1
-            )
-    elif interrupt_after < 1:
-        raise ValueError(f"interrupt_after must be >= 1, got {interrupt_after}")
+    interrupt_after = None
+    raw = os.environ.get(INTERRUPT_ENV)
+    if raw:
+        interrupt_after = _hook_int(
+            INTERRUPT_ENV, raw, raw, "N, a completion count >= 1", 1
+        )
     return _TestHooks(kill, hang, interrupt_after)
 
 
@@ -292,8 +293,6 @@ def run_fabric(
     workers: int = 1,
     resume: bool = False,
     lease_timeout: float = 30.0,
-    max_retries: int = 2,
-    interrupt_after: Optional[int] = None,
 ) -> FabricReport:
     """Run every cell of a sweep through the fabric; return in input order.
 
@@ -312,17 +311,15 @@ def run_fabric(
     (mixing two different sweeps in one store directory is always fine —
     keys never collide).
 
-    *interrupt_after* (or ``REPRO_FABRIC_TEST_INTERRUPT``) stops the run as
-    ^C would after that many completions, at least 1.  It and the other
-    test hooks are checked before any cell or worker starts: a malformed
-    value raises ``ValueError`` on every placement.
+    The test hooks are checked before any cell or worker starts: a
+    malformed value raises ``ValueError`` on every placement.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # checked here, not only by WorkQueue, so the serial path refuses it too
     if not 0 < lease_timeout < math.inf:
         raise ValueError("lease_timeout must be positive and finite")
-    hooks = _read_hooks(interrupt_after)
+    hooks = _read_hooks()
     keyed: List[Tuple[str, Dict[str, Any]]] = []
     seen: Dict[str, int] = {}
     for i, spec in enumerate(specs):
@@ -358,14 +355,13 @@ def run_fabric(
         if workers == 1:
             _run_serial(
                 pending, store, executor or execute_cell, stats,
-                max_retries, hooks.interrupt_after,
+                hooks.interrupt_after,
             )
         else:
             _run_coordinated(
                 pending, store, executor or execute_cell, stats,
                 workers=workers,
                 lease_timeout=lease_timeout,
-                max_retries=max_retries,
                 hooks=hooks,
             )
     return FabricReport(
@@ -378,7 +374,6 @@ def _run_serial(
     store: ResultStore,
     executor: Executor,
     stats: Dict[str, int],
-    max_retries: int,
     interrupt_after: Optional[int],
 ) -> None:
     depth = gauge("fabric.queue_depth")
@@ -394,7 +389,7 @@ def _run_serial(
                     raise
                 except Exception:
                     errors.append(traceback.format_exc())
-                    if len(errors) > max_retries:
+                    if len(errors) > MAX_RETRIES:
                         raise CellFailed(key, spec, errors) from None
                     stats["cells_retried"] += 1
                     counter("fabric.cells_retried").inc()
@@ -422,13 +417,12 @@ def _run_coordinated(
     *,
     workers: int,
     lease_timeout: float,
-    max_retries: int,
     hooks: _TestHooks,
 ) -> None:
     interrupt_after = hooks.interrupt_after
     heartbeat_interval = min(5.0, max(0.05, lease_timeout / 4.0))
     queue = WorkQueue(
-        dict(pending), lease_timeout=lease_timeout, max_retries=max_retries
+        dict(pending), lease_timeout=lease_timeout, max_retries=MAX_RETRIES
     )
     ctx = multiprocessing.get_context()
     fleet: List[_LocalWorker] = []

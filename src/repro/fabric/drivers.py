@@ -295,20 +295,11 @@ def merge_conformance_results(results) -> Any:
 # ----------------------------------------------------------------------
 # self-test cells (CI smoke + crash-resume property suite)
 # ----------------------------------------------------------------------
-def selftest_specs(count: int, seed: int = 0,
-                   sleep: float = 0.0) -> List[Dict[str, Any]]:
-    specs: List[Dict[str, Any]] = []
-    for index in range(count):
-        spec: Dict[str, Any] = {
-            "kind": "fabric-selftest",
-            "v": 1,
-            "seed": seed,
-            "index": index,
-        }
-        if sleep:
-            spec["sleep"] = sleep
-        specs.append(spec)
-    return specs
+def selftest_specs(count: int, seed: int = 0) -> List[Dict[str, Any]]:
+    return [
+        {"kind": "fabric-selftest", "v": 1, "seed": seed, "index": index}
+        for index in range(count)
+    ]
 
 
 @work_kind("fabric-selftest")

@@ -73,9 +73,9 @@ class FaultModel(abc.ABC):
 
     The default implementations are all benign (deliver everything, every
     process up, no transitions); concrete models override the parts they
-    affect.  ``scope`` — accepted by the message-level models — restricts a
-    model to application messages (``"app"``), control datagrams
-    (``"control"``), or ``"both"``.
+    affect.  ``scope`` — accepted by the loss and duplication models —
+    restricts a model to application messages (``"app"``), control
+    datagrams (``"control"``), or ``"both"``.
     """
 
     def reset(self, rng: random.Random) -> None:
@@ -130,9 +130,10 @@ class GilbertElliottLoss(FaultModel):
     the state advances once per message, and the message is lost with the
     state's loss probability.  The stationary mean loss rate is
 
-        ``pi_burst * loss_burst + (1 - pi_burst) * loss_good``
+        ``pi_burst * loss_burst``
 
-    with ``pi_burst = p_enter / (p_enter + p_exit)`` — see
+    (the good state loses nothing) with
+    ``pi_burst = p_enter / (p_enter + p_exit)`` — see
     :meth:`mean_loss_rate`.  Unlike the independent ``*_loss_rate`` knobs,
     consecutive messages on a channel fail *together*, which is exactly the
     regime where single-shot control messages stall finalization and a
@@ -143,14 +144,12 @@ class GilbertElliottLoss(FaultModel):
         self,
         p_enter_burst: float = 0.1,
         p_exit_burst: float = 0.3,
-        loss_good: float = 0.0,
         loss_burst: float = 1.0,
         scope: str = "both",
     ) -> None:
         for name, p in (
             ("p_enter_burst", p_enter_burst),
             ("p_exit_burst", p_exit_burst),
-            ("loss_good", loss_good),
             ("loss_burst", loss_burst),
         ):
             if not 0.0 <= p <= 1.0:
@@ -159,7 +158,6 @@ class GilbertElliottLoss(FaultModel):
             raise ValueError("p_enter_burst and p_exit_burst cannot both be 0")
         self.p_enter_burst = p_enter_burst
         self.p_exit_burst = p_exit_burst
-        self.loss_good = loss_good
         self.loss_burst = loss_burst
         self.scope = _check_scope(scope)
         self._in_burst: Dict[Tuple[ProcessId, ProcessId, bool], bool] = {}
@@ -167,7 +165,7 @@ class GilbertElliottLoss(FaultModel):
     def mean_loss_rate(self) -> float:
         """Stationary loss probability of the channel."""
         pi_burst = self.p_enter_burst / (self.p_enter_burst + self.p_exit_burst)
-        return pi_burst * self.loss_burst + (1.0 - pi_burst) * self.loss_good
+        return pi_burst * self.loss_burst
 
     def reset(self, rng: random.Random) -> None:
         self._in_burst = {}
@@ -193,8 +191,7 @@ class GilbertElliottLoss(FaultModel):
             if rng.random() < self.p_enter_burst:
                 burst = True
         self._in_burst[key] = burst
-        p_loss = self.loss_burst if burst else self.loss_good
-        if p_loss > 0.0 and rng.random() < p_loss:
+        if burst and self.loss_burst > 0.0 and rng.random() < self.loss_burst:
             return DROP
         return DELIVER
 
@@ -254,8 +251,8 @@ class PartitionFault(FaultModel):
     """A network partition that heals.
 
     During ``[start, start + duration)`` every message injected across a
-    group boundary is dropped; messages within a group, and everything after
-    the heal instant, pass through.  Processes not listed in any group are
+    group boundary, application or control, is dropped; messages within a
+    group, and everything after the heal instant, pass through.  Processes not listed in any group are
     singleton groups of their own.  The cut applies at injection time:
     messages already in flight when the partition begins still arrive (they
     are past the failed links in this model).
@@ -266,13 +263,11 @@ class PartitionFault(FaultModel):
         groups: Sequence[Iterable[ProcessId]],
         start: float,
         duration: float,
-        scope: str = "both",
     ) -> None:
         if start < 0 or duration <= 0:
             raise ValueError("need start >= 0 and duration > 0")
         self.start = start
         self.duration = duration
-        self.scope = _check_scope(scope)
         self._group_of: Dict[ProcessId, int] = {}
         for gi, group in enumerate(groups):
             for p in group:
@@ -297,19 +292,12 @@ class PartitionFault(FaultModel):
         rng: random.Random,
         control: bool = False,
     ) -> MessageFate:
-        if self.scope == "app" and control:
-            return DELIVER
-        if self.scope == "control" and not control:
-            return DELIVER
         if self.start <= now < self.heals_at and self._group(src) != self._group(dst):
             return DROP
         return DELIVER
 
     def partition_epochs(self) -> List[Tuple[float, float]]:
         return [(self.start, self.heals_at)]
-
-    def can_disrupt_app(self) -> bool:
-        return self.scope != "control"
 
     def describe(self) -> str:
         return (

@@ -124,18 +124,16 @@ class SearchOutcome:
 def find_high_dimension_execution(
     seed: int = 0,
     max_trials: int = 2000,
-    n: int = 4,
-    steps: int = 12,
 ) -> SearchOutcome:
-    """Randomly search for a star execution of order dimension ≥ 3.
+    """Randomly search for a 4-process, 12-step star execution of order
+    dimension ≥ 3.
 
-    With the default parameters a witness typically appears within a few
-    dozen trials — evidence that Theorem 4.4's obstruction is generic, not
-    a knife-edge construction.
+    A witness typically appears within a few dozen trials — evidence that
+    Theorem 4.4's obstruction is generic, not a knife-edge construction.
     """
     rng = random.Random(seed)
     for trial in range(1, max_trials + 1):
-        ex = random_star_execution(rng, n=n, steps=steps)
+        ex = random_star_execution(rng, n=4, steps=12)
         if execution_dimension_exceeds_2(ex):
             return SearchOutcome(trials=trial, found=ex)
     return SearchOutcome(trials=max_trials, found=None)

@@ -99,10 +99,13 @@ class _ReachMatrix:
         return order
 
 
-def greedy_realizer(
-    poset: Poset, max_k: int = 16
-) -> Optional[List[List[Element]]]:
-    """A realizer of size ≤ *max_k*, or ``None`` if the heuristic fails.
+#: the most extensions the greedy heuristic builds before it gives up
+MAX_EXTENSIONS = 16
+
+
+def greedy_realizer(poset: Poset) -> Optional[List[List[Element]]]:
+    """A realizer of size ≤ ``MAX_EXTENSIONS``, or ``None`` if the
+    heuristic fails.
 
     Every returned list is a linear extension; their intersection is
     exactly the poset (checked by :func:`verify_realizer` in tests).
@@ -130,7 +133,7 @@ def greedy_realizer(
         return [reach.topological_order(elements)]
 
     extensions: List[List[Element]] = []
-    while demands and len(extensions) < max_k:
+    while demands and len(extensions) < MAX_EXTENSIONS:
         reach = _ReachMatrix(elements)
         for a, b in base_pairs:
             reach.add_edge(a, b)
@@ -175,13 +178,13 @@ def verify_realizer(
 
 
 def offline_vector_timestamps(
-    execution: Execution, max_k: int = 16
+    execution: Execution,
 ) -> Optional[Dict[EventId, Tuple[int, ...]]]:
     """Small offline vectors characterizing the execution's causality.
 
     Tries dimension 2 exactly first (via transitive orientation), then the
     greedy heuristic.  Returns ``None`` only if the heuristic needs more
-    than *max_k* extensions (rare for the executions in this repository).
+    than ``MAX_EXTENSIONS`` (rare for the executions in this repository).
     """
     poset = Poset.from_execution(execution)
     r2 = realizer2(poset)
@@ -189,7 +192,7 @@ def offline_vector_timestamps(
     if r2 is not None:
         extensions = [list(r2[0]), list(r2[1])]
     else:
-        extensions = greedy_realizer(poset, max_k=max_k)
+        extensions = greedy_realizer(poset)
     if extensions is None:
         return None
     if not extensions:  # zero or one event

@@ -63,9 +63,9 @@ class VectorAssignmentReport:
     def valid(self) -> bool:
         return not self.violations
 
-    def first(self, kind: Optional[ViolationKind] = None) -> Optional[Violation]:
+    def first(self, kind: ViolationKind) -> Optional[Violation]:
         for v in self.violations:
-            if kind is None or v.kind is kind:
+            if v.kind is kind:
                 return v
         return None
 

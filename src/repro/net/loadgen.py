@@ -37,6 +37,7 @@ import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.applications.causal_kv import (
@@ -65,6 +66,7 @@ from repro.net.node import (
 )
 from repro.net.supervisor import CrashPlan, Supervisor
 from repro.obs import MetricsRegistry, counter, use_registry
+from repro.obs.metrics import percentile
 
 #: :meth:`LiveReport.latency_cdf` samples the latencies at this many points
 CDF_POINTS = 20
@@ -109,13 +111,6 @@ def build_live_clock(name: str, spec: ClusterSpec) -> ClockAlgorithm:
     raise ValueError(f"unknown clock {name!r} (live choices: {LIVE_CLOCKS})")
 
 
-def _percentile(sorted_values: List[float], p: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1, int(p * len(sorted_values)))
-    return sorted_values[idx]
-
-
 @dataclass
 class LiveReport:
     """Everything one live deployment produced."""
@@ -152,19 +147,17 @@ class LiveReport:
         )
 
     def percentile(self, p: float) -> float:
-        return _percentile(self.latencies_ms, p)
+        return percentile(self.latencies_ms, p)
 
     def latency_cdf(self) -> List[Tuple[float, float]]:
         """``(latency_ms, fraction_of_ops_at_or_below)`` at the fractions
         ``1/CDF_POINTS, 2/CDF_POINTS, ..., 1``."""
-        n = len(self.latencies_ms)
-        if n == 0:
+        if not self.latencies_ms:
             return []
-        out = []
-        for i in range(1, CDF_POINTS + 1):
-            frac = i / CDF_POINTS
-            out.append((_percentile(self.latencies_ms, frac - 1e-9), frac))
-        return out
+        return [
+            (percentile(self.latencies_ms, Fraction(i, CDF_POINTS)), i / CDF_POINTS)
+            for i in range(1, CDF_POINTS + 1)
+        ]
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -591,11 +591,11 @@ class LiveNode:
         self._bg.add(task)
         task.add_done_callback(self._bg.discard)
 
-    async def drain(self, timeout: float = 10.0) -> None:
-        """Wait for background work (replication) to finish."""
+    async def drain(self) -> None:
+        """Wait up to 10 s for background work (replication) to finish."""
         pending = [t for t in self._bg if not t.done()]
         if pending:
-            await asyncio.wait(pending, timeout=timeout)
+            await asyncio.wait(pending, timeout=10.0)
 
     async def flush_controls(self) -> None:
         """Send every queued control now, one batched request per destination.

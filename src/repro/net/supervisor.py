@@ -102,15 +102,13 @@ class Supervisor:
         await node.kill()
         return snapshot
 
-    async def restart(self, pid: int, snapshot: Optional[CrashSnapshot] = None) -> LiveNode:
-        """Recreate *pid* from its latest (or the given) snapshot."""
-        if snapshot is None:
-            candidates = [s for s in self.snapshots if s.pid == pid]
-            if not candidates:
-                raise ValueError(f"no crash snapshot recorded for p{pid}")
-            snapshot = candidates[-1]
+    async def restart(self, pid: int) -> LiveNode:
+        """Recreate *pid* from its latest snapshot."""
+        candidates = [s for s in self.snapshots if s.pid == pid]
+        if not candidates:
+            raise ValueError(f"no crash snapshot recorded for p{pid}")
         node = self._factories[pid]()
-        node.restore_state(snapshot.node_state)
+        node.restore_state(candidates[-1].node_state)
         self.nodes[pid] = node
         await node.start()  # fresh ephemeral port; peers re-resolve
         counter("net.restarts").inc()

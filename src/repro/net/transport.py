@@ -81,23 +81,30 @@ class ConnectionClosed(TransportError):
     """The peer closed the connection (EOF) or the stream broke."""
 
 
+#: each retransmission waits, and each reconnect sleeps, this many times
+#: as long as the one before
+BACKOFF = 2.0
+#: a wait grows by up to this fraction, drawn from the policy's seeded rng
+JITTER = 0.25
+#: the first reconnect sleep, and the most the ladder grows to (seconds)
+RECONNECT_DELAY = 0.05
+MAX_RECONNECT_DELAY = 2.0
+
+
 @dataclass(frozen=True)
 class TransportPolicy:
-    """Timeout/retry/backoff knobs shared by clients and reconnect loops.
+    """Timeout/retry knobs shared by clients and reconnect loops.
 
     ``request_timeout`` is the per-attempt response deadline; a request is
     retransmitted up to ``max_retries`` times, waiting
-    ``request_timeout * backoff**attempt`` (plus up to ``jitter`` fraction
-    of that, drawn from the policy rng seed) between attempts.  Reconnects
-    use the same backoff ladder starting from ``reconnect_delay``.
+    ``request_timeout * BACKOFF**attempt`` (plus up to ``JITTER`` of that,
+    drawn from the policy rng seed) between attempts.  Reconnects use the
+    same backoff ladder, from ``RECONNECT_DELAY`` up to
+    ``MAX_RECONNECT_DELAY``.
     """
 
     request_timeout: float = 1.0
     max_retries: int = 4
-    backoff: float = 2.0
-    jitter: float = 0.25
-    reconnect_delay: float = 0.05
-    max_reconnect_delay: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,16 +112,10 @@ class TransportPolicy:
             raise ValueError("request_timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.reconnect_delay <= 0 or self.max_reconnect_delay < self.reconnect_delay:
-            raise ValueError("need 0 < reconnect_delay <= max_reconnect_delay")
 
     def attempt_timeout(self, attempt: int) -> float:
         """Response deadline for the *attempt*-th transmission (0-based)."""
-        return self.request_timeout * (self.backoff**attempt)
+        return self.request_timeout * (BACKOFF**attempt)
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +400,7 @@ class PeerClient:
         async with self._conn_lock:
             if self._stream is not None:
                 return self._stream
-            delay = self.policy.reconnect_delay
+            delay = RECONNECT_DELAY
             attempt = 0
             loop = asyncio.get_running_loop()
             while True:
@@ -421,10 +422,10 @@ class PeerClient:
                 except (ConnectionError, OSError):
                     attempt += 1
                     counter("net.connect_failures").inc()
-                    sleep = min(delay, self.policy.max_reconnect_delay)
-                    sleep *= 1.0 + self.policy.jitter * self._rng.random()
+                    sleep = min(delay, MAX_RECONNECT_DELAY)
+                    sleep *= 1.0 + JITTER * self._rng.random()
                     await asyncio.sleep(sleep)
-                    delay *= self.policy.backoff
+                    delay *= BACKOFF
 
     def _on_frame(self, stream: FrameStream, frame: Optional[Dict[str, Any]]) -> None:
         """A response resolves the attempt waiting for its rid; the end of
@@ -477,7 +478,7 @@ class PeerClient:
                 if attempt:
                     counter("net.retransmits").inc()
                 per_attempt = self.policy.attempt_timeout(attempt) * (
-                    1.0 + self.policy.jitter * self._rng.random()
+                    1.0 + JITTER * self._rng.random()
                 )
                 # a fresh future under the same rid: a response to an earlier
                 # transmission completes whichever attempt is waiting

@@ -39,10 +39,14 @@ Typical use::
 from __future__ import annotations
 
 import json
+import math
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from fractions import Fraction
 
 #: version tag of the registry export format
 METRICS_SCHEMA = "repro.metrics/1"
@@ -107,6 +111,21 @@ class Gauge:
 
     def reset(self) -> None:
         self.value = 0.0
+
+
+def percentile(sorted_values: Sequence[float], q: float | Fraction) -> float:
+    """Nearest-rank percentile of pre-sorted values; 0.0 for empty input.
+
+    The smallest value with at least a fraction *q* of the values at or
+    below it.  A :class:`fractions.Fraction` *q* ranks exactly, where a float
+    such as ``0.55`` times 100 rounds up to the next rank.
+    """
+    if not sorted_values:
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    idx = min(len(sorted_values) - 1, max(0, math.ceil(q * len(sorted_values)) - 1))
+    return sorted_values[idx]
 
 
 class Histogram:

@@ -113,7 +113,6 @@ def slow_victim_flood(
     graph: CommunicationGraph,
     victim: int,
     delta: float = 1.0,
-    seed: int = 0,
 ) -> FloodTiming:
     """Run the Lemma-2.3 flood with real delays and a slowed victim.
 
@@ -132,7 +131,7 @@ def slow_victim_flood(
 
     workload = _AllInitiatorsFlood(list(range(n)))
     workload.set_victim(victim)
-    sim = Simulation(graph, seed=seed, delay_model=delays)
+    sim = Simulation(graph, delay_model=delays)
     result = sim.run(workload)
 
     first_contact: Optional[float] = None

@@ -66,13 +66,9 @@ class PerChannelDelay(DelayModel):
     adversaries to slow down every channel of a chosen victim process.
     """
 
-    def __init__(
-        self,
-        default: DelayModel,
-        overrides: Optional[Dict[Tuple[ProcessId, ProcessId], DelayModel]] = None,
-    ) -> None:
+    def __init__(self, default: DelayModel) -> None:
         self.default = default
-        self.overrides = dict(overrides or {})
+        self.overrides: Dict[Tuple[ProcessId, ProcessId], DelayModel] = {}
 
     def slow_down_process(self, victim: ProcessId, n: int, delay: float) -> None:
         """Make every channel to/from *victim* take *delay* time units."""

@@ -585,7 +585,6 @@ class Simulation:
         workload: Workload,
         max_time: Optional[float] = None,
         max_steps: Optional[int] = None,
-        finalize: bool = True,
     ) -> SimulationResult:
         """Run *workload* to completion and return the observed result.
 
@@ -657,7 +656,7 @@ class Simulation:
                 st.control_acks += sent.acks_received
                 st.control_abandoned += sent.abandoned
             final_times[host.name] = table = self._final_times(host)
-            assignments[host.name] = host.finish(execution, table.ids, finalize)
+            assignments[host.name] = host.finish(execution, table.ids)
 
         self._record_run_metrics(execution, assignments, final_times)
         return SimulationResult(

@@ -19,7 +19,7 @@ Provided policies:
   random cover neighbours; cover processes reply with probability
   ``reply_prob``.  Mirrors the client/server pattern of the paper's Figure 4
   discussion and produces the round trips that finalize inline timestamps.
-- :class:`BroadcastWorkload` — one initiator floods via its neighbours
+- :class:`BroadcastWorkload` — process 0 floods via its neighbours
   (receivers forward once); a stress test for deep causal chains.
 """
 
@@ -193,17 +193,16 @@ class ClientServerWorkload(Workload):
 
 
 class BroadcastWorkload(Workload):
-    """Flood from *initiator*: every process forwards on first receipt.
+    """Flood from process 0: every process forwards on first receipt.
 
     Creates the long causal chains used to stress ``pre`` propagation.  Each
     process forwards at most once (to all neighbours except the one it heard
     from), so the flood terminates.
     """
 
-    def __init__(self, initiator: ProcessId = 0, rounds: int = 1) -> None:
+    def __init__(self, rounds: int = 1) -> None:
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        self.initiator = initiator
         self.rounds = rounds
 
     def setup(self, sim: SimHandle) -> None:
@@ -211,9 +210,9 @@ class BroadcastWorkload(Workload):
         self._round_of_msg: Dict[int, int] = {}
         self._neighbors = sorted_neighbors(sim.graph)
         for r in range(self.rounds):
-            self._forwarded.add((r, self.initiator))
+            self._forwarded.add((r, 0))
             delay = float(r) + 1e-9
-            sim.schedule(delay, self._flood, sim, r, self.initiator, None)
+            sim.schedule(delay, self._flood, sim, r, 0, None)
 
     def _flood(
         self,

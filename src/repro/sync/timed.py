@@ -23,6 +23,8 @@ from repro.topology.graph import CommunicationGraph
 
 #: how long an internal action occupies its process
 INTERNAL_DURATION = 0.2
+#: how long a handshake occupies both of its endpoints
+HANDSHAKE_DURATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ def simulate_sync(
     graph: CommunicationGraph,
     actions_per_process: int = 15,
     p_internal: float = 0.4,
-    handshake_duration: float = 1.0,
     seed: int = 0,
     decomposition: Optional[Decomposition] = None,
 ) -> SyncSimResult:
@@ -60,7 +61,7 @@ def simulate_sync(
     Each process performs *actions_per_process* actions.  An internal
     action occupies the process for ``INTERNAL_DURATION``; a message action
     picks a random neighbour and occupies **both** endpoints from the
-    moment both are free until *handshake_duration* later (the blocking
+    moment both are free until ``HANDSHAKE_DURATION`` later (the blocking
     send of Figure 3).  Message actions of busy partners simply wait —
     deterministic given *seed*.
     """
@@ -102,7 +103,7 @@ def simulate_sync(
             if partner is None:
                 completion = free[p] + INTERNAL_DURATION
             else:
-                completion = max(free[p], free[partner]) + handshake_duration
+                completion = max(free[p], free[partner]) + HANDSHAKE_DURATION
             if best is None or (completion, p) < best:
                 best = (completion, p)
         if best is None:

@@ -90,20 +90,16 @@ def random_tree(n: int, rng: random.Random) -> CommunicationGraph:
     return CommunicationGraph(n, edges)
 
 
-def erdos_renyi(
-    n: int, p: float, rng: random.Random, ensure_connected: bool = True
-) -> CommunicationGraph:
+def erdos_renyi(n: int, p: float, rng: random.Random) -> CommunicationGraph:
     """G(n, p) random graph.
 
-    When *ensure_connected* is set, a random spanning-tree skeleton is added
-    first so the result is always connected (the paper assumes processes can
-    eventually influence each other).
+    A random spanning-tree skeleton is added first so the result is always
+    connected (the paper assumes processes can eventually influence each
+    other).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    edges: List[Edge] = []
-    if ensure_connected:
-        edges.extend((rng.randrange(i), i) for i in range(1, n))
+    edges: List[Edge] = [(rng.randrange(i), i) for i in range(1, n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:

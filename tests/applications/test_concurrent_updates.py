@@ -4,7 +4,7 @@ import pytest
 
 from repro.applications.concurrent_updates import conflict_resolution_status
 from repro.clocks import StarInlineClock, VectorClock, replay_one
-from repro.core import ExecutionBuilder, HappenedBeforeOracle
+from repro.core import ExecutionBuilder
 from repro.core.events import EventId
 from repro.topology import generators
 
@@ -32,8 +32,7 @@ def star_updates_execution():
 def true_conflicts(ex, updates):
     """The ground-truth side of the report: concurrent same-key pairs."""
     report = conflict_resolution_status(
-        replay_one(ex, VectorClock(ex.n_processes)), updates,
-        oracle=HappenedBeforeOracle(ex),
+        replay_one(ex, VectorClock(ex.n_processes)), updates
     )
     return report.true_conflicts
 

@@ -19,10 +19,10 @@ from repro.core.backend import numpy_available
 from repro.core.events import EventId
 from repro.core.random_executions import (
     execution_from_ops,
-    random_execution,
     random_ops,
 )
 from repro.topology import generators
+from tests.helpers import fifo_execution
 
 #: a FIFO star: the one shape on which every registered scheme is legal
 N = 5
@@ -49,8 +49,8 @@ def _finalized_in_run(clock, execution):
 @pytest.mark.parametrize("spec", all_schemes(), ids=lambda spec: spec.name)
 def test_the_table_answers_as_the_dict_did(spec, finalize):
     graph = generators.star(N)
-    execution = random_execution(
-        graph, random.Random(11), steps=80, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(11), steps=80, deliver_all=True
     )
     asg = replay_one(execution, spec.build(graph, CENTER), finalize=finalize)
     algo = asg.algorithm
@@ -127,8 +127,8 @@ def test_validate_names_the_first_bottom_event(spec, backend):
     if backend == "numpy" and not numpy_available():
         pytest.skip("requires numpy >= 2.0")
     graph = generators.star(N)
-    execution = random_execution(
-        graph, random.Random(11), steps=80, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(11), steps=80, deliver_all=True
     )
     asg = replay_one(execution, spec.build(graph, CENTER), finalize=False)
     oracle = HappenedBeforeOracle(execution, backend=backend)

@@ -15,8 +15,8 @@ import random
 import pytest
 
 from repro.conformance.registry import all_schemes
-from repro.core.random_executions import random_execution
 from repro.topology import generators
+from tests.helpers import fifo_execution
 
 #: a FIFO star: the one shape on which every registered scheme is legal
 N = 5
@@ -38,8 +38,8 @@ def _drive(clock, events, payloads):
 @pytest.mark.parametrize("spec", all_schemes(), ids=lambda spec: spec.name)
 def test_snapshot_is_self_contained_and_restorable_twice(spec):
     graph = generators.star(N)
-    execution = random_execution(
-        graph, random.Random(7), steps=60, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(7), steps=60, deliver_all=True
     )
     order = execution.delivery_order()
     half = len(order) // 2
@@ -93,8 +93,8 @@ def test_open_entries_survive_a_snapshot(spec):
     acknowledgements arrive, and finalizes the rest to the same timestamps
     at termination."""
     graph = generators.star(N)
-    execution = random_execution(
-        graph, random.Random(7), steps=60, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(7), steps=60, deliver_all=True
     )
     live = spec.build(graph, CENTER)
     payloads, held = {}, []

@@ -21,8 +21,8 @@ import pytest
 
 from repro.conformance.registry import all_schemes
 from repro.core.events import Event, EventId, EventKind
-from repro.core.random_executions import random_execution
 from repro.topology import generators
+from tests.helpers import fifo_execution
 
 #: a star: the one shape on which every registered scheme is legal
 N = 5
@@ -105,8 +105,8 @@ def test_a_refused_event_leaves_the_clock_as_it_was(spec):
     every event the timestamp, and every message the payload, that a twin
     which was never offered a wrong event gives."""
     graph = generators.star(N)
-    execution = random_execution(
-        graph, random.Random(3), steps=60, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(3), steps=60, deliver_all=True
     )
     order = execution.delivery_order()
     refused, twin = spec.build(graph, CENTER), spec.build(graph, CENTER)
@@ -156,8 +156,8 @@ def _executions(spec):
     for seed in range(4):
         # a lossy run leaves gaps in vector-sk's per-channel diff sequence
         deliver_all = spec.requires_fifo or seed % 2 == 0
-        yield graph, random_execution(
-            graph, random.Random(seed), steps=60, fifo=True, deliver_all=deliver_all
+        yield graph, fifo_execution(
+            graph, random.Random(seed), steps=60, deliver_all=deliver_all
         )
 
 

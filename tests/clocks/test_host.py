@@ -18,9 +18,9 @@ from repro.clocks import ClockHost, StarInlineClock, VectorClock, replay_one
 from repro.conformance.registry import schemes_for
 from repro.core.events import EventId
 from repro.core.execution import ExecutionBuilder
-from repro.core.random_executions import random_execution
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology import generators
+from tests.helpers import fifo_execution
 
 
 class _Timer:
@@ -122,8 +122,8 @@ def test_finish_closes_what_is_left_and_takes_the_table():
 @pytest.mark.parametrize("seed", range(4))
 def test_the_instant_host_is_the_replayer(seed):
     graph = generators.random_tree(6, random.Random(seed))
-    execution = random_execution(
-        graph, random.Random(seed), steps=60, fifo=True, deliver_all=seed % 2 == 0
+    execution = fifo_execution(
+        graph, random.Random(seed), steps=60, deliver_all=seed % 2 == 0
     )
     order = execution.delivery_order()
     for spec in schemes_for(graph, True):

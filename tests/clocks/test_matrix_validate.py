@@ -32,6 +32,7 @@ from repro.core.random_executions import random_execution
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology import generators
 from repro.topology.vertex_cover import best_cover
+from tests.helpers import fifo_execution
 
 
 def algorithms_for(graph):
@@ -230,8 +231,8 @@ def test_decoders_equal_pairwise_on_multi_word_rows(n, seed, steps):
     """70-200 events: two to four words per row, ``m % 64 != 0``.  A FIFO
     star is the one shape all nine registry schemes run on."""
     graph = generators.star(n)
-    ex = random_execution(
-        graph, random.Random(seed), steps=steps, fifo=True, deliver_all=True
+    ex = fifo_execution(
+        graph, random.Random(seed), steps=steps, deliver_all=True
     )
     assume(64 < ex.n_events <= 200 and ex.n_events % 64)
     ids = [ev.eid for ev in ex.all_events()]
@@ -251,8 +252,8 @@ def test_decoders_equal_pairwise_on_multi_word_rows(n, seed, steps):
 
 def _fixed_execution():
     graph = generators.star(32)
-    return graph, random_execution(
-        graph, random.Random(2), steps=1_024, fifo=True, deliver_all=True
+    return graph, fifo_execution(
+        graph, random.Random(2), steps=1_024, deliver_all=True
     )
 
 

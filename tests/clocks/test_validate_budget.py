@@ -77,10 +77,11 @@ from repro.core import (
     incremental_from_execution,
 )
 from repro.core.backend import numpy_available
-from repro.core.random_executions import execution_from_ops, random_execution
+from repro.core.random_executions import execution_from_ops
 from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
 from tests import meter
+from tests.helpers import fifo_execution
 
 PARENT_CALLS = {"hlc": 662_679, "lamport": 661_641, "plausible": 284_464}
 #: measured 2.79-6.36 (plausible 2,885, lamport 5,549, hlc 6,584 calls) on
@@ -96,8 +97,8 @@ SAMPLED_PAIRS = 2_000
 
 def _fixed_execution():
     graph = generators.star(32)
-    return graph, random_execution(
-        graph, random.Random(2), steps=1_024, fifo=True, deliver_all=True
+    return graph, fifo_execution(
+        graph, random.Random(2), steps=1_024, deliver_all=True
     )
 
 

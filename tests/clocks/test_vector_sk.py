@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.clocks import SKVectorClock, VectorClock, replay, replay_one
 from repro.core import ExecutionBuilder, HappenedBeforeOracle
-from repro.core.random_executions import random_execution
 from repro.sim import Simulation, UniformWorkload
 from repro.topology import generators
+from tests.helpers import fifo_execution
 
 
 class TestEquivalenceWithPlainVectorClock:
@@ -18,7 +18,7 @@ class TestEquivalenceWithPlainVectorClock:
     def test_same_timestamps_on_fifo_executions(self, seed):
         rng = random.Random(seed)
         g = generators.erdos_renyi(5, 0.4, rng)
-        ex = random_execution(g, rng, steps=40, fifo=True)
+        ex = fifo_execution(g, rng, steps=40)
         sk, plain = replay(ex, [SKVectorClock(5), VectorClock(5)])
         for ev in ex.all_events():
             assert sk[ev.eid].vector == plain[ev.eid].vector
@@ -28,7 +28,7 @@ class TestEquivalenceWithPlainVectorClock:
     def test_characterizes(self, seed):
         rng = random.Random(seed)
         g = generators.star(5)
-        ex = random_execution(g, rng, steps=30, fifo=True)
+        ex = fifo_execution(g, rng, steps=30)
         assert replay_one(ex, SKVectorClock(5)).validate().characterizes
 
 

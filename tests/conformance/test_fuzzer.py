@@ -78,9 +78,10 @@ class TestOpsLayer:
         lossy = GilbertElliottLoss(
             p_enter_burst=1.0, p_exit_burst=0.0, loss_burst=1.0
         )
-        ex = random_execution(
+        ops = random_ops(
             g, random.Random(5), steps=40, deliver_all=True, fault=lossy
         )
+        ex = execution_from_ops(g, ops)
         # the burst starts immediately and never exits: nothing delivers
         assert ex.undelivered_messages() == list(ex.messages)
 

@@ -32,7 +32,8 @@ from repro.core.backend import (
 )
 from repro.core.cuts import cut_from_events, events_in_cut
 from repro.core.incremental import IncrementalHBOracle
-from repro.core.random_executions import random_execution
+from repro.core.random_executions import execution_from_ops, random_execution, random_ops
+from repro.faults.models import GilbertElliottLoss
 from repro.topology import generators
 from tests.helpers import reference_past_masks
 
@@ -47,9 +48,7 @@ KERNELS = ["pure"] + (["numpy"] if numpy_available() else [])
 def _random_ex(seed: int, n: int = 5, steps: int = 60):
     rng = random.Random(seed)
     graph = generators.erdos_renyi(n, 0.6, rng)
-    return random_execution(
-        graph, rng, steps=steps, p_deliver=0.3, p_local=0.2
-    )
+    return random_execution(graph, rng, steps=steps)
 
 
 def assert_bits_match_reference(oracle, ref):
@@ -217,8 +216,11 @@ class TestEdgeShapes:
         assert_every_kernel_matches_reference(ex)
 
     def test_undelivered_sends(self):
+        lossy = GilbertElliottLoss(p_enter_burst=0.2, p_exit_burst=0.5)
         for seed in range(5):
-            ex = _random_ex(seed, steps=120)
+            rng = random.Random(seed)
+            graph = generators.erdos_renyi(5, 0.6, rng)
+            ex = execution_from_ops(graph, random_ops(graph, rng, steps=120, fault=lossy))
             assert ex.undelivered_messages()
             assert_every_kernel_matches_reference(ex)
 

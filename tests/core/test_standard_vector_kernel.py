@@ -24,8 +24,8 @@ from repro.clocks.base import standard_vector_rows, vector_lt
 from repro.clocks.vector import VectorTimestamp
 from repro.core import HappenedBeforeOracle
 from repro.core.backend import numpy_available
-from repro.core.random_executions import random_execution
 from repro.topology import generators
+from tests.helpers import fifo_execution
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="requires numpy >= 2.0"
@@ -101,8 +101,8 @@ def test_half_repeated_distinct_vectors_split_into_groups(monkeypatch):
 
 def _vector_clocks(m):
     graph = generators.star(33)
-    execution = random_execution(
-        graph, random.Random(1), steps=m, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(1), steps=m, deliver_all=True
     )
     asg = replay_one(execution, VectorClock(graph.n_vertices))
     vectors = [asg[ev.eid].vector for ev in execution.all_events()]
@@ -168,8 +168,8 @@ def test_ragged_vectors_validate_as_on_the_pure_kernel():
     on a numpy oracle falls back to the pairwise comparison: its report is
     the pure oracle's, field for field."""
     graph = generators.star(8)
-    execution = random_execution(
-        graph, random.Random(5), steps=120, fifo=True, deliver_all=True
+    execution = fifo_execution(
+        graph, random.Random(5), steps=120, deliver_all=True
     )
     asg = replay_one(execution, TrimmedVectorClock(graph.n_vertices))
     vectors = [asg[ev.eid].vector for ev in execution.all_events()]

@@ -21,6 +21,11 @@ from repro.fabric.drivers import selftest_specs
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
+def _slow_specs(count, sleep):
+    """Self-test cells that each sleep *sleep* seconds, so workers overlap."""
+    return [dict(spec, sleep=sleep) for spec in selftest_specs(count)]
+
+
 def _reference_digest(tmp_path, specs):
     store = ResultStore(tmp_path / "reference")
     run_fabric(specs, store)
@@ -59,11 +64,13 @@ def test_resume_false_refuses_populated_store(tmp_path):
         run_fabric(specs, store)
 
 
-def test_resume_skips_completed_cells(tmp_path):
+def test_resume_skips_completed_cells(tmp_path, monkeypatch):
     specs = selftest_specs(6)
     store = ResultStore(tmp_path / "s")
+    monkeypatch.setenv(INTERRUPT_ENV, "2")
     with pytest.raises(FabricInterrupted) as exc_info:
-        run_fabric(specs, store, interrupt_after=2)
+        run_fabric(specs, store)
+    monkeypatch.delenv(INTERRUPT_ENV)
     assert exc_info.value.done == 2
     assert len(store) == 2
     registry = MetricsRegistry()
@@ -88,9 +95,10 @@ def test_failing_cell_exhausts_retry_budget(tmp_path):
     with pytest.raises(CellFailed) as exc_info:
         run_fabric(
             specs, ResultStore(tmp_path / "f"),
-            executor=flaky, max_retries=2,
+            executor=flaky,
         )
-    assert calls == [0, 0, 0]  # initial attempt + 2 retries, then stop
+    # initial attempt + MAX_RETRIES retries, then stop
+    assert calls == [0] * (1 + coordinator.MAX_RETRIES)
     assert len(exc_info.value.errors) == 3
 
 
@@ -105,7 +113,7 @@ def test_transient_failure_is_retried_to_success(tmp_path):
 
     specs = selftest_specs(1)
     store = ResultStore(tmp_path / "t")
-    report = run_fabric(specs, store, executor=flaky_once, max_retries=2)
+    report = run_fabric(specs, store, executor=flaky_once)
     assert report.stats["cells_retried"] == 1
     assert store.get(report.keys[0]) == {"index": 0}
 
@@ -113,7 +121,7 @@ def test_transient_failure_is_retried_to_success(tmp_path):
 def test_sigkilled_worker_is_reaped_and_cells_recovered(
     tmp_path, monkeypatch
 ):
-    specs = selftest_specs(8, sleep=0.02)
+    specs = _slow_specs(8, 0.02)
     expected = _reference_digest(tmp_path, specs)
     monkeypatch.setenv(KILL_ENV, "0:1")  # worker 0 dies after one cell
     store = ResultStore(tmp_path / "k")
@@ -132,31 +140,27 @@ def test_hung_worker_lease_expires_and_reassigns(tmp_path, monkeypatch):
     assert report.stats["cells_reassigned"] >= 1
 
 
-def test_interrupt_in_coordinated_mode_is_resumable(tmp_path):
-    specs = selftest_specs(8, sleep=0.01)
+def test_interrupt_in_coordinated_mode_is_resumable(tmp_path, monkeypatch):
+    specs = _slow_specs(8, 0.01)
+    monkeypatch.setenv(INTERRUPT_ENV, "2")
     with pytest.raises(FabricInterrupted):
-        run_fabric(
-            specs, ResultStore(tmp_path / "i"), workers=2,
-            interrupt_after=2,
-        )
+        run_fabric(specs, ResultStore(tmp_path / "i"), workers=2)
+    monkeypatch.delenv(INTERRUPT_ENV)
     store = ResultStore(tmp_path / "i")
     run_fabric(specs, store, workers=2, resume=True)
     assert store.digest() == _reference_digest(tmp_path, specs)
 
 
-@pytest.mark.parametrize("through", ["keyword", "test-hook"])
-def test_interrupt_threshold_is_never_overshot(tmp_path, monkeypatch, through):
+def test_interrupt_threshold_is_never_overshot(tmp_path, monkeypatch):
     # draining every worker before testing the threshold once per turn let
     # one turn take the count from N-2 to N, and the run completed instead
     # of stopping: the threshold is tested after each single completion
     specs = selftest_specs(6)
-    how = {"interrupt_after": len(specs) - 1}
-    if through == "test-hook":
-        monkeypatch.setenv(INTERRUPT_ENV, str(how.pop("interrupt_after")))
+    monkeypatch.setenv(INTERRUPT_ENV, str(len(specs) - 1))
     for run in range(25):
         store = ResultStore(tmp_path / f"overshoot-{run}")
         with pytest.raises(FabricInterrupted) as exc_info:
-            run_fabric(specs, store, workers=2, **how)
+            run_fabric(specs, store, workers=2)
         assert exc_info.value.done == len(specs) - 1
         assert exc_info.value.remaining == 1
 
@@ -188,21 +192,16 @@ def test_coordinator_waits_on_events_not_on_a_tick(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "how", [{"interrupt_after": 0}, {"interrupt_after": -2}, {INTERRUPT_ENV: "0"}],
-    ids=["keyword-0", "keyword-minus-2", "test-hook-0"],
-)
+@pytest.mark.parametrize("raw", ["0", "-2"], ids=["test-hook-0", "test-hook-minus-2"])
 def test_interrupt_before_the_first_cell_is_refused(
-    tmp_path, monkeypatch, workers, how
+    tmp_path, monkeypatch, workers, raw
 ):
     # a threshold below 1 used to stop a serial run after one cell and a
     # two-worker run after none: it is refused the same on every placement
-    how = dict(how)
-    if INTERRUPT_ENV in how:
-        monkeypatch.setenv(INTERRUPT_ENV, how.pop(INTERRUPT_ENV))
+    monkeypatch.setenv(INTERRUPT_ENV, raw)
     store = ResultStore(tmp_path / "early")
-    with pytest.raises(ValueError, match="must be >= 1|expected N"):
-        run_fabric(selftest_specs(5, seed=1), store, workers=workers, **how)
+    with pytest.raises(ValueError, match="expected N"):
+        run_fabric(selftest_specs(5, seed=1), store, workers=workers)
     assert len(store) == 0
 
 
@@ -230,7 +229,7 @@ def test_malformed_test_hook_is_refused_before_any_cell(
 
 
 def test_kill_hook_without_a_count_kills_after_one_cell(tmp_path, monkeypatch):
-    specs = selftest_specs(6, sleep=0.02)
+    specs = _slow_specs(6, 0.02)
     monkeypatch.setenv(KILL_ENV, "1")
     store = ResultStore(tmp_path / "k1")
     report = run_fabric(specs, store, workers=2, lease_timeout=5.0)

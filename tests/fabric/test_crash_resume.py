@@ -4,7 +4,7 @@ The fabric's headline guarantee is that the result store is a pure
 function of the sweep — independent of placement, worker count, retry
 history, and interruption points.  Hypothesis drives randomized kill
 points (and kill-point *sequences*) through the deterministic
-``interrupt_after`` hook and asserts the resumed store's digest equals
+``REPRO_FABRIC_TEST_INTERRUPT`` hook and asserts the resumed store's digest equals
 the uninterrupted reference, cell for cell, byte for byte.
 """
 
@@ -23,9 +23,19 @@ from repro.fabric import (
     ResultStore,
     run_fabric,
 )
+from repro.fabric.coordinator import INTERRUPT_ENV
 from repro.fabric.drivers import selftest_specs
 
 N_CELLS = 7
+
+
+def _interrupted_run(specs, store, after, **kwargs):
+    """Run until the test hook stops it after *after* completions."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(INTERRUPT_ENV, str(after))
+        with pytest.raises(FabricInterrupted) as exc_info:
+            run_fabric(specs, store, **kwargs)
+    return exc_info.value
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +52,7 @@ def test_single_interrupt_resume_is_byte_identical(
 ):
     specs = selftest_specs(N_CELLS)
     store = ResultStore(tmp_path_factory.mktemp("case") / "store")
-    with pytest.raises(FabricInterrupted) as exc_info:
-        run_fabric(specs, store, interrupt_after=kill_after)
-    assert exc_info.value.done == kill_after
+    assert _interrupted_run(specs, store, kill_after).done == kill_after
     assert len(store) == kill_after
     report = run_fabric(specs, store, resume=True)
     assert report.stats["cells_resumed"] == kill_after
@@ -71,10 +79,7 @@ def test_repeated_interrupts_then_resume(
         target = min(step, N_CELLS - len(store) - 1)
         if target < 1:
             break
-        with pytest.raises(FabricInterrupted):
-            run_fabric(
-                specs, store, resume=resumed, interrupt_after=target
-            )
+        _interrupted_run(specs, store, target, resume=resumed)
         resumed = True
     run_fabric(specs, store, resume=resumed)
     assert store.digest() == reference_digest
@@ -90,10 +95,7 @@ def test_parallel_interrupt_resume_is_byte_identical(
 ):
     specs = selftest_specs(N_CELLS)
     store = ResultStore(tmp_path_factory.mktemp("case") / "store")
-    with pytest.raises(FabricInterrupted):
-        run_fabric(
-            specs, store, workers=workers, interrupt_after=kill_after
-        )
+    _interrupted_run(specs, store, kill_after, workers=workers)
     # a parallel interrupt may land with >= kill_after cells stored
     # (in-flight completions drain); resume from whatever survived
     assert len(store) >= kill_after

@@ -17,11 +17,22 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.clocks.base import INFINITY
 from repro.core.events import EventId
 from repro.core.execution import Execution
+from repro.core.random_executions import execution_from_ops, random_ops
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import IncrementalHBOracle
 from repro.lowerbounds.posets import Poset
+from repro.topology.graph import CommunicationGraph
 
 Post = Union[int, float]
+
+
+def fifo_execution(
+    graph: CommunicationGraph, rng, steps: int, deliver_all: bool = False
+) -> Execution:
+    """A random execution whose channels deliver in FIFO order, which the
+    schemes that assume FIFO channels need (see ``random_ops``)."""
+    ops = random_ops(graph, rng, steps=steps, deliver_all=deliver_all, fifo=True)
+    return execution_from_ops(graph, ops)
 
 
 def declarative_star_values(

@@ -73,6 +73,6 @@ class TestSearch:
             assert 0 in (msg.src, msg.dst)
 
     def test_search_can_fail_gracefully(self):
-        outcome = find_high_dimension_execution(seed=0, max_trials=1, steps=2)
+        outcome = find_high_dimension_execution(seed=0, max_trials=1)
         assert not outcome.success
         assert outcome.found is None

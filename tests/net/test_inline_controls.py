@@ -228,7 +228,7 @@ class TestControlsRideFrames:
 
     @on_virtual_time
     async def test_timed_out_request_puts_its_controls_back_in_order(self):
-        policy = TransportPolicy(request_timeout=0.1, max_retries=0, jitter=0.0)
+        policy = TransportPolicy(request_timeout=0.1, max_retries=0)
         async with cluster(policy) as (spec, host, nodes, registry):
             client = spec.clients[0]
             seq = spec.attached(client)[0]
@@ -332,7 +332,7 @@ class TestFlush:
 
     @on_virtual_time
     async def test_undeliverable_flush_is_counted_lost(self):
-        policy = TransportPolicy(request_timeout=0.1, max_retries=0, jitter=0.0)
+        policy = TransportPolicy(request_timeout=0.1, max_retries=0)
         async with cluster(policy) as (spec, host, nodes, registry):
             seq = await self._owe_two_servers(spec, host, nodes)
             owed = {dst: len(batch) for dst, batch in nodes[seq]._ctl_out.items()}

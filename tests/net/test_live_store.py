@@ -21,7 +21,7 @@ from repro.net import (
     TransportError,
     run_live_store_sync,
 )
-from repro.net.loadgen import build_live_clock
+from repro.net.loadgen import LiveReport, build_live_clock
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -142,6 +142,16 @@ class TestBuildLiveClock:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown clock"):
             build_live_clock("sundial", ClusterSpec(small_config()))
+
+
+class TestLatencyPercentiles:
+    def test_percentiles_and_cdf_are_nearest_rank(self):
+        # p50/p95/p99 used to read one rank high (51/96/100 here, so p99
+        # was the maximum) while the CDF read 50 at 0.5
+        latencies = [float(ms) for ms in range(1, 101)]
+        report = LiveReport(small_config(), "inline", 1.0, 100, latencies, [], 0, 0)
+        assert [report.percentile(q) for q in (0.5, 0.95, 0.99)] == [50.0, 95.0, 99.0]
+        assert report.latency_cdf() == [(5.0 * i, i / 20) for i in range(1, 21)]
 
 
 class TestCleanRun:

@@ -186,10 +186,6 @@ def fast_policy(**kw):
     defaults = dict(
         request_timeout=0.25,
         max_retries=3,
-        backoff=2.0,
-        jitter=0.0,
-        reconnect_delay=0.02,
-        max_reconnect_delay=0.2,
         seed=0,
     )
     defaults.update(kw)
@@ -297,7 +293,7 @@ class TestPayloadCodec:
 
 class TestTransportPolicy:
     def test_attempt_timeout_backs_off_geometrically(self):
-        p = TransportPolicy(request_timeout=0.1, backoff=2.0)
+        p = TransportPolicy(request_timeout=0.1)
         assert p.attempt_timeout(0) == pytest.approx(0.1)
         assert p.attempt_timeout(3) == pytest.approx(0.8)
 
@@ -306,10 +302,6 @@ class TestTransportPolicy:
         [
             dict(request_timeout=0.0),
             dict(max_retries=-1),
-            dict(backoff=0.5),
-            dict(jitter=1.5),
-            dict(reconnect_delay=0.0),
-            dict(reconnect_delay=1.0, max_reconnect_delay=0.5),
         ],
     )
     def test_validation(self, kw):
@@ -508,9 +500,7 @@ class TestRetryAndTimeout:
 
         client = PeerClient(
             0, 1, resolve=lambda: dead,
-            policy=fast_policy(
-                request_timeout=0.05, max_retries=2, backoff=1.0
-            ),
+            policy=fast_policy(request_timeout=0.05, max_retries=2),
         )
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -917,9 +907,7 @@ class TestAttempts:
 
         # the default reconnect ladder: left alone, it would back off for
         # seconds
-        policy = TransportPolicy(
-            request_timeout=0.05, max_retries=2, backoff=1.0, jitter=0.0
-        )
+        policy = TransportPolicy(request_timeout=0.05, max_retries=2)
         client = PeerClient(0, 1, resolve=lambda: dead, policy=policy)
         loop = asyncio.get_running_loop()
         started = loop.time()

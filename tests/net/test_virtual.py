@@ -6,6 +6,7 @@ input, faults and crashes included, and a timeout costs no wall time.
 """
 
 import asyncio
+import random
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from repro.net import (
 )
 from repro.net import loadgen
 from repro.net.loadgen import deploy
+from repro.net.transport import JITTER
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
@@ -333,7 +335,7 @@ class TestReadGuard:
 class TestSlowSequencerFailover:
     def test_clients_fail_over_past_a_degraded_sequencer(self):
         spec, book = ClusterSpec(store_config(n_servers=1, n_clients=1)), AddressBook()
-        policy = TransportPolicy(request_timeout=0.15, max_retries=0, jitter=0.0)
+        policy = TransportPolicy(request_timeout=0.15, max_retries=0)
         supervisor = Supervisor()
         for pid in range(spec.n_processes):
             supervisor.register(pid, lambda p=pid: make_node(p, spec, book, policy))
@@ -351,7 +353,12 @@ class TestSlowSequencerFailover:
         started = time.perf_counter()
         run_virtual(go())
         assert time.perf_counter() - started < 0.5
-        # every operation waits out one attempt on the slow home, then fails over
+        # every operation waits out one attempt on the slow home, then fails
+        # over; the attempt's jitter is drawn from the client's seeded rng
         node = supervisor.nodes[client]
         assert node.failovers == 5
-        assert node.latencies_ms == pytest.approx([150.0] * 5)
+        home = spec.attached(client)[0]
+        rng = random.Random((policy.seed << 20) ^ (client << 10) ^ home)
+        assert node.latencies_ms == pytest.approx(
+            [150.0 * (1.0 + JITTER * rng.random()) for _ in range(5)]
+        )

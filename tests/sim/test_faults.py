@@ -58,7 +58,7 @@ class TestGilbertElliott:
         assert cond > 2 * m.mean_loss_rate()
 
     def test_scope_filters(self):
-        m = GilbertElliottLoss(loss_good=1.0, loss_burst=1.0, scope="control")
+        m = GilbertElliottLoss(p_enter_burst=1.0, scope="control")
         rng = random.Random(0)
         assert m.message_fate(0, 1, 0.0, rng, control=False) is DELIVER
         assert m.message_fate(0, 1, 0.0, rng, control=True).drop

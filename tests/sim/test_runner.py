@@ -143,14 +143,11 @@ class TestRunBounds:
 
     def test_no_finalize_leaves_bottoms(self):
         sim = star_sim(seed=22)
-        res = sim.run(
-            UniformWorkload(events_per_process=10, p_local=0.9),
-            finalize=False,
-        )
-        inline = res.assignments["inline"]
-        # some purely local radial events never finalize without the
-        # termination flush
-        assert len(inline) < res.execution.n_events
+        res = sim.run(UniformWorkload(events_per_process=10, p_local=0.9))
+        # some purely local radial events never finalize during the run:
+        # only the termination flush closes them
+        assert len(res.finalization_times["inline"]) < res.execution.n_events
+        assert len(res.assignments["inline"]) == res.execution.n_events
 
     def test_truncated_run_still_valid(self):
         sim = star_sim(seed=23)

@@ -100,7 +100,7 @@ class TestClientServerWorkload:
 class TestBroadcastWorkload:
     def test_flood_reaches_everyone(self):
         g = generators.cycle(6)
-        res = Simulation(g, seed=6).run(BroadcastWorkload(initiator=0))
+        res = Simulation(g, seed=6).run(BroadcastWorkload())
         # every process other than the initiator receives at least once
         for p in range(1, 6):
             kinds = [ev.kind for ev in res.execution.events_at(p)]
@@ -108,8 +108,8 @@ class TestBroadcastWorkload:
 
     def test_multiple_rounds(self):
         g = generators.star(4)
-        res1 = Simulation(g, seed=7).run(BroadcastWorkload(0, rounds=1))
-        res2 = Simulation(g, seed=7).run(BroadcastWorkload(0, rounds=2))
+        res1 = Simulation(g, seed=7).run(BroadcastWorkload(rounds=1))
+        res2 = Simulation(g, seed=7).run(BroadcastWorkload(rounds=2))
         assert res2.execution.n_events > res1.execution.n_events
 
 

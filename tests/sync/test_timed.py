@@ -48,7 +48,7 @@ class TestTimedSimulation:
         """A message's completion time is at least both endpoints' prior
         completion times plus the handshake."""
         g = generators.star(4)
-        res = simulate_sync(g, seed=5, handshake_duration=1.0)
+        res = simulate_sync(g, seed=5)
         last: dict = {}
         for uid in sorted(range(len(res.joints)), key=res.event_times.get):
             t = res.event_times[uid]

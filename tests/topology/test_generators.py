@@ -78,7 +78,7 @@ class TestRandomFamilies:
 
     def test_erdos_renyi_connected(self):
         rng = random.Random(1)
-        g = generators.erdos_renyi(12, 0.1, rng, ensure_connected=True)
+        g = generators.erdos_renyi(12, 0.1, rng)
         assert g.is_connected()
 
     def test_erdos_renyi_probability_bounds(self):
